@@ -1,10 +1,11 @@
 """Fixed-length clip sampling, augmentation and dataset splitting.
 
-A sample is a 16-frame window cropped to one person's smoothed ROI.  The
-crop box is frozen at the window's start frame for all 16 frames so the
-crop itself adds no apparent motion.  Augmentation draws are a pure
-function of (seed, provenance), which keeps RGB and flow samples of the
-same window geometrically in lockstep.
+A sample is a 16-frame window cropped to one person's smoothed ROI; a
+still for 2D pretraining is the one-frame window.  The crop box is frozen
+at the window's start frame for all its frames so the crop itself adds no
+apparent motion.  Augmentation draws are a pure function of (seed,
+provenance), which keeps RGB and flow samples of the same window
+geometrically in lockstep.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import frameio
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .frameio import Frame, FrameSequence
 from .pose import BBox
 from .tracking import Track
@@ -46,22 +47,6 @@ class AnnotationRecord:
 
 
 @dataclass
-class ClipSample:
-    tensor: np.ndarray  # (16, H, W, C), C = 3 for RGB or 2 for flow
-    label: int
-    provenance: tuple[str, str, int]  # (video_id, date_tag, start_frame)
-
-    def __post_init__(self):
-        t, h, w, _ = self.tensor.shape
-        if t != CLIP_LEN:
-            raise DataError(f"clip must have exactly {CLIP_LEN} frames, got {t}")
-        if h != w:
-            raise DataError(f"clip must be square, got {h}x{w}")
-        if self.label not in (0, 1):
-            raise DataError(f"clip label must be 0 or 1, got {self.label}")
-
-
-@dataclass
 class AugmentConfig:
     scale_min: float = 1.0
     scale_max: float = 1.75
@@ -70,13 +55,12 @@ class AugmentConfig:
     input_size: int = 56
     pos_stride: int = 1
     neg_stride: int = 4
-    seed: int = 0
 
     def __post_init__(self):
         if not 1.0 <= self.scale_min <= self.scale_max:
-            raise DataError(f"need 1 <= scale_min <= scale_max, got {self.scale_min}, {self.scale_max}")
+            raise ConfigError(f"need 1 <= scale_min <= scale_max, got {self.scale_min}, {self.scale_max}")
         if not 0.0 <= self.flip_prob <= 1.0:
-            raise DataError(f"flip_prob must lie in [0, 1], got {self.flip_prob}")
+            raise ConfigError(f"flip_prob must lie in [0, 1], got {self.flip_prob}")
 
 
 def window_starts(clip_len: int, label: int, cfg: AugmentConfig = AugmentConfig()) -> list[int]:
@@ -88,11 +72,11 @@ def window_starts(clip_len: int, label: int, cfg: AugmentConfig = AugmentConfig(
     return list(range(0, clip_len - CLIP_LEN + 1, stride))
 
 
-def sample_rng(cfg: AugmentConfig, provenance: tuple[str, str, int]) -> np.random.Generator:
+def sample_rng(seed: int, provenance: tuple[str, str, int]) -> np.random.Generator:
     """Per-sample RNG stream keyed by provenance; identical for RGB and flow."""
     video_id, date_tag, start = provenance
     digest = hashlib.sha256(f"{video_id}|{date_tag}|{start}".encode()).digest()
-    return np.random.default_rng([cfg.seed, int.from_bytes(digest[:8], "little")])
+    return np.random.default_rng([seed, int.from_bytes(digest[:8], "little")])
 
 
 def _fit_to_input(frame: Frame, size: int) -> Frame:
@@ -106,80 +90,59 @@ def _fit_to_input(frame: Frame, size: int) -> Frame:
     return Frame(resized.data[y0:y0 + size, x0:x0 + size].copy())
 
 
+def crop_window(seq: FrameSequence, box: BBox | None, start: int, n: int, size: int,
+                flip: bool = False, delta: float = 0.0) -> np.ndarray:
+    """Frames [start, start + n) cut to `box` (the whole frame if None), fit
+    to size x size, optionally mirrored and, for RGB, brightened by `delta`:
+    an (n, size, size, C) array."""
+    planes = []
+    for frame in seq.frames[start:start + n]:
+        if box is not None:
+            frame = frameio.crop(frame, box)
+        frame = _fit_to_input(frame, size)
+        if flip:
+            frame = frameio.hflip(frame)
+        if delta and frame.channels == 3:
+            frame = frameio.adjust_brightness(frame, delta)
+        planes.append(frame.data)
+    return np.stack(planes)
+
+
 def sample_clip(
     seq: FrameSequence,
     track: Track,
     start: int,
     cfg: AugmentConfig,
     mode: str = "eval",
-    label: int = 0,
-    rng: np.random.Generator | None = None,
-) -> ClipSample:
-    """Cut one 16-frame window around the track's smoothed box at `start`.
+    *,
+    seed: int = 0,
+    n_frames: int = CLIP_LEN,
+) -> np.ndarray:
+    """Cut an (n_frames, S, S, C) window around the track's smoothed box at `start`.
 
-    Train mode applies per-clip multi-scale cropping (area factor in
+    Train mode applies per-sample multi-scale cropping (area factor in
     [scale_min, scale_max]), a coin-flip horizontal flip and one brightness
-    delta shared by all 16 frames.  Eval mode is the deterministic
-    original-ROI crop.
+    delta shared by all frames, drawn from `sample_rng(seed, provenance)`.
+    Eval mode is the deterministic original-ROI crop.  A still for 2D
+    pretraining is the one-frame window at its frame.
     """
     if mode not in ("train", "eval"):
         raise DataError(f"mode must be train or eval, got {mode}")
-    if start + CLIP_LEN > len(seq):
-        raise DataError(f"{seq.video_id}: window [{start}, {start + CLIP_LEN}) exceeds {len(seq)} frames")
+    if start < 0 or start + n_frames > len(seq):
+        raise DataError(f"{seq.video_id}: window [{start}, {start + n_frames}) exceeds {len(seq)} frames")
     box = track.box_at(start, smoothed=True)
     if box is None:
         raise DataError(f"{seq.video_id}: track {track.track_id} has no box at frame {start}")
 
-    provenance = (seq.video_id, seq.date_tag, start)
     if mode == "train":
-        if rng is None:
-            rng = sample_rng(cfg, provenance)
+        rng = sample_rng(seed, (seq.video_id, seq.date_tag, start))
         area = rng.uniform(cfg.scale_min, cfg.scale_max)
         flip = rng.random() < cfg.flip_prob
         delta = rng.uniform(-cfg.brightness_extent, cfg.brightness_extent)
         box = box.scaled(float(np.sqrt(area)))
     else:
         flip, delta = False, 0.0
-
-    planes = []
-    for t in range(start, start + CLIP_LEN):
-        frame = frameio.crop(seq.frames[t], box)
-        frame = _fit_to_input(frame, cfg.input_size)
-        if flip:
-            frame = frameio.hflip(frame)
-        if delta and frame.channels == 3:
-            frame = frameio.adjust_brightness(frame, delta)
-        planes.append(frame.data)
-    return ClipSample(np.stack(planes), label=label, provenance=provenance)
-
-
-def sample_still(
-    seq: FrameSequence,
-    track: Track,
-    frame_index: int,
-    cfg: AugmentConfig,
-    mode: str = "train",
-) -> np.ndarray:
-    """One augmented (size, size, C) crop of a single frame, for 2D pretraining."""
-    if not 0 <= frame_index < len(seq):
-        raise DataError(f"{seq.video_id}: still frame {frame_index} outside 0..{len(seq) - 1}")
-    box = track.box_at(frame_index, smoothed=True)
-    if box is None:
-        raise DataError(f"{seq.video_id}: track {track.track_id} has no box "
-                        f"at frame {frame_index}")
-    if mode == "train":
-        rng = sample_rng(cfg, (seq.video_id, seq.date_tag, frame_index))
-        box = box.scaled(float(np.sqrt(rng.uniform(cfg.scale_min, cfg.scale_max))))
-        flip = rng.random() < cfg.flip_prob
-        delta = rng.uniform(-cfg.brightness_extent, cfg.brightness_extent)
-    else:
-        flip, delta = False, 0.0
-    frame = _fit_to_input(frameio.crop(seq.frames[frame_index], box), cfg.input_size)
-    if flip:
-        frame = frameio.hflip(frame)
-    if delta and frame.channels == 3:
-        frame = frameio.adjust_brightness(frame, delta)
-    return frame.data
+    return crop_window(seq, box, start, n_frames, cfg.input_size, flip, delta)
 
 
 @dataclass

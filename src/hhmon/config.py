@@ -1,6 +1,10 @@
 """Pipeline configuration: nested blocks of plain dataclasses, loadable from
-a JSON file that overrides any subset of fields.  Defaults here must stay in
-lockstep with the owning modules' defaults; tests assert that.
+a JSON file that overrides any subset of fields.
+
+The clip, flow and train blocks are the owning modules' own dataclasses,
+plus a few pipeline-only fields, and the roi, link and eval defaults are the
+owning modules' constants, so every default is declared once.  Each block
+validates itself when built; a bad value is a ConfigError naming its section.
 """
 
 from __future__ import annotations
@@ -9,7 +13,11 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 
+from . import metrics, pose, tracking
+from .clipset import AugmentConfig
 from .errors import ConfigError
+from .training import TrainConfig
+from .tvl1 import TvL1Params
 
 
 @dataclass
@@ -38,59 +46,43 @@ class GenConfig:
 
 @dataclass
 class RoiConfig:
-    margin: float = 0.25
-    min_confidence: float = 0.1
-    min_joints: int = 4
+    margin: float = pose.DEFAULT_MARGIN
+    min_confidence: float = pose.DEFAULT_MIN_CONFIDENCE
+    min_joints: int = pose.DEFAULT_MIN_JOINTS
 
 
 @dataclass
 class LinkConfig:
-    tau_new: float = 0.1
-    max_gap: int = 8
-    smooth_window: int = 4
+    tau_new: float = tracking.DEFAULT_TAU_NEW
+    max_gap: int = tracking.DEFAULT_MAX_GAP
+    smooth_window: int = tracking.DEFAULT_SMA_WINDOW
 
 
 @dataclass
-class ClipConfig:
-    scale_min: float = 1.0
-    scale_max: float = 1.75
-    flip_prob: float = 0.5
-    brightness_extent: float = 0.1
-    input_size: int = 56
-    pos_stride: int = 1
-    neg_stride: int = 4
-
-
-@dataclass
-class FlowConfig:
-    lam: float = 0.15
-    theta: float = 0.3
-    tau: float = 0.25
-    n_warps: int = 5
-    n_iters: int = 25
-    stop_epsilon: float = 0.01
-    pyramid_factor: float = 0.5
-    min_size: int = 16
+class FlowConfig(TvL1Params):
     # library default caps at 20 px; desk-scale scenes move 1-5 px per frame,
     # so 1 px keeps the stored flow from collapsing toward zero
     max_flow: float = 1.0
 
 
 @dataclass
-class TrainBlock:
-    lr: float = 0.01
+class TrainBlock(TrainConfig):
     head_lr: float = 0.5  # frozen-backbone logistic head tolerates a hotter step
-    momentum: float = 0.9
-    batch_size: int = 8
-    epochs: int = 10
     pretrain_epochs: int = 10
     stills_per_scene: int = 4
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.head_lr < 0:
+            raise ConfigError(f"head_lr must be >= 0, got {self.head_lr}")
+        if self.pretrain_epochs < 1 or self.stills_per_scene < 1:
+            raise ConfigError("pretrain_epochs and stills_per_scene must be >= 1")
 
 
 @dataclass
 class EvalConfig:
     mode: str = "per-annotated-clip"  # or per-window
-    threshold: float = 0.5
+    threshold: float = metrics.DEFAULT_THRESHOLD
 
     def __post_init__(self):
         if self.mode not in ("per-annotated-clip", "per-window"):
@@ -105,7 +97,7 @@ class PipelineConfig:
     gen: GenConfig = field(default_factory=GenConfig)
     roi: RoiConfig = field(default_factory=RoiConfig)
     link: LinkConfig = field(default_factory=LinkConfig)
-    clip: ClipConfig = field(default_factory=ClipConfig)
+    clip: AugmentConfig = field(default_factory=AugmentConfig)
     flow: FlowConfig = field(default_factory=FlowConfig)
     train: TrainBlock = field(default_factory=TrainBlock)
     eval: EvalConfig = field(default_factory=EvalConfig)
@@ -115,7 +107,7 @@ class PipelineConfig:
 
 
 _BLOCK_TYPES = {"paths": PathsConfig, "gen": GenConfig, "roi": RoiConfig, "link": LinkConfig,
-                "clip": ClipConfig, "flow": FlowConfig, "train": TrainBlock, "eval": EvalConfig}
+                "clip": AugmentConfig, "flow": FlowConfig, "train": TrainBlock, "eval": EvalConfig}
 
 
 def _build_block(cls, data: dict, where: str):
@@ -125,8 +117,8 @@ def _build_block(cls, data: dict, where: str):
         raise ConfigError(f"{where}: unknown keys {', '.join(unknown)}")
     try:
         return cls(**data)
-    except TypeError as exc:
-        raise ConfigError(f"{where}: {exc}")
+    except (TypeError, ConfigError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def config_from_dict(data: dict) -> PipelineConfig:

@@ -249,14 +249,13 @@ class Network:
             caches[f"{name}.relu"] = mask
         return y
 
-    def forward(self, x: np.ndarray, temporal_pad: str = "zero", want_cache: bool = False):
-        """Logits (N,) for a batch (N, C, T, H, W); cache kept only on request."""
+    def _backbone(self, x: np.ndarray, temporal_pad: str, caches: dict | None) -> np.ndarray:
+        """Input checks, the block walk and the global average pool: (N, F)."""
         if x.ndim != 5:
             raise ModelError(f"batch must be 5d (N, C, T, H, W), got {x.ndim}d")
         if x.shape[1] != self.spec.in_channels:
             raise ModelError(f"stream expects {self.spec.in_channels} input channels, "
                              f"got {x.shape[1]}")
-        caches: dict | None = {} if want_cache else None
         h = x
         for b in self.spec.blocks:
             if isinstance(b, ConvLayer):
@@ -268,10 +267,17 @@ class Network:
             else:
                 h = self._mixed_forward(h, b, temporal_pad, caches)
         feats, gap_shape = layers.global_avg_pool_forward(h)
+        if caches is not None:
+            caches["gap"] = gap_shape
+        return feats
+
+    def forward(self, x: np.ndarray, temporal_pad: str = "zero", want_cache: bool = False):
+        """Logits (N,) for a batch (N, C, T, H, W); cache kept only on request."""
+        caches: dict | None = {} if want_cache else None
+        feats = self._backbone(x, temporal_pad, caches)
         logits, dense_cache = layers.dense_forward(feats, self.params["head.w"],
                                                    self.params["head.b"])
         if caches is not None:
-            caches["gap"] = gap_shape
             caches["head"] = dense_cache
         return logits[:, 0], caches
 
@@ -329,29 +335,10 @@ class Network:
 
     def features(self, x: np.ndarray, temporal_pad: str = "zero") -> np.ndarray:
         """Pooled backbone features (N, F) without touching the head."""
-        if x.shape[1] != self.spec.in_channels:
-            raise ModelError(f"stream expects {self.spec.in_channels} input channels, "
-                             f"got {x.shape[1]}")
-        h = x
-        for b in self.spec.blocks:
-            if isinstance(b, ConvLayer):
-                h = self._conv(h, b.name, b.stride, temporal_pad, None)
-            elif isinstance(b, PoolLayer):
-                h, _ = layers.maxpool3d_forward(h, b.kernel, b.stride, b.padding, temporal_pad)
-            else:
-                h = self._mixed_forward(h, b, temporal_pad, None)
-        return layers.global_avg_pool_forward(h)[0]
+        return self._backbone(x, temporal_pad, None)
 
     def score(self, x: np.ndarray, temporal_pad: str = "zero") -> np.ndarray:
         """Per-sample sigmoid score, strictly inside (0, 1)."""
         logits, _ = self.forward(x, temporal_pad)
         return layers.sigmoid(logits)
 
-
-def fuse_two_stream(score_rgb: np.ndarray, score_flow: np.ndarray) -> np.ndarray:
-    """Late fusion: plain mean of the per-stream sigmoid scores."""
-    a = np.asarray(score_rgb, dtype=np.float64)
-    b = np.asarray(score_flow, dtype=np.float64)
-    if np.any(a <= 0) or np.any(a >= 1) or np.any(b <= 0) or np.any(b >= 1):
-        raise ModelError("fusion inputs must be sigmoid scores in (0, 1)")
-    return (a + b) / 2.0

@@ -13,7 +13,7 @@ import hashlib
 import json
 import os
 import shutil
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -52,21 +52,6 @@ def _ckpt_path(cfg: PipelineConfig, name: str) -> str:
     return os.path.join(cfg.paths.checkpoint_dir, f"{name}.swnet")
 
 
-def _aug_config(cfg: PipelineConfig) -> AugmentConfig:
-    c = cfg.clip
-    return AugmentConfig(scale_min=c.scale_min, scale_max=c.scale_max,
-                         flip_prob=c.flip_prob, brightness_extent=c.brightness_extent,
-                         input_size=c.input_size, pos_stride=c.pos_stride,
-                         neg_stride=c.neg_stride, seed=cfg.seed)
-
-
-def _flow_params(cfg: PipelineConfig) -> tvl1.TvL1Params:
-    f = cfg.flow
-    return tvl1.TvL1Params(lam=f.lam, theta=f.theta, tau=f.tau, n_warps=f.n_warps,
-                           n_iters=f.n_iters, stop_epsilon=f.stop_epsilon,
-                           pyramid_factor=f.pyramid_factor, min_size=f.min_size)
-
-
 # --- gen ------------------------------------------------------------------
 
 def generate(cfg: PipelineConfig, force: bool = False) -> dict:
@@ -75,14 +60,7 @@ def generate(cfg: PipelineConfig, force: bool = False) -> dict:
         if not force:
             raise DataError(f"{out} already exists and is not empty; pass --force to overwrite")
         shutil.rmtree(out)
-    g = cfg.gen
-    dcfg = synth.DatasetConfig(
-        seed=cfg.seed, out_dir=out, n_rubbing=g.n_rubbing, n_other=g.n_other,
-        n_synthetic_rubbing=g.n_synthetic_rubbing, n_dates=g.n_dates,
-        n_synthetic_dates=g.n_synthetic_dates, width=g.width, height=g.height,
-        n_frames_min=g.n_frames_min, n_frames_max=g.n_frames_max,
-        n_persons=g.n_persons, joint_dropout=g.joint_dropout, fps=g.fps,
-    )
+    dcfg = synth.DatasetConfig(seed=cfg.seed, out_dir=out, **asdict(cfg.gen))
     return synth.generate_dataset(dcfg)
 
 
@@ -158,7 +136,7 @@ def prepare(cfg: PipelineConfig) -> PrepareResult:
                               for name in ("train", "val", "test")}
     with open(_splits_path(cfg), "w") as fh:
         json.dump(split_doc, fh, indent=1)
-    table = render_stats(dataset_stats(records, split, _aug_config(cfg)))
+    table = render_stats(dataset_stats(records, split, cfg.clip))
     return PrepareResult(records=records, split=split, table=table)
 
 
@@ -223,7 +201,7 @@ def stats_from_manifest(cfg: PipelineConfig, manifest: dict) -> str:
     """The prospective per-split table for `gen` (same split rule as prepare)."""
     records = synth.manifest_records(manifest)
     split = clipset.split_dataset(records, seed=cfg.seed)
-    return render_stats(dataset_stats(records, split, _aug_config(cfg)))
+    return render_stats(dataset_stats(records, split, cfg.clip))
 
 
 # --- flow -----------------------------------------------------------------
@@ -231,14 +209,13 @@ def stats_from_manifest(cfg: PipelineConfig, manifest: dict) -> str:
 def compute_flow(cfg: PipelineConfig, force: bool = False) -> int:
     """TV-L1 flow for every scene; returns the number of scenes processed."""
     manifest = synth.load_manifest(cfg.paths.dataset_dir)
-    params = _flow_params(cfg)
     done = 0
     for entry in manifest["scenes"]:
         out_dir = _flow_dir(cfg, entry["video_id"])
         if os.path.isdir(out_dir) and os.listdir(out_dir) and not force:
             continue
         seq = frameio.load_sequence(_frames_dir(cfg, entry))
-        flow_seq = tvl1.flow_sequence(seq, params, clip=cfg.flow.max_flow)
+        flow_seq = tvl1.flow_sequence(seq, cfg.flow, clip=cfg.flow.max_flow)
         frameio.save_sequence(flow_seq, out_dir)
         done += 1
     return done
@@ -268,17 +245,27 @@ def clip_id_for(rec: AnnotationRecord, start: int) -> str:
     return f"{rec.video_id}:{rec.track_id}:{start}"
 
 
+def _window_starts(cfg: PipelineConfig, rec: AnnotationRecord) -> list[int]:
+    return [rec.start_frame + rel
+            for rel in clipset.window_starts(rec.n_frames, rec.label, cfg.clip)]
+
+
+def _record_windows(cfg: PipelineConfig, rec: AnnotationRecord, stream: str, mode: str,
+                    starts: list[int]):
+    """Yield (start, tensor(C, 16, S, S)) for each of one record's window starts."""
+    seq = _load_scene(cfg, rec, stream)
+    track = _track_for(cfg, rec)
+    for start in starts:
+        clip = clipset.sample_clip(seq, track, start, cfg.clip, mode=mode, seed=cfg.seed)
+        yield start, _to_net(clip)
+
+
 def iter_windows(cfg: PipelineConfig, recs: list[AnnotationRecord], stream: str,
                  mode: str):
     """Yield (clip_id, tensor(C, 16, S, S), label) over every sampling window."""
-    aug = _aug_config(cfg)
     for rec in recs:
-        seq = _load_scene(cfg, rec, stream)
-        track = _track_for(cfg, rec)
-        for rel in clipset.window_starts(rec.n_frames, rec.label, aug):
-            start = rec.start_frame + rel
-            sample = clipset.sample_clip(seq, track, start, aug, mode=mode, label=rec.label)
-            yield clip_id_for(rec, start), _to_net(sample.tensor), rec.label
+        for start, x in _record_windows(cfg, rec, stream, mode, _window_starts(cfg, rec)):
+            yield clip_id_for(rec, start), x, rec.label
 
 
 def _to_net(clip_tensor: np.ndarray) -> np.ndarray:
@@ -305,7 +292,6 @@ class TrainSummary:
 
 
 def _build_stills(cfg: PipelineConfig, recs: list[AnnotationRecord]):
-    aug = _aug_config(cfg)
     xs, ys = [], []
     for rec in recs:
         seq = _load_scene(cfg, rec, "rgb")
@@ -313,8 +299,9 @@ def _build_stills(cfg: PipelineConfig, recs: list[AnnotationRecord]):
         picks = np.unique(np.linspace(rec.start_frame, rec.end_frame - 1,
                                       cfg.train.stills_per_scene).round().astype(int))
         for f in picks:
-            still = clipset.sample_still(seq, track, int(f), aug, mode="train")
-            xs.append(_to_net(still[None]))
+            still = clipset.sample_clip(seq, track, int(f), cfg.clip, mode="train",
+                                        seed=cfg.seed, n_frames=1)
+            xs.append(_to_net(still))
             ys.append(rec.label)
     if not xs:
         raise DataError("no training scenes to build the still-image task from")
@@ -331,10 +318,8 @@ def _get_or_train_twin(cfg: PipelineConfig, recs: list[AnnotationRecord]) -> mod
         return checkpoint.load_network(path)
     rgb_spec = model.i3d_mini(in_channels=3, input_size=cfg.clip.input_size)
     stills, labels = _build_stills(cfg, recs)
-    pre_cfg = training.TrainConfig(lr=cfg.train.lr, momentum=cfg.train.momentum,
-                                   batch_size=cfg.train.batch_size,
-                                   epochs=cfg.train.pretrain_epochs, seed=cfg.seed)
-    twin = training.pretrain_twin(rgb_spec, stills, labels, pre_cfg, init_seed=cfg.seed)
+    pre_cfg = replace(cfg.train, epochs=cfg.train.pretrain_epochs)
+    twin = training.pretrain_twin(rgb_spec, stills, labels, pre_cfg, cfg.seed)
     checkpoint.save_network(twin, path)
     return twin
 
@@ -351,23 +336,22 @@ def train_stream(cfg: PipelineConfig, stream: str) -> TrainSummary:
     twin = _get_or_train_twin(cfg, train_recs)
     in_ch = 3 if stream == "rgb" else 2
     spec = model.i3d_mini(in_channels=in_ch, input_size=cfg.clip.input_size)
-    fine_cfg = training.TrainConfig(lr=cfg.train.head_lr, momentum=cfg.train.momentum,
-                                    batch_size=cfg.train.batch_size,
-                                    epochs=cfg.train.epochs, seed=cfg.seed)
+    head_cfg = replace(cfg.train, lr=cfg.train.head_lr)
 
     net = training.inflate_and_freeze(twin, spec, head_seed=cfg.seed + 1,
                                       flow=(stream == "flow"))
     clip_iter = ((x, y) for _, x, y in iter_windows(cfg, train_recs, stream, "train"))
     feats, labels = training.extract_features(net, clip_iter, cfg.train.batch_size)
     summary.n_windows = len(labels)
-    summary.finetune_curve = training.train_head_on_features(net, feats, labels, fine_cfg)
+    summary.finetune_curve = training.train_head_on_features(net, feats, labels,
+                                                             head_cfg, cfg.seed)
     checkpoint.save_network(net, _ckpt_path(cfg, stream))
 
     if stream == "rgb":
         scratch = training.scratch_head_baseline(
             spec,
             ((x, y) for _, x, y in iter_windows(cfg, train_recs, stream, "train")),
-            fine_cfg, init_seed=cfg.seed, head_seed=cfg.seed + 1)
+            head_cfg, cfg.seed, head_seed=cfg.seed + 1)
         summary.scratch_curve = scratch.finetune_curve
         checkpoint.save_network(scratch.network, _ckpt_path(cfg, "rgb_scratch"))
     return summary
@@ -380,23 +364,16 @@ def _eval_starts(cfg: PipelineConfig, rec: AnnotationRecord) -> list[int]:
         if rec.n_frames < CLIP_LEN:
             raise DataError(f"{rec.video_id}: too short for a start-frame window")
         return [rec.start_frame]
-    aug = _aug_config(cfg)
-    return [rec.start_frame + rel
-            for rel in clipset.window_starts(rec.n_frames, rec.label, aug)]
+    return _window_starts(cfg, rec)
 
 
 def _score_stream(cfg: PipelineConfig, net: model.Network,
                   recs: list[AnnotationRecord], stream: str) -> list[float]:
     """One aggregated score per annotated clip, window scores averaged."""
-    aug = _aug_config(cfg)
     out = []
     for rec in recs:
-        seq = _load_scene(cfg, rec, stream)
-        track = _track_for(cfg, rec)
-        clips = (_to_net(clipset.sample_clip(seq, track, s, aug, mode="eval",
-                                             label=rec.label).tensor)
-                 for s in _eval_starts(cfg, rec))
-        scores = training.score_clips(net, clips, cfg.train.batch_size)
+        windows = _record_windows(cfg, rec, stream, "eval", _eval_starts(cfg, rec))
+        scores = training.score_clips(net, (x for _, x in windows), cfg.train.batch_size)
         out.append(metrics.window_average(scores))
     return out
 
@@ -490,12 +467,7 @@ def infer_clip(cfg: PipelineConfig, clip_dir: str) -> tuple[float, str]:
             box = pose.upper_body_roi(poses[0].persons[0], cfg.roi.margin,
                                       (seq.frames[0].width, seq.frames[0].height),
                                       cfg.roi.min_confidence, cfg.roi.min_joints)
-    planes = []
-    for f in seq.frames:
-        if box is not None:
-            f = frameio.crop(f, box)
-        planes.append(clipset._fit_to_input(f, cfg.clip.input_size).data)
-    x = _to_net(np.stack(planes))
+    x = _to_net(clipset.crop_window(seq, box, 0, CLIP_LEN, cfg.clip.input_size))
     score = float(net.score(x[None])[0])
     label = "rubbing_hands" if score >= cfg.eval.threshold else "other"
     return score, label

@@ -42,10 +42,6 @@ class Track:
             raise DataError(f"track {self.track_id}: frame indices must be strictly increasing, got {idx}")
 
     @property
-    def first_frame(self) -> int:
-        return self.entries[0][0]
-
-    @property
     def last_frame(self) -> int:
         return self.entries[-1][0]
 
@@ -120,44 +116,27 @@ def link_step(
     return matches, new_tracks
 
 
-class Linker:
-    """Stateful frame-by-frame linker with track birth and gap-based death."""
-
-    def __init__(self, tau_new: float = DEFAULT_TAU_NEW, max_gap: int = DEFAULT_MAX_GAP):
-        self.tau_new = tau_new
-        self.max_gap = max_gap
-        self.active: list[Track] = []
-        self.closed: list[Track] = []
-        self.next_id = 0
-
-    def step(self, detections: list[BBox], frame_index: int) -> None:
-        still_active = []
-        for t in self.active:
-            if frame_index - t.last_frame > self.max_gap:
-                self.closed.append(t)
-            else:
-                still_active.append(t)
-        self.active = still_active
-        _, born = link_step(self.active, detections, frame_index, self.tau_new, next_id=self.next_id)
-        self.active.extend(born)
-        self.next_id += len(born)
-
-    def finish(self) -> list[Track]:
-        tracks = sorted(self.closed + self.active, key=lambda t: t.track_id)
-        self.closed, self.active = [], []
-        for t in tracks:
-            t.validate()
-        return tracks
-
-
 def link_detections(per_frame: list[tuple[int, list[BBox]]],
                     tau_new: float = DEFAULT_TAU_NEW,
                     max_gap: int = DEFAULT_MAX_GAP) -> list[Track]:
-    """Run the linker over (frame_index, detections) pairs in frame order."""
-    linker = Linker(tau_new=tau_new, max_gap=max_gap)
+    """Link (frame_index, detections) pairs, in frame order, into tracks.
+
+    A track closes once more than `max_gap` frames pass since its last
+    detection; detections left unmatched open new tracks.
+    """
+    active: list[Track] = []
+    closed: list[Track] = []
+    next_id = 0
     for frame_index, dets in per_frame:
-        linker.step(dets, frame_index)
-    return linker.finish()
+        closed += [t for t in active if frame_index - t.last_frame > max_gap]
+        active = [t for t in active if frame_index - t.last_frame <= max_gap]
+        _, born = link_step(active, dets, frame_index, tau_new, next_id=next_id)
+        active += born
+        next_id += len(born)
+    tracks = sorted(closed + active, key=lambda t: t.track_id)
+    for t in tracks:
+        t.validate()
+    return tracks
 
 
 def smooth_track(track: Track, cfg: SmoothingConfig = SmoothingConfig()) -> Track:

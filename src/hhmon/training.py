@@ -10,7 +10,8 @@ batch, just without re-spending the conv time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -25,7 +26,6 @@ class TrainConfig:
     momentum: float = 0.9
     batch_size: int = 8
     epochs: int = 10
-    seed: int = 0
 
     def __post_init__(self):
         if self.lr < 0:
@@ -42,13 +42,21 @@ def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
         yield order[i : i + batch_size]
 
 
-def sgd_train(net: Network, x: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> list[float]:
+def _batches(items, n: int):
+    """Lists of n consecutive items from an iterable; the last may be shorter."""
+    it = iter(items)
+    while batch := list(islice(it, n)):
+        yield batch
+
+
+def sgd_train(net: Network, x: np.ndarray, y: np.ndarray, cfg: TrainConfig,
+              seed: int) -> list[float]:
     """Train in place on a materialized batch tensor; returns per-epoch mean loss."""
     if len(x) == 0:
         raise ModelError("training set is empty")
     if len(x) != len(y):
         raise ModelError(f"got {len(x)} samples but {len(y)} labels")
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     trainable = [n for n in sorted(net.params) if n not in net.frozen]
     velocity = {n: np.zeros_like(net.params[n]) for n in trainable}
     curve = []
@@ -71,34 +79,24 @@ def sgd_train(net: Network, x: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> l
 
 def extract_features(net: Network, clip_iter, batch_size: int = 8):
     """Backbone GAP features for a stream of (clip(C,T,H,W), label) pairs."""
-    feats, labels, buf, lab = [], [], [], []
-
-    def flush():
-        if buf:
-            feats.append(net.features(np.stack(buf)))
-            labels.extend(lab)
-            buf.clear()
-            lab.clear()
-
-    for clip, label in clip_iter:
-        buf.append(clip)
-        lab.append(label)
-        if len(buf) == batch_size:
-            flush()
-    flush()
+    feats, labels = [], []
+    for batch in _batches(clip_iter, batch_size):
+        clips, batch_labels = zip(*batch)
+        feats.append(net.features(np.stack(clips)))
+        labels.extend(batch_labels)
     if not feats:
         raise ModelError("no clips to extract features from")
     return np.concatenate(feats, axis=0), np.asarray(labels, dtype=np.float64)
 
 
 def train_head_on_features(net: Network, feats: np.ndarray, y: np.ndarray,
-                           cfg: TrainConfig) -> list[float]:
+                           cfg: TrainConfig, seed: int) -> list[float]:
     """Head-only SGD on cached backbone features; mutates head.w / head.b."""
     bad = [n for n in net.params if not n.startswith("head.") and n not in net.frozen]
     if bad:
         raise ModelError(f"feature-cache training requires a frozen backbone; "
                          f"unfrozen: {', '.join(sorted(bad))}")
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     w, b = net.params["head.w"], net.params["head.b"]
     vw, vb = np.zeros_like(w), np.zeros_like(b)
     curve = []
@@ -119,82 +117,48 @@ def train_head_on_features(net: Network, feats: np.ndarray, y: np.ndarray,
     return curve
 
 
-def score_clips(net: Network, clip_iter, batch_size: int = 8) -> np.ndarray:
-    """Sigmoid scores for a stream of clips (labels in the iter are ignored)."""
-    out, buf = [], []
-    for item in clip_iter:
-        clip = item[0] if isinstance(item, tuple) else item
-        buf.append(clip)
-        if len(buf) == batch_size:
-            out.append(net.score(np.stack(buf)))
-            buf = []
-    if buf:
-        out.append(net.score(np.stack(buf)))
-    if not out:
-        return np.zeros(0)
-    return np.concatenate(out)
+def score_clips(net: Network, clips, batch_size: int = 8) -> np.ndarray:
+    """Sigmoid scores for a stream of clips (C, T, H, W)."""
+    scores = [net.score(np.stack(batch)) for batch in _batches(clips, batch_size)]
+    return np.concatenate(scores) if scores else np.zeros(0)
 
 
 @dataclass
 class TransferResult:
     network: Network
-    pretrain_curve: list[float] = field(default_factory=list)
-    finetune_curve: list[float] = field(default_factory=list)
+    finetune_curve: list[float]
 
 
 def pretrain_twin(spec: NetSpec, stills: np.ndarray, labels: np.ndarray,
-                  cfg: TrainConfig, init_seed: int = 0) -> Network:
-    """Train the temporally collapsed twin on single-frame classification."""
-    twin_spec = model.collapse_temporal(spec)
-    twin = Network.init(twin_spec, seed=init_seed)
-    sgd_train(twin, stills, labels, cfg)
+                  cfg: TrainConfig, seed: int) -> Network:
+    """Train the temporally collapsed twin on single-frame classification;
+    `seed` draws both its initial weights and its batch order."""
+    twin = Network.init(model.collapse_temporal(spec), seed=seed)
+    sgd_train(twin, stills, labels, cfg, seed)
     return twin
+
+
+def _fresh_head(net: Network, head_seed: int) -> Network:
+    """Redraw the head from `head_seed` and freeze everything before it."""
+    fresh = model.init_params(net.spec, np.random.default_rng(head_seed))
+    net.params["head.w"] = fresh["head.w"]
+    net.params["head.b"] = fresh["head.b"]
+    net.freeze_backbone()
+    return net
 
 
 def inflate_and_freeze(twin: Network, spec: NetSpec, head_seed: int = 1,
                        flow: bool = False) -> Network:
     """Lift twin params onto the 3D spec, freeze the backbone, fresh head."""
-    params2d = twin.params
-    if flow:
-        params2d = model.adapt_first_conv_to_flow(params2d)
-    params = model.inflate_params(params2d, spec)
-    rng = np.random.default_rng(head_seed)
-    fresh = model.init_params(spec, rng)
-    params["head.w"] = fresh["head.w"]
-    params["head.b"] = fresh["head.b"]
-    net = Network(spec, params)
-    net.freeze_backbone()
-    return net
+    params2d = model.adapt_first_conv_to_flow(twin.params) if flow else twin.params
+    return _fresh_head(Network(spec, model.inflate_params(params2d, spec)), head_seed)
 
 
-def transfer_pretrain_then_finetune(
-    spec: NetSpec,
-    stills: np.ndarray,
-    still_labels: np.ndarray,
-    clip_iter,
-    pre_cfg: TrainConfig,
-    fine_cfg: TrainConfig,
-    init_seed: int = 0,
-    head_seed: int = 1,
-    flow: bool = False,
-) -> TransferResult:
-    """Still-image pretraining, kernel inflation, frozen-backbone head tuning."""
-    twin = pretrain_twin(spec, stills, still_labels, pre_cfg, init_seed)
-    net = inflate_and_freeze(twin, spec, head_seed, flow=flow)
-    feats, y = extract_features(net, clip_iter, fine_cfg.batch_size)
-    curve = train_head_on_features(net, feats, y, fine_cfg)
-    return TransferResult(network=net, finetune_curve=curve)
-
-
-def scratch_head_baseline(spec: NetSpec, clip_iter, cfg: TrainConfig,
-                          init_seed: int = 0, head_seed: int = 1) -> TransferResult:
-    """Paired control: same head training on a random, never-trained backbone."""
-    net = Network.init(spec, seed=init_seed)
-    rng = np.random.default_rng(head_seed)
-    fresh = model.init_params(spec, rng)
-    net.params["head.w"] = fresh["head.w"]
-    net.params["head.b"] = fresh["head.b"]
-    net.freeze_backbone()
+def scratch_head_baseline(spec: NetSpec, clip_iter, cfg: TrainConfig, seed: int,
+                          head_seed: int = 1) -> TransferResult:
+    """Paired control: same head training on a random, never-trained backbone
+    drawn from `seed`, which also orders the head's batches."""
+    net = _fresh_head(Network.init(spec, seed=seed), head_seed)
     feats, y = extract_features(net, clip_iter, cfg.batch_size)
-    curve = train_head_on_features(net, feats, y, cfg)
+    curve = train_head_on_features(net, feats, y, cfg, seed)
     return TransferResult(network=net, finetune_curve=curve)

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import smooth_texture
+from helpers import smooth_texture
 from test_layers import conv3d_oracle, numeric_grad, random_conv_case
 from test_metrics import metrics_oracle
 

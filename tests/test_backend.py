@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import smooth_texture
+from helpers import smooth_texture
 
 from hhmon import _purekernels, backend
 from hhmon.tvl1 import TvL1Params, _centered_gradient, tvl1_flow

@@ -58,6 +58,22 @@ def test_bad_config_key_is_a_usage_error(tmp_path, capsys):
     assert "optimizer" in err
 
 
+def test_bad_config_value_exits_2_before_writing_anything(tmp_path, capsys):
+    path = write_cfg(tmp_path, clip={"input_size": 24, "flip_prob": 1.5})
+    assert cli.main(["gen", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: clip: flip_prob")
+    assert not (tmp_path / "ds").exists()
+
+
+def test_print_config_rejects_a_bad_value(tmp_path, capsys):
+    path = write_cfg(tmp_path, flow={"tau": 0.3})
+    assert cli.main(["gen", "--config", path, "--print-config"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: flow: tau")
+
+
 def test_missing_config_file(tmp_path, capsys):
     assert cli.main(["gen", "--config", str(tmp_path / "nope.json")]) == 2
     assert "config file not found" in capsys.readouterr().err

@@ -11,12 +11,11 @@ from hhmon.clipset import (
     load_annotations,
     sample_clip,
     sample_rng,
-    sample_still,
     save_annotations,
     split_dataset,
     window_starts,
 )
-from hhmon.errors import DataError
+from hhmon.errors import ConfigError, DataError
 from hhmon.frameio import Frame, FrameSequence
 from hhmon.pose import BBox
 from hhmon.tracking import Track
@@ -77,11 +76,10 @@ def test_window_starts_match_oracle(clip_len, pos, neg):
 
 
 def test_sample_rng_is_a_pure_function_of_provenance():
-    cfg = AugmentConfig(seed=5)
-    a = sample_rng(cfg, ("vid", "d1", 3)).random(8)
-    b = sample_rng(cfg, ("vid", "d1", 3)).random(8)
-    c = sample_rng(cfg, ("vid", "d1", 4)).random(8)
-    d = sample_rng(AugmentConfig(seed=6), ("vid", "d1", 3)).random(8)
+    a = sample_rng(5, ("vid", "d1", 3)).random(8)
+    b = sample_rng(5, ("vid", "d1", 3)).random(8)
+    c = sample_rng(5, ("vid", "d1", 4)).random(8)
+    d = sample_rng(6, ("vid", "d1", 3)).random(8)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
@@ -94,7 +92,7 @@ def test_crop_box_is_frozen_at_the_start_frame(rng):
                                  for t in range(len(seq))])
     sample = sample_clip(seq, drifting, 0, AugmentConfig(input_size=16), mode="eval")
     for t in range(1, CLIP_LEN):
-        assert np.array_equal(sample.tensor[t], sample.tensor[0])
+        assert np.array_equal(sample[t], sample[0])
 
 
 def test_eval_sampling_is_deterministic(rng):
@@ -103,18 +101,16 @@ def test_eval_sampling_is_deterministic(rng):
     cfg = AugmentConfig(input_size=16)
     a = sample_clip(seq, track, 2, cfg, mode="eval")
     b = sample_clip(seq, track, 2, cfg, mode="eval")
-    assert np.array_equal(a.tensor, b.tensor)
-    assert a.provenance == ("v", "d0", 2)
+    assert np.array_equal(a, b)
 
 
 def test_train_sampling_reproducible_from_seed(rng):
     seq = static_sequence(rng)
     track = fixed_track(BBox(4.0, 4.0, 30.0, 30.0), len(seq))
-    cfg = AugmentConfig(seed=9, input_size=16)
-    a = sample_clip(seq, track, 1, cfg, mode="train", label=1)
-    b = sample_clip(seq, track, 1, cfg, mode="train", label=1)
-    assert np.array_equal(a.tensor, b.tensor)
-    assert a.label == 1
+    cfg = AugmentConfig(input_size=16)
+    a = sample_clip(seq, track, 1, cfg, mode="train", seed=9)
+    b = sample_clip(seq, track, 1, cfg, mode="train", seed=9)
+    assert np.array_equal(a, b)
 
 
 def test_collapsed_augmentation_equals_eval(rng):
@@ -124,25 +120,25 @@ def test_collapsed_augmentation_equals_eval(rng):
                         brightness_extent=0.0, input_size=16)
     trained = sample_clip(seq, track, 0, cfg, mode="train")
     evaled = sample_clip(seq, track, 0, cfg, mode="eval")
-    assert np.allclose(trained.tensor, evaled.tensor, atol=1e-6)
+    assert np.allclose(trained, evaled, atol=1e-6)
 
 
 def test_train_augmentation_changes_the_crop(rng):
     seq = static_sequence(rng)
     track = fixed_track(BBox(8.0, 8.0, 28.0, 28.0), len(seq))
     cfg = AugmentConfig(scale_min=1.4, scale_max=1.6, flip_prob=0.0,
-                        brightness_extent=0.0, input_size=16, seed=0)
-    trained = sample_clip(seq, track, 0, cfg, mode="train")
+                        brightness_extent=0.0, input_size=16)
+    trained = sample_clip(seq, track, 0, cfg, mode="train", seed=0)
     evaled = sample_clip(seq, track, 0, cfg, mode="eval")
-    assert not np.allclose(trained.tensor, evaled.tensor, atol=1e-4)
+    assert not np.allclose(trained, evaled, atol=1e-4)
 
 
 def test_clip_shape_and_dtype(rng):
     seq = static_sequence(rng)
     track = fixed_track(BBox(4.0, 4.0, 30.0, 30.0), len(seq))
     sample = sample_clip(seq, track, 0, AugmentConfig(input_size=24), mode="eval")
-    assert sample.tensor.shape == (16, 24, 24, 3)
-    assert sample.tensor.dtype == np.float32
+    assert sample.shape == (16, 24, 24, 3)
+    assert sample.dtype == np.float32
 
 
 def test_window_past_the_end_is_rejected(rng):
@@ -162,18 +158,34 @@ def test_track_without_a_box_at_start_is_rejected(rng):
 def test_sample_still_shape_and_bounds(rng):
     seq = static_sequence(rng)
     track = fixed_track(BBox(4.0, 4.0, 30.0, 30.0), len(seq))
-    still = sample_still(seq, track, 3, AugmentConfig(input_size=16), mode="eval")
-    assert still.shape == (16, 16, 3)
-    with pytest.raises(DataError, match="outside"):
-        sample_still(seq, track, 99, AugmentConfig(input_size=16))
+    still = sample_clip(seq, track, 3, AugmentConfig(input_size=16), mode="eval", n_frames=1)
+    assert still.shape == (1, 16, 16, 3)
+    sample_clip(seq, track, len(seq) - 1, AugmentConfig(input_size=16), n_frames=1)
+    with pytest.raises(DataError, match="exceeds"):
+        sample_clip(seq, track, len(seq), AugmentConfig(input_size=16), n_frames=1)
+    with pytest.raises(DataError, match="exceeds"):
+        sample_clip(seq, track, -1, AugmentConfig(input_size=16), n_frames=1)
+
+
+def test_train_still_is_the_first_frame_of_its_window(rng):
+    # same provenance, same draws in the same order: a still at frame f is
+    # exactly frame 0 of the augmented 16-frame window starting at f
+    seq = FrameSequence([Frame(rng.random((36, 48, 3)).astype(np.float32)) for _ in range(24)],
+                        fps=15.0, video_id="v", date_tag="d0")
+    track = fixed_track(BBox(8.0, 6.0, 30.0, 28.0), len(seq))
+    cfg = AugmentConfig(scale_min=1.2, scale_max=1.6, flip_prob=0.5, input_size=16)
+    for start in range(0, 8):
+        window = sample_clip(seq, track, start, cfg, mode="train", seed=3)
+        still = sample_clip(seq, track, start, cfg, mode="train", seed=3, n_frames=1)
+        assert np.array_equal(still[0], window[0])
 
 
 def test_augment_config_validation():
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         AugmentConfig(scale_min=0.5)
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         AugmentConfig(scale_min=1.5, scale_max=1.2)
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         AugmentConfig(flip_prob=1.5)
 
 

@@ -1,11 +1,10 @@
-"""Config surface: defaults stay in lockstep with the owning modules."""
+"""Config surface: recorded defaults and key sets, overrides, validation."""
 
+import dataclasses
 import json
 
 import pytest
 
-from hhmon import metrics, pose, tracking
-from hhmon.clipset import AugmentConfig
 from hhmon.config import (
     PipelineConfig,
     config_from_dict,
@@ -13,53 +12,108 @@ from hhmon.config import (
     load_config,
 )
 from hhmon.errors import ConfigError
-from hhmon.tvl1 import TvL1Params
 
 
-def test_roi_defaults_track_the_pose_module():
+# `--print-config` of the defaults, recorded byte for byte: a changed
+# default, an added knob or a dropped key shows up as a diff here.
+DEFAULT_DUMP = """\
+{
+ "clip": {
+  "brightness_extent": 0.1,
+  "flip_prob": 0.5,
+  "input_size": 56,
+  "neg_stride": 4,
+  "pos_stride": 1,
+  "scale_max": 1.75,
+  "scale_min": 1.0
+ },
+ "eval": {
+  "mode": "per-annotated-clip",
+  "threshold": 0.5
+ },
+ "flow": {
+  "lam": 0.15,
+  "max_flow": 1.0,
+  "min_size": 16,
+  "n_iters": 25,
+  "n_warps": 5,
+  "pyramid_factor": 0.5,
+  "stop_epsilon": 0.01,
+  "tau": 0.25,
+  "theta": 0.3
+ },
+ "gen": {
+  "fps": 15.0,
+  "height": 72,
+  "joint_dropout": 0.0,
+  "n_dates": 12,
+  "n_frames_max": 26,
+  "n_frames_min": 20,
+  "n_other": 100,
+  "n_persons": 1,
+  "n_rubbing": 100,
+  "n_synthetic_dates": 2,
+  "n_synthetic_rubbing": 8,
+  "width": 96
+ },
+ "link": {
+  "max_gap": 8,
+  "smooth_window": 4,
+  "tau_new": 0.1
+ },
+ "paths": {
+  "checkpoint_dir": "data/checkpoints",
+  "dataset_dir": "data/dataset",
+  "report_dir": "data/reports",
+  "work_dir": "data/work"
+ },
+ "roi": {
+  "margin": 0.25,
+  "min_confidence": 0.1,
+  "min_joints": 4
+ },
+ "seed": 0,
+ "train": {
+  "batch_size": 8,
+  "epochs": 10,
+  "head_lr": 0.5,
+  "lr": 0.01,
+  "momentum": 0.9,
+  "pretrain_epochs": 10,
+  "stills_per_scene": 4
+ }
+}"""
+
+
+def test_default_dump_is_byte_identical_to_the_recording():
+    assert dump_config(PipelineConfig()) == DEFAULT_DUMP
+
+
+def test_each_section_accepts_exactly_the_recorded_keys():
+    recorded = json.loads(DEFAULT_DUMP)
     cfg = PipelineConfig()
-    assert cfg.roi.margin == pose.DEFAULT_MARGIN
-    assert cfg.roi.min_confidence == pose.DEFAULT_MIN_CONFIDENCE
-    assert cfg.roi.min_joints == pose.DEFAULT_MIN_JOINTS
+    for name, keys in recorded.items():
+        if name == "seed":
+            continue
+        assert {f.name for f in dataclasses.fields(getattr(cfg, name))} == set(keys), name
+        assert config_from_dict({name: keys}) == cfg
+    # the global seed is the only seed knob
+    for section in ("clip", "train", "flow"):
+        with pytest.raises(ConfigError, match=f"{section}: unknown keys seed"):
+            config_from_dict({section: {"seed": 1}})
 
 
-def test_link_defaults_track_the_tracking_module():
-    cfg = PipelineConfig()
-    assert cfg.link.tau_new == tracking.DEFAULT_TAU_NEW
-    assert cfg.link.max_gap == tracking.DEFAULT_MAX_GAP
-    assert cfg.link.smooth_window == tracking.DEFAULT_SMA_WINDOW
-
-
-def test_clip_defaults_track_the_augment_config():
-    cfg = PipelineConfig()
-    aug = AugmentConfig()
-    assert cfg.clip.scale_min == aug.scale_min
-    assert cfg.clip.scale_max == aug.scale_max
-    assert cfg.clip.flip_prob == aug.flip_prob
-    assert cfg.clip.brightness_extent == aug.brightness_extent
-    assert cfg.clip.input_size == aug.input_size
-    assert cfg.clip.pos_stride == aug.pos_stride
-    assert cfg.clip.neg_stride == aug.neg_stride
-
-
-def test_flow_solver_defaults_track_the_tvl1_params():
-    cfg = PipelineConfig()
-    params = TvL1Params()
-    assert cfg.flow.lam == params.lam
-    assert cfg.flow.theta == params.theta
-    assert cfg.flow.tau == params.tau
-    assert cfg.flow.n_warps == params.n_warps
-    assert cfg.flow.n_iters == params.n_iters
-    assert cfg.flow.stop_epsilon == params.stop_epsilon
-    assert cfg.flow.pyramid_factor == params.pyramid_factor
-    assert cfg.flow.min_size == params.min_size
-    # the displacement cap deliberately diverges from the library default:
-    # desk scenes move a few px, so the pipeline clips much tighter
-    assert cfg.flow.max_flow == 1.0
-
-
-def test_eval_threshold_tracks_the_metrics_default():
-    assert PipelineConfig().eval.threshold == metrics.DEFAULT_THRESHOLD
+def test_bad_values_are_rejected_naming_their_section():
+    for section, values, message in (
+        ("clip", {"flip_prob": 1.5}, "clip: flip_prob"),
+        ("clip", {"scale_min": 2.0, "scale_max": 1.5}, "clip: need 1 <= scale_min"),
+        ("flow", {"tau": 0.3}, "flow: tau"),
+        ("train", {"momentum": 1.0}, "train: momentum"),
+        ("train", {"head_lr": -1.0}, "train: head_lr"),
+        ("train", {"pretrain_epochs": 0}, "train: pretrain_epochs"),
+    ):
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict({section: values})
 
 
 def test_dump_and_rebuild_roundtrip():
@@ -102,7 +156,7 @@ def test_section_must_be_an_object():
 
 
 def test_eval_mode_is_validated():
-    with pytest.raises(ConfigError, match="eval mode"):
+    with pytest.raises(ConfigError, match="eval: eval mode"):
         config_from_dict({"eval": {"mode": "per-frame"}})
     assert config_from_dict({"eval": {"mode": "per-window"}}).eval.mode == "per-window"
 

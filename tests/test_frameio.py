@@ -11,7 +11,7 @@ from hhmon import frameio
 from hhmon.errors import DataError
 from hhmon.frameio import Frame, FrameSequence
 
-from conftest import make_rgb
+from helpers import make_rgb
 
 
 def quantize8(data):

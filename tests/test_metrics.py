@@ -134,6 +134,21 @@ def test_fused_score_is_the_stream_mean():
     assert c.score_for("RGB+Flow") == c.score_fused
 
 
+def test_fusion_is_symmetric_and_idempotent():
+    a, b = clip(0, 1, rgb=0.3, flow=0.9), clip(1, 1, rgb=0.9, flow=0.3)
+    assert a.score_fused == b.score_fused
+    assert clip(2, 0, rgb=0.4, flow=0.4).score_fused == pytest.approx(0.4)
+
+
+@given(st.lists(st.tuples(st.floats(1e-6, 1 - 1e-6), st.floats(1e-6, 1 - 1e-6)),
+                min_size=1, max_size=8))
+def test_fusion_stays_between_the_streams(pairs):
+    for i, (rgb, flow) in enumerate(pairs):
+        fused = clip(i, 1, rgb=rgb, flow=flow).score_fused
+        assert 0 < fused < 1
+        assert min(rgb, flow) - 1e-12 <= fused <= max(rgb, flow) + 1e-12
+
+
 def test_headline_score_prefers_fusion_then_any_stream():
     assert clip(0, 1, rgb=0.8, flow=0.6).headline_score() == pytest.approx(0.7)
     assert clip(0, 1, rgb=0.8).headline_score() == 0.8

@@ -1,4 +1,4 @@
-"""Network assembly, 2D-to-3D inflation and late fusion."""
+"""Network assembly and 2D-to-3D inflation."""
 
 import json
 
@@ -17,7 +17,6 @@ from hhmon.model import (
     adapt_first_conv_to_flow,
     collapse_temporal,
     conv_param_shapes,
-    fuse_two_stream,
     i3d_mini,
     inflate_2d_to_3d,
     inflate_params,
@@ -229,33 +228,6 @@ def test_network_gradients_match_finite_differences(rng):
         scale = max(np.abs(fd).max(), 1e-8)
         err = np.abs(grads[name] - fd).max() / scale
         assert err < 1e-4, f"{name}: rel err {err}"
-
-
-def test_fusion_is_the_mean_of_the_streams():
-    fused = fuse_two_stream(np.array([0.8]), np.array([0.6]))
-    assert fused[0] == pytest.approx(0.7)
-    a, b = np.array([0.3, 0.9]), np.array([0.5, 0.2])
-    assert np.array_equal(fuse_two_stream(a, b), fuse_two_stream(b, a))
-    same = fuse_two_stream(a, a)
-    assert np.allclose(same, a)
-
-
-@given(st.lists(st.tuples(st.floats(1e-6, 1 - 1e-6), st.floats(1e-6, 1 - 1e-6)),
-                min_size=1, max_size=8))
-def test_fusion_stays_in_the_open_interval(pairs):
-    a = np.array([p[0] for p in pairs])
-    b = np.array([p[1] for p in pairs])
-    fused = fuse_two_stream(a, b)
-    assert np.all((fused > 0) & (fused < 1))
-    assert np.all(fused >= np.minimum(a, b) - 1e-12)
-    assert np.all(fused <= np.maximum(a, b) + 1e-12)
-
-
-def test_fusion_rejects_saturated_scores():
-    with pytest.raises(ModelError, match="\\(0, 1\\)"):
-        fuse_two_stream(np.array([0.0]), np.array([0.5]))
-    with pytest.raises(ModelError, match="\\(0, 1\\)"):
-        fuse_two_stream(np.array([0.5]), np.array([1.0]))
 
 
 def test_default_topology_dimensions():

@@ -110,8 +110,7 @@ def test_missing_keypoints_is_reported_by_video(tmp_path):
 def test_iter_windows_counts_and_layout(prepared):
     cfg, _, result = prepared
     recs = [result.records[i] for i in result.split.train][:4]
-    aug = pipeline._aug_config(cfg)
-    want = sum(len(window_starts(r.n_frames, r.label, aug)) for r in recs)
+    want = sum(len(window_starts(r.n_frames, r.label, cfg.clip)) for r in recs)
     got = list(pipeline.iter_windows(cfg, recs, "rgb", "eval"))
     assert len(got) == want
     clip_id, tensor, label = got[0]

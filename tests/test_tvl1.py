@@ -6,7 +6,7 @@ exact everywhere; borders are excluded because warping has no data there.
 
 import numpy as np
 import pytest
-from conftest import smooth_texture
+from helpers import smooth_texture
 
 from hhmon import backend, frameio
 from hhmon.errors import ConfigError, DataError
