@@ -5,6 +5,8 @@ import json
 
 import pytest
 
+from hhmon import metrics, pose, tracking
+from hhmon.clipset import AugmentConfig
 from hhmon.config import (
     PipelineConfig,
     config_from_dict,
@@ -12,6 +14,7 @@ from hhmon.config import (
     load_config,
 )
 from hhmon.errors import ConfigError
+from hhmon.tvl1 import TvL1Params
 
 
 # `--print-config` of the defaults, recorded byte for byte: a changed
@@ -101,6 +104,42 @@ def test_each_section_accepts_exactly_the_recorded_keys():
     for section in ("clip", "train", "flow"):
         with pytest.raises(ConfigError, match=f"{section}: unknown keys seed"):
             config_from_dict({section: {"seed": 1}})
+
+
+def test_roi_defaults_track_the_pose_module():
+    cfg = PipelineConfig()
+    assert cfg.roi.margin == pose.DEFAULT_MARGIN
+    assert cfg.roi.min_confidence == pose.DEFAULT_MIN_CONFIDENCE
+    assert cfg.roi.min_joints == pose.DEFAULT_MIN_JOINTS
+
+
+def test_link_defaults_track_the_tracking_module():
+    cfg = PipelineConfig()
+    assert cfg.link.tau_new == tracking.DEFAULT_TAU_NEW
+    assert cfg.link.max_gap == tracking.DEFAULT_MAX_GAP
+    assert cfg.link.smooth_window == tracking.DEFAULT_SMA_WINDOW
+
+
+def test_clip_defaults_track_the_augment_config():
+    # the clip block is the augmentation config itself, not a copy of it
+    cfg = PipelineConfig()
+    assert type(cfg.clip) is AugmentConfig
+    assert cfg.clip == AugmentConfig()
+
+
+def test_flow_solver_defaults_track_the_tvl1_params():
+    cfg = PipelineConfig()
+    params = TvL1Params()
+    assert isinstance(cfg.flow, TvL1Params)
+    for f in dataclasses.fields(TvL1Params):
+        assert getattr(cfg.flow, f.name) == getattr(params, f.name), f.name
+    # the displacement cap deliberately diverges from the library default:
+    # desk scenes move a few px, so the pipeline clips much tighter
+    assert cfg.flow.max_flow == 1.0
+
+
+def test_eval_threshold_tracks_the_metrics_default():
+    assert PipelineConfig().eval.threshold == metrics.DEFAULT_THRESHOLD
 
 
 def test_bad_values_are_rejected_naming_their_section():
