@@ -1,22 +1,25 @@
 #!/usr/bin/env python3
-"""Time the flow solver's hot kernels: compiled extension vs numpy fallback.
+"""Time the flow solver's hot kernels: compiled C library vs numpy fallback.
 
 Both implementations share one contract, so besides the timings the script
 reports the worst output disagreement per kernel (expected: exactly zero).
+The compiled column needs the library built in place first:
 
+    python3 setup.py build_ext --inplace
     python3 benchmarks/bench_kernels.py [--size 256] [--iters 50] [--repeats 5]
 """
 
 import argparse
+import os
 import time
 
 import numpy as np
 
-from hhmon import _purekernels, backend, tvl1
+from hhmon import _accel, _purekernels, backend, tvl1
 
 try:
-    from hhmon._accel import kernels as _compiled
-except ImportError:
+    _compiled = _accel.CompiledKernels(os.path.dirname(_accel.__file__))
+except OSError:
     _compiled = None
 
 
@@ -103,7 +106,7 @@ def main():
     ]
 
     print(f"active backend: {backend.BACKEND}"
-          + ("" if _compiled is not None else " (compiled extension not built)"))
+          + ("" if _compiled is not None else " (compiled kernels not built)"))
     print(f"{'kernel':<36} {'pure':>10} {'compiled':>10} {'speedup':>8} {'max|diff|':>10}")
     for name, run in rows:
         t_pure, out_pure = run(_purekernels)

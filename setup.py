@@ -1,8 +1,9 @@
-"""Build script for the optional Cython acceleration module.
+"""Build script for the optional compiled flow-solver kernels.
 
-The package works without the extension (a pure-numpy fallback is selected
-at import time), so a failed native build downgrades to a warning instead
-of aborting the install.
+`src/hhmon/_accel/flowkernels.c` is plain C, loaded through ctypes: building
+it needs a C compiler and nothing else.  The package works without it (a
+pure-numpy fallback is selected at import time), so a failed native build
+downgrades to a warning instead of aborting the install.
 """
 
 import warnings
@@ -25,29 +26,12 @@ class OptionalBuildExt(build_ext):
             warnings.warn(f"skipping {ext.name}: {exc}")
 
 
-def extensions():
-    try:
-        import numpy as np
-        from Cython.Build import cythonize
-    except ImportError:
-        return []
-    ext = Extension(
-        "hhmon._accel.kernels",
-        ["src/hhmon/_accel/kernels.pyx"],
-        include_dirs=[np.get_include()],
-        define_macros=[("NPY_NO_DEPRECATED_API", "NPY_1_7_API_VERSION")],
-        extra_compile_args=["-O3"],
-    )
-    return cythonize(
-        [ext],
-        compiler_directives={
-            "language_level": "3",
-            "boundscheck": False,
-            "wraparound": False,
-            "cdivision": True,
-            "initializedcheck": False,
-        },
-    )
+# No FMA contraction and no -ffast-math: the kernels must round exactly like
+# their numpy twins, element for element.
+kernels = Extension(
+    "hhmon._accel.flowkernels",
+    ["src/hhmon/_accel/flowkernels.c"],
+    extra_compile_args=["-O3", "-ffp-contract=off"],
+)
 
-
-setup(ext_modules=extensions(), cmdclass={"build_ext": OptionalBuildExt})
+setup(ext_modules=[kernels], cmdclass={"build_ext": OptionalBuildExt})

@@ -1,8 +1,9 @@
 """Reference numpy kernels for the duality-based flow solver.
 
-The compiled extension implements the same two entry points with identical
-per-element arithmetic; the orchestration code picks one backend at import
-time and tests cross-check them on shared inputs.  Everything is float32.
+The hand-written C in `_accel/flowkernels.c` implements the same two entry
+points with identical per-element arithmetic; `backend` picks one at import
+time and tests/test_backend.py builds the C and checks the two bit for bit
+on shared inputs.  Everything is float32.
 
 Contract note: `tvl1_iterations` may modify its flow and dual-field
 arguments in place.  Callers must use the returned arrays.

@@ -1,7 +1,8 @@
 """Kernel backend selection.
 
-The flow solver's inner loop exists twice: a compiled extension built from
-Cython sources and a pure numpy fallback with identical semantics.  The
+The flow solver's inner loop exists twice: a hand-written C library bound
+through ctypes (`_accel`, present once `setup.py build_ext --inplace` has
+compiled it) and a pure numpy fallback with identical semantics.  The
 compiled one wins when present; set HHMON_PURE_PY=1 to force the fallback.
 """
 
@@ -15,10 +16,11 @@ if os.environ.get("HHMON_PURE_PY", "0") not in ("", "0"):
     BACKEND = "pure"
 else:
     try:
-        from ._accel import kernels  # type: ignore[no-redef]
+        from . import _accel
 
+        kernels = _accel.CompiledKernels(os.path.dirname(_accel.__file__))  # type: ignore[assignment]
         BACKEND = "compiled"
-    except ImportError:
+    except (OSError, ImportError):
         from . import _purekernels as kernels  # type: ignore[no-redef]
 
         BACKEND = "pure"

@@ -4,7 +4,8 @@ a JSON file that overrides any subset of fields.
 The clip, flow and train blocks are the owning modules' own dataclasses,
 plus a few pipeline-only fields, and the roi, link and eval defaults are the
 owning modules' constants, so every default is declared once.  Each block
-validates itself when built; a bad value is a ConfigError naming its section.
+validates itself when built, with the owning module's own checks; a bad
+value is a ConfigError naming its section.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 
-from . import metrics, pose, tracking
+from . import metrics, pose, synth, tracking
 from .clipset import AugmentConfig
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .training import TrainConfig
 from .tvl1 import TvL1Params
 
@@ -43,6 +44,9 @@ class GenConfig:
     joint_dropout: float = 0.0
     fps: float = 15.0
 
+    def __post_init__(self):
+        synth.DatasetConfig(**dataclasses.asdict(self))
+
 
 @dataclass
 class RoiConfig:
@@ -50,12 +54,19 @@ class RoiConfig:
     min_confidence: float = pose.DEFAULT_MIN_CONFIDENCE
     min_joints: int = pose.DEFAULT_MIN_JOINTS
 
+    def __post_init__(self):
+        pose.check_margin(self.margin)
+
 
 @dataclass
 class LinkConfig:
     tau_new: float = tracking.DEFAULT_TAU_NEW
     max_gap: int = tracking.DEFAULT_MAX_GAP
     smooth_window: int = tracking.DEFAULT_SMA_WINDOW
+
+    def __post_init__(self):
+        tracking.check_tau_new(self.tau_new)
+        tracking.SmoothingConfig(window=self.smooth_window)
 
 
 @dataclass
@@ -117,7 +128,7 @@ def _build_block(cls, data: dict, where: str):
         raise ConfigError(f"{where}: unknown keys {', '.join(unknown)}")
     try:
         return cls(**data)
-    except (TypeError, ConfigError) as exc:
+    except (TypeError, ConfigError, DataError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
 

@@ -131,6 +131,11 @@ def save_poses(poses: list[PoseFrame], path: str) -> None:
                 fh.write(f"{pf.frame_index} {hint} {coords}\n")
 
 
+def check_margin(margin_frac: float) -> None:
+    if margin_frac < 0:
+        raise DataError(f"margin_frac must be non-negative, got {margin_frac}")
+
+
 def upper_body_roi(
     person: np.ndarray,
     margin_frac: float = DEFAULT_MARGIN,
@@ -143,8 +148,7 @@ def upper_body_roi(
     Returns None when fewer than `min_joints` of the six arm joints reach
     `min_confidence` or when the clamped box degenerates to zero area.
     """
-    if margin_frac < 0:
-        raise DataError(f"margin_frac must be non-negative, got {margin_frac}")
+    check_margin(margin_frac)
     arm = person[list(ARM_JOINTS)]
     confident = arm[arm[:, 2] >= min_confidence]
     if len(confident) < min_joints:

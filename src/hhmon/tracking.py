@@ -65,6 +65,11 @@ def iou(a: BBox, b: BBox) -> float:
     return inter / (a.area + b.area - inter)
 
 
+def check_tau_new(tau_new: float) -> None:
+    if not 0.0 <= tau_new <= 1.0:
+        raise DataError(f"tau_new must lie in [0, 1], got {tau_new}")
+
+
 def link_step(
     tracks: list[Track],
     detections: list[BBox],
@@ -79,8 +84,7 @@ def link_step(
     index.  Unmatched detections open new tracks.  Returns the matched
     (track index, detection index) pairs and the list of tracks created.
     """
-    if not 0.0 <= tau_new <= 1.0:
-        raise DataError(f"tau_new must lie in [0, 1], got {tau_new}")
+    check_tau_new(tau_new)
     if next_id is None:
         next_id = max((t.track_id for t in tracks), default=-1) + 1
 

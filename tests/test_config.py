@@ -150,6 +150,11 @@ def test_bad_values_are_rejected_naming_their_section():
         ("train", {"momentum": 1.0}, "train: momentum"),
         ("train", {"head_lr": -1.0}, "train: head_lr"),
         ("train", {"pretrain_epochs": 0}, "train: pretrain_epochs"),
+        ("gen", {"n_frames_min": 10}, "gen: need 16 <= n_frames_min"),
+        ("gen", {"n_dates": 0}, "gen: date counts"),
+        ("roi", {"margin": -1}, "roi: margin_frac must be non-negative"),
+        ("link", {"smooth_window": 0}, "link: smoothing window must be >= 1"),
+        ("link", {"tau_new": 1.5}, "link: tau_new must lie in"),
     ):
         with pytest.raises(ConfigError, match=message):
             config_from_dict({section: values})
