@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Time the flow solver's hot kernels: compiled C library vs numpy fallback.
 
-Both implementations share one contract, so besides the timings the script
-reports the worst output disagreement per kernel (expected: exactly zero).
-The compiled column needs the library built in place first:
+Both implementations share one contract, (P, H, W) stacks of planes, so
+besides the timings the script reports the worst output disagreement per
+kernel (expected: exactly zero).  Each kernel runs on one large plane and on
+a stack of 8 planes at 96x72, the frame size of the default pipeline.  The
+compiled column needs the library built in place first:
 
     python3 setup.py build_ext --inplace
     python3 benchmarks/bench_kernels.py [--size 256] [--iters 50] [--repeats 5]
@@ -45,25 +47,26 @@ def best_of(fn, repeats):
     return min(times), out
 
 
-def bench_warp(mod, rng, size, repeats):
-    img = texture(rng, size, size) * np.float32(255.0)
-    u = rng.standard_normal((size, size)).astype(np.float32) * 2.0
-    v = rng.standard_normal((size, size)).astype(np.float32) * 2.0
+def bench_warp(mod, rng, shape, repeats):
+    p, h, w = shape
+    img = np.stack([texture(rng, h, w) for _ in range(p)]) * np.float32(255.0)
+    u = rng.standard_normal(shape).astype(np.float32) * 2.0
+    v = rng.standard_normal(shape).astype(np.float32) * 2.0
     return best_of(lambda: mod.warp_bilinear(img, u, v), repeats)
 
 
-def bench_iterations(mod, rng, size, n_iters, repeats):
-    I1wx = rng.standard_normal((size, size)).astype(np.float32)
-    I1wy = rng.standard_normal((size, size)).astype(np.float32)
+def bench_iterations(mod, rng, shape, n_iters, repeats):
+    I1wx = rng.standard_normal(shape).astype(np.float32)
+    I1wy = rng.standard_normal(shape).astype(np.float32)
     grad = I1wx**2 + I1wy**2
-    rho_c = rng.standard_normal((size, size)).astype(np.float32)
+    rho_c = rng.standard_normal(shape).astype(np.float32)
 
     times = []
     out = None
     for _ in range(repeats):
         # the kernel updates its six state fields in place: fresh copies each
         # run, allocated outside the timed region
-        state = [np.zeros((size, size), dtype=np.float32) for _ in range(6)]
+        state = [np.zeros(shape, dtype=np.float32) for _ in range(6)]
         t0 = time.perf_counter()
         out = mod.tvl1_iterations(I1wx, I1wy, rho_c, grad, *state,
                                   0.15, 0.3, 0.25, n_iters, 0.0)
@@ -94,12 +97,19 @@ def main():
     ap.add_argument("--repeats", type=int, default=5, help="take the best of N")
     args = ap.parse_args()
 
-    rows = [
-        (f"warp_bilinear {args.size}x{args.size}",
-         lambda mod: bench_warp(mod, np.random.default_rng(0), args.size, args.repeats)),
-        (f"tvl1_iterations x{args.iters} {args.size}x{args.size}",
-         lambda mod: bench_iterations(mod, np.random.default_rng(1), args.size,
-                                      args.iters, args.repeats)),
+    stacks = [(f"{args.size}x{args.size}", (1, args.size, args.size)),
+              ("8x96x72", (8, 72, 96))]  # (P, H, W)
+    rows = []
+    for label, shape in stacks:
+        rows += [
+            (f"warp_bilinear {label}",
+             lambda mod, shape=shape: bench_warp(mod, np.random.default_rng(0), shape,
+                                                 args.repeats)),
+            (f"tvl1_iterations x{args.iters} {label}",
+             lambda mod, shape=shape: bench_iterations(mod, np.random.default_rng(1), shape,
+                                                       args.iters, args.repeats)),
+        ]
+    rows += [
         (f"tvl1_flow {args.flow_size}x{args.flow_size}",
          lambda mod: bench_flow(mod, np.random.default_rng(2), args.flow_size,
                                 args.repeats)),

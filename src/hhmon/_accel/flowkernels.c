@@ -1,17 +1,21 @@
-/* Float32 kernels of the TV-L1 flow solver, on C-contiguous h x w buffers.
+/* Float32 kernels of the TV-L1 flow solver, on C-contiguous p x h x w stacks.
 
-   Each function repeats its twin in _purekernels.py element for element, in
-   the same float32 operation order, so the two backends give identical
-   results.  That holds only when built without FMA contraction and without
-   -ffast-math (setup.py passes -ffp-contract=off).  The early-stop error is
-   summed in another order, which can move only its last bits.  The ctypes
+   A stack holds p independent h x w planes, one frame pair each; both entry
+   points run their plane routine once per plane.  Each routine repeats its
+   twin in _purekernels.py element for element, in the same float32
+   operation order, so the two backends give identical results.  That holds
+   only when built without FMA contraction and without -ffast-math (setup.py
+   passes -ffp-contract=off).  The early-stop error is summed in another
+   order, which can move only its last bits.  tvl1_iterations stops each
+   plane on its own and returns the largest count any plane ran.  The ctypes
    binding in __init__.py checks every array before a pointer gets here. */
 
 #include <math.h>
 #include <stddef.h>
+#include <string.h>
 
-void warp_bilinear(const float *img, const float *u, const float *v,
-                   float *out, int h, int w)
+static void warp_plane(const float *img, const float *u, const float *v,
+                       float *out, int h, int w)
 {
     const float wm1 = (float)(w - 1), hm1 = (float)(h - 1);
     for (int y = 0; y < h; y++) {
@@ -35,6 +39,14 @@ void warp_bilinear(const float *img, const float *u, const float *v,
     }
 }
 
+void warp_bilinear(const float *img, const float *u, const float *v,
+                   float *out, int p, int h, int w)
+{
+    const size_t plane = (size_t)h * w;
+    for (int k = 0; k < p; k++)
+        warp_plane(img + k * plane, u + k * plane, v + k * plane, out + k * plane, h, w);
+}
+
 /* Dual ascent on (pa, pb) from the forward differences of u. */
 static void dual_step(const float *u, float *pa, float *pb, float taut, int h, int w)
 {
@@ -50,14 +62,15 @@ static void dual_step(const float *u, float *pa, float *pb, float taut, int h, i
     }
 }
 
-/* Runs at most n_iters primal-dual iterations and returns how many ran.
-   Each iteration writes the new flow into (u1n, u2n) and then swaps the two
-   pairs, so after an odd count the result lies in u1n and u2n.  The dual
-   fields are updated in place. */
-int tvl1_iterations(const float *I1wx, const float *I1wy, const float *rho_c,
-                    const float *grad, float *u1, float *u2, float *u1n, float *u2n,
-                    float *p11, float *p12, float *p21, float *p22, int h, int w,
-                    double lam, double theta, double tau, int n_iters, double stop_eps2)
+/* Runs at most n_iters primal-dual iterations on one plane and returns how
+   many ran.  Each iteration writes the new flow into (u1n, u2n) and then
+   swaps the two pairs, so after an odd count the result lies in u1n and u2n.
+   The dual fields are updated in place. */
+static int iterate_plane(const float *I1wx, const float *I1wy, const float *rho_c,
+                         const float *grad, float *u1, float *u2, float *u1n, float *u2n,
+                         float *p11, float *p12, float *p21, float *p22, int h, int w,
+                         double lam, double theta, double tau, int n_iters,
+                         double stop_eps2)
 {
     const float lt = (float)(lam * theta), taut = (float)(tau / theta);
     const float theta32 = (float)theta;
@@ -102,4 +115,28 @@ int tvl1_iterations(const float *I1wx, const float *I1wy, const float *rho_c,
             break;
     }
     return done;
+}
+
+/* The flow comes back in (u1, u2) for every plane: a plane that stopped
+   after an odd count is copied back from its (u1n, u2n) scratch. */
+int tvl1_iterations(const float *I1wx, const float *I1wy, const float *rho_c,
+                    const float *grad, float *u1, float *u2, float *u1n, float *u2n,
+                    float *p11, float *p12, float *p21, float *p22, int p, int h, int w,
+                    double lam, double theta, double tau, int n_iters, double stop_eps2)
+{
+    const size_t plane = (size_t)h * w;
+    int most = 0;
+    for (int k = 0; k < p; k++) {
+        const size_t o = k * plane;
+        int done = iterate_plane(I1wx + o, I1wy + o, rho_c + o, grad + o, u1 + o, u2 + o,
+                                 u1n + o, u2n + o, p11 + o, p12 + o, p21 + o, p22 + o,
+                                 h, w, lam, theta, tau, n_iters, stop_eps2);
+        if (done % 2) {
+            memcpy(u1 + o, u1n + o, plane * sizeof(float));
+            memcpy(u2 + o, u2n + o, plane * sizeof(float));
+        }
+        if (done > most)
+            most = done;
+    }
+    return most;
 }

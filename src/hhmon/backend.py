@@ -4,6 +4,7 @@ The flow solver's inner loop exists twice: a hand-written C library bound
 through ctypes (`_accel`, present once `setup.py build_ext --inplace` has
 compiled it) and a pure numpy fallback with identical semantics.  The
 compiled one wins when present; set HHMON_PURE_PY=1 to force the fallback.
+Both take (P, H, W) stacks of planes, as `_purekernels` describes.
 """
 
 from __future__ import annotations

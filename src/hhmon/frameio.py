@@ -226,20 +226,31 @@ def _sample_coords(n_out: int, n_in: int) -> np.ndarray:
 
 def resize_bilinear(frame: Frame, out_w: int, out_h: int) -> Frame:
     """Bilinear resize with corner-aligned sampling."""
+    return Frame(_resize(frame.data, out_w, out_h))
+
+
+def resize_planes(planes: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
+    """`resize_bilinear` of every plane of an (n, h, w) stack, in one call."""
+    out = _resize(planes.transpose(1, 2, 0), out_w, out_h)
+    return np.ascontiguousarray(out.transpose(2, 0, 1))
+
+
+def _resize(d: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
+    """Resize the first two axes of an (h, w, c) array, any channel count c."""
     if out_w < 1 or out_h < 1:
         raise DataError(f"resize target must be at least 1x1, got {out_w}x{out_h}")
-    xs = _sample_coords(out_w, frame.width)
-    ys = _sample_coords(out_h, frame.height)
-    x0 = np.clip(np.floor(xs).astype(np.int64), 0, frame.width - 1)
-    y0 = np.clip(np.floor(ys).astype(np.int64), 0, frame.height - 1)
-    x1 = np.minimum(x0 + 1, frame.width - 1)
-    y1 = np.minimum(y0 + 1, frame.height - 1)
+    height, width = d.shape[:2]
+    xs = _sample_coords(out_w, width)
+    ys = _sample_coords(out_h, height)
+    x0 = np.clip(np.floor(xs).astype(np.int64), 0, width - 1)
+    y0 = np.clip(np.floor(ys).astype(np.int64), 0, height - 1)
+    x1 = np.minimum(x0 + 1, width - 1)
+    y1 = np.minimum(y0 + 1, height - 1)
     fx = (xs - x0).astype(np.float32)[None, :, None]
     fy = (ys - y0).astype(np.float32)[:, None, None]
-    d = frame.data
     top = d[y0[:, None], x0[None, :]] * (1 - fx) + d[y0[:, None], x1[None, :]] * fx
     bot = d[y1[:, None], x0[None, :]] * (1 - fx) + d[y1[:, None], x1[None, :]] * fx
-    return Frame(top * (1 - fy) + bot * fy)
+    return top * (1 - fy) + bot * fy
 
 
 def hflip(frame: Frame) -> Frame:

@@ -207,7 +207,12 @@ def stats_from_manifest(cfg: PipelineConfig, manifest: dict) -> str:
 # --- flow -----------------------------------------------------------------
 
 def compute_flow(cfg: PipelineConfig, force: bool = False) -> int:
-    """TV-L1 flow for every scene; returns the number of scenes processed."""
+    """TV-L1 flow for every scene; returns the number of scenes processed.
+
+    Each scene is written into a sibling temp dir and renamed into place, so
+    a scene's flow dir exists only once complete; a temp dir that a killed
+    run left behind is cleared when the scene is computed again.
+    """
     manifest = synth.load_manifest(cfg.paths.dataset_dir)
     done = 0
     for entry in manifest["scenes"]:
@@ -216,7 +221,11 @@ def compute_flow(cfg: PipelineConfig, force: bool = False) -> int:
             continue
         seq = frameio.load_sequence(_frames_dir(cfg, entry))
         flow_seq = tvl1.flow_sequence(seq, cfg.flow, clip=cfg.flow.max_flow)
-        frameio.save_sequence(flow_seq, out_dir)
+        tmp_dir = out_dir + ".partial"
+        shutil.rmtree(tmp_dir, ignore_errors=True)
+        frameio.save_sequence(flow_seq, tmp_dir)
+        shutil.rmtree(out_dir, ignore_errors=True)
+        os.replace(tmp_dir, out_dir)
         done += 1
     return done
 

@@ -4,6 +4,13 @@ Coarse-to-fine pyramid, five warps per level by default, primal-dual inner
 iterations delegated to the selected kernel backend.  Luminance input is
 rescaled to the 0..255 range internally so the default data weight keeps its
 usual calibration against 8-bit gradients.
+
+The solver works on stacks: `_solve` takes the pyramid of an (n, H, W) stack
+of consecutive frames and solves its n - 1 pairs together, as (P, h, w)
+stacks through the backend kernels, each pair bit for bit as if alone.
+`flow_sequence` feeds a scene through it in chunks of at most
+`STACK_PIXELS` pixels per stack and builds each frame's pyramid once; `tvl1_flow` is a stack of one
+pair and the only caller that asks for the per-warp energies.
 """
 
 from __future__ import annotations
@@ -18,6 +25,10 @@ from .errors import ConfigError, DataError
 from .frameio import Frame, FrameSequence
 
 FLOW_CLIP = 20.0  # px; displacements are clipped here then mapped to [-1, 1]
+# Pixels per (P, H, W) float32 stack that flow_sequence solves at once:
+# 128 KB, so a chunk's working set stays near the L2 cache.  That is 4 pairs
+# per chunk at 96x72 and 1 at 192x144.
+STACK_PIXELS = 32768
 
 
 @dataclass
@@ -51,53 +62,54 @@ class TvL1Result:
     energies: list[float] = field(default_factory=list)  # per warp, finest level
 
 
-def _resize2d(img: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
-    return frameio.resize_bilinear(Frame(img[:, :, None]), out_w, out_h).data[:, :, 0]
-
-
 def _gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
+    """Separable blur of each plane of an (n, h, w) stack, edges replicated."""
     radius = max(1, int(2.5 * sigma + 0.5))
     xs = np.arange(-radius, radius + 1, dtype=np.float32)
     k = np.exp(-0.5 * (xs / sigma) ** 2)
     k /= k.sum()
-    pad = np.pad(img, ((0, 0), (radius, radius)), mode="edge")
+    h, w = img.shape[1:]
+    pad = np.pad(img, ((0, 0), (0, 0), (radius, radius)), mode="edge")
     tmp = np.zeros_like(img)
     for i in range(k.size):
-        tmp += k[i] * pad[:, i : i + img.shape[1]]
-    pad = np.pad(tmp, ((radius, radius), (0, 0)), mode="edge")
+        tmp += k[i] * pad[:, :, i : i + w]
+    pad = np.pad(tmp, ((0, 0), (radius, radius), (0, 0)), mode="edge")
     out = np.zeros_like(img)
     for i in range(k.size):
-        out += k[i] * pad[i : i + img.shape[0], :]
+        out += k[i] * pad[:, i : i + h, :]
     return out
 
 
-def _pyramid(img: np.ndarray, factor: float, min_size: int) -> list[np.ndarray]:
-    """Finest level first; stops before either side would fall under min_size."""
+def _pyramid(frames: np.ndarray, factor: float, min_size: int) -> list[np.ndarray]:
+    """Levels of an (n, h, w) frame stack, finest first; stops before either
+    side would fall under min_size."""
     sigma = 0.6 * np.sqrt(1.0 / factor**2 - 1.0)
-    levels = [img]
+    levels = [frames]
     while True:
-        h, w = levels[-1].shape
+        _, h, w = levels[-1].shape
         nh, nw = int(round(h * factor)), int(round(w * factor))
         if min(nh, nw) < min_size:
             return levels
-        levels.append(_resize2d(_gaussian_blur(levels[-1], sigma), nw, nh))
+        levels.append(frameio.resize_planes(_gaussian_blur(levels[-1], sigma), nw, nh))
 
 
 def _centered_gradient(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Central differences over the last two axes, one-sided at the borders."""
     gx = np.zeros_like(img)
     gy = np.zeros_like(img)
-    gx[:, 1:-1] = 0.5 * (img[:, 2:] - img[:, :-2])
-    gx[:, 0] = 0.5 * (img[:, 1] - img[:, 0])
-    gx[:, -1] = 0.5 * (img[:, -1] - img[:, -2])
-    gy[1:-1, :] = 0.5 * (img[2:, :] - img[:-2, :])
-    gy[0, :] = 0.5 * (img[1, :] - img[0, :])
-    gy[-1, :] = 0.5 * (img[-1, :] - img[-2, :])
+    gx[..., :, 1:-1] = 0.5 * (img[..., :, 2:] - img[..., :, :-2])
+    gx[..., :, 0] = 0.5 * (img[..., :, 1] - img[..., :, 0])
+    gx[..., :, -1] = 0.5 * (img[..., :, -1] - img[..., :, -2])
+    gy[..., 1:-1, :] = 0.5 * (img[..., 2:, :] - img[..., :-2, :])
+    gy[..., 0, :] = 0.5 * (img[..., 1, :] - img[..., 0, :])
+    gy[..., -1, :] = 0.5 * (img[..., -1, :] - img[..., -2, :])
     return gx, gy
 
 
 def flow_energy(rho_c: np.ndarray, I1wx: np.ndarray, I1wy: np.ndarray,
                 u1: np.ndarray, u2: np.ndarray, lam: float) -> float:
-    """Objective under the current linearization: lam * data residual + TV."""
+    """Objective under the current linearization: lam * data residual + TV,
+    summed over every plane given."""
     rho = rho_c + I1wx * u1 + I1wy * u2
     u1x, u1y = _forward_grad(u1)
     u2x, u2y = _forward_grad(u2)
@@ -112,30 +124,32 @@ def _as_plane(img) -> np.ndarray:
     return np.asarray(img)
 
 
-def tvl1_flow(img0, img1, params: TvL1Params | None = None) -> TvL1Result:
-    """Flow from img0 to img1; luminance planes (or Frames) in [0, 1]."""
-    params = params or TvL1Params()
-    img0 = _as_plane(img0)
-    img1 = _as_plane(img1)
-    if img0.ndim != 2 or img0.shape != img1.shape:
-        raise DataError(f"flow inputs must be equal-shaped 2d arrays, "
-                        f"got {img0.shape} and {img1.shape}")
-    if min(img0.shape) < params.min_size:
-        raise DataError(f"flow input {img0.shape} is smaller than min_size {params.min_size}")
-    I0 = np.ascontiguousarray(img0, dtype=np.float32) * np.float32(255.0)
-    I1 = np.ascontiguousarray(img1, dtype=np.float32) * np.float32(255.0)
+def _frame_stack(planes: list, params: TvL1Params, where: str = "") -> np.ndarray:
+    """Equal-shaped, finite planes as one (n, h, w) float32 stack in 0..255."""
+    shapes = [np.shape(p) for p in planes]
+    if len(shapes[0]) != 2 or len(set(shapes)) != 1:
+        raise DataError(f"{where}flow inputs must be equal-shaped 2d arrays, "
+                        f"got {' and '.join(map(str, shapes))}")
+    if min(shapes[0]) < params.min_size:
+        raise DataError(f"{where}flow input {shapes[0]} is smaller than "
+                        f"min_size {params.min_size}")
+    frames = np.array(planes, dtype=np.float32)
+    if not np.isfinite(frames).all():
+        raise DataError(f"{where}flow input has non-finite values")
+    frames *= np.float32(255.0)
+    return frames
 
-    pyr0 = _pyramid(I0, params.pyramid_factor, params.min_size)
-    pyr1 = _pyramid(I1, params.pyramid_factor, params.min_size)
+
+def _solve(levels: list[np.ndarray], params: TvL1Params,
+           energies: list[float] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Flow (u1, u2), each (n - 1, h, w), between the consecutive frames of a
+    pyramid of (n, h, w) frame stacks.  When `energies` is given, appends
+    the finest level's energy after each warp, summed over the pairs."""
     stop_eps2 = params.stop_epsilon**2
-
-    h, w = pyr0[-1].shape
-    u1 = np.zeros((h, w), dtype=np.float32)
-    u2 = np.zeros((h, w), dtype=np.float32)
-    energies: list[float] = []
-
-    for level in range(len(pyr0) - 1, -1, -1):
-        I0l, I1l = pyr0[level], pyr1[level]
+    u1 = np.zeros_like(levels[-1][1:])
+    u2 = np.zeros_like(u1)
+    for level in range(len(levels) - 1, -1, -1):
+        I0l, I1l = levels[level][:-1], levels[level][1:]
         I1x, I1y = _centered_gradient(I1l)
         shape = I0l.shape
         p11, p12, p21, p22 = (np.zeros(shape, dtype=np.float32) for _ in range(4))
@@ -149,15 +163,25 @@ def tvl1_flow(img0, img1, params: TvL1Params | None = None) -> TvL1Result:
                 I1wx, I1wy, rho_c, grad, u1, u2, p11, p12, p21, p22,
                 params.lam, params.theta, params.tau, params.n_iters, stop_eps2,
             )
-            if level == 0:
+            if level == 0 and energies is not None:
                 energies.append(flow_energy(rho_c, I1wx, I1wy, u1, u2, params.lam))
         if level > 0:
-            nh, nw = pyr0[level - 1].shape
-            u1 = _resize2d(u1, nw, nh) * np.float32(nw / shape[1])
-            u2 = _resize2d(u2, nw, nh) * np.float32(nh / shape[0])
+            _, nh, nw = levels[level - 1].shape
+            u = frameio.resize_planes(np.concatenate([u1, u2]), nw, nh)
+            u1, u2 = u[: shape[0]], u[shape[0] :]
+            u1 *= np.float32(nw / shape[2])
+            u2 *= np.float32(nh / shape[1])
+    return u1, u2
 
-    flow = np.stack([u1, u2], axis=-1)
-    return TvL1Result(flow=flow, energies=energies)
+
+def tvl1_flow(img0, img1, params: TvL1Params | None = None) -> TvL1Result:
+    """Flow from img0 to img1; luminance planes (or Frames) in [0, 1]."""
+    params = params or TvL1Params()
+    frames = _frame_stack([_as_plane(img0), _as_plane(img1)], params)
+    energies: list[float] = []
+    u1, u2 = _solve(_pyramid(frames, params.pyramid_factor, params.min_size),
+                    params, energies)
+    return TvL1Result(flow=np.stack([u1[0], u2[0]], axis=-1), energies=energies)
 
 
 def flow_to_frame(flow: np.ndarray, clip: float = FLOW_CLIP) -> Frame:
@@ -172,12 +196,29 @@ def flow_sequence(seq: FrameSequence, params: TvL1Params | None = None,
 
     Only n - 1 pairs exist, so the last flow frame is repeated once; that keeps
     flow windows aligned start-for-start with the RGB windows they shadow.
+    Pairs are solved in chunks of STACK_PIXELS // (h * w), and each frame's
+    pyramid is built once: a chunk's last frame carries over as the next
+    chunk's first.
     """
     if len(seq.frames) < 2:
         raise DataError(f"{seq.video_id}: need at least 2 frames for flow, got {len(seq.frames)}")
     params = params or TvL1Params()
-    grays = [frameio.luminance(f) for f in seq.frames]
-    out = [flow_to_frame(tvl1_flow(grays[i], grays[i + 1], params).flow, clip)
-           for i in range(len(grays) - 1)]
+    planes = [frameio.luminance(f) for f in seq.frames]
+    n_pairs = len(planes) - 1
+    chunk = max(1, STACK_PIXELS // (seq.width * seq.height))
+    out: list[Frame] = []
+    carried: list[np.ndarray] = []  # the pyramid of the previous chunk's last frame
+    for first in range(0, n_pairs, chunk):
+        last = min(first + chunk, n_pairs)  # the chunk's last frame
+        # the frames of this chunk that have no pyramid yet
+        todo = planes[first + 1 if carried else first : last + 1]
+        levels = _pyramid(_frame_stack(todo, params, f"{seq.video_id}: "),
+                          params.pyramid_factor, params.min_size)
+        if carried:
+            levels = [np.concatenate(p) for p in zip(carried, levels)]
+        carried = [level[-1:].copy() for level in levels]
+        u1, u2 = _solve(levels, params)
+        del levels  # before the next chunk builds its pyramid
+        out += [flow_to_frame(np.stack([a, b], axis=-1), clip) for a, b in zip(u1, u2)]
     out.append(Frame(out[-1].data.copy()))
     return FrameSequence(out, fps=seq.fps, video_id=seq.video_id, date_tag=seq.date_tag)

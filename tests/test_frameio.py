@@ -192,6 +192,16 @@ def test_resize_same_size_is_identity(rng):
     np.testing.assert_allclose(out.data, f.data, atol=1e-6)
 
 
+def test_resize_planes_equals_resize_bilinear_per_plane(rng):
+    planes = rng.random((3, 9, 13)).astype(np.float32)
+    for out_w, out_h in ((13, 9), (7, 5), (20, 11), (1, 1)):
+        got = frameio.resize_planes(planes, out_w, out_h)
+        assert got.shape == (3, out_h, out_w) and got.flags.c_contiguous
+        for plane, out in zip(planes, got):
+            want = frameio.resize_bilinear(Frame(plane), out_w, out_h).data[:, :, 0]
+            assert np.array_equal(out, want)
+
+
 def test_resize_rejects_zero_target(rng):
     with pytest.raises(DataError):
         frameio.resize_bilinear(make_rgb(4, 4, rng), 0, 4)

@@ -150,6 +150,47 @@ def test_compute_flow_skips_existing(prepared):
     assert pipeline.compute_flow(cfg, force=True) == 7
 
 
+def flow_bytes(cfg):
+    root = os.path.join(cfg.paths.work_dir, "flow")
+    return {os.path.relpath(os.path.join(d, f), root): open(os.path.join(d, f), "rb").read()
+            for d, _, files in os.walk(root) for f in files}
+
+
+def test_flow_killed_mid_scene_is_recomputed_on_rerun(tmp_path, monkeypatch):
+    cfg = tiny_cfg(tmp_path / "clean")
+    pipeline.generate(cfg)
+    pipeline.prepare(cfg)
+    pipeline.compute_flow(cfg)
+    clean = flow_bytes(cfg)
+
+    cfg = tiny_cfg(tmp_path / "killed")
+    pipeline.generate(cfg)
+    pipeline.prepare(cfg)
+    write = frameio.write_flo2
+    n_frames = sum(1 for name in clean if name.endswith(".flo2"))
+    k = n_frames // 2  # in the middle of a scene, not on its boundary
+    calls = []
+
+    def dying_write(frame, path):
+        calls.append(path)
+        if len(calls) > k:
+            raise KeyboardInterrupt("killed")
+        write(frame, path)
+
+    monkeypatch.setattr(frameio, "write_flo2", dying_write)
+    with pytest.raises(KeyboardInterrupt):
+        pipeline.compute_flow(cfg)
+    monkeypatch.setattr(frameio, "write_flo2", write)
+    partial = flow_bytes(cfg)
+    assert any(".partial" in name for name in partial)
+    done = {name.split(os.sep)[0] for name in partial if ".partial" not in name}
+    assert 0 < len(done) < 7
+    assert pipeline.compute_flow(cfg) == 7 - len(done)
+    assert flow_bytes(cfg) == clean
+    scenes = {name.split(os.sep)[0] for name in clean}
+    assert set(os.listdir(os.path.join(cfg.paths.work_dir, "flow"))) == scenes
+
+
 def test_evaluate_requires_some_checkpoint(prepared):
     cfg, _, _ = prepared
     if os.path.isfile(pipeline._ckpt_path(cfg, "rgb")):

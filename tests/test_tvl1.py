@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from helpers import smooth_texture
 
-from hhmon import backend, frameio
+from hhmon import backend, frameio, tvl1
 from hhmon.errors import ConfigError, DataError
 from hhmon.frameio import Frame, FrameSequence
 from hhmon.tvl1 import (
@@ -71,10 +71,11 @@ def test_horizontal_flip_negates_u(rng):
 
 
 def linearized_problem(rng):
-    """One warp's linearization at zero flow, as the solver builds it."""
+    """One warp's linearization at zero flow, as the solver builds it, on
+    stacks of one plane."""
     tex = smooth_texture(rng)
-    I0 = (tex * np.float32(255.0)).astype(np.float32)
-    I1 = (rolled(tex, dx=1) * np.float32(255.0)).astype(np.float32)
+    I0 = (tex * np.float32(255.0)).astype(np.float32)[None]
+    I1 = (rolled(tex, dx=1) * np.float32(255.0)).astype(np.float32)[None]
     I1x, I1y = _centered_gradient(I1)
     zeros = lambda: np.zeros(I0.shape, dtype=np.float32)
     u1, u2 = zeros(), zeros()
@@ -208,3 +209,40 @@ def test_parameter_validation():
     with pytest.raises(ConfigError):
         TvL1Params(n_warps=0)
     TvL1Params(tau=0.25)  # boundary value stays legal
+
+
+def test_flow_sequence_builds_each_pyramid_once_and_no_energy(rng, monkeypatch):
+    pyramids = []
+    build = tvl1._pyramid
+
+    def counting_pyramid(frames, *args):
+        pyramids.append(len(frames))
+        return build(frames, *args)
+
+    def no_energy(*args):
+        raise AssertionError("flow_sequence computed a flow energy")
+
+    monkeypatch.setattr(tvl1, "_pyramid", counting_pyramid)
+    monkeypatch.setattr(tvl1, "flow_energy", no_energy)
+    tex = smooth_texture(rng, h=32, w=32)  # 32 pairs per chunk: one chunk
+    frames = [np.repeat(rolled(tex, dx=i)[:, :, None], 3, axis=2) for i in range(5)]
+    flow_sequence(make_sequence(frames))
+    assert pyramids == [5]
+    pyramids.clear()
+    tex = smooth_texture(rng, h=72, w=96)  # 4 pairs per chunk
+    frames = [rolled(tex, dx=i)[:, :, None] for i in range(11)]
+    flow_sequence(make_sequence(frames))
+    assert pyramids == [5, 4, 2]
+
+
+def test_non_finite_flow_input_rejected(rng):
+    img = rng.random((32, 32)).astype(np.float32)
+    bad = img.copy()
+    bad[5, 7] = np.nan
+    with pytest.raises(DataError, match="non-finite"):
+        tvl1_flow(img, bad)
+    with pytest.raises(DataError, match="non-finite"):
+        tvl1_flow(np.full_like(img, np.inf), img)
+    frames = [np.repeat(f[:, :, None], 3, axis=2) for f in (img, img, bad, img)]
+    with pytest.raises(DataError, match="v: flow input has non-finite"):
+        flow_sequence(make_sequence(frames))
