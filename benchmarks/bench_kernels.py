@@ -5,24 +5,36 @@ Both implementations share one contract, (P, H, W) stacks of planes, so
 besides the timings the script reports the worst output disagreement per
 kernel (expected: exactly zero).  Each kernel runs on one large plane and on
 a stack of 8 planes at 96x72, the frame size of the default pipeline.  The
-compiled column needs the library built in place first:
+script builds the C library with setup.py into a temporary directory and
+binds it from there, so nothing is left under src/ (a library built in place
+would switch the package, and everything run on the checkout, to the
+compiled backend):
 
-    python3 setup.py build_ext --inplace
-    python3 benchmarks/bench_kernels.py [--size 256] [--iters 50] [--repeats 5]
+    PYTHONPATH=src python3 benchmarks/bench_kernels.py [--size 256] [--iters 50] [--repeats 5]
 """
 
 import argparse
 import os
+import subprocess
+import sys
+import tempfile
 import time
 
 import numpy as np
 
 from hhmon import _accel, _purekernels, backend, tvl1
 
-try:
-    _compiled = _accel.CompiledKernels(os.path.dirname(_accel.__file__))
-except OSError:
-    _compiled = None
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def build_compiled(out_dir):
+    """Build the C kernels into out_dir and bind them; None if that fails."""
+    subprocess.run([sys.executable, "setup.py", "build_ext", "--build-lib", out_dir,
+                    "--build-temp", out_dir], cwd=REPO, capture_output=True)
+    try:
+        return _accel.CompiledKernels(os.path.join(out_dir, "hhmon", "_accel"))
+    except OSError:
+        return None
 
 
 def texture(rng, h, w):
@@ -115,18 +127,20 @@ def main():
                                 args.repeats)),
     ]
 
-    print(f"active backend: {backend.BACKEND}"
-          + ("" if _compiled is not None else " (compiled kernels not built)"))
-    print(f"{'kernel':<36} {'pure':>10} {'compiled':>10} {'speedup':>8} {'max|diff|':>10}")
-    for name, run in rows:
-        t_pure, out_pure = run(_purekernels)
-        if _compiled is None:
-            print(f"{name:<36} {t_pure * 1e3:>8.2f}ms {'-':>10} {'-':>8} {'-':>10}")
-            continue
-        t_comp, out_comp = run(_compiled)
-        diff = float(np.abs(np.asarray(out_pure) - np.asarray(out_comp)).max())
-        print(f"{name:<36} {t_pure * 1e3:>8.2f}ms {t_comp * 1e3:>8.2f}ms "
-              f"{t_pure / t_comp:>7.1f}x {diff:>10.1e}")
+    with tempfile.TemporaryDirectory(prefix="hhmon-accel-") as out_dir:
+        compiled = build_compiled(out_dir)
+        print(f"active backend: {backend.BACKEND}"
+              + ("" if compiled is not None else " (compiled kernels failed to build)"))
+        print(f"{'kernel':<36} {'pure':>10} {'compiled':>10} {'speedup':>8} {'max|diff|':>10}")
+        for name, run in rows:
+            t_pure, out_pure = run(_purekernels)
+            if compiled is None:
+                print(f"{name:<36} {t_pure * 1e3:>8.2f}ms {'-':>10} {'-':>8} {'-':>10}")
+                continue
+            t_comp, out_comp = run(compiled)
+            diff = float(np.abs(np.asarray(out_pure) - np.asarray(out_comp)).max())
+            print(f"{name:<36} {t_pure * 1e3:>8.2f}ms {t_comp * 1e3:>8.2f}ms "
+                  f"{t_pure / t_comp:>7.1f}x {diff:>10.1e}")
 
 
 if __name__ == "__main__":

@@ -8,9 +8,11 @@ parameter sets produce identical files.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -83,12 +85,29 @@ def _spec_path(ckpt_path: str) -> str:
     return ckpt_path + ".spec.json"
 
 
+def _write_then_replace(path: str, write) -> None:
+    """Call write(temp path), then rename the finished file onto `path`."""
+    tmp = path + ".tmp"
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+
+
 def save_network(net: Network, path: str) -> None:
-    """Checkpoint plus <path>.spec.json with the layer layout."""
+    """Checkpoint plus <path>.spec.json with the layer layout.
+
+    Each file is written beside its target and renamed into place, so an
+    interrupted save never leaves a truncated file.  The sidecar goes first:
+    a checkpoint file, whose presence later stages check, appears only once
+    its layout is there.
+    """
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    save_params(path, net.params, net.frozen)
-    with open(_spec_path(path), "w") as fh:
-        json.dump(net.spec.to_json(), fh, indent=1)
+    layout = json.dumps(net.spec.to_json(), indent=1)
+    _write_then_replace(_spec_path(path), lambda tmp: Path(tmp).write_text(layout))
+    _write_then_replace(path, lambda tmp: save_params(tmp, net.params, net.frozen))
 
 
 def load_network(path: str) -> Network:

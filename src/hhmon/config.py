@@ -1,11 +1,13 @@
 """Pipeline configuration: nested blocks of plain dataclasses, loadable from
 a JSON file that overrides any subset of fields.
 
-The clip, flow and train blocks are the owning modules' own dataclasses,
-plus a few pipeline-only fields, and the roi, link and eval defaults are the
-owning modules' constants, so every default is declared once.  Each block
-validates itself when built, with the owning module's own checks; a bad
-value is a ConfigError naming its section.
+Each stage's block is that stage's own parameter object, passed to it whole:
+`gen` is `synth.DatasetConfig`, `roi` is `pose.RoiParams`, `link` is
+`tracking.LinkParams`, `clip` is `clipset.AugmentConfig` and `flow` is
+`tvl1.TvL1Params`.  Only the paths, the train block (the training module's
+`TrainConfig` plus three pipeline-only fields) and the eval block are
+declared here, so every default is declared once.  Each block validates
+itself when built; a bad value is a ConfigError naming its section.
 """
 
 from __future__ import annotations
@@ -14,9 +16,12 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 
-from . import metrics, pose, synth, tracking
+from . import metrics
 from .clipset import AugmentConfig
-from .errors import ConfigError, DataError
+from .errors import ConfigError
+from .pose import RoiParams
+from .synth import DatasetConfig
+from .tracking import LinkParams
 from .training import TrainConfig
 from .tvl1 import TvL1Params
 
@@ -27,53 +32,6 @@ class PathsConfig:
     work_dir: str = "data/work"
     checkpoint_dir: str = "data/checkpoints"
     report_dir: str = "data/reports"
-
-
-@dataclass
-class GenConfig:
-    n_rubbing: int = 100
-    n_other: int = 100
-    n_synthetic_rubbing: int = 8
-    n_dates: int = 12
-    n_synthetic_dates: int = 2
-    width: int = 96
-    height: int = 72
-    n_frames_min: int = 20
-    n_frames_max: int = 26
-    n_persons: int = 1
-    joint_dropout: float = 0.0
-    fps: float = 15.0
-
-    def __post_init__(self):
-        synth.DatasetConfig(**dataclasses.asdict(self))
-
-
-@dataclass
-class RoiConfig:
-    margin: float = pose.DEFAULT_MARGIN
-    min_confidence: float = pose.DEFAULT_MIN_CONFIDENCE
-    min_joints: int = pose.DEFAULT_MIN_JOINTS
-
-    def __post_init__(self):
-        pose.check_margin(self.margin)
-
-
-@dataclass
-class LinkConfig:
-    tau_new: float = tracking.DEFAULT_TAU_NEW
-    max_gap: int = tracking.DEFAULT_MAX_GAP
-    smooth_window: int = tracking.DEFAULT_SMA_WINDOW
-
-    def __post_init__(self):
-        tracking.check_tau_new(self.tau_new)
-        tracking.SmoothingConfig(window=self.smooth_window)
-
-
-@dataclass
-class FlowConfig(TvL1Params):
-    # library default caps at 20 px; desk-scale scenes move 1-5 px per frame,
-    # so 1 px keeps the stored flow from collapsing toward zero
-    max_flow: float = 1.0
 
 
 @dataclass
@@ -105,11 +63,11 @@ class EvalConfig:
 class PipelineConfig:
     seed: int = 0
     paths: PathsConfig = field(default_factory=PathsConfig)
-    gen: GenConfig = field(default_factory=GenConfig)
-    roi: RoiConfig = field(default_factory=RoiConfig)
-    link: LinkConfig = field(default_factory=LinkConfig)
+    gen: DatasetConfig = field(default_factory=DatasetConfig)
+    roi: RoiParams = field(default_factory=RoiParams)
+    link: LinkParams = field(default_factory=LinkParams)
     clip: AugmentConfig = field(default_factory=AugmentConfig)
-    flow: FlowConfig = field(default_factory=FlowConfig)
+    flow: TvL1Params = field(default_factory=TvL1Params)
     train: TrainBlock = field(default_factory=TrainBlock)
     eval: EvalConfig = field(default_factory=EvalConfig)
 
@@ -117,8 +75,8 @@ class PipelineConfig:
         return dataclasses.asdict(self)
 
 
-_BLOCK_TYPES = {"paths": PathsConfig, "gen": GenConfig, "roi": RoiConfig, "link": LinkConfig,
-                "clip": AugmentConfig, "flow": FlowConfig, "train": TrainBlock, "eval": EvalConfig}
+_BLOCK_TYPES = {"paths": PathsConfig, "gen": DatasetConfig, "roi": RoiParams, "link": LinkParams,
+                "clip": AugmentConfig, "flow": TvL1Params, "train": TrainBlock, "eval": EvalConfig}
 
 
 def _build_block(cls, data: dict, where: str):
@@ -128,7 +86,7 @@ def _build_block(cls, data: dict, where: str):
         raise ConfigError(f"{where}: unknown keys {', '.join(unknown)}")
     try:
         return cls(**data)
-    except (TypeError, ConfigError, DataError) as exc:
+    except (TypeError, ConfigError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
 

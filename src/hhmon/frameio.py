@@ -168,16 +168,37 @@ def save_sequence(seq: FrameSequence, directory: str) -> None:
         raise DataError(f"cannot write sequence to {directory}: {exc}") from exc
 
 
-def load_sequence(directory: str) -> FrameSequence:
-    """Load a frame directory, enforcing contiguous numbering and the descriptor dims."""
-    meta_path = os.path.join(directory, "meta.json")
+# The frame descriptor's keys and the JSON types each must have.
+_DESCRIPTOR = {"width": int, "height": int, "channels": int, "fps": (int, float),
+               "video_id": str, "date_tag": str}
+
+
+def load_descriptor(directory: str) -> dict:
+    """A frame directory's meta.json, checked to be an object with every
+    descriptor key of the right type; any fault is a DataError naming the file."""
+    path = os.path.join(directory, "meta.json")
     try:
-        with open(meta_path) as fh:
+        with open(path) as fh:
             meta = json.load(fh)
     except FileNotFoundError:
         raise DataError(f"{directory}: missing meta.json descriptor")
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{meta_path}: invalid JSON: {exc}")
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read descriptor: {exc}")
+    except ValueError as exc:
+        raise DataError(f"{path}: invalid JSON: {exc}")
+    if not isinstance(meta, dict):
+        raise DataError(f"{path}: descriptor must be a JSON object")
+    for key, kind in _DESCRIPTOR.items():
+        if key not in meta:
+            raise DataError(f"{path}: descriptor has no {key!r}")
+        if not isinstance(meta[key], kind):
+            raise DataError(f"{path}: descriptor {key!r} has the wrong type: {meta[key]!r}")
+    return meta
+
+
+def load_sequence(directory: str) -> FrameSequence:
+    """Load a frame directory, enforcing contiguous numbering and the descriptor dims."""
+    meta = load_descriptor(directory)
 
     indices = {}
     for name in os.listdir(directory):
@@ -190,7 +211,7 @@ def load_sequence(directory: str) -> FrameSequence:
         if i not in indices:
             raise DataError(f"{directory}: missing frame {i}")
 
-    channels = int(meta["channels"])
+    channels = meta["channels"]
     frames = []
     for i in range(len(indices)):
         path = os.path.join(directory, indices[i])

@@ -13,7 +13,7 @@ import hashlib
 import json
 import os
 import shutil
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .clipset import CLIP_LEN, AnnotationRecord, AugmentConfig, SplitResult
 from .config import PipelineConfig
 from .errors import DataError
 from .metrics import ScoredClip
-from .tracking import SmoothingConfig
 
 
 # --- path helpers ---------------------------------------------------------
@@ -60,8 +59,7 @@ def generate(cfg: PipelineConfig, force: bool = False) -> dict:
         if not force:
             raise DataError(f"{out} already exists and is not empty; pass --force to overwrite")
         shutil.rmtree(out)
-    dcfg = synth.DatasetConfig(seed=cfg.seed, out_dir=out, **asdict(cfg.gen))
-    return synth.generate_dataset(dcfg)
+    return synth.generate_dataset(cfg.gen, out, cfg.seed)
 
 
 # --- prepare --------------------------------------------------------------
@@ -73,14 +71,13 @@ class PrepareResult:
     table: str = ""
 
 
-def _detections_for_scene(cfg: PipelineConfig, poses: list[pose.PoseFrame],
+def _detections_for_scene(params: pose.RoiParams, poses: list[pose.PoseFrame],
                           frame_dims: tuple[int, int]):
     per_frame = []
     for pf in poses:
         boxes = []
         for person in pf.persons:
-            box = pose.upper_body_roi(person, cfg.roi.margin, frame_dims,
-                                      cfg.roi.min_confidence, cfg.roi.min_joints)
+            box = pose.upper_body_roi(person, frame_dims, params)
             if box is not None:
                 boxes.append(box)
         per_frame.append((pf.frame_index, boxes))
@@ -105,22 +102,19 @@ def prepare(cfg: PipelineConfig) -> PrepareResult:
     manifest = synth.load_manifest(cfg.paths.dataset_dir)
     os.makedirs(os.path.join(cfg.paths.work_dir, "tracks"), exist_ok=True)
     records: list[AnnotationRecord] = []
-    smoothing = SmoothingConfig(window=cfg.link.smooth_window)
     for entry in manifest["scenes"]:
         video_id = entry["video_id"]
         kp_path = _keypoints_path(cfg, entry)
         if not os.path.isfile(kp_path):
             raise DataError(f"{video_id}: keypoints file not found: {kp_path}")
-        with open(os.path.join(_frames_dir(cfg, entry), "meta.json")) as fh:
-            meta = json.load(fh)
+        meta = frameio.load_descriptor(_frames_dir(cfg, entry))
         poses = pose.load_poses(kp_path)
-        per_frame = _detections_for_scene(cfg, poses, (meta["width"], meta["height"]))
-        tracks = tracking.link_detections(per_frame, tau_new=cfg.link.tau_new,
-                                          max_gap=cfg.link.max_gap)
+        per_frame = _detections_for_scene(cfg.roi, poses, (meta["width"], meta["height"]))
+        tracks = tracking.link_detections(per_frame, cfg.link)
         corr_path = _corrections_path(cfg, video_id)
         if os.path.isfile(corr_path):
             tracks = tracking.correct_assignment(tracks, tracking.parse_corrections(corr_path))
-        tracks = [tracking.smooth_track(t, smoothing) for t in tracks]
+        tracks = [tracking.smooth_track(t, cfg.link.smooth_window) for t in tracks]
         tracking.save_tracks(tracks, _tracks_path(cfg, video_id))
         track_id = _resolve_track(tracks, entry["start_frame"], entry["end_frame"], video_id)
         records.append(AnnotationRecord(
@@ -220,7 +214,7 @@ def compute_flow(cfg: PipelineConfig, force: bool = False) -> int:
         if os.path.isdir(out_dir) and os.listdir(out_dir) and not force:
             continue
         seq = frameio.load_sequence(_frames_dir(cfg, entry))
-        flow_seq = tvl1.flow_sequence(seq, cfg.flow, clip=cfg.flow.max_flow)
+        flow_seq = tvl1.flow_sequence(seq, cfg.flow)
         tmp_dir = out_dir + ".partial"
         shutil.rmtree(tmp_dir, ignore_errors=True)
         frameio.save_sequence(flow_seq, tmp_dir)
@@ -473,9 +467,7 @@ def infer_clip(cfg: PipelineConfig, clip_dir: str) -> tuple[float, str]:
     if os.path.isfile(kp_path):
         poses = pose.load_poses(kp_path)
         if poses and poses[0].persons:
-            box = pose.upper_body_roi(poses[0].persons[0], cfg.roi.margin,
-                                      (seq.frames[0].width, seq.frames[0].height),
-                                      cfg.roi.min_confidence, cfg.roi.min_joints)
+            box = pose.upper_body_roi(poses[0].persons[0], (seq.width, seq.height), cfg.roi)
     x = _to_net(clipset.crop_window(seq, box, 0, CLIP_LEN, cfg.clip.input_size))
     score = float(net.score(x[None])[0])
     label = "rubbing_hands" if score >= cfg.eval.threshold else "other"

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 N_JOINTS = 18
 
@@ -27,10 +27,6 @@ L_HIP, L_KNEE, L_ANKLE = 11, 12, 13
 R_EYE, L_EYE, R_EAR, L_EAR = 14, 15, 16, 17
 
 ARM_JOINTS = (R_SHOULDER, R_ELBOW, R_WRIST, L_SHOULDER, L_ELBOW, L_WRIST)
-
-DEFAULT_MARGIN = 0.25
-DEFAULT_MIN_CONFIDENCE = 0.1
-DEFAULT_MIN_JOINTS = 4
 
 
 @dataclass
@@ -131,32 +127,37 @@ def save_poses(poses: list[PoseFrame], path: str) -> None:
                 fh.write(f"{pf.frame_index} {hint} {coords}\n")
 
 
-def check_margin(margin_frac: float) -> None:
-    if margin_frac < 0:
-        raise DataError(f"margin_frac must be non-negative, got {margin_frac}")
+@dataclass
+class RoiParams:
+    """Upper-body ROI rule: the box over the arm joints that reach
+    `min_confidence`, grown by `margin` of its extent on each side, needs at
+    least `min_joints` of the six."""
+
+    margin: float = 0.25
+    min_confidence: float = 0.1
+    min_joints: int = 4
+
+    def __post_init__(self):
+        if self.margin < 0:
+            raise ConfigError(f"margin_frac must be non-negative, got {self.margin}")
 
 
-def upper_body_roi(
-    person: np.ndarray,
-    margin_frac: float = DEFAULT_MARGIN,
-    frame_dims: tuple[int, int] = (640, 480),
-    min_confidence: float = DEFAULT_MIN_CONFIDENCE,
-    min_joints: int = DEFAULT_MIN_JOINTS,
-) -> BBox | None:
+def upper_body_roi(person: np.ndarray, frame_dims: tuple[int, int],
+                   params: RoiParams) -> BBox | None:
     """Box over the six confident arm joints, expanded by a fractional margin.
 
-    Returns None when fewer than `min_joints` of the six arm joints reach
-    `min_confidence` or when the clamped box degenerates to zero area.
+    Returns None when fewer than `params.min_joints` of the six arm joints
+    reach `params.min_confidence` or when the box, clamped to the
+    (width, height) frame, degenerates to zero area.
     """
-    check_margin(margin_frac)
     arm = person[list(ARM_JOINTS)]
-    confident = arm[arm[:, 2] >= min_confidence]
-    if len(confident) < min_joints:
+    confident = arm[arm[:, 2] >= params.min_confidence]
+    if len(confident) < params.min_joints:
         return None
     x_min, y_min = confident[:, 0].min(), confident[:, 1].min()
     x_max, y_max = confident[:, 0].max(), confident[:, 1].max()
-    mx = margin_frac * (x_max - x_min)
-    my = margin_frac * (y_max - y_min)
+    mx = params.margin * (x_max - x_min)
+    my = params.margin * (y_max - y_min)
     w, h = frame_dims
     x1, x2 = max(0.0, x_min - mx), min(float(w), x_max + mx)
     y1, y2 = max(0.0, y_min - my), min(float(h), y_max + my)

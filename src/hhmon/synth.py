@@ -270,20 +270,18 @@ def mean_wrist_speed(poses: list[PoseFrame], person: int = 0) -> float:
 
 @dataclass
 class DatasetConfig:
-    seed: int = 7
-    out_dir: str = "dataset"
-    n_rubbing: int = 10
-    n_other: int = 10
-    n_synthetic_rubbing: int = 0
-    n_dates: int = 4
+    """What `generate_dataset` draws: scene counts per group, dates, frame
+    size and length range, persons per scene, joint dropout and frame rate."""
+
+    n_rubbing: int = 100
+    n_other: int = 100
+    n_synthetic_rubbing: int = 8
+    n_dates: int = 12
     n_synthetic_dates: int = 2
-    width: int = DEFAULT_WIDTH
-    height: int = DEFAULT_HEIGHT
-    n_frames_min: int = 32
-    n_frames_max: int = 48
-    rubbing_total_frames: int | None = None
-    other_total_frames: int | None = None
-    synthetic_total_frames: int | None = None
+    width: int = 96
+    height: int = 72
+    n_frames_min: int = 20
+    n_frames_max: int = 26
     n_persons: int = 1
     joint_dropout: float = 0.0
     fps: float = 15.0
@@ -295,35 +293,32 @@ class DatasetConfig:
             raise ConfigError("date counts must be >= 1")
         if self.n_frames_min < 16 or self.n_frames_max < self.n_frames_min:
             raise ConfigError("need 16 <= n_frames_min <= n_frames_max")
+        if self.n_persons < 1:
+            raise ConfigError(f"n_persons must be >= 1, got {self.n_persons}")
+        # a dropout of 1 leaves no joint to detect a person by
+        if not 0 <= self.joint_dropout < 1:
+            raise ConfigError(f"joint_dropout must lie in [0, 1), got {self.joint_dropout}")
+        if not self.fps > 0:
+            raise ConfigError(f"fps must be positive, got {self.fps}")
 
 
-def _length_plan(count: int, total: int | None, lo: int, hi: int, rng: np.random.Generator) -> list[int]:
-    if count == 0:
-        return []
-    if total is None:
-        return [int(v) for v in rng.integers(lo, hi + 1, size=count)]
-    base, extra = divmod(total, count)
-    lengths = [base + (1 if i < extra else 0) for i in range(count)]
-    if min(lengths) < 16:
-        raise ConfigError(f"cannot split {total} frames into {count} clips of >= 16 frames")
-    return lengths
-
-
-def generate_dataset(cfg: DatasetConfig) -> dict:
-    """Write scenes plus a dataset.json manifest; returns the manifest dict."""
-    rng = np.random.default_rng(cfg.seed)
+def generate_dataset(cfg: DatasetConfig, out_dir: str, seed: int) -> dict:
+    """Write scenes plus a dataset.json manifest under out_dir; returns the manifest dict."""
+    rng = np.random.default_rng(seed)
     groups = [
-        ("rub", 1, False, cfg.n_rubbing, cfg.rubbing_total_frames),
-        ("oth", 0, False, cfg.n_other, cfg.other_total_frames),
-        ("synrub", 1, True, cfg.n_synthetic_rubbing, cfg.synthetic_total_frames),
+        ("rub", 1, False, cfg.n_rubbing),
+        ("oth", 0, False, cfg.n_other),
+        ("synrub", 1, True, cfg.n_synthetic_rubbing),
     ]
     entries = []
     scene_seeds = rng.integers(0, 2**62, size=sum(g[3] for g in groups))
     seed_iter = iter(int(s) for s in scene_seeds)
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    os.makedirs(out_dir, exist_ok=True)
 
-    for prefix, label, synthetic, count, total in groups:
-        lengths = _length_plan(count, total, cfg.n_frames_min, cfg.n_frames_max, rng)
+    for prefix, label, synthetic, count in groups:
+        # a group of no scenes draws nothing, so the other groups' lengths stay put
+        lengths = rng.integers(cfg.n_frames_min, cfg.n_frames_max + 1,
+                               size=count).tolist() if count else []
         for i in range(count):
             if synthetic:
                 date = f"s{i % cfg.n_synthetic_dates:02d}"
@@ -340,8 +335,8 @@ def generate_dataset(cfg: DatasetConfig) -> dict:
             seq, poses, record = generate_scene(spec)
             frames_dir = os.path.join("scenes", video_id, "frames")
             keypoints_file = os.path.join("scenes", video_id, "keypoints.txt")
-            frameio.save_sequence(seq, os.path.join(cfg.out_dir, frames_dir))
-            pose.save_poses(poses, os.path.join(cfg.out_dir, keypoints_file))
+            frameio.save_sequence(seq, os.path.join(out_dir, frames_dir))
+            pose.save_poses(poses, os.path.join(out_dir, keypoints_file))
             entries.append({
                 "video_id": video_id,
                 "date_tag": date,
@@ -354,8 +349,8 @@ def generate_dataset(cfg: DatasetConfig) -> dict:
                 "synthetic": synthetic,
             })
 
-    manifest = {"seed": cfg.seed, "scenes": entries}
-    with open(os.path.join(cfg.out_dir, "dataset.json"), "w") as fh:
+    manifest = {"seed": seed, "scenes": entries}
+    with open(os.path.join(out_dir, "dataset.json"), "w") as fh:
         json.dump(manifest, fh, indent=1)
     return manifest
 

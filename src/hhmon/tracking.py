@@ -12,12 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .pose import BBox
-
-DEFAULT_TAU_NEW = 0.1
-DEFAULT_MAX_GAP = 8
-DEFAULT_SMA_WINDOW = 4
 
 
 @dataclass
@@ -47,12 +43,20 @@ class Track:
 
 
 @dataclass
-class SmoothingConfig:
-    window: int = DEFAULT_SMA_WINDOW
+class LinkParams:
+    """Linking and smoothing: a detection joins a track at IoU >= `tau_new`,
+    a track closes after more than `max_gap` frames without one, and boxes
+    are averaged over a trailing window of `smooth_window` samples."""
+
+    tau_new: float = 0.1
+    max_gap: int = 8
+    smooth_window: int = 4
 
     def __post_init__(self):
-        if self.window < 1:
-            raise DataError(f"smoothing window must be >= 1, got {self.window}")
+        if not 0.0 <= self.tau_new <= 1.0:
+            raise ConfigError(f"tau_new must lie in [0, 1], got {self.tau_new}")
+        if self.smooth_window < 1:
+            raise ConfigError(f"smoothing window must be >= 1, got {self.smooth_window}")
 
 
 def iou(a: BBox, b: BBox) -> float:
@@ -65,16 +69,11 @@ def iou(a: BBox, b: BBox) -> float:
     return inter / (a.area + b.area - inter)
 
 
-def check_tau_new(tau_new: float) -> None:
-    if not 0.0 <= tau_new <= 1.0:
-        raise DataError(f"tau_new must lie in [0, 1], got {tau_new}")
-
-
 def link_step(
     tracks: list[Track],
     detections: list[BBox],
     frame_index: int,
-    tau_new: float = DEFAULT_TAU_NEW,
+    tau_new: float,
     next_id: int | None = None,
 ) -> tuple[list[tuple[int, int]], list[Track]]:
     """Assign one frame of detections to active tracks, greedily by IoU.
@@ -84,7 +83,6 @@ def link_step(
     index.  Unmatched detections open new tracks.  Returns the matched
     (track index, detection index) pairs and the list of tracks created.
     """
-    check_tau_new(tau_new)
     if next_id is None:
         next_id = max((t.track_id for t in tracks), default=-1) + 1
 
@@ -121,20 +119,19 @@ def link_step(
 
 
 def link_detections(per_frame: list[tuple[int, list[BBox]]],
-                    tau_new: float = DEFAULT_TAU_NEW,
-                    max_gap: int = DEFAULT_MAX_GAP) -> list[Track]:
+                    params: LinkParams) -> list[Track]:
     """Link (frame_index, detections) pairs, in frame order, into tracks.
 
-    A track closes once more than `max_gap` frames pass since its last
-    detection; detections left unmatched open new tracks.
+    A track closes once more than `params.max_gap` frames pass since its
+    last detection; detections left unmatched open new tracks.
     """
     active: list[Track] = []
     closed: list[Track] = []
     next_id = 0
     for frame_index, dets in per_frame:
-        closed += [t for t in active if frame_index - t.last_frame > max_gap]
-        active = [t for t in active if frame_index - t.last_frame <= max_gap]
-        _, born = link_step(active, dets, frame_index, tau_new, next_id=next_id)
+        closed += [t for t in active if frame_index - t.last_frame > params.max_gap]
+        active = [t for t in active if frame_index - t.last_frame <= params.max_gap]
+        _, born = link_step(active, dets, frame_index, params.tau_new, next_id=next_id)
         active += born
         next_id += len(born)
     tracks = sorted(closed + active, key=lambda t: t.track_id)
@@ -143,19 +140,19 @@ def link_detections(per_frame: list[tuple[int, list[BBox]]],
     return tracks
 
 
-def smooth_track(track: Track, cfg: SmoothingConfig = SmoothingConfig()) -> Track:
-    """Trailing moving average of the four coordinates, warm-up over available samples."""
+def smooth_track(track: Track, window: int) -> Track:
+    """Trailing moving average of the four coordinates over `window` samples,
+    warm-up over available samples."""
     if not track.entries:
         raise DataError(f"track {track.track_id} is empty")
     coords = np.array([b.coords() for _, b in track.entries], dtype=np.float64)
-    L = cfg.window
     csum = np.cumsum(coords, axis=0)
     out = np.empty_like(coords)
     n = len(coords)
-    for i in range(min(L, n)):
+    for i in range(min(window, n)):
         out[i] = csum[i] / (i + 1)
-    if n > L:
-        out[L:] = (csum[L:] - csum[:-L]) / L
+    if n > window:
+        out[window:] = (csum[window:] - csum[:-window]) / window
     track.smoothed = [
         (frame, BBox(*out[i])) for i, (frame, _) in enumerate(track.entries)
     ]

@@ -24,7 +24,6 @@ from ._purekernels import _forward_grad
 from .errors import ConfigError, DataError
 from .frameio import Frame, FrameSequence
 
-FLOW_CLIP = 20.0  # px; displacements are clipped here then mapped to [-1, 1]
 # Pixels per (P, H, W) float32 stack that flow_sequence solves at once:
 # 128 KB, so a chunk's working set stays near the L2 cache.  That is 4 pairs
 # per chunk at 96x72 and 1 at 192x144.
@@ -41,6 +40,9 @@ class TvL1Params:
     stop_epsilon: float = 0.01
     pyramid_factor: float = 0.5
     min_size: int = 16
+    # px; stored flow is clipped here then mapped to [-1, 1].  Desk-scale
+    # scenes move 1-5 px per frame, so 1 px keeps it from collapsing to zero.
+    max_flow: float = 1.0
 
     def __post_init__(self):
         if self.lam <= 0 or self.theta <= 0:
@@ -54,6 +56,8 @@ class TvL1Params:
             raise ConfigError(f"pyramid_factor must lie in (0, 1), got {self.pyramid_factor}")
         if self.min_size < 8:
             raise ConfigError(f"min_size must be >= 8, got {self.min_size}")
+        if not 0 < self.max_flow < np.inf:
+            raise ConfigError(f"max_flow must be positive and finite, got {self.max_flow}")
 
 
 @dataclass
@@ -184,15 +188,15 @@ def tvl1_flow(img0, img1, params: TvL1Params | None = None) -> TvL1Result:
     return TvL1Result(flow=np.stack([u1[0], u2[0]], axis=-1), energies=energies)
 
 
-def flow_to_frame(flow: np.ndarray, clip: float = FLOW_CLIP) -> Frame:
+def flow_to_frame(flow: np.ndarray, clip: float) -> Frame:
     """Clip displacements to +-clip px and rescale to [-1, 1]."""
     scaled = np.clip(flow, -clip, clip) / np.float32(clip)
     return Frame(scaled.astype(np.float32))
 
 
-def flow_sequence(seq: FrameSequence, params: TvL1Params | None = None,
-                  clip: float = FLOW_CLIP) -> FrameSequence:
-    """Pairwise flow over a sequence, n frames in and n frames out.
+def flow_sequence(seq: FrameSequence, params: TvL1Params | None = None) -> FrameSequence:
+    """Pairwise flow over a sequence, n frames in and n frames out, clipped
+    to +-params.max_flow px and rescaled to [-1, 1].
 
     Only n - 1 pairs exist, so the last flow frame is repeated once; that keeps
     flow windows aligned start-for-start with the RGB windows they shadow.
@@ -219,6 +223,7 @@ def flow_sequence(seq: FrameSequence, params: TvL1Params | None = None,
         carried = [level[-1:].copy() for level in levels]
         u1, u2 = _solve(levels, params)
         del levels  # before the next chunk builds its pyramid
-        out += [flow_to_frame(np.stack([a, b], axis=-1), clip) for a, b in zip(u1, u2)]
+        out += [flow_to_frame(np.stack([a, b], axis=-1), params.max_flow)
+                for a, b in zip(u1, u2)]
     out.append(Frame(out[-1].data.copy()))
     return FrameSequence(out, fps=seq.fps, video_id=seq.video_id, date_tag=seq.date_tag)

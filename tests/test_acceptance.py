@@ -41,9 +41,9 @@ from hhmon.model import (
     inflate_params,
     init_params,
 )
-from hhmon.pose import BBox, upper_body_roi
+from hhmon.pose import BBox, RoiParams, upper_body_roi
 from hhmon.synth import SceneSpec, generate_scene
-from hhmon.tracking import SmoothingConfig, Track, link_detections, smooth_track
+from hhmon.tracking import LinkParams, Track, link_detections, smooth_track
 from hhmon.tvl1 import TvL1Params, tvl1_flow
 
 
@@ -170,7 +170,7 @@ def test_smoothing_bounds_and_linking_identity(capsys):
                  for i in range(n)]
         track = Track(0, entries=list(enumerate(boxes)))
         L = int(rng.integers(1, 9))
-        smooth_track(track, SmoothingConfig(window=L))
+        smooth_track(track, L)
         raw = np.array([b.coords() for _, b in track.entries])
         sm = np.array([b.coords() for _, b in track.smoothed])
         for i in range(n):
@@ -183,7 +183,7 @@ def test_smoothing_bounds_and_linking_identity(capsys):
 
     ident = smooth_track(Track(0, entries=[(i, b) for i, b in
                                            enumerate([BBox(0, 0, 1, 1), BBox(2, 2, 3, 3)])]),
-                         SmoothingConfig(window=1))
+                         1)
     l1_identity = all(np.allclose(a.coords(), b.coords(), atol=1e-12)
                       for (_, a), (_, b) in zip(ident.entries, ident.smoothed))
 
@@ -194,12 +194,12 @@ def test_smoothing_bounds_and_linking_identity(capsys):
         _, poses, _ = generate_scene(spec)
         rois, per_frame = [], []
         for pf in poses:
-            boxes = [upper_body_roi(p, frame_dims=(spec.width, spec.height))
+            boxes = [upper_body_roi(p, (spec.width, spec.height), RoiParams())
                      for p in pf.persons]
             assert all(b is not None for b in boxes)
             rois.append(boxes)
             per_frame.append((pf.frame_index, list(boxes)))
-        tracks = link_detections(per_frame)
+        tracks = link_detections(per_frame, LinkParams())
         total_frames += spec.n_frames * 2
         if len(tracks) != 2:
             continue
@@ -264,7 +264,7 @@ def test_file_formats_roundtrip(capsys, tmp_path):
 
     track = Track(4, entries=[(f, BBox(f + 0.125, 2.5, f + 10.0625, 20.75))
                               for f in range(6)])
-    smooth_track(track, SmoothingConfig(window=3))
+    smooth_track(track, 3)
     tracking.save_tracks([track], str(tmp_path / "tracks.txt"))
     tback = tracking.load_tracks(str(tmp_path / "tracks.txt"))
     track_ok = (len(tback) == 1 and tback[0].track_id == 4

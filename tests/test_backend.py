@@ -4,7 +4,6 @@ Both take (P, H, W) stacks of planes; the single-plane tests lift their
 planes to stacks of one.
 """
 
-import os
 import shutil
 import subprocess
 import sys
@@ -177,14 +176,6 @@ def test_full_solver_identical_across_backends(rng, monkeypatch, accel):
     assert compiled.energies == pure.energies
 
 
-def test_env_var_forces_pure_backend():
-    code = "import hhmon.backend as b; print(b.BACKEND)"
-    env = dict(os.environ, HHMON_PURE_PY="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "pure"
-
-
 def test_selected_backend_is_reported():
     assert backend.BACKEND in ("compiled", "pure")
     assert callable(backend.warp_bilinear)
@@ -209,15 +200,15 @@ def test_chunked_flow_sequence_equals_a_per_pair_loop(rng, monkeypatch, accel, c
     planes = [np.roll(np.roll(tex, i, axis=1), i // 2, axis=0) for i in range(n)]
     planes[4] = planes[3]
     assert tvl1.STACK_PIXELS // (h * w) == 4 and (n - 1) % 4 != 0
-    params = TvL1Params()
+    params = TvL1Params(max_flow=4.0)
     seq = FrameSequence([Frame(p) for p in planes], fps=15.0, video_id="v", date_tag="d0")
-    chunked = tvl1.flow_sequence(seq, params, clip=4.0)
+    chunked = tvl1.flow_sequence(seq, params)
 
     per_pair, pair_counts = [], []
     for i in range(n - 1):
         counts.clear()
         flow = tvl1_flow(planes[i], planes[i + 1], params).flow
-        per_pair.append(tvl1.flow_to_frame(flow, clip=4.0).data)
+        per_pair.append(tvl1.flow_to_frame(flow, params.max_flow).data)
         pair_counts.append(list(counts))
     assert max(pair_counts[3]) == 1  # the static pair stops after one iteration
     assert params.n_iters in pair_counts[0]  # a moving pair runs to the cap

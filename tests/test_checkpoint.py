@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from hhmon import checkpoint
 from hhmon.checkpoint import (
     MAGIC,
     VERSION,
@@ -159,3 +160,38 @@ def test_float64_params_are_stored_as_float32(tmp_path, rng):
     back, _ = load_params(path)
     assert back["w"].dtype == np.float32
     assert np.allclose(back["w"], params["w"], atol=1e-6)
+
+
+class _PackFailsAfter:
+    """Stands in for `struct` in the checkpoint module: the n+1-th pack
+    raises, as if the run were killed in the middle of writing the file."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def pack(self, *args):
+        self.n -= 1
+        if self.n < 0:
+            raise KeyboardInterrupt
+        return struct.pack(*args)
+
+    def __getattr__(self, name):
+        return getattr(struct, name)
+
+
+def test_interrupted_save_leaves_no_truncated_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "model.swnet"
+    save_network(Network.init(tiny_spec(), seed=1), str(path))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    monkeypatch.setattr(checkpoint, "struct", _PackFailsAfter(3))
+    with pytest.raises(KeyboardInterrupt):
+        save_network(Network.init(tiny_spec(), seed=2), str(path))
+    # the previous checkpoint is intact and no temp file is left behind
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    load_network(str(path))
+
+    monkeypatch.setattr(checkpoint, "struct", _PackFailsAfter(3))
+    with pytest.raises(KeyboardInterrupt):
+        save_network(Network.init(tiny_spec(), seed=2), str(tmp_path / "fresh.swnet"))
+    # a first save cut short leaves no checkpoint, so the next run rebuilds it
+    assert not (tmp_path / "fresh.swnet").exists()

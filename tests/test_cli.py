@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from hhmon import cli, frameio
@@ -156,3 +157,26 @@ def test_full_command_journey(tmp_path, capsys):
     assert cli.main(["infer", "--config", path, str(clip_dir)]) == 0
     assert re.fullmatch(r"\d\.\d{6} (rubbing_hands|other)\n",
                         capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("meta", ['{"width": 4, "height": 4, "channels": 3}', "[1, 2]"],
+                         ids=["missing-keys", "not-an-object"])
+def test_infer_with_a_malformed_descriptor_exits_3(tmp_path, capsys, meta):
+    path = write_cfg(tmp_path)
+    clip_dir = tmp_path / "clip16"
+    frameio.save_sequence(FrameSequence([frameio.Frame(np.zeros((4, 4, 3)))] * 16,
+                                        video_id="probe", date_tag="d"), str(clip_dir))
+    (clip_dir / "meta.json").write_text(meta)
+    assert cli.main(["infer", "--config", path, str(clip_dir)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {clip_dir / 'meta.json'}: descriptor")
+
+
+def test_prepare_without_a_scene_descriptor_exits_3(tmp_path, capsys):
+    path = write_cfg(tmp_path)
+    assert cli.main(["gen", "--config", path]) == 0
+    frames_dir = tmp_path / "ds" / "scenes" / "oth_001" / "frames"
+    os.remove(frames_dir / "meta.json")
+    capsys.readouterr()
+    assert cli.main(["prepare", "--config", path]) == 3
+    assert capsys.readouterr().err == f"error: {frames_dir}: missing meta.json descriptor\n"

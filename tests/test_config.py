@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from hhmon import metrics, pose, tracking
+from hhmon import metrics, pose, synth, tracking
 from hhmon.clipset import AugmentConfig
 from hhmon.config import (
     PipelineConfig,
@@ -101,23 +101,19 @@ def test_each_section_accepts_exactly_the_recorded_keys():
         assert {f.name for f in dataclasses.fields(getattr(cfg, name))} == set(keys), name
         assert config_from_dict({name: keys}) == cfg
     # the global seed is the only seed knob
-    for section in ("clip", "train", "flow"):
+    for section in ("gen", "clip", "train", "flow"):
         with pytest.raises(ConfigError, match=f"{section}: unknown keys seed"):
             config_from_dict({section: {"seed": 1}})
 
 
-def test_roi_defaults_track_the_pose_module():
+def test_stage_blocks_are_the_modules_own_objects():
+    # each stage reads its block whole, so a block that is a copy of the
+    # module's parameters (and can drift from them) fails here
     cfg = PipelineConfig()
-    assert cfg.roi.margin == pose.DEFAULT_MARGIN
-    assert cfg.roi.min_confidence == pose.DEFAULT_MIN_CONFIDENCE
-    assert cfg.roi.min_joints == pose.DEFAULT_MIN_JOINTS
-
-
-def test_link_defaults_track_the_tracking_module():
-    cfg = PipelineConfig()
-    assert cfg.link.tau_new == tracking.DEFAULT_TAU_NEW
-    assert cfg.link.max_gap == tracking.DEFAULT_MAX_GAP
-    assert cfg.link.smooth_window == tracking.DEFAULT_SMA_WINDOW
+    assert type(cfg.gen) is synth.DatasetConfig
+    assert type(cfg.roi) is pose.RoiParams
+    assert type(cfg.link) is tracking.LinkParams
+    assert type(cfg.flow) is TvL1Params
 
 
 def test_clip_defaults_track_the_augment_config():
@@ -129,12 +125,8 @@ def test_clip_defaults_track_the_augment_config():
 
 def test_flow_solver_defaults_track_the_tvl1_params():
     cfg = PipelineConfig()
-    params = TvL1Params()
-    assert isinstance(cfg.flow, TvL1Params)
-    for f in dataclasses.fields(TvL1Params):
-        assert getattr(cfg.flow, f.name) == getattr(params, f.name), f.name
-    # the displacement cap deliberately diverges from the library default:
-    # desk scenes move a few px, so the pipeline clips much tighter
+    assert cfg.flow == TvL1Params()
+    # desk scenes move a few px per frame, so stored flow clips at 1 px
     assert cfg.flow.max_flow == 1.0
 
 
@@ -152,9 +144,13 @@ def test_bad_values_are_rejected_naming_their_section():
         ("train", {"pretrain_epochs": 0}, "train: pretrain_epochs"),
         ("gen", {"n_frames_min": 10}, "gen: need 16 <= n_frames_min"),
         ("gen", {"n_dates": 0}, "gen: date counts"),
+        ("gen", {"n_persons": 0}, "gen: n_persons must be >= 1"),
+        ("gen", {"fps": 0}, "gen: fps must be positive"),
+        ("gen", {"joint_dropout": 1.5}, r"gen: joint_dropout must lie in \[0, 1\)"),
         ("roi", {"margin": -1}, "roi: margin_frac must be non-negative"),
         ("link", {"smooth_window": 0}, "link: smoothing window must be >= 1"),
         ("link", {"tau_new": 1.5}, "link: tau_new must lie in"),
+        ("flow", {"max_flow": 0}, "flow: max_flow must be positive"),
     ):
         with pytest.raises(ConfigError, match=message):
             config_from_dict({section: values})

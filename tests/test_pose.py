@@ -17,6 +17,7 @@ from hhmon.pose import (
     R_ELBOW,
     R_SHOULDER,
     R_WRIST,
+    RoiParams,
     upper_body_roi,
 )
 
@@ -35,28 +36,28 @@ def person_with_arms(shoulders, elbows, wrists, confidence=1.0):
 
 def test_roi_hand_computed_example():
     kp = person_with_arms([(10, 10), (30, 10)], [(8, 20), (32, 20)], [(6, 30), (34, 30)])
-    box = upper_body_roi(kp, margin_frac=0.25, frame_dims=(640, 480))
+    box = upper_body_roi(kp, (640, 480), RoiParams(margin=0.25))
     # tight box x in [6, 34], y in [10, 30]; margins 7 and 5; x1 clamps -1 -> 0
     assert (box.x1, box.y1, box.x2, box.y2) == (0, 5, 41, 35)
 
 
 def test_roi_coincident_joints_give_none():
     kp = person_with_arms([(5, 5)] * 2, [(5, 5)] * 2, [(5, 5)] * 2)
-    assert upper_body_roi(kp, 0.25, (64, 48)) is None
+    assert upper_body_roi(kp, (64, 48), RoiParams(margin=0.25)) is None
 
 
 def test_roi_min_joints_six_with_missing_wrists_gives_none():
     kp = person_with_arms([(10, 10), (30, 10)], [(8, 20), (32, 20)], [(6, 30), (34, 30)])
     kp[R_WRIST, 2] = 0.0
     kp[L_WRIST, 2] = 0.0
-    assert upper_body_roi(kp, 0.25, (640, 480), min_joints=6) is None
-    assert upper_body_roi(kp, 0.25, (640, 480), min_joints=4) is not None
+    assert upper_body_roi(kp, (640, 480), RoiParams(margin=0.25, min_joints=6)) is None
+    assert upper_body_roi(kp, (640, 480), RoiParams(margin=0.25, min_joints=4)) is not None
 
 
 def test_roi_low_confidence_joints_excluded_from_extent():
     kp = person_with_arms([(10, 10), (30, 10)], [(8, 20), (32, 20)], [(6, 30), (34, 30)])
     kp[L_WRIST] = (600, 400, 0.05)  # below min_confidence, must not stretch the box
-    box = upper_body_roi(kp, 0.0, (640, 480), min_confidence=0.1)
+    box = upper_body_roi(kp, (640, 480), RoiParams(margin=0.0, min_confidence=0.1))
     assert box.x2 <= 35 and box.y2 <= 31
 
 
@@ -64,7 +65,7 @@ def test_roi_ignores_non_arm_joints():
     kp = person_with_arms([(10, 10), (30, 10)], [(8, 20), (32, 20)], [(6, 30), (34, 30)])
     kp[pose.NOSE] = (500, 400, 1.0)
     kp[pose.L_ANKLE] = (1, 470, 1.0)
-    box = upper_body_roi(kp, 0.25, (640, 480))
+    box = upper_body_roi(kp, (640, 480), RoiParams(margin=0.25))
     assert (box.x1, box.y1, box.x2, box.y2) == (0, 5, 41, 35)
 
 
@@ -76,8 +77,8 @@ joint_xy = st.tuples(st.floats(50, 200), st.floats(50, 200))
 def test_roi_margin_monotonicity(joints, m_small, m_extra):
     kp = person_with_arms(joints[:2], joints[2:4], joints[4:])
     big_frame = (10_000, 10_000)  # no clamping, the containment must be geometric
-    a = upper_body_roi(kp, m_small, big_frame)
-    b = upper_body_roi(kp, m_small + m_extra, big_frame)
+    a = upper_body_roi(kp, big_frame, RoiParams(margin=m_small))
+    b = upper_body_roi(kp, big_frame, RoiParams(margin=m_small + m_extra))
     if a is None:
         assert b is None
         return
@@ -96,8 +97,8 @@ def test_roi_translation_equivariance(joints, dx, dy):
     moved[list(ARM_JOINTS), 0] += dx
     moved[list(ARM_JOINTS), 1] += dy
     big_frame = (100_000, 100_000)
-    a = upper_body_roi(kp, 0.25, big_frame)
-    b = upper_body_roi(moved, 0.25, big_frame)
+    a = upper_body_roi(kp, big_frame, RoiParams(margin=0.25))
+    b = upper_body_roi(moved, big_frame, RoiParams(margin=0.25))
     if a is None:
         assert b is None
         return
@@ -112,8 +113,8 @@ def test_roi_horizontal_mirror_symmetry(joints):
     kp = person_with_arms(joints[:2], joints[2:4], joints[4:])
     mirrored = kp.copy()
     mirrored[list(ARM_JOINTS), 0] = width - mirrored[list(ARM_JOINTS), 0]
-    a = upper_body_roi(kp, 0.25, (width, 100_000))
-    b = upper_body_roi(mirrored, 0.25, (width, 100_000))
+    a = upper_body_roi(kp, (width, 100_000), RoiParams(margin=0.25))
+    b = upper_body_roi(mirrored, (width, 100_000), RoiParams(margin=0.25))
     if a is None:
         assert b is None
         return
@@ -125,7 +126,7 @@ def test_roi_horizontal_mirror_symmetry(joints):
        margin=st.floats(0, 1))
 def test_roi_always_within_frame_with_positive_area(joints, margin):
     kp = person_with_arms(joints[:2], joints[2:4], joints[4:])
-    box = upper_body_roi(kp, margin, (640, 480))
+    box = upper_body_roi(kp, (640, 480), RoiParams(margin=margin))
     if box is not None:
         assert 0 <= box.x1 < box.x2 <= 640
         assert 0 <= box.y1 < box.y2 <= 480

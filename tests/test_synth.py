@@ -120,7 +120,7 @@ def test_keypoints_satisfy_roi_contract():
         person = pf.persons[0]
         assert person.shape == (18, 3)
         assert np.all(person[:, 2] >= 0) and np.all(person[:, 2] <= 1)
-        assert pose.upper_body_roi(person, 0.25, (64, 48)) is not None
+        assert pose.upper_body_roi(person, (64, 48), pose.RoiParams(margin=0.25)) is not None
 
 
 def test_joint_dropout_zeroes_confidences():
@@ -139,54 +139,52 @@ def test_annotation_record_matches_spec():
     assert rec.end_frame - rec.start_frame == spec.n_frames
 
 
-def small_dataset_config(tmp_path, **kw):
-    defaults = dict(seed=11, out_dir=str(tmp_path / "ds"), n_rubbing=4, n_other=4,
-                    n_synthetic_rubbing=2, n_dates=3, n_synthetic_dates=1,
-                    width=48, height=36, n_frames_min=18, n_frames_max=20)
+def small_dataset_config(**kw):
+    defaults = dict(n_rubbing=4, n_other=4, n_synthetic_rubbing=2, n_dates=3,
+                    n_synthetic_dates=1, width=48, height=36, n_frames_min=18, n_frames_max=20)
     defaults.update(kw)
     return DatasetConfig(**defaults)
 
 
 def test_dataset_counts_and_dates(tmp_path):
-    cfg = small_dataset_config(tmp_path, n_rubbing=10, n_other=10,
+    cfg = small_dataset_config(n_rubbing=10, n_other=10,
                                n_synthetic_rubbing=0, n_dates=4, n_synthetic_dates=1)
-    manifest = generate_dataset(cfg)
+    out = str(tmp_path / "ds")
+    manifest = generate_dataset(cfg, out, seed=11)
     scenes = manifest["scenes"]
     assert len(scenes) == 20
     assert sum(s["class"] == 1 for s in scenes) == 10
     assert len({s["date_tag"] for s in scenes}) == 4
     for s in scenes:
-        assert os.path.isdir(os.path.join(cfg.out_dir, s["frames_dir"]))
-        assert os.path.isfile(os.path.join(cfg.out_dir, s["keypoints_file"]))
+        assert os.path.isdir(os.path.join(out, s["frames_dir"]))
+        assert os.path.isfile(os.path.join(out, s["keypoints_file"]))
 
 
 def test_dataset_synthetic_scenes_use_their_own_dates(tmp_path):
-    cfg = small_dataset_config(tmp_path)
-    manifest = generate_dataset(cfg)
+    manifest = generate_dataset(small_dataset_config(), str(tmp_path / "ds"), seed=11)
     real_dates = {s["date_tag"] for s in manifest["scenes"] if not s["synthetic"]}
     synth_dates = {s["date_tag"] for s in manifest["scenes"] if s["synthetic"]}
     assert synth_dates and not (real_dates & synth_dates)
 
 
 def test_dataset_determinism_byte_identical(tmp_path):
-    a = small_dataset_config(tmp_path, out_dir=str(tmp_path / "a"))
-    b = small_dataset_config(tmp_path, out_dir=str(tmp_path / "b"))
-    generate_dataset(a)
-    generate_dataset(b)
-    assert dir_digest(a.out_dir) == dir_digest(b.out_dir)
+    a, b = str(tmp_path / "a"), str(tmp_path / "b")
+    generate_dataset(small_dataset_config(), a, seed=11)
+    generate_dataset(small_dataset_config(), b, seed=11)
+    assert dir_digest(a) == dir_digest(b)
 
 
 def test_empty_dataset_has_valid_manifest(tmp_path):
-    cfg = small_dataset_config(tmp_path, n_rubbing=0, n_other=0, n_synthetic_rubbing=0)
-    generate_dataset(cfg)
-    manifest = load_manifest(cfg.out_dir)
+    cfg = small_dataset_config(n_rubbing=0, n_other=0, n_synthetic_rubbing=0)
+    generate_dataset(cfg, str(tmp_path / "ds"), seed=11)
+    manifest = load_manifest(str(tmp_path / "ds"))
     assert manifest["scenes"] == []
     assert manifest_records(manifest) == []
 
 
-def test_dataset_rejects_negative_counts(tmp_path):
+def test_dataset_rejects_negative_counts():
     with pytest.raises(ConfigError):
-        generate_dataset(small_dataset_config(tmp_path, n_rubbing=-1))
+        small_dataset_config(n_rubbing=-1)
 
 
 def test_missing_manifest_is_a_data_error(tmp_path):
@@ -195,9 +193,9 @@ def test_missing_manifest_is_a_data_error(tmp_path):
 
 
 def test_manifest_roundtrip(tmp_path):
-    cfg = small_dataset_config(tmp_path)
-    manifest = generate_dataset(cfg)
-    back = load_manifest(cfg.out_dir)
+    out = str(tmp_path / "ds")
+    manifest = generate_dataset(small_dataset_config(), out, seed=11)
+    back = load_manifest(out)
     assert back == manifest
     recs = manifest_records(back)
     assert len(recs) == len(manifest["scenes"])

@@ -6,11 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hhmon import tracking
-from hhmon.errors import DataError
+from hhmon.errors import ConfigError, DataError
 from hhmon.pose import BBox
 from hhmon.tracking import (
     Edit,
-    SmoothingConfig,
+    LinkParams,
     Track,
     correct_assignment,
     iou,
@@ -123,7 +123,7 @@ def test_link_detections_one_to_one_per_frame(rng):
     for f in range(30):
         boxes = [BBox(x, 0, x + 8, 8) for x in rng.uniform(0, 40, size=3)]
         per_frame.append((f, boxes))
-    tracks = link_detections(per_frame)
+    tracks = link_detections(per_frame, LinkParams())
     for f, boxes in per_frame:
         owners = [t.track_id for t in tracks for ff, b in t.entries if ff == f]
         assert len(owners) == len(set(owners))  # no track owns two detections
@@ -142,7 +142,7 @@ def test_link_detections_identity_on_two_parallel_streams():
         right = BBox(60 - 0.2 * f, 12, 70 - 0.2 * f, 24)
         per_frame.append((f, [right, left] if f % 2 else [left, right]))
         truth[f] = {"left": left, "right": right}
-    tracks = link_detections(per_frame)
+    tracks = link_detections(per_frame, LinkParams())
     assert len(tracks) == 2
     for t in tracks:
         sides = set()
@@ -157,7 +157,7 @@ def test_link_detections_gap_closes_track():
     per_frame = [(f, [BBox(0, 0, 10, 10)]) for f in range(3)]
     per_frame += [(f, []) for f in range(3, 15)]
     per_frame += [(f, [BBox(0, 0, 10, 10)]) for f in range(15, 18)]
-    tracks = link_detections(per_frame, max_gap=8)
+    tracks = link_detections(per_frame, LinkParams(max_gap=8))
     assert len(tracks) == 2  # 12-frame silence exceeds the gap budget
 
 
@@ -166,33 +166,33 @@ def test_link_determinism(rng):
     for f in range(20):
         boxes = [BBox(x, 0, x + 6, 6) for x in rng.uniform(0, 30, size=2)]
         per_frame.append((f, boxes))
-    a = link_detections(per_frame)
-    b = link_detections(per_frame)
+    a = link_detections(per_frame, LinkParams())
+    b = link_detections(per_frame, LinkParams())
     assert [(t.track_id, t.entries) for t in a] == [(t.track_id, t.entries) for t in b]
 
 
 def test_sma_hand_computed_average():
     t = box_track([0, 4, 8, 12])
-    sm = smooth_track(t, SmoothingConfig(window=4))
+    sm = smooth_track(t, 4)
     assert sm.smoothed[3][1].x1 == pytest.approx(6.0)  # (0+4+8+12)/4
 
 
 def test_sma_warmup_first_frame_is_raw():
     t = box_track([3, 9, 27])
-    sm = smooth_track(t, SmoothingConfig(window=4))
+    sm = smooth_track(t, 4)
     assert sm.smoothed[0][1].x1 == pytest.approx(3.0)
     assert sm.smoothed[1][1].x1 == pytest.approx(6.0)  # mean of 2 during warm-up
 
 
 def test_sma_constant_series_unchanged():
     t = box_track([5] * 10)
-    sm = smooth_track(t, SmoothingConfig(window=4))
+    sm = smooth_track(t, 4)
     assert all(b.x1 == pytest.approx(5.0) for _, b in sm.smoothed)
 
 
 @given(xs=st.lists(st.floats(0, 100), min_size=1, max_size=30))
 def test_sma_window_one_is_identity(xs):
-    sm = smooth_track(box_track(xs), SmoothingConfig(window=1))
+    sm = smooth_track(box_track(xs), 1)
     raw = [b.x1 for _, b in sm.entries]
     out = [b.x1 for _, b in sm.smoothed]
     np.testing.assert_allclose(out, raw, atol=1e-12)
@@ -201,7 +201,7 @@ def test_sma_window_one_is_identity(xs):
 @given(xs=st.lists(st.floats(0, 100), min_size=1, max_size=30),
        window=st.integers(1, 8))
 def test_sma_matches_trailing_average_oracle(xs, window):
-    sm = smooth_track(box_track(xs), SmoothingConfig(window=window))
+    sm = smooth_track(box_track(xs), window)
     expect = trailing_average_oracle(xs, window)
     np.testing.assert_allclose([b.x1 for _, b in sm.smoothed], expect, atol=1e-9)
 
@@ -209,7 +209,7 @@ def test_sma_matches_trailing_average_oracle(xs, window):
 @given(xs=st.lists(st.floats(0, 100), min_size=1, max_size=30),
        window=st.integers(1, 8))
 def test_sma_bounded_by_window_extremes(xs, window):
-    sm = smooth_track(box_track(xs), SmoothingConfig(window=window))
+    sm = smooth_track(box_track(xs), window)
     for n, (_, b) in enumerate(sm.smoothed):
         lo = min(xs[max(0, n - window + 1) : n + 1])
         hi = max(xs[max(0, n - window + 1) : n + 1])
@@ -218,13 +218,13 @@ def test_sma_bounded_by_window_extremes(xs, window):
 
 def test_sma_preserves_raw_entries():
     t = box_track([0, 4, 8, 12])
-    sm = smooth_track(t, SmoothingConfig(window=4))
+    sm = smooth_track(t, 4)
     assert sm.entries == t.entries
 
 
 def test_smoothing_window_validation():
-    with pytest.raises(DataError):
-        SmoothingConfig(window=0)
+    with pytest.raises(ConfigError, match="smoothing window must be >= 1"):
+        LinkParams(smooth_window=0)
 
 
 def test_corrections_empty_edit_list_is_identity():
@@ -291,7 +291,7 @@ def test_track_file_roundtrip_lossless(tmp_path, rng):
         entries = [(f, BBox(*sorted(rng.uniform(0, 50, 2)) + [60, 70]))
                    for f in range(5)]
         t = Track(tid, entries=entries)
-        tracks.append(smooth_track(t, SmoothingConfig(window=4)))
+        tracks.append(smooth_track(t, 4))
     path = str(tmp_path / "tracks.txt")
     tracking.save_tracks(tracks, path)
     back = tracking.load_tracks(path)

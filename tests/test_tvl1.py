@@ -12,7 +12,6 @@ from hhmon import backend, frameio, tvl1
 from hhmon.errors import ConfigError, DataError
 from hhmon.frameio import Frame, FrameSequence
 from hhmon.tvl1 import (
-    FLOW_CLIP,
     TvL1Params,
     _centered_gradient,
     flow_energy,
@@ -144,7 +143,6 @@ def test_flow_to_frame_clips_and_rescales():
     assert frame.data[0, 0, 0] == 1.0
     assert frame.data[0, 0, 1] == -1.0
     assert frame.data[1, 0, 0] == pytest.approx(0.5)
-    assert FLOW_CLIP == 20.0
 
 
 def make_sequence(frames, video_id="v"):
@@ -155,7 +153,7 @@ def make_sequence(frames, video_id="v"):
 def test_flow_sequence_keeps_the_frame_count(rng):
     tex = smooth_texture(rng, h=32, w=32)
     frames = [np.repeat(rolled(tex, dx=i)[:, :, None], 3, axis=2) for i in range(16)]
-    out = flow_sequence(make_sequence(frames), clip=4.0)
+    out = flow_sequence(make_sequence(frames), TvL1Params(max_flow=4.0))
     assert len(out.frames) == 16
     assert out.frames[0].channels == 2
     assert np.array_equal(out.frames[-1].data, out.frames[-2].data)
@@ -163,7 +161,7 @@ def test_flow_sequence_keeps_the_frame_count(rng):
 
 def test_flow_sequence_static_is_small(rng):
     img = np.repeat(rng.random((32, 32)).astype(np.float32)[:, :, None], 3, axis=2)
-    out = flow_sequence(make_sequence([img.copy() for _ in range(4)]), clip=1.0)
+    out = flow_sequence(make_sequence([img.copy() for _ in range(4)]), TvL1Params(max_flow=1.0))
     for f in out.frames:
         assert np.abs(f.data).max() < 0.05
 
@@ -171,7 +169,7 @@ def test_flow_sequence_static_is_small(rng):
 def test_flow_sequence_recovers_constant_velocity(rng):
     tex = smooth_texture(rng)
     frames = [np.repeat(rolled(tex, dx=i)[:, :, None], 3, axis=2) for i in range(4)]
-    out = flow_sequence(make_sequence(frames), clip=4.0)
+    out = flow_sequence(make_sequence(frames), TvL1Params(max_flow=4.0))
     for f in out.frames[:3]:
         recovered = f.data * 4.0
         assert central_epe(recovered, 1.0, 0.0) < 0.6
@@ -208,6 +206,8 @@ def test_parameter_validation():
         TvL1Params(min_size=4)
     with pytest.raises(ConfigError):
         TvL1Params(n_warps=0)
+    with pytest.raises(ConfigError, match="max_flow"):
+        TvL1Params(max_flow=0.0)
     TvL1Params(tau=0.25)  # boundary value stays legal
 
 
