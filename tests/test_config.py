@@ -116,6 +116,22 @@ def test_stage_blocks_are_the_modules_own_objects():
     assert type(cfg.flow) is TvL1Params
 
 
+def test_roi_defaults_track_the_pose_module():
+    # the roi block is the pose module's ROI rule itself, not a copy of it
+    cfg = PipelineConfig()
+    assert type(cfg.roi) is pose.RoiParams
+    assert cfg.roi == pose.RoiParams()
+    assert (cfg.roi.margin, cfg.roi.min_confidence, cfg.roi.min_joints) == (0.25, 0.1, 4)
+
+
+def test_link_defaults_track_the_tracking_module():
+    # the link block is the tracking module's linker settings, not a copy
+    cfg = PipelineConfig()
+    assert type(cfg.link) is tracking.LinkParams
+    assert cfg.link == tracking.LinkParams()
+    assert (cfg.link.tau_new, cfg.link.max_gap, cfg.link.smooth_window) == (0.1, 8, 4)
+
+
 def test_clip_defaults_track_the_augment_config():
     # the clip block is the augmentation config itself, not a copy of it
     cfg = PipelineConfig()
