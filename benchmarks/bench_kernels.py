@@ -4,8 +4,11 @@
 Both implementations share one contract, (P, H, W) stacks of planes, so
 besides the timings the script reports the worst output disagreement per
 kernel (expected: exactly zero).  Each kernel runs on one large plane and on
-a stack of 8 planes at 96x72, the frame size of the default pipeline.  The
-script builds the C library with setup.py into a temporary directory and
+a stack of 8 planes at 96x72, the frame size of the default pipeline; a warp
+is one coordinate pass and the three images the solver samples there.  The
+whole solver runs on one pair and, through `flow_sequence`, on a 23-frame
+generated desk scene (the mean default length) at 96x72 and at 192x144.
+The script builds the C library with setup.py into a temporary directory and
 binds it from there, so nothing is left under src/ (a library built in place
 would switch the package, and everything run on the checkout, to the
 compiled backend):
@@ -22,7 +25,7 @@ import time
 
 import numpy as np
 
-from hhmon import _accel, _purekernels, backend, tvl1
+from hhmon import _accel, _purekernels, backend, synth, tvl1
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -62,9 +65,14 @@ def best_of(fn, repeats):
 def bench_warp(mod, rng, shape, repeats):
     p, h, w = shape
     img = np.stack([texture(rng, h, w) for _ in range(p)]) * np.float32(255.0)
+    images = (img, *tvl1._centered_gradient(img))
     u = rng.standard_normal(shape).astype(np.float32) * 2.0
     v = rng.standard_normal(shape).astype(np.float32) * 2.0
-    return best_of(lambda: mod.warp_bilinear(img, u, v), repeats)
+
+    def warp():
+        at = mod.warp_coords(u, v)
+        return np.stack([mod.warp_bilinear(a, at) for a in images])
+    return best_of(warp, repeats)
 
 
 def bench_iterations(mod, rng, shape, n_iters, repeats):
@@ -86,17 +94,31 @@ def bench_iterations(mod, rng, shape, n_iters, repeats):
     return min(times), np.stack(out[:2])
 
 
+KERNELS = ("warp_coords", "warp_bilinear", "tvl1_iterations")
+
+
+def on_backend(mod, fn):
+    """fn() with the solver pointed at the kernels of mod."""
+    saved = [getattr(backend, k) for k in KERNELS]
+    for k in KERNELS:
+        setattr(backend, k, getattr(mod, k))
+    try:
+        return fn()
+    finally:
+        for k, fn_saved in zip(KERNELS, saved):
+            setattr(backend, k, fn_saved)
+
+
 def bench_flow(mod, rng, size, repeats):
     img0 = texture(rng, size, size)
     img1 = np.roll(img0, 1, axis=1)
-    saved = (backend.warp_bilinear, backend.tvl1_iterations)
-    backend.warp_bilinear = mod.warp_bilinear
-    backend.tvl1_iterations = mod.tvl1_iterations
-    try:
-        t, res = best_of(lambda: tvl1.tvl1_flow(img0, img1), repeats)
-    finally:
-        backend.warp_bilinear, backend.tvl1_iterations = saved
+    t, res = on_backend(mod, lambda: best_of(lambda: tvl1.tvl1_flow(img0, img1), repeats))
     return t, res.flow
+
+
+def bench_scene(mod, seq, repeats):
+    t, out = on_backend(mod, lambda: best_of(lambda: tvl1.flow_sequence(seq), repeats))
+    return t, np.stack([f.data for f in out.frames])
 
 
 def main():
@@ -114,7 +136,7 @@ def main():
     rows = []
     for label, shape in stacks:
         rows += [
-            (f"warp_bilinear {label}",
+            (f"warp_coords+3 images {label}",
              lambda mod, shape=shape: bench_warp(mod, np.random.default_rng(0), shape,
                                                  args.repeats)),
             (f"tvl1_iterations x{args.iters} {label}",
@@ -126,6 +148,10 @@ def main():
          lambda mod: bench_flow(mod, np.random.default_rng(2), args.flow_size,
                                 args.repeats)),
     ]
+    for w, h in ((96, 72), (192, 144)):
+        seq, _, _ = synth.generate_scene(synth.SceneSpec(seed=3, n_frames=23, width=w, height=h))
+        rows.append((f"flow_sequence 23x{w}x{h}",
+                     lambda mod, seq=seq: bench_scene(mod, seq, args.repeats)))
 
     with tempfile.TemporaryDirectory(prefix="hhmon-accel-") as out_dir:
         compiled = build_compiled(out_dir)

@@ -2,7 +2,7 @@
 
 `setup.py build_ext` compiles flowkernels.c into a shared library;
 `CompiledKernels(directory)` loads it from that directory (raising OSError
-when it is not there) and offers the two `_purekernels` entry points with
+when it is not there) and offers the three `_purekernels` entry points with
 the same arguments and return values: (P, H, W) stacks of planes in, one
 ctypes call per stack, and for `tvl1_iterations` the largest iteration
 count over the planes as the last element.  Every array is checked here,
@@ -21,13 +21,20 @@ import numpy as np
 _ADDR = ctypes.c_void_p
 
 
-def _checked_shape(name: str, *arrays) -> tuple[int, int, int]:
-    """The common shape of 3-D C-contiguous float32 arrays, else ValueError."""
+# The dtypes of the coordinate arrays warp_coords returns: four corner
+# indices, then two weights.
+_COORD_DTYPES = (np.dtype(np.intp),) * 4 + (np.dtype(np.float64),) * 2
+
+
+def _checked_shape(name: str, arrays, dtypes=None) -> tuple[int, int, int]:
+    """The common shape of 3-D C-contiguous arrays, of the given dtypes
+    (float32 where none are given), else ValueError."""
     shape = np.shape(arrays[0])
     for k, a in enumerate(arrays):
-        if not (isinstance(a, np.ndarray) and a.ndim == 3 and a.dtype == np.float32
+        dtype = dtypes[k] if dtypes else np.dtype(np.float32)
+        if not (isinstance(a, np.ndarray) and a.ndim == 3 and a.dtype == dtype
                 and a.flags.c_contiguous):
-            raise ValueError(f"{name}: argument {k} must be a 3-D C-contiguous float32 "
+            raise ValueError(f"{name}: argument {k} must be a 3-D C-contiguous {dtype} "
                              f"array, got {getattr(a, 'dtype', type(a).__name__)} "
                              f"with shape {np.shape(a)}")
         if a.shape != shape:
@@ -39,19 +46,35 @@ def _checked_shape(name: str, *arrays) -> tuple[int, int, int]:
 class CompiledKernels:
     def __init__(self, directory: str):
         lib = np.ctypeslib.load_library("flowkernels", directory)
-        lib.warp_bilinear.argtypes = [_ADDR] * 4 + [ctypes.c_int] * 3
-        lib.warp_bilinear.restype = None
+        lib.warp_coords.argtypes = [_ADDR] * 8 + [ctypes.c_int] * 3
+        lib.warp_coords.restype = None
+        lib.warp_bilinear.argtypes = [_ADDR] * 8 + [ctypes.c_int] * 3
+        lib.warp_bilinear.restype = ctypes.c_int
         lib.tvl1_iterations.argtypes = ([_ADDR] * 12 + [ctypes.c_int] * 3
                                         + [ctypes.c_double] * 3
                                         + [ctypes.c_int, ctypes.c_double])
         lib.tvl1_iterations.restype = ctypes.c_int
         self._lib = lib
 
-    def warp_bilinear(self, img, u, v) -> np.ndarray:
-        """Sample img at (x + u, y + v) with bilinear weights, clamping to borders."""
-        shape = _checked_shape("warp_bilinear", img, u, v)
+    def warp_coords(self, u, v) -> tuple:
+        """Where bilinear sampling at (x + u, y + v) reads each pixel of a stack."""
+        shape = _checked_shape("warp_coords", (u, v))
+        coords = tuple(np.empty(shape, dtype=d) for d in _COORD_DTYPES)
+        self._lib.warp_coords(*(a.ctypes.data for a in (u, v, *coords)), *shape)
+        return coords
+
+    def warp_bilinear(self, img, coords) -> np.ndarray:
+        """Sample img with bilinear weights at the coordinates `warp_coords` found.
+
+        The six coordinate arrays count as arguments 1 to 6 in errors.
+        """
+        if not (isinstance(coords, tuple) and len(coords) == len(_COORD_DTYPES)):
+            raise ValueError("warp_bilinear: coords must be the 6-tuple warp_coords returns")
+        shape = _checked_shape("warp_bilinear", (img, *coords),
+                               (np.dtype(np.float32), *_COORD_DTYPES))
         out = np.empty(shape, dtype=np.float32)
-        self._lib.warp_bilinear(*(a.ctypes.data for a in (img, u, v, out)), *shape)
+        if self._lib.warp_bilinear(*(a.ctypes.data for a in (img, *coords, out)), *shape):
+            raise ValueError("warp_bilinear: a coordinate index falls outside the stack")
         return out
 
     def tvl1_iterations(self, I1wx, I1wy, rho_c, grad, u1, u2, p11, p12, p21, p22,
@@ -62,7 +85,7 @@ class CompiledKernels:
         place and returns them with the largest iteration count of any plane.
         """
         fields = (I1wx, I1wy, rho_c, grad, u1, u2, p11, p12, p21, p22)
-        shape = _checked_shape("tvl1_iterations", *fields)
+        shape = _checked_shape("tvl1_iterations", fields)
         u1n, u2n = np.empty_like(u1), np.empty_like(u2)
         planes = (I1wx, I1wy, rho_c, grad, u1, u2, u1n, u2n, p11, p12, p21, p22)
         done = self._lib.tvl1_iterations(

@@ -1,50 +1,67 @@
 /* Float32 kernels of the TV-L1 flow solver, on C-contiguous p x h x w stacks.
 
-   A stack holds p independent h x w planes, one frame pair each; both entry
-   points run their plane routine once per plane.  Each routine repeats its
-   twin in _purekernels.py element for element, in the same float32
-   operation order, so the two backends give identical results.  That holds
-   only when built without FMA contraction and without -ffast-math (setup.py
-   passes -ffp-contract=off).  The early-stop error is summed in another
-   order, which can move only its last bits.  tvl1_iterations stops each
-   plane on its own and returns the largest count any plane ran.  The ctypes
-   binding in __init__.py checks every array before a pointer gets here. */
+   A stack holds p independent h x w planes, one frame pair each.  Each
+   entry point repeats its twin in _purekernels.py element for element, in
+   the same float32 operation order, so the two backends give identical
+   results.  That holds only when built without FMA contraction and without
+   -ffast-math (setup.py passes -ffp-contract=off).  The early-stop error is
+   summed in another order, which can move only its last bits.
+   tvl1_iterations stops each plane on its own and returns the largest count
+   any plane ran.  The ctypes binding in __init__.py checks the type, shape
+   and layout of every array before a pointer gets here; warp_bilinear
+   checks the indices it is given itself. */
 
 #include <math.h>
 #include <stddef.h>
 #include <string.h>
 
-static void warp_plane(const float *img, const float *u, const float *v,
-                       float *out, int h, int w)
+/* Where bilinear sampling at (x + u, y + v) reads each pixel: the flat
+   indices of the four corners into the whole stack and the weights towards
+   the right and the lower corners, the same arrays as warp_coords in
+   _purekernels.py. */
+void warp_coords(const float *u, const float *v, ptrdiff_t *i00, ptrdiff_t *i01,
+                 ptrdiff_t *i10, ptrdiff_t *i11, double *fx, double *fy, int p, int h, int w)
 {
     const float wm1 = (float)(w - 1), hm1 = (float)(h - 1);
-    for (int y = 0; y < h; y++) {
-        for (int x = 0; x < w; x++) {
-            size_t i = (size_t)y * w + x;
-            float xx = (float)x + u[i];
-            float yy = (float)y + v[i];
-            /* written so that NaN clamps to 0 instead of indexing out of bounds */
-            xx = xx >= 0.0f ? (xx > wm1 ? wm1 : xx) : 0.0f;
-            yy = yy >= 0.0f ? (yy > hm1 ? hm1 : yy) : 0.0f;
-            int x0 = (int)xx, y0 = (int)yy;
-            int x1 = x0 + 1 < w ? x0 + 1 : w - 1;
-            int y1 = y0 + 1 < h ? y0 + 1 : h - 1;
-            const float *r0 = img + (size_t)y0 * w, *r1 = img + (size_t)y1 * w;
-            /* the interpolation weights run in double, like the numpy twin */
-            double fx = (double)xx - (double)x0, fy = (double)yy - (double)y0;
-            double top = (double)r0[x0] + fx * (double)(r0[x1] - r0[x0]);
-            double bot = (double)r1[x0] + fx * (double)(r1[x1] - r1[x0]);
-            out[i] = (float)(top + fy * (bot - top));
+    size_t i = 0;
+    for (int k = 0; k < p; k++) {
+        for (int y = 0; y < h; y++) {
+            for (int x = 0; x < w; x++, i++) {
+                float xx = (float)x + u[i];
+                float yy = (float)y + v[i];
+                /* written so that NaN clamps to 0 instead of indexing out of bounds */
+                xx = xx >= 0.0f ? (xx > wm1 ? wm1 : xx) : 0.0f;
+                yy = yy >= 0.0f ? (yy > hm1 ? hm1 : yy) : 0.0f;
+                int x0 = (int)xx, y0 = (int)yy;
+                ptrdiff_t right = x0 < w - 1;
+                i00[i] = ((ptrdiff_t)k * h + y0) * w + x0;
+                i01[i] = i00[i] + right;
+                i10[i] = y0 < h - 1 ? i00[i] + w : i00[i];
+                i11[i] = i10[i] + right;
+                /* the interpolation weights run in double, like the numpy twin */
+                fx[i] = (double)xx - (double)x0;
+                fy[i] = (double)yy - (double)y0;
+            }
         }
     }
 }
 
-void warp_bilinear(const float *img, const float *u, const float *v,
-                   float *out, int p, int h, int w)
+/* Samples img at the coordinates warp_coords found.  Returns -1 when an
+   index falls outside the stack, else 0. */
+int warp_bilinear(const float *img, const ptrdiff_t *i00, const ptrdiff_t *i01,
+                  const ptrdiff_t *i10, const ptrdiff_t *i11, const double *fx,
+                  const double *fy, float *out, int p, int h, int w)
 {
-    const size_t plane = (size_t)h * w;
-    for (int k = 0; k < p; k++)
-        warp_plane(img + k * plane, u + k * plane, v + k * plane, out + k * plane, h, w);
+    const size_t n = (size_t)p * h * w;
+    for (size_t i = 0; i < n; i++) {
+        if ((size_t)i00[i] >= n || (size_t)i01[i] >= n || (size_t)i10[i] >= n
+            || (size_t)i11[i] >= n)
+            return -1;
+        double top = (double)img[i00[i]] + fx[i] * (double)(img[i01[i]] - img[i00[i]]);
+        double bot = (double)img[i10[i]] + fx[i] * (double)(img[i11[i]] - img[i10[i]]);
+        out[i] = (float)(top + fy[i] * (bot - top));
+    }
+    return 0;
 }
 
 /* Dual ascent on (pa, pb) from the forward differences of u. */

@@ -1,16 +1,25 @@
 """Reference numpy kernels for the duality-based flow solver.
 
-The hand-written C in `_accel/flowkernels.c` implements the same two entry
+The hand-written C in `_accel/flowkernels.c` implements the same three entry
 points with identical per-element arithmetic; `backend` picks one at import
 time and tests/test_backend.py builds the C and checks the two bit for bit
-on shared inputs.  Everything is float32.
+on shared inputs.  Images, flow and dual fields are float32.
 
 Stack contract: every array argument is a (P, H, W) stack of P independent
 planes (one frame pair each), all of one shape, and each plane gets exactly
-the arithmetic a lone (1, H, W) stack would get.  `tvl1_iterations` stops
-each plane on its own and returns, as its last element, the iterations the
-call ran: the largest count over the planes.  It may modify its flow and
-dual-field arguments in place; callers must use the returned arrays.
+the arithmetic a lone (1, H, W) stack would get.
+
+A warp is split in two so that the images warped by one flow share one
+coordinate pass: `warp_coords(u, v)` finds where each pixel samples, as six
+(P, H, W) arrays, and `warp_bilinear(img, coords)` samples one image there.
+The coordinates are the same arrays on both backends (four corner indices
+into the flattened stack, `np.intp`, and the two weights, float64), so
+either backend's sampler takes either backend's coordinates.
+
+`tvl1_iterations` stops each plane on its own and returns, as its last
+element, the iterations the call ran: the largest count over the planes.
+It may modify its flow and dual-field arguments in place; callers must use
+the returned arrays.
 """
 
 from __future__ import annotations
@@ -18,50 +27,90 @@ from __future__ import annotations
 import numpy as np
 
 
-def warp_bilinear(img: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Sample img at (x + u, y + v) with bilinear weights, clamping to borders.
+def warp_coords(u: np.ndarray, v: np.ndarray) -> tuple:
+    """Where bilinear sampling at (x + u, y + v) reads each pixel of a stack.
 
-    A coordinate is clamped as `c >= 0 ? min(c, size - 1) : 0`, the C rule,
-    so a NaN displacement samples column or row 0.
+    Returns (i00, i01, i10, i11, fx, fy): the flat indices of the four
+    corners into the whole (P, H, W) stack and the float64 weights towards
+    the right and the lower corners.  A coordinate is clamped as
+    `c >= 0 ? min(c, size - 1) : 0`, the C rule, so a NaN displacement
+    samples column or row 0.
     """
-    p, h, w = img.shape
+    p, h, w = u.shape
     x = np.arange(w, dtype=np.float32) + u
     y = np.arange(h, dtype=np.float32)[:, None] + v
     x = np.where(x >= 0, np.minimum(x, np.float32(w - 1)), np.float32(0))
     y = np.where(y >= 0, np.minimum(y, np.float32(h - 1)), np.float32(0))
     x0 = x.astype(np.intp)  # non-negative, truncation == floor
     y0 = y.astype(np.intp)
-    x1 = np.minimum(x0 + 1, w - 1)
     fx = x - x0
     fy = y - y0
-    # one flat index into the whole stack per corner
-    base = np.arange(0, p * h * w, h * w)[:, None, None]
-    row0 = base + y0 * w
-    row1 = base + np.minimum(y0 + 1, h - 1) * w
+    right = x0 < w - 1  # the right corner is clamped into the last column
+    i00 = y0 * w
+    i00 += x0
+    i00 += np.arange(0, p * h * w, h * w)[:, None, None]
+    i10 = np.where(y0 < h - 1, i00 + w, i00)
+    return i00, i00 + right, i10, i10 + right, fx, fy
+
+
+def warp_bilinear(img: np.ndarray, coords: tuple) -> np.ndarray:
+    """Sample img with bilinear weights at the coordinates `warp_coords` found."""
+    i00, i01, i10, i11, fx, fy = coords
     flat = img.reshape(-1)
-    a = flat[row0 + x0]
-    top = a + fx * (flat[row0 + x1] - a)
-    a = flat[row1 + x0]
-    bot = a + fx * (flat[row1 + x1] - a)
+    a = flat.take(i00)
+    top = a + fx * (flat.take(i01) - a)
+    a = flat.take(i10)
+    bot = a + fx * (flat.take(i11) - a)
     return (top + fy * (bot - top)).astype(np.float32, copy=False)
 
 
-def _forward_grad(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Forward differences over the last two axes, zero at the far borders."""
-    gx = np.zeros_like(u)
-    gy = np.zeros_like(u)
-    gx[..., :, :-1] = u[..., :, 1:] - u[..., :, :-1]
-    gy[..., :-1, :] = u[..., 1:, :] - u[..., :-1, :]
+def _forward_grad(u: np.ndarray, gx: np.ndarray, gy: np.ndarray) -> tuple:
+    """Forward differences of u over the last two axes, into gx and gy; their
+    far borders (last column, last row) are not written and must be zero."""
+    np.subtract(u[..., :, 1:], u[..., :, :-1], out=gx[..., :, :-1])
+    np.subtract(u[..., 1:, :], u[..., :-1, :], out=gy[..., :-1, :])
     return gx, gy
 
 
-def _divergence(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
-    """Backward-difference divergence, adjoint of _forward_grad."""
-    div = p1.copy()
-    div[..., :, 1:] -= p1[..., :, :-1]
-    div[..., 0, :] += p2[..., 0, :]
-    div[..., 1:, :] += p2[..., 1:, :] - p2[..., :-1, :]
-    return div
+class _Scratch:
+    """The buffers of one `tvl1_iterations` stack; gx and gy hold the
+    forward differences, with their zero far borders."""
+
+    def __init__(self, shape):
+        (self.rho, self.step, self.t, self.div, self.u1, self.u2, self.gx,
+         self.gy) = (np.empty(shape, dtype=np.float32) for _ in range(8))
+        self.gx[:, :, -1] = 0
+        self.gy[:, -1, :] = 0
+        self.mask, self.flip = (np.empty(shape, dtype=np.int32) for _ in range(2))
+        self.hit = np.empty(shape, dtype=bool)
+
+
+def _divergence(p1: np.ndarray, p2: np.ndarray, s: _Scratch) -> np.ndarray:
+    """Backward-difference divergence, adjoint of _forward_grad, into s.div:
+    (p1[x] - p1[x - 1]) + (p2[y] - p2[y - 1]), each difference being the
+    plain value on the first column or row."""
+    np.subtract(p1[:, :, 1:], p1[:, :, :-1], out=s.div[:, :, 1:])
+    s.div[:, :, 0] = p1[:, :, 0]
+    np.subtract(p2[:, 1:], p2[:, :-1], out=s.t[:, 1:])
+    s.t[:, 0] = p2[:, 0]
+    return np.add(s.div, s.t, out=s.div)
+
+
+def _dual_step(u: np.ndarray, pa: np.ndarray, pb: np.ndarray, taut: np.float32,
+               s: _Scratch) -> None:
+    """pa, pb = (pa + taut * grad u) / (1 + taut * |grad u|), in place."""
+    gx, gy = _forward_grad(u, s.gx, s.gy)
+    ng = s.div
+    np.multiply(gx, gx, out=ng)
+    np.multiply(gy, gy, out=s.t)
+    np.add(ng, s.t, out=ng)
+    np.sqrt(ng, out=ng)
+    np.multiply(taut, ng, out=ng)
+    np.add(np.float32(1.0), ng, out=ng)
+    for p, g in ((pa, gx), (pb, gy)):
+        np.multiply(taut, g, out=s.t)
+        np.add(p, s.t, out=p)
+        np.divide(p, ng, out=p)
 
 
 def tvl1_iterations(
@@ -88,6 +137,13 @@ def tvl1_iterations(
     update of its flow drops below stop_eps2; its state is then written to
     the output and it leaves the active stack.  Returns the updated fields
     plus the largest number of iterations any plane ran.
+
+    Each element gets the float32 operations, in the order, of
+        rho = rho_c + I1wx * u1 + I1wy * u2
+        step = lt if rho < -lt * grad else -lt if rho > lt * grad
+               else -rho / grad if grad > 1e-10 else 0
+        u = u + step * I1w. + theta * div(p)
+    with lt = lam * theta; the select runs on the int32 bits, exactly.
     """
     lt = np.float32(lam * theta)
     taut = np.float32(tau / theta)
@@ -95,34 +151,44 @@ def tvl1_iterations(
     n = u1[0].size
     grad_ok = grad > 1e-10
     safe_grad = np.where(grad_ok, grad, np.float32(1.0))
+    ok = np.where(grad_ok, np.int32(-1), np.int32(0))  # keeps -rho / grad
     th = lt * grad
+    nth = -th
+    s = _Scratch(u1.shape)
     out = None  # allocated when the first plane stops ahead of the others
     active = np.arange(len(u1))  # indices of the planes still iterating
     done = 0
     while True:
         done += 1
-        rho = rho_c + I1wx * u1 + I1wy * u2
-        mid = np.where(grad_ok, -rho / safe_grad, np.float32(0.0))
-        lo = rho < -th
-        hi = rho > th
-        step = np.where(lo, lt, np.where(hi, -lt, mid))
-        v1 = u1 + step * I1wx
-        v2 = u2 + step * I1wy
-        u1_new = v1 + theta32 * _divergence(p11, p12)
-        u2_new = v2 + theta32 * _divergence(p21, p22)
-        err = (
-            np.sum((u1_new - u1) ** 2, axis=(-2, -1), dtype=np.float64)
-            + np.sum((u2_new - u2) ** 2, axis=(-2, -1), dtype=np.float64)
-        ) / n
-        u1, u2 = u1_new, u2_new
-        u1x, u1y = _forward_grad(u1)
-        u2x, u2y = _forward_grad(u2)
-        ng1 = np.float32(1.0) + taut * np.sqrt(u1x * u1x + u1y * u1y)
-        ng2 = np.float32(1.0) + taut * np.sqrt(u2x * u2x + u2y * u2y)
-        p11 = (p11 + taut * u1x) / ng1
-        p12 = (p12 + taut * u1y) / ng1
-        p21 = (p21 + taut * u2x) / ng2
-        p22 = (p22 + taut * u2y) / ng2
+        rho = np.multiply(I1wx, u1, out=s.rho)
+        np.add(rho_c, rho, out=rho)
+        np.multiply(I1wy, u2, out=s.t)
+        np.add(rho, s.t, out=rho)
+        # the nested select, on the bits: -rho / grad, or +0 where grad is
+        # too small; then -lt where rho > th; then lt where rho < -th
+        step = np.divide(np.negative(rho, out=s.t), safe_grad, out=s.step)
+        bits = step.view(np.int32)
+        np.bitwise_and(bits, ok, out=bits)
+        for cmp, bound, value in ((np.greater, th, -lt), (np.less, nth, lt)):
+            np.subtract(0, cmp(rho, bound, out=s.hit), out=s.mask, dtype=np.int32)
+            np.bitwise_xor(bits, value.view(np.int32), out=s.flip)
+            np.bitwise_and(s.flip, s.mask, out=s.flip)
+            np.bitwise_xor(bits, s.flip, out=bits)
+        err = np.zeros(len(u1))
+        for u, un, I1w, pa, pb in ((u1, s.u1, I1wx, p11, p12), (u2, s.u2, I1wy, p21, p22)):
+            np.multiply(step, I1w, out=s.t)
+            np.add(u, s.t, out=un)
+            div = _divergence(pa, pb, s)
+            np.multiply(theta32, div, out=div)
+            np.add(un, div, out=un)
+            np.subtract(un, u, out=s.t)
+            np.multiply(s.t, s.t, out=s.t)
+            err += np.sum(s.t, axis=(-2, -1), dtype=np.float64)
+        err /= n
+        # the old flow's buffers take the next iteration's update
+        u1, s.u1, u2, s.u2 = s.u1, u1, s.u2, u2
+        _dual_step(u1, p11, p12, taut, s)
+        _dual_step(u2, p21, p22, taut, s)
         stop = err < stop_eps2
         if done == n_iters:
             stop[:] = True
@@ -139,5 +205,6 @@ def tvl1_iterations(
             return (*out, done)
         keep = ~stop
         active = active[keep]
-        u1, u2, p11, p12, p21, p22, I1wx, I1wy, rho_c, grad_ok, safe_grad, th = (
-            a[keep] for a in (*state, I1wx, I1wy, rho_c, grad_ok, safe_grad, th))
+        u1, u2, p11, p12, p21, p22, I1wx, I1wy, rho_c, safe_grad, ok, th, nth = (
+            a[keep] for a in (*state, I1wx, I1wy, rho_c, safe_grad, ok, th, nth))
+        s = _Scratch(u1.shape)

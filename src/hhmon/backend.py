@@ -22,5 +22,6 @@ except (OSError, ImportError):
 
     BACKEND = "pure"
 
+warp_coords = kernels.warp_coords
 warp_bilinear = kernels.warp_bilinear
 tvl1_iterations = kernels.tvl1_iterations

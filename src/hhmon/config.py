@@ -7,7 +7,9 @@ Each stage's block is that stage's own parameter object, passed to it whole:
 `tvl1.TvL1Params`.  Only the paths, the train block (the training module's
 `TrainConfig` plus three pipeline-only fields) and the eval block are
 declared here, so every default is declared once.  Each block validates
-itself when built; a bad value is a ConfigError naming its section.
+itself when built; a bad value is a ConfigError naming its section.  The
+loader also checks the one rule that spans blocks: frames no smaller than
+the flow solver's `min_size`.
 """
 
 from __future__ import annotations
@@ -104,6 +106,12 @@ def config_from_dict(data: dict) -> PipelineConfig:
         if not isinstance(section, dict):
             raise ConfigError(f"config section {name!r} must be an object")
         blocks[name] = _build_block(cls, section, name)
+    # frames the flow solver would refuse must not get past gen and prepare
+    min_size = blocks["flow"].min_size
+    for key in ("width", "height"):
+        value = getattr(blocks["gen"], key)
+        if value < min_size:
+            raise ConfigError(f"gen.{key} {value} is below flow.min_size {min_size}")
     return PipelineConfig(seed=seed, **blocks)
 
 

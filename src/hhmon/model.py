@@ -232,10 +232,6 @@ class Network:
     def init(cls, spec: NetSpec, seed: int = 0, dtype=np.float32) -> "Network":
         return cls(spec, init_params(spec, np.random.default_rng(seed), dtype))
 
-    def cast(self, dtype) -> "Network":
-        return Network(self.spec, {k: v.astype(dtype) for k, v in self.params.items()},
-                       set(self.frozen))
-
     def freeze_backbone(self) -> None:
         """Freeze everything up to and including the global average pool."""
         self.frozen = {n for n in self.params if not n.startswith("head.")}

@@ -139,7 +139,13 @@ class RoiParams:
 
     def __post_init__(self):
         if self.margin < 0:
-            raise ConfigError(f"margin_frac must be non-negative, got {self.margin}")
+            raise ConfigError(f"margin must be non-negative, got {self.margin}")
+        # past these bounds no person can ever yield a box
+        if not self.min_confidence <= 1:
+            raise ConfigError(f"min_confidence must be <= 1, got {self.min_confidence}")
+        if not 1 <= self.min_joints <= len(ARM_JOINTS):
+            raise ConfigError(f"min_joints must lie in [1, {len(ARM_JOINTS)}], "
+                              f"got {self.min_joints}")
 
 
 def upper_body_roi(person: np.ndarray, frame_dims: tuple[int, int],

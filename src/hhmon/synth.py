@@ -252,22 +252,6 @@ def generate_scene(spec: SceneSpec) -> tuple[FrameSequence, list[PoseFrame], Ann
     return seq, poses, record
 
 
-def wrist_distance_series(poses: list[PoseFrame], person: int = 0) -> np.ndarray:
-    """Distance between the two wrists over time; the rubbing oscillation oracle."""
-    out = []
-    for pf in poses:
-        p = pf.persons[person]
-        out.append(np.hypot(*(p[pose.R_WRIST, :2] - p[pose.L_WRIST, :2])))
-    return np.array(out)
-
-
-def mean_wrist_speed(poses: list[PoseFrame], person: int = 0) -> float:
-    """Mean per-frame wrist displacement averaged over both wrists."""
-    pts = np.array([[pf.persons[person][j, :2] for j in (pose.R_WRIST, pose.L_WRIST)] for pf in poses])
-    steps = np.linalg.norm(np.diff(pts, axis=0), axis=2)
-    return float(steps.mean())
-
-
 @dataclass
 class DatasetConfig:
     """What `generate_dataset` draws: scene counts per group, dates, frame

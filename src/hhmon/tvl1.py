@@ -5,12 +5,14 @@ iterations delegated to the selected kernel backend.  Luminance input is
 rescaled to the 0..255 range internally so the default data weight keeps its
 usual calibration against 8-bit gradients.
 
-The solver works on stacks: `_solve` takes the pyramid of an (n, H, W) stack
-of consecutive frames and solves its n - 1 pairs together, as (P, h, w)
-stacks through the backend kernels, each pair bit for bit as if alone.
-`flow_sequence` feeds a scene through it in chunks of at most
-`STACK_PIXELS` pixels per stack and builds each frame's pyramid once; `tvl1_flow` is a stack of one
-pair and the only caller that asks for the per-warp energies.
+The solver works on whole scenes: `_solve` takes the pyramid of an
+(n, H, W) stack of consecutive frames and solves its n - 1 pairs one level
+at a time, coarsest first.  Each level runs through the backend kernels as
+(P, h, w) stacks of at most `STACK_PIXELS` pixels of that level, each pair
+bit for bit as if alone, so the small coarse levels run as a few large
+stacks rather than many small ones.  `flow_sequence` solves a scene this
+way, building each frame's pyramid once; `tvl1_flow` is a scene of one pair
+and the only caller that asks for the per-warp energies.
 """
 
 from __future__ import annotations
@@ -24,9 +26,10 @@ from ._purekernels import _forward_grad
 from .errors import ConfigError, DataError
 from .frameio import Frame, FrameSequence
 
-# Pixels per (P, H, W) float32 stack that flow_sequence solves at once:
-# 128 KB, so a chunk's working set stays near the L2 cache.  That is 4 pairs
-# per chunk at 96x72 and 1 at 192x144.
+# Pixels per (P, h, w) float32 stack that the solver runs at once, on each
+# pyramid level: 128 KB, so a stack's working set stays near the L2 cache.
+# At 192x144 that is 1, 4, 18 and 75 pairs per stack from the finest level
+# to the coarsest; a 23-frame scene has 22 pairs in all.
 STACK_PIXELS = 32768
 
 
@@ -115,8 +118,8 @@ def flow_energy(rho_c: np.ndarray, I1wx: np.ndarray, I1wy: np.ndarray,
     """Objective under the current linearization: lam * data residual + TV,
     summed over every plane given."""
     rho = rho_c + I1wx * u1 + I1wy * u2
-    u1x, u1y = _forward_grad(u1)
-    u2x, u2y = _forward_grad(u2)
+    u1x, u1y = _forward_grad(u1, np.zeros_like(u1), np.zeros_like(u1))
+    u2x, u2y = _forward_grad(u2, np.zeros_like(u2), np.zeros_like(u2))
     tv = np.sqrt(u1x**2 + u1y**2).sum() + np.sqrt(u2x**2 + u2y**2).sum()
     return float(lam * np.abs(rho).sum() + tv)
 
@@ -147,35 +150,64 @@ def _frame_stack(planes: list, params: TvL1Params, where: str = "") -> np.ndarra
 def _solve(levels: list[np.ndarray], params: TvL1Params,
            energies: list[float] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Flow (u1, u2), each (n - 1, h, w), between the consecutive frames of a
-    pyramid of (n, h, w) frame stacks.  When `energies` is given, appends
-    the finest level's energy after each warp, summed over the pairs."""
-    stop_eps2 = params.stop_epsilon**2
-    u1 = np.zeros_like(levels[-1][1:])
-    u2 = np.zeros_like(u1)
+    pyramid of (n, h, w) frame stacks, solved one level at a time, coarsest
+    first, in stacks of at most STACK_PIXELS pixels of that level.  When
+    `energies` is given, appends the finest level's energy after each warp
+    of each of its stacks, summed over the stack's pairs."""
+    n_pairs = len(levels[0]) - 1
+    u1 = u2 = None
     for level in range(len(levels) - 1, -1, -1):
-        I0l, I1l = levels[level][:-1], levels[level][1:]
-        I1x, I1y = _centered_gradient(I1l)
-        shape = I0l.shape
-        p11, p12, p21, p22 = (np.zeros(shape, dtype=np.float32) for _ in range(4))
-        for _ in range(params.n_warps):
-            I1w = backend.warp_bilinear(I1l, u1, u2)
-            I1wx = backend.warp_bilinear(I1x, u1, u2)
-            I1wy = backend.warp_bilinear(I1y, u1, u2)
-            grad = I1wx * I1wx + I1wy * I1wy
-            rho_c = I1w - I1wx * u1 - I1wy * u2 - I0l
-            u1, u2, p11, p12, p21, p22, _ = backend.tvl1_iterations(
-                I1wx, I1wy, rho_c, grad, u1, u2, p11, p12, p21, p22,
-                params.lam, params.theta, params.tau, params.n_iters, stop_eps2,
-            )
-            if level == 0 and energies is not None:
-                energies.append(flow_energy(rho_c, I1wx, I1wy, u1, u2, params.lam))
-        if level > 0:
-            _, nh, nw = levels[level - 1].shape
-            u = frameio.resize_planes(np.concatenate([u1, u2]), nw, nh)
-            u1, u2 = u[: shape[0]], u[shape[0] :]
-            u1 *= np.float32(nw / shape[2])
-            u2 *= np.float32(nh / shape[1])
+        frames = levels[level]
+        _, h, w = frames.shape
+        chunk = max(1, STACK_PIXELS // (h * w))
+        v1 = np.empty((n_pairs, h, w), dtype=np.float32)
+        v2 = np.empty_like(v1)
+        for a in range(0, n_pairs, chunk):
+            b = min(a + chunk, n_pairs)
+            if u1 is None:
+                c1, c2 = np.zeros((2, b - a, h, w), dtype=np.float32)
+            else:  # the coarser level's flow, resized and rescaled
+                c = frameio.resize_planes(np.concatenate([u1[a:b], u2[a:b]]), w, h)
+                c1, c2 = c[: b - a], c[b - a :]
+                c1 *= np.float32(w / u1.shape[2])
+                c2 *= np.float32(h / u1.shape[1])
+            v1[a:b], v2[a:b] = _warps(frames[a : b + 1], c1, c2, params,
+                                      energies if level == 0 else None)
+        u1, u2 = v1, v2
     return u1, u2
+
+
+def _warps(frames: np.ndarray, u1: np.ndarray, u2: np.ndarray, params: TvL1Params,
+           energies: list[float] | None) -> tuple[np.ndarray, np.ndarray]:
+    """The n_warps warps of one pyramid level on the pairs of an (n, h, w)
+    frame stack, starting from the flow (u1, u2)."""
+    stop_eps2 = params.stop_epsilon**2
+    I0, I1 = frames[:-1], frames[1:]
+    images = (I1, *_centered_gradient(I1))
+    p11, p12, p21, p22 = (np.zeros_like(I0) for _ in range(4))
+    for _ in range(params.n_warps):
+        at = backend.warp_coords(u1, u2)  # one coordinate pass for the three images
+        I1w, I1wx, I1wy = (backend.warp_bilinear(img, at) for img in images)
+        del at  # before the iterations allocate their buffers
+        grad = I1wx * I1wx + I1wy * I1wy
+        rho_c = I1w - I1wx * u1 - I1wy * u2 - I0
+        u1, u2, p11, p12, p21, p22, _ = backend.tvl1_iterations(
+            I1wx, I1wy, rho_c, grad, u1, u2, p11, p12, p21, p22,
+            params.lam, params.theta, params.tau, params.n_iters, stop_eps2,
+        )
+        if energies is not None:
+            energies.append(flow_energy(rho_c, I1wx, I1wy, u1, u2, params.lam))
+    return u1, u2
+
+
+def _scene_pyramid(frames: np.ndarray, params: TvL1Params) -> list[np.ndarray]:
+    """The pyramid of an (n, H, W) frame stack, built in chunks of
+    STACK_PIXELS // (H * W) frames, so that the blur's temporaries stay
+    chunk-sized, then joined level by level."""
+    chunk = max(1, STACK_PIXELS // frames[0].size)
+    parts = [_pyramid(frames[i : i + chunk], params.pyramid_factor, params.min_size)
+             for i in range(0, len(frames), chunk)]
+    return [frames] + [np.concatenate(level) for level in list(zip(*parts))[1:]]
 
 
 def tvl1_flow(img0, img1, params: TvL1Params | None = None) -> TvL1Result:
@@ -183,8 +215,7 @@ def tvl1_flow(img0, img1, params: TvL1Params | None = None) -> TvL1Result:
     params = params or TvL1Params()
     frames = _frame_stack([_as_plane(img0), _as_plane(img1)], params)
     energies: list[float] = []
-    u1, u2 = _solve(_pyramid(frames, params.pyramid_factor, params.min_size),
-                    params, energies)
+    u1, u2 = _solve(_scene_pyramid(frames, params), params, energies)
     return TvL1Result(flow=np.stack([u1[0], u2[0]], axis=-1), energies=energies)
 
 
@@ -200,30 +231,14 @@ def flow_sequence(seq: FrameSequence, params: TvL1Params | None = None) -> Frame
 
     Only n - 1 pairs exist, so the last flow frame is repeated once; that keeps
     flow windows aligned start-for-start with the RGB windows they shadow.
-    Pairs are solved in chunks of STACK_PIXELS // (h * w), and each frame's
-    pyramid is built once: a chunk's last frame carries over as the next
-    chunk's first.
+    The scene is solved as one pyramid, level by level (see `_solve`).
     """
     if len(seq.frames) < 2:
         raise DataError(f"{seq.video_id}: need at least 2 frames for flow, got {len(seq.frames)}")
     params = params or TvL1Params()
-    planes = [frameio.luminance(f) for f in seq.frames]
-    n_pairs = len(planes) - 1
-    chunk = max(1, STACK_PIXELS // (seq.width * seq.height))
-    out: list[Frame] = []
-    carried: list[np.ndarray] = []  # the pyramid of the previous chunk's last frame
-    for first in range(0, n_pairs, chunk):
-        last = min(first + chunk, n_pairs)  # the chunk's last frame
-        # the frames of this chunk that have no pyramid yet
-        todo = planes[first + 1 if carried else first : last + 1]
-        levels = _pyramid(_frame_stack(todo, params, f"{seq.video_id}: "),
-                          params.pyramid_factor, params.min_size)
-        if carried:
-            levels = [np.concatenate(p) for p in zip(carried, levels)]
-        carried = [level[-1:].copy() for level in levels]
-        u1, u2 = _solve(levels, params)
-        del levels  # before the next chunk builds its pyramid
-        out += [flow_to_frame(np.stack([a, b], axis=-1), params.max_flow)
-                for a, b in zip(u1, u2)]
+    frames = _frame_stack([frameio.luminance(f) for f in seq.frames], params,
+                          f"{seq.video_id}: ")
+    u1, u2 = _solve(_scene_pyramid(frames, params), params)
+    out = [flow_to_frame(np.stack([a, b], axis=-1), params.max_flow) for a, b in zip(u1, u2)]
     out.append(Frame(out[-1].data.copy()))
     return FrameSequence(out, fps=seq.fps, video_id=seq.video_id, date_tag=seq.date_tag)

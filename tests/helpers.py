@@ -1,4 +1,4 @@
-"""Synthetic test images shared by several test modules.
+"""Synthetic test data and oracles shared by several test modules.
 
 They live here rather than in conftest.py because `from conftest import`
 resolves to whichever conftest module pytest loaded last, and the suite
@@ -26,3 +26,28 @@ def smooth_texture(rng, h=64, w=64, passes=4):
     img -= img.min()
     img /= img.max()
     return img.astype(np.float32)
+
+
+def use_kernels(monkeypatch, kernels):
+    """Point the flow solver at one kernel backend for the rest of a test."""
+    from hhmon import backend
+
+    for name in ("warp_coords", "warp_bilinear", "tvl1_iterations"):
+        monkeypatch.setattr(backend, name, getattr(kernels, name))
+
+
+def wrist_distance_series(poses, person=0):
+    """Distance between the two wrists over time; the rubbing oscillation oracle."""
+    from hhmon import pose
+
+    return np.array([np.hypot(*(pf.persons[person][pose.R_WRIST, :2]
+                                - pf.persons[person][pose.L_WRIST, :2])) for pf in poses])
+
+
+def mean_wrist_speed(poses, person=0):
+    """Mean per-frame wrist displacement averaged over both wrists."""
+    from hhmon import pose
+
+    pts = np.array([[pf.persons[person][j, :2] for j in (pose.R_WRIST, pose.L_WRIST)]
+                    for pf in poses])
+    return float(np.linalg.norm(np.diff(pts, axis=0), axis=2).mean())

@@ -102,7 +102,7 @@ def test_analytic_gradients_match_central_differences(capsys):
     ])
     # seeds pin an operating point with no pre-activation within the FD step
     # of a relu kink; a crossing would blow past the 1e-4 bound and fail loudly
-    net = Network.init(spec, seed=5).cast(np.float64)
+    net = Network.init(spec, seed=5, dtype=np.float64)
     x = np.random.default_rng(5).random((2, 2, 4, 8, 8))
     labels = np.array([1.0, 0.0])
 

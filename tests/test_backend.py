@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import smooth_texture
+from helpers import smooth_texture, use_kernels
 
 from hhmon import _accel, _purekernels, backend, tvl1
 from hhmon.frameio import Frame, FrameSequence
@@ -48,9 +48,8 @@ def random_problem(rng, h=40, w=52):
     I1x, I1y = _centered_gradient(I1)
     u1 = rng.normal(0, 0.5, (1, h, w)).astype(np.float32)
     u2 = rng.normal(0, 0.5, (1, h, w)).astype(np.float32)
-    I1w = _purekernels.warp_bilinear(I1, u1, u2)
-    I1wx = _purekernels.warp_bilinear(I1x, u1, u2)
-    I1wy = _purekernels.warp_bilinear(I1y, u1, u2)
+    at = _purekernels.warp_coords(u1, u2)
+    I1w, I1wx, I1wy = (_purekernels.warp_bilinear(img, at) for img in (I1, I1x, I1y))
     grad = I1wx * I1wx + I1wy * I1wy
     rho_c = I1w - I1wx * u1 - I1wy * u2 - I0
     ps = [rng.normal(0, 0.1, (1, h, w)).astype(np.float32) for _ in range(4)]
@@ -63,9 +62,50 @@ def test_warp_matches_pure_kernel(rng, accel):
         img = rng.random((1, h, w)).astype(np.float32) * 255.0
         u = rng.normal(0, 3.0, (1, h, w)).astype(np.float32)
         v = rng.normal(0, 3.0, (1, h, w)).astype(np.float32)
-        a = accel.warp_bilinear(img, u, v)
-        b = _purekernels.warp_bilinear(img, u, v)
+        at = accel.warp_coords(u, v)
+        for a, b in zip(at, _purekernels.warp_coords(u, v)):
+            assert a.dtype == b.dtype and np.array_equal(a, b), f"trial {trial}"
+        a = accel.warp_bilinear(img, at)
+        b = _purekernels.warp_bilinear(img, at)
         assert np.array_equal(a, b), f"trial {trial}"
+
+
+def oracle_warp(img, u, v):
+    """Bilinear sampling one pixel at a time, the clamping rule spelled out."""
+    out = np.empty_like(img)
+    _, h, w = img.shape
+    for k, y, x in np.ndindex(img.shape):
+        xx = np.float32(x) + u[k, y, x]
+        yy = np.float32(y) + v[k, y, x]
+        xx = min(xx, np.float32(w - 1)) if xx >= 0 else np.float32(0)
+        yy = min(yy, np.float32(h - 1)) if yy >= 0 else np.float32(0)
+        x0, y0 = int(xx), int(yy)
+        x1, y1 = min(x0 + 1, w - 1), min(y0 + 1, h - 1)
+        fx, fy = float(xx) - x0, float(yy) - y0
+        row0, row1 = img[k, y0], img[k, y1]
+        top = float(row0[x0]) + fx * float(row0[x1] - row0[x0])
+        bot = float(row1[x0]) + fx * float(row1[x1] - row1[x0])
+        out[k, y, x] = np.float32(top + fy * (bot - top))
+    return out
+
+
+def test_one_coordinate_pass_warps_k_images_like_k_single_warps(rng, accel):
+    # three images of a 2-plane stack share one coordinate pass and equal
+    # the per-pixel oracle, NaN displacements (sampling column or row 0)
+    # and displacements past every border included
+    shape = (2, 7, 9)
+    u = rng.normal(0, 6.0, shape).astype(np.float32)
+    v = rng.normal(0, 6.0, shape).astype(np.float32)
+    u[0, 2, :4] = np.nan
+    v[1, :3, 5] = np.nan
+    u[1, 4, 4], v[0, 6, 8] = np.inf, -np.inf
+    images = [rng.random(shape, dtype=np.float32) * 255 - 100 for _ in range(3)]
+    for kernels in (_purekernels, accel):
+        at = kernels.warp_coords(u, v)
+        for img in images:
+            want = oracle_warp(img, u, v)
+            assert np.array_equal(kernels.warp_bilinear(img, at), want)
+            assert np.array_equal(kernels.warp_bilinear(img, kernels.warp_coords(u, v)), want)
 
 
 def test_iterations_match_pure_kernel(rng, accel):
@@ -97,9 +137,32 @@ def test_early_stop_agrees(rng, accel):
         assert np.array_equal(a, b)
 
 
+
+def test_threshold_edges_agree_bit_for_bit(rng, accel):
+    # cells where grad <= 1e-10 (no division) and cells where rho sits
+    # exactly on +-lam * theta * grad (the middle step); the flow starts at
+    # 0, so the first iteration's rho is rho_c; bits compared, so -0.0 != 0.0
+    lam, theta = 0.15, 0.3
+    I1wx, I1wy, rho_c, grad, u1, u2, ps = random_problem(rng)
+    u1[:], u2[:] = 0, 0
+    grad[0, :4] = np.float32(1e-10)
+    grad[0, 4:8] = 0
+    grad[0, 8:10, ::2] = np.float32(1e-12)
+    th = np.float32(lam * theta) * grad
+    for rows, sign in ((slice(0, 10, 3), 1), (slice(1, 10, 3), -1), (slice(10, 20), 1),
+                       (slice(20, 30), -1)):
+        rho_c[0, rows] = sign * th[0, rows]
+    for n_iters in (1, 5):
+        got, want = (k.tvl1_iterations(I1wx, I1wy, rho_c, grad, u1.copy(), u2.copy(),
+                                       *(p.copy() for p in ps), lam, theta, 0.25, n_iters, 0.0)
+                     for k in (accel, _purekernels))
+        assert got[6] == want[6] == n_iters
+        for k, (a, b) in enumerate(zip(got[:6], want[:6])):
+            assert np.array_equal(a.view(np.int32), b.view(np.int32)), f"{n_iters} field {k}"
+
 BAD_INPUTS = {
     "not 3-D": lambda a: a[0],
-    "not float32": lambda a: a.astype(np.float64),
+    "another dtype": lambda a: a.astype(np.float64 if a.dtype == np.float32 else np.float32),
     "not C-contiguous": np.asfortranarray,
     "another shape": lambda a: a[:, :4, :4].copy(),
     "another plane count": lambda a: np.concatenate([a, a]),
@@ -108,24 +171,38 @@ BAD_INPUTS = {
 
 @pytest.mark.parametrize("fault", BAD_INPUTS)
 def test_compiled_kernels_reject_bad_arrays(rng, accel, fault):
-    img = rng.random((1, 64, 64), dtype=np.float32)
-    warp_args = [img, img.copy(), img.copy()]
+    # the sampler's six coordinate arrays count as its arguments 1 to 6
     I1wx, I1wy, rho_c, grad, u1, u2, ps = random_problem(rng)
-    iter_args = [I1wx, I1wy, rho_c, grad, u1, u2, *ps]
-    for kernel, arrays, scalars in ((accel.warp_bilinear, warp_args, ()),
-                                    (accel.tvl1_iterations, iter_args,
-                                     (0.15, 0.3, 0.25, 12, 0.0))):
+    calls = (
+        (lambda a: accel.warp_coords(*a), [u1, u2]),
+        (lambda a: accel.warp_bilinear(a[0], tuple(a[1:])),
+         [I1wx, *accel.warp_coords(u1, u2)]),
+        (lambda a: accel.tvl1_iterations(*a, 0.15, 0.3, 0.25, 12, 0.0),
+         [I1wx, I1wy, rho_c, grad, u1, u2, *ps]),
+    )
+    for call, arrays in calls:
         for k in range(len(arrays)):
             bad = list(arrays)
             bad[k] = BAD_INPUTS[fault](bad[k])
             with pytest.raises(ValueError, match=rf"argument {k}\b"):
-                kernel(*bad, *scalars)
+                call(bad)
+
+
+def test_compiled_warp_rejects_indices_outside_the_stack(rng, accel):
+    img = rng.random((2, 6, 8), dtype=np.float32)
+    at = accel.warp_coords(np.zeros_like(img), np.zeros_like(img))
+    for k in range(4):
+        for index in (-1, img.size):
+            bad = [a.copy() for a in at]
+            bad[k][1, 5, 7] = index
+            with pytest.raises(ValueError, match="outside the stack"):
+                accel.warp_bilinear(img, tuple(bad))
 
 
 def test_compiled_warp_clamps_nan_displacements_into_the_image(rng, accel):
     img = rng.random((1, 12, 16), dtype=np.float32)
     u = np.full(img.shape, np.nan, dtype=np.float32)
-    out = accel.warp_bilinear(img, u, np.zeros_like(u))
+    out = accel.warp_bilinear(img, accel.warp_coords(u, np.zeros_like(u)))
     assert np.array_equal(out, np.repeat(img[:, :, :1], 16, axis=2))
 
 
@@ -133,8 +210,10 @@ def test_both_warps_clamp_an_all_nan_u_alike(rng, accel):
     img = rng.random((1, 12, 16), dtype=np.float32)
     u = np.full(img.shape, np.nan, dtype=np.float32)
     v = rng.normal(0, 3.0, img.shape).astype(np.float32)
-    assert np.array_equal(accel.warp_bilinear(img, u, v),
-                          _purekernels.warp_bilinear(img, u, v))
+    for a, b in zip(accel.warp_coords(u, v), _purekernels.warp_coords(u, v)):
+        assert np.array_equal(a, b)
+    assert np.array_equal(accel.warp_bilinear(img, accel.warp_coords(u, v)),
+                          _purekernels.warp_bilinear(img, _purekernels.warp_coords(u, v)))
 
 
 def test_stacked_kernels_equal_one_call_per_plane(rng, accel):
@@ -147,12 +226,13 @@ def test_stacked_kernels_equal_one_call_per_plane(rng, accel):
     duals = [np.concatenate(parts) for parts in zip(*[p[6] for p in problems])]
     args = (0.15, 0.3, 0.25, 34, 1e-3)
     for kernels in (_purekernels, accel):
-        warped = kernels.warp_bilinear(stack[2], stack[4], stack[5])
+        warped = kernels.warp_bilinear(stack[2], kernels.warp_coords(stack[4], stack[5]))
         together = kernels.tvl1_iterations(*stack[:4], *(a.copy() for a in stack[4:]),
                                            *(d.copy() for d in duals), *args)
         counts = []
         for k, (I1wx, I1wy, rho_c, grad, u1, u2, ps) in enumerate(problems):
-            assert np.array_equal(warped[k:k + 1], kernels.warp_bilinear(rho_c, u1, u2))
+            assert np.array_equal(warped[k:k + 1],
+                                  kernels.warp_bilinear(rho_c, kernels.warp_coords(u1, u2)))
             alone = kernels.tvl1_iterations(I1wx, I1wy, rho_c, grad, u1.copy(), u2.copy(),
                                             *(p.copy() for p in ps), *args)
             counts.append(alone[6])
@@ -164,12 +244,10 @@ def test_stacked_kernels_equal_one_call_per_plane(rng, accel):
 def test_full_solver_identical_across_backends(rng, monkeypatch, accel):
     tex = smooth_texture(rng)
     moved = np.roll(tex, 1, axis=1)
-    monkeypatch.setattr(backend, "warp_bilinear", accel.warp_bilinear)
-    monkeypatch.setattr(backend, "tvl1_iterations", accel.tvl1_iterations)
+    use_kernels(monkeypatch, accel)
     compiled = tvl1_flow(tex, moved)
 
-    monkeypatch.setattr(backend, "warp_bilinear", _purekernels.warp_bilinear)
-    monkeypatch.setattr(backend, "tvl1_iterations", _purekernels.tvl1_iterations)
+    use_kernels(monkeypatch, _purekernels)
     pure = tvl1_flow(tex, moved)
 
     assert np.array_equal(compiled.flow, pure.flow)
@@ -178,6 +256,7 @@ def test_full_solver_identical_across_backends(rng, monkeypatch, accel):
 
 def test_selected_backend_is_reported():
     assert backend.BACKEND in ("compiled", "pure")
+    assert callable(backend.warp_coords)
     assert callable(backend.warp_bilinear)
     assert callable(backend.tvl1_iterations)
 
@@ -186,15 +265,23 @@ def test_selected_backend_is_reported():
 def test_chunked_flow_sequence_equals_a_per_pair_loop(rng, monkeypatch, accel, compiled):
     kernels = accel if compiled else _purekernels
     counts = []
+    stacks = []  # (level shape, pairs) of each stack, in solve order
+    warps = tvl1._warps
 
     def counting_iterations(*args):
         out = kernels.tvl1_iterations(*args)
         counts.append(out[6])
         return out
 
-    monkeypatch.setattr(backend, "warp_bilinear", kernels.warp_bilinear)
+    def recording_warps(frames, *args):
+        stacks.append((frames.shape[1:], len(frames) - 1))
+        return warps(frames, *args)
+
+    use_kernels(monkeypatch, kernels)
     monkeypatch.setattr(backend, "tvl1_iterations", counting_iterations)
-    # 7 frames at 96x72: 6 pairs in chunks of 4 and 2; pair 3 is static
+    monkeypatch.setattr(tvl1, "_warps", recording_warps)
+    # 7 frames at 96x72: 6 pairs in stacks of 4 and 2 on the finest level,
+    # one stack on each coarser one; pair 3 is static
     h, w, n = 72, 96, 7
     tex = smooth_texture(rng, h=h, w=w)
     planes = [np.roll(np.roll(tex, i, axis=1), i // 2, axis=0) for i in range(n)]
@@ -203,6 +290,7 @@ def test_chunked_flow_sequence_equals_a_per_pair_loop(rng, monkeypatch, accel, c
     params = TvL1Params(max_flow=4.0)
     seq = FrameSequence([Frame(p) for p in planes], fps=15.0, video_id="v", date_tag="d0")
     chunked = tvl1.flow_sequence(seq, params)
+    assert stacks == [((18, 24), 6), ((36, 48), 6), ((72, 96), 4), ((72, 96), 2)]
 
     per_pair, pair_counts = [], []
     for i in range(n - 1):

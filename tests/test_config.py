@@ -163,13 +163,25 @@ def test_bad_values_are_rejected_naming_their_section():
         ("gen", {"n_persons": 0}, "gen: n_persons must be >= 1"),
         ("gen", {"fps": 0}, "gen: fps must be positive"),
         ("gen", {"joint_dropout": 1.5}, r"gen: joint_dropout must lie in \[0, 1\)"),
-        ("roi", {"margin": -1}, "roi: margin_frac must be non-negative"),
+        ("roi", {"margin": -1}, "roi: margin must be non-negative"),
+        ("roi", {"min_confidence": 2}, "roi: min_confidence must be <= 1"),
+        ("roi", {"min_joints": 7}, r"roi: min_joints must lie in \[1, 6\]"),
+        ("roi", {"min_joints": 0}, r"roi: min_joints must lie in \[1, 6\]"),
+        ("gen", {"width": 8}, "gen.width 8 is below flow.min_size 16"),
+        ("gen", {"height": 12}, "gen.height 12 is below flow.min_size 16"),
         ("link", {"smooth_window": 0}, "link: smoothing window must be >= 1"),
         ("link", {"tau_new": 1.5}, "link: tau_new must lie in"),
         ("flow", {"max_flow": 0}, "flow: max_flow must be positive"),
     ):
         with pytest.raises(ConfigError, match=message):
             config_from_dict({section: values})
+
+
+def test_frame_size_is_checked_against_the_flow_min_size():
+    cfg = config_from_dict({"gen": {"width": 12, "height": 9}, "flow": {"min_size": 8}})
+    assert (cfg.gen.width, cfg.gen.height, cfg.flow.min_size) == (12, 9, 8)
+    with pytest.raises(ConfigError, match="gen.height 9 is below flow.min_size 10"):
+        config_from_dict({"gen": {"width": 12, "height": 9}, "flow": {"min_size": 10}})
 
 
 def test_dump_and_rebuild_roundtrip():

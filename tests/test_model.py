@@ -175,7 +175,7 @@ def test_wrong_channel_count_is_rejected(rng):
 
 
 def test_head_applied_to_features_reproduces_logits(rng):
-    net = Network.init(micro_spec(), seed=2).cast(np.float64)
+    net = Network.init(micro_spec(), seed=2, dtype=np.float64)
     x = rng.random((2, 2, 4, 8, 8))
     feats = net.features(x)
     assert feats.shape == (2, net.spec.head_features)
@@ -185,7 +185,7 @@ def test_head_applied_to_features_reproduces_logits(rng):
 
 
 def test_freeze_backbone_keeps_only_head_gradients(rng):
-    net = Network.init(micro_spec(), seed=3).cast(np.float64)
+    net = Network.init(micro_spec(), seed=3, dtype=np.float64)
     net.freeze_backbone()
     assert "head.w" not in net.frozen and "head.b" not in net.frozen
     assert all(n in net.frozen for n in net.params if not n.startswith("head."))
@@ -198,7 +198,7 @@ def test_freeze_backbone_keeps_only_head_gradients(rng):
 
 def test_network_gradients_match_finite_differences(rng):
     # full graph: strided conv, pool, all four mixed branches, head
-    net = Network.init(micro_spec(), seed=5).cast(np.float64)
+    net = Network.init(micro_spec(), seed=5, dtype=np.float64)
     x = rng.random((2, 2, 4, 8, 8))
     labels = np.array([1.0, 0.0])
 

@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 import pytest
+from helpers import mean_wrist_speed, wrist_distance_series
 
 from hhmon import frameio, pose
 from hhmon.errors import ConfigError, DataError
@@ -15,8 +16,6 @@ from hhmon.synth import (
     generate_scene,
     load_manifest,
     manifest_records,
-    mean_wrist_speed,
-    wrist_distance_series,
 )
 
 

@@ -86,7 +86,7 @@ def test_loss_falls_on_a_separable_problem(rng):
 def test_gradient_vanishes_at_confident_correct_answers(rng):
     # momentum 0 and one full batch turn the update into lr * gradient,
     # so the parameter step measures the gradient directly
-    net = Network.init(tiny_spec(), seed=4).cast(np.float64)
+    net = Network.init(tiny_spec(), seed=4, dtype=np.float64)
     net.params["head.b"][:] = 20.0
     x, _ = toy_clips(rng, n=8)
     y = np.ones(8)

@@ -78,9 +78,8 @@ def linearized_problem(rng):
     I1x, I1y = _centered_gradient(I1)
     zeros = lambda: np.zeros(I0.shape, dtype=np.float32)
     u1, u2 = zeros(), zeros()
-    I1w = backend.warp_bilinear(I1, u1, u2)
-    I1wx = backend.warp_bilinear(I1x, u1, u2)
-    I1wy = backend.warp_bilinear(I1y, u1, u2)
+    at = backend.warp_coords(u1, u2)
+    I1w, I1wx, I1wy = (backend.warp_bilinear(img, at) for img in (I1, I1x, I1y))
     grad = I1wx * I1wx + I1wy * I1wy
     rho_c = I1w - I1wx * u1 - I1wy * u2 - I0
     return I1wx, I1wy, rho_c, grad, [zeros() for _ in range(6)]
@@ -216,7 +215,7 @@ def test_flow_sequence_builds_each_pyramid_once_and_no_energy(rng, monkeypatch):
     build = tvl1._pyramid
 
     def counting_pyramid(frames, *args):
-        pyramids.append(len(frames))
+        pyramids.append(frames.copy())
         return build(frames, *args)
 
     def no_energy(*args):
@@ -224,15 +223,18 @@ def test_flow_sequence_builds_each_pyramid_once_and_no_energy(rng, monkeypatch):
 
     monkeypatch.setattr(tvl1, "_pyramid", counting_pyramid)
     monkeypatch.setattr(tvl1, "flow_energy", no_energy)
-    tex = smooth_texture(rng, h=32, w=32)  # 32 pairs per chunk: one chunk
+    tex = smooth_texture(rng, h=32, w=32)  # 32 frames per chunk: one chunk
     frames = [np.repeat(rolled(tex, dx=i)[:, :, None], 3, axis=2) for i in range(5)]
     flow_sequence(make_sequence(frames))
-    assert pyramids == [5]
+    assert [len(p) for p in pyramids] == [5]
     pyramids.clear()
-    tex = smooth_texture(rng, h=72, w=96)  # 4 pairs per chunk
+    tex = smooth_texture(rng, h=72, w=96)  # 4 frames per chunk
     frames = [rolled(tex, dx=i)[:, :, None] for i in range(11)]
     flow_sequence(make_sequence(frames))
-    assert pyramids == [5, 4, 2]
+    # the chunks, in order, hold each of the 11 distinct frames exactly once
+    assert [len(p) for p in pyramids] == [4, 4, 3]
+    assert np.array_equal(np.concatenate(pyramids),
+                          np.float32(255.0) * np.array(frames)[..., 0])
 
 
 def test_non_finite_flow_input_rejected(rng):
