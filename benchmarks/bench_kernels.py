@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the flow solver's hot kernels: compiled C library vs numpy fallback.
+"""Time the hot kernels: flow solver (compiled C vs numpy) and network layers.
 
 Both implementations share one contract, (P, H, W) stacks of planes, so
 besides the timings the script reports the worst output disagreement per
@@ -11,7 +11,13 @@ generated desk scene (the mean default length) at 96x72 and at 192x144.
 The script builds the C library with setup.py into a temporary directory and
 binds it from there, so nothing is left under src/ (a library built in place
 would switch the package, and everything run on the checkout, to the
-compiled backend):
+compiled backend).
+
+The network rows time conv1 and each max pool of the default topology on
+8 clips and on 1 clip, inflated from a random 2D twin as the train stage
+does: the general route (with a cache, as a training step runs it) against
+the no-cache route that features and scores take (box-sum conv, separable
+pool), with the largest output difference (pools: expected exactly zero):
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py [--size 256] [--iters 50] [--repeats 5]
 """
@@ -25,7 +31,7 @@ import time
 
 import numpy as np
 
-from hhmon import _accel, _purekernels, backend, synth, tvl1
+from hhmon import _accel, _purekernels, backend, layers, model, synth, tvl1
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -121,6 +127,37 @@ def bench_scene(mod, seq, repeats):
     return t, np.stack([f.data for f in out.frames])
 
 
+def network_rows(n_clips, repeats):
+    """(name, general s, no-cache s, max|diff|) for conv1 and each pool."""
+    spec = model.i3d_mini()
+    twin = model.Network.init(model.collapse_temporal(spec), seed=0)
+    net = model.Network(spec, model.inflate_params(twin.params, spec))
+    rng = np.random.default_rng(4)
+    x = rng.uniform(-1, 1, (n_clips, 3, spec.clip_len, spec.input_size,
+                            spec.input_size)).astype(np.float32)
+    conv1, pool1, mixed1, pool2, mixed2 = spec.blocks
+    a1 = layers.relu_forward(layers.conv3d_forward(
+        x, net.params["conv1.w"], net.params["conv1.b"], conv1.stride)[0])[0]
+    p1 = layers.maxpool3d_forward(a1, pool1.kernel)[0]
+    m1 = net._mixed_forward(p1, mixed1, "zero", None)
+    p2 = layers.maxpool3d_forward(m1, pool2.kernel)[0]
+    cases = [
+        ("conv1", layers.conv3d_forward,
+         (x, net.params["conv1.w"], net.params["conv1.b"], conv1.stride)),
+        ("pool1", layers.maxpool3d_forward, (a1, pool1.kernel)),
+        ("mixed1 pool", layers.maxpool3d_forward, (p1, (mixed1.kt, 3, 3), (1, 1, 1), "same")),
+        ("pool2", layers.maxpool3d_forward, (m1, pool2.kernel)),
+        ("mixed2 pool", layers.maxpool3d_forward, (p2, (mixed2.kt, 3, 3), (1, 1, 1), "same")),
+    ]
+    rows = []
+    for name, fn, args in cases:
+        t_gen, (y_gen, _) = best_of(lambda: fn(*args, want_cache=True), repeats)
+        t_fast, (y_fast, _) = best_of(lambda: fn(*args, want_cache=False), repeats)
+        rows.append((f"{name} x{n_clips}", t_gen, t_fast,
+                     float(np.abs(y_gen - y_fast).max())))
+    return rows
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--size", type=int, default=256, help="kernel grid side")
@@ -167,6 +204,13 @@ def main():
             diff = float(np.abs(np.asarray(out_pure) - np.asarray(out_comp)).max())
             print(f"{name:<36} {t_pure * 1e3:>8.2f}ms {t_comp * 1e3:>8.2f}ms "
                   f"{t_pure / t_comp:>7.1f}x {diff:>10.1e}")
+
+    print(f"\n{'layer (inflated net)':<36} {'general':>10} {'no-cache':>10} {'speedup':>8} "
+          f"{'max|diff|':>10}")
+    for n_clips in (8, 1):
+        for name, t_gen, t_fast, diff in network_rows(n_clips, args.repeats):
+            print(f"{name:<36} {t_gen * 1e3:>8.2f}ms {t_fast * 1e3:>8.2f}ms "
+                  f"{t_gen / t_fast:>7.1f}x {diff:>10.1e}")
 
 
 if __name__ == "__main__":

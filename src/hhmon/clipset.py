@@ -17,7 +17,7 @@ import numpy as np
 
 from . import frameio
 from .errors import ConfigError, DataError
-from .frameio import Frame, FrameSequence
+from .frameio import FrameSequence
 from .pose import BBox
 from .tracking import Track
 
@@ -79,33 +79,39 @@ def sample_rng(seed: int, provenance: tuple[str, str, int]) -> np.random.Generat
     return np.random.default_rng([seed, int.from_bytes(digest[:8], "little")])
 
 
-def _fit_to_input(frame: Frame, size: int) -> Frame:
-    """Scale the shorter side to `size`, then center-crop to size x size."""
-    scale = size / min(frame.width, frame.height)
-    new_w = max(size, int(round(frame.width * scale)))
-    new_h = max(size, int(round(frame.height * scale)))
-    resized = frameio.resize_bilinear(frame, new_w, new_h)
-    x0 = (new_w - size) // 2
-    y0 = (new_h - size) // 2
-    return Frame(resized.data[y0:y0 + size, x0:x0 + size].copy())
-
-
 def crop_window(seq: FrameSequence, box: BBox | None, start: int, n: int, size: int,
                 flip: bool = False, delta: float = 0.0) -> np.ndarray:
     """Frames [start, start + n) cut to `box` (the whole frame if None), fit
-    to size x size, optionally mirrored and, for RGB, brightened by `delta`:
-    an (n, size, size, C) array."""
-    planes = []
-    for frame in seq.frames[start:start + n]:
-        if box is not None:
-            frame = frameio.crop(frame, box)
-        frame = _fit_to_input(frame, size)
-        if flip:
-            frame = frameio.hflip(frame)
-        if delta and frame.channels == 3:
-            frame = frameio.adjust_brightness(frame, delta)
-        planes.append(frame.data)
-    return np.stack(planes)
+    to size x size (shorter side scaled to `size`, then center-cropped),
+    optionally mirrored (flow's horizontal component negated) and, for RGB,
+    brightened by `delta` and clamped to [0, 1]: an (n, size, size, C) array.
+
+    The box is the same for every frame, so the frames are cut as one stack
+    and resized in one call on an (h, w, n * C) array; each value equals the
+    per-frame crop, resize, flip and brighten."""
+    if box is None:
+        rows = cols = slice(None)
+    else:
+        rows, cols = frameio._crop_slices(box, seq.width, seq.height)
+    c = seq.channels
+    stack = np.stack([f.data[rows, cols] for f in seq.frames[start:start + n]],
+                     axis=2)  # (h, w, n, C)
+    h, w = stack.shape[:2]
+    scale = size / min(w, h)
+    new_w = max(size, int(round(w * scale)))
+    new_h = max(size, int(round(h * scale)))
+    resized = frameio._resize(stack.reshape(h, w, n * c), new_w, new_h)
+    x0 = (new_w - size) // 2
+    y0 = (new_h - size) // 2
+    out = resized[y0:y0 + size, x0:x0 + size].reshape(size, size, n, c).transpose(2, 0, 1, 3)
+    if flip:
+        out = out[:, :, ::-1]
+    out = np.ascontiguousarray(out)
+    if flip and c == 2:
+        np.negative(out[..., 0], out=out[..., 0])
+    if delta and c == 3:
+        out = np.clip(out + np.float32(delta), 0.0, 1.0)
+    return out
 
 
 def sample_clip(

@@ -9,6 +9,23 @@ Convolution uses an im2col view plus one batched matmul; the backward pass
 folds the column gradient back with strided slice adds.  Max pooling records
 flat argmax indices (first maximum wins on ties) so its backward routes each
 output gradient to exactly one input cell.
+
+Both forwards take `want_cache`.  Without a cache (inference and feature
+extraction) they return (output, None) and may take cheaper routes chosen
+from the data, never from a switch:
+
+- max pooling takes a separable max, one axis at a time, with the same
+  values as the argmax route, ties and NaN included; the argmax is kept
+  only for a cache, because the backward pass needs it;
+- convolution runs one clip at a time, which keeps the im2col columns a
+  few MB and gives the same bits as the batch-wide call;
+- a convolution whose kT time slices are all exactly equal (an inflated
+  kernel: its 2D kernel repeated kT times and divided by kT) box-sums the kT
+  padded input frames at the temporal stride and runs one 2D convolution
+  with the first slice.  This sums in another order than the general
+  route, so float32 outputs can differ in the last bits (about 1e-6
+  relative); any other kernel, and every cached call, keeps the general
+  route.
 """
 
 from __future__ import annotations
@@ -85,8 +102,12 @@ def conv3d_forward(
     stride=(1, 1, 1),
     padding: str = "same",
     temporal_pad: str = "zero",
+    *,
+    want_cache: bool = True,
 ):
-    """Cross-correlation over (T, H, W); kernel is (Cout, Cin, kT, kH, kW)."""
+    """Cross-correlation over (T, H, W); kernel is (Cout, Cin, kT, kH, kW).
+
+    Returns (y, cache), with cache None unless `want_cache`."""
     if x.ndim != 5 or kernel.ndim != 5:
         raise ModelError(f"conv3d expects 5d input and kernel, got {x.ndim}d and {kernel.ndim}d")
     if x.shape[1] != kernel.shape[1]:
@@ -97,15 +118,47 @@ def conv3d_forward(
         raise ModelError(f"conv3d bias must have shape ({c_out},), got {bias.shape}")
     pads = _pad_amounts(x.shape[2:], kernel.shape[2:], stride, padding)
     xp = _pad5(x, pads, temporal_pad, 0.0)
+    N, _, To, Ho, Wo = _windows(xp, kernel.shape[2:], stride).shape[:5]
+    if want_cache:
+        y, cols = _conv_valid(xp, kernel, bias, stride)
+        cache = (cols, kernel, x.shape, xp.shape, pads, stride, temporal_pad)
+    else:
+        # one clip at a time: the im2col columns stay a few MB, where a
+        # batch-wide copy is tens of MB and slower to fill
+        inflated = kernel.shape[2] > 1 and (kernel == kernel[:, :, :1]).all()
+        y = np.empty((N, To * Ho * Wo, c_out), dtype=np.result_type(xp, kernel, bias))
+        for n in range(N):
+            clip = xp[n:n + 1]
+            y[n:n + 1] = (_inflated_conv(clip, kernel, bias, stride) if inflated
+                          else _conv_valid(clip, kernel, bias, stride)[0])
+        cache = None
+    # a view, in the same memory order on both routes, so later reductions
+    # (the global average pool) sum in the same order
+    return y.transpose(0, 2, 1).reshape(N, c_out, To, Ho, Wo), cache
+
+
+def _conv_valid(xp: np.ndarray, kernel: np.ndarray, bias: np.ndarray, stride):
+    """Unpadded cross-correlation of an already padded input as one matrix
+    product: (y (N, To * Ho * Wo, Cout), im2col columns (N, To * Ho * Wo, K))."""
+    c_out = kernel.shape[0]
     win = _windows(xp, kernel.shape[2:], stride)
     N, _, To, Ho, Wo = win.shape[:5]
     # (N, P, K) columns; the reshape materializes a contiguous copy
     cols = win.transpose(0, 2, 3, 4, 1, 5, 6, 7).reshape(N, To * Ho * Wo, -1)
-    kmat = kernel.reshape(c_out, -1)
-    y = cols @ kmat.T + bias
-    y = y.transpose(0, 2, 1).reshape(N, c_out, To, Ho, Wo)
-    cache = (cols, kernel, x.shape, xp.shape, pads, stride, temporal_pad)
-    return y, cache
+    return cols @ kernel.reshape(c_out, -1).T + bias, cols
+
+
+def _inflated_conv(xp: np.ndarray, kernel: np.ndarray, bias: np.ndarray, stride):
+    """`_conv_valid`'s product for a kernel whose kT time slices are equal: a
+    kT-frame box sum of the input at the temporal stride, then a 2D
+    convolution with one slice."""
+    kt = kernel.shape[2]
+    st, sh, sw = stride
+    span = (xp.shape[2] - kt) // st * st + 1
+    box = xp[:, :, :span:st].copy()
+    for it in range(1, kt):
+        box += xp[:, :, it:it + span:st]
+    return _conv_valid(box, kernel[:, :, :1], bias, (1, sh, sw))[0]
 
 
 def conv3d_backward(dy: np.ndarray, cache):
@@ -130,17 +183,44 @@ def conv3d_backward(dy: np.ndarray, cache):
     return dx, dk, db
 
 
-def maxpool3d_forward(x, kernel, stride=None, padding: str = "valid", temporal_pad: str = "zero"):
-    """Max over sliding windows; padding cells never win (filled with -inf)."""
+def maxpool3d_forward(x, kernel, stride=None, padding: str = "valid",
+                      temporal_pad: str = "zero", *, want_cache: bool = True):
+    """Max over sliding windows; padding cells never win (filled with -inf).
+
+    Returns (y, cache), with cache None unless `want_cache`."""
     stride = stride or kernel
     pads = _pad_amounts(x.shape[2:], kernel, stride, padding)
     xp = _pad5(x, pads, temporal_pad, -np.inf)
     win = _windows(xp, kernel, stride)
+    if not want_cache:
+        return _separable_max(xp, kernel, stride), None
     flat = win.reshape(*win.shape[:5], -1)
     idx = flat.argmax(axis=-1)
     y = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
     cache = (idx, xp.shape, kernel, stride, pads, temporal_pad)
     return y, cache
+
+
+def _separable_max(xp: np.ndarray, kernel, stride) -> np.ndarray:
+    """The window maxima of the argmax route, one axis at a time with k
+    strided slices per axis.
+
+    Reducing W, then H, then T keeps the cell that comes first in the
+    window's flat (t, h, w) order among equal values (0.0 and -0.0 from
+    relu), as argmax does: np.maximum returns its second operand on a tie,
+    so the cells seen so far go second.  NaN propagates, as argmax picks it.
+    """
+    y = xp
+    for axis, k, s in zip((4, 3, 2), kernel[::-1], stride[::-1]):
+        span = (y.shape[axis] - k) // s * s + 1
+        taps = [(slice(None),) * axis + (slice(j, j + span, s),) for j in range(k)]
+        out = y[taps[0]]
+        if k > 1:
+            out = out.copy()
+            for tap in taps[1:]:
+                np.maximum(y[tap], out, out=out)
+        y = out
+    return y
 
 
 def maxpool3d_backward(dy: np.ndarray, cache):

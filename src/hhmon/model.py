@@ -10,6 +10,13 @@ The 2D twin of a spec is the same graph with every temporal extent forced to
 1; its trained kernels inflate back into the 3D net by repeating each kernel
 kT times along the new time axis and dividing by kT, so a time-constant clip
 reproduces the 2D response.
+
+A forward without a cache (`features`, `score`, `forward` by default) asks
+the layers for no cache, which lets them pool separably and run an inflated
+kernel as a temporal box sum plus one 2D convolution (see `layers`).  Only
+that box sum changes float32 results, in the last bits; a training step
+(`want_cache=True`) and the never-inflated scratch backbone run the general
+im2col route.
 """
 
 from __future__ import annotations
@@ -238,7 +245,8 @@ class Network:
 
     def _conv(self, x, name, stride, temporal_pad, caches):
         y, c = layers.conv3d_forward(x, self.params[f"{name}.w"], self.params[f"{name}.b"],
-                                     stride=stride, padding="same", temporal_pad=temporal_pad)
+                                     stride=stride, padding="same", temporal_pad=temporal_pad,
+                                     want_cache=caches is not None)
         y, mask = layers.relu_forward(y)
         if caches is not None:
             caches[f"{name}.conv"] = c
@@ -257,7 +265,8 @@ class Network:
             if isinstance(b, ConvLayer):
                 h = self._conv(h, b.name, b.stride, temporal_pad, caches)
             elif isinstance(b, PoolLayer):
-                h, c = layers.maxpool3d_forward(h, b.kernel, b.stride, b.padding, temporal_pad)
+                h, c = layers.maxpool3d_forward(h, b.kernel, b.stride, b.padding, temporal_pad,
+                                                want_cache=caches is not None)
                 if caches is not None:
                     caches[b.name] = c
             else:
@@ -284,7 +293,8 @@ class Network:
         t1 = self._conv(t1, f"{b.name}.b1", one, temporal_pad, caches)
         t2 = self._conv(x, f"{b.name}.b2r", one, temporal_pad, caches)
         t2 = self._conv(t2, f"{b.name}.b2", one, temporal_pad, caches)
-        pooled, pc = layers.maxpool3d_forward(x, (b.kt, 3, 3), (1, 1, 1), "same", temporal_pad)
+        pooled, pc = layers.maxpool3d_forward(x, (b.kt, 3, 3), (1, 1, 1), "same", temporal_pad,
+                                              want_cache=caches is not None)
         t3 = self._conv(pooled, f"{b.name}.b3", one, temporal_pad, caches)
         y, sizes = layers.concat_forward([t0, t1, t2, t3])
         if caches is not None:

@@ -328,6 +328,13 @@ def _get_or_train_twin(cfg: PipelineConfig, recs: list[AnnotationRecord]) -> mod
 
 
 def train_stream(cfg: PipelineConfig, stream: str) -> TrainSummary:
+    """Fit the head of one stream on its training windows.
+
+    The 2D twin (pretrained on stills, or loaded) is inflated under a fresh
+    head with a frozen backbone, and the head trains on cached backbone
+    features.  For rgb, a random never-trained backbone (`rgb_scratch`) is
+    the paired control; each window is sampled once and its batch goes
+    through both backbones."""
     if stream not in ("rgb", "flow"):
         raise DataError(f"stream must be rgb or flow, got {stream!r}")
     records, split = load_prepared(cfg)
@@ -343,20 +350,19 @@ def train_stream(cfg: PipelineConfig, stream: str) -> TrainSummary:
 
     net = training.inflate_and_freeze(twin, spec, head_seed=cfg.seed + 1,
                                       flow=(stream == "flow"))
-    clip_iter = ((x, y) for _, x, y in iter_windows(cfg, train_recs, stream, "train"))
-    feats, labels = training.extract_features(net, clip_iter, cfg.train.batch_size)
-    summary.n_windows = len(labels)
-    summary.finetune_curve = training.train_head_on_features(net, feats, labels,
-                                                             head_cfg, cfg.seed)
-    checkpoint.save_network(net, _ckpt_path(cfg, stream))
-
+    nets = [net]
     if stream == "rgb":
-        scratch = training.scratch_head_baseline(
-            spec,
-            ((x, y) for _, x, y in iter_windows(cfg, train_recs, stream, "train")),
-            head_cfg, cfg.seed, head_seed=cfg.seed + 1)
-        summary.scratch_curve = scratch.finetune_curve
-        checkpoint.save_network(scratch.network, _ckpt_path(cfg, "rgb_scratch"))
+        nets.append(training.scratch_network(spec, cfg.seed, head_seed=cfg.seed + 1))
+    clip_iter = ((x, y) for _, x, y in iter_windows(cfg, train_recs, stream, "train"))
+    feats, labels = training.extract_features(nets, clip_iter, cfg.train.batch_size)
+    summary.n_windows = len(labels)
+    curves = [training.train_head_on_features(n, f, labels, head_cfg, cfg.seed)
+              for n, f in zip(nets, feats)]
+    summary.finetune_curve = curves[0]
+    checkpoint.save_network(net, _ckpt_path(cfg, stream))
+    if stream == "rgb":
+        summary.scratch_curve = curves[1]
+        checkpoint.save_network(nets[1], _ckpt_path(cfg, "rgb_scratch"))
     return summary
 
 

@@ -77,16 +77,22 @@ def sgd_train(net: Network, x: np.ndarray, y: np.ndarray, cfg: TrainConfig,
     return curve
 
 
-def extract_features(net: Network, clip_iter, batch_size: int = 8):
-    """Backbone GAP features for a stream of (clip(C,T,H,W), label) pairs."""
-    feats, labels = [], []
+def extract_features(nets: list[Network], clip_iter, batch_size: int = 8):
+    """Backbone GAP features of every net for one pass over a stream of
+    (clip(C,T,H,W), label) pairs: ([(N, F) per net], labels (N,)).  Each
+    batch is sampled once and fed to all the nets."""
+    feats: list[list[np.ndarray]] = [[] for _ in nets]
+    labels = []
     for batch in _batches(clip_iter, batch_size):
         clips, batch_labels = zip(*batch)
-        feats.append(net.features(np.stack(clips)))
+        x = np.stack(clips)
+        for out, net in zip(feats, nets):
+            out.append(net.features(x))
         labels.extend(batch_labels)
-    if not feats:
+    if not labels:
         raise ModelError("no clips to extract features from")
-    return np.concatenate(feats, axis=0), np.asarray(labels, dtype=np.float64)
+    return ([np.concatenate(f, axis=0) for f in feats],
+            np.asarray(labels, dtype=np.float64))
 
 
 def train_head_on_features(net: Network, feats: np.ndarray, y: np.ndarray,
@@ -123,12 +129,6 @@ def score_clips(net: Network, clips, batch_size: int = 8) -> np.ndarray:
     return np.concatenate(scores) if scores else np.zeros(0)
 
 
-@dataclass
-class TransferResult:
-    network: Network
-    finetune_curve: list[float]
-
-
 def pretrain_twin(spec: NetSpec, stills: np.ndarray, labels: np.ndarray,
                   cfg: TrainConfig, seed: int) -> Network:
     """Train the temporally collapsed twin on single-frame classification;
@@ -154,11 +154,7 @@ def inflate_and_freeze(twin: Network, spec: NetSpec, head_seed: int = 1,
     return _fresh_head(Network(spec, model.inflate_params(params2d, spec)), head_seed)
 
 
-def scratch_head_baseline(spec: NetSpec, clip_iter, cfg: TrainConfig, seed: int,
-                          head_seed: int = 1) -> TransferResult:
-    """Paired control: same head training on a random, never-trained backbone
-    drawn from `seed`, which also orders the head's batches."""
-    net = _fresh_head(Network.init(spec, seed=seed), head_seed)
-    feats, y = extract_features(net, clip_iter, cfg.batch_size)
-    curve = train_head_on_features(net, feats, y, cfg, seed)
-    return TransferResult(network=net, finetune_curve=curve)
+def scratch_network(spec: NetSpec, seed: int, head_seed: int = 1) -> Network:
+    """Paired control: a random, never-trained backbone drawn from `seed`,
+    frozen under a fresh head drawn from `head_seed`."""
+    return _fresh_head(Network.init(spec, seed=seed), head_seed)

@@ -51,3 +51,26 @@ def mean_wrist_speed(poses, person=0):
     pts = np.array([[pf.persons[person][j, :2] for j in (pose.R_WRIST, pose.L_WRIST)]
                     for pf in poses])
     return float(np.linalg.norm(np.diff(pts, axis=0), axis=2).mean())
+
+
+def crop_window_oracle(seq, box, start, n, size, flip=False, delta=0.0):
+    """The per-frame crop -> fit -> flip -> brighten loop that
+    `clipset.crop_window` batches: an (n, size, size, C) array."""
+    from hhmon import frameio
+
+    planes = []
+    for frame in seq.frames[start:start + n]:
+        if box is not None:
+            frame = frameio.crop(frame, box)
+        scale = size / min(frame.width, frame.height)
+        new_w = max(size, int(round(frame.width * scale)))
+        new_h = max(size, int(round(frame.height * scale)))
+        resized = frameio.resize_bilinear(frame, new_w, new_h)
+        x0, y0 = (new_w - size) // 2, (new_h - size) // 2
+        frame = frameio.Frame(resized.data[y0:y0 + size, x0:x0 + size].copy())
+        if flip:
+            frame = frameio.hflip(frame)
+        if delta and frame.channels == 3:
+            frame = frameio.adjust_brightness(frame, delta)
+        planes.append(frame.data)
+    return np.stack(planes)

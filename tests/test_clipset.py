@@ -8,6 +8,7 @@ from hhmon.clipset import (
     CLIP_LEN,
     AnnotationRecord,
     AugmentConfig,
+    crop_window,
     load_annotations,
     sample_clip,
     sample_rng,
@@ -19,6 +20,7 @@ from hhmon.errors import ConfigError, DataError
 from hhmon.frameio import Frame, FrameSequence
 from hhmon.pose import BBox
 from hhmon.tracking import Track
+from helpers import crop_window_oracle
 
 
 def windows_oracle(clip_len, stride):
@@ -178,6 +180,28 @@ def test_train_still_is_the_first_frame_of_its_window(rng):
         window = sample_clip(seq, track, start, cfg, mode="train", seed=3)
         still = sample_clip(seq, track, start, cfg, mode="train", seed=3, n_frames=1)
         assert np.array_equal(still[0], window[0])
+
+
+@pytest.mark.parametrize("channels", [3, 2])
+@pytest.mark.parametrize("flip", [False, True])
+@pytest.mark.parametrize("box", [BBox(7.4, 5.6, 30.2, 33.9), BBox(-3.0, 20.0, 60.0, 50.0), None])
+def test_crop_window_equals_the_per_frame_loop(rng, channels, flip, box):
+    # signed flow values exercise the u negation; brightness reaches the clamp
+    scale, shift = (1.0, 0.0) if channels == 3 else (6.0, -3.0)
+    seq = FrameSequence([Frame((rng.random((36, 48, channels)) * scale + shift)
+                               .astype(np.float32)) for _ in range(20)])
+    for size, n, delta in ((16, CLIP_LEN, 0.3), (24, 1, -0.05), (40, 3, 0.0)):
+        got = crop_window(seq, box, 2, n, size, flip, delta)
+        want = crop_window_oracle(seq, box, 2, n, size, flip, delta)
+        assert got.shape == want.shape == (n, size, size, channels)
+        assert got.dtype == want.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
+
+
+def test_crop_window_rejects_a_box_outside_the_frame(rng):
+    seq = static_sequence(rng)
+    with pytest.raises(DataError, match="zero-area"):
+        crop_window(seq, BBox(60.0, 2.0, 80.0, 20.0), 0, CLIP_LEN, 16)
 
 
 def test_augment_config_validation():

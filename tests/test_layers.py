@@ -253,6 +253,75 @@ def test_maxpool_same_padding_never_selects_fill(rng):
     assert y.shape == x.shape
 
 
+POOLS = [((1, 2, 2), None, "valid"), ((2, 2, 2), None, "valid"), ((3, 3, 3), (1, 1, 1), "same"),
+         ((3, 3, 3), (2, 3, 1), "same"), ((2, 3, 2), (1, 2, 3), "valid")]
+
+
+@pytest.mark.parametrize("temporal_pad", ["zero", "circular"])
+@pytest.mark.parametrize("kernel,stride,padding", POOLS)
+def test_maxpool_without_cache_equals_the_argmax_route_bit_for_bit(rng, kernel, stride,
+                                                                    padding, temporal_pad):
+    # relu turns negatives into -0.0, which ties with 0.0 but differs in its
+    # bits.  With negatives beside the zeros the tied cells of a window form
+    # no box, so only the first-in-(t, h, w)-order rule settles which zero wins
+    cells = np.array([-1.0, -0.0, 0.0, 2.0], dtype=np.float32)
+    x = rng.choice(cells, p=[0.4, 0.28, 0.28, 0.04], size=(2, 3, 7, 9, 11))
+    x[0, 1, 2, 3, 4] = np.nan
+    x[1, 0, 5, 0, 0] = np.nan
+    want, _ = maxpool3d_forward(x, kernel, stride, padding, temporal_pad)
+    got, cache = maxpool3d_forward(x, kernel, stride, padding, temporal_pad, want_cache=False)
+    assert cache is None
+    assert got.shape == want.shape
+    assert np.isnan(want).any()
+    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
+def inflated_kernel(rng, shape):
+    c_out, c_in, kt, kh, kw = shape
+    k2d = rng.normal(size=(c_out, c_in, kh, kw)).astype(np.float32)
+    return np.repeat(k2d[:, :, None] / np.float32(kt), kt, axis=2)
+
+
+@pytest.mark.parametrize("temporal_pad", ["zero", "circular"])
+@pytest.mark.parametrize("padding", ["same", "valid"])
+@pytest.mark.parametrize("stride", [(1, 1, 1), (1, 2, 2), (2, 1, 2)])
+def test_inflated_conv_without_cache_matches_the_general_route(rng, stride, padding,
+                                                               temporal_pad):
+    x = rng.uniform(-1, 1, size=(3, 3, 8, 11, 10)).astype(np.float32)
+    kernel = inflated_kernel(rng, (5, 3, 3, 5, 5))
+    bias = rng.normal(size=5).astype(np.float32)
+    want, _ = conv3d_forward(x, kernel, bias, stride, padding, temporal_pad)
+    got, cache = conv3d_forward(x, kernel, bias, stride, padding, temporal_pad,
+                                want_cache=False)
+    assert cache is None
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert rel_err(got, want) < 1e-6
+
+
+def test_inflated_route_needs_equal_time_slices_and_no_cache(rng, monkeypatch):
+    from hhmon import layers
+
+    taken = []
+    real = layers._inflated_conv
+    monkeypatch.setattr(layers, "_inflated_conv",
+                        lambda *args: taken.append(1) or real(*args))
+    x = rng.uniform(-1, 1, size=(2, 2, 6, 7, 7)).astype(np.float32)
+    kernel = inflated_kernel(rng, (3, 2, 3, 3, 3))
+    bias = np.zeros(3, dtype=np.float32)
+    conv3d_forward(x, kernel, bias, want_cache=False)
+    assert len(taken) == len(x)  # once per clip
+    # a cache is requested: the general route, whose columns backward needs
+    _, cache = conv3d_forward(x, kernel, bias)
+    assert len(taken) == len(x) and cache is not None
+    # one time slice differs in one weight: the general route, which gives
+    # the same bits clip by clip as for the whole batch
+    kernel[1, 0, 2, 1, 1] += np.float32(0.25)
+    got, _ = conv3d_forward(x, kernel, bias, want_cache=False)
+    want, _ = conv3d_forward(x, kernel, bias)
+    assert len(taken) == len(x)
+    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
 def test_relu_and_its_gradient(rng):
     x = rng.normal(size=(3, 4)) + np.where(rng.random((3, 4)) > 0.5, 0.2, -0.2)
     x = np.where(np.abs(x) < 0.05, 0.1, x)  # keep away from the kink

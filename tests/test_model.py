@@ -102,6 +102,25 @@ def test_repeated_frame_clip_matches_the_2d_twin():
     assert np.abs(logits_zero - logits2).max() > 1e-6
 
 
+@pytest.mark.parametrize("temporal_pad", ["zero", "circular"])
+def test_forward_without_cache_matches_the_training_forward(rng, temporal_pad):
+    # an inflated backbone takes the box-sum route, which sums in another
+    # float32 order; a random backbone keeps the general convolutions, and
+    # separable pooling changes no bits
+    spec = micro_spec(in_channels=3)
+    inflated = Network(spec, inflate_params(init_params(collapse_temporal(spec), rng), spec))
+    scratch = Network.init(spec, seed=4)
+    x = rng.uniform(-1, 1, size=(3, 3, 4, 8, 8)).astype(np.float32)
+    for net, bitwise in ((inflated, False), (scratch, True)):
+        want, caches = net.forward(x, temporal_pad, want_cache=True)
+        got, no_cache = net.forward(x, temporal_pad)
+        assert caches and no_cache is None
+        if bitwise:
+            assert np.array_equal(got, want)
+        else:
+            assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+
+
 def test_flow_adaptation_averages_then_repeats():
     rng = np.random.default_rng(0)
     spec = micro_spec(in_channels=3)

@@ -2,12 +2,13 @@
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hhmon import checkpoint, frameio, model, pipeline, tracking
-from hhmon.clipset import AnnotationRecord, AugmentConfig, split_dataset, window_starts
+from hhmon import checkpoint, clipset, frameio, model, pipeline, tracking, training
+from hhmon.clipset import CLIP_LEN, AnnotationRecord, AugmentConfig, split_dataset, window_starts
 from hhmon.config import PipelineConfig
 from hhmon.errors import DataError
 from hhmon.frameio import FrameSequence
@@ -189,6 +190,42 @@ def test_flow_killed_mid_scene_is_recomputed_on_rerun(tmp_path, monkeypatch):
     assert flow_bytes(cfg) == clean
     scenes = {name.split(os.sep)[0] for name in clean}
     assert set(os.listdir(os.path.join(cfg.paths.work_dir, "flow"))) == scenes
+
+
+def test_train_rgb_samples_each_window_once(tmp_path, monkeypatch):
+    cfg = tiny_cfg(tmp_path)
+    cfg.train = replace(cfg.train, pretrain_epochs=2, epochs=2, stills_per_scene=2)
+    pipeline.generate(cfg)
+    pipeline.prepare(cfg)
+    records, split = pipeline.load_prepared(cfg)
+    train_recs = [records[i] for i in split.train]
+    sampled = []
+    original = clipset.sample_clip
+
+    def counting(seq, track, start, *args, **kwargs):
+        if kwargs.get("n_frames", CLIP_LEN) == CLIP_LEN:
+            sampled.append((seq.video_id, start))
+        return original(seq, track, start, *args, **kwargs)
+
+    monkeypatch.setattr(clipset, "sample_clip", counting)
+    summary = pipeline.train_stream(cfg, "rgb")
+    monkeypatch.undo()
+    assert summary.n_windows > 0
+    assert len(sampled) == len(set(sampled)) == summary.n_windows
+
+    # the two-pass route: inflated backbone, then the scratch control, each
+    # on its own pass over the windows
+    spec = model.i3d_mini(in_channels=3, input_size=cfg.clip.input_size)
+    head_cfg = replace(cfg.train, lr=cfg.train.head_lr)
+    twin = checkpoint.load_network(pipeline._twin_path(cfg))
+    for name, net in (("rgb", training.inflate_and_freeze(twin, spec, head_seed=cfg.seed + 1)),
+                      ("rgb_scratch", training.scratch_network(spec, cfg.seed, cfg.seed + 1))):
+        windows = ((x, y) for _, x, y in pipeline.iter_windows(cfg, train_recs, "rgb", "train"))
+        (feats,), labels = training.extract_features([net], windows, cfg.train.batch_size)
+        training.train_head_on_features(net, feats, labels, head_cfg, cfg.seed)
+        saved = checkpoint.load_network(pipeline._ckpt_path(cfg, name))
+        for key in ("head.w", "head.b"):
+            assert np.array_equal(saved.params[key], net.params[key]), (name, key)
 
 
 def test_evaluate_requires_some_checkpoint(prepared):

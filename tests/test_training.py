@@ -18,8 +18,8 @@ from hhmon.training import (
     extract_features,
     inflate_and_freeze,
     pretrain_twin,
-    scratch_head_baseline,
     score_clips,
+    scratch_network,
     sgd_train,
     train_head_on_features,
 )
@@ -110,7 +110,7 @@ def test_feature_cache_training_matches_full_sgd(rng):
     cached.freeze_backbone()
 
     curve_full = sgd_train(full, x, y, cfg, 5)
-    feats, labels = extract_features(cached, zip(x, y), batch_size=cfg.batch_size)
+    (feats,), labels = extract_features([cached], zip(x, y), batch_size=cfg.batch_size)
     curve_cached = train_head_on_features(cached, feats, labels, cfg, 5)
 
     assert np.allclose(curve_full, curve_cached, rtol=1e-5, atol=1e-7)
@@ -127,13 +127,15 @@ def test_feature_cache_requires_a_frozen_backbone(rng):
 def test_extract_features_shapes_and_empty_error(rng):
     net = Network.init(tiny_spec(), seed=0)
     x, y = toy_clips(rng, n=5)
-    feats, labels = extract_features(net, zip(x, y), batch_size=2)
+    other = Network.init(tiny_spec(), seed=3)
+    (feats, feats_other), labels = extract_features([net, other], zip(x, y), batch_size=2)
     assert feats.shape == (5, 4)
     assert labels.dtype == np.float64
     assert np.array_equal(labels, y)
     assert np.allclose(feats, net.features(x), atol=1e-5)
+    assert np.allclose(feats_other, other.features(x), atol=1e-5)
     with pytest.raises(ModelError, match="no clips"):
-        extract_features(net, iter(()))
+        extract_features([net], iter(()))
 
 
 def test_score_clips_matches_direct_scoring(rng):
@@ -178,7 +180,7 @@ def test_transfer_recipe_runs_end_to_end(rng):
     # a fresh head, then fit the head on cached backbone features
     twin = pretrain_twin(spec, stills, still_y, TrainConfig(lr=0.1, epochs=3), 0)
     net = inflate_and_freeze(twin, spec)
-    feats, labels = extract_features(net, zip(x, y))
+    (feats,), labels = extract_features([net], zip(x, y))
     curve = train_head_on_features(net, feats, labels, TrainConfig(lr=0.1, epochs=4), 0)
     assert len(curve) == 4
     assert net.frozen
@@ -188,10 +190,11 @@ def test_transfer_recipe_runs_end_to_end(rng):
 def test_scratch_baseline_keeps_the_random_backbone(rng):
     spec = tiny_spec()
     x, y = toy_clips(rng, n=12)
-    result = scratch_head_baseline(spec, zip(x, y), TrainConfig(lr=0.1, epochs=2),
-                                   seed=11, head_seed=12)
+    scratch = scratch_network(spec, seed=11, head_seed=12)
+    (feats,), labels = extract_features([scratch], zip(x, y))
+    train_head_on_features(scratch, feats, labels, TrainConfig(lr=0.1, epochs=2), 11)
     reference = Network.init(spec, seed=11)
-    for name, v in result.network.params.items():
+    for name, v in scratch.params.items():
         if not name.startswith("head."):
             assert np.array_equal(v, reference.params[name]), name
 
