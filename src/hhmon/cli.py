@@ -12,7 +12,7 @@ import contextlib
 import os
 import sys
 
-from . import metrics, pipeline
+from . import backend, metrics, pipeline
 from .config import PipelineConfig, dump_config, load_config
 from .errors import ConfigError, HhmonError
 
@@ -119,8 +119,10 @@ def _cmd_prepare(cfg: PipelineConfig, args) -> int:
 
 def _cmd_flow(cfg: PipelineConfig, args) -> int:
     n = pipeline.compute_flow(cfg, force=args.force)
+    workers = pipeline.flow_workers()
     print(f"computed flow for {n} scenes under "
-          f"{os.path.join(cfg.paths.work_dir, 'flow')}")
+          f"{os.path.join(cfg.paths.work_dir, 'flow')} ({backend.BACKEND} kernels, "
+          f"{workers} process{'es' if workers != 1 else ''})")
     return 0
 
 

@@ -49,10 +49,6 @@ class Frame:
     def channels(self) -> int:
         return self.data.shape[2]
 
-    @property
-    def is_flow(self) -> bool:
-        return self.channels == 2
-
 
 @dataclass
 class FrameSequence:
@@ -196,10 +192,10 @@ def load_descriptor(directory: str) -> dict:
     return meta
 
 
-def load_sequence(directory: str) -> FrameSequence:
-    """Load a frame directory, enforcing contiguous numbering and the descriptor dims."""
+def index_sequence(directory: str) -> tuple[dict, list[str]]:
+    """A frame directory's checked descriptor and its frame file names in
+    frame order; a DataError when there are none or the numbering has a gap."""
     meta = load_descriptor(directory)
-
     indices = {}
     for name in os.listdir(directory):
         m = _FRAME_RE.match(name)
@@ -210,25 +206,25 @@ def load_sequence(directory: str) -> FrameSequence:
     for i in range(len(indices)):
         if i not in indices:
             raise DataError(f"{directory}: missing frame {i}")
+    return meta, [indices[i] for i in range(len(indices))]
 
+
+def load_sequence(directory: str, frames: slice = slice(None)) -> FrameSequence:
+    """Load a frame directory, or the frames `frames` of it, enforcing
+    contiguous numbering and the descriptor dims."""
+    meta, names = index_sequence(directory)
     channels = meta["channels"]
-    frames = []
-    for i in range(len(indices)):
-        path = os.path.join(directory, indices[i])
+    loaded = []
+    for name in names[frames]:
+        path = os.path.join(directory, name)
         frame = read_flo2(path) if channels == 2 else read_ppm(path)
         if (frame.width, frame.height, frame.channels) != (meta["width"], meta["height"], channels):
             raise DataError(
-                f"{indices[i]}: dimensions {frame.width}x{frame.height}x{frame.channels} "
+                f"{name}: dimensions {frame.width}x{frame.height}x{frame.channels} "
                 f"do not match descriptor {meta['width']}x{meta['height']}x{channels}"
             )
-        frames.append(frame)
-    return FrameSequence(frames, fps=float(meta["fps"]), video_id=meta["video_id"], date_tag=meta["date_tag"])
-
-
-def crop(frame: Frame, box) -> Frame:
-    """Copy the intersection of `box` (BBox or (x1, y1, x2, y2)) with the frame."""
-    rows, cols = _crop_slices(box, frame.width, frame.height)
-    return Frame(frame.data[rows, cols].copy())
+        loaded.append(frame)
+    return FrameSequence(loaded, fps=float(meta["fps"]), video_id=meta["video_id"], date_tag=meta["date_tag"])
 
 
 def _crop_slices(box, width: int, height: int) -> tuple[slice, slice]:
@@ -290,21 +286,6 @@ def _lerp(a: np.ndarray, b: np.ndarray, f: np.ndarray) -> np.ndarray:
     b *= f
     a += b
     return a
-
-
-def hflip(frame: Frame) -> Frame:
-    """Reverse columns; flow frames also get their horizontal component negated."""
-    out = frame.data[:, ::-1].copy()
-    if frame.is_flow:
-        out[:, :, 0] = -out[:, :, 0]
-    return Frame(out)
-
-
-def adjust_brightness(frame: Frame, delta: float) -> Frame:
-    """Add `delta` to every channel and clamp to [0, 1].  RGB frames only."""
-    if frame.channels != 3:
-        raise DataError(f"brightness adjustment requires an RGB frame, got {frame.channels} channels")
-    return Frame(np.clip(frame.data + np.float32(delta), 0.0, 1.0))
 
 
 def luminance(frame: Frame) -> np.ndarray:

@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import shutil
+import signal
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -200,28 +201,110 @@ def stats_from_manifest(cfg: PipelineConfig, manifest: dict) -> str:
 
 # --- flow -----------------------------------------------------------------
 
+def flow_workers() -> int:
+    """Processes the flow stage solves in: one per CPU this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+def _pair_ranges(n_pairs: int, n_ranges: int) -> list[tuple[int, int]]:
+    """At most `n_ranges` contiguous, non-empty pair ranges [a, b) that
+    cover pairs 0..n_pairs, of near-equal length."""
+    k = min(n_ranges, n_pairs)
+    bounds = [i * n_pairs // k for i in range(k + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _flow_worker(conn, jobs: list[tuple[str, int, int]], params: tvl1.TvL1Params) -> None:
+    """Solve each job (frames dir, a, b), pairs [a, b) of a scene, from its
+    frames a..b as `tvl1.flow_sequence` solves a whole scene, and send its
+    (u1, u2) through `conn`, in order.  An error is sent in place of its
+    job's result and ends the worker."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C
+    try:
+        for frames_dir, a, b in jobs:
+            seq = frameio.load_sequence(frames_dir, slice(a, b + 1))
+            conn.send(tvl1.sequence_flow(seq.frames, params, f"{seq.video_id}: "))
+    except Exception as exc:  # raised again in the parent
+        conn.send(exc)
+
+
+def _receive(conn):
+    try:
+        part = conn.recv()
+    except EOFError:
+        raise RuntimeError("a flow worker exited without sending its result") from None
+    if isinstance(part, Exception):
+        raise part
+    return part
+
+
 def compute_flow(cfg: PipelineConfig, force: bool = False) -> int:
     """TV-L1 flow for every scene; returns the number of scenes processed.
 
-    Each scene is written into a sibling temp dir and renamed into place, so
-    a scene's flow dir exists only once complete; a temp dir that a killed
-    run left behind is cleared when the scene is computed again.
+    The pairs are solved in a pool of `flow_workers()` processes, forked
+    (the `fork` context) so that they run the kernel backend this process
+    loaded.  Each scene is cut into that many contiguous pair ranges (fewer
+    when it has fewer pairs) that share their boundary frames, and worker i
+    solves range i of every scene, in scene order.  Every pair is solved as
+    if alone, so the flow is bit for bit that of `tvl1.flow_sequence`.  Each
+    worker sends its results through its own pipe, read here in the main
+    thread: a result thread, as in `concurrent.futures`, would unpickle
+    them into a second malloc arena and raise the peak RSS.  Workers ignore
+    SIGINT; a worker's error is raised here when its scene comes up, and
+    any error or interrupt here terminates the workers, so none outlives
+    the call.  Nothing is forked when no scene needs flow.
+
+    Results are joined and written in scene order.  Each scene is written
+    into a sibling temp dir and renamed into place, so a scene's flow dir
+    exists only once complete; a temp dir that a killed run left behind is
+    cleared when the scene is computed again.
     """
     manifest = synth.load_manifest(cfg.paths.dataset_dir)
-    done = 0
+    workers = flow_workers()
+    scenes = []
     for entry in manifest["scenes"]:
         out_dir = _flow_dir(cfg, entry["video_id"])
         if os.path.isdir(out_dir) and os.listdir(out_dir) and not force:
             continue
-        seq = frameio.load_sequence(_frames_dir(cfg, entry))
-        flow_seq = tvl1.flow_sequence(seq, cfg.flow)
-        tmp_dir = out_dir + ".partial"
-        shutil.rmtree(tmp_dir, ignore_errors=True)
-        frameio.save_sequence(flow_seq, tmp_dir)
-        shutil.rmtree(out_dir, ignore_errors=True)
-        os.replace(tmp_dir, out_dir)
-        done += 1
-    return done
+        frames_dir = _frames_dir(cfg, entry)
+        meta, names = frameio.index_sequence(frames_dir)
+        if len(names) < 2:
+            raise DataError(f"{meta['video_id']}: need at least 2 frames for flow, "
+                            f"got {len(names)}")
+        scenes.append((frames_dir, out_dir, meta, _pair_ranges(len(names) - 1, workers)))
+    import multiprocessing  # here, not at the top: it adds about 10 ms to every import
+
+    fork = multiprocessing.get_context("fork")
+    procs, conns = [], []
+    try:
+        for i in range(max((len(ranges) for *_, ranges in scenes), default=0)):
+            jobs = [(frames_dir, *ranges[i]) for frames_dir, _, _, ranges in scenes
+                    if i < len(ranges)]
+            recv_end, send_end = fork.Pipe(duplex=False)
+            procs.append(fork.Process(target=_flow_worker, args=(send_end, jobs, cfg.flow),
+                                      daemon=True))
+            procs[-1].start()
+            send_end.close()
+            conns.append(recv_end)
+        for _, out_dir, meta, ranges in scenes:
+            parts = [_receive(conn) for conn in conns[: len(ranges)]]
+            frames = tvl1.flow_frames(np.concatenate([u1 for u1, _ in parts]),
+                                      np.concatenate([u2 for _, u2 in parts]),
+                                      cfg.flow.max_flow)
+            flow_seq = frameio.FrameSequence(frames, fps=float(meta["fps"]),
+                                             video_id=meta["video_id"], date_tag=meta["date_tag"])
+            tmp_dir = out_dir + ".partial"
+            shutil.rmtree(tmp_dir, ignore_errors=True)
+            frameio.save_sequence(flow_seq, tmp_dir)
+            shutil.rmtree(out_dir, ignore_errors=True)
+            os.replace(tmp_dir, out_dir)
+    finally:
+        for proc in procs:
+            proc.terminate()  # harmless for a worker that has sent all its results
+            proc.join()
+        for conn in conns:
+            conn.close()
+    return len(scenes)
 
 
 # --- clip iteration -------------------------------------------------------

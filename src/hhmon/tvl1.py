@@ -11,8 +11,8 @@ at a time, coarsest first.  Each level runs through the backend kernels as
 (P, h, w) stacks of at most `STACK_PIXELS` pixels of that level, each pair
 bit for bit as if alone, so the small coarse levels run as a few large
 stacks rather than many small ones.  `flow_sequence` solves a scene this
-way, building each frame's pyramid once; `tvl1_flow` is a scene of one pair
-and the only caller that asks for the per-warp energies.
+way, building each frame's pyramid once (`sequence_flow`); `tvl1_flow` is a
+scene of one pair and the only caller that asks for the per-warp energies.
 """
 
 from __future__ import annotations
@@ -225,20 +225,32 @@ def flow_to_frame(flow: np.ndarray, clip: float) -> Frame:
     return Frame(scaled.astype(np.float32))
 
 
+def sequence_flow(frames: list[Frame], params: TvL1Params,
+                  where: str = "") -> tuple[np.ndarray, np.ndarray]:
+    """Flow (u1, u2), each (n - 1, h, w) float32, between the consecutive
+    frames of a list of n frames, solved as one pyramid, level by level
+    (see `_solve`).  Each pair gets the same bits whatever frames surround
+    it, so a scene may be solved in contiguous ranges that share their
+    boundary frames."""
+    stack = _frame_stack([frameio.luminance(f) for f in frames], params, where)
+    return _solve(_scene_pyramid(stack, params), params)
+
+
+def flow_frames(u1: np.ndarray, u2: np.ndarray, clip: float) -> list[Frame]:
+    """The n - 1 pair flows (u1, u2) as n flow frames (see `flow_to_frame`),
+    the last repeated once; that keeps flow windows aligned start-for-start
+    with the RGB windows they shadow."""
+    out = [flow_to_frame(np.stack([a, b], axis=-1), clip) for a, b in zip(u1, u2)]
+    out.append(Frame(out[-1].data.copy()))
+    return out
+
+
 def flow_sequence(seq: FrameSequence, params: TvL1Params | None = None) -> FrameSequence:
     """Pairwise flow over a sequence, n frames in and n frames out, clipped
-    to +-params.max_flow px and rescaled to [-1, 1].
-
-    Only n - 1 pairs exist, so the last flow frame is repeated once; that keeps
-    flow windows aligned start-for-start with the RGB windows they shadow.
-    The scene is solved as one pyramid, level by level (see `_solve`).
-    """
+    to +-params.max_flow px and rescaled to [-1, 1] (see `flow_frames`)."""
     if len(seq.frames) < 2:
         raise DataError(f"{seq.video_id}: need at least 2 frames for flow, got {len(seq.frames)}")
     params = params or TvL1Params()
-    frames = _frame_stack([frameio.luminance(f) for f in seq.frames], params,
-                          f"{seq.video_id}: ")
-    u1, u2 = _solve(_scene_pyramid(frames, params), params)
-    out = [flow_to_frame(np.stack([a, b], axis=-1), params.max_flow) for a, b in zip(u1, u2)]
-    out.append(Frame(out[-1].data.copy()))
-    return FrameSequence(out, fps=seq.fps, video_id=seq.video_id, date_tag=seq.date_tag)
+    u1, u2 = sequence_flow(seq.frames, params, f"{seq.video_id}: ")
+    return FrameSequence(flow_frames(u1, u2, params.max_flow), fps=seq.fps,
+                         video_id=seq.video_id, date_tag=seq.date_tag)

@@ -5,6 +5,8 @@ resolves to whichever conftest module pytest loaded last, and the suite
 collects perfbench/tests, which has its own conftest, alongside tests/.
 """
 
+import os
+
 import numpy as np
 
 
@@ -26,6 +28,12 @@ def smooth_texture(rng, h=64, w=64, passes=4):
     img -= img.min()
     img /= img.max()
     return img.astype(np.float32)
+
+
+def tree_bytes(root):
+    """{path relative to root: file bytes} of every file under root."""
+    return {os.path.relpath(os.path.join(d, f), root): open(os.path.join(d, f), "rb").read()
+            for d, _, files in os.walk(root) for f in files}
 
 
 def use_kernels(monkeypatch, kernels):
@@ -53,6 +61,34 @@ def mean_wrist_speed(poses, person=0):
     return float(np.linalg.norm(np.diff(pts, axis=0), axis=2).mean())
 
 
+def crop(frame, box):
+    """Copy the intersection of `box` (BBox or (x1, y1, x2, y2)) with the frame."""
+    from hhmon import frameio
+
+    rows, cols = frameio._crop_slices(box, frame.width, frame.height)
+    return frameio.Frame(frame.data[rows, cols].copy())
+
+
+def hflip(frame):
+    """Reverse columns; flow frames also get their horizontal component negated."""
+    from hhmon import frameio
+
+    out = frame.data[:, ::-1].copy()
+    if frame.channels == 2:
+        out[:, :, 0] = -out[:, :, 0]
+    return frameio.Frame(out)
+
+
+def adjust_brightness(frame, delta):
+    """Add `delta` to every channel and clamp to [0, 1].  RGB frames only."""
+    from hhmon import frameio
+    from hhmon.errors import DataError
+
+    if frame.channels != 3:
+        raise DataError(f"brightness adjustment requires an RGB frame, got {frame.channels} channels")
+    return frameio.Frame(np.clip(frame.data + np.float32(delta), 0.0, 1.0))
+
+
 def crop_window_oracle(seq, box, start, n, size, flip=False, delta=0.0):
     """The per-frame crop -> fit -> flip -> brighten loop that
     `clipset.crop_window` batches: an (n, size, size, C) array."""
@@ -61,7 +97,7 @@ def crop_window_oracle(seq, box, start, n, size, flip=False, delta=0.0):
     planes = []
     for frame in seq.frames[start:start + n]:
         if box is not None:
-            frame = frameio.crop(frame, box)
+            frame = crop(frame, box)
         scale = size / min(frame.width, frame.height)
         new_w = max(size, int(round(frame.width * scale)))
         new_h = max(size, int(round(frame.height * scale)))
@@ -69,8 +105,8 @@ def crop_window_oracle(seq, box, start, n, size, flip=False, delta=0.0):
         x0, y0 = (new_w - size) // 2, (new_h - size) // 2
         frame = frameio.Frame(resized.data[y0:y0 + size, x0:x0 + size].copy())
         if flip:
-            frame = frameio.hflip(frame)
+            frame = hflip(frame)
         if delta and frame.channels == 3:
-            frame = frameio.adjust_brightness(frame, delta)
+            frame = adjust_brightness(frame, delta)
         planes.append(frame.data)
     return np.stack(planes)

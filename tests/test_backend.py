@@ -4,6 +4,7 @@ Both take (P, H, W) stacks of planes; the single-plane tests lift their
 planes to stacks of one.
 """
 
+import os
 import shutil
 import subprocess
 import sys
@@ -12,9 +13,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import smooth_texture, use_kernels
+from helpers import smooth_texture, tree_bytes, use_kernels
 
-from hhmon import _accel, _purekernels, backend, tvl1
+from hhmon import _accel, _purekernels, backend, frameio, pipeline, synth, tvl1
+from hhmon.config import PipelineConfig
 from hhmon.frameio import Frame, FrameSequence
 from hhmon.tvl1 import TvL1Params, _centered_gradient, tvl1_flow
 
@@ -303,3 +305,38 @@ def test_chunked_flow_sequence_equals_a_per_pair_loop(rng, monkeypatch, accel, c
     assert len(chunked.frames) == n
     for i, want in enumerate(per_pair):
         assert np.array_equal(chunked.frames[i].data, want), f"pair {i}"
+
+
+@pytest.mark.parametrize("compiled", [False, True], ids=["pure", "compiled"])
+def test_flow_workers_write_the_bytes_of_a_serial_loop(tmp_path, monkeypatch, accel, compiled):
+    use_kernels(monkeypatch, accel if compiled else _purekernels)
+    cfg = PipelineConfig()
+    cfg.paths.dataset_dir = str(tmp_path / "ds")
+    cfg.gen = synth.DatasetConfig(n_rubbing=2, n_other=1, n_synthetic_rubbing=0,
+                                  width=48, height=36, n_frames_min=16, n_frames_max=19)
+    manifest = pipeline.generate(cfg)
+    # cut one scene to 2 frames: a single pair, fewer than 2 or 3 workers
+    short = os.path.join(cfg.paths.dataset_dir, manifest["scenes"][1]["frames_dir"])
+    for name in sorted(os.listdir(short)):
+        if name.startswith("frame_") and int(name[6:12]) >= 2:
+            os.remove(os.path.join(short, name))
+    serial = tmp_path / "serial"
+    for entry in manifest["scenes"]:
+        seq = frameio.load_sequence(os.path.join(cfg.paths.dataset_dir, entry["frames_dir"]))
+        frameio.save_sequence(tvl1.flow_sequence(seq, cfg.flow), str(serial / entry["video_id"]))
+    want = tree_bytes(serial)
+    ranges = []
+    split = pipeline._pair_ranges
+
+    def recording_split(*args):
+        ranges.append(split(*args))
+        return ranges[-1]
+
+    monkeypatch.setattr(pipeline, "_pair_ranges", recording_split)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=workers: set(range(n)))
+        cfg.paths.work_dir = str(tmp_path / f"work{workers}")
+        ranges.clear()
+        assert pipeline.compute_flow(cfg) == 3
+        assert [len(r) for r in ranges] == [workers, 1, workers]
+        assert tree_bytes(os.path.join(cfg.paths.work_dir, "flow")) == want, f"{workers} workers"

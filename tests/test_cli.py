@@ -1,6 +1,7 @@
 """Command line wiring, exit codes and the advisory lock."""
 
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -9,7 +10,8 @@ import sys
 import numpy as np
 import pytest
 
-from hhmon import cli, frameio
+from hhmon import backend, cli, frameio, tvl1
+from hhmon.errors import DataError
 from hhmon.frameio import FrameSequence
 
 
@@ -130,7 +132,10 @@ def test_full_command_journey(tmp_path, capsys):
     assert re.search(r"prepared 7 annotated clips \(train \d+, val \d+, test \d+\)", out)
 
     assert cli.main(["flow", "--config", path]) == 0
-    assert "computed flow for 7 scenes" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "computed flow for 7 scenes" in out
+    workers = len(os.sched_getaffinity(0))
+    assert f"({backend.BACKEND} kernels, {workers} process" in out
 
     assert cli.main(["eval", "--config", path]) == 3
     assert "no stream checkpoints" in capsys.readouterr().err
@@ -180,3 +185,21 @@ def test_prepare_without_a_scene_descriptor_exits_3(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["prepare", "--config", path]) == 3
     assert capsys.readouterr().err == f"error: {frames_dir}: missing meta.json descriptor\n"
+
+
+def test_a_worker_data_error_exits_3_and_leaves_no_worker(tmp_path, capsys, monkeypatch):
+    path = write_cfg(tmp_path)
+    assert cli.main(["gen", "--config", path]) == 0
+    stack = tvl1._frame_stack
+
+    def failing_stack(planes, params, where=""):
+        if where.startswith("oth_001"):
+            raise DataError(f"{where}flow input has non-finite values")
+        return stack(planes, params, where)
+
+    monkeypatch.setattr(tvl1, "_frame_stack", failing_stack)  # before the pool forks
+    capsys.readouterr()
+    assert cli.main(["flow", "--config", path]) == 3
+    assert capsys.readouterr().err == "error: oth_001: flow input has non-finite values\n"
+    assert not (tmp_path / "work" / "flow" / "oth_001.partial").exists()
+    assert multiprocessing.active_children() == []

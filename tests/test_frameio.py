@@ -11,7 +11,7 @@ from hhmon import frameio
 from hhmon.errors import DataError
 from hhmon.frameio import Frame, FrameSequence
 
-from helpers import make_rgb
+from helpers import adjust_brightness, crop, hflip, make_rgb
 
 
 def quantize8(data):
@@ -135,19 +135,19 @@ def test_load_sequence_missing_meta(tmp_path, rng):
 
 def test_crop_identity(rng):
     f = make_rgb(640, 480, rng)
-    out = frameio.crop(f, (0, 0, 640, 480))
+    out = crop(f, (0, 0, 640, 480))
     np.testing.assert_array_equal(out.data, f.data)
 
 
 def test_crop_extent():
     f = Frame(np.zeros((480, 640, 3), dtype=np.float32))
-    out = frameio.crop(f, (10, 20, 110, 220))
+    out = crop(f, (10, 20, 110, 220))
     assert (out.width, out.height) == (100, 200)
 
 
 def test_crop_copies_pixels(rng):
     f = make_rgb(16, 16, rng)
-    out = frameio.crop(f, (2, 3, 7, 9))
+    out = crop(f, (2, 3, 7, 9))
     np.testing.assert_array_equal(out.data, f.data[3:9, 2:7])
     out.data[0, 0, 0] = -1.0
     assert f.data[3, 2, 0] != -1.0
@@ -155,7 +155,7 @@ def test_crop_copies_pixels(rng):
 
 def test_crop_outside_frame_errors(rng):
     with pytest.raises(DataError):
-        frameio.crop(make_rgb(8, 8, rng), (20, 20, 30, 30))
+        crop(make_rgb(8, 8, rng), (20, 20, 30, 30))
 
 
 @given(x1=st.integers(-5, 20), y1=st.integers(-5, 20),
@@ -167,9 +167,9 @@ def test_crop_dims_equal_clipped_box(x1, y1, dw, dh):
     cx2, cy2 = min(x1 + dw, 24), min(y1 + dh, 16)
     if cx2 <= cx1 or cy2 <= cy1:
         with pytest.raises(DataError):
-            frameio.crop(f, box)
+            crop(f, box)
     else:
-        out = frameio.crop(f, box)
+        out = crop(f, box)
         assert (out.width, out.height) == (cx2 - cx1, cy2 - cy1)
 
 
@@ -209,41 +209,41 @@ def test_resize_rejects_zero_target(rng):
 
 def test_hflip_involution_rgb(rng):
     f = make_rgb(10, 6, rng)
-    np.testing.assert_array_equal(frameio.hflip(frameio.hflip(f)).data, f.data)
+    np.testing.assert_array_equal(hflip(hflip(f)).data, f.data)
 
 
 def test_hflip_2x1_swaps_columns():
     f = Frame(np.array([[[0.1, 0.2, 0.3], [0.7, 0.8, 0.9]]], dtype=np.float32))
-    out = frameio.hflip(f)
+    out = hflip(f)
     np.testing.assert_array_equal(out.data[0, 0], f.data[0, 1])
     np.testing.assert_array_equal(out.data[0, 1], f.data[0, 0])
 
 
 def test_hflip_flow_negates_horizontal_component():
     flow = Frame(np.stack([np.ones((4, 5)), np.zeros((4, 5))], axis=-1).astype(np.float32))
-    out = frameio.hflip(flow)
+    out = hflip(flow)
     np.testing.assert_array_equal(out.data[:, :, 0], -1.0)
     np.testing.assert_array_equal(out.data[:, :, 1], 0.0)
 
 
 def test_hflip_flow_involution(rng):
     flow = Frame((rng.random((6, 7, 2)) * 4 - 2).astype(np.float32))
-    np.testing.assert_array_equal(frameio.hflip(frameio.hflip(flow)).data, flow.data)
+    np.testing.assert_array_equal(hflip(hflip(flow)).data, flow.data)
 
 
 def test_brightness_zero_delta_identity(rng):
     f = make_rgb(5, 5, rng)
-    np.testing.assert_array_equal(frameio.adjust_brightness(f, 0.0).data, f.data)
+    np.testing.assert_array_equal(adjust_brightness(f, 0.0).data, f.data)
 
 
 def test_brightness_clamps_at_one():
     f = Frame(np.full((2, 2, 3), 0.95, dtype=np.float32))
-    np.testing.assert_allclose(frameio.adjust_brightness(f, 0.1).data, 1.0)
+    np.testing.assert_allclose(adjust_brightness(f, 0.1).data, 1.0)
 
 
 def test_brightness_plain_shift():
     f = Frame(np.full((2, 2, 3), 0.5, dtype=np.float32))
-    np.testing.assert_allclose(frameio.adjust_brightness(f, -0.1).data, 0.4, atol=1e-7)
+    np.testing.assert_allclose(adjust_brightness(f, -0.1).data, 0.4, atol=1e-7)
 
 
 def test_luminance_coefficients():
