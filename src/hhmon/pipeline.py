@@ -246,13 +246,13 @@ def compute_flow(cfg: PipelineConfig, force: bool = False) -> int:
     loaded.  Each scene is cut into that many contiguous pair ranges (fewer
     when it has fewer pairs) that share their boundary frames, and worker i
     solves range i of every scene, in scene order.  Every pair is solved as
-    if alone, so the flow is bit for bit that of `tvl1.flow_sequence`.  Each
-    worker sends its results through its own pipe, read here in the main
-    thread: a result thread, as in `concurrent.futures`, would unpickle
-    them into a second malloc arena and raise the peak RSS.  Workers ignore
-    SIGINT; a worker's error is raised here when its scene comes up, and
-    any error or interrupt here terminates the workers, so none outlives
-    the call.  Nothing is forked when no scene needs flow.
+    if alone, so the flow is bit for bit that of `tvl1.flow_sequence`.
+    Each worker sends its results through its own pipe, read here in the
+    main thread: a result thread, as in `concurrent.futures`, would
+    unpickle them into a second malloc arena and raise the peak RSS.
+    Workers ignore SIGINT.  A worker's error is raised here when its scene
+    comes up, and any error or interrupt here terminates the workers, so
+    none outlives the call.  Nothing is forked when no scene needs flow.
 
     Results are joined and written in scene order.  Each scene is written
     into a sibling temp dir and renamed into place, so a scene's flow dir
@@ -272,12 +272,14 @@ def compute_flow(cfg: PipelineConfig, force: bool = False) -> int:
             raise DataError(f"{meta['video_id']}: need at least 2 frames for flow, "
                             f"got {len(names)}")
         scenes.append((frames_dir, out_dir, meta, _pair_ranges(len(names) - 1, workers)))
+    if not scenes:
+        return 0
     import multiprocessing  # here, not at the top: it adds about 10 ms to every import
 
     fork = multiprocessing.get_context("fork")
     procs, conns = [], []
     try:
-        for i in range(max((len(ranges) for *_, ranges in scenes), default=0)):
+        for i in range(max(len(ranges) for *_, ranges in scenes)):
             jobs = [(frames_dir, *ranges[i]) for frames_dir, _, _, ranges in scenes
                     if i < len(ranges)]
             recv_end, send_end = fork.Pipe(duplex=False)

@@ -6,6 +6,7 @@ collects perfbench/tests, which has its own conftest, alongside tests/.
 """
 
 import os
+from pathlib import Path
 
 import numpy as np
 
@@ -32,7 +33,7 @@ def smooth_texture(rng, h=64, w=64, passes=4):
 
 def tree_bytes(root):
     """{path relative to root: file bytes} of every file under root."""
-    return {os.path.relpath(os.path.join(d, f), root): open(os.path.join(d, f), "rb").read()
+    return {os.path.relpath(os.path.join(d, f), root): Path(d, f).read_bytes()
             for d, _, files in os.walk(root) for f in files}
 
 
