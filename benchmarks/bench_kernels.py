@@ -124,7 +124,7 @@ def bench_flow(mod, rng, size, repeats):
 
 def bench_scene(mod, seq, repeats):
     t, out = on_backend(mod, lambda: best_of(lambda: tvl1.flow_sequence(seq), repeats))
-    return t, np.stack([f.data for f in out.frames])
+    return t, out.data
 
 
 def network_rows(n_clips, repeats):

@@ -94,13 +94,13 @@ def crop_window(seq: FrameSequence, box: BBox | None, start: int, n: int, size: 
     else:
         rows, cols = frameio._crop_slices(box, seq.width, seq.height)
     c = seq.channels
-    stack = np.stack([f.data[rows, cols] for f in seq.frames[start:start + n]],
+    stack = np.stack([f[rows, cols] for f in seq.data[start:start + n]],
                      axis=2)  # (h, w, n, C)
     h, w = stack.shape[:2]
     scale = size / min(w, h)
     new_w = max(size, int(round(w * scale)))
     new_h = max(size, int(round(h * scale)))
-    resized = frameio._resize(stack.reshape(h, w, n * c), new_w, new_h)
+    resized = frameio.resize_bilinear(stack.reshape(h, w, n * c), new_w, new_h)
     x0 = (new_w - size) // 2
     y0 = (new_h - size) // 2
     out = resized[y0:y0 + size, x0:x0 + size].reshape(size, size, n, c).transpose(2, 0, 1, 3)
@@ -259,9 +259,13 @@ def load_annotations(path: str) -> list[AnnotationRecord]:
             parts = line.split(",")
             if len(parts) != 8:
                 raise DataError(f"{path}:{lineno}: expected 8 comma-separated fields, got {len(parts)}")
+            try:
+                track_id, start, end, label, synthetic = (int(parts[i]) for i in (2, 3, 4, 5, 7))
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: malformed value: {exc}") from exc
             records.append(AnnotationRecord(
-                video_id=parts[0], date_tag=parts[1], track_id=int(parts[2]),
-                start_frame=int(parts[3]), end_frame=int(parts[4]), label=int(parts[5]),
-                action_name=parts[6], synthetic=bool(int(parts[7])),
+                video_id=parts[0], date_tag=parts[1], track_id=track_id,
+                start_frame=start, end_frame=end, label=label,
+                action_name=parts[6], synthetic=bool(synthetic),
             ))
     return records

@@ -92,11 +92,15 @@ def _build_block(cls, data: dict, where: str):
         raise ConfigError(f"{where}: {exc}") from None
 
 
-def config_from_dict(data: dict) -> PipelineConfig:
-    data = dict(data)
-    seed = data.pop("seed", 0)
+def _checked_seed(seed) -> int:
     if not isinstance(seed, int) or seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    return seed
+
+
+def config_from_dict(data: dict) -> PipelineConfig:
+    data = dict(data)
+    seed = _checked_seed(data.pop("seed", 0))
     unknown = sorted(set(data) - set(_BLOCK_TYPES))
     if unknown:
         raise ConfigError(f"unknown config sections: {', '.join(unknown)}")
@@ -131,7 +135,7 @@ def load_config(path: str | None, seed_override: int | None = None) -> PipelineC
             raise ConfigError(f"{path}: top level must be a JSON object")
         cfg = config_from_dict(data)
     if seed_override is not None:
-        cfg.seed = seed_override
+        cfg.seed = _checked_seed(seed_override)
     return cfg
 
 

@@ -1,10 +1,11 @@
 """Codec-free frame storage and elementary image operations.
 
-Frames live in memory as float32 arrays of shape (height, width, channels)
-with RGB values in [0, 1].  Two-channel frames hold optical flow (dx, dy)
-and are exempt from the range bound.  On disk, RGB goes to binary PPM (P6,
-8-bit), grayscale to PGM (P5) and flow to a little-endian float32 planar
-format (".flo2").
+A sequence lives in memory as one float32 array of shape (frames, height,
+width, channels), and a single image as its (height, width, channels)
+slice, with RGB values in [0, 1].  Two-channel images hold optical flow
+(dx, dy) and are exempt from the range bound.  On disk, RGB goes to binary
+PPM (P6, 8-bit), grayscale to PGM (P5) and flow to a little-endian float32
+planar format (".flo2").
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import os
 import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,79 +26,51 @@ _FRAME_RE = re.compile(r"^frame_(\d{6})\.(ppm|pgm|flo2)$")
 
 
 @dataclass
-class Frame:
-    """One image: float32 (h, w, c) with c in {1, 2, 3}."""
+class FrameSequence:
+    """A clip as one float32 array of shape (n, h, w, c), c in {1, 2, 3},
+    plus recording metadata."""
 
     data: np.ndarray
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float32)
-        if self.data.ndim == 2:
-            self.data = self.data[:, :, None]
-        if self.data.ndim != 3 or self.data.shape[2] not in (1, 2, 3):
-            raise DataError(f"frame data must be (h, w, c) with 1|2|3 channels, got {self.data.shape}")
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def channels(self) -> int:
-        return self.data.shape[2]
-
-
-@dataclass
-class FrameSequence:
-    """Ordered frames plus recording metadata."""
-
-    frames: list[Frame] = field(default_factory=list)
     fps: float = 15.0
     video_id: str = ""
     date_tag: str = ""
 
     def __post_init__(self):
+        self.data = np.asarray(self.data, dtype=np.float32)
+        if self.data.ndim != 4 or self.data.shape[3] not in (1, 2, 3):
+            raise DataError(f"frame data must be (n, h, w, c) with 1|2|3 channels, "
+                            f"got {self.data.shape}")
         if self.fps <= 0:
             raise DataError(f"fps must be positive, got {self.fps}")
-        if self.frames:
-            w, h, c = self.frames[0].width, self.frames[0].height, self.frames[0].channels
-            for i, f in enumerate(self.frames):
-                if (f.width, f.height, f.channels) != (w, h, c):
-                    raise DataError(f"frame {i} dimensions {f.width}x{f.height}x{f.channels} != {w}x{h}x{c}")
 
     def __len__(self) -> int:
-        return len(self.frames)
-
-    @property
-    def width(self) -> int:
-        return self.frames[0].width
+        return len(self.data)
 
     @property
     def height(self) -> int:
-        return self.frames[0].height
+        return self.data.shape[1]
+
+    @property
+    def width(self) -> int:
+        return self.data.shape[2]
 
     @property
     def channels(self) -> int:
-        return self.frames[0].channels
+        return self.data.shape[3]
 
 
-def _ext_for_channels(channels: int) -> str:
-    return {1: "pgm", 2: "flo2", 3: "ppm"}[channels]
-
-
-def write_ppm(frame: Frame, path: str) -> None:
-    """8-bit binary PPM (P6) for RGB, PGM (P5) for grayscale."""
-    q = np.clip(np.rint(frame.data * 255.0), 0, 255).astype(np.uint8)
-    magic = b"P6" if frame.channels == 3 else b"P5"
+def write_ppm(image: np.ndarray, path: str) -> None:
+    """8-bit binary PPM (P6) for an (h, w, 3) RGB image, PGM (P5) for (h, w, 1)."""
+    height, width, channels = image.shape
+    q = np.clip(np.rint(image * 255.0), 0, 255).astype(np.uint8)
+    magic = b"P6" if channels == 3 else b"P5"
     with open(path, "wb") as fh:
-        fh.write(magic + b"\n%d %d\n255\n" % (frame.width, frame.height))
+        fh.write(magic + b"\n%d %d\n255\n" % (width, height))
         fh.write(q.tobytes())
 
 
-def read_ppm(path: str) -> Frame:
+def read_ppm(path: str) -> np.ndarray:
+    """An 8-bit PPM or PGM file as an (h, w, 3 or 1) float32 image in [0, 1]."""
     with open(path, "rb") as fh:
         raw = fh.read()
     m = re.match(rb"^(P[56])\s+(\d+)\s+(\d+)\s+(\d+)\s", raw)
@@ -107,59 +80,55 @@ def read_ppm(path: str) -> Frame:
     if maxval != 255:
         raise DataError(f"{path}: only 8-bit images supported, maxval={maxval}")
     c = 3 if magic == b"P6" else 1
-    pixels = np.frombuffer(raw[m.end():], dtype=np.uint8, count=w * h * c)
-    if pixels.size != w * h * c:
+    if len(raw) - m.end() < w * h * c:
         raise DataError(f"{path}: truncated pixel data")
-    return Frame(pixels.reshape(h, w, c).astype(np.float32) / 255.0)
+    pixels = np.frombuffer(raw, dtype=np.uint8, count=w * h * c, offset=m.end())
+    return pixels.reshape(h, w, c).astype(np.float32) / 255.0
 
 
-def write_flo2(frame: Frame, path: str) -> None:
-    """Planar little-endian float32 flow file: dx plane then dy plane."""
-    if frame.channels != 2:
-        raise DataError(f"{path}: .flo2 requires a 2-channel frame, got {frame.channels}")
+def write_flo2(flow: np.ndarray, path: str) -> None:
+    """Planar little-endian float32 flow file of an (h, w, 2) image: dx
+    plane then dy plane."""
+    if flow.shape[2:] != (2,):
+        raise DataError(f"{path}: .flo2 requires an (h, w, 2) flow image, got {flow.shape}")
     with open(path, "wb") as fh:
         fh.write(FLO2_MAGIC)
-        fh.write(struct.pack("<II", frame.width, frame.height))
-        fh.write(frame.data[:, :, 0].astype("<f4").tobytes())
-        fh.write(frame.data[:, :, 1].astype("<f4").tobytes())
+        fh.write(struct.pack("<II", flow.shape[1], flow.shape[0]))
+        fh.write(flow[:, :, 0].astype("<f4").tobytes())
+        fh.write(flow[:, :, 1].astype("<f4").tobytes())
 
 
-def read_flo2(path: str) -> Frame:
+def read_flo2(path: str) -> np.ndarray:
+    """A .flo2 file as an (h, w, 2) float32 flow image."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != FLO2_MAGIC:
         raise DataError(f"{path}: bad magic, not a .flo2 file")
     w, h = struct.unpack("<II", raw[4:12])
-    planes = np.frombuffer(raw[12:], dtype="<f4", count=2 * w * h)
-    if planes.size != 2 * w * h:
+    if len(raw) - 12 < 8 * w * h:
         raise DataError(f"{path}: truncated flow data")
-    dx = planes[: w * h].reshape(h, w)
-    dy = planes[w * h:].reshape(h, w)
-    return Frame(np.stack([dx, dy], axis=-1))
+    planes = np.frombuffer(raw, dtype="<f4", count=2 * w * h, offset=12)
+    return np.stack(planes.reshape(2, h, w), axis=-1)
 
 
 def save_sequence(seq: FrameSequence, directory: str) -> None:
     """Write meta.json plus contiguously numbered frame files."""
     try:
         os.makedirs(directory, exist_ok=True)
-        channels = seq.channels if len(seq) else 3
         meta = {
-            "width": seq.width if len(seq) else 0,
-            "height": seq.height if len(seq) else 0,
+            "width": seq.width,
+            "height": seq.height,
             "fps": seq.fps,
             "video_id": seq.video_id,
             "date_tag": seq.date_tag,
-            "channels": channels,
+            "channels": seq.channels,
         }
         with open(os.path.join(directory, "meta.json"), "w") as fh:
             json.dump(meta, fh, indent=1)
-        ext = _ext_for_channels(channels)
-        for i, frame in enumerate(seq.frames):
-            path = os.path.join(directory, f"frame_{i:06d}.{ext}")
-            if ext == "flo2":
-                write_flo2(frame, path)
-            else:
-                write_ppm(frame, path)
+        ext = {1: "pgm", 2: "flo2", 3: "ppm"}[seq.channels]
+        write = write_flo2 if ext == "flo2" else write_ppm
+        for i, image in enumerate(seq.data):
+            write(image, os.path.join(directory, f"frame_{i:06d}.{ext}"))
     except OSError as exc:
         raise DataError(f"cannot write sequence to {directory}: {exc}") from exc
 
@@ -189,6 +158,9 @@ def load_descriptor(directory: str) -> dict:
             raise DataError(f"{path}: descriptor has no {key!r}")
         if not isinstance(meta[key], kind):
             raise DataError(f"{path}: descriptor {key!r} has the wrong type: {meta[key]!r}")
+    if min(meta["width"], meta["height"]) < 1 or meta["channels"] not in (1, 2, 3):
+        raise DataError(f"{path}: descriptor dimensions {meta['width']}x{meta['height']}"
+                        f"x{meta['channels']} are not a frame's")
     return meta
 
 
@@ -210,21 +182,21 @@ def index_sequence(directory: str) -> tuple[dict, list[str]]:
 
 
 def load_sequence(directory: str, frames: slice = slice(None)) -> FrameSequence:
-    """Load a frame directory, or the frames `frames` of it, enforcing
-    contiguous numbering and the descriptor dims."""
+    """Load a frame directory, or the frames `frames` of it, into one array,
+    enforcing contiguous numbering and the descriptor dims."""
     meta, names = index_sequence(directory)
-    channels = meta["channels"]
-    loaded = []
-    for name in names[frames]:
+    h, w, c = meta["height"], meta["width"], meta["channels"]
+    names = names[frames]
+    data = np.empty((len(names), h, w, c), dtype=np.float32)
+    for i, name in enumerate(names):
         path = os.path.join(directory, name)
-        frame = read_flo2(path) if channels == 2 else read_ppm(path)
-        if (frame.width, frame.height, frame.channels) != (meta["width"], meta["height"], channels):
-            raise DataError(
-                f"{name}: dimensions {frame.width}x{frame.height}x{frame.channels} "
-                f"do not match descriptor {meta['width']}x{meta['height']}x{channels}"
-            )
-        loaded.append(frame)
-    return FrameSequence(loaded, fps=float(meta["fps"]), video_id=meta["video_id"], date_tag=meta["date_tag"])
+        image = read_flo2(path) if c == 2 else read_ppm(path)
+        if image.shape != (h, w, c):
+            ih, iw, ic = image.shape
+            raise DataError(f"{name}: dimensions {iw}x{ih}x{ic} do not match descriptor {w}x{h}x{c}")
+        data[i] = image
+    return FrameSequence(data, fps=float(meta["fps"]), video_id=meta["video_id"],
+                         date_tag=meta["date_tag"])
 
 
 def _crop_slices(box, width: int, height: int) -> tuple[slice, slice]:
@@ -248,22 +220,12 @@ def _sample_coords(n_out: int, n_in: int) -> np.ndarray:
     return np.arange(n_out) * ((n_in - 1) / (n_out - 1))
 
 
-def resize_bilinear(frame: Frame, out_w: int, out_h: int) -> Frame:
-    """Bilinear resize with corner-aligned sampling."""
-    return Frame(_resize(frame.data, out_w, out_h))
-
-
-def resize_planes(planes: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
-    """`resize_bilinear` of every plane of an (n, h, w) stack, in one call."""
-    out = _resize(planes.transpose(1, 2, 0), out_w, out_h)
-    return np.ascontiguousarray(out.transpose(2, 0, 1))
-
-
-def _resize(d: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
-    """Resize the first two axes of an (h, w, c) array, any channel count c."""
+def resize_bilinear(image: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
+    """Bilinear resize, with corner-aligned sampling, of the first two axes
+    of an (h, w, c) array, any channel count c."""
     if out_w < 1 or out_h < 1:
         raise DataError(f"resize target must be at least 1x1, got {out_w}x{out_h}")
-    height, width = d.shape[:2]
+    height, width = image.shape[:2]
     xs = _sample_coords(out_w, width)
     ys = _sample_coords(out_h, height)
     x0 = np.clip(np.floor(xs).astype(np.int64), 0, width - 1)
@@ -273,11 +235,17 @@ def _resize(d: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
     fx = (xs - x0).astype(np.float32)[None, :, None]
     fy = (ys - y0).astype(np.float32)[:, None, None]
     # one-axis gathers: the values of 2-D fancy indexing at a fraction of the cost
-    rows = d.take(y0, axis=0)
+    rows = image.take(y0, axis=0)
     top = _lerp(rows.take(x0, axis=1), rows.take(x1, axis=1), fx)
-    rows = d.take(y1, axis=0)
+    rows = image.take(y1, axis=0)
     bot = _lerp(rows.take(x0, axis=1), rows.take(x1, axis=1), fx)
     return _lerp(top, bot, fy)
+
+
+def resize_planes(planes: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
+    """`resize_bilinear` of every plane of an (n, h, w) stack, in one call."""
+    out = resize_bilinear(planes.transpose(1, 2, 0), out_w, out_h)
+    return np.ascontiguousarray(out.transpose(2, 0, 1))
 
 
 def _lerp(a: np.ndarray, b: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -288,11 +256,12 @@ def _lerp(a: np.ndarray, b: np.ndarray, f: np.ndarray) -> np.ndarray:
     return a
 
 
-def luminance(frame: Frame) -> np.ndarray:
-    """Grayscale plane (h, w) via Rec.601 weights; identity for 1-channel frames."""
-    if frame.channels == 1:
-        return frame.data[:, :, 0]
-    if frame.channels != 3:
-        raise DataError("luminance needs an RGB or grayscale frame")
-    r, g, b = frame.data[:, :, 0], frame.data[:, :, 1], frame.data[:, :, 2]
+def luminance(images: np.ndarray) -> np.ndarray:
+    """Grayscale planes (..., h, w) of (..., h, w, c) images via Rec.601
+    weights; identity for 1-channel images."""
+    if images.shape[-1] == 1:
+        return images[..., 0]
+    if images.shape[-1] != 3:
+        raise DataError("luminance needs RGB or grayscale images")
+    r, g, b = images[..., 0], images[..., 1], images[..., 2]
     return 0.299 * r + 0.587 * g + 0.114 * b

@@ -140,10 +140,16 @@ def load_prepared(cfg: PipelineConfig) -> tuple[list[AnnotationRecord], SplitRes
     if not os.path.isfile(ann_path):
         raise DataError(f"annotations not found at {ann_path}; run prepare first")
     records = clipset.load_annotations(ann_path)
-    with open(_splits_path(cfg)) as fh:
-        doc = json.load(fh)
-    split = SplitResult(train=doc["train"], val=doc["val"], test=doc["test"],
-                        seed=doc.get("seed", 0))
+    path = _splits_path(cfg)
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        split = SplitResult(train=doc["train"], val=doc["val"], test=doc["test"],
+                            seed=doc.get("seed", 0))
+    except FileNotFoundError:
+        raise DataError(f"splits not found at {path}; run prepare first") from None
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"{path}: invalid splits file: {exc!r}") from None
     return records, split
 
 
@@ -223,7 +229,7 @@ def _flow_worker(conn, jobs: list[tuple[str, int, int]], params: tvl1.TvL1Params
     try:
         for frames_dir, a, b in jobs:
             seq = frameio.load_sequence(frames_dir, slice(a, b + 1))
-            conn.send(tvl1.sequence_flow(seq.frames, params, f"{seq.video_id}: "))
+            conn.send(tvl1.sequence_flow(seq.data, params, f"{seq.video_id}: "))
     except Exception as exc:  # raised again in the parent
         conn.send(exc)
 
@@ -290,10 +296,10 @@ def compute_flow(cfg: PipelineConfig, force: bool = False) -> int:
             conns.append(recv_end)
         for _, out_dir, meta, ranges in scenes:
             parts = [_receive(conn) for conn in conns[: len(ranges)]]
-            frames = tvl1.flow_frames(np.concatenate([u1 for u1, _ in parts]),
-                                      np.concatenate([u2 for _, u2 in parts]),
-                                      cfg.flow.max_flow)
-            flow_seq = frameio.FrameSequence(frames, fps=float(meta["fps"]),
+            flow = tvl1.flow_frames(np.concatenate([u1 for u1, _ in parts]),
+                                    np.concatenate([u2 for _, u2 in parts]),
+                                    cfg.flow.max_flow)
+            flow_seq = frameio.FrameSequence(flow, fps=float(meta["fps"]),
                                              video_id=meta["video_id"], date_tag=meta["date_tag"])
             tmp_dir = out_dir + ".partial"
             shutil.rmtree(tmp_dir, ignore_errors=True)

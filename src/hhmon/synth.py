@@ -20,7 +20,7 @@ import numpy as np
 from . import frameio, pose
 from .clipset import AnnotationRecord
 from .errors import ConfigError, DataError
-from .frameio import Frame, FrameSequence
+from .frameio import FrameSequence
 from .pose import PoseFrame
 
 OTHER_ACTIONS = ("intubating", "wearing_gloves", "removing_gloves")
@@ -60,7 +60,6 @@ class SceneSpec:
     action_name: str = ""
     synthetic: bool = False
     joint_dropout: float = 0.0
-    motion_params: list[PersonMotion] | None = None
 
     def __post_init__(self):
         if self.n_persons < 1:
@@ -208,23 +207,21 @@ def _background(width: int, height: int, rng: np.random.Generator) -> np.ndarray
     """Smooth static value-noise texture in mid grays."""
     gw, gh = max(2, width // 16), max(2, height // 16)
     grid = rng.uniform(0.40, 0.72, size=(gh, gw, 3)).astype(np.float32)
-    coarse = Frame(grid)
-    return frameio.resize_bilinear(coarse, width, height).data.copy()
+    return frameio.resize_bilinear(grid, width, height)
 
 
 def generate_scene(spec: SceneSpec) -> tuple[FrameSequence, list[PoseFrame], AnnotationRecord]:
     """Render a scene and its keypoint ground truth."""
     rng = np.random.default_rng(spec.seed)
-    motions = spec.motion_params or default_motion(spec, rng)
-    if len(motions) != spec.n_persons:
-        raise ConfigError(f"motion_params must list {spec.n_persons} persons, got {len(motions)}")
+    motions = default_motion(spec, rng)
     background = _background(spec.width, spec.height, rng)
 
     drop = None
     if spec.joint_dropout > 0:
         drop = rng.random((spec.n_frames, spec.n_persons, pose.N_JOINTS)) < spec.joint_dropout
 
-    frames, poses = [], []
+    frames = np.empty((spec.n_frames, spec.height, spec.width, 3), dtype=np.float32)
+    poses = []
     for t in range(spec.n_frames):
         img = background.copy()
         pf = PoseFrame(t)
@@ -239,7 +236,7 @@ def generate_scene(spec: SceneSpec) -> tuple[FrameSequence, list[PoseFrame], Ann
                 kp[drop[t, pi]] = 0.0
             pf.persons.append(kp)
             pf.person_hints.append(pi)
-        frames.append(Frame(np.clip(img, 0.0, 1.0)))
+        np.clip(img, 0.0, 1.0, out=frames[t])
         poses.append(pf)
 
     seq = FrameSequence(frames, fps=spec.fps, video_id=spec.video_id, date_tag=spec.date_tag)

@@ -267,8 +267,11 @@ def load_tracks(path: str) -> list[Track]:
             tokens = line.split()
             if len(tokens) != 10:
                 raise DataError(f"{path}:{lineno}: expected 10 fields, got {len(tokens)}")
-            tid, frame = int(tokens[0]), int(tokens[1])
-            vals = [float(t) for t in tokens[2:]]
+            try:
+                tid, frame = int(tokens[0]), int(tokens[1])
+                vals = [float(t) for t in tokens[2:]]
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: malformed value: {exc}") from exc
             t = by_id.setdefault(tid, Track(tid))
             t.entries.append((frame, BBox(*vals[:4])))
             t.smoothed.append((frame, BBox(*vals[4:])))

@@ -24,7 +24,7 @@ import numpy as np
 from . import backend, frameio
 from ._purekernels import _forward_grad
 from .errors import ConfigError, DataError
-from .frameio import Frame, FrameSequence
+from .frameio import FrameSequence
 
 # Pixels per (P, h, w) float32 stack that the solver runs at once, on each
 # pyramid level: 128 KB, so a stack's working set stays near the L2 cache.
@@ -124,15 +124,9 @@ def flow_energy(rho_c: np.ndarray, I1wx: np.ndarray, I1wy: np.ndarray,
     return float(lam * np.abs(rho).sum() + tv)
 
 
-def _as_plane(img) -> np.ndarray:
-    """Accept a Frame (RGB converted by luminance) or a bare (h, w) plane."""
-    if isinstance(img, Frame):
-        return frameio.luminance(img)
-    return np.asarray(img)
-
-
-def _frame_stack(planes: list, params: TvL1Params, where: str = "") -> np.ndarray:
-    """Equal-shaped, finite planes as one (n, h, w) float32 stack in 0..255."""
+def _frame_stack(planes, params: TvL1Params, where: str = "") -> np.ndarray:
+    """Equal-shaped, finite planes (a list, or an (n, h, w) stack) as one
+    new (n, h, w) float32 stack in 0..255."""
     shapes = [np.shape(p) for p in planes]
     if len(shapes[0]) != 2 or len(set(shapes)) != 1:
         raise DataError(f"{where}flow inputs must be equal-shaped 2d arrays, "
@@ -211,46 +205,44 @@ def _scene_pyramid(frames: np.ndarray, params: TvL1Params) -> list[np.ndarray]:
 
 
 def tvl1_flow(img0, img1, params: TvL1Params | None = None) -> TvL1Result:
-    """Flow from img0 to img1; luminance planes (or Frames) in [0, 1]."""
+    """Flow from img0 to img1, (h, w) luminance planes in [0, 1]."""
     params = params or TvL1Params()
-    frames = _frame_stack([_as_plane(img0), _as_plane(img1)], params)
+    frames = _frame_stack([img0, img1], params)
     energies: list[float] = []
     u1, u2 = _solve(_scene_pyramid(frames, params), params, energies)
     return TvL1Result(flow=np.stack([u1[0], u2[0]], axis=-1), energies=energies)
 
 
-def flow_to_frame(flow: np.ndarray, clip: float) -> Frame:
-    """Clip displacements to +-clip px and rescale to [-1, 1]."""
-    scaled = np.clip(flow, -clip, clip) / np.float32(clip)
-    return Frame(scaled.astype(np.float32))
-
-
-def sequence_flow(frames: list[Frame], params: TvL1Params,
+def sequence_flow(frames: np.ndarray, params: TvL1Params,
                   where: str = "") -> tuple[np.ndarray, np.ndarray]:
     """Flow (u1, u2), each (n - 1, h, w) float32, between the consecutive
-    frames of a list of n frames, solved as one pyramid, level by level
-    (see `_solve`).  Each pair gets the same bits whatever frames surround
-    it, so a scene may be solved in contiguous ranges that share their
-    boundary frames."""
-    stack = _frame_stack([frameio.luminance(f) for f in frames], params, where)
+    images of an (n, h, w, c) frame array, solved as one pyramid, level by
+    level (see `_solve`).  Each pair gets the same bits whatever frames
+    surround it, so a scene may be solved in contiguous ranges that share
+    their boundary frames."""
+    stack = _frame_stack(frameio.luminance(frames), params, where)
     return _solve(_scene_pyramid(stack, params), params)
 
 
-def flow_frames(u1: np.ndarray, u2: np.ndarray, clip: float) -> list[Frame]:
-    """The n - 1 pair flows (u1, u2) as n flow frames (see `flow_to_frame`),
-    the last repeated once; that keeps flow windows aligned start-for-start
-    with the RGB windows they shadow."""
-    out = [flow_to_frame(np.stack([a, b], axis=-1), clip) for a, b in zip(u1, u2)]
-    out.append(Frame(out[-1].data.copy()))
+def flow_frames(u1: np.ndarray, u2: np.ndarray, clip: float) -> np.ndarray:
+    """The n - 1 pair flows (u1, u2) as an (n, h, w, 2) flow array, clipped
+    to +-clip px and rescaled to [-1, 1], the last pair's repeated once;
+    that keeps flow windows aligned start-for-start with the RGB windows
+    they shadow."""
+    out = np.empty((len(u1) + 1, *u1.shape[1:], 2), dtype=np.float32)
+    np.clip(u1, -clip, clip, out=out[:-1, ..., 0])
+    np.clip(u2, -clip, clip, out=out[:-1, ..., 1])
+    out[:-1] /= np.float32(clip)
+    out[-1] = out[-2]
     return out
 
 
 def flow_sequence(seq: FrameSequence, params: TvL1Params | None = None) -> FrameSequence:
     """Pairwise flow over a sequence, n frames in and n frames out, clipped
     to +-params.max_flow px and rescaled to [-1, 1] (see `flow_frames`)."""
-    if len(seq.frames) < 2:
-        raise DataError(f"{seq.video_id}: need at least 2 frames for flow, got {len(seq.frames)}")
+    if len(seq) < 2:
+        raise DataError(f"{seq.video_id}: need at least 2 frames for flow, got {len(seq)}")
     params = params or TvL1Params()
-    u1, u2 = sequence_flow(seq.frames, params, f"{seq.video_id}: ")
+    u1, u2 = sequence_flow(seq.data, params, f"{seq.video_id}: ")
     return FrameSequence(flow_frames(u1, u2, params.max_flow), fps=seq.fps,
                          video_id=seq.video_id, date_tag=seq.date_tag)

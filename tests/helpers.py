@@ -12,12 +12,10 @@ import numpy as np
 
 
 def make_rgb(width, height, rng, constant=None):
-    """Random (or constant) RGB frame in [0, 1]."""
-    from hhmon import frameio
-
+    """Random (or constant) (height, width, 3) float32 RGB image in [0, 1]."""
     if constant is not None:
-        return frameio.Frame(np.full((height, width, 3), constant, dtype=np.float32))
-    return frameio.Frame(rng.random((height, width, 3)).astype(np.float32))
+        return np.full((height, width, 3), constant, dtype=np.float32)
+    return rng.random((height, width, 3)).astype(np.float32)
 
 
 def smooth_texture(rng, h=64, w=64, passes=4):
@@ -62,32 +60,30 @@ def mean_wrist_speed(poses, person=0):
     return float(np.linalg.norm(np.diff(pts, axis=0), axis=2).mean())
 
 
-def crop(frame, box):
-    """Copy the intersection of `box` (BBox or (x1, y1, x2, y2)) with the frame."""
+def crop(image, box):
+    """Copy the intersection of `box` (BBox or (x1, y1, x2, y2)) with an
+    (h, w, c) image."""
     from hhmon import frameio
 
-    rows, cols = frameio._crop_slices(box, frame.width, frame.height)
-    return frameio.Frame(frame.data[rows, cols].copy())
+    rows, cols = frameio._crop_slices(box, image.shape[1], image.shape[0])
+    return image[rows, cols].copy()
 
 
-def hflip(frame):
-    """Reverse columns; flow frames also get their horizontal component negated."""
-    from hhmon import frameio
-
-    out = frame.data[:, ::-1].copy()
-    if frame.channels == 2:
+def hflip(image):
+    """Reverse columns; flow images also get their horizontal component negated."""
+    out = image[:, ::-1].copy()
+    if out.shape[2] == 2:
         out[:, :, 0] = -out[:, :, 0]
-    return frameio.Frame(out)
+    return out
 
 
-def adjust_brightness(frame, delta):
-    """Add `delta` to every channel and clamp to [0, 1].  RGB frames only."""
-    from hhmon import frameio
+def adjust_brightness(image, delta):
+    """Add `delta` to every channel and clamp to [0, 1].  RGB images only."""
     from hhmon.errors import DataError
 
-    if frame.channels != 3:
-        raise DataError(f"brightness adjustment requires an RGB frame, got {frame.channels} channels")
-    return frameio.Frame(np.clip(frame.data + np.float32(delta), 0.0, 1.0))
+    if image.shape[2] != 3:
+        raise DataError(f"brightness adjustment requires an RGB image, got {image.shape[2]} channels")
+    return np.clip(image + np.float32(delta), 0.0, 1.0)
 
 
 def crop_window_oracle(seq, box, start, n, size, flip=False, delta=0.0):
@@ -96,18 +92,19 @@ def crop_window_oracle(seq, box, start, n, size, flip=False, delta=0.0):
     from hhmon import frameio
 
     planes = []
-    for frame in seq.frames[start:start + n]:
+    for frame in seq.data[start:start + n]:
         if box is not None:
             frame = crop(frame, box)
-        scale = size / min(frame.width, frame.height)
-        new_w = max(size, int(round(frame.width * scale)))
-        new_h = max(size, int(round(frame.height * scale)))
+        h, w = frame.shape[:2]
+        scale = size / min(w, h)
+        new_w = max(size, int(round(w * scale)))
+        new_h = max(size, int(round(h * scale)))
         resized = frameio.resize_bilinear(frame, new_w, new_h)
         x0, y0 = (new_w - size) // 2, (new_h - size) // 2
-        frame = frameio.Frame(resized.data[y0:y0 + size, x0:x0 + size].copy())
+        frame = resized[y0:y0 + size, x0:x0 + size].copy()
         if flip:
             frame = hflip(frame)
-        if delta and frame.channels == 3:
+        if delta and frame.shape[2] == 3:
             frame = adjust_brightness(frame, delta)
-        planes.append(frame.data)
+        planes.append(frame)
     return np.stack(planes)

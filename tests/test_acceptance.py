@@ -28,7 +28,7 @@ from hhmon.clipset import (
     window_starts,
 )
 from hhmon.config import load_config
-from hhmon.frameio import Frame, FrameSequence
+from hhmon.frameio import FrameSequence
 from hhmon.layers import bce_with_logits, conv3d_forward
 from hhmon.metrics import ConfusionMatrix, metrics
 from hhmon.model import (
@@ -241,18 +241,17 @@ def test_file_formats_roundtrip(capsys, tmp_path):
     rng = np.random.default_rng(10)
 
     quant = rng.integers(0, 256, size=(3, 12, 16, 3)).astype(np.float32) / 255.0
-    seq = FrameSequence([Frame(a) for a in quant], fps=12.5, video_id="v", date_tag="d3")
+    seq = FrameSequence(quant, fps=12.5, video_id="v", date_tag="d3")
     frameio.save_sequence(seq, str(tmp_path / "rgb"))
     back = frameio.load_sequence(str(tmp_path / "rgb"))
     frames_ok = (back.fps == seq.fps and back.video_id == "v" and back.date_tag == "d3"
-                 and all(np.array_equal(a.data, b.data)
-                         for a, b in zip(seq.frames, back.frames)))
+                 and np.array_equal(seq.data, back.data))
 
-    flows = [Frame(rng.standard_normal((12, 16, 2)).astype(np.float32)) for _ in range(3)]
+    flows = rng.standard_normal((3, 12, 16, 2)).astype(np.float32)
     fseq = FrameSequence(flows, fps=12.5, video_id="f", date_tag="d3")
     frameio.save_sequence(fseq, str(tmp_path / "flow"))
     fback = frameio.load_sequence(str(tmp_path / "flow"))
-    flow_ok = all(np.array_equal(a.data, b.data) for a, b in zip(flows, fback.frames))
+    flow_ok = np.array_equal(flows, fback.data)
 
     net = Network.init(i3d_mini(in_channels=2, input_size=16, clip_len=4), seed=3)
     net.freeze_backbone()
@@ -314,7 +313,7 @@ def desk_run(tmp_path_factory):
     entry = next(e for e in manifest["scenes"] if e["class"] == 1 and not e["synthetic"])
     seq = frameio.load_sequence(str(root / "ds" / entry["frames_dir"]))
     clip_dir = root / "probe_clip"
-    frameio.save_sequence(FrameSequence(seq.frames[:16], fps=seq.fps,
+    frameio.save_sequence(FrameSequence(seq.data[:16], fps=seq.fps,
                                         video_id="probe", date_tag="d"), str(clip_dir))
     (clip_dir / "keypoints.txt").write_text(
         (root / "ds" / entry["keypoints_file"]).read_text())

@@ -17,7 +17,7 @@ from helpers import smooth_texture, tree_bytes, use_kernels
 
 from hhmon import _accel, _purekernels, backend, frameio, pipeline, synth, tvl1
 from hhmon.config import PipelineConfig
-from hhmon.frameio import Frame, FrameSequence
+from hhmon.frameio import FrameSequence
 from hhmon.tvl1 import TvL1Params, _centered_gradient, tvl1_flow
 
 REPO = Path(__file__).resolve().parents[1]
@@ -290,7 +290,7 @@ def test_chunked_flow_sequence_equals_a_per_pair_loop(rng, monkeypatch, accel, c
     planes[4] = planes[3]
     assert tvl1.STACK_PIXELS // (h * w) == 4 and (n - 1) % 4 != 0
     params = TvL1Params(max_flow=4.0)
-    seq = FrameSequence([Frame(p) for p in planes], fps=15.0, video_id="v", date_tag="d0")
+    seq = FrameSequence(np.array(planes)[..., None], fps=15.0, video_id="v", date_tag="d0")
     chunked = tvl1.flow_sequence(seq, params)
     assert stacks == [((18, 24), 6), ((36, 48), 6), ((72, 96), 4), ((72, 96), 2)]
 
@@ -298,13 +298,14 @@ def test_chunked_flow_sequence_equals_a_per_pair_loop(rng, monkeypatch, accel, c
     for i in range(n - 1):
         counts.clear()
         flow = tvl1_flow(planes[i], planes[i + 1], params).flow
-        per_pair.append(tvl1.flow_to_frame(flow, params.max_flow).data)
+        per_pair.append(np.clip(flow, -params.max_flow, params.max_flow)
+                        / np.float32(params.max_flow))
         pair_counts.append(list(counts))
     assert max(pair_counts[3]) == 1  # the static pair stops after one iteration
     assert params.n_iters in pair_counts[0]  # a moving pair runs to the cap
-    assert len(chunked.frames) == n
+    assert len(chunked) == n
     for i, want in enumerate(per_pair):
-        assert np.array_equal(chunked.frames[i].data, want), f"pair {i}"
+        assert np.array_equal(chunked.data[i], want), f"pair {i}"
 
 
 @pytest.mark.parametrize("compiled", [False, True], ids=["pure", "compiled"])
@@ -340,3 +341,15 @@ def test_flow_workers_write_the_bytes_of_a_serial_loop(tmp_path, monkeypatch, ac
         assert pipeline.compute_flow(cfg) == 3
         assert [len(r) for r in ranges] == [workers, 1, workers]
         assert tree_bytes(os.path.join(cfg.paths.work_dir, "flow")) == want, f"{workers} workers"
+
+
+def test_the_kernel_benchmark_script_runs(tmp_path):
+    # nothing else runs benchmarks/bench_kernels.py, so a library API change
+    # would otherwise break it unnoticed
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    run = subprocess.run(
+        [sys.executable, str(REPO / "benchmarks" / "bench_kernels.py"), "--size", "32",
+         "--flow-size", "32", "--iters", "2", "--repeats", "1"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert "flow_sequence 23x192x144" in run.stdout

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from hhmon import backend, cli, frameio, tvl1
+from hhmon import backend, cli, clipset, frameio, tvl1
 from hhmon.errors import DataError
 from hhmon.frameio import FrameSequence
 
@@ -51,6 +51,31 @@ def test_seed_flag_overrides_the_file(tmp_path, capsys):
     path = write_cfg(tmp_path)
     assert cli.main(["gen", "--config", path, "--seed", "7", "--print-config"]) == 0
     assert json.loads(capsys.readouterr().out)["seed"] == 7
+
+
+def test_a_negative_seed_flag_is_a_usage_error(tmp_path, capsys):
+    path = write_cfg(tmp_path)
+    for argv in (["gen", "--config", path], ["gen", "--print-config"]):
+        assert cli.main(argv + ["--seed", "-1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: seed must be a non-negative integer, got -1\n")
+    assert not (tmp_path / "ds").exists()
+
+
+@pytest.mark.parametrize("splits", [None, "{not json", '{"train": [0]}'],
+                         ids=["missing", "invalid-json", "missing-key"])
+def test_train_and_eval_without_valid_splits_exit_3(tmp_path, capsys, splits):
+    # what a prepare that died after writing annotations.csv leaves behind
+    path = write_cfg(tmp_path)
+    work = tmp_path / "work"
+    work.mkdir()
+    clipset.save_annotations([clipset.AnnotationRecord("v", "d00", 0, 0, 20, 1)],
+                             str(work / "annotations.csv"))
+    if splits is not None:
+        (work / "splits.json").write_text(splits)
+    for argv in (["train", "--stream", "rgb"], ["eval"]):
+        assert cli.main(argv + ["--config", path]) == 3
+        assert str(work / "splits.json") in capsys.readouterr().err
 
 
 def test_bad_config_key_is_a_usage_error(tmp_path, capsys):
@@ -157,7 +182,7 @@ def test_full_command_journey(tmp_path, capsys):
     vid = sorted(os.listdir(scene_dir))[0]
     seq = frameio.load_sequence(str(scene_dir / vid / "frames"))
     clip_dir = tmp_path / "clip16"
-    frameio.save_sequence(FrameSequence(seq.frames[:16], fps=seq.fps,
+    frameio.save_sequence(FrameSequence(seq.data[:16], fps=seq.fps,
                                         video_id="probe", date_tag="d"), str(clip_dir))
     assert cli.main(["infer", "--config", path, str(clip_dir)]) == 0
     assert re.fullmatch(r"\d\.\d{6} (rubbing_hands|other)\n",
@@ -169,7 +194,7 @@ def test_full_command_journey(tmp_path, capsys):
 def test_infer_with_a_malformed_descriptor_exits_3(tmp_path, capsys, meta):
     path = write_cfg(tmp_path)
     clip_dir = tmp_path / "clip16"
-    frameio.save_sequence(FrameSequence([frameio.Frame(np.zeros((4, 4, 3)))] * 16,
+    frameio.save_sequence(FrameSequence(np.zeros((16, 4, 4, 3)),
                                         video_id="probe", date_tag="d"), str(clip_dir))
     (clip_dir / "meta.json").write_text(meta)
     assert cli.main(["infer", "--config", path, str(clip_dir)]) == 3
@@ -192,7 +217,7 @@ def test_a_worker_data_error_exits_3_and_leaves_no_worker(tmp_path, capsys, monk
     assert cli.main(["gen", "--config", path]) == 0
     stack = tvl1._frame_stack
     scene = frameio.load_sequence(str(tmp_path / "ds" / "scenes" / "oth_001" / "frames"))
-    first = frameio.luminance(scene.frames[0])
+    first = frameio.luminance(scene.data[0])
 
     def failing_stack(planes, params, where=""):
         # only the range from the scene's first frame fails, so the other

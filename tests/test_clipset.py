@@ -1,5 +1,7 @@
 """Window enumeration, clip augmentation and date-disjoint splitting."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -17,7 +19,7 @@ from hhmon.clipset import (
     window_starts,
 )
 from hhmon.errors import ConfigError, DataError
-from hhmon.frameio import Frame, FrameSequence
+from hhmon.frameio import FrameSequence
 from hhmon.pose import BBox
 from hhmon.tracking import Track
 from helpers import crop_window_oracle
@@ -38,7 +40,7 @@ def random_lengths(total, parts, rng, minimum=CLIP_LEN):
 
 def static_sequence(rng, n_frames=24, width=48, height=36, video_id="v", date_tag="d0"):
     img = rng.random((height, width, 3)).astype(np.float32)
-    return FrameSequence([Frame(img.copy()) for _ in range(n_frames)],
+    return FrameSequence(np.repeat(img[None], n_frames, axis=0),
                          fps=15.0, video_id=video_id, date_tag=date_tag)
 
 
@@ -172,7 +174,7 @@ def test_sample_still_shape_and_bounds(rng):
 def test_train_still_is_the_first_frame_of_its_window(rng):
     # same provenance, same draws in the same order: a still at frame f is
     # exactly frame 0 of the augmented 16-frame window starting at f
-    seq = FrameSequence([Frame(rng.random((36, 48, 3)).astype(np.float32)) for _ in range(24)],
+    seq = FrameSequence(rng.random((24, 36, 48, 3)).astype(np.float32),
                         fps=15.0, video_id="v", date_tag="d0")
     track = fixed_track(BBox(8.0, 6.0, 30.0, 28.0), len(seq))
     cfg = AugmentConfig(scale_min=1.2, scale_max=1.6, flip_prob=0.5, input_size=16)
@@ -188,8 +190,8 @@ def test_train_still_is_the_first_frame_of_its_window(rng):
 def test_crop_window_equals_the_per_frame_loop(rng, channels, flip, box):
     # signed flow values exercise the u negation; brightness reaches the clamp
     scale, shift = (1.0, 0.0) if channels == 3 else (6.0, -3.0)
-    seq = FrameSequence([Frame((rng.random((36, 48, channels)) * scale + shift)
-                               .astype(np.float32)) for _ in range(20)])
+    seq = FrameSequence(np.stack([(rng.random((36, 48, channels)) * scale + shift)
+                                  .astype(np.float32) for _ in range(20)]))
     for size, n, delta in ((16, CLIP_LEN, 0.3), (24, 1, -0.05), (40, 3, 0.0)):
         got = crop_window(seq, box, 2, n, size, flip, delta)
         want = crop_window_oracle(seq, box, 2, n, size, flip, delta)
@@ -301,6 +303,20 @@ def test_annotation_rejects_bad_lines(tmp_path):
     with open(path, "w") as fh:
         fh.write("vid,d0,0,0,20,1,a\n")  # 7 fields
     with pytest.raises(DataError, match=":1:"):
+        load_annotations(path)
+
+
+@pytest.mark.parametrize("field", [2, 3, 4, 5, 7])
+def test_annotation_with_a_non_integer_field_names_its_line(tmp_path, field):
+    path = str(tmp_path / "ann.csv")
+    save_annotations([rec("vid_a", "d0", 40), rec("vid_b", "d1", 25)], path)
+    lines = open(path).read().splitlines()
+    parts = lines[1].split(",")
+    parts[field] = "x1"
+    lines[1] = ",".join(parts)
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=f"^{re.escape(path)}:2: malformed value"):
         load_annotations(path)
 
 

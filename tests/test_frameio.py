@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hhmon import frameio
 from hhmon.errors import DataError
-from hhmon.frameio import Frame, FrameSequence
+from hhmon.frameio import FrameSequence
 
 from helpers import adjust_brightness, crop, hflip, make_rgb
 
@@ -23,8 +23,8 @@ def test_ppm_roundtrip_is_lossless_after_8bit_quantization(tmp_path, rng):
     path = str(tmp_path / "f.ppm")
     frameio.write_ppm(f, path)
     back = frameio.read_ppm(path)
-    assert back.data.shape == (11, 17, 3)
-    np.testing.assert_array_equal(back.data, quantize8(f.data).astype(np.float32))
+    assert back.shape == (11, 17, 3) and back.dtype == np.float32
+    np.testing.assert_array_equal(back, quantize8(f).astype(np.float32))
 
 
 def test_ppm_header_is_binary_p6(tmp_path, rng):
@@ -35,27 +35,28 @@ def test_ppm_header_is_binary_p6(tmp_path, rng):
 
 
 def test_grayscale_roundtrips_as_pgm(tmp_path, rng):
-    f = Frame(rng.random((5, 7, 1)).astype(np.float32))
+    f = rng.random((5, 7, 1)).astype(np.float32)
     path = str(tmp_path / "f.pgm")
     frameio.write_ppm(f, path)
     back = frameio.read_ppm(path)
-    assert back.channels == 1
-    np.testing.assert_array_equal(back.data, quantize8(f.data).astype(np.float32))
+    assert back.shape == (5, 7, 1)
+    np.testing.assert_array_equal(back, quantize8(f).astype(np.float32))
 
 
 def test_flo2_roundtrip_exact_float32(tmp_path, rng):
-    flow = Frame((rng.random((9, 13, 2)) * 40 - 20).astype(np.float32))
+    flow = (rng.random((9, 13, 2)) * 40 - 20).astype(np.float32)
     path = str(tmp_path / "f.flo2")
     frameio.write_flo2(flow, path)
     back = frameio.read_flo2(path)
-    np.testing.assert_array_equal(back.data, flow.data)
+    assert back.dtype == np.float32
+    np.testing.assert_array_equal(back, flow)
 
 
 def test_flo2_binary_layout(tmp_path):
     # magic, u32 w, u32 h, dx plane then dy plane as little-endian f32
     data = np.array([[[1.5, -2.5], [3.0, 4.0]]], dtype=np.float32)  # 1x2x2
     path = str(tmp_path / "f.flo2")
-    frameio.write_flo2(Frame(data), path)
+    frameio.write_flo2(data, path)
     raw = open(path, "rb").read()
     assert raw[:4] == b"FLO2"
     w, h = struct.unpack("<II", raw[4:12])
@@ -76,26 +77,35 @@ def test_flo2_bad_magic(tmp_path):
         frameio.read_flo2(str(path))
 
 
+def test_truncated_files_are_data_errors(tmp_path, rng):
+    for name, write, read in (("f.ppm", frameio.write_ppm, frameio.read_ppm),
+                              ("f.flo2", frameio.write_flo2, frameio.read_flo2)):
+        path = tmp_path / name
+        write(rng.random((4, 5, 3 if name == "f.ppm" else 2)).astype(np.float32), str(path))
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(DataError, match="truncated"):
+            read(str(path))
+
+
 def test_sequence_roundtrip_preserves_pixels_and_metadata(tmp_path, rng):
-    frames = [make_rgb(12, 8, rng) for _ in range(3)]
+    frames = np.stack([make_rgb(12, 8, rng) for _ in range(3)])
     seq = FrameSequence(frames, fps=15.0, video_id="vid7", date_tag="d03")
     out = str(tmp_path / "seq")
     frameio.save_sequence(seq, out)
     back = frameio.load_sequence(out)
-    assert len(back) == 3
+    assert len(back) == 3 and back.data.shape == (3, 8, 12, 3)
     assert (back.fps, back.video_id, back.date_tag) == (15.0, "vid7", "d03")
-    for a, b in zip(back.frames, frames):
-        np.testing.assert_array_equal(a.data, quantize8(b.data).astype(np.float32))
+    np.testing.assert_array_equal(back.data, quantize8(frames).astype(np.float32))
 
 
 def test_flow_sequence_roundtrip_exact(tmp_path, rng):
-    frames = [Frame((rng.random((6, 5, 2)) * 2 - 1).astype(np.float32)) for _ in range(4)]
+    frames = (rng.random((4, 6, 5, 2)) * 2 - 1).astype(np.float32)
     seq = FrameSequence(frames, fps=15.0, video_id="fl", date_tag="d00")
     out = str(tmp_path / "flow")
     frameio.save_sequence(seq, out)
     back = frameio.load_sequence(out)
-    for a, b in zip(back.frames, frames):
-        np.testing.assert_array_equal(a.data, b.data)
+    np.testing.assert_array_equal(back.data, frames)
+    np.testing.assert_array_equal(frameio.load_sequence(out, slice(1, 3)).data, frames[1:3])
 
 
 def test_load_sequence_empty_dir_errors(tmp_path):
@@ -107,8 +117,21 @@ def test_load_sequence_empty_dir_errors(tmp_path):
         frameio.load_sequence(str(d))
 
 
+@pytest.mark.parametrize("dims", ['"width": -4, "height": 4, "channels": 3',
+                                  '"width": 4, "height": 4, "channels": 4'],
+                         ids=["negative-width", "four-channels"])
+def test_load_sequence_rejects_descriptor_dims_no_frame_has(tmp_path, rng, dims):
+    d = tmp_path / "seq"
+    d.mkdir()
+    (d / "meta.json").write_text(f'{{{dims}, "fps": 15, "video_id": "v", "date_tag": "d"}}')
+    frameio.write_ppm(make_rgb(4, 4, rng), str(d / "frame_000000.ppm"))
+    with pytest.raises(DataError, match="descriptor dimensions"):
+        frameio.load_sequence(str(d))
+
+
 def test_load_sequence_gap_names_first_missing_index(tmp_path, rng):
-    seq = FrameSequence([make_rgb(4, 4, rng) for _ in range(4)], video_id="v", date_tag="d")
+    seq = FrameSequence(np.stack([make_rgb(4, 4, rng) for _ in range(4)]), video_id="v",
+                        date_tag="d")
     out = tmp_path / "seq"
     frameio.save_sequence(seq, str(out))
     (out / "frame_000002.ppm").unlink()
@@ -117,7 +140,8 @@ def test_load_sequence_gap_names_first_missing_index(tmp_path, rng):
 
 
 def test_load_sequence_dimension_mismatch_names_frame(tmp_path, rng):
-    seq = FrameSequence([make_rgb(4, 4, rng) for _ in range(2)], video_id="v", date_tag="d")
+    seq = FrameSequence(np.stack([make_rgb(4, 4, rng) for _ in range(2)]), video_id="v",
+                        date_tag="d")
     out = tmp_path / "seq"
     frameio.save_sequence(seq, str(out))
     frameio.write_ppm(make_rgb(5, 4, rng), str(out / "frame_000001.ppm"))
@@ -136,21 +160,21 @@ def test_load_sequence_missing_meta(tmp_path, rng):
 def test_crop_identity(rng):
     f = make_rgb(640, 480, rng)
     out = crop(f, (0, 0, 640, 480))
-    np.testing.assert_array_equal(out.data, f.data)
+    np.testing.assert_array_equal(out, f)
 
 
 def test_crop_extent():
-    f = Frame(np.zeros((480, 640, 3), dtype=np.float32))
+    f = np.zeros((480, 640, 3), dtype=np.float32)
     out = crop(f, (10, 20, 110, 220))
-    assert (out.width, out.height) == (100, 200)
+    assert out.shape == (200, 100, 3)
 
 
 def test_crop_copies_pixels(rng):
     f = make_rgb(16, 16, rng)
     out = crop(f, (2, 3, 7, 9))
-    np.testing.assert_array_equal(out.data, f.data[3:9, 2:7])
-    out.data[0, 0, 0] = -1.0
-    assert f.data[3, 2, 0] != -1.0
+    np.testing.assert_array_equal(out, f[3:9, 2:7])
+    out[0, 0, 0] = -1.0
+    assert f[3, 2, 0] != -1.0
 
 
 def test_crop_outside_frame_errors(rng):
@@ -161,7 +185,7 @@ def test_crop_outside_frame_errors(rng):
 @given(x1=st.integers(-5, 20), y1=st.integers(-5, 20),
        dw=st.integers(1, 30), dh=st.integers(1, 30))
 def test_crop_dims_equal_clipped_box(x1, y1, dw, dh):
-    f = Frame(np.zeros((16, 24, 3), dtype=np.float32))
+    f = np.zeros((16, 24, 3), dtype=np.float32)
     box = (x1, y1, x1 + dw, y1 + dh)
     cx1, cy1 = max(x1, 0), max(y1, 0)
     cx2, cy2 = min(x1 + dw, 24), min(y1 + dh, 16)
@@ -170,26 +194,27 @@ def test_crop_dims_equal_clipped_box(x1, y1, dw, dh):
             crop(f, box)
     else:
         out = crop(f, box)
-        assert (out.width, out.height) == (cx2 - cx1, cy2 - cy1)
+        assert out.shape[:2] == (cy2 - cy1, cx2 - cx1)
 
 
 def test_resize_2x1_to_3x1_corner_aligned():
-    f = Frame(np.array([[[0.0], [1.0]]], dtype=np.float32))
+    f = np.array([[[0.0], [1.0]]], dtype=np.float32)
     out = frameio.resize_bilinear(f, 3, 1)
-    np.testing.assert_allclose(out.data[0, :, 0], [0.0, 0.5, 1.0], atol=1e-7)
+    np.testing.assert_allclose(out[0, :, 0], [0.0, 0.5, 1.0], atol=1e-7)
 
 
 @given(w=st.integers(1, 9), h=st.integers(1, 9))
 def test_resize_constant_stays_constant(w, h):
-    f = Frame(np.full((5, 7, 3), 0.5, dtype=np.float32))
+    f = np.full((5, 7, 3), 0.5, dtype=np.float32)
     out = frameio.resize_bilinear(f, w, h)
-    np.testing.assert_allclose(out.data, 0.5, atol=1e-6)
+    assert out.shape == (h, w, 3)
+    np.testing.assert_allclose(out, 0.5, atol=1e-6)
 
 
 def test_resize_same_size_is_identity(rng):
     f = make_rgb(13, 9, rng)
     out = frameio.resize_bilinear(f, 13, 9)
-    np.testing.assert_allclose(out.data, f.data, atol=1e-6)
+    np.testing.assert_allclose(out, f, atol=1e-6)
 
 
 def test_resize_planes_equals_resize_bilinear_per_plane(rng):
@@ -198,7 +223,7 @@ def test_resize_planes_equals_resize_bilinear_per_plane(rng):
         got = frameio.resize_planes(planes, out_w, out_h)
         assert got.shape == (3, out_h, out_w) and got.flags.c_contiguous
         for plane, out in zip(planes, got):
-            want = frameio.resize_bilinear(Frame(plane), out_w, out_h).data[:, :, 0]
+            want = frameio.resize_bilinear(plane[:, :, None], out_w, out_h)[:, :, 0]
             assert np.array_equal(out, want)
 
 
@@ -209,41 +234,41 @@ def test_resize_rejects_zero_target(rng):
 
 def test_hflip_involution_rgb(rng):
     f = make_rgb(10, 6, rng)
-    np.testing.assert_array_equal(hflip(hflip(f)).data, f.data)
+    np.testing.assert_array_equal(hflip(hflip(f)), f)
 
 
 def test_hflip_2x1_swaps_columns():
-    f = Frame(np.array([[[0.1, 0.2, 0.3], [0.7, 0.8, 0.9]]], dtype=np.float32))
+    f = np.array([[[0.1, 0.2, 0.3], [0.7, 0.8, 0.9]]], dtype=np.float32)
     out = hflip(f)
-    np.testing.assert_array_equal(out.data[0, 0], f.data[0, 1])
-    np.testing.assert_array_equal(out.data[0, 1], f.data[0, 0])
+    np.testing.assert_array_equal(out[0, 0], f[0, 1])
+    np.testing.assert_array_equal(out[0, 1], f[0, 0])
 
 
 def test_hflip_flow_negates_horizontal_component():
-    flow = Frame(np.stack([np.ones((4, 5)), np.zeros((4, 5))], axis=-1).astype(np.float32))
+    flow = np.stack([np.ones((4, 5)), np.zeros((4, 5))], axis=-1).astype(np.float32)
     out = hflip(flow)
-    np.testing.assert_array_equal(out.data[:, :, 0], -1.0)
-    np.testing.assert_array_equal(out.data[:, :, 1], 0.0)
+    np.testing.assert_array_equal(out[:, :, 0], -1.0)
+    np.testing.assert_array_equal(out[:, :, 1], 0.0)
 
 
 def test_hflip_flow_involution(rng):
-    flow = Frame((rng.random((6, 7, 2)) * 4 - 2).astype(np.float32))
-    np.testing.assert_array_equal(hflip(hflip(flow)).data, flow.data)
+    flow = (rng.random((6, 7, 2)) * 4 - 2).astype(np.float32)
+    np.testing.assert_array_equal(hflip(hflip(flow)), flow)
 
 
 def test_brightness_zero_delta_identity(rng):
     f = make_rgb(5, 5, rng)
-    np.testing.assert_array_equal(adjust_brightness(f, 0.0).data, f.data)
+    np.testing.assert_array_equal(adjust_brightness(f, 0.0), f)
 
 
 def test_brightness_clamps_at_one():
-    f = Frame(np.full((2, 2, 3), 0.95, dtype=np.float32))
-    np.testing.assert_allclose(adjust_brightness(f, 0.1).data, 1.0)
+    f = np.full((2, 2, 3), 0.95, dtype=np.float32)
+    np.testing.assert_allclose(adjust_brightness(f, 0.1), 1.0)
 
 
 def test_brightness_plain_shift():
-    f = Frame(np.full((2, 2, 3), 0.5, dtype=np.float32))
-    np.testing.assert_allclose(adjust_brightness(f, -0.1).data, 0.4, atol=1e-7)
+    f = np.full((2, 2, 3), 0.5, dtype=np.float32)
+    np.testing.assert_allclose(adjust_brightness(f, -0.1), 0.4, atol=1e-7)
 
 
 def test_luminance_coefficients():
@@ -251,15 +276,25 @@ def test_luminance_coefficients():
     px[0, 0] = [1, 0, 0]
     px[0, 1] = [0, 1, 0]
     px[0, 2] = [0, 0, 1]
-    lum = frameio.luminance(Frame(px))
+    lum = frameio.luminance(px)
     np.testing.assert_allclose(lum[0], [0.299, 0.587, 0.114], atol=1e-6)
+    # a stack of images gives the stack of their planes, bit for bit
+    stack = np.stack([px, px[:, ::-1]])
+    assert np.array_equal(frameio.luminance(stack),
+                          np.stack([frameio.luminance(p) for p in stack]))
 
 
 def test_frame_rejects_bad_channel_count():
-    with pytest.raises(DataError):
-        Frame(np.zeros((4, 4, 5), dtype=np.float32))
+    with pytest.raises(DataError, match=r"1\|2\|3 channels"):
+        FrameSequence(np.zeros((2, 4, 4, 5), dtype=np.float32))
 
 
-def test_sequence_rejects_mixed_dimensions(rng):
-    with pytest.raises(DataError):
-        FrameSequence([make_rgb(4, 4, rng), make_rgb(5, 4, rng)])
+def test_sequence_holds_one_float32_array_of_four_axes():
+    seq = FrameSequence(np.zeros((3, 4, 5, 2), dtype=np.float64))
+    assert seq.data.dtype == np.float32
+    assert (len(seq), seq.height, seq.width, seq.channels) == (3, 4, 5, 2)
+    for shape in ((4, 5, 3), (1, 3, 4, 5, 3)):
+        with pytest.raises(DataError, match="must be \\(n, h, w, c\\)"):
+            FrameSequence(np.zeros(shape, dtype=np.float32))
+    with pytest.raises(DataError, match="fps"):
+        FrameSequence(np.zeros((1, 4, 4, 3)), fps=0.0)

@@ -149,7 +149,7 @@ def test_compute_flow_skips_existing(prepared, monkeypatch):
     seq = frameio.load_sequence(flow_dir)
     n_frames = manifest["scenes"][0]["end_frame"]
     assert len(seq) == n_frames
-    assert seq.frames[0].channels == 2
+    assert seq.channels == 2
     with monkeypatch.context() as m:
         m.setattr(os, "fork", None)  # nothing to solve: nothing forked
         assert pipeline.compute_flow(cfg) == 0
@@ -175,11 +175,11 @@ def test_flow_killed_mid_scene_is_recomputed_on_rerun(tmp_path, monkeypatch):
     k = n_frames // 2  # in the middle of a scene, not on its boundary
     calls = []
 
-    def dying_write(frame, path):
+    def dying_write(flow, path):
         calls.append(path)
         if len(calls) > k:
             raise KeyboardInterrupt("killed")
-        write(frame, path)
+        write(flow, path)
 
     monkeypatch.setattr(frameio, "write_flo2", dying_write)
     with pytest.raises(KeyboardInterrupt):
@@ -260,7 +260,7 @@ def test_evaluate_with_rgb_only_marks_flow_absent(prepared):
 def test_infer_needs_a_trained_checkpoint(tmp_path, rng):
     cfg = tiny_cfg(tmp_path)
     clip_dir = tmp_path / "clip"
-    frames = [frameio.Frame(rng.random((20, 20, 3)).astype(np.float32)) for _ in range(16)]
+    frames = rng.random((16, 20, 20, 3)).astype(np.float32)
     frameio.save_sequence(FrameSequence(frames, video_id="c", date_tag="d"), str(clip_dir))
     with pytest.raises(DataError, match="run train --stream rgb first"):
         pipeline.infer_clip(cfg, str(clip_dir))
@@ -269,7 +269,7 @@ def test_infer_needs_a_trained_checkpoint(tmp_path, rng):
 def test_infer_validates_the_frame_count(prepared, tmp_path, rng):
     cfg, _, _ = prepared
     clip_dir = tmp_path / "short"
-    frames = [frameio.Frame(rng.random((20, 20, 3)).astype(np.float32)) for _ in range(5)]
+    frames = rng.random((5, 20, 20, 3)).astype(np.float32)
     frameio.save_sequence(FrameSequence(frames, video_id="c", date_tag="d"), str(clip_dir))
     with pytest.raises(DataError, match="expected a 16-frame clip"):
         pipeline.infer_clip(cfg, str(clip_dir))
@@ -280,7 +280,7 @@ def test_infer_scores_a_scene_prefix(prepared, tmp_path):
     entry = manifest["scenes"][0]
     seq = frameio.load_sequence(os.path.join(cfg.paths.dataset_dir, entry["frames_dir"]))
     clip_dir = tmp_path / "clip16"
-    frameio.save_sequence(FrameSequence(seq.frames[:16], fps=seq.fps,
+    frameio.save_sequence(FrameSequence(seq.data[:16], fps=seq.fps,
                                         video_id="probe", date_tag="d"), str(clip_dir))
     kp_src = os.path.join(cfg.paths.dataset_dir, entry["keypoints_file"])
     (clip_dir / "keypoints.txt").write_text(open(kp_src).read())

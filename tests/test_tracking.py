@@ -1,5 +1,7 @@
 """IoU linking and SMA smoothing against counting / direct-average oracles."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -283,6 +285,15 @@ def test_parse_corrections_rejects_unknown_edit(tmp_path):
     path.write_text("teleport 1 2\n")
     with pytest.raises(DataError, match=":1"):
         tracking.parse_corrections(str(path))
+
+
+@pytest.mark.parametrize("bad", ["0 x 1 2 3 4 1 2 3 4", "0 1 1 2 3 four 1 2 3 4"],
+                         ids=["frame", "coordinate"])
+def test_track_file_with_a_malformed_value_names_its_line(tmp_path, bad):
+    path = tmp_path / "tracks.txt"
+    path.write_text(f"0 0 1 2 3 4 1 2 3 4\n{bad}\n")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}:2: malformed value"):
+        tracking.load_tracks(str(path))
 
 
 def test_track_file_roundtrip_lossless(tmp_path, rng):

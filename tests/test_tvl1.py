@@ -8,15 +8,15 @@ import numpy as np
 import pytest
 from helpers import smooth_texture
 
-from hhmon import backend, frameio, tvl1
+from hhmon import backend, tvl1
 from hhmon.errors import ConfigError, DataError
-from hhmon.frameio import Frame, FrameSequence
+from hhmon.frameio import FrameSequence
 from hhmon.tvl1 import (
     TvL1Params,
     _centered_gradient,
     flow_energy,
+    flow_frames,
     flow_sequence,
-    flow_to_frame,
     tvl1_flow,
 )
 
@@ -126,26 +126,19 @@ def test_recorded_warp_energies_trend_down(rng):
     assert np.all(ratios < 1.05)
 
 
-def test_frame_input_equals_luminance_plane(rng):
-    rgb = rng.random((48, 48, 3)).astype(np.float32)
-    rgb2 = np.roll(rgb, 1, axis=1)
-    fa, fb = Frame(rgb), Frame(rgb2.copy())
-    from_frames = tvl1_flow(fa, fb).flow
-    from_planes = tvl1_flow(frameio.luminance(fa), frameio.luminance(fb)).flow
-    assert np.array_equal(from_frames, from_planes)
-
-
-def test_flow_to_frame_clips_and_rescales():
-    flow = np.array([[[30.0, -30.0]], [[10.0, 0.0]]], dtype=np.float32)
-    frame = flow_to_frame(flow, clip=20.0)
-    assert frame.data.shape == (2, 1, 2)
-    assert frame.data[0, 0, 0] == 1.0
-    assert frame.data[0, 0, 1] == -1.0
-    assert frame.data[1, 0, 0] == pytest.approx(0.5)
+def test_flow_frames_clip_rescale_and_repeat_the_last_pair():
+    u1 = np.array([[[30.0], [10.0]], [[-5.0], [0.0]]], dtype=np.float32)  # 2 pairs of 2x1
+    u2 = np.array([[[-30.0], [0.0]], [[25.0], [-10.0]]], dtype=np.float32)
+    out = flow_frames(u1, u2, clip=20.0)
+    assert out.shape == (3, 2, 1, 2) and out.dtype == np.float32
+    assert out[0, 0, 0].tolist() == [1.0, -1.0]
+    assert out[0, 1, 0].tolist() == [0.5, 0.0]
+    assert out[1, :, 0].tolist() == [[-0.25, 1.0], [0.0, -0.5]]
+    assert np.array_equal(out[2], out[1])
 
 
 def make_sequence(frames, video_id="v"):
-    return FrameSequence([Frame(f) for f in frames], fps=15.0,
+    return FrameSequence(np.array(frames, dtype=np.float32), fps=15.0,
                          video_id=video_id, date_tag="d0")
 
 
@@ -153,24 +146,22 @@ def test_flow_sequence_keeps_the_frame_count(rng):
     tex = smooth_texture(rng, h=32, w=32)
     frames = [np.repeat(rolled(tex, dx=i)[:, :, None], 3, axis=2) for i in range(16)]
     out = flow_sequence(make_sequence(frames), TvL1Params(max_flow=4.0))
-    assert len(out.frames) == 16
-    assert out.frames[0].channels == 2
-    assert np.array_equal(out.frames[-1].data, out.frames[-2].data)
+    assert out.data.shape == (16, 32, 32, 2)
+    assert np.array_equal(out.data[-1], out.data[-2])
 
 
 def test_flow_sequence_static_is_small(rng):
     img = np.repeat(rng.random((32, 32)).astype(np.float32)[:, :, None], 3, axis=2)
     out = flow_sequence(make_sequence([img.copy() for _ in range(4)]), TvL1Params(max_flow=1.0))
-    for f in out.frames:
-        assert np.abs(f.data).max() < 0.05
+    assert np.abs(out.data).max() < 0.05
 
 
 def test_flow_sequence_recovers_constant_velocity(rng):
     tex = smooth_texture(rng)
     frames = [np.repeat(rolled(tex, dx=i)[:, :, None], 3, axis=2) for i in range(4)]
     out = flow_sequence(make_sequence(frames), TvL1Params(max_flow=4.0))
-    for f in out.frames[:3]:
-        recovered = f.data * 4.0
+    for f in out.data[:3]:
+        recovered = f * 4.0
         assert central_epe(recovered, 1.0, 0.0) < 0.6
 
 
