@@ -8,14 +8,12 @@ parameter sets produce identical files.
 
 from __future__ import annotations
 
-import contextlib
 import json
-import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
+from . import artifacts
 from .errors import ModelError
 from .model import NetSpec, Network
 
@@ -85,38 +83,23 @@ def _spec_path(ckpt_path: str) -> str:
     return ckpt_path + ".spec.json"
 
 
-def _write_then_replace(path: str, write) -> None:
-    """Call write(temp path), then rename the finished file onto `path`."""
-    tmp = path + ".tmp"
-    try:
-        write(tmp)
-        os.replace(tmp, path)
-    finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-
-
 def save_network(net: Network, path: str) -> None:
-    """Checkpoint plus <path>.spec.json with the layer layout.
-
-    Each file is written beside its target and renamed into place, so an
-    interrupted save never leaves a truncated file.  The sidecar goes first:
-    a checkpoint file, whose presence later stages check, appears only once
-    its layout is there.
-    """
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    layout = json.dumps(net.spec.to_json(), indent=1)
-    _write_then_replace(_spec_path(path), lambda tmp: Path(tmp).write_text(layout))
-    _write_then_replace(path, lambda tmp: save_params(tmp, net.params, net.frozen))
+    """Checkpoint plus <path>.spec.json with the layer layout, each file
+    published whole.  The sidecar goes first: a checkpoint file, whose
+    presence later stages check, appears only once its layout is there."""
+    with artifacts.publish(_spec_path(path)) as tmp, open(tmp, "w") as fh:
+        json.dump(net.spec.to_json(), fh, indent=1)
+    with artifacts.publish(path) as tmp:
+        save_params(tmp, net.params, net.frozen)
 
 
 def load_network(path: str) -> Network:
+    spec_path = _spec_path(path)
+    layout = artifacts.read_json(spec_path, ModelError,
+                                 f"{path}: missing net layout sidecar {spec_path}")
     try:
-        with open(_spec_path(path)) as fh:
-            spec = NetSpec.from_json(json.load(fh))
-    except FileNotFoundError:
-        raise ModelError(f"{path}: missing net layout sidecar {_spec_path(path)}")
-    except json.JSONDecodeError as exc:
-        raise ModelError(f"{_spec_path(path)}: invalid JSON: {exc}")
+        spec = NetSpec.from_json(layout)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ModelError(f"{spec_path}: invalid net layout: {exc!r}") from None
     params, frozen = load_params(path)
     return Network(spec, params, frozen)

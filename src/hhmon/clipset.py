@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import frameio
+from . import artifacts, frameio
 from .errors import ConfigError, DataError
 from .frameio import FrameSequence
 from .pose import BBox
@@ -243,7 +243,7 @@ def split_dataset(
 
 def save_annotations(records: list[AnnotationRecord], path: str) -> None:
     """CSV lines: video_id,date_tag,track_id,start,end,label,action_name,synthetic."""
-    with open(path, "w") as fh:
+    with artifacts.publish(path) as tmp, open(tmp, "w") as fh:
         for r in records:
             fh.write(f"{r.video_id},{r.date_tag},{r.track_id},{r.start_frame},{r.end_frame},"
                      f"{r.label},{r.action_name},{int(r.synthetic)}\n")

@@ -18,7 +18,7 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 
-from . import metrics
+from . import artifacts, metrics
 from .clipset import AugmentConfig
 from .errors import ConfigError
 from .pose import RoiParams
@@ -93,7 +93,8 @@ def _build_block(cls, data: dict, where: str):
 
 
 def _checked_seed(seed) -> int:
-    if not isinstance(seed, int) or seed < 0:
+    # bool is an int subclass, but JSON true is no seed
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     return seed
 
@@ -124,13 +125,7 @@ def load_config(path: str | None, seed_override: int | None = None) -> PipelineC
     if path is None:
         cfg = PipelineConfig()
     else:
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}")
+        data = artifacts.read_json(path, ConfigError, f"config file not found: {path}")
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: top level must be a JSON object")
         cfg = config_from_dict(data)

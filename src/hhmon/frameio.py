@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import artifacts
 from .errors import DataError
 
 FLO2_MAGIC = b"FLO2"
@@ -112,23 +113,25 @@ def read_flo2(path: str) -> np.ndarray:
 
 
 def save_sequence(seq: FrameSequence, directory: str) -> None:
-    """Write meta.json plus contiguously numbered frame files."""
+    """Write meta.json plus contiguously numbered frame files, as one
+    directory published whole (`artifacts.publish`)."""
     try:
-        os.makedirs(directory, exist_ok=True)
-        meta = {
-            "width": seq.width,
-            "height": seq.height,
-            "fps": seq.fps,
-            "video_id": seq.video_id,
-            "date_tag": seq.date_tag,
-            "channels": seq.channels,
-        }
-        with open(os.path.join(directory, "meta.json"), "w") as fh:
-            json.dump(meta, fh, indent=1)
-        ext = {1: "pgm", 2: "flo2", 3: "ppm"}[seq.channels]
-        write = write_flo2 if ext == "flo2" else write_ppm
-        for i, image in enumerate(seq.data):
-            write(image, os.path.join(directory, f"frame_{i:06d}.{ext}"))
+        with artifacts.publish(directory) as tmp:
+            os.mkdir(tmp)
+            meta = {
+                "width": seq.width,
+                "height": seq.height,
+                "fps": seq.fps,
+                "video_id": seq.video_id,
+                "date_tag": seq.date_tag,
+                "channels": seq.channels,
+            }
+            with open(os.path.join(tmp, "meta.json"), "w") as fh:
+                json.dump(meta, fh, indent=1)
+            ext = {1: "pgm", 2: "flo2", 3: "ppm"}[seq.channels]
+            write = write_flo2 if ext == "flo2" else write_ppm
+            for i, image in enumerate(seq.data):
+                write(image, os.path.join(tmp, f"frame_{i:06d}.{ext}"))
     except OSError as exc:
         raise DataError(f"cannot write sequence to {directory}: {exc}") from exc
 
@@ -142,15 +145,7 @@ def load_descriptor(directory: str) -> dict:
     """A frame directory's meta.json, checked to be an object with every
     descriptor key of the right type; any fault is a DataError naming the file."""
     path = os.path.join(directory, "meta.json")
-    try:
-        with open(path) as fh:
-            meta = json.load(fh)
-    except FileNotFoundError:
-        raise DataError(f"{directory}: missing meta.json descriptor")
-    except OSError as exc:
-        raise DataError(f"{path}: cannot read descriptor: {exc}")
-    except ValueError as exc:
-        raise DataError(f"{path}: invalid JSON: {exc}")
+    meta = artifacts.read_json(path, DataError, f"{directory}: missing meta.json descriptor")
     if not isinstance(meta, dict):
         raise DataError(f"{path}: descriptor must be a JSON object")
     for key, kind in _DESCRIPTOR.items():

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import artifacts
 from .errors import DataError
 
 MODEL_ROWS = ("RGB", "Flow", "RGB+Flow")
@@ -205,18 +206,14 @@ def render_report(report: AblationReport) -> str:
 def save_report(report: AblationReport, out_dir: str,
                 clips: list[ScoredClip] | None = None,
                 threshold: float = DEFAULT_THRESHOLD) -> None:
-    """report.txt, report.json, scores.log, and a threshold sweep per stream."""
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "report.txt"), "w") as fh:
-        fh.write(render_report(report))
-    with open(os.path.join(out_dir, "report.json"), "w") as fh:
-        json.dump(report.as_dict(), fh, indent=1)
-    if clips is None:
-        return
-    with open(os.path.join(out_dir, "scores.log"), "w") as fh:
-        fh.write("\n".join(score_log_lines(clips, threshold)) + "\n")
-    sweep = []
-    for name in MODEL_ROWS:
-        sweep.extend(threshold_sweep(clips, name))
-    with open(os.path.join(out_dir, "threshold_sweep.json"), "w") as fh:
-        json.dump(sweep, fh, indent=1)
+    """report.txt, report.json, scores.log, and a threshold sweep per stream,
+    each file published whole (`artifacts.publish`)."""
+    files = {"report.txt": render_report(report),
+             "report.json": json.dumps(report.as_dict(), indent=1)}
+    if clips is not None:
+        files["scores.log"] = "\n".join(score_log_lines(clips, threshold)) + "\n"
+        sweep = [row for name in MODEL_ROWS for row in threshold_sweep(clips, name)]
+        files["threshold_sweep.json"] = json.dumps(sweep, indent=1)
+    for name, text in files.items():
+        with artifacts.publish(os.path.join(out_dir, name)) as tmp, open(tmp, "w") as fh:
+            fh.write(text)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import checkpoint, clipset, frameio, metrics, model, pose, synth, tracking, training, tvl1
+from . import artifacts, checkpoint, clipset, frameio, metrics, model, pose, synth, tracking, training, tvl1
 from .clipset import CLIP_LEN, AnnotationRecord, AugmentConfig, SplitResult
 from .config import PipelineConfig
 from .errors import DataError
@@ -101,7 +101,6 @@ def _resolve_track(tracks: list[tracking.Track], rec_start: int, rec_end: int,
 
 def prepare(cfg: PipelineConfig) -> PrepareResult:
     manifest = synth.load_manifest(cfg.paths.dataset_dir)
-    os.makedirs(os.path.join(cfg.paths.work_dir, "tracks"), exist_ok=True)
     records: list[AnnotationRecord] = []
     for entry in manifest["scenes"]:
         video_id = entry["video_id"]
@@ -129,7 +128,7 @@ def prepare(cfg: PipelineConfig) -> PrepareResult:
     split_doc = split.as_dict()
     split_doc["video_ids"] = {name: [records[i].video_id for i in getattr(split, name)]
                               for name in ("train", "val", "test")}
-    with open(_splits_path(cfg), "w") as fh:
+    with artifacts.publish(_splits_path(cfg)) as tmp, open(tmp, "w") as fh:
         json.dump(split_doc, fh, indent=1)
     table = render_stats(dataset_stats(records, split, cfg.clip))
     return PrepareResult(records=records, split=split, table=table)
@@ -141,15 +140,18 @@ def load_prepared(cfg: PipelineConfig) -> tuple[list[AnnotationRecord], SplitRes
         raise DataError(f"annotations not found at {ann_path}; run prepare first")
     records = clipset.load_annotations(ann_path)
     path = _splits_path(cfg)
+    doc = artifacts.read_json(path, DataError, f"splits not found at {path}; run prepare first")
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
         split = SplitResult(train=doc["train"], val=doc["val"], test=doc["test"],
                             seed=doc.get("seed", 0))
-    except FileNotFoundError:
-        raise DataError(f"splits not found at {path}; run prepare first") from None
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (KeyError, TypeError) as exc:
         raise DataError(f"{path}: invalid splits file: {exc!r}") from None
+    for name in ("train", "val", "test"):
+        idxs = getattr(split, name)
+        if not isinstance(idxs, list) or not all(type(i) is int and 0 <= i < len(records)
+                                                 for i in idxs):
+            raise DataError(f"{path}: split {name!r} must list record indices "
+                            f"in range({len(records)})")
     return records, split
 
 
@@ -260,17 +262,16 @@ def compute_flow(cfg: PipelineConfig, force: bool = False) -> int:
     comes up, and any error or interrupt here terminates the workers, so
     none outlives the call.  Nothing is forked when no scene needs flow.
 
-    Results are joined and written in scene order.  Each scene is written
-    into a sibling temp dir and renamed into place, so a scene's flow dir
-    exists only once complete; a temp dir that a killed run left behind is
-    cleared when the scene is computed again.
+    Results are joined and written in scene order.  A scene's flow dir is
+    published whole (`frameio.save_sequence`), so it exists only once
+    complete, and a scene with a flow dir is skipped unless `force`.
     """
     manifest = synth.load_manifest(cfg.paths.dataset_dir)
     workers = flow_workers()
     scenes = []
     for entry in manifest["scenes"]:
         out_dir = _flow_dir(cfg, entry["video_id"])
-        if os.path.isdir(out_dir) and os.listdir(out_dir) and not force:
+        if os.path.isdir(out_dir) and not force:
             continue
         frames_dir = _frames_dir(cfg, entry)
         meta, names = frameio.index_sequence(frames_dir)
@@ -301,11 +302,7 @@ def compute_flow(cfg: PipelineConfig, force: bool = False) -> int:
                                     cfg.flow.max_flow)
             flow_seq = frameio.FrameSequence(flow, fps=float(meta["fps"]),
                                              video_id=meta["video_id"], date_tag=meta["date_tag"])
-            tmp_dir = out_dir + ".partial"
-            shutil.rmtree(tmp_dir, ignore_errors=True)
-            frameio.save_sequence(flow_seq, tmp_dir)
-            shutil.rmtree(out_dir, ignore_errors=True)
-            os.replace(tmp_dir, out_dir)
+            frameio.save_sequence(flow_seq, out_dir)
     finally:
         for proc in procs:
             proc.terminate()  # harmless for a worker that has sent all its results

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import artifacts
 from .errors import ConfigError, DataError
 
 N_JOINTS = 18
@@ -120,7 +121,7 @@ def load_poses(path: str) -> list[PoseFrame]:
 
 
 def save_poses(poses: list[PoseFrame], path: str) -> None:
-    with open(path, "w") as fh:
+    with artifacts.publish(path) as tmp, open(tmp, "w") as fh:
         for pf in poses:
             for person, hint in zip(pf.persons, pf.person_hints):
                 coords = " ".join(f"{v:.4f}" for v in person.reshape(-1))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import frameio, pose
+from . import artifacts, frameio, pose
 from .clipset import AnnotationRecord
 from .errors import ConfigError, DataError
 from .frameio import FrameSequence
@@ -294,7 +294,6 @@ def generate_dataset(cfg: DatasetConfig, out_dir: str, seed: int) -> dict:
     entries = []
     scene_seeds = rng.integers(0, 2**62, size=sum(g[3] for g in groups))
     seed_iter = iter(int(s) for s in scene_seeds)
-    os.makedirs(out_dir, exist_ok=True)
 
     for prefix, label, synthetic, count in groups:
         # a group of no scenes draws nothing, so the other groups' lengths stay put
@@ -331,20 +330,31 @@ def generate_dataset(cfg: DatasetConfig, out_dir: str, seed: int) -> dict:
             })
 
     manifest = {"seed": seed, "scenes": entries}
-    with open(os.path.join(out_dir, "dataset.json"), "w") as fh:
+    with artifacts.publish(os.path.join(out_dir, "dataset.json")) as tmp, open(tmp, "w") as fh:
         json.dump(manifest, fh, indent=1)
     return manifest
 
 
+# The keys of a manifest entry that the stages read and the JSON types each must have.
+_ENTRY = {"video_id": str, "date_tag": str, "class": int, "frames_dir": str,
+          "keypoints_file": str, "start_frame": int, "end_frame": int}
+
+
 def load_manifest(dataset_dir: str) -> dict:
+    """A dataset's dataset.json, checked to be an object with a `scenes` list
+    whose every entry has each key the stages read, of the right type; any
+    fault is a DataError naming the file."""
     path = os.path.join(dataset_dir, "dataset.json")
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise DataError(f"{dataset_dir}: missing dataset.json manifest")
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid JSON: {exc}")
+    manifest = artifacts.read_json(path, DataError, f"{dataset_dir}: missing dataset.json manifest")
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("scenes"), list):
+        raise DataError(f"{path}: manifest must be a JSON object with a 'scenes' list")
+    for i, entry in enumerate(manifest["scenes"]):
+        if not isinstance(entry, dict):
+            raise DataError(f"{path}: scene {i} must be a JSON object")
+        for key, kind in _ENTRY.items():
+            if not isinstance(entry.get(key), kind):
+                raise DataError(f"{path}: scene {i} has no {key!r} of type {kind.__name__}")
+    return manifest
 
 
 def manifest_records(manifest: dict) -> list[AnnotationRecord]:

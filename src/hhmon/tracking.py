@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import artifacts
 from .errors import ConfigError, DataError
 from .pose import BBox
 
@@ -248,7 +249,7 @@ def correct_assignment(tracks: list[Track], edits: list[Edit]) -> list[Track]:
 
 def save_tracks(tracks: list[Track], path: str) -> None:
     """One line per entry: track_id frame x1 y1 x2 y2 sx1 sy1 sx2 sy2."""
-    with open(path, "w") as fh:
+    with artifacts.publish(path) as tmp, open(tmp, "w") as fh:
         for t in tracks:
             smoothed = dict((f, b) for f, b in t.smoothed)
             for frame, box in t.entries:

@@ -1,5 +1,6 @@
 """Checkpoint binary format: exact roundtrips and every corruption path."""
 
+import json
 import struct
 
 import numpy as np
@@ -150,6 +151,20 @@ def test_corrupt_sidecar_rejected(tmp_path):
     save_network(net, path)
     (tmp_path / "model.swnet.spec.json").write_text("{not json")
     with pytest.raises(ModelError, match="invalid JSON"):
+        load_network(path)
+
+
+@pytest.mark.parametrize("layout", [{"blocks": []}, "unknown-field"],
+                         ids=["no-in-channels", "unknown-block-field"])
+def test_malformed_sidecar_layout_rejected(tmp_path, layout):
+    net = Network.init(tiny_spec(), seed=0)
+    path = str(tmp_path / "model.swnet")
+    save_network(net, path)
+    if layout == "unknown-field":
+        layout = net.spec.to_json()
+        layout["blocks"][0]["dilation"] = 2
+    (tmp_path / "model.swnet.spec.json").write_text(json.dumps(layout))
+    with pytest.raises(ModelError, match=r"model\.swnet\.spec\.json: invalid net layout"):
         load_network(path)
 
 

@@ -62,8 +62,9 @@ def test_a_negative_seed_flag_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "ds").exists()
 
 
-@pytest.mark.parametrize("splits", [None, "{not json", '{"train": [0]}'],
-                         ids=["missing", "invalid-json", "missing-key"])
+@pytest.mark.parametrize("splits", [None, "{not json", '{"train": [0]}',
+                                    '{"train": [999], "val": [], "test": [0]}'],
+                         ids=["missing", "invalid-json", "missing-key", "index-out-of-range"])
 def test_train_and_eval_without_valid_splits_exit_3(tmp_path, capsys, splits):
     # what a prepare that died after writing annotations.csv leaves behind
     path = write_cfg(tmp_path)
@@ -200,6 +201,23 @@ def test_infer_with_a_malformed_descriptor_exits_3(tmp_path, capsys, meta):
     assert cli.main(["infer", "--config", path, str(clip_dir)]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"error: {clip_dir / 'meta.json'}: descriptor")
+
+
+_ENTRY = {"video_id": "v", "date_tag": "d00", "class": 1, "frames_dir": "scenes/v/frames",
+          "start_frame": 0, "end_frame": 20}
+
+
+@pytest.mark.parametrize("manifest", [[], {"scenes": 5}, {"scenes": [_ENTRY]},
+                                      {"scenes": [dict(_ENTRY, keypoints_file=3)]}],
+                         ids=["not-an-object", "scenes-not-a-list", "no-keypoints-file",
+                              "keypoints-file-not-a-string"])
+def test_prepare_and_flow_with_a_malformed_manifest_exit_3(tmp_path, capsys, manifest):
+    path = write_cfg(tmp_path)
+    (tmp_path / "ds").mkdir()
+    (tmp_path / "ds" / "dataset.json").write_text(json.dumps(manifest))
+    for command in ("prepare", "flow"):
+        assert cli.main([command, "--config", path]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'ds' / 'dataset.json'}: ")
 
 
 def test_prepare_without_a_scene_descriptor_exits_3(tmp_path, capsys):

@@ -216,6 +216,8 @@ def test_seed_must_be_a_non_negative_integer():
         config_from_dict({"seed": -1})
     with pytest.raises(ConfigError, match="seed"):
         config_from_dict({"seed": "zero"})
+    with pytest.raises(ConfigError, match="seed"):
+        config_from_dict({"seed": True})
 
 
 def test_section_must_be_an_object():

@@ -1,5 +1,6 @@
 """Frame storage and elementary image ops: exact formats, hand-checked examples."""
 
+import os
 import struct
 
 import numpy as np
@@ -96,6 +97,14 @@ def test_sequence_roundtrip_preserves_pixels_and_metadata(tmp_path, rng):
     assert len(back) == 3 and back.data.shape == (3, 8, 12, 3)
     assert (back.fps, back.video_id, back.date_tag) == (15.0, "vid7", "d03")
     np.testing.assert_array_equal(back.data, quantize8(frames).astype(np.float32))
+
+
+def test_rewriting_a_shorter_sequence_leaves_no_stale_frames(tmp_path, rng):
+    out = str(tmp_path / "seq")
+    frameio.save_sequence(FrameSequence(np.stack([make_rgb(4, 4, rng) for _ in range(5)])), out)
+    frameio.save_sequence(FrameSequence(np.stack([make_rgb(4, 4, rng) for _ in range(3)])), out)
+    assert len(frameio.load_sequence(out)) == 3
+    assert sorted(os.listdir(tmp_path)) == ["seq"]
 
 
 def test_flow_sequence_roundtrip_exact(tmp_path, rng):

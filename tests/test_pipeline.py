@@ -187,13 +187,52 @@ def test_flow_killed_mid_scene_is_recomputed_on_rerun(tmp_path, monkeypatch):
     assert multiprocessing.active_children() == []
     monkeypatch.setattr(frameio, "write_flo2", write)
     partial = flow_bytes(cfg)
-    assert any(".partial" in name for name in partial)
+    assert not any(".partial" in name for name in partial)
     done = {name.split(os.sep)[0] for name in partial if ".partial" not in name}
     assert 0 < len(done) < 7
+    # a run killed outright leaves its temp behind; the rerun clears it
+    todo = sorted({name.split(os.sep)[0] for name in clean} - done)[0]
+    stale = pipeline._flow_dir(cfg, todo) + ".partial"
+    os.makedirs(stale)
+    with open(os.path.join(stale, "junk"), "w") as fh:
+        fh.write("junk")
     assert pipeline.compute_flow(cfg) == 7 - len(done)
     assert flow_bytes(cfg) == clean
     scenes = {name.split(os.sep)[0] for name in clean}
     assert set(os.listdir(os.path.join(cfg.paths.work_dir, "flow"))) == scenes
+
+
+def test_gen_killed_mid_scene_leaves_each_frames_dir_whole_or_absent(tmp_path, monkeypatch):
+    cfg = tiny_cfg(tmp_path / "clean")
+    pipeline.generate(cfg)
+    clean = tree_bytes(cfg.paths.dataset_dir)
+
+    cfg = tiny_cfg(tmp_path / "killed")
+    write = frameio.write_ppm
+    n_frames = sum(1 for name in clean if name.endswith(".ppm"))
+    calls = []
+
+    def dying_write(image, path):
+        calls.append(path)
+        if len(calls) > n_frames // 2:  # in the middle of a scene
+            raise KeyboardInterrupt("killed")
+        write(image, path)
+
+    monkeypatch.setattr(frameio, "write_ppm", dying_write)
+    with pytest.raises(KeyboardInterrupt):
+        pipeline.generate(cfg)
+    left = tree_bytes(cfg.paths.dataset_dir)
+    assert not any(".partial" in name for name in left)
+    scenes = os.listdir(os.path.join(cfg.paths.dataset_dir, "scenes"))
+    whole = [v for v in scenes if os.path.isdir(os.path.join(cfg.paths.dataset_dir, "scenes",
+                                                              v, "frames"))]
+    assert 0 < len(whole) < 7
+    for name, data in left.items():
+        assert clean[name] == data
+    for vid in whole:
+        frames = os.path.join("scenes", vid, "frames") + os.sep
+        assert ({n for n in left if n.startswith(frames)}
+                == {n for n in clean if n.startswith(frames)})
 
 
 def test_train_rgb_samples_each_window_once(tmp_path, monkeypatch):
