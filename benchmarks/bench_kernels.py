@@ -17,7 +17,11 @@ The network rows time conv1 and each max pool of the default topology on
 8 clips and on 1 clip, inflated from a random 2D twin as the train stage
 does: the general route (with a cache, as a training step runs it) against
 the no-cache route that features and scores take (box-sum conv, separable
-pool), with the largest output difference (pools: expected exactly zero):
+pool), with the largest output difference (pools: expected exactly zero).
+The training rows time the cached route's forward and backward passes of
+conv1 and of the whole mixed1 block of a random net, and the padding rows
+one `layers._pad5` call each (conv1's zero pad, mixed1's -inf pool pad and
+its circular variant):
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py [--size 256] [--iters 50] [--repeats 5]
 """
@@ -158,6 +162,36 @@ def network_rows(n_clips, repeats):
     return rows
 
 
+def training_rows(n_clips, repeats):
+    """(name, forward s, backward s) of the cached route a training step runs."""
+    spec = model.i3d_mini()
+    net = model.Network.init(spec, seed=0)
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-1, 1, (n_clips, 3, spec.clip_len, spec.input_size,
+                            spec.input_size)).astype(np.float32)
+    conv1, pool1, mixed1 = spec.blocks[:3]
+    w, b = net.params["conv1.w"], net.params["conv1.b"]
+    t_fwd, (y, cache) = best_of(lambda: layers.conv3d_forward(x, w, b, conv1.stride), repeats)
+    dy = np.ones_like(y)
+    t_bwd, _ = best_of(lambda: layers.conv3d_backward(dy, cache), repeats)
+    rows = [(f"conv1 x{n_clips}", t_fwd, t_bwd)]
+    p1 = layers.maxpool3d_forward(layers.relu_forward(y)[0], pool1.kernel)[0]
+    caches = {}
+    t_fwd, y = best_of(lambda: net._mixed_forward(p1, mixed1, "zero", caches), repeats)
+    dy = np.ones_like(y)
+    t_bwd, _ = best_of(lambda: net._mixed_backward(dy, mixed1, caches, {}), repeats)
+    rows.append((f"mixed1 x{n_clips}", t_fwd, t_bwd))
+    pool_pads = layers._pad_amounts(p1.shape[2:], (mixed1.kt, 3, 3), (1, 1, 1), "same")
+    pads = [("conv1 zero", x, layers._pad_amounts(x.shape[2:], conv1.kernel, conv1.stride,
+                                                  "same"), "zero", 0.0),
+            ("mixed1 pool -inf", p1, pool_pads, "zero", -np.inf),
+            ("mixed1 pool circular", p1, pool_pads, "circular", -np.inf)]
+    for name, arr, amounts, mode, fill in pads:
+        t, _ = best_of(lambda: layers._pad5(arr, amounts, mode, fill), repeats)
+        rows.append((f"pad {name} x{n_clips}", t, 0.0))
+    return rows
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--size", type=int, default=256, help="kernel grid side")
@@ -211,6 +245,12 @@ def main():
         for name, t_gen, t_fast, diff in network_rows(n_clips, args.repeats):
             print(f"{name:<36} {t_gen * 1e3:>8.2f}ms {t_fast * 1e3:>8.2f}ms "
                   f"{t_gen / t_fast:>7.1f}x {diff:>10.1e}")
+
+    print(f"\n{'training route (random net)':<36} {'forward':>10} {'backward':>10}")
+    for n_clips in (8, 1):
+        for name, t_fwd, t_bwd in training_rows(n_clips, args.repeats):
+            print(f"{name:<36} {t_fwd * 1e3:>8.2f}ms "
+                  + (f"{t_bwd * 1e3:>8.2f}ms" if t_bwd else f"{'-':>10}"))
 
 
 if __name__ == "__main__":

@@ -101,5 +101,7 @@ def load_network(path: str) -> Network:
         spec = NetSpec.from_json(layout)
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"{spec_path}: invalid net layout: {exc!r}") from None
+    except ModelError as exc:
+        raise ModelError(f"{spec_path}: {exc}") from None
     params, frozen = load_params(path)
     return Network(spec, params, frozen)

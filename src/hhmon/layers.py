@@ -5,8 +5,17 @@ Tensors are numpy arrays shaped (N, C, T, H, W).  Every forward returns
 the input dtype, so tests can run the whole stack in double precision while
 training stays in float32.
 
-Convolution uses an im2col view plus one batched matmul; the backward pass
-folds the column gradient back with strided slice adds.  Max pooling records
+Convolution is channel-major im2col: columns (N, K, P), K = Cin*kT*kH*kW in
+the kernel's order and P = To*Ho*Wo, filled with one strided copy per kernel
+tap, so each copy runs along a whole output row.  `kernel (Cout, K) @ cols`
+then gives (N, Cout, P), which is already the (N, C, T, H, W) output.  A
+1x1x1 kernel at stride 1 takes its input, reshaped, as its columns: a view,
+so a training cache holds its input, which must stay unchanged until the
+backward pass.  The backward pass folds the column gradient back with one
+strided slice add per tap.  Padding allocates the padded array once, filled
+with the pad value, and slice-assigns the input and, for a circular
+temporal pad, the wrapped frames; with no padding the input itself goes
+on.  Max pooling records
 flat argmax indices (first maximum wins on ties) so its backward routes each
 output gradient to exactly one input cell.
 
@@ -55,17 +64,25 @@ def _pad5(x: np.ndarray, pads, temporal_pad: str, fill: float) -> np.ndarray:
     (pt0, pt1), (ph0, ph1), (pw0, pw1) = pads
     if temporal_pad not in _PAD_MODES:
         raise ModelError(f"unknown temporal_pad mode {temporal_pad!r}")
-    if temporal_pad == "circular" and max(pt0, pt1) > x.shape[2]:
+    N, C, T, H, W = x.shape
+    if temporal_pad == "circular" and max(pt0, pt1) > T:
         raise ModelError("circular temporal pad wider than the clip")
-    full = ((0, 0), (0, 0), (pt0, pt1), (ph0, ph1), (pw0, pw1))
-    if temporal_pad == "circular" and (pt0 or pt1):
-        x = np.pad(x, ((0, 0), (0, 0), (pt0, pt1), (0, 0), (0, 0)), mode="wrap")
-        full = ((0, 0), (0, 0), (0, 0), (ph0, ph1), (pw0, pw1))
-    return np.pad(x, full, mode="constant", constant_values=fill)
+    if not any(map(any, pads)):
+        return x
+    xp = np.full((N, C, T + pt0 + pt1, H + ph0 + ph1, W + pw0 + pw1), fill, dtype=x.dtype)
+    core = xp[:, :, :, ph0:ph0 + H, pw0:pw0 + W]
+    core[:, :, pt0:pt0 + T] = x
+    if temporal_pad == "circular":
+        core[:, :, :pt0] = x[:, :, T - pt0:]
+        core[:, :, pt0 + T:] = x[:, :, :pt1]
+    return xp
 
 
 def _unpad_grad(dxp: np.ndarray, pads, temporal_pad: str) -> np.ndarray:
-    """Fold a padded-input gradient back onto the original extents."""
+    """Fold a padded-input gradient back onto the original extents; with
+    no padding that is `dxp` itself."""
+    if not any(map(any, pads)):
+        return dxp
     (pt0, pt1), (ph0, ph1), (pw0, pw1) = pads
     d = dxp[:, :, :, ph0 : dxp.shape[3] - ph1, pw0 : dxp.shape[4] - pw1]
     t_in = d.shape[2] - pt0 - pt1
@@ -121,31 +138,45 @@ def conv3d_forward(
     N, _, To, Ho, Wo = _windows(xp, kernel.shape[2:], stride).shape[:5]
     if want_cache:
         y, cols = _conv_valid(xp, kernel, bias, stride)
-        cache = (cols, kernel, x.shape, xp.shape, pads, stride, temporal_pad)
+        cache = (cols, kernel, xp.shape, pads, stride, temporal_pad)
     else:
         # one clip at a time: the im2col columns stay a few MB, where a
         # batch-wide copy is tens of MB and slower to fill
         inflated = kernel.shape[2] > 1 and (kernel == kernel[:, :, :1]).all()
-        y = np.empty((N, To * Ho * Wo, c_out), dtype=np.result_type(xp, kernel, bias))
+        y = np.empty((N, c_out, To * Ho * Wo), dtype=np.result_type(xp, kernel, bias))
         for n in range(N):
             clip = xp[n:n + 1]
             y[n:n + 1] = (_inflated_conv(clip, kernel, bias, stride) if inflated
                           else _conv_valid(clip, kernel, bias, stride)[0])
         cache = None
-    # a view, in the same memory order on both routes, so later reductions
-    # (the global average pool) sum in the same order
-    return y.transpose(0, 2, 1).reshape(N, c_out, To, Ho, Wo), cache
+    return y.reshape(N, c_out, To, Ho, Wo), cache
+
+
+def _taps(kernel, stride, out):
+    """Each kernel tap (it, ih, iw) with the slice of the padded input it
+    reads at every output cell, both as indices into (N, C, ...) arrays."""
+    for tap in np.ndindex(*kernel):
+        yield ((slice(None),) * 2 + tap,
+               (slice(None),) * 2 + tuple(slice(i, i + o * s, s)
+                                          for i, o, s in zip(tap, out, stride)))
 
 
 def _conv_valid(xp: np.ndarray, kernel: np.ndarray, bias: np.ndarray, stride):
     """Unpadded cross-correlation of an already padded input as one matrix
-    product: (y (N, To * Ho * Wo, Cout), im2col columns (N, To * Ho * Wo, K))."""
-    c_out = kernel.shape[0]
-    win = _windows(xp, kernel.shape[2:], stride)
-    N, _, To, Ho, Wo = win.shape[:5]
-    # (N, P, K) columns; the reshape materializes a contiguous copy
-    cols = win.transpose(0, 2, 3, 4, 1, 5, 6, 7).reshape(N, To * Ho * Wo, -1)
-    return cols @ kernel.reshape(c_out, -1).T + bias, cols
+    product: (y (N, Cout, To * Ho * Wo), im2col columns (N, K, To * Ho * Wo)),
+    K = Cin * kT * kH * kW ordered as the kernel's (Cin, kT, kH, kW)."""
+    c_out, c_in, kt, kh, kw = kernel.shape
+    N, _, To, Ho, Wo = _windows(xp, kernel.shape[2:], stride).shape[:5]
+    if kt * kh * kw == 1:
+        # a view of the input at stride 1, with no copy
+        cols = xp[:, :, ::stride[0], ::stride[1], ::stride[2]].reshape(N, c_in, -1)
+    else:
+        # one strided copy per tap, each a whole (To, Ho, Wo) output grid
+        cols = np.empty((N, c_in, kt, kh, kw, To, Ho, Wo), dtype=xp.dtype)
+        for k, s in _taps(kernel.shape[2:], stride, (To, Ho, Wo)):
+            cols[k] = xp[s]
+        cols = cols.reshape(N, -1, To * Ho * Wo)
+    return kernel.reshape(c_out, -1) @ cols + bias[:, None], cols
 
 
 def _inflated_conv(xp: np.ndarray, kernel: np.ndarray, bias: np.ndarray, stride):
@@ -163,22 +194,20 @@ def _inflated_conv(xp: np.ndarray, kernel: np.ndarray, bias: np.ndarray, stride)
 
 def conv3d_backward(dy: np.ndarray, cache):
     """Gradients (dx, dkernel, dbias) for conv3d_forward."""
-    cols, kernel, xshape, xpshape, pads, stride, temporal_pad = cache
-    c_out, c_in, kt, kh, kw = kernel.shape
-    N = xshape[0]
-    To, Ho, Wo = dy.shape[2:]
-    st, sh, sw = stride
+    cols, kernel, xpshape, pads, stride, temporal_pad = cache
+    c_out = kernel.shape[0]
+    N, _, To, Ho, Wo = dy.shape
     dy2 = dy.reshape(N, c_out, -1)
     db = dy2.sum(axis=(0, 2))
-    dk = np.matmul(dy2, cols).sum(axis=0).reshape(kernel.shape)
-    dcols = dy2.transpose(0, 2, 1) @ kernel.reshape(c_out, -1)
-    dcw = dcols.reshape(N, To, Ho, Wo, c_in, kt, kh, kw)
-    dxp = np.zeros(xpshape, dtype=dy.dtype)
-    for it in range(kt):
-        for ih in range(kh):
-            for iw in range(kw):
-                dxp[:, :, it : it + To * st : st, ih : ih + Ho * sh : sh,
-                    iw : iw + Wo * sw : sw] += dcw[:, :, :, :, :, it, ih, iw].transpose(0, 4, 1, 2, 3)
+    dk = (dy2 @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(kernel.shape)
+    dcols = kernel.reshape(c_out, -1).T @ dy2
+    if kernel.shape[2:] == (1, 1, 1) == tuple(stride):
+        dxp = dcols.reshape(xpshape)  # the columns were the input itself
+    else:
+        dcw = dcols.reshape(N, *kernel.shape[1:], To, Ho, Wo)
+        dxp = np.zeros(xpshape, dtype=dy.dtype)
+        for k, s in _taps(kernel.shape[2:], stride, (To, Ho, Wo)):
+            dxp[s] += dcw[k]
     dx = _unpad_grad(dxp, pads, temporal_pad)
     return dx, dk, db
 

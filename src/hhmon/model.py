@@ -14,9 +14,11 @@ reproduces the 2D response.
 A forward without a cache (`features`, `score`, `forward` by default) asks
 the layers for no cache, which lets them pool separably and run an inflated
 kernel as a temporal box sum plus one 2D convolution (see `layers`).  Only
-that box sum changes float32 results, in the last bits; a training step
-(`want_cache=True`) and the never-inflated scratch backbone run the general
-im2col route.
+that box sum changes float32 results, in the last bits (about 1e-6
+relative); a training step (`want_cache=True`) and the never-inflated
+scratch backbone run the general im2col route, and a forward without a
+cache gives the same bits as a training forward there, clip by clip or
+batch-wide.  Separable pooling changes no bits.
 """
 
 from __future__ import annotations

@@ -314,14 +314,25 @@ def compute_flow(cfg: PipelineConfig, force: bool = False) -> int:
 
 # --- clip iteration -------------------------------------------------------
 
-def _load_scene(cfg: PipelineConfig, rec: AnnotationRecord, stream: str) -> frameio.FrameSequence:
-    if stream == "rgb":
-        return frameio.load_sequence(os.path.join(cfg.paths.dataset_dir, "scenes",
-                                                  rec.video_id, "frames"))
-    flow_dir = _flow_dir(cfg, rec.video_id)
-    if not os.path.isdir(flow_dir):
-        raise DataError(f"{rec.video_id}: flow not computed at {flow_dir}; run flow first")
-    return frameio.load_sequence(flow_dir)
+def _scene_loader(cfg: PipelineConfig, stream: str):
+    """A function rec -> the record's scene as a `stream` frame sequence.
+    RGB frames come from the scene's `frames_dir` in the manifest, which is
+    read here, once for every record the loader serves."""
+    if stream == "flow":
+        def load_flow(rec: AnnotationRecord) -> frameio.FrameSequence:
+            flow_dir = _flow_dir(cfg, rec.video_id)
+            if not os.path.isdir(flow_dir):
+                raise DataError(f"{rec.video_id}: flow not computed at {flow_dir}; run flow first")
+            return frameio.load_sequence(flow_dir)
+        return load_flow
+    dirs = {e["video_id"]: _frames_dir(cfg, e)
+            for e in synth.load_manifest(cfg.paths.dataset_dir)["scenes"]}
+
+    def load_rgb(rec: AnnotationRecord) -> frameio.FrameSequence:
+        if rec.video_id not in dirs:
+            raise DataError(f"{rec.video_id}: scene not in the dataset manifest")
+        return frameio.load_sequence(dirs[rec.video_id])
+    return load_rgb
 
 
 def _track_for(cfg: PipelineConfig, rec: AnnotationRecord) -> tracking.Track:
@@ -341,21 +352,22 @@ def _window_starts(cfg: PipelineConfig, rec: AnnotationRecord) -> list[int]:
             for rel in clipset.window_starts(rec.n_frames, rec.label, cfg.clip)]
 
 
-def _record_windows(cfg: PipelineConfig, rec: AnnotationRecord, stream: str, mode: str,
+def _record_windows(cfg: PipelineConfig, rec: AnnotationRecord, load, mode: str,
                     starts: list[int]):
-    """Yield (start, tensor(C, 16, S, S)) for each of one record's window starts."""
-    seq = _load_scene(cfg, rec, stream)
+    """Yield (start, tensor(C, 16, S, S)) for each of one record's window
+    starts, its scene read by `load` (see `_scene_loader`)."""
+    seq = load(rec)
     track = _track_for(cfg, rec)
     for start in starts:
         clip = clipset.sample_clip(seq, track, start, cfg.clip, mode=mode, seed=cfg.seed)
         yield start, _to_net(clip)
 
 
-def iter_windows(cfg: PipelineConfig, recs: list[AnnotationRecord], stream: str,
-                 mode: str):
-    """Yield (clip_id, tensor(C, 16, S, S), label) over every sampling window."""
+def iter_windows(cfg: PipelineConfig, recs: list[AnnotationRecord], load, mode: str):
+    """Yield (clip_id, tensor(C, 16, S, S), label) over every sampling window,
+    each scene read by `load` (see `_scene_loader`)."""
     for rec in recs:
-        for start, x in _record_windows(cfg, rec, stream, mode, _window_starts(cfg, rec)):
+        for start, x in _record_windows(cfg, rec, load, mode, _window_starts(cfg, rec)):
             yield clip_id_for(rec, start), x, rec.label
 
 
@@ -382,10 +394,10 @@ class TrainSummary:
     n_windows: int = 0
 
 
-def _build_stills(cfg: PipelineConfig, recs: list[AnnotationRecord]):
+def _build_stills(cfg: PipelineConfig, recs: list[AnnotationRecord], load_rgb):
     xs, ys = [], []
     for rec in recs:
-        seq = _load_scene(cfg, rec, "rgb")
+        seq = load_rgb(rec)
         track = _track_for(cfg, rec)
         picks = np.unique(np.linspace(rec.start_frame, rec.end_frame - 1,
                                       cfg.train.stills_per_scene).round().astype(int))
@@ -403,12 +415,13 @@ def _twin_path(cfg: PipelineConfig) -> str:
     return _ckpt_path(cfg, "twin2d")
 
 
-def _get_or_train_twin(cfg: PipelineConfig, recs: list[AnnotationRecord]) -> model.Network:
+def _get_or_train_twin(cfg: PipelineConfig, recs: list[AnnotationRecord],
+                       load_rgb) -> model.Network:
     path = _twin_path(cfg)
     if os.path.isfile(path):
         return checkpoint.load_network(path)
     rgb_spec = model.i3d_mini(in_channels=3, input_size=cfg.clip.input_size)
-    stills, labels = _build_stills(cfg, recs)
+    stills, labels = _build_stills(cfg, recs, load_rgb)
     pre_cfg = replace(cfg.train, epochs=cfg.train.pretrain_epochs)
     twin = training.pretrain_twin(rgb_spec, stills, labels, pre_cfg, cfg.seed)
     checkpoint.save_network(twin, path)
@@ -431,7 +444,8 @@ def train_stream(cfg: PipelineConfig, stream: str) -> TrainSummary:
         raise DataError("training split is empty")
     summary = TrainSummary(stream=stream)
 
-    twin = _get_or_train_twin(cfg, train_recs)
+    load_rgb = _scene_loader(cfg, "rgb")
+    twin = _get_or_train_twin(cfg, train_recs, load_rgb)
     in_ch = 3 if stream == "rgb" else 2
     spec = model.i3d_mini(in_channels=in_ch, input_size=cfg.clip.input_size)
     head_cfg = replace(cfg.train, lr=cfg.train.head_lr)
@@ -441,7 +455,8 @@ def train_stream(cfg: PipelineConfig, stream: str) -> TrainSummary:
     nets = [net]
     if stream == "rgb":
         nets.append(training.scratch_network(spec, cfg.seed, head_seed=cfg.seed + 1))
-    clip_iter = ((x, y) for _, x, y in iter_windows(cfg, train_recs, stream, "train"))
+    load = load_rgb if stream == "rgb" else _scene_loader(cfg, "flow")
+    clip_iter = ((x, y) for _, x, y in iter_windows(cfg, train_recs, load, "train"))
     feats, labels = training.extract_features(nets, clip_iter, cfg.train.batch_size)
     summary.n_windows = len(labels)
     curves = [training.train_head_on_features(n, f, labels, head_cfg, cfg.seed)
@@ -465,11 +480,11 @@ def _eval_starts(cfg: PipelineConfig, rec: AnnotationRecord) -> list[int]:
 
 
 def _score_stream(cfg: PipelineConfig, net: model.Network,
-                  recs: list[AnnotationRecord], stream: str) -> list[float]:
+                  recs: list[AnnotationRecord], load) -> list[float]:
     """One aggregated score per annotated clip, window scores averaged."""
     out = []
     for rec in recs:
-        windows = _record_windows(cfg, rec, stream, "eval", _eval_starts(cfg, rec))
+        windows = _record_windows(cfg, rec, load, "eval", _eval_starts(cfg, rec))
         scores = training.score_clips(net, (x for _, x in windows), cfg.train.batch_size)
         out.append(metrics.window_average(scores))
     return out
@@ -506,7 +521,8 @@ def evaluate(cfg: PipelineConfig) -> EvalResult:
     warnings = [f"{s}: checkpoint missing, row marked absent"
                 for s in ("rgb", "flow") if s not in nets]
 
-    scores = {s: _score_stream(cfg, nets[s], test_recs, s) for s in nets}
+    loaders = {s: _scene_loader(cfg, s) for s in nets}
+    scores = {s: _score_stream(cfg, nets[s], test_recs, loaders[s]) for s in nets}
     clips = []
     for i, rec in enumerate(test_recs):
         clips.append(ScoredClip(
@@ -525,7 +541,7 @@ def evaluate(cfg: PipelineConfig) -> EvalResult:
     scratch_path = _ckpt_path(cfg, "rgb_scratch")
     if "rgb" in nets and os.path.isfile(scratch_path):
         scratch_net = checkpoint.load_network(scratch_path)
-        scratch_scores = _score_stream(cfg, scratch_net, test_recs, "rgb")
+        scratch_scores = _score_stream(cfg, scratch_net, test_recs, loaders["rgb"])
         rows = []
         for name, vals in (("pretrained", scores["rgb"]), ("scratch", scratch_scores)):
             sc = [ScoredClip(c.clip_id, c.label, score_rgb=v)

@@ -108,3 +108,61 @@ def crop_window_oracle(seq, box, start, n, size, flip=False, delta=0.0):
             frame = adjust_brightness(frame, delta)
         planes.append(frame)
     return np.stack(planes)
+
+
+def pad5_oracle(x, pads, temporal_pad, fill):
+    """`layers._pad5` as np.pad calls: a wrap pad along time, then a constant pad."""
+    (pt0, pt1), (ph0, ph1), (pw0, pw1) = pads
+    full = ((0, 0), (0, 0), (pt0, pt1), (ph0, ph1), (pw0, pw1))
+    if temporal_pad == "circular" and (pt0 or pt1):
+        x = np.pad(x, ((0, 0), (0, 0), (pt0, pt1), (0, 0), (0, 0)), mode="wrap")
+        full = ((0, 0), (0, 0), (0, 0), (ph0, ph1), (pw0, pw1))
+    return np.pad(x, full, mode="constant", constant_values=fill)
+
+
+def conv3d_im2col_oracle(x, kernel, bias, stride=(1, 1, 1), padding="same",
+                         temporal_pad="zero"):
+    """The position-major im2col convolution `layers` replaced: (N, P, K)
+    columns from one reshape of a transposed 8-d window view, then
+    `cols @ kernel.T`.  Returns (y, cache) for `conv3d_backward_oracle`."""
+    from hhmon import layers
+
+    c_out = kernel.shape[0]
+    pads = layers._pad_amounts(x.shape[2:], kernel.shape[2:], stride, padding)
+    xp = pad5_oracle(x, pads, temporal_pad, 0.0)
+    win = layers._windows(xp, kernel.shape[2:], stride)
+    N, _, To, Ho, Wo = win.shape[:5]
+    cols = win.transpose(0, 2, 3, 4, 1, 5, 6, 7).reshape(N, To * Ho * Wo, -1)
+    y = cols @ kernel.reshape(c_out, -1).T + bias
+    y = y.transpose(0, 2, 1).reshape(N, c_out, To, Ho, Wo)
+    return y, (cols, kernel, xp.shape, pads, stride, temporal_pad)
+
+
+def conv3d_backward_oracle(dy, cache):
+    """(dx, dkernel, dbias) of `conv3d_im2col_oracle`, folding the (N, P, K)
+    column gradient back one kernel tap at a time."""
+    cols, kernel, xpshape, pads, stride, temporal_pad = cache
+    c_out, c_in, kt, kh, kw = kernel.shape
+    N, _, To, Ho, Wo = dy.shape
+    st, sh, sw = stride
+    dy2 = dy.reshape(N, c_out, -1)
+    db = dy2.sum(axis=(0, 2))
+    dk = np.matmul(dy2, cols).sum(axis=0).reshape(kernel.shape)
+    dcols = dy2.transpose(0, 2, 1) @ kernel.reshape(c_out, -1)
+    dcw = dcols.reshape(N, To, Ho, Wo, c_in, kt, kh, kw)
+    dxp = np.zeros(xpshape, dtype=dy.dtype)
+    for it in range(kt):
+        for ih in range(kh):
+            for iw in range(kw):
+                dxp[:, :, it:it + To * st:st, ih:ih + Ho * sh:sh, iw:iw + Wo * sw:sw] += \
+                    dcw[:, :, :, :, :, it, ih, iw].transpose(0, 4, 1, 2, 3)
+    (pt0, pt1), (ph0, ph1), (pw0, pw1) = pads
+    d = dxp[:, :, :, ph0:xpshape[3] - ph1, pw0:xpshape[4] - pw1]
+    t_in = d.shape[2] - pt0 - pt1
+    dx = d[:, :, pt0:pt0 + t_in].copy()
+    if temporal_pad == "circular":
+        if pt0:
+            dx[:, :, t_in - pt0:] += d[:, :, :pt0]
+        if pt1:
+            dx[:, :, :pt1] += d[:, :, pt0 + t_in:]
+    return dx, dk, db

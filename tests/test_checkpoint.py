@@ -168,6 +168,17 @@ def test_malformed_sidecar_layout_rejected(tmp_path, layout):
         load_network(path)
 
 
+def test_unknown_block_kind_names_the_sidecar(tmp_path):
+    net = Network.init(tiny_spec(), seed=0)
+    path = str(tmp_path / "model.swnet")
+    save_network(net, path)
+    layout = net.spec.to_json()
+    layout["blocks"][0]["kind"] = "Foo"
+    (tmp_path / "model.swnet.spec.json").write_text(json.dumps(layout))
+    with pytest.raises(ModelError, match=r"model\.swnet\.spec\.json: unknown block kind 'Foo'"):
+        load_network(path)
+
+
 def test_float64_params_are_stored_as_float32(tmp_path, rng):
     params = {"w": rng.normal(size=4)}
     path = str(tmp_path / "net.swnet")

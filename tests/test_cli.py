@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from hhmon import backend, cli, clipset, frameio, tvl1
+from hhmon import backend, checkpoint, cli, clipset, frameio, model, synth, tvl1
 from hhmon.errors import DataError
 from hhmon.frameio import FrameSequence
 
@@ -201,6 +201,39 @@ def test_infer_with_a_malformed_descriptor_exits_3(tmp_path, capsys, meta):
     assert cli.main(["infer", "--config", path, str(clip_dir)]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"error: {clip_dir / 'meta.json'}: descriptor")
+
+
+def test_infer_with_an_unknown_block_kind_exits_4(tmp_path, capsys):
+    path = write_cfg(tmp_path)
+    clip_dir = tmp_path / "clip16"
+    frameio.save_sequence(FrameSequence(np.zeros((16, 24, 24, 3)),
+                                        video_id="probe", date_tag="d"), str(clip_dir))
+    ckpt = tmp_path / "ckpt" / "rgb.swnet"
+    net = model.Network.init(model.i3d_mini(in_channels=3, input_size=24), seed=0)
+    checkpoint.save_network(net, str(ckpt))
+    sidecar = tmp_path / "ckpt" / "rgb.swnet.spec.json"
+    layout = json.loads(sidecar.read_text())
+    layout["blocks"][2]["kind"] = "Foo"
+    sidecar.write_text(json.dumps(layout))
+    assert cli.main(["infer", "--config", path, str(clip_dir)]) == 4
+    assert capsys.readouterr().err == f"error: {sidecar}: unknown block kind 'Foo' in net config\n"
+
+
+def test_rgb_frames_are_read_from_the_manifest_frames_dir(tmp_path, capsys):
+    path = write_cfg(tmp_path)
+    assert cli.main(["gen", "--config", path]) == 0
+    manifest_path = tmp_path / "ds" / "dataset.json"
+    manifest = json.loads(manifest_path.read_text())
+    # one training and one test scene, by the split rule prepare applies
+    split = clipset.split_dataset(synth.manifest_records(manifest), seed=0)
+    for i in (split.train[0], split.test[0]):
+        entry = manifest["scenes"][i]
+        scene = tmp_path / "ds" / "scenes" / entry["video_id"]
+        os.rename(scene / "frames", scene / "rgb")
+        entry["frames_dir"] = f"scenes/{entry['video_id']}/rgb"
+    manifest_path.write_text(json.dumps(manifest))
+    for command in (["prepare"], ["flow"], ["train", "--stream", "rgb"], ["eval"]):
+        assert cli.main([command[0], "--config", path, *command[1:]]) == 0, command
 
 
 _ENTRY = {"video_id": "v", "date_tag": "d00", "class": 1, "frames_dir": "scenes/v/frames",

@@ -8,6 +8,7 @@ so discretization error is the only error.
 import numpy as np
 import pytest
 
+from hhmon import layers
 from hhmon.errors import ModelError
 from hhmon.layers import (
     bce_with_logits,
@@ -25,6 +26,8 @@ from hhmon.layers import (
     relu_forward,
     sigmoid,
 )
+
+from helpers import conv3d_backward_oracle, conv3d_im2col_oracle, pad5_oracle
 
 
 def same_pad_oracle(n, k, s):
@@ -215,6 +218,66 @@ def test_conv_circular_gradient_matches_finite_differences(rng):
     dx, dk, db = conv3d_backward(probe, cache)
     assert rel_err(dx, numeric_grad(loss, x)) < 1e-6
     assert rel_err(dk, numeric_grad(loss, kernel)) < 1e-6
+
+
+# (kernel shape, stride): conv1 of the default topology, a mixed block's
+# pointwise and kt x 3 x 3 convs, a strided pointwise conv (whose columns
+# are a copy, not a view) and a stride on every axis
+ROUTE_CONVS = [((8, 3, 3, 5, 5), (1, 2, 2)), ((6, 4, 1, 1, 1), (1, 1, 1)),
+               ((5, 4, 3, 3, 3), (1, 1, 1)), ((5, 4, 1, 1, 1), (1, 2, 2)),
+               ((5, 4, 2, 3, 3), (2, 2, 2))]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("temporal_pad", ["zero", "circular"])
+@pytest.mark.parametrize("padding", ["same", "valid"])
+@pytest.mark.parametrize("shape,stride", ROUTE_CONVS)
+def test_conv_matches_the_position_major_im2col_route(rng, shape, stride, padding,
+                                                      temporal_pad, dtype):
+    x = rng.uniform(-1, 1, size=(3, shape[1], 6, 11, 10)).astype(dtype)
+    kernel = rng.normal(size=shape).astype(dtype)
+    bias = rng.normal(size=shape[0]).astype(dtype)
+    tol = 1e-12 if dtype == np.float64 else 1e-6
+    want, oracle_cache = conv3d_im2col_oracle(x, kernel, bias, stride, padding, temporal_pad)
+    got, cache = conv3d_forward(x, kernel, bias, stride, padding, temporal_pad)
+    no_cache, _ = conv3d_forward(x, kernel, bias, stride, padding, temporal_pad,
+                                 want_cache=False)
+    for y in (got, no_cache):
+        assert y.shape == want.shape and y.dtype == want.dtype
+        assert rel_err(y, want) <= tol
+    dy = rng.normal(size=want.shape).astype(dtype)
+    for g, w in zip(conv3d_backward(dy, cache), conv3d_backward_oracle(dy, oracle_cache)):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert rel_err(g, w) <= tol
+
+
+def test_pointwise_conv_columns_are_a_view_of_the_input(rng):
+    x = rng.normal(size=(2, 4, 3, 5, 5))
+    _, cache = conv3d_forward(x, rng.normal(size=(3, 4, 1, 1, 1)), np.zeros(3))
+    assert np.shares_memory(cache[0], x)
+    _, cache = conv3d_forward(x, rng.normal(size=(3, 4, 1, 1, 1)), np.zeros(3),
+                              stride=(1, 2, 2))
+    assert not np.shares_memory(cache[0], x)
+
+
+# ((pt0, pt1), (ph0, ph1), (pw0, pw1)) on a 5-frame clip: none, symmetric,
+# one-sided, and temporal pads as wide as the clip
+PADS = [((0, 0), (0, 0), (0, 0)), ((1, 1), (2, 2), (1, 1)), ((2, 0), (0, 1), (1, 0)),
+        ((0, 3), (1, 0), (0, 2)), ((5, 5), (1, 1), (0, 0)), ((5, 0), (0, 0), (2, 1))]
+
+
+@pytest.mark.parametrize("fill", [0.0, -np.inf])
+@pytest.mark.parametrize("temporal_pad", ["zero", "circular"])
+@pytest.mark.parametrize("pads", PADS)
+def test_pad_equals_np_pad_bit_for_bit(rng, pads, temporal_pad, fill):
+    cells = np.array([-1.5, -0.0, 0.0, 2.0, np.nan], dtype=np.float32)
+    x = rng.choice(cells, size=(2, 3, 5, 4, 6))
+    got = layers._pad5(x, pads, temporal_pad, fill)
+    want = pad5_oracle(x, pads, temporal_pad, fill)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+    if pads == PADS[0]:
+        assert got is x
 
 
 def test_maxpool_forward_picks_window_maxima():

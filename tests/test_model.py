@@ -249,6 +249,32 @@ def test_network_gradients_match_finite_differences(rng):
         assert err < 1e-4, f"{name}: rel err {err}"
 
 
+@pytest.mark.parametrize("first", ["conv", "mixed"])
+def test_training_step_leaves_the_batch_unchanged(rng, first):
+    # a pointwise conv's cache holds a view of its input, not a copy; with a
+    # mixed block first, that input is the batch itself
+    spec = micro_spec()
+    if first == "mixed":
+        spec.blocks = [MixedBlock("mixed0", 2, b0=2, b1_reduce=2, b1=3, b2_reduce=1, b2=1,
+                                  b3=2), *spec.blocks]
+        spec.blocks[1] = ConvLayer("conv1", 8, 3, (3, 3, 3), (1, 2, 2))
+    net = Network.init(spec, seed=6)
+    x = rng.uniform(-1, 1, size=(2, 2, 4, 8, 8)).astype(np.float32)
+    before = x.copy()
+    labels = np.array([1.0, 0.0])
+
+    def step(batch):
+        logits, caches = net.forward(batch, want_cache=True)
+        return net.backward(bce_with_logits(logits, labels)[1], caches)
+
+    grads = step(x)
+    assert x.tobytes() == before.tobytes()
+    on_copy = step(before.copy())
+    assert sorted(grads) == sorted(on_copy) == sorted(net.params)
+    for name in grads:
+        assert np.array_equal(grads[name], on_copy[name]), name
+
+
 def test_default_topology_dimensions():
     spec = i3d_mini()
     shapes = conv_param_shapes(spec)

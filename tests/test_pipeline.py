@@ -115,7 +115,7 @@ def test_iter_windows_counts_and_layout(prepared):
     cfg, _, result = prepared
     recs = [result.records[i] for i in result.split.train][:4]
     want = sum(len(window_starts(r.n_frames, r.label, cfg.clip)) for r in recs)
-    got = list(pipeline.iter_windows(cfg, recs, "rgb", "eval"))
+    got = list(pipeline.iter_windows(cfg, recs, pipeline._scene_loader(cfg, "rgb"), "eval"))
     assert len(got) == want
     clip_id, tensor, label = got[0]
     vid, track_id, start = clip_id.split(":")
@@ -263,7 +263,8 @@ def test_train_rgb_samples_each_window_once(tmp_path, monkeypatch):
     twin = checkpoint.load_network(pipeline._twin_path(cfg))
     for name, net in (("rgb", training.inflate_and_freeze(twin, spec, head_seed=cfg.seed + 1)),
                       ("rgb_scratch", training.scratch_network(spec, cfg.seed, cfg.seed + 1))):
-        windows = ((x, y) for _, x, y in pipeline.iter_windows(cfg, train_recs, "rgb", "train"))
+        load = pipeline._scene_loader(cfg, "rgb")
+        windows = ((x, y) for _, x, y in pipeline.iter_windows(cfg, train_recs, load, "train"))
         (feats,), labels = training.extract_features([net], windows, cfg.train.batch_size)
         training.train_head_on_features(net, feats, labels, head_cfg, cfg.seed)
         saved = checkpoint.load_network(pipeline._ckpt_path(cfg, name))
