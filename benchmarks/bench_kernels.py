@@ -21,7 +21,9 @@ pool), with the largest output difference (pools: expected exactly zero).
 The training rows time the cached route's forward and backward passes of
 conv1 and of the whole mixed1 block of a random net, and the padding rows
 one `layers._pad5` call each (conv1's zero pad, mixed1's -inf pool pad and
-its circular variant):
+its circular variant).  The feature rows run `training.extract_features` on
+8 prebuilt clips through an inflated and a random net, as train --stream
+rgb does, and report the time and the tracemalloc peak of one pass:
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py [--size 256] [--iters 50] [--repeats 5]
 """
@@ -32,10 +34,11 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 
 import numpy as np
 
-from hhmon import _accel, _purekernels, backend, layers, model, synth, tvl1
+from hhmon import _accel, _purekernels, backend, layers, model, synth, training, tvl1
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -192,6 +195,30 @@ def training_rows(n_clips, repeats):
     return rows
 
 
+def feature_rows(n_clips, repeats):
+    """(name, s, tracemalloc peak bytes) of one feature pass over n_clips
+    prebuilt clips, for an inflated and a random net."""
+    spec = model.i3d_mini()
+    twin = model.Network.init(model.collapse_temporal(spec), seed=0)
+    nets = [("inflated", training.inflate_and_freeze(twin, spec)),
+            ("random", training.scratch_network(spec, seed=0))]
+    rng = np.random.default_rng(6)
+    x = rng.uniform(-1, 1, (n_clips, 3, spec.clip_len, spec.input_size,
+                            spec.input_size)).astype(np.float32)
+    labels = np.zeros(n_clips)
+    rows = []
+    for name, net in nets:
+        def run():
+            return training.extract_features([net], zip(x, labels))
+        t, _ = best_of(run, repeats)
+        tracemalloc.start()
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        rows.append((f"features x{n_clips} {name}", t, peak))
+    return rows
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--size", type=int, default=256, help="kernel grid side")
@@ -245,6 +272,10 @@ def main():
         for name, t_gen, t_fast, diff in network_rows(n_clips, args.repeats):
             print(f"{name:<36} {t_gen * 1e3:>8.2f}ms {t_fast * 1e3:>8.2f}ms "
                   f"{t_gen / t_fast:>7.1f}x {diff:>10.1e}")
+
+    print(f"\n{'feature pass (one net)':<36} {'time':>10} {'peak':>10}")
+    for name, t, peak in feature_rows(8, args.repeats):
+        print(f"{name:<36} {t * 1e3:>8.2f}ms {peak / 2**20:>7.2f}MiB")
 
     print(f"\n{'training route (random net)':<36} {'forward':>10} {'backward':>10}")
     for n_clips in (8, 1):

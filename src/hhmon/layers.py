@@ -6,17 +6,17 @@ the input dtype, so tests can run the whole stack in double precision while
 training stays in float32.
 
 Convolution is channel-major im2col: columns (N, K, P), K = Cin*kT*kH*kW in
-the kernel's order and P = To*Ho*Wo, filled with one strided copy per kernel
-tap, so each copy runs along a whole output row.  `kernel (Cout, K) @ cols`
-then gives (N, Cout, P), which is already the (N, C, T, H, W) output.  A
-1x1x1 kernel at stride 1 takes its input, reshaped, as its columns: a view,
-so a training cache holds its input, which must stay unchanged until the
-backward pass.  The backward pass folds the column gradient back with one
-strided slice add per tap.  Padding allocates the padded array once, filled
-with the pad value, and slice-assigns the input and, for a circular
-temporal pad, the wrapped frames; with no padding the input itself goes
-on.  Max pooling records
-flat argmax indices (first maximum wins on ties) so its backward routes each
+the kernel's order and P = To*Ho*Wo, filled with one copy of the strided
+sliding-window view, whose innermost axis runs along an output row.
+`kernel (Cout, K) @ cols` then gives (N, Cout, P), which is already the
+(N, C, T, H, W) output.  A 1x1x1 kernel at stride 1 takes its input,
+reshaped, as its columns: a view, so a training cache holds its input,
+which must stay unchanged until the backward pass.  The backward pass folds
+the column gradient back with one strided slice add per tap.  Padding
+allocates the padded array once, filled with the pad value, and
+slice-assigns the input and, for a circular temporal pad, the wrapped
+frames; with no padding the input itself goes on.  Max pooling records flat
+argmax indices (first maximum wins on ties) so its backward routes each
 output gradient to exactly one input cell.
 
 Both forwards take `want_cache`.  Without a cache (inference and feature
@@ -26,8 +26,11 @@ from the data, never from a switch:
 - max pooling takes a separable max, one axis at a time, with the same
   values as the argmax route, ties and NaN included; the argmax is kept
   only for a cache, because the backward pass needs it;
-- convolution runs one clip at a time, which keeps the im2col columns a
-  few MB and gives the same bits as the batch-wide call;
+- convolution splits the output frames into slabs whose im2col columns
+  fit `COLUMN_BYTES`.  That gives the same bits as one call on the whole
+  input wherever the BLAS rounds a column independently of the product's
+  width: OpenBLAS does above about a million multiply-adds, as for the
+  default conv1, but can differ in the last bit on smaller products;
 - a convolution whose kT time slices are all exactly equal (an inflated
   kernel: its 2D kernel repeated kT times and divided by kT) box-sums the kT
   padded input frames at the temporal stride and runs one 2D convolution
@@ -44,6 +47,13 @@ import numpy as np
 from .errors import ModelError
 
 _PAD_MODES = ("zero", "circular")
+
+# Byte budget of one no-cache convolution slab's im2col columns (at least one
+# output frame): a default scratch conv1 clip's 10.8 MiB run in two slabs.
+# At 4 MiB no per-clip array lifts glibc's dynamic mmap and trim thresholds
+# above the per-clip heap, which is then returned and faulted back in every
+# clip (eval 8% slower); 8 MiB costs about 2 MB of peak RSS instead.
+COLUMN_BYTES = 8 << 20
 
 
 def _same_pad(n: int, k: int, s: int) -> tuple[int, int]:
@@ -95,20 +105,22 @@ def _unpad_grad(dxp: np.ndarray, pads, temporal_pad: str) -> np.ndarray:
     return core
 
 
+def _out_shape(shape, kernel, stride) -> tuple[int, int, int]:
+    """(To, Ho, Wo) of a valid sliding window over a (T, H, W) input."""
+    out = tuple((n - k) // s + 1 for n, k, s in zip(shape, kernel, stride))
+    if min(out) < 1:
+        raise ModelError(f"kernel {tuple(kernel)} with stride {tuple(stride)} "
+                         f"exceeds input {tuple(shape)}")
+    return out
+
+
 def _windows(xp: np.ndarray, kernel, stride):
     """Strided sliding-window view (N, C, To, Ho, Wo, kt, kh, kw)."""
-    kt, kh, kw = kernel
-    st, sh, sw = stride
-    N, C, T, H, W = xp.shape
-    To, Ho, Wo = (T - kt) // st + 1, (H - kh) // sh + 1, (W - kw) // sw + 1
-    if min(To, Ho, Wo) < 1:
-        raise ModelError(f"kernel {tuple(kernel)} with stride {tuple(stride)} "
-                         f"exceeds input {(T, H, W)}")
     s = xp.strides
     return np.lib.stride_tricks.as_strided(
         xp,
-        shape=(N, C, To, Ho, Wo, kt, kh, kw),
-        strides=(s[0], s[1], s[2] * st, s[3] * sh, s[4] * sw, s[2], s[3], s[4]),
+        shape=(*xp.shape[:2], *_out_shape(xp.shape[2:], kernel, stride), *kernel),
+        strides=(s[0], s[1], *(a * b for a, b in zip(s[2:], stride)), *s[2:]),
     )
 
 
@@ -135,30 +147,23 @@ def conv3d_forward(
         raise ModelError(f"conv3d bias must have shape ({c_out},), got {bias.shape}")
     pads = _pad_amounts(x.shape[2:], kernel.shape[2:], stride, padding)
     xp = _pad5(x, pads, temporal_pad, 0.0)
-    N, _, To, Ho, Wo = _windows(xp, kernel.shape[2:], stride).shape[:5]
+    N = len(xp)
+    To, Ho, Wo = _out_shape(xp.shape[2:], kernel.shape[2:], stride)
     if want_cache:
         y, cols = _conv_valid(xp, kernel, bias, stride)
         cache = (cols, kernel, xp.shape, pads, stride, temporal_pad)
     else:
-        # one clip at a time: the im2col columns stay a few MB, where a
-        # batch-wide copy is tens of MB and slower to fill
+        # output frames in slabs, each with at most COLUMN_BYTES of columns
         inflated = kernel.shape[2] > 1 and (kernel == kernel[:, :, :1]).all()
+        route = _inflated_conv if inflated else _conv_valid
+        taps = kernel[0, :, :1].size if inflated else kernel[0].size
+        n = -(-To // max(1, COLUMN_BYTES // (N * taps * Ho * Wo * xp.itemsize)))
         y = np.empty((N, c_out, To * Ho * Wo), dtype=np.result_type(xp, kernel, bias))
-        for n in range(N):
-            clip = xp[n:n + 1]
-            y[n:n + 1] = (_inflated_conv(clip, kernel, bias, stride) if inflated
-                          else _conv_valid(clip, kernel, bias, stride)[0])
+        for t, u in ((i * To // n, (i + 1) * To // n) for i in range(n)):
+            slab = xp[:, :, t * stride[0]:(u - 1) * stride[0] + kernel.shape[2]]
+            y[:, :, t * Ho * Wo:u * Ho * Wo] = route(slab, kernel, bias, stride)[0]
         cache = None
     return y.reshape(N, c_out, To, Ho, Wo), cache
-
-
-def _taps(kernel, stride, out):
-    """Each kernel tap (it, ih, iw) with the slice of the padded input it
-    reads at every output cell, both as indices into (N, C, ...) arrays."""
-    for tap in np.ndindex(*kernel):
-        yield ((slice(None),) * 2 + tap,
-               (slice(None),) * 2 + tuple(slice(i, i + o * s, s)
-                                          for i, o, s in zip(tap, out, stride)))
 
 
 def _conv_valid(xp: np.ndarray, kernel: np.ndarray, bias: np.ndarray, stride):
@@ -166,30 +171,32 @@ def _conv_valid(xp: np.ndarray, kernel: np.ndarray, bias: np.ndarray, stride):
     product: (y (N, Cout, To * Ho * Wo), im2col columns (N, K, To * Ho * Wo)),
     K = Cin * kT * kH * kW ordered as the kernel's (Cin, kT, kH, kW)."""
     c_out, c_in, kt, kh, kw = kernel.shape
-    N, _, To, Ho, Wo = _windows(xp, kernel.shape[2:], stride).shape[:5]
+    N = len(xp)
+    To, Ho, Wo = _out_shape(xp.shape[2:], kernel.shape[2:], stride)
     if kt * kh * kw == 1:
         # a view of the input at stride 1, with no copy
         cols = xp[:, :, ::stride[0], ::stride[1], ::stride[2]].reshape(N, c_in, -1)
     else:
-        # one strided copy per tap, each a whole (To, Ho, Wo) output grid
+        # one copy of the window view, its innermost axis along an output row
         cols = np.empty((N, c_in, kt, kh, kw, To, Ho, Wo), dtype=xp.dtype)
-        for k, s in _taps(kernel.shape[2:], stride, (To, Ho, Wo)):
-            cols[k] = xp[s]
+        cols[...] = _windows(xp, kernel.shape[2:], stride).transpose(0, 1, 5, 6, 7, 2, 3, 4)
         cols = cols.reshape(N, -1, To * Ho * Wo)
-    return kernel.reshape(c_out, -1) @ cols + bias[:, None], cols
+    y = kernel.reshape(c_out, -1) @ cols
+    y += bias[:, None]
+    return y, cols
 
 
 def _inflated_conv(xp: np.ndarray, kernel: np.ndarray, bias: np.ndarray, stride):
-    """`_conv_valid`'s product for a kernel whose kT time slices are equal: a
-    kT-frame box sum of the input at the temporal stride, then a 2D
-    convolution with one slice."""
+    """`_conv_valid` for a kernel whose kT time slices are equal: a kT-frame
+    box sum of the input at the temporal stride, then a 2D convolution with
+    one slice, whose columns it also returns."""
     kt = kernel.shape[2]
     st, sh, sw = stride
     span = (xp.shape[2] - kt) // st * st + 1
     box = xp[:, :, :span:st].copy()
     for it in range(1, kt):
         box += xp[:, :, it:it + span:st]
-    return _conv_valid(box, kernel[:, :, :1], bias, (1, sh, sw))[0]
+    return _conv_valid(box, kernel[:, :, :1], bias, (1, sh, sw))
 
 
 def conv3d_backward(dy: np.ndarray, cache):
@@ -206,8 +213,9 @@ def conv3d_backward(dy: np.ndarray, cache):
     else:
         dcw = dcols.reshape(N, *kernel.shape[1:], To, Ho, Wo)
         dxp = np.zeros(xpshape, dtype=dy.dtype)
-        for k, s in _taps(kernel.shape[2:], stride, (To, Ho, Wo)):
-            dxp[s] += dcw[k]
+        for tap in np.ndindex(*kernel.shape[2:]):
+            cells = (slice(i, i + o * s, s) for i, o, s in zip(tap, (To, Ho, Wo), stride))
+            dxp[(..., *cells)] += dcw[(slice(None), slice(None), *tap)]
     dx = _unpad_grad(dxp, pads, temporal_pad)
     return dx, dk, db
 
@@ -220,9 +228,10 @@ def maxpool3d_forward(x, kernel, stride=None, padding: str = "valid",
     stride = stride or kernel
     pads = _pad_amounts(x.shape[2:], kernel, stride, padding)
     xp = _pad5(x, pads, temporal_pad, -np.inf)
-    win = _windows(xp, kernel, stride)
     if not want_cache:
+        _out_shape(xp.shape[2:], kernel, stride)
         return _separable_max(xp, kernel, stride), None
+    win = _windows(xp, kernel, stride)
     flat = win.reshape(*win.shape[:5], -1)
     idx = flat.argmax(axis=-1)
     y = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]

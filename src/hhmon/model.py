@@ -11,14 +11,15 @@ The 2D twin of a spec is the same graph with every temporal extent forced to
 kT times along the new time axis and dividing by kT, so a time-constant clip
 reproduces the 2D response.
 
-A forward without a cache (`features`, `score`, `forward` by default) asks
-the layers for no cache, which lets them pool separably and run an inflated
-kernel as a temporal box sum plus one 2D convolution (see `layers`).  Only
-that box sum changes float32 results, in the last bits (about 1e-6
-relative); a training step (`want_cache=True`) and the never-inflated
-scratch backbone run the general im2col route, and a forward without a
-cache gives the same bits as a training forward there, clip by clip or
-batch-wide.  Separable pooling changes no bits.
+A forward without a cache (`features`, `score`, `forward` by default) walks
+the backbone one clip at a time, so only one clip's activations are live,
+and asks the layers for no cache, which lets them pool separably, bound
+each convolution's im2col columns and run an inflated kernel as a temporal
+box sum plus one 2D convolution (see `layers`).  Only that box sum changes
+float32 results, in the last bits (about 1e-6 relative); a training step
+(`want_cache=True`) and the never-inflated scratch backbone run the general
+im2col route, and a forward without a cache gives the same bits as a
+training forward there.  Separable pooling and the clip walk change no bits.
 """
 
 from __future__ import annotations
@@ -256,12 +257,15 @@ class Network:
         return y
 
     def _backbone(self, x: np.ndarray, temporal_pad: str, caches: dict | None) -> np.ndarray:
-        """Input checks, the block walk and the global average pool: (N, F)."""
+        """Input checks, the block walk and the global average pool: (N, F).
+        Without a cache a batch walks one clip at a time, with the same bits."""
         if x.ndim != 5:
             raise ModelError(f"batch must be 5d (N, C, T, H, W), got {x.ndim}d")
         if x.shape[1] != self.spec.in_channels:
             raise ModelError(f"stream expects {self.spec.in_channels} input channels, "
                              f"got {x.shape[1]}")
+        if caches is None and len(x) > 1:
+            return np.concatenate([self._backbone(c[None], temporal_pad, None) for c in x])
         h = x
         for b in self.spec.blocks:
             if isinstance(b, ConvLayer):
@@ -281,12 +285,15 @@ class Network:
     def forward(self, x: np.ndarray, temporal_pad: str = "zero", want_cache: bool = False):
         """Logits (N,) for a batch (N, C, T, H, W); cache kept only on request."""
         caches: dict | None = {} if want_cache else None
-        feats = self._backbone(x, temporal_pad, caches)
-        logits, dense_cache = layers.dense_forward(feats, self.params["head.w"],
-                                                   self.params["head.b"])
+        logits, dense_cache = self.head(self._backbone(x, temporal_pad, caches))
         if caches is not None:
             caches["head"] = dense_cache
-        return logits[:, 0], caches
+        return logits, caches
+
+    def head(self, feats: np.ndarray):
+        """Logits (N,) of pooled features (N, F), with the dense cache."""
+        logits, cache = layers.dense_forward(feats, self.params["head.w"], self.params["head.b"])
+        return logits[:, 0], cache
 
     def _mixed_forward(self, x, b: MixedBlock, temporal_pad, caches):
         one = (1, 1, 1)

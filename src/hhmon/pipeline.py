@@ -378,9 +378,10 @@ def _to_net(clip_tensor: np.ndarray) -> np.ndarray:
     inputs are what the He-initialized backbone trains well on, and they
     match the flow stream, which is already signed.
     """
-    x = np.ascontiguousarray(clip_tensor.transpose(3, 0, 1, 2), dtype=np.float32)
+    x = np.array(clip_tensor.transpose(3, 0, 1, 2), dtype=np.float32, order="C")
     if x.shape[0] == 3:
-        x = x * np.float32(2.0) - np.float32(1.0)
+        x *= np.float32(2.0)
+        x -= np.float32(1.0)
     return x
 
 
@@ -457,7 +458,7 @@ def train_stream(cfg: PipelineConfig, stream: str) -> TrainSummary:
         nets.append(training.scratch_network(spec, cfg.seed, head_seed=cfg.seed + 1))
     load = load_rgb if stream == "rgb" else _scene_loader(cfg, "flow")
     clip_iter = ((x, y) for _, x, y in iter_windows(cfg, train_recs, load, "train"))
-    feats, labels = training.extract_features(nets, clip_iter, cfg.train.batch_size)
+    feats, labels = training.extract_features(nets, clip_iter)
     summary.n_windows = len(labels)
     curves = [training.train_head_on_features(n, f, labels, head_cfg, cfg.seed)
               for n, f in zip(nets, feats)]
@@ -485,7 +486,7 @@ def _score_stream(cfg: PipelineConfig, net: model.Network,
     out = []
     for rec in recs:
         windows = _record_windows(cfg, rec, load, "eval", _eval_starts(cfg, rec))
-        scores = training.score_clips(net, (x for _, x in windows), cfg.train.batch_size)
+        scores = training.score_clips(net, (x for _, x in windows))
         out.append(metrics.window_average(scores))
     return out
 

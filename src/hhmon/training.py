@@ -11,7 +11,6 @@ batch, just without re-spending the conv time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -42,13 +41,6 @@ def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
         yield order[i : i + batch_size]
 
 
-def _batches(items, n: int):
-    """Lists of n consecutive items from an iterable; the last may be shorter."""
-    it = iter(items)
-    while batch := list(islice(it, n)):
-        yield batch
-
-
 def sgd_train(net: Network, x: np.ndarray, y: np.ndarray, cfg: TrainConfig,
               seed: int) -> list[float]:
     """Train in place on a materialized batch tensor; returns per-epoch mean loss."""
@@ -77,18 +69,17 @@ def sgd_train(net: Network, x: np.ndarray, y: np.ndarray, cfg: TrainConfig,
     return curve
 
 
-def extract_features(nets: list[Network], clip_iter, batch_size: int = 8):
+def extract_features(nets: list[Network], clip_iter):
     """Backbone GAP features of every net for one pass over a stream of
     (clip(C,T,H,W), label) pairs: ([(N, F) per net], labels (N,)).  Each
-    batch is sampled once and fed to all the nets."""
+    clip is sampled once and fed to all the nets as a one-clip batch, so
+    only one clip and its activations are live at a time."""
     feats: list[list[np.ndarray]] = [[] for _ in nets]
     labels = []
-    for batch in _batches(clip_iter, batch_size):
-        clips, batch_labels = zip(*batch)
-        x = np.stack(clips)
+    for clip, label in clip_iter:
         for out, net in zip(feats, nets):
-            out.append(net.features(x))
-        labels.extend(batch_labels)
+            out.append(net.features(clip[None]))
+        labels.append(label)
     if not labels:
         raise ModelError("no clips to extract features from")
     return ([np.concatenate(f, axis=0) for f in feats],
@@ -123,10 +114,11 @@ def train_head_on_features(net: Network, feats: np.ndarray, y: np.ndarray,
     return curve
 
 
-def score_clips(net: Network, clips, batch_size: int = 8) -> np.ndarray:
-    """Sigmoid scores for a stream of clips (C, T, H, W)."""
-    scores = [net.score(np.stack(batch)) for batch in _batches(clips, batch_size)]
-    return np.concatenate(scores) if scores else np.zeros(0)
+def score_clips(net: Network, clips) -> np.ndarray:
+    """Sigmoid scores for a stream of clips (C, T, H, W): each clip's
+    backbone runs alone as it arrives, the head once on all the features."""
+    feats = [net.features(clip[None]) for clip in clips]
+    return layers.sigmoid(net.head(np.concatenate(feats))[0]) if feats else np.zeros(0)
 
 
 def pretrain_twin(spec: NetSpec, stills: np.ndarray, labels: np.ndarray,

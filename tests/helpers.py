@@ -166,3 +166,34 @@ def conv3d_backward_oracle(dy, cache):
         if pt1:
             dx[:, :, :pt1] += d[:, :, pt0 + t_in:]
     return dx, dk, db
+
+
+def batched_features_oracle(net, x, batch_size=8):
+    """Backbone features of clips x (N, C, T, H, W) as computed before the
+    network walked one clip at a time: batches of `batch_size` stacked
+    clips, each block run on the whole batch without a cache."""
+    from hhmon import layers, model
+
+    out = []
+    for i in range(0, len(x), batch_size):
+        h = x[i:i + batch_size]
+        for b in net.spec.blocks:
+            if isinstance(b, model.ConvLayer):
+                h = net._conv(h, b.name, b.stride, "zero", None)
+            elif isinstance(b, model.PoolLayer):
+                h = layers.maxpool3d_forward(h, b.kernel, b.stride, b.padding,
+                                             want_cache=False)[0]
+            else:
+                h = net._mixed_forward(h, b, "zero", None)
+        out.append(layers.global_avg_pool_forward(h)[0])
+    return np.concatenate(out)
+
+
+def batched_scores_oracle(net, x, batch_size=8):
+    """Sigmoid scores of clips x with the head run per batch of `batch_size`
+    on `batched_features_oracle`'s features, as before."""
+    from hhmon import layers
+
+    return np.concatenate([
+        layers.sigmoid(net.head(batched_features_oracle(net, x[i:i + batch_size]))[0])
+        for i in range(0, len(x), batch_size)])

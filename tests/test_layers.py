@@ -372,17 +372,87 @@ def test_inflated_route_needs_equal_time_slices_and_no_cache(rng, monkeypatch):
     kernel = inflated_kernel(rng, (3, 2, 3, 3, 3))
     bias = np.zeros(3, dtype=np.float32)
     conv3d_forward(x, kernel, bias, want_cache=False)
-    assert len(taken) == len(x)  # once per clip
+    assert len(taken) == 1  # the whole batch fits one slab
     # a cache is requested: the general route, whose columns backward needs
     _, cache = conv3d_forward(x, kernel, bias)
-    assert len(taken) == len(x) and cache is not None
+    assert len(taken) == 1 and cache is not None
     # one time slice differs in one weight: the general route, which gives
-    # the same bits clip by clip as for the whole batch
+    # the same bits without a cache as with one
     kernel[1, 0, 2, 1, 1] += np.float32(0.25)
     got, _ = conv3d_forward(x, kernel, bias, want_cache=False)
     want, _ = conv3d_forward(x, kernel, bias)
-    assert len(taken) == len(x)
+    assert len(taken) == 1
     assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
+# conv1's 3x5x5 at (1, 2, 2), a mixed block's 3x3x3 and a 2x3x3 at stride 2
+# on every axis
+SLAB_CONVS = [((8, 3, 3, 5, 5), (1, 2, 2)), ((8, 4, 3, 3, 3), (1, 1, 1)),
+              ((8, 4, 2, 3, 3), (2, 2, 2))]
+
+
+def slabbed_and_whole(rng, monkeypatch, x, shape, stride, temporal_pad, inflated, frames):
+    """The no-cache conv with a budget of `frames` output frames per slab,
+    and the same route as one call on the whole padded input."""
+    kernel = (inflated_kernel(rng, shape) if inflated
+              else rng.normal(size=shape).astype(np.float32))
+    bias = rng.normal(size=shape[0]).astype(np.float32)
+    pads = layers._pad_amounts(x.shape[2:], shape[2:], stride, "same")
+    xp = layers._pad5(x, pads, temporal_pad, 0.0)
+    route = layers._inflated_conv if inflated else layers._conv_valid
+    whole = route(xp, kernel, bias, stride)[0]
+    to, ho, wo = layers._out_shape(xp.shape[2:], shape[2:], stride)
+    assert to % frames  # the frames do not divide into slabs evenly
+    taps = kernel[0, :, :1].size if inflated else kernel[0].size
+    monkeypatch.setattr(layers, "COLUMN_BYTES", frames * len(x) * taps * ho * wo * 4)
+    got, _ = conv3d_forward(x, kernel, bias, stride, "same", temporal_pad, want_cache=False)
+    return got.reshape(whole.shape), whole
+
+
+@pytest.mark.parametrize("frames", [2, 3])
+@pytest.mark.parametrize("inflated", [False, True])
+@pytest.mark.parametrize("temporal_pad", ["zero", "circular"])
+@pytest.mark.parametrize("shape,stride", SLAB_CONVS)
+def test_slabbed_conv_equals_one_call_on_the_whole_clip(rng, monkeypatch, shape, stride,
+                                                        temporal_pad, inflated, frames):
+    # a clip of the default 56x56 input: every slab's product is large
+    # enough for the BLAS to round each column as in the whole call
+    x = rng.uniform(-1, 1, size=(1, shape[1], 13, 56, 56)).astype(np.float32)
+    got, whole = slabbed_and_whole(rng, monkeypatch, x, shape, stride, temporal_pad,
+                                   inflated, frames)
+    assert np.array_equal(got.view(np.uint32), whole.view(np.uint32))
+
+
+@pytest.mark.parametrize("shape,stride", SLAB_CONVS)
+def test_slabs_of_a_small_product_agree_to_rounding(rng, monkeypatch, shape, stride):
+    # OpenBLAS rounds the last few columns of a small product (below about
+    # a million multiply-adds) by the product's width, so the slabs of a
+    # 9x10 clip may differ from the whole call in the last bit
+    x = rng.uniform(-1, 1, size=(2, shape[1], 13, 9, 10)).astype(np.float32)
+    got, whole = slabbed_and_whole(rng, monkeypatch, x, shape, stride, "zero", False, 2)
+    assert rel_err(got, whole) < 1e-6
+
+
+def test_default_budget_slabs_a_scratch_conv1_clip_bit_for_bit(rng):
+    # one 3x16x56x56 clip through the default topology's conv1: 10.8 MiB of
+    # columns, more than the default budget
+    x = rng.uniform(-1, 1, size=(1, 3, 16, 56, 56)).astype(np.float32)
+    kernel = rng.normal(size=(8, 3, 3, 5, 5)).astype(np.float32)
+    bias = rng.normal(size=8).astype(np.float32)
+    pads = layers._pad_amounts(x.shape[2:], (3, 5, 5), (1, 2, 2), "same")
+    whole, cols = layers._conv_valid(layers._pad5(x, pads, "zero", 0.0), kernel, bias, (1, 2, 2))
+    assert cols.nbytes > layers.COLUMN_BYTES
+    got, _ = conv3d_forward(x, kernel, bias, (1, 2, 2), want_cache=False)
+    assert np.array_equal(got.reshape(whole.shape).view(np.uint32), whole.view(np.uint32))
+
+
+def test_no_cache_routes_reject_a_kernel_wider_than_the_input(rng):
+    x = rng.normal(size=(1, 2, 3, 4, 4))
+    with pytest.raises(ModelError, match="exceeds input"):
+        conv3d_forward(x, rng.normal(size=(1, 2, 4, 1, 1)), np.zeros(1), padding="valid",
+                       want_cache=False)
+    with pytest.raises(ModelError, match="exceeds input"):
+        maxpool3d_forward(x, (1, 5, 1), want_cache=False)
 
 
 def test_relu_and_its_gradient(rng):

@@ -265,7 +265,7 @@ def test_train_rgb_samples_each_window_once(tmp_path, monkeypatch):
                       ("rgb_scratch", training.scratch_network(spec, cfg.seed, cfg.seed + 1))):
         load = pipeline._scene_loader(cfg, "rgb")
         windows = ((x, y) for _, x, y in pipeline.iter_windows(cfg, train_recs, load, "train"))
-        (feats,), labels = training.extract_features([net], windows, cfg.train.batch_size)
+        (feats,), labels = training.extract_features([net], windows)
         training.train_head_on_features(net, feats, labels, head_cfg, cfg.seed)
         saved = checkpoint.load_network(pipeline._ckpt_path(cfg, name))
         for key in ("head.w", "head.b"):

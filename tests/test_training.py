@@ -1,8 +1,11 @@
 """SGD loop, frozen-backbone fast path and the pretrain/inflate recipe."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from hhmon import layers
 from hhmon.errors import ConfigError, ModelError
 from hhmon.model import (
     ConvLayer,
@@ -11,6 +14,7 @@ from hhmon.model import (
     PoolLayer,
     adapt_first_conv_to_flow,
     collapse_temporal,
+    i3d_mini,
     inflate_params,
 )
 from hhmon.training import (
@@ -23,6 +27,8 @@ from hhmon.training import (
     sgd_train,
     train_head_on_features,
 )
+
+from helpers import batched_features_oracle, batched_scores_oracle
 
 
 def tiny_spec(in_channels=1):
@@ -110,7 +116,7 @@ def test_feature_cache_training_matches_full_sgd(rng):
     cached.freeze_backbone()
 
     curve_full = sgd_train(full, x, y, cfg, 5)
-    (feats,), labels = extract_features([cached], zip(x, y), batch_size=cfg.batch_size)
+    (feats,), labels = extract_features([cached], zip(x, y))
     curve_cached = train_head_on_features(cached, feats, labels, cfg, 5)
 
     assert np.allclose(curve_full, curve_cached, rtol=1e-5, atol=1e-7)
@@ -128,7 +134,7 @@ def test_extract_features_shapes_and_empty_error(rng):
     net = Network.init(tiny_spec(), seed=0)
     x, y = toy_clips(rng, n=5)
     other = Network.init(tiny_spec(), seed=3)
-    (feats, feats_other), labels = extract_features([net, other], zip(x, y), batch_size=2)
+    (feats, feats_other), labels = extract_features([net, other], zip(x, y))
     assert feats.shape == (5, 4)
     assert labels.dtype == np.float64
     assert np.array_equal(labels, y)
@@ -141,9 +147,48 @@ def test_extract_features_shapes_and_empty_error(rng):
 def test_score_clips_matches_direct_scoring(rng):
     net = Network.init(tiny_spec(), seed=1)
     x, y = toy_clips(rng, n=7)
-    batched = score_clips(net, iter(x), batch_size=3)
+    batched = score_clips(net, iter(x))
     assert np.allclose(batched, net.score(x), atol=1e-6)
     assert score_clips(net, iter(())).shape == (0,)
+
+
+@pytest.fixture(scope="module")
+def default_nets():
+    """An inflated and a random default-topology net, as train --stream rgb builds."""
+    spec = i3d_mini()
+    twin = Network.init(collapse_temporal(spec), seed=0)
+    return [inflate_and_freeze(twin, spec), scratch_network(spec, seed=3)]
+
+
+def test_one_clip_at_a_time_equals_the_batch_wide_route(rng, monkeypatch, default_nets):
+    # 11 clips: one batch of 8 and one of 3 on the batch-wide route
+    x = rng.uniform(-1, 1, size=(11, 3, 16, 56, 56)).astype(np.float32)
+    feats, _ = extract_features(default_nets, zip(x, np.arange(11) % 2))
+    scores = [score_clips(net, iter(x)) for net in default_nets]
+    # the batch-wide route ran every clip's convolutions whole, in no slabs
+    monkeypatch.setattr(layers, "COLUMN_BYTES", 1 << 62)
+    for net, got, got_scores in zip(default_nets, feats, scores):
+        want = batched_features_oracle(net, x)
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+        want = batched_scores_oracle(net, x)
+        assert np.array_equal(got_scores.view(np.uint32), want.view(np.uint32))
+
+
+def test_feature_extraction_peak_memory_stays_below_10_mib(rng, default_nets):
+    # one clip's activations and at most COLUMN_BYTES of im2col columns are
+    # live at a time; stacking batches of 8 peaked at 25 MiB
+    x = rng.uniform(-1, 1, size=(8, 3, 16, 56, 56)).astype(np.float32)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        extract_features(default_nets, zip(x, np.zeros(8)))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_inflate_and_freeze_lifts_the_twin_exactly(rng):
