@@ -6,8 +6,9 @@ besides the timings the script reports the worst output disagreement per
 kernel (expected: exactly zero).  Each kernel runs on one large plane and on
 a stack of 8 planes at 96x72, the frame size of the default pipeline; a warp
 is one coordinate pass and the three images the solver samples there.  The
-whole solver runs on one pair and, through `flow_sequence`, on a 23-frame
-generated desk scene (the mean default length) at 96x72 and at 192x144.
+whole solver runs on one pair (`tvl1_flow`) and, through `sequence_flow`, on
+a 23-frame generated desk scene (the mean default length) at 96x72 and at
+192x144; the scene rows keep their `flow_sequence` label.
 The script builds the C library with setup.py into a temporary directory and
 binds it from there, so nothing is left under src/ (a library built in place
 would switch the package, and everything run on the checkout, to the
@@ -125,13 +126,13 @@ def on_backend(mod, fn):
 def bench_flow(mod, rng, size, repeats):
     img0 = texture(rng, size, size)
     img1 = np.roll(img0, 1, axis=1)
-    t, res = on_backend(mod, lambda: best_of(lambda: tvl1.tvl1_flow(img0, img1), repeats))
-    return t, res.flow
+    return on_backend(mod, lambda: best_of(lambda: tvl1.tvl1_flow(img0, img1), repeats))
 
 
 def bench_scene(mod, seq, repeats):
-    t, out = on_backend(mod, lambda: best_of(lambda: tvl1.flow_sequence(seq), repeats))
-    return t, out.data
+    params = tvl1.TvL1Params()
+    return on_backend(mod, lambda: best_of(lambda: tvl1.sequence_flow(seq.data, params),
+                                           repeats))
 
 
 def network_rows(n_clips, repeats):

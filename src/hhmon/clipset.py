@@ -61,6 +61,9 @@ class AugmentConfig:
             raise ConfigError(f"need 1 <= scale_min <= scale_max, got {self.scale_min}, {self.scale_max}")
         if not 0.0 <= self.flip_prob <= 1.0:
             raise ConfigError(f"flip_prob must lie in [0, 1], got {self.flip_prob}")
+        if self.pos_stride < 1 or self.neg_stride < 1:
+            raise ConfigError(f"pos_stride and neg_stride must be >= 1, "
+                              f"got {self.pos_stride}, {self.neg_stride}")
 
 
 def window_starts(clip_len: int, label: int, cfg: AugmentConfig = AugmentConfig()) -> list[int]:
@@ -136,7 +139,7 @@ def sample_clip(
         raise DataError(f"mode must be train or eval, got {mode}")
     if start < 0 or start + n_frames > len(seq):
         raise DataError(f"{seq.video_id}: window [{start}, {start + n_frames}) exceeds {len(seq)} frames")
-    box = track.box_at(start, smoothed=True)
+    box = track.box_at(start)
     if box is None:
         raise DataError(f"{seq.video_id}: track {track.track_id} has no box at frame {start}")
 

@@ -195,9 +195,9 @@ def load_sequence(directory: str, frames: slice = slice(None)) -> FrameSequence:
 
 
 def _crop_slices(box, width: int, height: int) -> tuple[slice, slice]:
-    """Row and column slices of `box` (rounded to pixels) within a width x height
-    frame; a DataError when they do not overlap."""
-    x1, y1, x2, y2 = (box.x1, box.y1, box.x2, box.y2) if hasattr(box, "x1") else box
+    """Row and column slices of a BBox (rounded to pixels) within a width x
+    height frame; a DataError when they do not overlap."""
+    x1, y1, x2, y2 = box.coords()
     ix1 = max(0, int(np.floor(x1 + 0.5)))
     iy1 = max(0, int(np.floor(y1 + 0.5)))
     ix2 = min(width, int(np.floor(x2 + 0.5)))

@@ -224,9 +224,9 @@ def _pair_ranges(n_pairs: int, n_ranges: int) -> list[tuple[int, int]]:
 
 def _flow_worker(conn, jobs: list[tuple[str, int, int]], params: tvl1.TvL1Params) -> None:
     """Solve each job (frames dir, a, b), pairs [a, b) of a scene, from its
-    frames a..b as `tvl1.flow_sequence` solves a whole scene, and send its
-    (u1, u2) through `conn`, in order.  An error is sent in place of its
-    job's result and ends the worker."""
+    frames a..b with `tvl1.sequence_flow`, and send its (u1, u2) through
+    `conn`, in order.  An error is sent in place of its job's result and
+    ends the worker."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C
     try:
         for frames_dir, a, b in jobs:
@@ -254,7 +254,7 @@ def compute_flow(cfg: PipelineConfig, force: bool = False) -> int:
     loaded.  Each scene is cut into that many contiguous pair ranges (fewer
     when it has fewer pairs) that share their boundary frames, and worker i
     solves range i of every scene, in scene order.  Every pair is solved as
-    if alone, so the flow is bit for bit that of `tvl1.flow_sequence`.
+    if alone, so the flow equals, bit for bit, one `tvl1.sequence_flow` call.
     Each worker sends its results through its own pipe, read here in the
     main thread: a result thread, as in `concurrent.futures`, would
     unpickle them into a second malloc arena and raise the peak RSS.

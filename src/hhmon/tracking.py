@@ -26,9 +26,9 @@ class Track:
     def frame_indices(self) -> list[int]:
         return [f for f, _ in self.entries]
 
-    def box_at(self, frame_index: int, smoothed: bool = True) -> BBox | None:
-        source = self.smoothed if smoothed and self.smoothed else self.entries
-        for f, box in source:
+    def box_at(self, frame_index: int) -> BBox | None:
+        """The smoothed box at a frame, or the raw one if nothing is smoothed."""
+        for f, box in self.smoothed or self.entries:
             if f == frame_index:
                 return box
         return None

@@ -1,11 +1,12 @@
-"""Optimization loops: plain SGD with momentum, a cached-feature fast path
-for frozen-backbone runs, and the still-image pretrain -> inflate -> head
-fine-tune recipe.
+"""One optimization loop, plain SGD with momentum (`sgd_train`), a
+cached-feature fast path for frozen-backbone runs, and the still-image
+pretrain -> inflate -> head fine-tune recipe.
 
 When only the head is trainable the backbone output for a fixed clip set
 never changes, so features are extracted once and the head trains on the
-cache; this is step-for-step identical to running the full network every
-batch, just without re-spending the conv time.
+cache: `sgd_train` runs on a head-only net whose input is the features, as
+(N, F, 1, 1, 1) clips.  This is step-for-step identical to running the full
+network every batch, just without re-spending the conv time.
 """
 
 from __future__ import annotations
@@ -35,12 +36,6 @@ class TrainConfig:
             raise ConfigError("batch_size and epochs must be >= 1")
 
 
-def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
-    order = rng.permutation(n)
-    for i in range(0, n, batch_size):
-        yield order[i : i + batch_size]
-
-
 def sgd_train(net: Network, x: np.ndarray, y: np.ndarray, cfg: TrainConfig,
               seed: int) -> list[float]:
     """Train in place on a materialized batch tensor; returns per-epoch mean loss."""
@@ -54,7 +49,9 @@ def sgd_train(net: Network, x: np.ndarray, y: np.ndarray, cfg: TrainConfig,
     curve = []
     for _ in range(cfg.epochs):
         total = 0.0
-        for idx in _epoch_batches(len(x), cfg.batch_size, rng):
+        order = rng.permutation(len(x))
+        for i in range(0, len(x), cfg.batch_size):
+            idx = order[i : i + cfg.batch_size]
             logits, caches = net.forward(x[idx], want_cache=True)
             loss, dlogits = layers.bce_with_logits(logits, y[idx])
             grads = net.backward(dlogits, caches)
@@ -88,30 +85,16 @@ def extract_features(nets: list[Network], clip_iter):
 
 def train_head_on_features(net: Network, feats: np.ndarray, y: np.ndarray,
                            cfg: TrainConfig, seed: int) -> list[float]:
-    """Head-only SGD on cached backbone features; mutates head.w / head.b."""
+    """Head-only SGD on cached backbone features (N, F): `sgd_train` on a
+    net with no blocks that shares `net`'s head arrays, so it updates
+    head.w and head.b in place."""
     bad = [n for n in net.params if not n.startswith("head.") and n not in net.frozen]
     if bad:
         raise ModelError(f"feature-cache training requires a frozen backbone; "
                          f"unfrozen: {', '.join(sorted(bad))}")
-    rng = np.random.default_rng(seed)
-    w, b = net.params["head.w"], net.params["head.b"]
-    vw, vb = np.zeros_like(w), np.zeros_like(b)
-    curve = []
-    for _ in range(cfg.epochs):
-        total = 0.0
-        for idx in _epoch_batches(len(feats), cfg.batch_size, rng):
-            logits, cache = layers.dense_forward(feats[idx], w, b)
-            loss, dlogits = layers.bce_with_logits(logits[:, 0], y[idx])
-            _, dw, db = layers.dense_backward(dlogits[:, None], cache, w)
-            vw *= cfg.momentum
-            vw += dw
-            vb *= cfg.momentum
-            vb += db
-            w -= (cfg.lr * vw).astype(w.dtype, copy=False)
-            b -= (cfg.lr * vb).astype(b.dtype, copy=False)
-            total += loss * len(idx)
-        curve.append(total / len(feats))
-    return curve
+    head = Network(NetSpec(in_channels=feats.shape[1]),
+                   {name: net.params[name] for name in ("head.w", "head.b")})
+    return sgd_train(head, feats[:, :, None, None, None], y, cfg, seed)
 
 
 def score_clips(net: Network, clips) -> np.ndarray:

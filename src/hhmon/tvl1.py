@@ -10,21 +10,20 @@ The solver works on whole scenes: `_solve` takes the pyramid of an
 at a time, coarsest first.  Each level runs through the backend kernels as
 (P, h, w) stacks of at most `STACK_PIXELS` pixels of that level, each pair
 bit for bit as if alone, so the small coarse levels run as a few large
-stacks rather than many small ones.  `flow_sequence` solves a scene this
-way, building each frame's pyramid once (`sequence_flow`); `tvl1_flow` is a
-scene of one pair and the only caller that asks for the per-warp energies.
+stacks rather than many small ones.  `sequence_flow` solves a scene this
+way, building each frame's pyramid once, and `flow_frames` turns its pair
+flows into the stored (n, h, w, 2) flow array; `tvl1_flow` is a scene of
+one pair.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import backend, frameio
-from ._purekernels import _forward_grad
 from .errors import ConfigError, DataError
-from .frameio import FrameSequence
 
 # Pixels per (P, h, w) float32 stack that the solver runs at once, on each
 # pyramid level: 128 KB, so a stack's working set stays near the L2 cache.
@@ -61,12 +60,6 @@ class TvL1Params:
             raise ConfigError(f"min_size must be >= 8, got {self.min_size}")
         if not 0 < self.max_flow < np.inf:
             raise ConfigError(f"max_flow must be positive and finite, got {self.max_flow}")
-
-
-@dataclass
-class TvL1Result:
-    flow: np.ndarray  # (h, w, 2) float32, channel 0 = dx, channel 1 = dy
-    energies: list[float] = field(default_factory=list)  # per warp, finest level
 
 
 def _gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
@@ -113,17 +106,6 @@ def _centered_gradient(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return gx, gy
 
 
-def flow_energy(rho_c: np.ndarray, I1wx: np.ndarray, I1wy: np.ndarray,
-                u1: np.ndarray, u2: np.ndarray, lam: float) -> float:
-    """Objective under the current linearization: lam * data residual + TV,
-    summed over every plane given."""
-    rho = rho_c + I1wx * u1 + I1wy * u2
-    u1x, u1y = _forward_grad(u1, np.zeros_like(u1), np.zeros_like(u1))
-    u2x, u2y = _forward_grad(u2, np.zeros_like(u2), np.zeros_like(u2))
-    tv = np.sqrt(u1x**2 + u1y**2).sum() + np.sqrt(u2x**2 + u2y**2).sum()
-    return float(lam * np.abs(rho).sum() + tv)
-
-
 def _frame_stack(planes, params: TvL1Params, where: str = "") -> np.ndarray:
     """Equal-shaped, finite planes (a list, or an (n, h, w) stack) as one
     new (n, h, w) float32 stack in 0..255."""
@@ -141,13 +123,10 @@ def _frame_stack(planes, params: TvL1Params, where: str = "") -> np.ndarray:
     return frames
 
 
-def _solve(levels: list[np.ndarray], params: TvL1Params,
-           energies: list[float] | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _solve(levels: list[np.ndarray], params: TvL1Params) -> tuple[np.ndarray, np.ndarray]:
     """Flow (u1, u2), each (n - 1, h, w), between the consecutive frames of a
     pyramid of (n, h, w) frame stacks, solved one level at a time, coarsest
-    first, in stacks of at most STACK_PIXELS pixels of that level.  When
-    `energies` is given, appends the finest level's energy after each warp
-    of each of its stacks, summed over the stack's pairs."""
+    first, in stacks of at most STACK_PIXELS pixels of that level."""
     n_pairs = len(levels[0]) - 1
     u1 = u2 = None
     for level in range(len(levels) - 1, -1, -1):
@@ -165,14 +144,13 @@ def _solve(levels: list[np.ndarray], params: TvL1Params,
                 c1, c2 = c[: b - a], c[b - a :]
                 c1 *= np.float32(w / u1.shape[2])
                 c2 *= np.float32(h / u1.shape[1])
-            v1[a:b], v2[a:b] = _warps(frames[a : b + 1], c1, c2, params,
-                                      energies if level == 0 else None)
+            v1[a:b], v2[a:b] = _warps(frames[a : b + 1], c1, c2, params)
         u1, u2 = v1, v2
     return u1, u2
 
 
-def _warps(frames: np.ndarray, u1: np.ndarray, u2: np.ndarray, params: TvL1Params,
-           energies: list[float] | None) -> tuple[np.ndarray, np.ndarray]:
+def _warps(frames: np.ndarray, u1: np.ndarray, u2: np.ndarray,
+           params: TvL1Params) -> tuple[np.ndarray, np.ndarray]:
     """The n_warps warps of one pyramid level on the pairs of an (n, h, w)
     frame stack, starting from the flow (u1, u2)."""
     stop_eps2 = params.stop_epsilon**2
@@ -189,8 +167,6 @@ def _warps(frames: np.ndarray, u1: np.ndarray, u2: np.ndarray, params: TvL1Param
             I1wx, I1wy, rho_c, grad, u1, u2, p11, p12, p21, p22,
             params.lam, params.theta, params.tau, params.n_iters, stop_eps2,
         )
-        if energies is not None:
-            energies.append(flow_energy(rho_c, I1wx, I1wy, u1, u2, params.lam))
     return u1, u2
 
 
@@ -204,13 +180,12 @@ def _scene_pyramid(frames: np.ndarray, params: TvL1Params) -> list[np.ndarray]:
     return [frames] + [np.concatenate(level) for level in list(zip(*parts))[1:]]
 
 
-def tvl1_flow(img0, img1, params: TvL1Params | None = None) -> TvL1Result:
-    """Flow from img0 to img1, (h, w) luminance planes in [0, 1]."""
+def tvl1_flow(img0, img1, params: TvL1Params | None = None) -> np.ndarray:
+    """Flow from img0 to img1, (h, w) luminance planes in [0, 1], as an
+    (h, w, 2) float32 array: channel 0 is dx, channel 1 is dy."""
     params = params or TvL1Params()
-    frames = _frame_stack([img0, img1], params)
-    energies: list[float] = []
-    u1, u2 = _solve(_scene_pyramid(frames, params), params, energies)
-    return TvL1Result(flow=np.stack([u1[0], u2[0]], axis=-1), energies=energies)
+    u1, u2 = _solve(_scene_pyramid(_frame_stack([img0, img1], params), params), params)
+    return np.stack([u1[0], u2[0]], axis=-1)
 
 
 def sequence_flow(frames: np.ndarray, params: TvL1Params,
@@ -235,14 +210,3 @@ def flow_frames(u1: np.ndarray, u2: np.ndarray, clip: float) -> np.ndarray:
     out[:-1] /= np.float32(clip)
     out[-1] = out[-2]
     return out
-
-
-def flow_sequence(seq: FrameSequence, params: TvL1Params | None = None) -> FrameSequence:
-    """Pairwise flow over a sequence, n frames in and n frames out, clipped
-    to +-params.max_flow px and rescaled to [-1, 1] (see `flow_frames`)."""
-    if len(seq) < 2:
-        raise DataError(f"{seq.video_id}: need at least 2 frames for flow, got {len(seq)}")
-    params = params or TvL1Params()
-    u1, u2 = sequence_flow(seq.data, params, f"{seq.video_id}: ")
-    return FrameSequence(flow_frames(u1, u2, params.max_flow), fps=seq.fps,
-                         video_id=seq.video_id, date_tag=seq.date_tag)

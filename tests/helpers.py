@@ -64,7 +64,10 @@ def crop(image, box):
     """Copy the intersection of `box` (BBox or (x1, y1, x2, y2)) with an
     (h, w, c) image."""
     from hhmon import frameio
+    from hhmon.pose import BBox
 
+    if not isinstance(box, BBox):
+        box = BBox(*box)
     rows, cols = frameio._crop_slices(box, image.shape[1], image.shape[0])
     return image[rows, cols].copy()
 
@@ -197,3 +200,63 @@ def batched_scores_oracle(net, x, batch_size=8):
     return np.concatenate([
         layers.sigmoid(net.head(batched_features_oracle(net, x[i:i + batch_size]))[0])
         for i in range(0, len(x), batch_size)])
+
+
+def flow_energy(rho_c, I1wx, I1wy, u1, u2, lam):
+    """TV-L1 objective under one warp's linearization: lam * data residual
+    + TV, summed over every plane of the (P, h, w) stacks given."""
+    from hhmon._purekernels import _forward_grad
+
+    rho = rho_c + I1wx * u1 + I1wy * u2
+    u1x, u1y = _forward_grad(u1, np.zeros_like(u1), np.zeros_like(u1))
+    u2x, u2y = _forward_grad(u2, np.zeros_like(u2), np.zeros_like(u2))
+    tv = np.sqrt(u1x**2 + u1y**2).sum() + np.sqrt(u2x**2 + u2y**2).sum()
+    return float(lam * np.abs(rho).sum() + tv)
+
+
+def spy_warp_energies(monkeypatch, shape, lam):
+    """Wrap `backend.tvl1_iterations` so that each call on stacks of (h, w) =
+    `shape` planes, the finest level of a solve at that size, appends the
+    flow energy after its warp; returns that list."""
+    from hhmon import backend
+
+    energies = []
+    iterations = backend.tvl1_iterations
+
+    def spy(I1wx, I1wy, rho_c, *args):
+        out = iterations(I1wx, I1wy, rho_c, *args)
+        if rho_c.shape[1:] == shape:
+            energies.append(flow_energy(rho_c, I1wx, I1wy, out[0], out[1], lam))
+        return out
+
+    monkeypatch.setattr(backend, "tvl1_iterations", spy)
+    return energies
+
+
+def head_sgd_oracle(w, b, feats, y, cfg, seed):
+    """Momentum SGD of a logistic head (w, b) on features (N, F), written
+    out on the dense layer alone, as the head was trained before it went
+    through `training.sgd_train`; updates w and b in place and returns the
+    per-epoch mean loss."""
+    from hhmon import layers
+
+    rng = np.random.default_rng(seed)
+    vw, vb = np.zeros_like(w), np.zeros_like(b)
+    curve = []
+    for _ in range(cfg.epochs):
+        total = 0.0
+        order = rng.permutation(len(feats))
+        for i in range(0, len(feats), cfg.batch_size):
+            idx = order[i : i + cfg.batch_size]
+            logits, cache = layers.dense_forward(feats[idx], w, b)
+            loss, dlogits = layers.bce_with_logits(logits[:, 0], y[idx])
+            _, dw, db = layers.dense_backward(dlogits[:, None], cache, w)
+            vw *= cfg.momentum
+            vw += dw
+            vb *= cfg.momentum
+            vb += db
+            w -= (cfg.lr * vw).astype(w.dtype, copy=False)
+            b -= (cfg.lr * vb).astype(b.dtype, copy=False)
+            total += loss * len(idx)
+        curve.append(total / len(feats))
+    return curve

@@ -13,12 +13,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import smooth_texture, tree_bytes, use_kernels
+from helpers import smooth_texture, spy_warp_energies, tree_bytes, use_kernels
 
 from hhmon import _accel, _purekernels, backend, frameio, pipeline, synth, tvl1
 from hhmon.config import PipelineConfig
 from hhmon.frameio import FrameSequence
-from hhmon.tvl1 import TvL1Params, _centered_gradient, tvl1_flow
+from hhmon.tvl1 import TvL1Params, _centered_gradient, flow_frames, sequence_flow, tvl1_flow
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -246,14 +246,17 @@ def test_stacked_kernels_equal_one_call_per_plane(rng, accel):
 def test_full_solver_identical_across_backends(rng, monkeypatch, accel):
     tex = smooth_texture(rng)
     moved = np.roll(tex, 1, axis=1)
+    lam = TvL1Params().lam
     use_kernels(monkeypatch, accel)
+    compiled_energies = spy_warp_energies(monkeypatch, tex.shape, lam)
     compiled = tvl1_flow(tex, moved)
 
     use_kernels(monkeypatch, _purekernels)
+    pure_energies = spy_warp_energies(monkeypatch, tex.shape, lam)
     pure = tvl1_flow(tex, moved)
 
-    assert np.array_equal(compiled.flow, pure.flow)
-    assert compiled.energies == pure.energies
+    assert np.array_equal(compiled, pure)
+    assert compiled_energies == pure_energies
 
 
 def test_selected_backend_is_reported():
@@ -264,7 +267,7 @@ def test_selected_backend_is_reported():
 
 
 @pytest.mark.parametrize("compiled", [False, True], ids=["pure", "compiled"])
-def test_chunked_flow_sequence_equals_a_per_pair_loop(rng, monkeypatch, accel, compiled):
+def test_chunked_sequence_flow_equals_a_per_pair_loop(rng, monkeypatch, accel, compiled):
     kernels = accel if compiled else _purekernels
     counts = []
     stacks = []  # (level shape, pairs) of each stack, in solve order
@@ -290,14 +293,13 @@ def test_chunked_flow_sequence_equals_a_per_pair_loop(rng, monkeypatch, accel, c
     planes[4] = planes[3]
     assert tvl1.STACK_PIXELS // (h * w) == 4 and (n - 1) % 4 != 0
     params = TvL1Params(max_flow=4.0)
-    seq = FrameSequence(np.array(planes)[..., None], fps=15.0, video_id="v", date_tag="d0")
-    chunked = tvl1.flow_sequence(seq, params)
+    chunked = flow_frames(*sequence_flow(np.array(planes)[..., None], params), params.max_flow)
     assert stacks == [((18, 24), 6), ((36, 48), 6), ((72, 96), 4), ((72, 96), 2)]
 
     per_pair, pair_counts = [], []
     for i in range(n - 1):
         counts.clear()
-        flow = tvl1_flow(planes[i], planes[i + 1], params).flow
+        flow = tvl1_flow(planes[i], planes[i + 1], params)
         per_pair.append(np.clip(flow, -params.max_flow, params.max_flow)
                         / np.float32(params.max_flow))
         pair_counts.append(list(counts))
@@ -305,7 +307,7 @@ def test_chunked_flow_sequence_equals_a_per_pair_loop(rng, monkeypatch, accel, c
     assert params.n_iters in pair_counts[0]  # a moving pair runs to the cap
     assert len(chunked) == n
     for i, want in enumerate(per_pair):
-        assert np.array_equal(chunked.data[i], want), f"pair {i}"
+        assert np.array_equal(chunked[i], want), f"pair {i}"
 
 
 @pytest.mark.parametrize("compiled", [False, True], ids=["pure", "compiled"])
@@ -324,7 +326,9 @@ def test_flow_workers_write_the_bytes_of_a_serial_loop(tmp_path, monkeypatch, ac
     serial = tmp_path / "serial"
     for entry in manifest["scenes"]:
         seq = frameio.load_sequence(os.path.join(cfg.paths.dataset_dir, entry["frames_dir"]))
-        frameio.save_sequence(tvl1.flow_sequence(seq, cfg.flow), str(serial / entry["video_id"]))
+        flow = flow_frames(*sequence_flow(seq.data, cfg.flow), cfg.flow.max_flow)
+        out = FrameSequence(flow, fps=seq.fps, video_id=seq.video_id, date_tag=seq.date_tag)
+        frameio.save_sequence(out, str(serial / entry["video_id"]))
     want = tree_bytes(serial)
     ranges = []
     split = pipeline._pair_ranges

@@ -87,11 +87,16 @@ def test_bad_config_key_is_a_usage_error(tmp_path, capsys):
     assert "optimizer" in err
 
 
-def test_bad_config_value_exits_2_before_writing_anything(tmp_path, capsys):
-    path = write_cfg(tmp_path, clip={"input_size": 24, "flip_prob": 1.5})
+@pytest.mark.parametrize("clip, message", [
+    ({"input_size": 24, "flip_prob": 1.5}, "error: clip: flip_prob"),
+    # a zero stride once got through gen and died in prepare's window count
+    ({"input_size": 24, "neg_stride": 0}, "error: clip: pos_stride and neg_stride"),
+], ids=["flip_prob", "neg_stride"])
+def test_bad_config_value_exits_2_before_writing_anything(tmp_path, capsys, clip, message):
+    path = write_cfg(tmp_path, clip=clip)
     assert cli.main(["gen", "--config", path]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: clip: flip_prob")
+    assert err.startswith(message)
     assert not (tmp_path / "ds").exists()
 
 

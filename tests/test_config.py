@@ -154,6 +154,8 @@ def test_bad_values_are_rejected_naming_their_section():
     for section, values, message in (
         ("clip", {"flip_prob": 1.5}, "clip: flip_prob"),
         ("clip", {"scale_min": 2.0, "scale_max": 1.5}, "clip: need 1 <= scale_min"),
+        ("clip", {"neg_stride": 0}, "clip: pos_stride and neg_stride must be >= 1"),
+        ("clip", {"pos_stride": -1}, "clip: pos_stride and neg_stride must be >= 1"),
         ("flow", {"tau": 0.3}, "flow: tau"),
         ("train", {"momentum": 1.0}, "train: momentum"),
         ("train", {"head_lr": -1.0}, "train: head_lr"),

@@ -156,6 +156,21 @@ def test_compute_flow_skips_existing(prepared, monkeypatch):
     assert pipeline.compute_flow(cfg, force=True) == 7
 
 
+def test_compute_flow_needs_two_frames_per_scene(tmp_path, monkeypatch):
+    cfg = tiny_cfg(tmp_path)
+    manifest = pipeline.generate(cfg)
+    entry = manifest["scenes"][1]
+    frames_dir = os.path.join(cfg.paths.dataset_dir, entry["frames_dir"])
+    for name in os.listdir(frames_dir):
+        if name.startswith("frame_") and int(name[6:12]) >= 1:
+            os.remove(os.path.join(frames_dir, name))
+    monkeypatch.setattr(os, "fork", None)  # refused before any worker starts
+    with pytest.raises(DataError, match=f"{entry['video_id']}: need at least 2 frames "
+                                        "for flow, got 1"):
+        pipeline.compute_flow(cfg)
+    assert not os.path.exists(os.path.join(cfg.paths.work_dir, "flow"))
+
+
 def flow_bytes(cfg):
     return tree_bytes(os.path.join(cfg.paths.work_dir, "flow"))
 

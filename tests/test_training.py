@@ -28,7 +28,7 @@ from hhmon.training import (
     train_head_on_features,
 )
 
-from helpers import batched_features_oracle, batched_scores_oracle
+from helpers import batched_features_oracle, batched_scores_oracle, head_sgd_oracle
 
 
 def tiny_spec(in_channels=1):
@@ -122,6 +122,24 @@ def test_feature_cache_training_matches_full_sgd(rng):
     assert np.allclose(curve_full, curve_cached, rtol=1e-5, atol=1e-7)
     assert np.allclose(full.params["head.w"], cached.params["head.w"], atol=1e-5)
     assert np.allclose(full.params["head.b"], cached.params["head.b"], atol=1e-5)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_head_training_equals_the_dense_loop_bit_for_bit(seed):
+    # 37 features in batches of 8: every epoch ends on a ragged batch of 5
+    rng = np.random.default_rng(seed)
+    net = Network.init(i3d_mini(), seed=seed)
+    net.freeze_backbone()
+    feats = rng.standard_normal((37, net.spec.head_features)).astype(np.float32)
+    labels = (rng.random(37) < 0.5).astype(np.float64)
+    cfg = TrainConfig(lr=0.5, batch_size=8, epochs=10)
+    w, b = net.params["head.w"], net.params["head.b"]
+    want_w, want_b = w.copy(), b.copy()
+    want_curve = head_sgd_oracle(want_w, want_b, feats, labels, cfg, seed)
+    curve = train_head_on_features(net, feats, labels, cfg, seed)
+    assert curve == want_curve
+    assert net.params["head.w"] is w and net.params["head.b"] is b  # updated in place
+    assert np.array_equal(w, want_w) and np.array_equal(b, want_b)
 
 
 def test_feature_cache_requires_a_frozen_backbone(rng):

@@ -6,19 +6,11 @@ exact everywhere; borders are excluded because warping has no data there.
 
 import numpy as np
 import pytest
-from helpers import smooth_texture
+from helpers import flow_energy, smooth_texture, spy_warp_energies
 
 from hhmon import backend, tvl1
 from hhmon.errors import ConfigError, DataError
-from hhmon.frameio import FrameSequence
-from hhmon.tvl1 import (
-    TvL1Params,
-    _centered_gradient,
-    flow_energy,
-    flow_frames,
-    flow_sequence,
-    tvl1_flow,
-)
+from hhmon.tvl1 import TvL1Params, _centered_gradient, flow_frames, sequence_flow, tvl1_flow
 
 
 def central_epe(flow, ux, uy, margin=6):
@@ -32,26 +24,26 @@ def rolled(tex, dx=0, dy=0):
 
 def test_zero_motion_is_near_zero(rng):
     tex = smooth_texture(rng)
-    flow = tvl1_flow(tex, tex).flow
+    flow = tvl1_flow(tex, tex)
     assert np.abs(flow).max() < 0.05
 
 
 def test_one_pixel_right_shift(rng):
     tex = smooth_texture(rng)
-    flow = tvl1_flow(tex, rolled(tex, dx=1)).flow
+    flow = tvl1_flow(tex, rolled(tex, dx=1))
     assert central_epe(flow, 1.0, 0.0) < 0.3
 
 
 def test_two_pixel_down_shift(rng):
     tex = smooth_texture(rng)
-    flow = tvl1_flow(tex, rolled(tex, dy=2)).flow
+    flow = tvl1_flow(tex, rolled(tex, dy=2))
     assert central_epe(flow, 0.0, 2.0) < 0.4
 
 
 def test_small_brightness_offset_degrades_gracefully(rng):
     tex = smooth_texture(rng)
     target = np.clip(rolled(tex, dx=1) + 0.05, 0.0, 1.0).astype(np.float32)
-    flow = tvl1_flow(tex, target).flow
+    flow = tvl1_flow(tex, target)
     # the data term absorbs part of the offset, so precision drops but the
     # recovered motion must stay sub-2px and keep its direction
     assert central_epe(flow, 1.0, 0.0) < 1.0
@@ -61,8 +53,8 @@ def test_small_brightness_offset_degrades_gracefully(rng):
 def test_horizontal_flip_negates_u(rng):
     tex = smooth_texture(rng)
     moved = rolled(tex, dx=1)
-    f = tvl1_flow(tex, moved).flow
-    g = tvl1_flow(tex[:, ::-1].copy(), moved[:, ::-1].copy()).flow
+    f = tvl1_flow(tex, moved)
+    g = tvl1_flow(tex[:, ::-1].copy(), moved[:, ::-1].copy())
     mirrored = f[:, ::-1, :]
     region = np.s_[6:-6, 6:-6]
     assert np.abs(g[region][..., 0] + mirrored[region][..., 0]).mean() < 0.1
@@ -117,12 +109,14 @@ def test_chained_single_iterations_equal_one_call(rng):
         assert np.array_equal(a, b)
 
 
-def test_recorded_warp_energies_trend_down(rng):
+def test_recorded_warp_energies_trend_down(rng, monkeypatch):
     tex = smooth_texture(rng)
-    res = tvl1_flow(tex, rolled(tex, dx=1))
-    assert len(res.energies) == TvL1Params().n_warps
-    assert res.energies[-1] < 0.9 * res.energies[0]
-    ratios = np.array(res.energies[1:]) / np.array(res.energies[:-1])
+    params = TvL1Params()
+    energies = spy_warp_energies(monkeypatch, tex.shape, params.lam)
+    tvl1_flow(tex, rolled(tex, dx=1), params)
+    assert len(energies) == params.n_warps
+    assert energies[-1] < 0.9 * energies[0]
+    ratios = np.array(energies[1:]) / np.array(energies[:-1])
     assert np.all(ratios < 1.05)
 
 
@@ -137,38 +131,33 @@ def test_flow_frames_clip_rescale_and_repeat_the_last_pair():
     assert np.array_equal(out[2], out[1])
 
 
-def make_sequence(frames, video_id="v"):
-    return FrameSequence(np.array(frames, dtype=np.float32), fps=15.0,
-                         video_id=video_id, date_tag="d0")
+def stored_flow(frames, params=TvL1Params()):
+    """The (n, h, w, 2) flow array the flow stage stores for a scene."""
+    u1, u2 = sequence_flow(np.array(frames, dtype=np.float32), params)
+    return flow_frames(u1, u2, params.max_flow)
 
 
-def test_flow_sequence_keeps_the_frame_count(rng):
+def test_stored_flow_keeps_the_frame_count(rng):
     tex = smooth_texture(rng, h=32, w=32)
     frames = [np.repeat(rolled(tex, dx=i)[:, :, None], 3, axis=2) for i in range(16)]
-    out = flow_sequence(make_sequence(frames), TvL1Params(max_flow=4.0))
-    assert out.data.shape == (16, 32, 32, 2)
-    assert np.array_equal(out.data[-1], out.data[-2])
+    out = stored_flow(frames, TvL1Params(max_flow=4.0))
+    assert out.shape == (16, 32, 32, 2)
+    assert np.array_equal(out[-1], out[-2])
 
 
-def test_flow_sequence_static_is_small(rng):
+def test_stored_flow_static_is_small(rng):
     img = np.repeat(rng.random((32, 32)).astype(np.float32)[:, :, None], 3, axis=2)
-    out = flow_sequence(make_sequence([img.copy() for _ in range(4)]), TvL1Params(max_flow=1.0))
-    assert np.abs(out.data).max() < 0.05
+    out = stored_flow([img.copy() for _ in range(4)], TvL1Params(max_flow=1.0))
+    assert np.abs(out).max() < 0.05
 
 
-def test_flow_sequence_recovers_constant_velocity(rng):
+def test_stored_flow_recovers_constant_velocity(rng):
     tex = smooth_texture(rng)
     frames = [np.repeat(rolled(tex, dx=i)[:, :, None], 3, axis=2) for i in range(4)]
-    out = flow_sequence(make_sequence(frames), TvL1Params(max_flow=4.0))
-    for f in out.data[:3]:
+    out = stored_flow(frames, TvL1Params(max_flow=4.0))
+    for f in out[:3]:
         recovered = f * 4.0
         assert central_epe(recovered, 1.0, 0.0) < 0.6
-
-
-def test_flow_sequence_needs_two_frames(rng):
-    img = np.repeat(rng.random((32, 32)).astype(np.float32)[:, :, None], 3, axis=2)
-    with pytest.raises(DataError, match="at least 2 frames"):
-        flow_sequence(make_sequence([img]))
 
 
 def test_mismatched_shapes_rejected(rng):
@@ -201,7 +190,7 @@ def test_parameter_validation():
     TvL1Params(tau=0.25)  # boundary value stays legal
 
 
-def test_flow_sequence_builds_each_pyramid_once_and_no_energy(rng, monkeypatch):
+def test_sequence_flow_builds_each_pyramid_once_and_no_energy(rng, monkeypatch):
     pyramids = []
     build = tvl1._pyramid
 
@@ -209,19 +198,17 @@ def test_flow_sequence_builds_each_pyramid_once_and_no_energy(rng, monkeypatch):
         pyramids.append(frames.copy())
         return build(frames, *args)
 
-    def no_energy(*args):
-        raise AssertionError("flow_sequence computed a flow energy")
-
+    # the solver keeps no energy bookkeeping for the pipeline to pay for
+    assert not hasattr(tvl1, "flow_energy")
     monkeypatch.setattr(tvl1, "_pyramid", counting_pyramid)
-    monkeypatch.setattr(tvl1, "flow_energy", no_energy)
     tex = smooth_texture(rng, h=32, w=32)  # 32 frames per chunk: one chunk
     frames = [np.repeat(rolled(tex, dx=i)[:, :, None], 3, axis=2) for i in range(5)]
-    flow_sequence(make_sequence(frames))
+    stored_flow(frames)
     assert [len(p) for p in pyramids] == [5]
     pyramids.clear()
     tex = smooth_texture(rng, h=72, w=96)  # 4 frames per chunk
     frames = [rolled(tex, dx=i)[:, :, None] for i in range(11)]
-    flow_sequence(make_sequence(frames))
+    stored_flow(frames)
     # the chunks, in order, hold each of the 11 distinct frames exactly once
     assert [len(p) for p in pyramids] == [4, 4, 3]
     assert np.array_equal(np.concatenate(pyramids),
@@ -238,4 +225,4 @@ def test_non_finite_flow_input_rejected(rng):
         tvl1_flow(np.full_like(img, np.inf), img)
     frames = [np.repeat(f[:, :, None], 3, axis=2) for f in (img, img, bad, img)]
     with pytest.raises(DataError, match="v: flow input has non-finite"):
-        flow_sequence(make_sequence(frames))
+        sequence_flow(np.array(frames), TvL1Params(), "v: ")
