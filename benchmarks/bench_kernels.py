@@ -144,10 +144,9 @@ def network_rows(n_clips, repeats):
     x = rng.uniform(-1, 1, (n_clips, 3, spec.clip_len, spec.input_size,
                             spec.input_size)).astype(np.float32)
     conv1, pool1, mixed1, pool2, mixed2 = spec.blocks
-    a1 = layers.relu_forward(layers.conv3d_forward(
-        x, net.params["conv1.w"], net.params["conv1.b"], conv1.stride)[0])[0]
+    a1 = net._conv(x, conv1, "zero", None)
     p1 = layers.maxpool3d_forward(a1, pool1.kernel)[0]
-    m1 = net._mixed_forward(p1, mixed1, "zero", None)
+    m1 = net._mixed(p1, mixed1, "zero", None)
     p2 = layers.maxpool3d_forward(m1, pool2.kernel)[0]
     cases = [
         ("conv1", layers.conv3d_forward,
@@ -179,11 +178,15 @@ def training_rows(n_clips, repeats):
     dy = np.ones_like(y)
     t_bwd, _ = best_of(lambda: layers.conv3d_backward(dy, cache), repeats)
     rows = [(f"conv1 x{n_clips}", t_fwd, t_bwd)]
-    p1 = layers.maxpool3d_forward(layers.relu_forward(y)[0], pool1.kernel)[0]
-    caches = {}
-    t_fwd, y = best_of(lambda: net._mixed_forward(p1, mixed1, "zero", caches), repeats)
+    p1 = layers.maxpool3d_forward(y * (y > 0), pool1.kernel)[0]
+    tape = []
+
+    def mixed_forward():
+        tape.clear()
+        return net._mixed(p1, mixed1, "zero", tape)
+    t_fwd, y = best_of(mixed_forward, repeats)
     dy = np.ones_like(y)
-    t_bwd, _ = best_of(lambda: net._mixed_backward(dy, mixed1, caches, {}), repeats)
+    t_bwd, _ = best_of(lambda: tape[0](dy, {}), repeats)
     rows.append((f"mixed1 x{n_clips}", t_fwd, t_bwd))
     pool_pads = layers._pad_amounts(p1.shape[2:], (mixed1.kt, 3, 3), (1, 1, 1), "same")
     pads = [("conv1 zero", x, layers._pad_amounts(x.shape[2:], conv1.kernel, conv1.stride,
@@ -248,7 +251,7 @@ def main():
                                 args.repeats)),
     ]
     for w, h in ((96, 72), (192, 144)):
-        seq, _, _ = synth.generate_scene(synth.SceneSpec(seed=3, n_frames=23, width=w, height=h))
+        seq, _ = synth.generate_scene(synth.SceneSpec(seed=3, n_frames=23, width=w, height=h))
         rows.append((f"flow_sequence 23x{w}x{h}",
                      lambda mod, seq=seq: bench_scene(mod, seq, args.repeats)))
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 from dataclasses import dataclass, field
 
 from . import artifacts, metrics
@@ -86,6 +87,13 @@ def _build_block(cls, data: dict, where: str):
     unknown = sorted(set(data) - known)
     if unknown:
         raise ConfigError(f"{where}: unknown keys {', '.join(unknown)}")
+    # get_type_hints compiles every annotation of the block: only for given values
+    hints = typing.get_type_hints(cls) if data else {}
+    for key, value in data.items():
+        # an int field takes an int, a float field an int or a float; bool neither
+        kinds = {int: (int,), float: (int, float)}.get(hints[key])
+        if kinds and (isinstance(value, bool) or not isinstance(value, kinds)):
+            raise ConfigError(f"{where}: {key} must be {hints[key].__name__}, got {value!r}")
     try:
         return cls(**data)
     except (TypeError, ConfigError) as exc:

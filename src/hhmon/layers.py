@@ -1,8 +1,10 @@
 """Functional 3D-CNN building blocks with explicit backward passes.
 
-Tensors are numpy arrays shaped (N, C, T, H, W).  Every forward returns
-(output, cache); the matching backward consumes the cache.  Arithmetic keeps
-the input dtype, so tests can run the whole stack in double precision while
+Tensors are numpy arrays shaped (N, C, T, H, W).  The convolution and
+max-pool forwards return (output, cache); the matching backward consumes
+the cache.  The network's other steps (relu, concat, global average pool,
+head) are one-line numpy expressions in `model`.  Arithmetic keeps the
+input dtype, so tests can run the whole stack in double precision while
 training stays in float32.
 
 Convolution is channel-major im2col: columns (N, K, P), K = Cin*kT*kH*kW in
@@ -274,46 +276,6 @@ def maxpool3d_backward(dy: np.ndarray, cache):
     dxp = np.zeros(xpshape, dtype=dy.dtype)
     np.add.at(dxp, (n_i, c_i, t_i * st + dt, h_i * sh + dh, w_i * sw + dw), dy)
     return _unpad_grad(dxp, pads, temporal_pad)
-
-
-def relu_forward(x: np.ndarray):
-    mask = x > 0
-    return x * mask, mask
-
-
-def relu_backward(dy: np.ndarray, mask) -> np.ndarray:
-    return dy * mask
-
-
-def global_avg_pool_forward(x: np.ndarray):
-    """(N, C, T, H, W) -> (N, C), averaging over all of T, H, W."""
-    return x.mean(axis=(2, 3, 4)), x.shape
-
-
-def global_avg_pool_backward(dy: np.ndarray, xshape) -> np.ndarray:
-    n = xshape[2] * xshape[3] * xshape[4]
-    return np.broadcast_to(dy[:, :, None, None, None] / n, xshape).astype(dy.dtype, copy=True)
-
-
-def concat_forward(xs: list[np.ndarray]):
-    sizes = [x.shape[1] for x in xs]
-    return np.concatenate(xs, axis=1), sizes
-
-
-def concat_backward(dy: np.ndarray, sizes) -> list[np.ndarray]:
-    return list(np.split(dy, np.cumsum(sizes)[:-1], axis=1))
-
-
-def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    """The pooled-feature head: (N, F) @ (F, O) + (O,); a 1x1x1 conv in effect."""
-    if x.shape[1] != w.shape[0]:
-        raise ModelError(f"head expects {w.shape[0]} features, got {x.shape[1]}")
-    return x @ w + b, x
-
-
-def dense_backward(dy: np.ndarray, cache, w: np.ndarray):
-    x = cache
-    return dy @ w.T, x.T @ dy, dy.sum(axis=0)
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:

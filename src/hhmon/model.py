@@ -11,14 +11,20 @@ The 2D twin of a spec is the same graph with every temporal extent forced to
 kT times along the new time axis and dividing by kT, so a time-constant clip
 reproduces the 2D response.
 
-A forward without a cache (`features`, `score`, `forward` by default) walks
+The forward pass is the only walk through the blocks.  A training step
+(`want_cache=True`) appends, as each layer runs, a backward step
+`(dy, grads) -> dx` holding what that layer's backward needs to a list, the
+tape, which `backward` runs last to first; a mixed block's step runs its
+branches' own tapes and sums their input gradients in branch order.
+
+A forward without a tape (`features`, `score`, `forward` by default) walks
 the backbone one clip at a time, so only one clip's activations are live,
 and asks the layers for no cache, which lets them pool separably, bound
 each convolution's im2col columns and run an inflated kernel as a temporal
 box sum plus one 2D convolution (see `layers`).  Only that box sum changes
 float32 results, in the last bits (about 1e-6 relative); a training step
 (`want_cache=True`) and the never-inflated scratch backbone run the general
-im2col route, and a forward without a cache gives the same bits as a
+im2col route, and a forward without a tape gives the same bits as a
 training forward there.  Separable pooling and the clip walk change no bits.
 """
 
@@ -51,11 +57,8 @@ class PoolLayer:
 
 @dataclass
 class MixedBlock:
-    """Four parallel branches concatenated on channels.
-
-    b0: 1x1x1; b1_reduce -> b1 (kt x3x3); b2_reduce -> b2 (kt x3x3);
-    3x3x3 stride-1 max pool -> b3 (1x1x1).
-    """
+    """Four parallel branches concatenated on channels, laid out by
+    `_branches`; the fields are their channel counts and temporal extent."""
 
     name: str
     in_channels: int
@@ -141,16 +144,18 @@ def collapse_temporal(spec: NetSpec) -> NetSpec:
                    input_size=spec.input_size, blocks=blocks)
 
 
-def _mixed_convs(b: MixedBlock) -> list[tuple[str, int, int, tuple[int, int, int]]]:
-    one = (1, 1, 1)
-    k3 = (b.kt, 3, 3)
+def _branches(b: MixedBlock) -> list[list]:
+    """The four branches of a mixed block, in concat order: each a chain of
+    layers run on the block input, the convolutions at stride 1."""
+    one, k3 = (1, 1, 1), (b.kt, 3, 3)
+    c = b.in_channels
     return [
-        (f"{b.name}.b0", b.in_channels, b.b0, one),
-        (f"{b.name}.b1r", b.in_channels, b.b1_reduce, one),
-        (f"{b.name}.b1", b.b1_reduce, b.b1, k3),
-        (f"{b.name}.b2r", b.in_channels, b.b2_reduce, one),
-        (f"{b.name}.b2", b.b2_reduce, b.b2, k3),
-        (f"{b.name}.b3", b.in_channels, b.b3, one),
+        [ConvLayer(f"{b.name}.b0", c, b.b0, one)],
+        [ConvLayer(f"{b.name}.b1r", c, b.b1_reduce, one),
+         ConvLayer(f"{b.name}.b1", b.b1_reduce, b.b1, k3)],
+        [ConvLayer(f"{b.name}.b2r", c, b.b2_reduce, one),
+         ConvLayer(f"{b.name}.b2", b.b2_reduce, b.b2, k3)],
+        [PoolLayer(f"{b.name}.pool", k3, one, "same"), ConvLayer(f"{b.name}.b3", c, b.b3, one)],
     ]
 
 
@@ -158,13 +163,11 @@ def conv_param_shapes(spec: NetSpec) -> dict[str, tuple]:
     """Every trainable tensor name with its shape, head included."""
     shapes: dict[str, tuple] = {}
     for b in spec.blocks:
-        if isinstance(b, ConvLayer):
-            shapes[f"{b.name}.w"] = (b.out_channels, b.in_channels, *b.kernel)
-            shapes[f"{b.name}.b"] = (b.out_channels,)
-        elif isinstance(b, MixedBlock):
-            for name, cin, cout, k in _mixed_convs(b):
-                shapes[f"{name}.w"] = (cout, cin, *k)
-                shapes[f"{name}.b"] = (cout,)
+        chain = [x for branch in _branches(b) for x in branch] if isinstance(b, MixedBlock) else [b]
+        for c in chain:
+            if isinstance(c, ConvLayer):
+                shapes[f"{c.name}.w"] = (c.out_channels, c.in_channels, *c.kernel)
+                shapes[f"{c.name}.b"] = (c.out_channels,)
     shapes["head.w"] = (spec.head_features, 1)
     shapes["head.b"] = (1,)
     return shapes
@@ -246,107 +249,103 @@ class Network:
         """Freeze everything up to and including the global average pool."""
         self.frozen = {n for n in self.params if not n.startswith("head.")}
 
-    def _conv(self, x, name, stride, temporal_pad, caches):
-        y, c = layers.conv3d_forward(x, self.params[f"{name}.w"], self.params[f"{name}.b"],
-                                     stride=stride, padding="same", temporal_pad=temporal_pad,
-                                     want_cache=caches is not None)
-        y, mask = layers.relu_forward(y)
-        if caches is not None:
-            caches[f"{name}.conv"] = c
-            caches[f"{name}.relu"] = mask
+    def _conv(self, x, b: ConvLayer, temporal_pad, tape):
+        """A same-padded convolution and its relu."""
+        y, cache = layers.conv3d_forward(x, self.params[f"{b.name}.w"], self.params[f"{b.name}.b"],
+                                         stride=b.stride, padding="same",
+                                         temporal_pad=temporal_pad, want_cache=tape is not None)
+        mask = y > 0
+        if tape is not None:
+            def step(dy, grads):
+                dx, grads[f"{b.name}.w"], grads[f"{b.name}.b"] = layers.conv3d_backward(
+                    dy * mask, cache)
+                return dx
+            tape.append(step)
+        return y * mask
+
+    def _pool(self, x, b: PoolLayer, temporal_pad, tape):
+        y, cache = layers.maxpool3d_forward(x, b.kernel, b.stride, b.padding, temporal_pad,
+                                            want_cache=tape is not None)
+        if tape is not None:
+            tape.append(lambda dy, grads: layers.maxpool3d_backward(dy, cache))
         return y
 
-    def _backbone(self, x: np.ndarray, temporal_pad: str, caches: dict | None) -> np.ndarray:
+    def _mixed(self, x, b: MixedBlock, temporal_pad, tape):
+        """The branches on x, concatenated on channels."""
+        branches = _branches(b)
+        tapes = [None if tape is None else [] for _ in branches]
+        outs = [self._walk(br, x, temporal_pad, sub) for br, sub in zip(branches, tapes)]
+        if tape is not None:
+            sizes = [o.shape[1] for o in outs]
+
+            def step(dy, grads):
+                parts = np.split(dy, np.cumsum(sizes)[:-1], axis=1)
+                dx = _replay(tapes[0], parts[0], grads)
+                for sub, d in zip(tapes[1:], parts[1:]):
+                    dx += _replay(sub, d, grads)
+                return dx
+            tape.append(step)
+        return np.concatenate(outs, axis=1)
+
+    def _walk(self, blocks, h, temporal_pad, tape):
+        """Run blocks on h, appending their backward steps to `tape` unless None."""
+        for b in blocks:
+            if isinstance(b, ConvLayer):
+                h = self._conv(h, b, temporal_pad, tape)
+            elif isinstance(b, PoolLayer):
+                h = self._pool(h, b, temporal_pad, tape)
+            else:
+                h = self._mixed(h, b, temporal_pad, tape)
+        return h
+
+    def _backbone(self, x: np.ndarray, temporal_pad: str, tape: list | None) -> np.ndarray:
         """Input checks, the block walk and the global average pool: (N, F).
-        Without a cache a batch walks one clip at a time, with the same bits."""
+        Without a tape a batch walks one clip at a time, with the same bits."""
         if x.ndim != 5:
             raise ModelError(f"batch must be 5d (N, C, T, H, W), got {x.ndim}d")
         if x.shape[1] != self.spec.in_channels:
             raise ModelError(f"stream expects {self.spec.in_channels} input channels, "
                              f"got {x.shape[1]}")
-        if caches is None and len(x) > 1:
+        if tape is None and len(x) > 1:
             return np.concatenate([self._backbone(c[None], temporal_pad, None) for c in x])
-        h = x
-        for b in self.spec.blocks:
-            if isinstance(b, ConvLayer):
-                h = self._conv(h, b.name, b.stride, temporal_pad, caches)
-            elif isinstance(b, PoolLayer):
-                h, c = layers.maxpool3d_forward(h, b.kernel, b.stride, b.padding, temporal_pad,
-                                                want_cache=caches is not None)
-                if caches is not None:
-                    caches[b.name] = c
-            else:
-                h = self._mixed_forward(h, b, temporal_pad, caches)
-        feats, gap_shape = layers.global_avg_pool_forward(h)
-        if caches is not None:
-            caches["gap"] = gap_shape
-        return feats
+        h = self._walk(self.spec.blocks, x, temporal_pad, tape)
+        if tape is not None:
+            shape = h.shape
+
+            def step(dy, grads):
+                n = shape[2] * shape[3] * shape[4]
+                return np.broadcast_to(dy[:, :, None, None, None] / n,
+                                       shape).astype(dy.dtype, copy=True)
+            tape.append(step)
+        return h.mean(axis=(2, 3, 4))
 
     def forward(self, x: np.ndarray, temporal_pad: str = "zero", want_cache: bool = False):
-        """Logits (N,) for a batch (N, C, T, H, W); cache kept only on request."""
-        caches: dict | None = {} if want_cache else None
-        logits, dense_cache = self.head(self._backbone(x, temporal_pad, caches))
-        if caches is not None:
-            caches["head"] = dense_cache
-        return logits, caches
+        """(logits (N,), tape) for a batch (N, C, T, H, W); the tape of
+        backward steps is kept only on request, else None."""
+        tape: list | None = [] if want_cache else None
+        feats = self._backbone(x, temporal_pad, tape)
+        if tape is not None:
+            def step(dlogits, grads):
+                dy = dlogits[:, None]
+                grads["head.w"] = feats.T @ dy
+                grads["head.b"] = dy.sum(axis=0)
+                return dy @ self.params["head.w"].T
+            tape.append(step)
+        return self.head(feats), tape
 
-    def head(self, feats: np.ndarray):
-        """Logits (N,) of pooled features (N, F), with the dense cache."""
-        logits, cache = layers.dense_forward(feats, self.params["head.w"], self.params["head.b"])
-        return logits[:, 0], cache
+    def head(self, feats: np.ndarray) -> np.ndarray:
+        """Logits (N,) of pooled features (N, F): a 1x1x1 conv in effect."""
+        w = self.params["head.w"]
+        if feats.shape[1] != w.shape[0]:
+            raise ModelError(f"head expects {w.shape[0]} features, got {feats.shape[1]}")
+        return (feats @ w + self.params["head.b"])[:, 0]
 
-    def _mixed_forward(self, x, b: MixedBlock, temporal_pad, caches):
-        one = (1, 1, 1)
-        t0 = self._conv(x, f"{b.name}.b0", one, temporal_pad, caches)
-        t1 = self._conv(x, f"{b.name}.b1r", one, temporal_pad, caches)
-        t1 = self._conv(t1, f"{b.name}.b1", one, temporal_pad, caches)
-        t2 = self._conv(x, f"{b.name}.b2r", one, temporal_pad, caches)
-        t2 = self._conv(t2, f"{b.name}.b2", one, temporal_pad, caches)
-        pooled, pc = layers.maxpool3d_forward(x, (b.kt, 3, 3), (1, 1, 1), "same", temporal_pad,
-                                              want_cache=caches is not None)
-        t3 = self._conv(pooled, f"{b.name}.b3", one, temporal_pad, caches)
-        y, sizes = layers.concat_forward([t0, t1, t2, t3])
-        if caches is not None:
-            caches[f"{b.name}.pool"] = pc
-            caches[f"{b.name}.concat"] = sizes
-        return y
-
-    def _conv_backward(self, dy, name, caches, grads):
-        dy = layers.relu_backward(dy, caches[f"{name}.relu"])
-        dx, dk, db = layers.conv3d_backward(dy, caches[f"{name}.conv"])
-        grads[f"{name}.w"] = dk
-        grads[f"{name}.b"] = db
-        return dx
-
-    def backward(self, dlogits: np.ndarray, caches: dict) -> dict[str, np.ndarray]:
-        """Parameter gradients; frozen tensors are dropped from the result."""
+    def backward(self, dlogits: np.ndarray, tape: list) -> dict[str, np.ndarray]:
+        """Parameter gradients from a training forward's tape; frozen
+        tensors are dropped from the result."""
         grads: dict[str, np.ndarray] = {}
-        dy = dlogits[:, None]
-        dfeats, dw, db = layers.dense_backward(dy, caches["head"], self.params["head.w"])
-        grads["head.w"] = dw
-        grads["head.b"] = db
-        dh = layers.global_avg_pool_backward(dfeats, caches["gap"])
-        for b in reversed(self.spec.blocks):
-            if isinstance(b, ConvLayer):
-                dh = self._conv_backward(dh, b.name, caches, grads)
-            elif isinstance(b, PoolLayer):
-                dh = layers.maxpool3d_backward(dh, caches[b.name])
-            else:
-                dh = self._mixed_backward(dh, b, caches, grads)
-        for name in self.frozen:
-            grads.pop(name, None)
-        return grads
-
-    def _mixed_backward(self, dy, b: MixedBlock, caches, grads):
-        d0, d1, d2, d3 = layers.concat_backward(dy, caches[f"{b.name}.concat"])
-        dx = self._conv_backward(d0, f"{b.name}.b0", caches, grads)
-        d1 = self._conv_backward(d1, f"{b.name}.b1", caches, grads)
-        dx += self._conv_backward(d1, f"{b.name}.b1r", caches, grads)
-        d2 = self._conv_backward(d2, f"{b.name}.b2", caches, grads)
-        dx += self._conv_backward(d2, f"{b.name}.b2r", caches, grads)
-        d3 = self._conv_backward(d3, f"{b.name}.b3", caches, grads)
-        dx += layers.maxpool3d_backward(d3, caches[f"{b.name}.pool"])
-        return dx
+        _replay(tape, dlogits, grads)
+        return {name: g for name, g in grads.items() if name not in self.frozen}
 
     def features(self, x: np.ndarray, temporal_pad: str = "zero") -> np.ndarray:
         """Pooled backbone features (N, F) without touching the head."""
@@ -357,3 +356,9 @@ class Network:
         logits, _ = self.forward(x, temporal_pad)
         return layers.sigmoid(logits)
 
+
+def _replay(tape: list, dy: np.ndarray, grads: dict) -> np.ndarray:
+    """Run a tape's backward steps last to first; returns the input gradient."""
+    for step in reversed(tape):
+        dy = step(dy, grads)
+    return dy

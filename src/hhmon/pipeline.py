@@ -102,7 +102,7 @@ def _resolve_track(tracks: list[tracking.Track], rec_start: int, rec_end: int,
 def prepare(cfg: PipelineConfig) -> PrepareResult:
     manifest = synth.load_manifest(cfg.paths.dataset_dir)
     records: list[AnnotationRecord] = []
-    for entry in manifest["scenes"]:
+    for entry, rec in zip(manifest["scenes"], synth.manifest_records(manifest)):
         video_id = entry["video_id"]
         kp_path = _keypoints_path(cfg, entry)
         if not os.path.isfile(kp_path):
@@ -116,13 +116,8 @@ def prepare(cfg: PipelineConfig) -> PrepareResult:
             tracks = tracking.correct_assignment(tracks, tracking.parse_corrections(corr_path))
         tracks = [tracking.smooth_track(t, cfg.link.smooth_window) for t in tracks]
         tracking.save_tracks(tracks, _tracks_path(cfg, video_id))
-        track_id = _resolve_track(tracks, entry["start_frame"], entry["end_frame"], video_id)
-        records.append(AnnotationRecord(
-            video_id=video_id, date_tag=entry["date_tag"], track_id=track_id,
-            start_frame=entry["start_frame"], end_frame=entry["end_frame"],
-            label=entry["class"], action_name=entry.get("action_name", ""),
-            synthetic=entry.get("synthetic", False),
-        ))
+        track_id = _resolve_track(tracks, rec.start_frame, rec.end_frame, video_id)
+        records.append(replace(rec, track_id=track_id))
     split = clipset.split_dataset(records, seed=cfg.seed)
     clipset.save_annotations(records, _annotations_path(cfg))
     split_doc = split.as_dict()

@@ -57,8 +57,6 @@ class SceneSpec:
     fps: float = 15.0
     video_id: str = "scene"
     date_tag: str = "d00"
-    action_name: str = ""
-    synthetic: bool = False
     joint_dropout: float = 0.0
 
     def __post_init__(self):
@@ -210,7 +208,7 @@ def _background(width: int, height: int, rng: np.random.Generator) -> np.ndarray
     return frameio.resize_bilinear(grid, width, height)
 
 
-def generate_scene(spec: SceneSpec) -> tuple[FrameSequence, list[PoseFrame], AnnotationRecord]:
+def generate_scene(spec: SceneSpec) -> tuple[FrameSequence, list[PoseFrame]]:
     """Render a scene and its keypoint ground truth."""
     rng = np.random.default_rng(spec.seed)
     motions = default_motion(spec, rng)
@@ -240,13 +238,7 @@ def generate_scene(spec: SceneSpec) -> tuple[FrameSequence, list[PoseFrame], Ann
         poses.append(pf)
 
     seq = FrameSequence(frames, fps=spec.fps, video_id=spec.video_id, date_tag=spec.date_tag)
-    action = spec.action_name or ("rubbing_hands" if spec.class_label == 1 else OTHER_ACTIONS[0])
-    record = AnnotationRecord(
-        video_id=spec.video_id, date_tag=spec.date_tag, track_id=0,
-        start_frame=0, end_frame=spec.n_frames, label=spec.class_label,
-        action_name=action, synthetic=spec.synthetic,
-    )
-    return seq, poses, record
+    return seq, poses
 
 
 @dataclass
@@ -309,10 +301,9 @@ def generate_dataset(cfg: DatasetConfig, out_dir: str, seed: int) -> dict:
             spec = SceneSpec(
                 seed=next(seed_iter), class_label=label, n_persons=cfg.n_persons,
                 n_frames=lengths[i], width=cfg.width, height=cfg.height, fps=cfg.fps,
-                video_id=video_id, date_tag=date, action_name=action,
-                synthetic=synthetic, joint_dropout=cfg.joint_dropout,
+                video_id=video_id, date_tag=date, joint_dropout=cfg.joint_dropout,
             )
-            seq, poses, record = generate_scene(spec)
+            seq, poses = generate_scene(spec)
             frames_dir = os.path.join("scenes", video_id, "frames")
             keypoints_file = os.path.join("scenes", video_id, "keypoints.txt")
             frameio.save_sequence(seq, os.path.join(out_dir, frames_dir))
@@ -325,7 +316,7 @@ def generate_dataset(cfg: DatasetConfig, out_dir: str, seed: int) -> dict:
                 "keypoints_file": keypoints_file,
                 "start_frame": 0,
                 "end_frame": lengths[i],
-                "action_name": record.action_name,
+                "action_name": action,
                 "synthetic": synthetic,
             })
 

@@ -52,9 +52,9 @@ def sgd_train(net: Network, x: np.ndarray, y: np.ndarray, cfg: TrainConfig,
         order = rng.permutation(len(x))
         for i in range(0, len(x), cfg.batch_size):
             idx = order[i : i + cfg.batch_size]
-            logits, caches = net.forward(x[idx], want_cache=True)
+            logits, tape = net.forward(x[idx], want_cache=True)
             loss, dlogits = layers.bce_with_logits(logits, y[idx])
-            grads = net.backward(dlogits, caches)
+            grads = net.backward(dlogits, tape)
             for name in trainable:
                 g = grads[name]
                 v = velocity[name]
@@ -101,7 +101,7 @@ def score_clips(net: Network, clips) -> np.ndarray:
     """Sigmoid scores for a stream of clips (C, T, H, W): each clip's
     backbone runs alone as it arrives, the head once on all the features."""
     feats = [net.features(clip[None]) for clip in clips]
-    return layers.sigmoid(net.head(np.concatenate(feats))[0]) if feats else np.zeros(0)
+    return layers.sigmoid(net.head(np.concatenate(feats))) if feats else np.zeros(0)
 
 
 def pretrain_twin(spec: NetSpec, stills: np.ndarray, labels: np.ndarray,

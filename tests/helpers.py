@@ -175,20 +175,10 @@ def batched_features_oracle(net, x, batch_size=8):
     """Backbone features of clips x (N, C, T, H, W) as computed before the
     network walked one clip at a time: batches of `batch_size` stacked
     clips, each block run on the whole batch without a cache."""
-    from hhmon import layers, model
-
     out = []
     for i in range(0, len(x), batch_size):
-        h = x[i:i + batch_size]
-        for b in net.spec.blocks:
-            if isinstance(b, model.ConvLayer):
-                h = net._conv(h, b.name, b.stride, "zero", None)
-            elif isinstance(b, model.PoolLayer):
-                h = layers.maxpool3d_forward(h, b.kernel, b.stride, b.padding,
-                                             want_cache=False)[0]
-            else:
-                h = net._mixed_forward(h, b, "zero", None)
-        out.append(layers.global_avg_pool_forward(h)[0])
+        h = net._walk(net.spec.blocks, x[i:i + batch_size], "zero", None)
+        out.append(h.mean(axis=(2, 3, 4)))
     return np.concatenate(out)
 
 
@@ -198,7 +188,7 @@ def batched_scores_oracle(net, x, batch_size=8):
     from hhmon import layers
 
     return np.concatenate([
-        layers.sigmoid(net.head(batched_features_oracle(net, x[i:i + batch_size]))[0])
+        layers.sigmoid(net.head(batched_features_oracle(net, x[i:i + batch_size])))
         for i in range(0, len(x), batch_size)])
 
 
@@ -248,9 +238,9 @@ def head_sgd_oracle(w, b, feats, y, cfg, seed):
         order = rng.permutation(len(feats))
         for i in range(0, len(feats), cfg.batch_size):
             idx = order[i : i + cfg.batch_size]
-            logits, cache = layers.dense_forward(feats[idx], w, b)
-            loss, dlogits = layers.bce_with_logits(logits[:, 0], y[idx])
-            _, dw, db = layers.dense_backward(dlogits[:, None], cache, w)
+            x = feats[idx]
+            loss, dlogits = layers.bce_with_logits((x @ w + b)[:, 0], y[idx])
+            dw, db = x.T @ dlogits[:, None], dlogits[:, None].sum(axis=0)
             vw *= cfg.momentum
             vw += dw
             vb *= cfg.momentum

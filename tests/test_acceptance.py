@@ -110,9 +110,9 @@ def test_analytic_gradients_match_central_differences(capsys):
         logits, _ = net.forward(x)
         return bce_with_logits(logits, labels)[0]
 
-    logits, caches = net.forward(x, want_cache=True)
+    logits, tape = net.forward(x, want_cache=True)
     _, dlogits = bce_with_logits(logits, labels)
-    grads = net.backward(dlogits, caches)
+    grads = net.backward(dlogits, tape)
     worst, worst_name = 0.0, ""
     for name in sorted(net.params):
         fd = numeric_grad(loss, net.params[name], h=1e-5)
@@ -191,7 +191,7 @@ def test_smoothing_bounds_and_linking_identity(capsys):
     for seed in range(5):
         spec = SceneSpec(seed=seed, class_label=seed % 2, n_persons=2, n_frames=24,
                          width=160, height=120, video_id=f"pair_{seed}")
-        _, poses, _ = generate_scene(spec)
+        _, poses = generate_scene(spec)
         rois, per_frame = [], []
         for pf in poses:
             boxes = [upper_body_roi(p, (spec.width, spec.height), RoiParams())

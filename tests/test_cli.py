@@ -91,7 +91,9 @@ def test_bad_config_key_is_a_usage_error(tmp_path, capsys):
     ({"input_size": 24, "flip_prob": 1.5}, "error: clip: flip_prob"),
     # a zero stride once got through gen and died in prepare's window count
     ({"input_size": 24, "neg_stride": 0}, "error: clip: pos_stride and neg_stride"),
-], ids=["flip_prob", "neg_stride"])
+    # a float stride once got through gen and died in range() with a traceback
+    ({"input_size": 24, "neg_stride": 2.5}, "error: clip: neg_stride must be int, got 2.5"),
+], ids=["flip_prob", "neg_stride", "neg_stride_float"])
 def test_bad_config_value_exits_2_before_writing_anything(tmp_path, capsys, clip, message):
     path = write_cfg(tmp_path, clip=clip)
     assert cli.main(["gen", "--config", path]) == 2
@@ -239,6 +241,19 @@ def test_rgb_frames_are_read_from_the_manifest_frames_dir(tmp_path, capsys):
     manifest_path.write_text(json.dumps(manifest))
     for command in (["prepare"], ["flow"], ["train", "--stream", "rgb"], ["eval"]):
         assert cli.main([command[0], "--config", path, *command[1:]]) == 0, command
+
+
+def test_train_with_a_lost_tracks_file_exits_3(tmp_path, capsys):
+    path = write_cfg(tmp_path)
+    for command in ("gen", "prepare"):
+        assert cli.main([command, "--config", path]) == 0
+    video_id = json.loads((tmp_path / "work" / "splits.json").read_text())["video_ids"]["train"][0]
+    tracks = tmp_path / "work" / "tracks" / f"{video_id}.txt"
+    tracks.unlink()
+    capsys.readouterr()
+    assert cli.main(["train", "--stream", "rgb", "--config", path]) == 3
+    err = capsys.readouterr().err
+    assert str(tracks) in err and "run prepare first" in err
 
 
 _ENTRY = {"video_id": "v", "date_tag": "d00", "class": 1, "frames_dir": "scenes/v/frames",

@@ -156,6 +156,11 @@ def test_bad_values_are_rejected_naming_their_section():
         ("clip", {"scale_min": 2.0, "scale_max": 1.5}, "clip: need 1 <= scale_min"),
         ("clip", {"neg_stride": 0}, "clip: pos_stride and neg_stride must be >= 1"),
         ("clip", {"pos_stride": -1}, "clip: pos_stride and neg_stride must be >= 1"),
+        ("clip", {"neg_stride": 2.5}, "clip: neg_stride must be int, got 2.5"),
+        ("train", {"epochs": 2.5}, "train: epochs must be int, got 2.5"),
+        ("flow", {"n_iters": True}, "flow: n_iters must be int, got True"),
+        ("flow", {"tau": False}, "flow: tau must be float, got False"),
+        ("eval", {"threshold": "0.5"}, "eval: threshold must be float, got '0.5'"),
         ("flow", {"tau": 0.3}, "flow: tau"),
         ("train", {"momentum": 1.0}, "train: momentum"),
         ("train", {"head_lr": -1.0}, "train: head_lr"),

@@ -12,18 +12,10 @@ from hhmon import layers
 from hhmon.errors import ModelError
 from hhmon.layers import (
     bce_with_logits,
-    concat_backward,
-    concat_forward,
     conv3d_backward,
     conv3d_forward,
-    dense_backward,
-    dense_forward,
-    global_avg_pool_backward,
-    global_avg_pool_forward,
     maxpool3d_backward,
     maxpool3d_forward,
-    relu_backward,
-    relu_forward,
     sigmoid,
 )
 
@@ -453,67 +445,6 @@ def test_no_cache_routes_reject_a_kernel_wider_than_the_input(rng):
                        want_cache=False)
     with pytest.raises(ModelError, match="exceeds input"):
         maxpool3d_forward(x, (1, 5, 1), want_cache=False)
-
-
-def test_relu_and_its_gradient(rng):
-    x = rng.normal(size=(3, 4)) + np.where(rng.random((3, 4)) > 0.5, 0.2, -0.2)
-    x = np.where(np.abs(x) < 0.05, 0.1, x)  # keep away from the kink
-    y, mask = relu_forward(x)
-    assert np.array_equal(y, np.maximum(x, 0))
-    probe = rng.normal(size=x.shape)
-
-    def loss():
-        return float(np.sum(relu_forward(x)[0] * probe))
-
-    dx = relu_backward(probe, mask)
-    assert rel_err(dx, numeric_grad(loss, x)) < 1e-6
-
-
-def test_global_avg_pool_and_gradient(rng):
-    x = rng.normal(size=(2, 3, 2, 4, 4))
-    y, xshape = global_avg_pool_forward(x)
-    assert y.shape == (2, 3)
-    assert np.allclose(y[1, 2], x[1, 2].mean())
-    probe = rng.normal(size=(2, 3))
-
-    def loss():
-        return float(np.sum(global_avg_pool_forward(x)[0] * probe))
-
-    dx = global_avg_pool_backward(probe, xshape)
-    assert rel_err(dx, numeric_grad(loss, x)) < 1e-6
-
-
-def test_concat_roundtrip_and_gradient(rng):
-    xs = [rng.normal(size=(2, c, 2, 3, 3)) for c in (1, 3, 2)]
-    y, sizes = concat_forward(xs)
-    assert y.shape == (2, 6, 2, 3, 3)
-    assert sizes == [1, 3, 2]
-    probe = rng.normal(size=y.shape)
-    parts = concat_backward(probe, sizes)
-    for x, part in zip(xs, parts):
-        assert part.shape == x.shape
-    assert np.array_equal(np.concatenate(parts, axis=1), probe)
-
-
-def test_dense_gradients_match_finite_differences(rng):
-    x = rng.normal(size=(4, 6))
-    w = rng.normal(size=(6, 2))
-    b = rng.normal(size=2)
-    probe = rng.normal(size=(4, 2))
-
-    def loss():
-        return float(np.sum(dense_forward(x, w, b)[0] * probe))
-
-    _, cache = dense_forward(x, w, b)
-    dx, dw, db = dense_backward(probe, cache, w)
-    assert rel_err(dx, numeric_grad(loss, x)) < 1e-6
-    assert rel_err(dw, numeric_grad(loss, w)) < 1e-6
-    assert rel_err(db, numeric_grad(loss, b)) < 1e-6
-
-
-def test_dense_rejects_feature_mismatch(rng):
-    with pytest.raises(ModelError, match="features"):
-        dense_forward(rng.normal(size=(2, 5)), rng.normal(size=(6, 1)), np.zeros(1))
 
 
 def test_sigmoid_is_stable_and_correct():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from hhmon import layers
 from hhmon.errors import ModelError
 from hhmon.layers import bce_with_logits
 from hhmon.model import (
@@ -112,9 +113,9 @@ def test_forward_without_cache_matches_the_training_forward(rng, temporal_pad):
     scratch = Network.init(spec, seed=4)
     x = rng.uniform(-1, 1, size=(3, 3, 4, 8, 8)).astype(np.float32)
     for net, bitwise in ((inflated, False), (scratch, True)):
-        want, caches = net.forward(x, temporal_pad, want_cache=True)
-        got, no_cache = net.forward(x, temporal_pad)
-        assert caches and no_cache is None
+        want, tape = net.forward(x, temporal_pad, want_cache=True)
+        got, no_tape = net.forward(x, temporal_pad)
+        assert tape and no_tape is None
         if bitwise:
             assert np.array_equal(got, want)
         else:
@@ -203,15 +204,21 @@ def test_head_applied_to_features_reproduces_logits(rng):
     assert np.allclose(logits, manual[:, 0], atol=1e-12)
 
 
+def test_head_rejects_feature_mismatch(rng):
+    net = Network.init(micro_spec(), seed=2)
+    with pytest.raises(ModelError, match="head expects 6 features, got 5"):
+        net.head(rng.normal(size=(2, 5)))
+
+
 def test_freeze_backbone_keeps_only_head_gradients(rng):
     net = Network.init(micro_spec(), seed=3, dtype=np.float64)
     net.freeze_backbone()
     assert "head.w" not in net.frozen and "head.b" not in net.frozen
     assert all(n in net.frozen for n in net.params if not n.startswith("head."))
     x = rng.random((2, 2, 4, 8, 8))
-    logits, caches = net.forward(x, want_cache=True)
+    logits, tape = net.forward(x, want_cache=True)
     _, dlogits = bce_with_logits(logits, np.array([1.0, 0.0]))
-    grads = net.backward(dlogits, caches)
+    grads = net.backward(dlogits, tape)
     assert sorted(grads) == ["head.b", "head.w"]
 
 
@@ -225,9 +232,9 @@ def test_network_gradients_match_finite_differences(rng):
         logits, _ = net.forward(x)
         return bce_with_logits(logits, labels)[0]
 
-    logits, caches = net.forward(x, want_cache=True)
+    logits, tape = net.forward(x, want_cache=True)
     _, dlogits = bce_with_logits(logits, labels)
-    grads = net.backward(dlogits, caches)
+    grads = net.backward(dlogits, tape)
     assert sorted(grads) == sorted(net.params)
 
     h = 1e-5
@@ -249,6 +256,36 @@ def test_network_gradients_match_finite_differences(rng):
         assert err < 1e-4, f"{name}: rel err {err}"
 
 
+def test_backward_calls_the_layers_last_block_first(monkeypatch):
+    # perfbench names the block of each layer call inside Network.backward
+    # from this order: blocks last to first; in a mixed block b0, b1, b1r,
+    # b2, b2r, b3, then its stride-1 pool
+    net = Network.init(i3d_mini(input_size=16, clip_len=4), seed=0)
+    names = {id(a): name for name, a in net.params.items()}
+    calls = []
+    conv_backward, pool_backward = layers.conv3d_backward, layers.maxpool3d_backward
+
+    def conv_spy(dy, cache):
+        calls.append(names[id(cache[1])].removesuffix(".w"))
+        return conv_backward(dy, cache)
+
+    def pool_spy(dy, cache):
+        calls.append(f"pool stride {cache[3]}")
+        return pool_backward(dy, cache)
+
+    monkeypatch.setattr(layers, "conv3d_backward", conv_spy)
+    monkeypatch.setattr(layers, "maxpool3d_backward", pool_spy)
+    x = np.random.default_rng(0).random((1, 3, 4, 16, 16)).astype(np.float32)
+    logits, tape = net.forward(x, want_cache=True)
+    net.backward(bce_with_logits(logits, np.array([1.0]))[1], tape)
+
+    def mixed(name):
+        return ([f"{name}.{branch}" for branch in ("b0", "b1", "b1r", "b2", "b2r", "b3")]
+                + ["pool stride (1, 1, 1)"])
+    assert calls == (mixed("mixed2") + ["pool stride (2, 2, 2)"] + mixed("mixed1")
+                     + ["pool stride (1, 2, 2)", "conv1"])
+
+
 @pytest.mark.parametrize("first", ["conv", "mixed"])
 def test_training_step_leaves_the_batch_unchanged(rng, first):
     # a pointwise conv's cache holds a view of its input, not a copy; with a
@@ -264,8 +301,8 @@ def test_training_step_leaves_the_batch_unchanged(rng, first):
     labels = np.array([1.0, 0.0])
 
     def step(batch):
-        logits, caches = net.forward(batch, want_cache=True)
-        return net.backward(bce_with_logits(logits, labels)[1], caches)
+        logits, tape = net.forward(batch, want_cache=True)
+        return net.backward(bce_with_logits(logits, labels)[1], tape)
 
     grads = step(x)
     assert x.tobytes() == before.tobytes()

@@ -62,21 +62,21 @@ def small_spec(seed=3, label=1, **kw):
 def test_same_spec_twice_is_byte_identical(tmp_path):
     spec = small_spec()
     for sub in ("a", "b"):
-        seq, poses, _ = generate_scene(spec)
+        seq, poses = generate_scene(spec)
         frameio.save_sequence(seq, str(tmp_path / sub / "frames"))
         pose.save_poses(poses, str(tmp_path / sub / "keypoints.txt"))
     assert dir_digest(tmp_path / "a") == dir_digest(tmp_path / "b")
 
 
 def test_different_seeds_differ():
-    seq_a, _, _ = generate_scene(small_spec(seed=1))
-    seq_b, _, _ = generate_scene(small_spec(seed=2))
+    seq_a, _ = generate_scene(small_spec(seed=1))
+    seq_b, _ = generate_scene(small_spec(seed=2))
     assert not np.array_equal(seq_a.data, seq_b.data)
 
 
 def test_rubbing_wrist_distance_oscillates_every_16_frame_window():
     for seed in range(5):
-        _, poses, _ = generate_scene(small_spec(seed=seed, label=1, n_frames=32))
+        _, poses = generate_scene(small_spec(seed=seed, label=1, n_frames=32))
         d = wrist_distance_series(poses)
         for start in range(len(d) - 15):
             cycles = oscillation_cycles(d[start : start + 16])
@@ -85,7 +85,7 @@ def test_rubbing_wrist_distance_oscillates_every_16_frame_window():
 
 def test_other_action_wrist_distance_is_low_frequency():
     for seed in range(5):
-        _, poses, _ = generate_scene(small_spec(seed=seed, label=0, n_frames=32))
+        _, poses = generate_scene(small_spec(seed=seed, label=0, n_frames=32))
         d = wrist_distance_series(poses)
         assert oscillation_cycles(d[:16]) < 3.0
 
@@ -96,7 +96,7 @@ def test_wrist_speed_separates_classes_for_logistic_oracle():
         for label in (0, 1):
             spec = small_spec(seed=1000 + 2 * i + label, label=label,
                               n_frames=20, width=96, height=72)
-            _, poses, _ = generate_scene(spec)
+            _, poses = generate_scene(spec)
             speeds.append(mean_wrist_speed(poses))
             labels.append(label)
     acc = fit_logistic_1d(np.asarray(speeds), np.asarray(labels))
@@ -104,7 +104,7 @@ def test_wrist_speed_separates_classes_for_logistic_oracle():
 
 
 def test_two_persons_listed_per_frame(tmp_path):
-    _, poses, _ = generate_scene(small_spec(n_persons=2))
+    _, poses = generate_scene(small_spec(n_persons=2))
     assert all(len(p.persons) == 2 for p in poses)
     path = str(tmp_path / "kp.txt")
     pose.save_poses(poses, path)
@@ -113,7 +113,7 @@ def test_two_persons_listed_per_frame(tmp_path):
 
 
 def test_keypoints_satisfy_roi_contract():
-    _, poses, _ = generate_scene(small_spec())
+    _, poses = generate_scene(small_spec())
     for pf in poses:
         person = pf.persons[0]
         assert person.shape == (18, 3)
@@ -122,19 +122,18 @@ def test_keypoints_satisfy_roi_contract():
 
 
 def test_joint_dropout_zeroes_confidences():
-    _, poses, _ = generate_scene(small_spec(joint_dropout=0.4))
+    _, poses = generate_scene(small_spec(joint_dropout=0.4))
     confs = np.concatenate([pf.persons[0][:, 2] for pf in poses])
     assert np.any(confs == 0.0)
     assert np.all((confs == 0.0) | (confs == 1.0))
 
 
-def test_annotation_record_matches_spec():
+def test_scene_sequence_matches_spec():
     spec = small_spec(label=1, video_id="vid3", date_tag="d07")
-    _, _, rec = generate_scene(spec)
-    assert rec.video_id == "vid3"
-    assert rec.date_tag == "d07"
-    assert rec.label == 1
-    assert rec.end_frame - rec.start_frame == spec.n_frames
+    seq, poses = generate_scene(spec)
+    assert seq.video_id == "vid3"
+    assert seq.date_tag == "d07"
+    assert len(seq) == len(poses) == spec.n_frames
 
 
 def small_dataset_config(**kw):
