@@ -20,11 +20,17 @@ does: the general route (with a cache, as a training step runs it) against
 the no-cache route that features and scores take (box-sum conv, separable
 pool), with the largest output difference (pools: expected exactly zero).
 The training rows time the cached route's forward and backward passes of
-conv1 and of the whole mixed1 block of a random net, and the padding rows
+conv1 (whose backward skips the batch's gradient, as a training step does)
+and of the whole mixed1 block of a random net, and the padding rows
 one `layers._pad5` call each (conv1's zero pad, mixed1's -inf pool pad and
 its circular variant).  The feature rows run `training.extract_features` on
 8 prebuilt clips through an inflated and a random net, as train --stream
-rgb does, and report the time and the tracemalloc peak of one pass:
+rgb does, and report the time and the tracemalloc peak of one pass.  The
+request rows time, best of 20 x --repeats, what an `hhmon infer` call does
+around the network: the crop resize of an 18x20 ROI of 16 RGB frames to the
+56x56 input (the center window `clipset.crop_window` keeps, and the whole
+56x62 resize), `config_from_dict` on the config the perfbench workloads
+write, and `pose.load_poses` on a 16-line keypoints file:
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py [--size 256] [--iters 50] [--repeats 5]
 """
@@ -39,7 +45,8 @@ import tracemalloc
 
 import numpy as np
 
-from hhmon import _accel, _purekernels, backend, layers, model, synth, training, tvl1
+from hhmon import (_accel, _purekernels, backend, config, frameio, layers, model, pose, synth,
+                   training, tvl1)
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -176,7 +183,8 @@ def training_rows(n_clips, repeats):
     w, b = net.params["conv1.w"], net.params["conv1.b"]
     t_fwd, (y, cache) = best_of(lambda: layers.conv3d_forward(x, w, b, conv1.stride), repeats)
     dy = np.ones_like(y)
-    t_bwd, _ = best_of(lambda: layers.conv3d_backward(dy, cache), repeats)
+    # a training step wants no gradient of the batch
+    t_bwd, _ = best_of(lambda: layers.conv3d_backward(dy, cache, want_dx=False), repeats)
     rows = [(f"conv1 x{n_clips}", t_fwd, t_bwd)]
     p1 = layers.maxpool3d_forward(y * (y > 0), pool1.kernel)[0]
     tape = []
@@ -220,6 +228,30 @@ def feature_rows(n_clips, repeats):
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         rows.append((f"features x{n_clips} {name}", t, peak))
+    return rows
+
+
+def request_rows(repeats):
+    """(name, best s) of the work an infer request does outside the network."""
+    n = 20 * repeats
+    roi = np.random.default_rng(7).random((18, 20, 48), dtype=np.float32)
+    window = (slice(0, 56), slice(3, 59))  # the center 56x56 of 56x62
+    rows = [("crop resize 18x20x48 -> 56x56 window",
+             best_of(lambda: frameio.resize_bilinear(roi, 62, 56, window), n)[0]),
+            ("crop resize 18x20x48 -> 56x62 whole",
+             best_of(lambda: frameio.resize_bilinear(roi, 62, 56), n)[0])]
+    paths = {key: os.path.join("tree", key) for key in
+             ("dataset_dir", "work_dir", "checkpoint_dir", "report_dir")}
+    gen = {"n_rubbing": 3, "n_other": 3, "n_synthetic_rubbing": 2,
+           "n_frames_min": 23, "n_frames_max": 23}
+    data = {"seed": 3, "paths": paths, "gen": gen}
+    rows.append(("config_from_dict (workload config)",
+                 best_of(lambda: config.config_from_dict(data), n)[0]))
+    _, poses = synth.generate_scene(synth.SceneSpec(seed=3, n_frames=16))
+    with tempfile.TemporaryDirectory(prefix="hhmon-poses-") as tmp:
+        path = os.path.join(tmp, "keypoints.txt")
+        pose.save_poses(poses, path)
+        rows.append(("load_poses 16 lines", best_of(lambda: pose.load_poses(path), n)[0]))
     return rows
 
 
@@ -280,6 +312,10 @@ def main():
     print(f"\n{'feature pass (one net)':<36} {'time':>10} {'peak':>10}")
     for name, t, peak in feature_rows(8, args.repeats):
         print(f"{name:<36} {t * 1e3:>8.2f}ms {peak / 2**20:>7.2f}MiB")
+
+    print(f"\n{'request (around the network)':<36} {'time':>10}")
+    for name, t in request_rows(args.repeats):
+        print(f"{name:<36} {t * 1e3:>8.3f}ms")
 
     print(f"\n{'training route (random net)':<36} {'forward':>10} {'backward':>10}")
     for n_clips in (8, 1):

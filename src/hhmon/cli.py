@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import sys
 
@@ -17,7 +18,10 @@ from .config import PipelineConfig, dump_config, load_config
 from .errors import ConfigError, HhmonError
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and every call gets a fresh namespace."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH",
                         help="JSON config file overlaying the defaults")

@@ -90,8 +90,9 @@ def crop_window(seq: FrameSequence, box: BBox | None, start: int, n: int, size: 
     brightened by `delta` and clamped to [0, 1]: an (n, size, size, C) array.
 
     The box is the same for every frame, so the frames are cut as one stack
-    and resized in one call on an (h, w, n * C) array; each value equals the
-    per-frame crop, resize, flip and brighten."""
+    and resized in one call on an (h, w, n * C) array, which computes only the
+    kept center window; each value equals the per-frame crop, resize, flip
+    and brighten."""
     if box is None:
         rows = cols = slice(None)
     else:
@@ -103,10 +104,11 @@ def crop_window(seq: FrameSequence, box: BBox | None, start: int, n: int, size: 
     scale = size / min(w, h)
     new_w = max(size, int(round(w * scale)))
     new_h = max(size, int(round(h * scale)))
-    resized = frameio.resize_bilinear(stack.reshape(h, w, n * c), new_w, new_h)
     x0 = (new_w - size) // 2
     y0 = (new_h - size) // 2
-    out = resized[y0:y0 + size, x0:x0 + size].reshape(size, size, n, c).transpose(2, 0, 1, 3)
+    out = frameio.resize_bilinear(stack.reshape(h, w, n * c), new_w, new_h,
+                                  (slice(y0, y0 + size), slice(x0, x0 + size)))
+    out = out.reshape(size, size, n, c).transpose(2, 0, 1, 3)
     if flip:
         out = out[:, :, ::-1]
     out = np.ascontiguousarray(out)

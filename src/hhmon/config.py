@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import typing
 from dataclasses import dataclass, field
 
 from . import artifacts, metrics
@@ -82,18 +81,21 @@ _BLOCK_TYPES = {"paths": PathsConfig, "gen": DatasetConfig, "roi": RoiParams, "l
                 "clip": AugmentConfig, "flow": TvL1Params, "train": TrainBlock, "eval": EvalConfig}
 
 
+# The JSON types an "int" or a "float" field takes; bool, an int subclass, is neither.
+_NUMBER_KINDS = {"int": (int,), "float": (int, float)}
+
+
 def _build_block(cls, data: dict, where: str):
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - known)
+    # every block module postpones annotations, so a field's type is its
+    # annotation string
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = sorted(set(data) - set(types))
     if unknown:
         raise ConfigError(f"{where}: unknown keys {', '.join(unknown)}")
-    # get_type_hints compiles every annotation of the block: only for given values
-    hints = typing.get_type_hints(cls) if data else {}
     for key, value in data.items():
-        # an int field takes an int, a float field an int or a float; bool neither
-        kinds = {int: (int,), float: (int, float)}.get(hints[key])
+        kinds = _NUMBER_KINDS.get(types[key])
         if kinds and (isinstance(value, bool) or not isinstance(value, kinds)):
-            raise ConfigError(f"{where}: {key} must be {hints[key].__name__}, got {value!r}")
+            raise ConfigError(f"{where}: {key} must be {types[key]}, got {value!r}")
     try:
         return cls(**data)
     except (TypeError, ConfigError) as exc:

@@ -201,14 +201,17 @@ def _inflated_conv(xp: np.ndarray, kernel: np.ndarray, bias: np.ndarray, stride)
     return _conv_valid(box, kernel[:, :, :1], bias, (1, sh, sw))
 
 
-def conv3d_backward(dy: np.ndarray, cache):
-    """Gradients (dx, dkernel, dbias) for conv3d_forward."""
+def conv3d_backward(dy: np.ndarray, cache, want_dx: bool = True):
+    """Gradients (dx, dkernel, dbias) for conv3d_forward; dx is None unless
+    `want_dx`."""
     cols, kernel, xpshape, pads, stride, temporal_pad = cache
     c_out = kernel.shape[0]
     N, _, To, Ho, Wo = dy.shape
     dy2 = dy.reshape(N, c_out, -1)
     db = dy2.sum(axis=(0, 2))
     dk = (dy2 @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(kernel.shape)
+    if not want_dx:
+        return None, dk, db
     dcols = kernel.reshape(c_out, -1).T @ dy2
     if kernel.shape[2:] == (1, 1, 1) == tuple(stride):
         dxp = dcols.reshape(xpshape)  # the columns were the input itself

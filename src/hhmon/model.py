@@ -15,7 +15,9 @@ The forward pass is the only walk through the blocks.  A training step
 (`want_cache=True`) appends, as each layer runs, a backward step
 `(dy, grads) -> dx` holding what that layer's backward needs to a list, the
 tape, which `backward` runs last to first; a mixed block's step runs its
-branches' own tapes and sums their input gradients in branch order.
+branches' own tapes and sums their input gradients in branch order.  When
+the first block is a convolution, its step returns None for the gradient of
+the input batch, which nothing reads.
 
 A forward without a tape (`features`, `score`, `forward` by default) walks
 the backbone one clip at a time, so only one clip's activations are live,
@@ -249,8 +251,9 @@ class Network:
         """Freeze everything up to and including the global average pool."""
         self.frozen = {n for n in self.params if not n.startswith("head.")}
 
-    def _conv(self, x, b: ConvLayer, temporal_pad, tape):
-        """A same-padded convolution and its relu."""
+    def _conv(self, x, b: ConvLayer, temporal_pad, tape, want_dx=True):
+        """A same-padded convolution and its relu; its backward step returns
+        no input gradient unless `want_dx`."""
         y, cache = layers.conv3d_forward(x, self.params[f"{b.name}.w"], self.params[f"{b.name}.b"],
                                          stride=b.stride, padding="same",
                                          temporal_pad=temporal_pad, want_cache=tape is not None)
@@ -258,7 +261,7 @@ class Network:
         if tape is not None:
             def step(dy, grads):
                 dx, grads[f"{b.name}.w"], grads[f"{b.name}.b"] = layers.conv3d_backward(
-                    dy * mask, cache)
+                    dy * mask, cache, want_dx)
                 return dx
             tape.append(step)
         return y * mask
@@ -287,15 +290,18 @@ class Network:
             tape.append(step)
         return np.concatenate(outs, axis=1)
 
-    def _walk(self, blocks, h, temporal_pad, tape):
-        """Run blocks on h, appending their backward steps to `tape` unless None."""
+    def _walk(self, blocks, h, temporal_pad, tape, want_dx=True):
+        """Run blocks on h, appending their backward steps to `tape` unless
+        None; a conv as the first block skips its input gradient unless
+        `want_dx`."""
         for b in blocks:
             if isinstance(b, ConvLayer):
-                h = self._conv(h, b, temporal_pad, tape)
+                h = self._conv(h, b, temporal_pad, tape, want_dx)
             elif isinstance(b, PoolLayer):
                 h = self._pool(h, b, temporal_pad, tape)
             else:
                 h = self._mixed(h, b, temporal_pad, tape)
+            want_dx = True
         return h
 
     def _backbone(self, x: np.ndarray, temporal_pad: str, tape: list | None) -> np.ndarray:
@@ -308,7 +314,8 @@ class Network:
                              f"got {x.shape[1]}")
         if tape is None and len(x) > 1:
             return np.concatenate([self._backbone(c[None], temporal_pad, None) for c in x])
-        h = self._walk(self.spec.blocks, x, temporal_pad, tape)
+        # nothing reads the gradient of the input batch
+        h = self._walk(self.spec.blocks, x, temporal_pad, tape, want_dx=False)
         if tape is not None:
             shape = h.shape
 
@@ -358,7 +365,8 @@ class Network:
 
 
 def _replay(tape: list, dy: np.ndarray, grads: dict) -> np.ndarray:
-    """Run a tape's backward steps last to first; returns the input gradient."""
+    """Run a tape's backward steps last to first; returns the input gradient,
+    None when the first step skipped it."""
     for step in reversed(tape):
         dy = step(dy, grads)
     return dy

@@ -108,7 +108,7 @@ def load_poses(path: str) -> list[PoseFrame]:
         try:
             frame_index = int(tokens[0])
             hint = int(tokens[1])
-            values = np.array([float(t) for t in tokens[2:]], dtype=np.float64).reshape(N_JOINTS, 3)
+            values = np.array(tokens[2:], dtype=np.float64).reshape(N_JOINTS, 3)
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: malformed value: {exc}") from exc
         conf = values[:, 2]

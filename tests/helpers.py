@@ -89,11 +89,32 @@ def adjust_brightness(image, delta):
     return np.clip(image + np.float32(delta), 0.0, 1.0)
 
 
+def resize_bilinear_oracle(image, out_w, out_h):
+    """Bilinear resize of an (h, w, c) array with corner-aligned sampling, as
+    `frameio.resize_bilinear` first computed it: the whole out_h x out_w
+    result, interpolated along x at the output rows, then along y, each
+    step rounded to the image's dtype as a * (1 - f) + b * f."""
+    def coords(n_out, n_in):
+        if n_out == 1 or n_in == 1:
+            return np.full(n_out, (n_in - 1) / 2.0)
+        return np.arange(n_out) * ((n_in - 1) / (n_out - 1))
+
+    height, width = image.shape[:2]
+    xs, ys = coords(out_w, width), coords(out_h, height)
+    x0 = np.clip(np.floor(xs).astype(np.int64), 0, width - 1)
+    y0 = np.clip(np.floor(ys).astype(np.int64), 0, height - 1)
+    x1 = np.minimum(x0 + 1, width - 1)
+    y1 = np.minimum(y0 + 1, height - 1)
+    fx = (xs - x0).astype(np.float32)[None, :, None]
+    fy = (ys - y0).astype(np.float32)[:, None, None]
+    top = image[y0][:, x0] * (1 - fx) + image[y0][:, x1] * fx
+    bot = image[y1][:, x0] * (1 - fx) + image[y1][:, x1] * fx
+    return top * (1 - fy) + bot * fy
+
+
 def crop_window_oracle(seq, box, start, n, size, flip=False, delta=0.0):
     """The per-frame crop -> fit -> flip -> brighten loop that
     `clipset.crop_window` batches: an (n, size, size, C) array."""
-    from hhmon import frameio
-
     planes = []
     for frame in seq.data[start:start + n]:
         if box is not None:
@@ -102,7 +123,7 @@ def crop_window_oracle(seq, box, start, n, size, flip=False, delta=0.0):
         scale = size / min(w, h)
         new_w = max(size, int(round(w * scale)))
         new_h = max(size, int(round(h * scale)))
-        resized = frameio.resize_bilinear(frame, new_w, new_h)
+        resized = resize_bilinear_oracle(frame, new_w, new_h)
         x0, y0 = (new_w - size) // 2, (new_h - size) // 2
         frame = resized[y0:y0 + size, x0:x0 + size].copy()
         if flip:

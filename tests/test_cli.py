@@ -124,6 +124,44 @@ def test_usage_errors_exit_2():
     assert exc.value.code == 2
 
 
+def test_calls_in_one_process_parse_independently(tmp_path, capsys):
+    # the parser is built once per process: no flag or default may carry over
+    path = write_cfg(tmp_path)
+    clip_dir = tmp_path / "clip16"
+    frameio.save_sequence(FrameSequence(np.random.default_rng(0).random((16, 24, 24, 3)),
+                                        video_id="probe", date_tag="d"), str(clip_dir))
+    net = model.Network.init(model.i3d_mini(in_channels=3, input_size=24), seed=0)
+    checkpoint.save_network(net, str(tmp_path / "ckpt" / "rgb.swnet"))
+    infer = ["infer", "--config", path, str(clip_dir)]
+
+    assert cli.main(infer) == 0
+    scored = capsys.readouterr().out
+    assert re.fullmatch(r"\d\.\d{6} (rubbing_hands|other)\n", scored)
+
+    assert cli.main(["gen", "--config", path, "--print-config"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 0
+    assert not (tmp_path / "ds").exists()
+
+    assert cli.main(["gen", "--config", path, "--force"]) == 0
+    assert f"wrote 7 scenes to {tmp_path / 'ds'}" in capsys.readouterr().out
+    assert cli.main(["gen", "--config", path]) == 3  # --force did not stay set
+    assert "--force" in capsys.readouterr().err
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["gen", "--config", path, "--frobnicate"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+    assert cli.main(["gen", "--config", path, "--seed", "7", "--print-config"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 7
+    assert cli.main(["gen", "--config", path, "--print-config"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 0
+
+    assert cli.main(infer) == 0
+    assert capsys.readouterr().out == scored
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_live_lock_blocks_a_second_command(tmp_path, capsys):
     path = write_cfg(tmp_path)
     work = tmp_path / "work"

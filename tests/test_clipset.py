@@ -184,7 +184,7 @@ def test_train_still_is_the_first_frame_of_its_window(rng):
         assert np.array_equal(still[0], window[0])
 
 
-@pytest.mark.parametrize("channels", [3, 2])
+@pytest.mark.parametrize("channels", [3, 2, 1])
 @pytest.mark.parametrize("flip", [False, True])
 @pytest.mark.parametrize("box", [BBox(7.4, 5.6, 30.2, 33.9), BBox(-3.0, 20.0, 60.0, 50.0), None])
 def test_crop_window_equals_the_per_frame_loop(rng, channels, flip, box):

@@ -2,10 +2,11 @@
 
 import dataclasses
 import json
+import typing
 
 import pytest
 
-from hhmon import metrics, pose, synth, tracking
+from hhmon import cli, config, metrics, pose, synth, tracking
 from hhmon.clipset import AugmentConfig
 from hhmon.config import (
     PipelineConfig,
@@ -182,6 +183,38 @@ def test_bad_values_are_rejected_naming_their_section():
     ):
         with pytest.raises(ConfigError, match=message):
             config_from_dict({section: values})
+
+
+def test_field_types_are_read_without_get_type_hints(monkeypatch, tmp_path, capsys):
+    def no_hints(*args, **kwargs):
+        raise AssertionError("typing.get_type_hints called")
+
+    monkeypatch.setattr(typing, "get_type_hints", no_hints)
+    cfg = PipelineConfig()
+    cfg.seed = 3
+    assert config_from_dict(json.loads(dump_config(cfg))) == cfg
+    for section, values, message in (
+        ("clip", {"neg_stride": 2.5}, "clip: neg_stride must be int, got 2.5"),
+        ("flow", {"n_iters": True}, "flow: n_iters must be int, got True"),
+        ("flow", {"tau": False}, "flow: tau must be float, got False"),
+        ("eval", {"threshold": "0.5"}, "eval: threshold must be float, got '0.5'"),
+    ):
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict({section: values})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({section: values}))
+        assert cli.main(["gen", "--config", str(path), "--print-config"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    # a field of any other type takes its value unchecked, as a dataclass does
+    assert config._build_block(_OtherTypes, {"name": "a", "size": (2, 3), "on": True},
+                               "other") == _OtherTypes("a", (2, 3), True)
+
+
+@dataclasses.dataclass
+class _OtherTypes:
+    name: "str" = ""
+    size: "tuple[int, int]" = (1, 1)
+    on: "bool" = False
 
 
 def test_frame_size_is_checked_against_the_flow_min_size():

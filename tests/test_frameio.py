@@ -12,7 +12,7 @@ from hhmon import frameio
 from hhmon.errors import DataError
 from hhmon.frameio import FrameSequence
 
-from helpers import adjust_brightness, crop, hflip, make_rgb
+from helpers import adjust_brightness, crop, hflip, make_rgb, resize_bilinear_oracle
 
 
 def quantize8(data):
@@ -239,6 +239,38 @@ def test_resize_planes_equals_resize_bilinear_per_plane(rng):
 def test_resize_rejects_zero_target(rng):
     with pytest.raises(DataError):
         frameio.resize_bilinear(make_rgb(4, 4, rng), 0, 4)
+
+
+@pytest.mark.parametrize("channels", [1, 2, 3, 48])
+@pytest.mark.parametrize("shape, target", [
+    ((9, 13), (31, 23)), ((9, 13), (7, 5)), ((9, 13), (13, 9)), ((40, 13), (13, 5)),
+    ((9, 13), (1, 1)), ((9, 13), (1, 6)), ((9, 13), (8, 1)), ((1, 1), (4, 3)),
+], ids=["upscale", "downscale", "same-size", "eight-rows-to-one", "to-1x1", "to-1-wide",
+        "to-1-high", "from-1x1"])
+def test_resize_equals_the_oracle_bit_for_bit(rng, channels, shape, target):
+    # signed values far from [0, 1], as flow planes are
+    image = (rng.standard_normal((*shape, channels)) * 4).astype(np.float32)
+    got = frameio.resize_bilinear(image, *target)
+    want = resize_bilinear_oracle(image, *target)
+    assert got.shape == want.shape == (target[1], target[0], channels)
+    assert got.dtype == want.dtype == np.float32
+    assert got.tobytes() == want.tobytes()
+
+
+@given(data=st.data(), in_h=st.integers(1, 12), in_w=st.integers(1, 12),
+       out_w=st.integers(1, 30), out_h=st.integers(1, 30),
+       channels=st.sampled_from([1, 2, 3, 48]))
+def test_a_resize_window_equals_the_sliced_whole(data, in_h, in_w, out_w, out_h, channels):
+    image = np.random.default_rng(in_h * 13 + in_w).random((in_h, in_w, channels),
+                                                           dtype=np.float32)
+    top = data.draw(st.integers(0, out_h - 1))
+    left = data.draw(st.integers(0, out_w - 1))
+    window = (slice(top, data.draw(st.integers(top + 1, out_h))),
+              slice(left, data.draw(st.integers(left + 1, out_w))))
+    got = frameio.resize_bilinear(image, out_w, out_h, window)
+    want = resize_bilinear_oracle(image, out_w, out_h)[window]
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_hflip_involution_rgb(rng):

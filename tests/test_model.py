@@ -265,9 +265,9 @@ def test_backward_calls_the_layers_last_block_first(monkeypatch):
     calls = []
     conv_backward, pool_backward = layers.conv3d_backward, layers.maxpool3d_backward
 
-    def conv_spy(dy, cache):
+    def conv_spy(dy, cache, *want_dx):
         calls.append(names[id(cache[1])].removesuffix(".w"))
-        return conv_backward(dy, cache)
+        return conv_backward(dy, cache, *want_dx)
 
     def pool_spy(dy, cache):
         calls.append(f"pool stride {cache[3]}")
@@ -284,6 +284,43 @@ def test_backward_calls_the_layers_last_block_first(monkeypatch):
                 + ["pool stride (1, 1, 1)"])
     assert calls == (mixed("mixed2") + ["pool stride (2, 2, 2)"] + mixed("mixed1")
                      + ["pool stride (1, 2, 2)", "conv1"])
+
+
+def test_a_training_step_skips_only_the_batch_gradient(monkeypatch):
+    # conv1's input is the batch, whose gradient nothing reads: its backward
+    # step builds no input gradient, and every parameter gradient keeps the
+    # bits of a step in which every convolution folds its input gradient
+    net = Network.init(i3d_mini(input_size=16, clip_len=4), seed=0)
+    names = {id(a): name for name, a in net.params.items()}
+    x = np.random.default_rng(1).uniform(-1, 1, (2, 3, 4, 16, 16)).astype(np.float32)
+    conv_backward = layers.conv3d_backward
+
+    def step(spy):
+        monkeypatch.setattr(layers, "conv3d_backward", spy)
+        logits, tape = net.forward(x, want_cache=True)
+        return net.backward(bce_with_logits(logits, np.array([1.0, 0.0]))[1], tape)
+
+    folded = []
+
+    def fold_every_input(dy, cache, want_dx=True):
+        folded.append(names[id(cache[1])])
+        return conv_backward(dy, cache)
+    want = step(fold_every_input)
+
+    skipped = {}
+
+    def record(dy, cache, want_dx=True):
+        out = conv_backward(dy, cache, want_dx)
+        skipped[names[id(cache[1])]] = out[0] is None
+        return out
+    got = step(record)
+
+    assert sorted(skipped) == sorted(folded) and "conv1.w" in skipped
+    assert {name for name, none in skipped.items() if none} == {"conv1.w"}
+    assert sorted(got) == sorted(want) == sorted(net.params)
+    for name in want:
+        assert got[name].dtype == want[name].dtype
+        assert got[name].tobytes() == want[name].tobytes(), name
 
 
 @pytest.mark.parametrize("first", ["conv", "mixed"])

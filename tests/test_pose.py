@@ -184,6 +184,28 @@ def test_load_poses_malformed_line_names_line_number(tmp_path):
         pose.load_poses(str(path))
 
 
+def test_load_poses_parses_each_number_as_python_float(tmp_path):
+    # a line's 51 numbers convert in one call, to float()'s values; the
+    # [0, 1] confidence check still lets a NaN confidence through
+    rng = np.random.default_rng(0)
+    values = rng.uniform(-50, 50, (18, 3))
+    values[:, 2] = rng.uniform(0, 1, 18)
+    tokens = [repr(float(v)) for v in values.reshape(-1)]
+    tokens[2], tokens[3], tokens[6], tokens[7] = "nan", "1_0.25", "-0.0", "1E1"
+    path = tmp_path / "kp.txt"
+    path.write_text("4 -1 " + " ".join(tokens) + "\n")
+    (frame,) = pose.load_poses(str(path))
+    want = np.array([float(t) for t in tokens]).reshape(18, 3)
+    assert frame.persons[0].dtype == np.float64
+    assert frame.persons[0].tobytes() == want.tobytes()
+    for bad, message in (("1.5", "confidences must lie in"),
+                         ("abc", "malformed value: could not convert")):
+        tokens[5] = bad  # joint 1's confidence
+        path.write_text("4 -1 " + " ".join(tokens) + "\n")
+        with pytest.raises(DataError, match=f"kp.txt:1: {message}"):
+            pose.load_poses(str(path))
+
+
 def test_poses_roundtrip(tmp_path):
     kp1 = person_with_arms([(10, 10), (30, 10)], [(8, 20), (32, 20)], [(6, 30), (34, 30)])
     kp2 = person_with_arms([(11, 12), (31, 12)], [(9, 22), (33, 22)], [(7, 32), (35, 32)])
