@@ -185,7 +185,7 @@ def training_rows(n_clips, repeats):
     dy = np.ones_like(y)
     # a training step wants no gradient of the batch
     t_bwd, _ = best_of(lambda: layers.conv3d_backward(dy, cache, want_dx=False), repeats)
-    rows = [(f"conv1 x{n_clips}", t_fwd, t_bwd)]
+    rows = [(f"conv1 x{n_clips} (no dx)", t_fwd, t_bwd)]
     p1 = layers.maxpool3d_forward(y * (y > 0), pool1.kernel)[0]
     tape = []
 

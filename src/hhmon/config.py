@@ -86,9 +86,9 @@ _NUMBER_KINDS = {"int": (int,), "float": (int, float)}
 
 
 def _build_block(cls, data: dict, where: str):
-    # every block module postpones annotations, so a field's type is its
-    # annotation string
-    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    # a field's type is its annotation string where the module postpones
+    # annotations, else the class itself; both name the kind
+    types = {f.name: getattr(f.type, "__name__", f.type) for f in dataclasses.fields(cls)}
     unknown = sorted(set(data) - set(types))
     if unknown:
         raise ConfigError(f"{where}: unknown keys {', '.join(unknown)}")

@@ -221,10 +221,10 @@ def resize_bilinear(image: np.ndarray, out_w: int, out_h: int,
     of an (h, w, c) array, any channel count c; only the `window` (row and
     column slices) of the out_h x out_w result is computed.
 
-    Each value is the same float32 arithmetic on the same four inputs in
-    either order of the two passes.  Interpolating along x on the input
-    rows first costs less unless the window reads over two input rows per
-    output row."""
+    The x pass runs on the band of input rows the window reads, then the
+    output rows are gathered from it; each value gets the same float32
+    arithmetic on the same four inputs as interpolating x at the output
+    rows first."""
     if out_w < 1 or out_h < 1:
         raise DataError(f"resize target must be at least 1x1, got {out_w}x{out_h}")
     height, width = image.shape[:2]
@@ -239,15 +239,9 @@ def resize_bilinear(image: np.ndarray, out_w: int, out_h: int,
     fy = (ys - y0).astype(np.float32)[:, None, None]
     # one-axis gathers: the values of 2-D fancy indexing at a fraction of the cost
     lo, hi = y0[0], y1[-1] + 1
-    if hi - lo <= 2 * len(ys):
-        band = image[lo:hi]
-        across = _lerp(band.take(x0, axis=1), band.take(x1, axis=1), fx)
-        return _lerp(across.take(y0 - lo, axis=0), across.take(y1 - lo, axis=0), fy)
-    band = image.take(y0, axis=0)
-    top = _lerp(band.take(x0, axis=1), band.take(x1, axis=1), fx)
-    band = image.take(y1, axis=0)
-    bot = _lerp(band.take(x0, axis=1), band.take(x1, axis=1), fx)
-    return _lerp(top, bot, fy)
+    band = image[lo:hi]
+    across = _lerp(band.take(x0, axis=1), band.take(x1, axis=1), fx)
+    return _lerp(across.take(y0 - lo, axis=0), across.take(y1 - lo, axis=0), fy)
 
 
 def resize_planes(planes: np.ndarray, out_w: int, out_h: int) -> np.ndarray:

@@ -217,6 +217,31 @@ class _OtherTypes:
     on: "bool" = False
 
 
+def test_every_number_field_of_every_block_checks_its_type():
+    checked = set()
+    for section, cls in config._BLOCK_TYPES.items():
+        for f in dataclasses.fields(cls):
+            kind = getattr(f.type, "__name__", f.type)
+            bad = {"int": (2.5, True), "float": (True, "0.5")}.get(kind, ())
+            for value in bad:
+                with pytest.raises(ConfigError,
+                                   match=f"{section}: {f.name} must be {kind}, got {value!r}"):
+                    config_from_dict({section: {f.name: value}})
+                checked.add(section)
+    assert checked == set(config._BLOCK_TYPES) - {"paths"}
+    # a block whose module does not postpone annotations holds the classes
+    for value, message in ((2.5, "n must be int"), (True, "x must be float")):
+        key = message.split()[0]
+        with pytest.raises(ConfigError, match=f"other: {message}, got {value!r}"):
+            config._build_block(_ClassTypes, {key: value}, "other")
+
+
+@dataclasses.dataclass
+class _ClassTypes:
+    n: int = 1
+    x: float = 0.5
+
+
 def test_frame_size_is_checked_against_the_flow_min_size():
     cfg = config_from_dict({"gen": {"width": 12, "height": 9}, "flow": {"min_size": 8}})
     assert (cfg.gen.width, cfg.gen.height, cfg.flow.min_size) == (12, 9, 8)
