@@ -5,10 +5,16 @@ Both implementations share one contract, (P, H, W) stacks of planes, so
 besides the timings the script reports the worst output disagreement per
 kernel (expected: exactly zero).  Each kernel runs on one large plane and on
 a stack of 8 planes at 96x72, the frame size of the default pipeline; a warp
-is one coordinate pass and the three images the solver samples there.  The
-whole solver runs on one pair (`tvl1_flow`) and, through `sequence_flow`, on
-a 23-frame generated desk scene (the mean default length) at 96x72 and at
-192x144; the scene rows keep their `flow_sequence` label.
+is one coordinate pass and the three images the solver samples there.  On
+a 1x144x192 stack, the finest stack of a 192x144 solve, the coordinate pass,
+the three samples and the iterations have a row each.  The whole solver runs
+on one pair (`tvl1_flow`) and, through `sequence_flow`, on a 23-frame
+generated desk scene (the mean default length) at 96x72 and at 192x144; the
+scene rows keep their `flow_sequence` label.  The flow stage row runs
+`pipeline.compute_flow`, with the active backend and its forked workers, on
+a generated 3-scene 192x144 tree (perfbench's flow_large_frames input) and
+reports its wall time and the workers' CPU time from RUSAGE_CHILDREN, as a
+share of workers x wall: a profiler in this process does not see the workers.
 The script builds the C library with setup.py into a temporary directory and
 binds it from there, so nothing is left under src/ (a library built in place
 would switch the package, and everything run on the checkout, to the
@@ -37,6 +43,7 @@ write, and `pose.load_poses` on a 16-line keypoints file:
 
 import argparse
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -45,8 +52,8 @@ import tracemalloc
 
 import numpy as np
 
-from hhmon import (_accel, _purekernels, backend, config, frameio, layers, model, pose, synth,
-                   training, tvl1)
+from hhmon import (_accel, _purekernels, backend, config, frameio, layers, model, pipeline,
+                   pose, synth, training, tvl1)
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -83,17 +90,34 @@ def best_of(fn, repeats):
     return min(times), out
 
 
-def bench_warp(mod, rng, shape, repeats):
+def warp_inputs(rng, shape):
+    """Three images (a texture and its gradients) and a displacement field."""
     p, h, w = shape
     img = np.stack([texture(rng, h, w) for _ in range(p)]) * np.float32(255.0)
-    images = (img, *tvl1._centered_gradient(img))
     u = rng.standard_normal(shape).astype(np.float32) * 2.0
     v = rng.standard_normal(shape).astype(np.float32) * 2.0
+    return (img, *tvl1._centered_gradient(img)), u, v
+
+
+def bench_warp(mod, rng, shape, repeats):
+    images, u, v = warp_inputs(rng, shape)
 
     def warp():
         at = mod.warp_coords(u, v)
         return np.stack([mod.warp_bilinear(a, at) for a in images])
     return best_of(warp, repeats)
+
+
+def bench_coords(mod, rng, shape, repeats):
+    _, u, v = warp_inputs(rng, shape)
+    t, at = best_of(lambda: mod.warp_coords(u, v), repeats)
+    return t, np.stack([a.astype(np.float64) for a in at])
+
+
+def bench_samples(mod, rng, shape, repeats):
+    images, u, v = warp_inputs(rng, shape)
+    at = _purekernels.warp_coords(u, v)  # either backend's sampler takes these
+    return best_of(lambda: np.stack([mod.warp_bilinear(a, at) for a in images]), repeats)
 
 
 def bench_iterations(mod, rng, shape, n_iters, repeats):
@@ -140,6 +164,31 @@ def bench_scene(mod, seq, repeats):
     params = tvl1.TvL1Params()
     return on_backend(mod, lambda: best_of(lambda: tvl1.sequence_flow(seq.data, params),
                                            repeats))
+
+
+def flow_stage(repeats):
+    """(wall s, workers' CPU s, workers) of `pipeline.compute_flow` on a
+    generated 3-scene 192x144 tree, flow_large_frames' input, best of
+    `repeats` by wall time.  The workers' CPU time comes from
+    RUSAGE_CHILDREN, which counts the forked workers once they are reaped."""
+    cfg = config.config_from_dict({"seed": 0, "gen": {
+        "n_rubbing": 3, "n_other": 0, "n_synthetic_rubbing": 0, "n_frames_min": 23,
+        "n_frames_max": 23, "width": 192, "height": 144}})
+    best = None
+    with tempfile.TemporaryDirectory(prefix="hhmon-flow-") as tmp:
+        cfg.paths.dataset_dir = os.path.join(tmp, "ds")
+        pipeline.generate(cfg)
+        for k in range(repeats):
+            cfg.paths.work_dir = os.path.join(tmp, f"work{k}")
+            before = resource.getrusage(resource.RUSAGE_CHILDREN)
+            t0 = time.perf_counter()
+            pipeline.compute_flow(cfg)
+            wall = time.perf_counter() - t0
+            after = resource.getrusage(resource.RUSAGE_CHILDREN)
+            cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+            if best is None or wall < best[0]:
+                best = (wall, cpu)
+    return (*best, pipeline.flow_workers())
 
 
 def network_rows(n_clips, repeats):
@@ -282,6 +331,16 @@ def main():
          lambda mod: bench_flow(mod, np.random.default_rng(2), args.flow_size,
                                 args.repeats)),
     ]
+    big = (1, 144, 192)  # the finest stack of a 192x144 solve
+    rows += [
+        ("warp_coords 1x144x192",
+         lambda mod: bench_coords(mod, np.random.default_rng(0), big, args.repeats)),
+        ("warp_bilinear x3 1x144x192",
+         lambda mod: bench_samples(mod, np.random.default_rng(0), big, args.repeats)),
+        (f"tvl1_iterations x{args.iters} 1x144x192",
+         lambda mod: bench_iterations(mod, np.random.default_rng(1), big, args.iters,
+                                      args.repeats)),
+    ]
     for w, h in ((96, 72), (192, 144)):
         seq, _ = synth.generate_scene(synth.SceneSpec(seed=3, n_frames=23, width=w, height=h))
         rows.append((f"flow_sequence 23x{w}x{h}",
@@ -301,6 +360,11 @@ def main():
             diff = float(np.abs(np.asarray(out_pure) - np.asarray(out_comp)).max())
             print(f"{name:<36} {t_pure * 1e3:>8.2f}ms {t_comp * 1e3:>8.2f}ms "
                   f"{t_pure / t_comp:>7.1f}x {diff:>10.1e}")
+
+    wall, cpu, workers = flow_stage(args.repeats)
+    print(f"\n{'flow stage (active backend)':<36} {'wall':>10} {'CPU':>10} {'share':>8}")
+    print(f"{'compute_flow 3x23x192x144':<36} {wall:>9.2f}s {cpu:>9.2f}s "
+          f"{cpu / (wall * workers):>7.0%}  of {workers} workers")
 
     print(f"\n{'layer (inflated net)':<36} {'general':>10} {'no-cache':>10} {'speedup':>8} "
           f"{'max|diff|':>10}")

@@ -217,18 +217,28 @@ def _pair_ranges(n_pairs: int, n_ranges: int) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _flow_worker(conn, jobs: list[tuple[str, int, int]], params: tvl1.TvL1Params) -> None:
-    """Solve each job (frames dir, a, b), pairs [a, b) of a scene, from its
-    frames a..b with `tvl1.sequence_flow`, and send its (u1, u2) through
-    `conn`, in order.  An error is sent in place of its job's result and
-    ends the worker."""
+def _flow_worker(conn, parent_ends, params: tvl1.TvL1Params) -> None:
+    """Receive jobs (frames dir, a, b), pairs [a, b) of a scene, through
+    `conn`; solve each from its frames a..b with `tvl1.sequence_flow` and
+    send its (u1, u2) back.  An error is sent in place of its job's result
+    and ends the worker.  The parent's ends of every worker's pipe, which
+    the fork copied, are closed first, so once the parent is gone the next
+    receive gets EOF, or the next send EPIPE, and the worker exits."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C
+    for end in parent_ends:
+        end.close()
     try:
-        for frames_dir, a, b in jobs:
-            seq = frameio.load_sequence(frames_dir, slice(a, b + 1))
-            conn.send(tvl1.sequence_flow(seq.data, params, f"{seq.video_id}: "))
-    except Exception as exc:  # raised again in the parent
-        conn.send(exc)
+        while True:
+            frames_dir, a, b = conn.recv()
+            try:
+                seq = frameio.load_sequence(frames_dir, slice(a, b + 1))
+                result = tvl1.sequence_flow(seq.data, params, f"{seq.video_id}: ")
+            except Exception as exc:  # raised again in the parent
+                conn.send(exc)
+                return
+            conn.send(result)
+    except (EOFError, ConnectionError):  # the parent is gone
+        pass
 
 
 def _receive(conn):
@@ -241,25 +251,39 @@ def _receive(conn):
     return part
 
 
+def _save_flow(cfg: PipelineConfig, out_dir: str, meta: dict, parts: list) -> None:
+    """Write a scene's flow dir from the (u1, u2) of its ranges, in order."""
+    flow = tvl1.flow_frames(np.concatenate([u1 for u1, _ in parts]),
+                            np.concatenate([u2 for _, u2 in parts]), cfg.flow.max_flow)
+    frameio.save_sequence(frameio.FrameSequence(flow, fps=float(meta["fps"]),
+                                                video_id=meta["video_id"],
+                                                date_tag=meta["date_tag"]), out_dir)
+
+
 def compute_flow(cfg: PipelineConfig, force: bool = False) -> int:
     """TV-L1 flow for every scene; returns the number of scenes processed.
 
     The pairs are solved in a pool of `flow_workers()` processes, forked
     (the `fork` context) so that they run the kernel backend this process
     loaded.  Each scene is cut into that many contiguous pair ranges (fewer
-    when it has fewer pairs) that share their boundary frames, and worker i
-    solves range i of every scene, in scene order.  Every pair is solved as
-    if alone, so the flow equals, bit for bit, one `tvl1.sequence_flow` call.
-    Each worker sends its results through its own pipe, read here in the
-    main thread: a result thread, as in `concurrent.futures`, would
-    unpickle them into a second malloc arena and raise the peak RSS.
-    Workers ignore SIGINT.  A worker's error is raised here when its scene
-    comes up, and any error or interrupt here terminates the workers, so
-    none outlives the call.  Nothing is forked when no scene needs flow.
+    when it has fewer pairs) that share their boundary frames, and the
+    (scene, range) jobs are handed out in scene order, one at a time: a
+    worker gets its next job as soon as it returns a result, so none waits
+    for another.  Every pair is solved as if alone, so the flow equals, bit
+    for bit, one `tvl1.sequence_flow` call.  Each worker has one pipe, for
+    its jobs and its results, and the results are read here in the main
+    thread, from whichever pipe is ready (`multiprocessing.connection.wait`):
+    a result thread, as in `concurrent.futures`, would unpickle them into a
+    second malloc arena and raise the peak RSS.  Workers ignore SIGINT.  A
+    worker's error is raised here as it arrives, and any error or interrupt
+    here terminates the workers, so none outlives the call; a worker whose
+    parent was killed exits at its next receive or send.  Nothing is
+    forked when no scene needs flow.
 
-    Results are joined and written in scene order.  A scene's flow dir is
-    published whole (`frameio.save_sequence`), so it exists only once
-    complete, and a scene with a flow dir is skipped unless `force`.
+    A scene is joined and written once its last range is in, so scenes may
+    be written out of order.  Its flow dir is published whole
+    (`frameio.save_sequence`), so it exists only once complete, and a scene
+    with a flow dir is skipped unless `force`.
     """
     manifest = synth.load_manifest(cfg.paths.dataset_dir)
     workers = flow_workers()
@@ -277,30 +301,41 @@ def compute_flow(cfg: PipelineConfig, force: bool = False) -> int:
     if not scenes:
         return 0
     import multiprocessing  # here, not at the top: it adds about 10 ms to every import
+    from multiprocessing.connection import wait
+
+    jobs = [(k, a, b) for k, (*_, ranges) in enumerate(scenes) for a, b in ranges][::-1]
+    parts = [[] for _ in scenes]  # (a, (u1, u2)) of each range received so far
+    running = {}  # pipe -> (scene, first pair) of the job its worker solves
+
+    def hand_out(conn):
+        if jobs:
+            k, a, b = jobs.pop()
+            conn.send((scenes[k][0], a, b))
+            running[conn] = k, a
 
     fork = multiprocessing.get_context("fork")
     procs, conns = [], []
     try:
-        for i in range(max(len(ranges) for *_, ranges in scenes)):
-            jobs = [(frames_dir, *ranges[i]) for frames_dir, _, _, ranges in scenes
-                    if i < len(ranges)]
-            recv_end, send_end = fork.Pipe(duplex=False)
-            procs.append(fork.Process(target=_flow_worker, args=(send_end, jobs, cfg.flow),
+        for _ in range(min(workers, len(jobs))):
+            conn, child_end = fork.Pipe()
+            conns.append(conn)
+            procs.append(fork.Process(target=_flow_worker, args=(child_end, conns, cfg.flow),
                                       daemon=True))
             procs[-1].start()
-            send_end.close()
-            conns.append(recv_end)
-        for _, out_dir, meta, ranges in scenes:
-            parts = [_receive(conn) for conn in conns[: len(ranges)]]
-            flow = tvl1.flow_frames(np.concatenate([u1 for u1, _ in parts]),
-                                    np.concatenate([u2 for _, u2 in parts]),
-                                    cfg.flow.max_flow)
-            flow_seq = frameio.FrameSequence(flow, fps=float(meta["fps"]),
-                                             video_id=meta["video_id"], date_tag=meta["date_tag"])
-            frameio.save_sequence(flow_seq, out_dir)
+            child_end.close()
+            hand_out(conn)
+        while running:
+            for conn in wait(list(running)):
+                k, a = running.pop(conn)
+                parts[k].append((a, _receive(conn)))
+                hand_out(conn)
+                _, out_dir, meta, ranges = scenes[k]
+                if len(parts[k]) == len(ranges):
+                    done, parts[k] = sorted(parts[k], key=lambda part: part[0]), None
+                    _save_flow(cfg, out_dir, meta, [uv for _, uv in done])
     finally:
         for proc in procs:
-            proc.terminate()  # harmless for a worker that has sent all its results
+            proc.terminate()  # harmless for a worker that has exited
             proc.join()
         for conn in conns:
             conn.close()

@@ -87,8 +87,20 @@ class PoseFrame:
                 raise DataError(f"frame {self.frame_index}: confidences must lie in [0, 1]")
 
 
+def _check_confidences(path: str, linenos: list[int], persons: list[np.ndarray]) -> None:
+    """Raise naming the first of the lines read whose confidences leave
+    [0, 1], in one check over them all; NaN passes, as both comparisons
+    fail."""
+    if persons:
+        conf = np.array(persons)[:, :, 2]
+        bad = ((conf < 0) | (conf > 1)).any(axis=1)
+        if bad.any():
+            raise DataError(f"{path}:{linenos[bad.argmax()]}: confidences must lie in [0, 1]")
+
+
 def load_poses(path: str) -> list[PoseFrame]:
-    """Parse a keypoint file into PoseFrames ordered by ascending frame index."""
+    """Parse a keypoint file into PoseFrames ordered by ascending frame index.
+    Of several faulty lines, the first is named."""
     by_frame: dict[int, PoseFrame] = {}
     try:
         with open(path) as fh:
@@ -96,12 +108,14 @@ def load_poses(path: str) -> list[PoseFrame]:
     except OSError as exc:
         raise DataError(f"cannot read keypoint file {path}: {exc}") from exc
 
+    linenos, persons = [], []
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         tokens = line.split()
         if len(tokens) != 2 + 3 * N_JOINTS:
+            _check_confidences(path, linenos, persons)
             n_joints = max(0, (len(tokens) - 2) // 3)
             raise DataError(f"{path}:{lineno}: expected {N_JOINTS} joints "
                             f"({2 + 3 * N_JOINTS} fields), found {n_joints} ({len(tokens)} fields)")
@@ -110,13 +124,14 @@ def load_poses(path: str) -> list[PoseFrame]:
             hint = int(tokens[1])
             values = np.array(tokens[2:], dtype=np.float64).reshape(N_JOINTS, 3)
         except ValueError as exc:
+            _check_confidences(path, linenos, persons)
             raise DataError(f"{path}:{lineno}: malformed value: {exc}") from exc
-        conf = values[:, 2]
-        if np.any(conf < 0) or np.any(conf > 1):
-            raise DataError(f"{path}:{lineno}: confidences must lie in [0, 1]")
+        linenos.append(lineno)
+        persons.append(values)
         pf = by_frame.setdefault(frame_index, PoseFrame(frame_index))
         pf.persons.append(values)
         pf.person_hints.append(hint)
+    _check_confidences(path, linenos, persons)
     return [by_frame[i] for i in sorted(by_frame)]
 
 

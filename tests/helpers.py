@@ -225,6 +225,85 @@ def flow_energy(rho_c, I1wx, I1wy, u1, u2, lam):
     return float(lam * np.abs(rho).sum() + tv)
 
 
+def warp_coords_oracle(u, v):
+    """`_purekernels.warp_coords` as it first computed the coordinates, with
+    numpy's mixed-dtype promotion: the weights are float32 minus intp, so
+    float64."""
+    p, h, w = u.shape
+    x = np.arange(w, dtype=np.float32) + u
+    y = np.arange(h, dtype=np.float32)[:, None] + v
+    x = np.where(x >= 0, np.minimum(x, np.float32(w - 1)), np.float32(0))
+    y = np.where(y >= 0, np.minimum(y, np.float32(h - 1)), np.float32(0))
+    x0, y0 = x.astype(np.intp), y.astype(np.intp)
+    i00 = y0 * w + x0 + np.arange(0, p * h * w, h * w)[:, None, None]
+    i10 = np.where(y0 < h - 1, i00 + w, i00)
+    right = x0 < w - 1
+    return i00, i00 + right, i10, i10 + right, x - x0, y - y0
+
+
+def warp_bilinear_oracle(img, coords):
+    """`_purekernels.warp_bilinear` as it first sampled: float32 corner
+    differences, weighted and summed in float64 by mixed-dtype ufuncs."""
+    i00, i01, i10, i11, fx, fy = coords
+    flat = img.reshape(-1)
+    top = flat[i00] + fx * (flat[i01] - flat[i00])
+    bot = flat[i10] + fx * (flat[i11] - flat[i10])
+    return (top + fy * (bot - top)).astype(np.float32)
+
+
+def tvl1_iterations_oracle(I1wx, I1wy, rho_c, grad, u1, u2, p11, p12, p21, p22,
+                           lam, theta, tau, n_iters, stop_eps2):
+    """`_purekernels.tvl1_iterations` as it first computed each plane: one
+    (1, h, w) plane at a time, plain nested selects, each float32 op in the
+    kernel's order.  Returns new arrays and the largest iteration count."""
+    lt, taut, theta32 = np.float32(lam * theta), np.float32(tau / theta), np.float32(theta)
+
+    def forward_grad(u):
+        gx, gy = np.zeros_like(u), np.zeros_like(u)
+        gx[..., :-1] = u[..., 1:] - u[..., :-1]
+        gy[..., :-1, :] = u[..., 1:, :] - u[..., :-1, :]
+        return gx, gy
+
+    def divergence(pa, pb):
+        d1, d2 = pa.copy(), pb.copy()
+        d1[..., 1:] = pa[..., 1:] - pa[..., :-1]
+        d2[..., 1:, :] = pb[..., 1:, :] - pb[..., :-1, :]
+        return d1 + d2
+
+    out = [np.empty_like(a) for a in (u1, u2, p11, p12, p21, p22)]
+    most = 0
+    for k in range(len(u1)):
+        a1, a2, rc, g = (a[k:k + 1] for a in (I1wx, I1wy, rho_c, grad))
+        th = lt * g
+        v1, v2, q11, q12, q21, q22 = (a[k:k + 1].copy() for a in (u1, u2, p11, p12, p21, p22))
+        for done in range(1, n_iters + 1):
+            rho = rc + a1 * v1 + a2 * v2
+            quot = -rho / np.where(g > 1e-10, g, np.float32(1))
+            step = np.where(rho < -th, lt, np.where(rho > th, -lt,
+                                                    np.where(g > 1e-10, quot, np.float32(0))))
+            err = 0.0
+            new = []
+            for u, a, pa, pb in ((v1, a1, q11, q12), (v2, a2, q21, q22)):
+                un = u + step * a
+                un = un + theta32 * divergence(pa, pb)
+                d = un - u
+                err += np.sum(d * d, axis=(-2, -1), dtype=np.float64)[0]
+                new.append(un)
+            v1, v2 = new
+            duals = []
+            for un, pa, pb in ((v1, q11, q12), (v2, q21, q22)):
+                gx, gy = forward_grad(un)
+                ng = np.float32(1.0) + taut * np.sqrt(gx * gx + gy * gy)
+                duals += [(pa + taut * gx) / ng, (pb + taut * gy) / ng]
+            q11, q12, q21, q22 = duals
+            if err / v1.size < stop_eps2:
+                break
+        most = max(most, done)
+        for dst, src in zip(out, (v1, v2, q11, q12, q21, q22)):
+            dst[k] = src[0]
+    return (*out, most)
+
+
 def spy_warp_energies(monkeypatch, shape, lam):
     """Wrap `backend.tvl1_iterations` so that each call on stacks of (h, w) =
     `shape` planes, the finest level of a solve at that size, appends the

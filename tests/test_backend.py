@@ -9,11 +9,13 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import smooth_texture, spy_warp_energies, tree_bytes, use_kernels
+from helpers import (smooth_texture, spy_warp_energies, tree_bytes, tvl1_iterations_oracle,
+                     use_kernels, warp_bilinear_oracle, warp_coords_oracle)
 
 from hhmon import _accel, _purekernels, backend, frameio, pipeline, synth, tvl1
 from hhmon.config import PipelineConfig
@@ -138,6 +140,82 @@ def test_early_stop_agrees(rng, accel):
     for a, b in zip(got[:6], want[:6]):
         assert np.array_equal(a, b)
 
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# a 1x144x192 plane has more than 8,192 pixels, where numpy's float64 sums buffer
+@pytest.mark.parametrize("shape", [(3, 7, 9), (2, 31, 17), (1, 144, 192)])
+def test_pure_warp_equals_its_first_version_bit_for_bit(rng, shape):
+    # NaN, +-inf and -0.0 displacements and ones far outside the frame
+    u, v = (rng.normal(0, 3.0, shape).astype(np.float32) for _ in range(2))
+    specials = np.array([np.nan, np.inf, -np.inf, -0.0, 1e30, -1e30, 5e3, -5e3],
+                        dtype=np.float32)
+    for a in (u, v):
+        cells = rng.random(shape) < 0.2
+        a[cells] = rng.choice(specials, int(cells.sum()))
+    img = rng.random(shape, dtype=np.float32) * 255 - 100
+    img[:, ::4, ::3] = -0.0
+    at, want_at = _purekernels.warp_coords(u, v), warp_coords_oracle(u, v)
+    assert all(same_bits(a, b) for a, b in zip(at, want_at))
+    for image in (img, *_centered_gradient(img)):
+        assert same_bits(_purekernels.warp_bilinear(image, at),
+                         warp_bilinear_oracle(image, want_at))
+
+
+def edge_problem(rng, n_planes, h, w):
+    """A tvl1_iterations stack whose planes start from u = 0, so that the
+    first iteration's rho is rho_c, with cells on every edge of the select:
+    grad <= 1e-10, +inf grad, rho == +-lam * theta * grad exactly, -0.0,
+    +-inf and NaN residuals; the NaN plane never converges."""
+    problems = [random_problem(rng, h, w) for _ in range(n_planes)]
+    I1wx, I1wy, rho_c, grad, u1, u2 = (np.concatenate(parts)
+                                       for parts in zip(*[p[:6] for p in problems]))
+    ps = [np.concatenate(parts) for parts in zip(*[p[6] for p in problems])]
+    u1[:], u2[:] = 0, 0
+    # edge columns of grad cross edge rows of rho_c
+    for col, g in enumerate((1e-10, 0, 1e-12, 1e-45, np.inf)):
+        grad[:, :, col] = g
+    th = np.float32(0.15 * 0.3) * grad
+    rho_c[:, 4:8] = th[:, 4:8]
+    rho_c[:, 8:12] = -th[:, 8:12]
+    rho_c[:, 12] = -0.0
+    rho_c[:, 13, ::2] = np.inf
+    rho_c[:, 13, 1::2] = -np.inf
+    rho_c[-1, 14, 7] = np.nan
+    return I1wx, I1wy, rho_c, grad, u1, u2, ps
+
+
+@pytest.mark.parametrize("case", ["stack of 3", "static plane", "1x144x192"])
+def test_pure_iterations_equal_their_first_version_bit_for_bit(rng, case):
+    if case == "stack of 3":
+        # random problems stop after 33, 33 and 35 iterations at 1e-3
+        problems = [random_problem(rng) for _ in range(3)]
+        stack = [np.concatenate(parts) for parts in zip(*[p[:6] for p in problems])]
+        duals = [np.concatenate(parts) for parts in zip(*[p[6] for p in problems])]
+        runs = [(*stack, duals, 34, 1e-3), (*edge_problem(rng, 3, 40, 52), 40, 1e-3)]
+    elif case == "static plane":
+        # plane 0 has nothing to fit and stops after one iteration; after
+        # one iteration from zero duals, u holds step * I1w, even where the
+        # step is as small as the -rho / grad a tiny grad must not give
+        I1wx, I1wy, rho_c, grad, u1, u2, ps = edge_problem(rng, 2, 24, 20)
+        rho_c[0] = 0
+        runs = [(I1wx, I1wy, rho_c, grad, u1, u2, [p * 0 for p in ps], n, 1e-6)
+                for n in (1, 10)]
+    else:
+        runs = [(*random_problem(rng, 144, 192), 6, 0.0),
+                (*edge_problem(rng, 1, 144, 192), 6, 1e-2)]
+    for I1wx, I1wy, rho_c, grad, u1, u2, ps, n_iters, eps in runs:
+        args = (0.15, 0.3, 0.25, n_iters, eps)
+        with np.errstate(invalid="ignore"):  # inf / inf, on purpose
+            got, want = [fn(I1wx, I1wy, rho_c, grad, u1.copy(), u2.copy(),
+                            *(p.copy() for p in ps), *args)
+                         for fn in (_purekernels.tvl1_iterations, tvl1_iterations_oracle)]
+        assert got[6] == want[6]
+        for k, (a, b) in enumerate(zip(got[:6], want[:6])):
+            assert same_bits(a, b), f"{case}: field {k}"
 
 
 def test_threshold_edges_agree_bit_for_bit(rng, accel):
@@ -310,40 +388,73 @@ def test_chunked_sequence_flow_equals_a_per_pair_loop(rng, monkeypatch, accel, c
         assert np.array_equal(chunked[i], want), f"pair {i}"
 
 
+FLOW_TREES = {
+    # 3 scenes, one cut to 2 frames: a single pair, fewer than 2 or 3 workers
+    "short scene": (dict(n_rubbing=2, n_other=1, n_synthetic_rubbing=0,
+                         n_frames_min=16, n_frames_max=19), (1, 2, 3)),
+    # 5 scenes on 2 workers, whose first job waits until the last scene is
+    # written, so that every other result arrives before it
+    "out of order": (dict(n_rubbing=2, n_other=2, n_synthetic_rubbing=1,
+                          n_frames_min=17, n_frames_max=26), (2,)),
+}
+
+
+@pytest.mark.parametrize("tree", FLOW_TREES)
 @pytest.mark.parametrize("compiled", [False, True], ids=["pure", "compiled"])
-def test_flow_workers_write_the_bytes_of_a_serial_loop(tmp_path, monkeypatch, accel, compiled):
+def test_flow_workers_write_the_bytes_of_a_serial_loop(tmp_path, monkeypatch, accel, compiled,
+                                                       tree):
     use_kernels(monkeypatch, accel if compiled else _purekernels)
+    gen, worker_counts = FLOW_TREES[tree]
     cfg = PipelineConfig()
     cfg.paths.dataset_dir = str(tmp_path / "ds")
-    cfg.gen = synth.DatasetConfig(n_rubbing=2, n_other=1, n_synthetic_rubbing=0,
-                                  width=48, height=36, n_frames_min=16, n_frames_max=19)
-    manifest = pipeline.generate(cfg)
-    # cut one scene to 2 frames: a single pair, fewer than 2 or 3 workers
-    short = os.path.join(cfg.paths.dataset_dir, manifest["scenes"][1]["frames_dir"])
-    for name in sorted(os.listdir(short)):
-        if name.startswith("frame_") and int(name[6:12]) >= 2:
-            os.remove(os.path.join(short, name))
+    cfg.gen = synth.DatasetConfig(width=48, height=36, **gen)
+    scenes = pipeline.generate(cfg)["scenes"]
+    dirs = [os.path.join(cfg.paths.dataset_dir, entry["frames_dir"]) for entry in scenes]
+    if tree == "short scene":
+        for name in sorted(os.listdir(dirs[1])):
+            if name.startswith("frame_") and int(name[6:12]) >= 2:
+                os.remove(os.path.join(dirs[1], name))
     serial = tmp_path / "serial"
-    for entry in manifest["scenes"]:
-        seq = frameio.load_sequence(os.path.join(cfg.paths.dataset_dir, entry["frames_dir"]))
+    for entry, frames_dir in zip(scenes, dirs):
+        seq = frameio.load_sequence(frames_dir)
         flow = flow_frames(*sequence_flow(seq.data, cfg.flow), cfg.flow.max_flow)
         out = FrameSequence(flow, fps=seq.fps, video_id=seq.video_id, date_tag=seq.date_tag)
         frameio.save_sequence(out, str(serial / entry["video_id"]))
     want = tree_bytes(serial)
-    ranges = []
-    split = pipeline._pair_ranges
+    ranges, written = [], []
+    split, load, save = pipeline._pair_ranges, frameio.load_sequence, frameio.save_sequence
 
     def recording_split(*args):
         ranges.append(split(*args))
         return ranges[-1]
 
+    def slow_first_job(frames_dir, frames=slice(None)):
+        if tree == "out of order" and frames_dir == dirs[0] and frames.start == 0:
+            last = os.path.join(cfg.paths.work_dir, "flow", scenes[-1]["video_id"])
+            deadline = time.monotonic() + 120
+            while not os.path.isdir(last) and time.monotonic() < deadline:
+                time.sleep(0.01)
+        return load(frames_dir, frames)
+
+    def recording_save(seq, out_dir):
+        written.append(os.path.basename(out_dir))
+        save(seq, out_dir)
+
     monkeypatch.setattr(pipeline, "_pair_ranges", recording_split)
-    for workers in (1, 2, 3):
+    monkeypatch.setattr(frameio, "load_sequence", slow_first_job)
+    monkeypatch.setattr(frameio, "save_sequence", recording_save)
+    for workers in worker_counts:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=workers: set(range(n)))
         cfg.paths.work_dir = str(tmp_path / f"work{workers}")
         ranges.clear()
-        assert pipeline.compute_flow(cfg) == 3
-        assert [len(r) for r in ranges] == [workers, 1, workers]
+        written.clear()
+        assert pipeline.compute_flow(cfg) == len(scenes)
+        if tree == "short scene":
+            assert [len(r) for r in ranges] == [workers, 1, workers]
+        else:
+            assert [len(r) for r in ranges] == [2] * 5
+            assert written[-1] == scenes[0]["video_id"]
+        assert sorted(written) == sorted(entry["video_id"] for entry in scenes)
         assert tree_bytes(os.path.join(cfg.paths.work_dir, "flow")) == want, f"{workers} workers"
 
 
@@ -357,3 +468,5 @@ def test_the_kernel_benchmark_script_runs(tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600)
     assert run.returncode == 0, run.stdout + run.stderr
     assert "flow_sequence 23x192x144" in run.stdout
+    assert "tvl1_iterations x2 1x144x192" in run.stdout
+    assert "compute_flow 3x23x192x144" in run.stdout

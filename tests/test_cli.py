@@ -4,11 +4,15 @@ import json
 import multiprocessing
 import os
 import re
+import shutil
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
+from helpers import tree_bytes
 
 from hhmon import backend, checkpoint, cli, clipset, frameio, model, synth, tvl1
 from hhmon.errors import DataError
@@ -321,23 +325,75 @@ def test_prepare_without_a_scene_descriptor_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {frames_dir}: missing meta.json descriptor\n"
 
 
-def test_a_worker_data_error_exits_3_and_leaves_no_worker(tmp_path, capsys, monkeypatch):
+# oth_001's first range is among the first jobs handed out; synrub_000 is the
+# last scene, so its first range is handed out after most jobs have finished
+@pytest.mark.parametrize("video_id", ["oth_001", "synrub_000"])
+def test_a_worker_data_error_exits_3_and_leaves_no_worker(tmp_path, capsys, monkeypatch,
+                                                         video_id):
     path = write_cfg(tmp_path)
     assert cli.main(["gen", "--config", path]) == 0
     stack = tvl1._frame_stack
-    scene = frameio.load_sequence(str(tmp_path / "ds" / "scenes" / "oth_001" / "frames"))
+    scene = frameio.load_sequence(str(tmp_path / "ds" / "scenes" / video_id / "frames"))
     first = frameio.luminance(scene.data[0])
 
     def failing_stack(planes, params, where=""):
         # only the range from the scene's first frame fails, so the other
         # worker is still running when the error comes up
-        if where.startswith("oth_001") and np.array_equal(planes[0], first):
+        if where.startswith(video_id) and np.array_equal(planes[0], first):
             raise DataError(f"{where}flow input has non-finite values")
         return stack(planes, params, where)
 
     monkeypatch.setattr(tvl1, "_frame_stack", failing_stack)  # before the pool forks
     capsys.readouterr()
     assert cli.main(["flow", "--config", path]) == 3
-    assert capsys.readouterr().err == "error: oth_001: flow input has non-finite values\n"
-    assert not (tmp_path / "work" / "flow" / "oth_001.partial").exists()
+    assert capsys.readouterr().err == f"error: {video_id}: flow input has non-finite values\n"
+    assert not (tmp_path / "work" / "flow" / f"{video_id}.partial").exists()
     assert multiprocessing.active_children() == []
+
+
+def _state(pid):
+    """The state letter of a process (R, S, Z, ...), or None once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return None
+
+
+@pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
+                    reason="needs /proc/<pid>/task/<pid>/children")
+@pytest.mark.parametrize("sig", [signal.SIGKILL, signal.SIGTERM], ids=["SIGKILL", "SIGTERM"])
+def test_a_killed_flow_leaves_no_worker_and_a_rerun_writes_clean_bytes(tmp_path, sig):
+    gen = {"n_rubbing": 3, "n_other": 0, "n_synthetic_rubbing": 0, "width": 48, "height": 36,
+           "n_frames_min": 18, "n_frames_max": 20}
+    path = write_cfg(tmp_path, gen=gen)
+    assert cli.main(["gen", "--config", path]) == 0
+    assert cli.main(["flow", "--config", path]) == 0
+    flow = tmp_path / "work" / "flow"
+    want = tree_bytes(flow)
+    shutil.rmtree(flow)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    child = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from hhmon import cli; sys.exit(cli.main(sys.argv[1:]))",
+         "flow", "--config", path], env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    children = f"/proc/{child.pid}/task/{child.pid}/children"
+    workers = []
+    deadline = time.monotonic() + 60
+    while not workers and child.poll() is None and time.monotonic() < deadline:
+        time.sleep(0.002)
+        with open(children) as fh:
+            workers = [int(pid) for pid in fh.read().split()]
+    assert workers, "flow finished or stalled before it forked its workers"
+    child.send_signal(sig)
+    assert child.wait(timeout=60) == -sig
+    deadline = time.monotonic() + 2
+    running = workers
+    while running and time.monotonic() < deadline:
+        time.sleep(0.02)
+        running = [pid for pid in workers if _state(pid) not in (None, "Z")]
+    for pid in running:  # do not leave them blocked after a failure
+        os.kill(pid, signal.SIGKILL)
+    assert running == []
+    assert cli.main(["flow", "--config", path]) == 0
+    assert tree_bytes(flow) == want

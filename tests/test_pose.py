@@ -206,6 +206,26 @@ def test_load_poses_parses_each_number_as_python_float(tmp_path):
             pose.load_poses(str(path))
 
 
+def test_load_poses_names_the_first_faulty_line(tmp_path):
+    # one confidence check covers the whole file, yet the first faulty line
+    # is named, whether later lines are faulty in the same or another way
+    kp = person_with_arms([(10, 10), (30, 10)], [(8, 20), (32, 20)], [(6, 30), (34, 30)])
+    bad = kp.copy()
+    bad[pose.L_WRIST, 2] = -0.5
+    nan = kp.copy()
+    nan[pose.NOSE, 2] = np.nan
+    path = tmp_path / "kp.txt"
+    for rows, extra, where in (((kp, nan, bad, bad), "", ":3: confidences"),
+                               ((kp, bad), "garbage line\n", ":2: confidences"),
+                               ((kp, nan), "garbage line\n", ":3: expected 18 joints")):
+        with open(path, "w") as fh:
+            for i, row in enumerate(rows):
+                write_pose_line(fh, i, -1, row)
+            fh.write(extra)
+        with pytest.raises(DataError, match=where):
+            pose.load_poses(str(path))
+
+
 def test_poses_roundtrip(tmp_path):
     kp1 = person_with_arms([(10, 10), (30, 10)], [(8, 20), (32, 20)], [(6, 30), (34, 30)])
     kp2 = person_with_arms([(11, 12), (31, 12)], [(9, 22), (33, 22)], [(7, 32), (35, 32)])
