@@ -33,10 +33,13 @@ its circular variant).  The feature rows run `training.extract_features` on
 8 prebuilt clips through an inflated and a random net, as train --stream
 rgb does, and report the time and the tracemalloc peak of one pass.  The
 request rows time, best of 20 x --repeats, what an `hhmon infer` call does
-around the network: the crop resize of an 18x20 ROI of 16 RGB frames to the
-56x56 input (the center window `clipset.crop_window` keeps, and the whole
-56x62 resize), `config_from_dict` on the config the perfbench workloads
-write, and `pose.load_poses` on a 16-line keypoints file:
+around the network: the crop resize of an 18x20 ROI of 16 RGB frames, as
+the (48, 18, 20) plane stack `clipset.crop_window` resizes, to the 56x56
+input (the center window it keeps, and the whole 56x62 resize), the whole
+`crop_window` from a 16-frame 96x72 probe to the (3, 16, 56, 56) network
+input, `config_from_dict` on the config the perfbench workloads write, and
+`pose.load_poses` on a 16-line keypoints file.  One more row times a flow
+pyramid-level resize, a 22x72x96 stack to 36x48:
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py [--size 256] [--iters 50] [--repeats 5]
 """
@@ -52,8 +55,10 @@ import tracemalloc
 
 import numpy as np
 
-from hhmon import (_accel, _purekernels, backend, config, frameio, layers, model, pipeline,
-                   pose, synth, training, tvl1)
+from hhmon import (_accel, _purekernels, backend, clipset, config, frameio, layers, model,
+                   pipeline, pose, synth, training, tvl1)
+from hhmon.frameio import FrameSequence
+from hhmon.pose import BBox
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -281,14 +286,23 @@ def feature_rows(n_clips, repeats):
 
 
 def request_rows(repeats):
-    """(name, best s) of the work an infer request does outside the network."""
+    """(name, best s) of the work an infer request does outside the network,
+    and of one pyramid-level resize of the flow solver."""
     n = 20 * repeats
-    roi = np.random.default_rng(7).random((18, 20, 48), dtype=np.float32)
+    rng = np.random.default_rng(7)
+    roi = rng.random((48, 18, 20), dtype=np.float32)  # (C x frames, h, w)
     window = (slice(0, 56), slice(3, 59))  # the center 56x56 of 56x62
-    rows = [("crop resize 18x20x48 -> 56x56 window",
+    seq = FrameSequence(rng.random((16, 72, 96, 3), dtype=np.float32))
+    box = BBox(30.0, 20.0, 50.0, 38.0)  # an 18x20 ROI
+    level = rng.random((22, 72, 96), dtype=np.float32)  # a 23-frame scene's pairs
+    rows = [("crop resize 48x18x20 -> 56x56 window",
              best_of(lambda: frameio.resize_bilinear(roi, 62, 56, window), n)[0]),
-            ("crop resize 18x20x48 -> 56x62 whole",
-             best_of(lambda: frameio.resize_bilinear(roi, 62, 56), n)[0])]
+            ("crop resize 48x18x20 -> 56x62 whole",
+             best_of(lambda: frameio.resize_bilinear(roi, 62, 56), n)[0]),
+            ("crop_window 16x18x20x3 -> 3x16x56x56",
+             best_of(lambda: clipset.crop_window(seq, box, 0, 16, 56), n)[0]),
+            ("pyramid resize 22x72x96 -> 22x36x48",
+             best_of(lambda: frameio.resize_bilinear(level, 48, 36), n)[0])]
     paths = {key: os.path.join("tree", key) for key in
              ("dataset_dir", "work_dir", "checkpoint_dir", "report_dir")}
     gen = {"n_rubbing": 3, "n_other": 3, "n_synthetic_rubbing": 2,

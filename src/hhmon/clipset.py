@@ -6,6 +6,10 @@ at the window's start frame for all its frames so the crop itself adds no
 apparent motion.  Augmentation draws are a pure function of (seed,
 provenance), which keeps RGB and flow samples of the same window
 geometrically in lockstep.
+
+A sample comes out in the network's layout and value range, which this
+module alone decides: a (C, T, S, S) float32 array, RGB mapped from [0, 1]
+to [-1, 1] and flow, stored in [-1, 1], passed through.
 """
 
 from __future__ import annotations
@@ -87,35 +91,36 @@ def crop_window(seq: FrameSequence, box: BBox | None, start: int, n: int, size: 
     """Frames [start, start + n) cut to `box` (the whole frame if None), fit
     to size x size (shorter side scaled to `size`, then center-cropped),
     optionally mirrored (flow's horizontal component negated) and, for RGB,
-    brightened by `delta` and clamped to [0, 1]: an (n, size, size, C) array.
+    brightened by `delta` and clamped to [0, 1], then mapped to [-1, 1]:
+    the network's (C, n, size, size) float32 input.
 
-    The box is the same for every frame, so the frames are cut as one stack
-    and resized in one call on an (h, w, n * C) array, which computes only the
-    kept center window; each value equals the per-frame crop, resize, flip
-    and brighten."""
+    The box is the same for every frame, so the ROI is copied once to
+    (C, n, h, w) and resized in one call, which computes only the kept
+    center window, mirrored by reading it right to left; each value equals
+    the per-frame crop, resize, flip and brighten."""
     if box is None:
         rows = cols = slice(None)
     else:
         rows, cols = frameio._crop_slices(box, seq.width, seq.height)
-    c = seq.channels
-    stack = np.stack([f[rows, cols] for f in seq.data[start:start + n]],
-                     axis=2)  # (h, w, n, C)
-    h, w = stack.shape[:2]
+    roi = np.ascontiguousarray(seq.data[start:start + n, rows, cols].transpose(3, 0, 1, 2))
+    h, w = roi.shape[2:]
     scale = size / min(w, h)
     new_w = max(size, int(round(w * scale)))
     new_h = max(size, int(round(h * scale)))
     x0 = (new_w - size) // 2
     y0 = (new_h - size) // 2
-    out = frameio.resize_bilinear(stack.reshape(h, w, n * c), new_w, new_h,
-                                  (slice(y0, y0 + size), slice(x0, x0 + size)))
-    out = out.reshape(size, size, n, c).transpose(2, 0, 1, 3)
-    if flip:
-        out = out[:, :, ::-1]
-    out = np.ascontiguousarray(out)
-    if flip and c == 2:
-        np.negative(out[..., 0], out=out[..., 0])
-    if delta and c == 3:
-        out = np.clip(out + np.float32(delta), 0.0, 1.0)
+    cols = slice(x0 + size - 1, x0 - 1 if x0 else None, -1) if flip else slice(x0, x0 + size)
+    out = frameio.resize_bilinear(roi, new_w, new_h, (slice(y0, y0 + size), cols))
+    if flip and seq.channels == 2:
+        np.negative(out[0], out=out[0])
+    if seq.channels == 3:
+        # zero-centered inputs are what the He-initialized backbone trains
+        # well on, and they match the flow stream, which is already signed
+        if delta:
+            out += np.float32(delta)
+            np.clip(out, 0.0, 1.0, out=out)
+        out *= np.float32(2.0)
+        out -= np.float32(1.0)
     return out
 
 
@@ -129,7 +134,7 @@ def sample_clip(
     seed: int = 0,
     n_frames: int = CLIP_LEN,
 ) -> np.ndarray:
-    """Cut an (n_frames, S, S, C) window around the track's smoothed box at `start`.
+    """Cut a (C, n_frames, S, S) window around the track's smoothed box at `start`.
 
     Train mode applies per-sample multi-scale cropping (area factor in
     [scale_min, scale_max]), a coin-flip horizontal flip and one brightness

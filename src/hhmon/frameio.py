@@ -6,6 +6,10 @@ slice, with RGB values in [0, 1].  Two-channel images hold optical flow
 (dx, dy) and are exempt from the range bound.  On disk, RGB goes to binary
 PPM (P6, 8-bit), grayscale to PGM (P5) and flow to a little-endian float32
 planar format (".flo2").
+
+Everything after the load is channel first: `resize_bilinear` resizes the
+last two axes of a (..., h, w) stack, such as the flow solver's (n, h, w)
+planes or a clip's (C, n, h, w) ROI (see `clipset.crop_window`).
 """
 
 from __future__ import annotations
@@ -217,9 +221,12 @@ def _sample_coords(n_out: int, n_in: int) -> np.ndarray:
 
 def resize_bilinear(image: np.ndarray, out_w: int, out_h: int,
                     window: tuple[slice, slice] = (slice(None), slice(None))) -> np.ndarray:
-    """Bilinear resize, with corner-aligned sampling, of the first two axes
-    of an (h, w, c) array, any channel count c; only the `window` (row and
-    column slices) of the out_h x out_w result is computed.
+    """Bilinear resize, with corner-aligned sampling, of the last two axes
+    of a (..., h, w) array; only the `window` (row and column slices) of the
+    (..., out_h, out_w) result is computed.
+
+    The row slice must ascend.  The column slice may step -1: a reversed
+    column window gives the mirrored result, bit for bit.
 
     The x pass runs on the band of input rows the window reads, then the
     output rows are gathered from it; each value gets the same float32
@@ -227,7 +234,7 @@ def resize_bilinear(image: np.ndarray, out_w: int, out_h: int,
     rows first."""
     if out_w < 1 or out_h < 1:
         raise DataError(f"resize target must be at least 1x1, got {out_w}x{out_h}")
-    height, width = image.shape[:2]
+    height, width = image.shape[-2:]
     rows, cols = window
     xs = _sample_coords(out_w, width)[cols]
     ys = _sample_coords(out_h, height)[rows]
@@ -235,19 +242,13 @@ def resize_bilinear(image: np.ndarray, out_w: int, out_h: int,
     y0 = np.clip(np.floor(ys).astype(np.int64), 0, height - 1)
     x1 = np.minimum(x0 + 1, width - 1)
     y1 = np.minimum(y0 + 1, height - 1)
-    fx = (xs - x0).astype(np.float32)[None, :, None]
-    fy = (ys - y0).astype(np.float32)[:, None, None]
+    fx = (xs - x0).astype(np.float32)
+    fy = (ys - y0).astype(np.float32)[:, None]
     # one-axis gathers: the values of 2-D fancy indexing at a fraction of the cost
     lo, hi = y0[0], y1[-1] + 1
-    band = image[lo:hi]
-    across = _lerp(band.take(x0, axis=1), band.take(x1, axis=1), fx)
-    return _lerp(across.take(y0 - lo, axis=0), across.take(y1 - lo, axis=0), fy)
-
-
-def resize_planes(planes: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
-    """`resize_bilinear` of every plane of an (n, h, w) stack, in one call."""
-    out = resize_bilinear(planes.transpose(1, 2, 0), out_w, out_h)
-    return np.ascontiguousarray(out.transpose(2, 0, 1))
+    band = image[..., lo:hi, :]
+    across = _lerp(band.take(x0, axis=-1), band.take(x1, axis=-1), fx)
+    return _lerp(across.take(y0 - lo, axis=-2), across.take(y1 - lo, axis=-2), fy)
 
 
 def _lerp(a: np.ndarray, b: np.ndarray, f: np.ndarray) -> np.ndarray:

@@ -147,6 +147,9 @@ def load_prepared(cfg: PipelineConfig) -> tuple[list[AnnotationRecord], SplitRes
                                                  for i in idxs):
             raise DataError(f"{path}: split {name!r} must list record indices "
                             f"in range({len(records)})")
+    listed = split.train + split.val + split.test
+    if len(set(listed)) != len(listed):
+        raise DataError(f"{path}: a record index is listed more than once across the splits")
     return records, split
 
 
@@ -389,8 +392,7 @@ def _record_windows(cfg: PipelineConfig, rec: AnnotationRecord, load, mode: str,
     seq = load(rec)
     track = _track_for(cfg, rec)
     for start in starts:
-        clip = clipset.sample_clip(seq, track, start, cfg.clip, mode=mode, seed=cfg.seed)
-        yield start, _to_net(clip)
+        yield start, clipset.sample_clip(seq, track, start, cfg.clip, mode=mode, seed=cfg.seed)
 
 
 def iter_windows(cfg: PipelineConfig, recs: list[AnnotationRecord], load, mode: str):
@@ -399,20 +401,6 @@ def iter_windows(cfg: PipelineConfig, recs: list[AnnotationRecord], load, mode: 
     for rec in recs:
         for start, x in _record_windows(cfg, rec, load, mode, _window_starts(cfg, rec)):
             yield clip_id_for(rec, start), x, rec.label
-
-
-def _to_net(clip_tensor: np.ndarray) -> np.ndarray:
-    """(T, H, W, C) crop to network layout (C, T, H, W), signed range.
-
-    RGB crops arrive in [0, 1] and are mapped to [-1, 1]; zero-centered
-    inputs are what the He-initialized backbone trains well on, and they
-    match the flow stream, which is already signed.
-    """
-    x = np.array(clip_tensor.transpose(3, 0, 1, 2), dtype=np.float32, order="C")
-    if x.shape[0] == 3:
-        x *= np.float32(2.0)
-        x -= np.float32(1.0)
-    return x
 
 
 # --- train ----------------------------------------------------------------
@@ -433,9 +421,8 @@ def _build_stills(cfg: PipelineConfig, recs: list[AnnotationRecord], load_rgb):
         picks = np.unique(np.linspace(rec.start_frame, rec.end_frame - 1,
                                       cfg.train.stills_per_scene).round().astype(int))
         for f in picks:
-            still = clipset.sample_clip(seq, track, int(f), cfg.clip, mode="train",
-                                        seed=cfg.seed, n_frames=1)
-            xs.append(_to_net(still))
+            xs.append(clipset.sample_clip(seq, track, int(f), cfg.clip, mode="train",
+                                          seed=cfg.seed, n_frames=1))
             ys.append(rec.label)
     if not xs:
         raise DataError("no training scenes to build the still-image task from")
@@ -599,6 +586,9 @@ def infer_clip(cfg: PipelineConfig, clip_dir: str) -> tuple[float, str]:
     if len(seq) != CLIP_LEN:
         raise DataError(f"{clip_dir}: expected a {CLIP_LEN}-frame clip directory, "
                         f"found {len(seq)} frames")
+    if seq.channels != 3:
+        raise DataError(f"{clip_dir}: the rgb stream scores 3-channel frames, "
+                        f"found {seq.channels}")
     path = _ckpt_path(cfg, "rgb")
     if not os.path.isfile(path):
         raise DataError(f"rgb: checkpoint not found at {path}; run train --stream rgb first")
@@ -609,7 +599,7 @@ def infer_clip(cfg: PipelineConfig, clip_dir: str) -> tuple[float, str]:
         poses = pose.load_poses(kp_path)
         if poses and poses[0].persons:
             box = pose.upper_body_roi(poses[0].persons[0], (seq.width, seq.height), cfg.roi)
-    x = _to_net(clipset.crop_window(seq, box, 0, CLIP_LEN, cfg.clip.input_size))
+    x = clipset.crop_window(seq, box, 0, CLIP_LEN, cfg.clip.input_size)
     score = float(net.score(x[None])[0])
     label = "rubbing_hands" if score >= cfg.eval.threshold else "other"
     return score, label

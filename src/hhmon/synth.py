@@ -205,7 +205,7 @@ def _background(width: int, height: int, rng: np.random.Generator) -> np.ndarray
     """Smooth static value-noise texture in mid grays."""
     gw, gh = max(2, width // 16), max(2, height // 16)
     grid = rng.uniform(0.40, 0.72, size=(gh, gw, 3)).astype(np.float32)
-    return frameio.resize_bilinear(grid, width, height)
+    return frameio.resize_bilinear(grid.transpose(2, 0, 1), width, height).transpose(1, 2, 0)
 
 
 def generate_scene(spec: SceneSpec) -> tuple[FrameSequence, list[PoseFrame]]:

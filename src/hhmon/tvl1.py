@@ -10,10 +10,11 @@ The solver works on whole scenes: `_solve` takes the pyramid of an
 at a time, coarsest first.  Each level runs through the backend kernels as
 (P, h, w) stacks of at most `STACK_PIXELS` pixels of that level, each pair
 bit for bit as if alone, so the small coarse levels run as a few large
-stacks rather than many small ones.  `sequence_flow` solves a scene this
-way, building each frame's pyramid once, and `flow_frames` turns its pair
-flows into the stored (n, h, w, 2) flow array; `tvl1_flow` is a scene of
-one pair.
+stacks rather than many small ones.  Frames, pyramid levels and flows are
+all (n, h, w) plane stacks, which `frameio.resize_bilinear` resizes as they
+are.  `sequence_flow` solves a scene this way, building each frame's
+pyramid once, and `flow_frames` turns its pair flows into the stored
+(n, h, w, 2) flow array; `tvl1_flow` is a scene of one pair.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ def _pyramid(frames: np.ndarray, factor: float, min_size: int) -> list[np.ndarra
         nh, nw = int(round(h * factor)), int(round(w * factor))
         if min(nh, nw) < min_size:
             return levels
-        levels.append(frameio.resize_planes(_gaussian_blur(levels[-1], sigma), nw, nh))
+        levels.append(frameio.resize_bilinear(_gaussian_blur(levels[-1], sigma), nw, nh))
 
 
 def _centered_gradient(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -140,7 +141,7 @@ def _solve(levels: list[np.ndarray], params: TvL1Params) -> tuple[np.ndarray, np
             if u1 is None:
                 c1, c2 = np.zeros((2, b - a, h, w), dtype=np.float32)
             else:  # the coarser level's flow, resized and rescaled
-                c = frameio.resize_planes(np.concatenate([u1[a:b], u2[a:b]]), w, h)
+                c = frameio.resize_bilinear(np.concatenate([u1[a:b], u2[a:b]]), w, h)
                 c1, c2 = c[: b - a], c[b - a :]
                 c1 *= np.float32(w / u1.shape[2])
                 c2 *= np.float32(h / u1.shape[1])

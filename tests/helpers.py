@@ -134,6 +134,18 @@ def crop_window_oracle(seq, box, start, n, size, flip=False, delta=0.0):
     return np.stack(planes)
 
 
+def to_net_oracle(clip):
+    """An (n, size, size, C) crop of `crop_window_oracle` in the network's
+    (C, n, size, size) layout, RGB mapped from [0, 1] to [-1, 1] in float32
+    and flow passed through: the reference for the last step of
+    `clipset.crop_window`."""
+    x = np.array(clip.transpose(3, 0, 1, 2), dtype=np.float32, order="C")
+    if x.shape[0] == 3:
+        x *= np.float32(2.0)
+        x -= np.float32(1.0)
+    return x
+
+
 def pad5_oracle(x, pads, temporal_pad, fill):
     """`layers._pad5` as np.pad calls: a wrap pad along time, then a constant pad."""
     (pt0, pt1), (ph0, ph1), (pw0, pw1) = pads

@@ -470,3 +470,5 @@ def test_the_kernel_benchmark_script_runs(tmp_path):
     assert "flow_sequence 23x192x144" in run.stdout
     assert "tvl1_iterations x2 1x144x192" in run.stdout
     assert "compute_flow 3x23x192x144" in run.stdout
+    assert "crop_window 16x18x20x3 -> 3x16x56x56" in run.stdout
+    assert "pyramid resize 22x72x96 -> 22x36x48" in run.stdout

@@ -67,8 +67,10 @@ def test_a_negative_seed_flag_is_a_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("splits", [None, "{not json", '{"train": [0]}',
-                                    '{"train": [999], "val": [], "test": [0]}'],
-                         ids=["missing", "invalid-json", "missing-key", "index-out-of-range"])
+                                    '{"train": [999], "val": [], "test": [0]}',
+                                    '{"train": [0], "val": [], "test": [0]}'],
+                         ids=["missing", "invalid-json", "missing-key", "index-out-of-range",
+                              "index-in-two-splits"])
 def test_train_and_eval_without_valid_splits_exit_3(tmp_path, capsys, splits):
     # what a prepare that died after writing annotations.csv leaves behind
     path = write_cfg(tmp_path)
@@ -252,6 +254,22 @@ def test_infer_with_a_malformed_descriptor_exits_3(tmp_path, capsys, meta):
     assert err.startswith(f"error: {clip_dir / 'meta.json'}: descriptor")
 
 
+@pytest.mark.parametrize("channels", [1, 2], ids=["pgm", "flo2"])
+def test_infer_on_non_rgb_frames_exits_3_before_the_checkpoint_load(tmp_path, capsys,
+                                                                    monkeypatch, channels):
+    path = write_cfg(tmp_path)
+    clip_dir = tmp_path / "clip16"
+    frameio.save_sequence(FrameSequence(np.zeros((16, 24, 24, channels)),
+                                        video_id="probe", date_tag="d"), str(clip_dir))
+    net = model.Network.init(model.i3d_mini(in_channels=3, input_size=24), seed=0)
+    checkpoint.save_network(net, str(tmp_path / "ckpt" / "rgb.swnet"))
+    monkeypatch.setattr(checkpoint, "load_network",
+                        lambda path: pytest.fail("the checkpoint was loaded"))
+    assert cli.main(["infer", "--config", path, str(clip_dir)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: {clip_dir}: the rgb stream scores 3-channel frames, found {channels}\n")
+
+
 def test_infer_with_an_unknown_block_kind_exits_4(tmp_path, capsys):
     path = write_cfg(tmp_path)
     clip_dir = tmp_path / "clip16"
@@ -397,3 +415,67 @@ def test_a_killed_flow_leaves_no_worker_and_a_rerun_writes_clean_bytes(tmp_path,
     assert running == []
     assert cli.main(["flow", "--config", path]) == 0
     assert tree_bytes(flow) == want
+
+
+# A child that runs one command and dies (exit 137) inside the publish of
+# the artifact at argv[1]: after its temp is written, before the rename.
+_DIE_AT_PUBLISH = """
+import contextlib, os, sys
+from hhmon import artifacts, cli
+target, publish = sys.argv[1], artifacts.publish
+
+@contextlib.contextmanager
+def dying(path):
+    with publish(path) as tmp:
+        yield tmp
+        if os.path.abspath(path) == target:
+            os._exit(137)
+
+artifacts.publish = dying
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+_STAGES = (["gen"], ["prepare"], ["flow"], ["train", "--stream", "rgb"],
+           ["train", "--stream", "flow"], ["eval"])
+
+
+@pytest.mark.parametrize("stage, artifact", [
+    (0, "ds/scenes/rub_001/frames"), (0, "ds/scenes/rub_001/keypoints.txt"),
+    (0, "ds/dataset.json"), (1, "work/tracks/rub_001.txt"), (1, "work/annotations.csv"),
+    (1, "work/splits.json"), (2, "work/flow/rub_001"), (3, "ckpt/rgb.swnet"),
+    (3, "ckpt/rgb.swnet.spec.json"), (5, "report/report.json"),
+], ids=["frame-dir", "keypoints", "dataset-json", "tracks", "annotations", "splits",
+        "flow-dir", "checkpoint", "sidecar", "report-file"])
+def test_a_stage_killed_mid_publish_reruns_to_a_clean_tree(tmp_path, stage, artifact):
+    # a 3-scene tree: three dates, so prepare can split it date-disjointly
+    run = tmp_path / "run"
+    run.mkdir()
+    path = write_cfg(run, gen={"n_rubbing": 3, "n_other": 0, "n_synthetic_rubbing": 0,
+                               "width": 48, "height": 36,
+                               "n_frames_min": 18, "n_frames_max": 20})
+    for argv in _STAGES[:stage]:
+        assert cli.main(argv + ["--config", path]) == 0
+    before = tmp_path / "before"
+    shutil.copytree(run, before)
+    for argv in _STAGES[stage:]:
+        assert cli.main(argv + ["--config", path]) == 0
+    clean = tree_bytes(run)
+    shutil.rmtree(run)
+    shutil.copytree(before, run)
+
+    target = run / artifact
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    child = subprocess.run([sys.executable, "-c", _DIE_AT_PUBLISH, str(target),
+                            *_STAGES[stage], "--config", path], env=env,
+                           stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=120)
+    assert child.returncode == 137
+    assert os.path.exists(f"{target}.partial") and not target.exists()
+
+    # a killed gen leaves a non-empty dataset dir, which only --force replaces
+    rerun = [_STAGES[0] + ["--force"], *_STAGES[1:]] if stage == 0 else _STAGES
+    for argv in rerun[stage:]:
+        assert cli.main(argv + ["--config", path]) == 0
+    assert tree_bytes(run) == clean
+    assert not [name for _, dirs, files in os.walk(run) for name in dirs + files
+                if name.endswith(".partial")]

@@ -22,7 +22,7 @@ from hhmon.errors import ConfigError, DataError
 from hhmon.frameio import FrameSequence
 from hhmon.pose import BBox
 from hhmon.tracking import Track
-from helpers import crop_window_oracle
+from helpers import crop_window_oracle, to_net_oracle
 
 
 def windows_oracle(clip_len, stride):
@@ -96,7 +96,7 @@ def test_crop_box_is_frozen_at_the_start_frame(rng):
                                  for t in range(len(seq))])
     sample = sample_clip(seq, drifting, 0, AugmentConfig(input_size=16), mode="eval")
     for t in range(1, CLIP_LEN):
-        assert np.array_equal(sample[t], sample[0])
+        assert np.array_equal(sample[:, t], sample[:, 0])
 
 
 def test_eval_sampling_is_deterministic(rng):
@@ -141,7 +141,7 @@ def test_clip_shape_and_dtype(rng):
     seq = static_sequence(rng)
     track = fixed_track(BBox(4.0, 4.0, 30.0, 30.0), len(seq))
     sample = sample_clip(seq, track, 0, AugmentConfig(input_size=24), mode="eval")
-    assert sample.shape == (16, 24, 24, 3)
+    assert sample.shape == (3, 16, 24, 24)
     assert sample.dtype == np.float32
 
 
@@ -163,7 +163,7 @@ def test_sample_still_shape_and_bounds(rng):
     seq = static_sequence(rng)
     track = fixed_track(BBox(4.0, 4.0, 30.0, 30.0), len(seq))
     still = sample_clip(seq, track, 3, AugmentConfig(input_size=16), mode="eval", n_frames=1)
-    assert still.shape == (1, 16, 16, 3)
+    assert still.shape == (3, 1, 16, 16)
     sample_clip(seq, track, len(seq) - 1, AugmentConfig(input_size=16), n_frames=1)
     with pytest.raises(DataError, match="exceeds"):
         sample_clip(seq, track, len(seq), AugmentConfig(input_size=16), n_frames=1)
@@ -181,23 +181,31 @@ def test_train_still_is_the_first_frame_of_its_window(rng):
     for start in range(0, 8):
         window = sample_clip(seq, track, start, cfg, mode="train", seed=3)
         still = sample_clip(seq, track, start, cfg, mode="train", seed=3, n_frames=1)
-        assert np.array_equal(still[0], window[0])
+        assert np.array_equal(still[:, 0], window[:, 0])
 
 
 @pytest.mark.parametrize("channels", [3, 2, 1])
 @pytest.mark.parametrize("flip", [False, True])
-@pytest.mark.parametrize("box", [BBox(7.4, 5.6, 30.2, 33.9), BBox(-3.0, 20.0, 60.0, 50.0), None])
+@pytest.mark.parametrize("box", [
+    BBox(7.4, 5.6, 30.2, 33.9), BBox(-3.0, 20.0, 60.0, 50.0), None,
+    BBox(0.0, 0.0, 12.0, 30.0), BBox(3.0, 1.0, 40.0, 12.0),
+], ids=["inside", "clipped", "whole-frame", "tall-x0-zero", "wide-x0-positive"])
 def test_crop_window_equals_the_per_frame_loop(rng, channels, flip, box):
-    # signed flow values exercise the u negation; brightness reaches the clamp
+    # signed flow values exercise the u negation; brightness reaches the clamp.
+    # A tall box keeps the whole resized width (x0 == 0), so a flip reads the
+    # window right to left down to column 0; a wide box crops it (x0 > 0).
     scale, shift = (1.0, 0.0) if channels == 3 else (6.0, -3.0)
     seq = FrameSequence(np.stack([(rng.random((36, 48, channels)) * scale + shift)
                                   .astype(np.float32) for _ in range(20)]))
     for size, n, delta in ((16, CLIP_LEN, 0.3), (24, 1, -0.05), (40, 3, 0.0)):
         got = crop_window(seq, box, 2, n, size, flip, delta)
-        want = crop_window_oracle(seq, box, 2, n, size, flip, delta)
-        assert got.shape == want.shape == (n, size, size, channels)
+        want = to_net_oracle(crop_window_oracle(seq, box, 2, n, size, flip, delta))
+        assert got.shape == want.shape == (channels, n, size, size)
         assert got.dtype == want.dtype == np.float32
+        assert got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()
+        if channels == 3:  # RGB is centered on zero, in [-1, 1]
+            assert got.min() >= -1.0 and got.max() <= 1.0
 
 
 def test_crop_window_rejects_a_box_outside_the_frame(rng):

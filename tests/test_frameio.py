@@ -207,33 +207,35 @@ def test_crop_dims_equal_clipped_box(x1, y1, dw, dh):
 
 
 def test_resize_2x1_to_3x1_corner_aligned():
-    f = np.array([[[0.0], [1.0]]], dtype=np.float32)
+    f = np.array([[[0.0, 1.0]]], dtype=np.float32)
     out = frameio.resize_bilinear(f, 3, 1)
-    np.testing.assert_allclose(out[0, :, 0], [0.0, 0.5, 1.0], atol=1e-7)
+    np.testing.assert_allclose(out[0, 0], [0.0, 0.5, 1.0], atol=1e-7)
 
 
 @given(w=st.integers(1, 9), h=st.integers(1, 9))
 def test_resize_constant_stays_constant(w, h):
-    f = np.full((5, 7, 3), 0.5, dtype=np.float32)
+    f = np.full((3, 5, 7), 0.5, dtype=np.float32)
     out = frameio.resize_bilinear(f, w, h)
-    assert out.shape == (h, w, 3)
+    assert out.shape == (3, h, w)
     np.testing.assert_allclose(out, 0.5, atol=1e-6)
 
 
 def test_resize_same_size_is_identity(rng):
-    f = make_rgb(13, 9, rng)
+    f = make_rgb(13, 9, rng).transpose(2, 0, 1)
     out = frameio.resize_bilinear(f, 13, 9)
     np.testing.assert_allclose(out, f, atol=1e-6)
 
 
-def test_resize_planes_equals_resize_bilinear_per_plane(rng):
-    planes = rng.random((3, 9, 13)).astype(np.float32)
+@pytest.mark.parametrize("shape", [(9, 13), (3, 9, 13), (2, 4, 9, 13)],
+                         ids=["one-plane", "n-planes", "c-by-n-planes"])
+def test_resize_of_a_stack_equals_the_oracle_per_plane(rng, shape):
+    planes = (rng.standard_normal(shape) * 4).astype(np.float32)
     for out_w, out_h in ((13, 9), (7, 5), (20, 11), (1, 1)):
-        got = frameio.resize_planes(planes, out_w, out_h)
-        assert got.shape == (3, out_h, out_w) and got.flags.c_contiguous
-        for plane, out in zip(planes, got):
-            want = frameio.resize_bilinear(plane[:, :, None], out_w, out_h)[:, :, 0]
-            assert np.array_equal(out, want)
+        got = frameio.resize_bilinear(planes, out_w, out_h)
+        assert got.shape == (*shape[:-2], out_h, out_w) and got.flags.c_contiguous
+        for index in np.ndindex(*shape[:-2]):
+            want = resize_bilinear_oracle(planes[index][:, :, None], out_w, out_h)[:, :, 0]
+            assert got[index].tobytes() == want.tobytes()
 
 
 def test_resize_rejects_zero_target(rng):
@@ -249,26 +251,31 @@ def test_resize_rejects_zero_target(rng):
         "to-1-high", "from-1x1"])
 def test_resize_equals_the_oracle_bit_for_bit(rng, channels, shape, target):
     # signed values far from [0, 1], as flow planes are
-    image = (rng.standard_normal((*shape, channels)) * 4).astype(np.float32)
+    image = (rng.standard_normal((channels, *shape)) * 4).astype(np.float32)
     got = frameio.resize_bilinear(image, *target)
-    want = resize_bilinear_oracle(image, *target)
-    assert got.shape == want.shape == (target[1], target[0], channels)
+    want = np.ascontiguousarray(
+        resize_bilinear_oracle(image.transpose(1, 2, 0), *target).transpose(2, 0, 1))
+    assert got.shape == want.shape == (channels, target[1], target[0])
     assert got.dtype == want.dtype == np.float32
     assert got.tobytes() == want.tobytes()
 
 
 @given(data=st.data(), in_h=st.integers(1, 12), in_w=st.integers(1, 12),
        out_w=st.integers(1, 30), out_h=st.integers(1, 30),
-       channels=st.sampled_from([1, 2, 3, 48]))
-def test_a_resize_window_equals_the_sliced_whole(data, in_h, in_w, out_w, out_h, channels):
-    image = np.random.default_rng(in_h * 13 + in_w).random((in_h, in_w, channels),
+       channels=st.sampled_from([1, 2, 3, 48]), reverse=st.booleans())
+def test_a_resize_window_equals_the_sliced_whole(data, in_h, in_w, out_w, out_h, channels,
+                                                 reverse):
+    image = np.random.default_rng(in_h * 13 + in_w).random((channels, in_h, in_w),
                                                            dtype=np.float32)
     top = data.draw(st.integers(0, out_h - 1))
     left = data.draw(st.integers(0, out_w - 1))
-    window = (slice(top, data.draw(st.integers(top + 1, out_h))),
-              slice(left, data.draw(st.integers(left + 1, out_w))))
+    right = data.draw(st.integers(left + 1, out_w))
+    # a reversed column window reads [left, right) right to left: the mirror
+    cols = slice(right - 1, left - 1 if left else None, -1) if reverse else slice(left, right)
+    window = (slice(top, data.draw(st.integers(top + 1, out_h))), cols)
     got = frameio.resize_bilinear(image, out_w, out_h, window)
-    want = resize_bilinear_oracle(image, out_w, out_h)[window]
+    want = np.ascontiguousarray(
+        resize_bilinear_oracle(image.transpose(1, 2, 0), out_w, out_h)[window].transpose(2, 0, 1))
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 

@@ -127,19 +127,6 @@ def test_iter_windows_counts_and_layout(prepared):
     assert label in (0, 1)
 
 
-def test_to_net_centers_rgb_and_passes_flow_through(rng):
-    rgb = rng.random((16, 8, 8, 3)).astype(np.float32)
-    out = pipeline._to_net(rgb)
-    assert out.shape == (3, 16, 8, 8)
-    assert np.allclose(out, rgb.transpose(3, 0, 1, 2) * 2.0 - 1.0, atol=1e-6)
-    assert out.min() >= -1.0 and out.max() <= 1.0
-
-    flow = (rng.random((16, 8, 8, 2)).astype(np.float32) - 0.5)
-    out = pipeline._to_net(flow)
-    assert out.shape == (2, 16, 8, 8)
-    assert np.array_equal(out, flow.transpose(3, 0, 1, 2))
-
-
 def test_compute_flow_skips_existing(prepared, monkeypatch):
     cfg, manifest, _ = prepared
     done = pipeline.compute_flow(cfg)
