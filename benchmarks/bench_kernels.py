@@ -38,7 +38,8 @@ the (48, 18, 20) plane stack `clipset.crop_window` resizes, to the 56x56
 input (the center window it keeps, and the whole 56x62 resize), the whole
 `crop_window` from a 16-frame 96x72 probe to the (3, 16, 56, 56) network
 input, `config_from_dict` on the config the perfbench workloads write, and
-`pose.load_poses` on a 16-line keypoints file.  One more row times a flow
+`pose.load_poses` on a 16-line keypoints file, and one acquire and release
+of the shared command lock an `infer` call takes.  One more row times a flow
 pyramid-level resize, a 22x72x96 stack to 36x48:
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py [--size 256] [--iters 50] [--repeats 5]
@@ -55,8 +56,8 @@ import tracemalloc
 
 import numpy as np
 
-from hhmon import (_accel, _purekernels, backend, clipset, config, frameio, layers, model,
-                   pipeline, pose, synth, training, tvl1)
+from hhmon import (_accel, _purekernels, backend, cli, clipset, config, frameio, layers,
+                   model, pipeline, pose, synth, training, tvl1)
 from hhmon.frameio import FrameSequence
 from hhmon.pose import BBox
 
@@ -315,6 +316,12 @@ def request_rows(repeats):
         path = os.path.join(tmp, "keypoints.txt")
         pose.save_poses(poses, path)
         rows.append(("load_poses 16 lines", best_of(lambda: pose.load_poses(path), n)[0]))
+
+        def lock_cycle():
+            with cli._command_lock(tmp, shared=True):
+                pass
+
+        rows.append(("command lock acquire + release", best_of(lock_cycle, n)[0]))
     return rows
 
 

@@ -1,14 +1,16 @@
 """The `hhmon` command line: gen, prepare, flow, train, eval, infer.
 
-Exit codes: 0 success, 2 configuration or usage, 3 data, 4 model.  Commands
-on the same output roots are serialized through an advisory lock file; a lock
-left behind by a dead process is reclaimed automatically.
+Exit codes: 0 success, 2 configuration or usage, 3 data, 4 model.  Each
+command locks `<work_dir>/.lock`: `infer`, which only reads, shares the lock
+with other `infer` calls, and every other command holds it alone.  A command
+that finds the lock held exits 2; a dead holder's lock is gone with it.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import fcntl
 import functools
 import os
 import sys
@@ -62,50 +64,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 @contextlib.contextmanager
-def _command_lock(work_dir: str):
-    """One command at a time per output root; stale locks are reclaimed."""
+def _command_lock(work_dir: str, shared: bool):
+    """A POSIX record lock on `<work_dir>/.lock`, shared or exclusive.  The
+    kernel drops it when its holder dies, and a forked child does not inherit
+    it.  The empty file stays: unlinking a file that another process may have
+    opened would let two commands lock two different files."""
     os.makedirs(work_dir, exist_ok=True)
     path = os.path.join(work_dir, ".lock")
-    for attempt in (0, 1):
-        try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            break
-        except FileExistsError:
-            pid = _lock_holder(path)
-            if attempt == 0 and pid is not None and not _alive(pid):
-                with contextlib.suppress(FileNotFoundError):
-                    os.unlink(path)
-                continue
-            raise ConfigError(f"another command holds the lock at {path}"
-                              f"{f' (pid {pid})' if pid else ''}")
+    fd = os.open(path, os.O_CREAT | os.O_RDWR)
     try:
-        os.write(fd, str(os.getpid()).encode())
-        os.close(fd)
+        try:
+            fcntl.lockf(fd, (fcntl.LOCK_SH if shared else fcntl.LOCK_EX) | fcntl.LOCK_NB)
+        except (BlockingIOError, PermissionError):
+            raise ConfigError(f"another command holds the lock at {path}") from None
         yield
     finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(path)
-
-
-def _lock_holder(path: str) -> int | None:
-    try:
-        with open(path) as fh:
-            return int(fh.read().strip())
-    except (OSError, ValueError):
-        return None
-
-
-def _alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True
-    return True
+        os.close(fd)
 
 
 def _cmd_gen(cfg: PipelineConfig, args) -> int:
+    pipeline.check_split_dates(cfg.gen)  # before the dataset directory is touched
     manifest = pipeline.generate(cfg, force=args.force)
     print(f"wrote {len(manifest['scenes'])} scenes to {cfg.paths.dataset_dir}")
     print(pipeline.stats_from_manifest(cfg, manifest))
@@ -173,7 +151,7 @@ def main(argv=None) -> int:
         if args.print_config:
             print(dump_config(cfg))
             return 0
-        with _command_lock(cfg.paths.work_dir):
+        with _command_lock(cfg.paths.work_dir, shared=args.command == "infer"):
             return _DISPATCH[args.command](cfg, args)
     except HhmonError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,6 +26,7 @@ from .pose import BBox
 from .tracking import Track
 
 CLIP_LEN = 16
+SPLIT_MIN_DATES = 3  # one non-synthetic date at least for each of train, val and test
 
 
 @dataclass
@@ -191,8 +192,9 @@ def split_dataset(
         d["synthetic"] |= rec.synthetic
 
     free_dates = [tag for tag, d in dates.items() if not d["synthetic"]]
-    if len(free_dates) < 3:
-        raise DataError(f"need at least 3 distinct non-synthetic date_tags to split, got {len(free_dates)}")
+    if len(free_dates) < SPLIT_MIN_DATES:
+        raise DataError(f"need at least {SPLIT_MIN_DATES} distinct non-synthetic date_tags to split, "
+                        f"got {len(free_dates)}")
 
     totals = sum((dates[t]["frames"] for t in free_dates), np.zeros(2))
     weights = np.array(ratios, dtype=np.float64) / sum(ratios)

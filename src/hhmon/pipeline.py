@@ -21,7 +21,7 @@ import numpy as np
 from . import artifacts, checkpoint, clipset, frameio, metrics, model, pose, synth, tracking, training, tvl1
 from .clipset import CLIP_LEN, AnnotationRecord, AugmentConfig, SplitResult
 from .config import PipelineConfig
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .metrics import ScoredClip
 
 
@@ -53,6 +53,16 @@ def _ckpt_path(cfg: PipelineConfig, name: str) -> str:
 
 
 # --- gen ------------------------------------------------------------------
+
+def check_split_dates(gen: synth.DatasetConfig) -> None:
+    """Refuse a dataset whose rubbing and other scenes span fewer dates than
+    the date-disjoint split needs; each group numbers its dates from d00."""
+    n = min(gen.n_dates, max(gen.n_rubbing, gen.n_other))
+    if n < clipset.SPLIT_MIN_DATES:
+        raise ConfigError(f"gen.n_dates {gen.n_dates} with gen.n_rubbing {gen.n_rubbing} and "
+                          f"gen.n_other {gen.n_other} gives {n} non-synthetic dates; the split "
+                          f"needs at least {clipset.SPLIT_MIN_DATES}")
+
 
 def generate(cfg: PipelineConfig, force: bool = False) -> dict:
     out = cfg.paths.dataset_dir

@@ -87,15 +87,19 @@ class PoseFrame:
                 raise DataError(f"frame {self.frame_index}: confidences must lie in [0, 1]")
 
 
-def _check_confidences(path: str, linenos: list[int], persons: list[np.ndarray]) -> None:
-    """Raise naming the first of the lines read whose confidences leave
-    [0, 1], in one check over them all; NaN passes, as both comparisons
-    fail."""
+def _check_values(path: str, linenos: list[int], persons: list[np.ndarray]) -> None:
+    """Raise naming the first of the lines read that holds a non-finite
+    number or a confidence outside [0, 1], in one check over them all."""
     if persons:
-        conf = np.array(persons)[:, :, 2]
-        bad = ((conf < 0) | (conf > 1)).any(axis=1)
+        values = np.array(persons)
+        finite = np.isfinite(values).all(axis=(1, 2))
+        conf = values[:, :, 2]
+        bad = ~finite | ((conf < 0) | (conf > 1)).any(axis=1)
         if bad.any():
-            raise DataError(f"{path}:{linenos[bad.argmax()]}: confidences must lie in [0, 1]")
+            i = bad.argmax()
+            what = ("confidences must lie in [0, 1]" if finite[i]
+                    else "coordinates and confidences must be finite")
+            raise DataError(f"{path}:{linenos[i]}: {what}")
 
 
 def load_poses(path: str) -> list[PoseFrame]:
@@ -115,7 +119,7 @@ def load_poses(path: str) -> list[PoseFrame]:
             continue
         tokens = line.split()
         if len(tokens) != 2 + 3 * N_JOINTS:
-            _check_confidences(path, linenos, persons)
+            _check_values(path, linenos, persons)
             n_joints = max(0, (len(tokens) - 2) // 3)
             raise DataError(f"{path}:{lineno}: expected {N_JOINTS} joints "
                             f"({2 + 3 * N_JOINTS} fields), found {n_joints} ({len(tokens)} fields)")
@@ -124,14 +128,14 @@ def load_poses(path: str) -> list[PoseFrame]:
             hint = int(tokens[1])
             values = np.array(tokens[2:], dtype=np.float64).reshape(N_JOINTS, 3)
         except ValueError as exc:
-            _check_confidences(path, linenos, persons)
+            _check_values(path, linenos, persons)
             raise DataError(f"{path}:{lineno}: malformed value: {exc}") from exc
         linenos.append(lineno)
         persons.append(values)
         pf = by_frame.setdefault(frame_index, PoseFrame(frame_index))
         pf.persons.append(values)
         pf.person_hints.append(hint)
-    _check_confidences(path, linenos, persons)
+    _check_values(path, linenos, persons)
     return [by_frame[i] for i in sorted(by_frame)]
 
 

@@ -472,3 +472,4 @@ def test_the_kernel_benchmark_script_runs(tmp_path):
     assert "compute_flow 3x23x192x144" in run.stdout
     assert "crop_window 16x18x20x3 -> 3x16x56x56" in run.stdout
     assert "pyramid resize 22x72x96 -> 22x36x48" in run.stdout
+    assert "command lock acquire + release" in run.stdout

@@ -168,26 +168,110 @@ def test_calls_in_one_process_parse_independently(tmp_path, capsys):
     assert cli._build_parser() is cli._build_parser()
 
 
-def test_live_lock_blocks_a_second_command(tmp_path, capsys):
+# A child that runs one command and, once it holds the command lock, prints
+# the pid of a process it forked (0 when argv[1] is not "fork") and waits for
+# a line or EOF on stdin before the command goes on.
+_HOLD_LOCK = """
+import os, sys, time
+from hhmon import cli
+fork, argv = sys.argv[1] == "fork", sys.argv[2:]
+run = cli._DISPATCH[argv[0]]
+
+def held(cfg, args):
+    pid = os.fork() if fork else 0
+    if fork and pid == 0:  # outlives its parent, as a flow worker may
+        os.closerange(0, 3)
+        time.sleep(120)
+        os._exit(0)
+    print(pid, flush=True)
+    sys.stdin.readline()
+    return run(cfg, args)
+
+cli._DISPATCH[argv[0]] = held
+sys.exit(cli.main(argv))
+"""
+
+
+def _hold_lock(argv, fork=False):
+    """A child running `argv` that holds its lock until its stdin is closed,
+    and the pid of the process it forked (0 when none)."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    child = subprocess.Popen([sys.executable, "-c", _HOLD_LOCK, "fork" if fork else "-", *argv],
+                             env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE, text=True)
+    line = child.stdout.readline()
+    if not line:
+        raise AssertionError(f"the lock holder failed: {child.communicate(timeout=60)}")
+    return child, int(line)
+
+
+def _infer_argv(tmp_path, path):
+    clip_dir = tmp_path / "clip16"
+    frameio.save_sequence(FrameSequence(np.random.default_rng(0).random((16, 24, 24, 3)),
+                                        video_id="probe", date_tag="d"), str(clip_dir))
+    net = model.Network.init(model.i3d_mini(in_channels=3, input_size=24), seed=0)
+    checkpoint.save_network(net, str(tmp_path / "ckpt" / "rgb.swnet"))
+    return ["infer", "--config", path, str(clip_dir)]
+
+
+@pytest.mark.parametrize("held, second, code", [
+    ("gen", "gen", 2), ("gen", "infer", 2), ("infer", "gen", 2), ("infer", "infer", 0),
+], ids=["writer-refuses-writer", "writer-refuses-infer", "infer-refuses-writer",
+        "infer-shares-with-infer"])
+def test_only_infer_calls_share_the_command_lock(tmp_path, capsys, held, second, code):
     path = write_cfg(tmp_path)
-    work = tmp_path / "work"
-    work.mkdir()
-    (work / ".lock").write_text(str(os.getpid()))  # this process: definitely alive
+    argv = {"gen": ["gen", "--config", path], "infer": _infer_argv(tmp_path, path)}
+    child, _ = _hold_lock(argv[held])
+    try:
+        assert cli.main(argv[second]) == code
+        out, err = capsys.readouterr()
+    finally:
+        child_out, child_err = child.communicate(timeout=120)
+    lock = tmp_path / "work" / ".lock"
+    if code:
+        assert err == f"error: another command holds the lock at {lock}\n"
+    else:
+        assert re.fullmatch(r"\d\.\d{6} (rubbing_hands|other)\n", out)
+    assert child.returncode == 0, child_err  # the holder then runs as if alone
+    assert lock.read_bytes() == b""  # the lock file stays, empty
+
+
+@pytest.mark.parametrize("fork", [False, True], ids=["alone", "with-a-forked-child"])
+def test_a_killed_holder_never_blocks_the_next_command(tmp_path, capsys, fork):
+    # the kernel drops a record lock when its holder dies, and a forked child
+    # (a flow worker) does not inherit it, so it frees the lock while it lives
+    path = write_cfg(tmp_path)
+    child, forked = _hold_lock(["gen", "--config", path], fork)
+    try:
+        child.kill()
+        child.communicate(timeout=60)
+        assert cli.main(["gen", "--config", path]) == 0
+        assert "wrote 7 scenes" in capsys.readouterr().out
+        if fork:
+            assert _state(forked) not in (None, "Z")
+    finally:
+        if fork:
+            os.kill(forked, signal.SIGKILL)
+
+
+@pytest.mark.parametrize("n_rubbing, n_other, n_dates", [(2, 1, 3), (4, 4, 2)])
+def test_gen_with_too_few_dates_to_split_exits_2_before_writing(tmp_path, capsys, n_rubbing,
+                                                                n_other, n_dates):
+    # each group numbers its dates from d00, so 2 rubbing and 1 other scene on
+    # 3 dates span only d00 and d01
+    gen = {"n_rubbing": n_rubbing, "n_other": n_other, "n_synthetic_rubbing": 1,
+           "n_dates": n_dates, "width": 48, "height": 36, "n_frames_min": 18, "n_frames_max": 20}
+    path = write_cfg(tmp_path, gen=gen)
     assert cli.main(["gen", "--config", path]) == 2
-    assert "another command holds the lock" in capsys.readouterr().err
-    assert (work / ".lock").exists()  # a foreign live lock is left alone
-
-
-def test_stale_lock_is_reclaimed(tmp_path, capsys):
-    path = write_cfg(tmp_path)
-    work = tmp_path / "work"
-    work.mkdir()
-    child = subprocess.Popen([sys.executable, "-c", "pass"])
-    child.wait()
-    (work / ".lock").write_text(str(child.pid))
-    assert cli.main(["gen", "--config", path]) == 0
-    assert "wrote 7 scenes" in capsys.readouterr().out
-    assert not (work / ".lock").exists()
+    err = capsys.readouterr().err
+    for name, value in (("n_dates", n_dates), ("n_rubbing", n_rubbing), ("n_other", n_other)):
+        assert f"gen.{name} {value}" in err
+    assert not (tmp_path / "ds").exists()
+    (tmp_path / "ds").mkdir()
+    (tmp_path / "ds" / "keep").write_text("x")
+    assert cli.main(["gen", "--config", path, "--force"]) == 2  # --force removes nothing
+    assert tree_bytes(tmp_path / "ds") == {"keep": b"x"}
 
 
 def test_full_command_journey(tmp_path, capsys):

@@ -185,39 +185,51 @@ def test_load_poses_malformed_line_names_line_number(tmp_path):
 
 
 def test_load_poses_parses_each_number_as_python_float(tmp_path):
-    # a line's 51 numbers convert in one call, to float()'s values; the
-    # [0, 1] confidence check still lets a NaN confidence through
+    # a line's 51 numbers convert in one call, to float()'s values
     rng = np.random.default_rng(0)
     values = rng.uniform(-50, 50, (18, 3))
     values[:, 2] = rng.uniform(0, 1, 18)
     tokens = [repr(float(v)) for v in values.reshape(-1)]
-    tokens[2], tokens[3], tokens[6], tokens[7] = "nan", "1_0.25", "-0.0", "1E1"
+    tokens[2], tokens[3], tokens[6], tokens[7] = "+.5", "1_0.25", "-0.0", "1E1"
     path = tmp_path / "kp.txt"
     path.write_text("4 -1 " + " ".join(tokens) + "\n")
     (frame,) = pose.load_poses(str(path))
     want = np.array([float(t) for t in tokens]).reshape(18, 3)
     assert frame.persons[0].dtype == np.float64
     assert frame.persons[0].tobytes() == want.tobytes()
-    for bad, message in (("1.5", "confidences must lie in"),
-                         ("abc", "malformed value: could not convert")):
-        tokens[5] = bad  # joint 1's confidence
+    for at, bad, message in ((5, "1.5", "confidences must lie in"),
+                             (5, "nan", "coordinates and confidences must be finite"),
+                             (3, "-inf", "coordinates and confidences must be finite"),
+                             (5, "abc", "malformed value: could not convert")):
+        tokens[at] = bad  # joint 1's x or confidence
         path.write_text("4 -1 " + " ".join(tokens) + "\n")
         with pytest.raises(DataError, match=f"kp.txt:1: {message}"):
             pose.load_poses(str(path))
 
 
 def test_load_poses_names_the_first_faulty_line(tmp_path):
-    # one confidence check covers the whole file, yet the first faulty line
-    # is named, whether later lines are faulty in the same or another way
+    # one check covers the whole file, yet the first faulty line is named,
+    # whether later lines are faulty in the same or another way; a NaN or
+    # infinite number is faulty, as no comparison with it fails
     kp = person_with_arms([(10, 10), (30, 10)], [(8, 20), (32, 20)], [(6, 30), (34, 30)])
     bad = kp.copy()
     bad[pose.L_WRIST, 2] = -0.5
     nan = kp.copy()
     nan[pose.NOSE, 2] = np.nan
+    nan_x = kp.copy()
+    nan_x[pose.R_ELBOW, 0] = np.nan  # would widen upper_body_roi to the frame
+    inf_y = kp.copy()
+    inf_y[pose.L_SHOULDER, 1] = np.inf
+    finite = ": coordinates and confidences must be finite"
     path = tmp_path / "kp.txt"
-    for rows, extra, where in (((kp, nan, bad, bad), "", ":3: confidences"),
+    for rows, extra, where in (((kp, kp, bad, bad), "", ":3: confidences"),
+                               ((kp, nan, bad, bad), "", ":2" + finite),
+                               ((kp, bad, nan), "", ":2: confidences"),
+                               ((kp, kp, nan_x), "", ":3" + finite),
+                               ((kp, inf_y, nan_x), "", ":2" + finite),
                                ((kp, bad), "garbage line\n", ":2: confidences"),
-                               ((kp, nan), "garbage line\n", ":3: expected 18 joints")):
+                               ((kp, nan), "garbage line\n", ":2" + finite),
+                               ((kp, kp), "garbage line\n", ":3: expected 18 joints")):
         with open(path, "w") as fh:
             for i, row in enumerate(rows):
                 write_pose_line(fh, i, -1, row)
