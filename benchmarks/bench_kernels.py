@@ -40,7 +40,9 @@ input (the center window it keeps, and the whole 56x62 resize), the whole
 input, `config_from_dict` on the config the perfbench workloads write, and
 `pose.load_poses` on a 16-line keypoints file, and one acquire and release
 of the shared command lock an `infer` call takes.  One more row times a flow
-pyramid-level resize, a 22x72x96 stack to 36x48:
+pyramid-level resize, a 22x72x96 stack to 36x48.  The last row gives the
+package's size, the line counts of src/hhmon/*.py and of the C kernels, so
+that it comes from the same run as the timings:
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py [--size 256] [--iters 50] [--repeats 5]
 """
@@ -325,6 +327,17 @@ def request_rows(repeats):
     return rows
 
 
+def package_lines():
+    """(lines of src/hhmon/*.py, lines of _accel/flowkernels.c)."""
+    pkg = os.path.join(REPO, "src", "hhmon")
+
+    def lines(path):
+        with open(path, "rb") as fh:
+            return fh.read().count(b"\n")
+    py = sum(lines(os.path.join(pkg, n)) for n in os.listdir(pkg) if n.endswith(".py"))
+    return py, lines(os.path.join(pkg, "_accel", "flowkernels.c"))
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--size", type=int, default=256, help="kernel grid side")
@@ -407,6 +420,10 @@ def main():
         for name, t_fwd, t_bwd in training_rows(n_clips, args.repeats):
             print(f"{name:<36} {t_fwd * 1e3:>8.2f}ms "
                   + (f"{t_bwd * 1e3:>8.2f}ms" if t_bwd else f"{'-':>10}"))
+
+    py, c = package_lines()
+    print(f"\n{'size':<36} {'*.py':>10} {'C':>10}")
+    print(f"{'package lines':<36} {py:>10} {c:>10}")
 
 
 if __name__ == "__main__":

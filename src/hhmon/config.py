@@ -8,8 +8,9 @@ Each stage's block is that stage's own parameter object, passed to it whole:
 `TrainConfig` plus three pipeline-only fields) and the eval block are
 declared here, so every default is declared once.  Each block validates
 itself when built; a bad value is a ConfigError naming its section.  The
-loader also checks the one rule that spans blocks: frames no smaller than
-the flow solver's `min_size`.
+loader also checks the rules that span blocks: frames no smaller than the
+flow solver's `min_size`, and a clip input no smaller than the network can
+pool.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 
-from . import artifacts, metrics
+from . import artifacts, metrics, model
 from .clipset import AugmentConfig
 from .errors import ConfigError
 from .pose import RoiParams
@@ -127,6 +128,11 @@ def config_from_dict(data: dict) -> PipelineConfig:
         value = getattr(blocks["gen"], key)
         if value < min_size:
             raise ConfigError(f"gen.{key} {value} is below flow.min_size {min_size}")
+    # a crop the network cannot pool must not get past gen and prepare
+    least = model.min_input_size(model.i3d_mini())
+    if blocks["clip"].input_size < least:
+        raise ConfigError(f"clip.input_size {blocks['clip'].input_size} is below {least}, "
+                          f"the smallest input i3d_mini can pool")
     return PipelineConfig(seed=seed, **blocks)
 
 

@@ -8,8 +8,10 @@ trivial.
 
 The 2D twin of a spec is the same graph with every temporal extent forced to
 1; its trained kernels inflate back into the 3D net by repeating each kernel
-kT times along the new time axis and dividing by kT, so a time-constant clip
-reproduces the 2D response.
+kT times along the new time axis and dividing by kT.  So a time-constant clip
+reproduces the 2D response under circular temporal padding, which only tests
+use; the pipeline pads time with zeros, and the zeros past the clip's ends
+change the response there.
 
 The forward pass is the only walk through the blocks.  A training step
 (`want_cache=True`) appends, as each layer runs, a backward step
@@ -129,6 +131,20 @@ def i3d_mini(in_channels: int = 3, input_size: int = 56, clip_len: int = 16) -> 
     ]
     return NetSpec(in_channels=in_channels, clip_len=clip_len,
                    input_size=input_size, blocks=blocks)
+
+
+def min_input_size(spec: NetSpec) -> int:
+    """The smallest input side every block of `spec` can take, walked back
+    from a one-pixel output: r output pixels need (r - 1) * stride + 1 input
+    pixels through a same-padded layer and (r - 1) * stride + kernel through
+    a valid pool; a mixed block keeps its side."""
+    need = [1, 1]
+    for b in reversed(spec.blocks):
+        if not isinstance(b, MixedBlock):
+            valid = isinstance(b, PoolLayer) and b.padding == "valid"
+            need = [(r - 1) * s + (k if valid else 1)
+                    for r, k, s in zip(need, b.kernel[1:], (b.stride or b.kernel)[1:])]
+    return max(need)
 
 
 def collapse_temporal(spec: NetSpec) -> NetSpec:

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import artifacts, checkpoint, clipset, frameio, metrics, model, pose, synth, tracking, training, tvl1
+from . import (artifacts, checkpoint, clipset, frameio, layers, metrics, model, pose, synth,
+               tracking, training, tvl1)
 from .clipset import CLIP_LEN, AnnotationRecord, AugmentConfig, SplitResult
 from .config import PipelineConfig
 from .errors import ConfigError, DataError
@@ -395,22 +396,15 @@ def _window_starts(cfg: PipelineConfig, rec: AnnotationRecord) -> list[int]:
             for rel in clipset.window_starts(rec.n_frames, rec.label, cfg.clip)]
 
 
-def _record_windows(cfg: PipelineConfig, rec: AnnotationRecord, load, mode: str,
-                    starts: list[int]):
-    """Yield (start, tensor(C, 16, S, S)) for each of one record's window
-    starts, its scene read by `load` (see `_scene_loader`)."""
+def _record_clips(cfg: PipelineConfig, rec: AnnotationRecord, load, mode: str,
+                  starts: list[int], n_frames: int = CLIP_LEN):
+    """Yield one record's clips (C, n_frames, S, S), one per start, its
+    scene read by `load` (see `_scene_loader`) and its track once."""
     seq = load(rec)
     track = _track_for(cfg, rec)
     for start in starts:
-        yield start, clipset.sample_clip(seq, track, start, cfg.clip, mode=mode, seed=cfg.seed)
-
-
-def iter_windows(cfg: PipelineConfig, recs: list[AnnotationRecord], load, mode: str):
-    """Yield (clip_id, tensor(C, 16, S, S), label) over every sampling window,
-    each scene read by `load` (see `_scene_loader`)."""
-    for rec in recs:
-        for start, x in _record_windows(cfg, rec, load, mode, _window_starts(cfg, rec)):
-            yield clip_id_for(rec, start), x, rec.label
+        yield clipset.sample_clip(seq, track, start, cfg.clip, mode=mode, seed=cfg.seed,
+                                  n_frames=n_frames)
 
 
 # --- train ----------------------------------------------------------------
@@ -426,14 +420,10 @@ class TrainSummary:
 def _build_stills(cfg: PipelineConfig, recs: list[AnnotationRecord], load_rgb):
     xs, ys = [], []
     for rec in recs:
-        seq = load_rgb(rec)
-        track = _track_for(cfg, rec)
         picks = np.unique(np.linspace(rec.start_frame, rec.end_frame - 1,
                                       cfg.train.stills_per_scene).round().astype(int))
-        for f in picks:
-            xs.append(clipset.sample_clip(seq, track, int(f), cfg.clip, mode="train",
-                                          seed=cfg.seed, n_frames=1))
-            ys.append(rec.label)
+        xs += _record_clips(cfg, rec, load_rgb, "train", picks.tolist(), n_frames=1)
+        ys += [rec.label] * len(picks)
     if not xs:
         raise DataError("no training scenes to build the still-image task from")
     return np.stack(xs), np.asarray(ys, dtype=np.float64)
@@ -484,8 +474,9 @@ def train_stream(cfg: PipelineConfig, stream: str) -> TrainSummary:
     if stream == "rgb":
         nets.append(training.scratch_network(spec, cfg.seed, head_seed=cfg.seed + 1))
     load = load_rgb if stream == "rgb" else _scene_loader(cfg, "flow")
-    clip_iter = ((x, y) for _, x, y in iter_windows(cfg, train_recs, load, "train"))
-    feats, labels = training.extract_features(nets, clip_iter)
+    clips = ((x, rec.label) for rec in train_recs
+             for x in _record_clips(cfg, rec, load, "train", _window_starts(cfg, rec)))
+    feats, labels = training.extract_features(nets, clips)
     summary.n_windows = len(labels)
     curves = [training.train_head_on_features(n, f, labels, head_cfg, cfg.seed)
               for n, f in zip(nets, feats)]
@@ -500,22 +491,30 @@ def train_stream(cfg: PipelineConfig, stream: str) -> TrainSummary:
 # --- eval -----------------------------------------------------------------
 
 def _eval_starts(cfg: PipelineConfig, rec: AnnotationRecord) -> list[int]:
+    if rec.n_frames < CLIP_LEN:
+        raise DataError(f"{rec.video_id}: too short for a start-frame window")
     if cfg.eval.mode == "per-annotated-clip":
-        if rec.n_frames < CLIP_LEN:
-            raise DataError(f"{rec.video_id}: too short for a start-frame window")
         return [rec.start_frame]
     return _window_starts(cfg, rec)
 
 
-def _score_stream(cfg: PipelineConfig, net: model.Network,
-                  recs: list[AnnotationRecord], load) -> list[float]:
-    """One aggregated score per annotated clip, window scores averaged."""
-    out = []
-    for rec in recs:
-        windows = _record_windows(cfg, rec, load, "eval", _eval_starts(cfg, rec))
-        scores = training.score_clips(net, (x for _, x in windows))
-        out.append(metrics.window_average(scores))
-    return out
+def _test_scores(cfg: PipelineConfig, nets: dict[str, model.Network],
+                 recs: list[AnnotationRecord]) -> dict[str, list[float]]:
+    """Each net's score per record (see `evaluate`): its window scores
+    averaged, from one head product over the record's feature rows."""
+    scores = {name: [] for name in nets}
+    for stream, names in (("rgb", ("rgb", "rgb_scratch")), ("flow", ("flow",))):
+        names = [name for name in names if name in nets]
+        if not names:
+            continue
+        load = _scene_loader(cfg, stream)
+        for rec in recs:
+            clips = ((x, rec.label)
+                     for x in _record_clips(cfg, rec, load, "eval", _eval_starts(cfg, rec)))
+            feats, _ = training.extract_features([nets[name] for name in names], clips)
+            for name, f in zip(names, feats):
+                scores[name].append(metrics.window_average(layers.sigmoid(nets[name].head(f))))
+    return scores
 
 
 def _dataset_hash(cfg: PipelineConfig) -> str:
@@ -534,30 +533,31 @@ class EvalResult:
 
 
 def evaluate(cfg: PipelineConfig) -> EvalResult:
+    """Score the test split with each stream checkpoint found (rgb_scratch
+    only beside rgb) and write the report bundle.  Each stream makes one
+    pass: a record's scene and track are read once and each eval window is
+    sampled once for every net of the stream, so rgb_scratch scores rgb's clips."""
     records, split = load_prepared(cfg)
     test_recs = [records[i] for i in split.test]
     if not test_recs:
         raise DataError("test split is empty")
     nets = {}
-    for stream in ("rgb", "flow"):
-        path = _ckpt_path(cfg, stream)
-        if os.path.isfile(path):
-            nets[stream] = checkpoint.load_network(path)
+    for name in ("rgb", "flow", "rgb_scratch"):
+        path = _ckpt_path(cfg, name)
+        if os.path.isfile(path) and (name != "rgb_scratch" or "rgb" in nets):
+            nets[name] = checkpoint.load_network(path)
     if not nets:
         raise DataError(f"no stream checkpoints found: rgb ({_ckpt_path(cfg, 'rgb')}), "
                         f"flow ({_ckpt_path(cfg, 'flow')})")
     warnings = [f"{s}: checkpoint missing, row marked absent"
                 for s in ("rgb", "flow") if s not in nets]
 
-    loaders = {s: _scene_loader(cfg, s) for s in nets}
-    scores = {s: _score_stream(cfg, nets[s], test_recs, loaders[s]) for s in nets}
-    clips = []
-    for i, rec in enumerate(test_recs):
-        clips.append(ScoredClip(
-            clip_id=clip_id_for(rec, rec.start_frame), label=rec.label,
-            score_rgb=scores["rgb"][i] if "rgb" in scores else None,
-            score_flow=scores["flow"][i] if "flow" in scores else None,
-        ))
+    scores = _test_scores(cfg, nets, test_recs)
+    absent = [None] * len(test_recs)
+    clips = [ScoredClip(clip_id=clip_id_for(rec, rec.start_frame), label=rec.label,
+                        score_rgb=rgb, score_flow=flow)
+             for rec, rgb, flow in zip(test_recs, scores.get("rgb", absent),
+                                       scores.get("flow", absent))]
 
     metadata = {
         "dataset_hash": _dataset_hash(cfg),
@@ -566,12 +566,9 @@ def evaluate(cfg: PipelineConfig) -> EvalResult:
         "threshold": cfg.eval.threshold,
         "n_test_clips": len(test_recs),
     }
-    scratch_path = _ckpt_path(cfg, "rgb_scratch")
-    if "rgb" in nets and os.path.isfile(scratch_path):
-        scratch_net = checkpoint.load_network(scratch_path)
-        scratch_scores = _score_stream(cfg, scratch_net, test_recs, loaders["rgb"])
+    if "rgb_scratch" in nets:
         rows = []
-        for name, vals in (("pretrained", scores["rgb"]), ("scratch", scratch_scores)):
+        for name, vals in (("pretrained", scores["rgb"]), ("scratch", scores["rgb_scratch"])):
             sc = [ScoredClip(c.clip_id, c.label, score_rgb=v)
                   for c, v in zip(clips, vals)]
             cm = metrics.confusion_for(sc, "RGB", cfg.eval.threshold)

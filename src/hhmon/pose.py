@@ -77,15 +77,6 @@ class PoseFrame:
     persons: list[np.ndarray] = field(default_factory=list)
     person_hints: list[int] = field(default_factory=list)
 
-    def __post_init__(self):
-        for p in self.persons:
-            if p.shape != (N_JOINTS, 3):
-                raise DataError(f"frame {self.frame_index}: person must have exactly {N_JOINTS} joints, "
-                                f"got shape {p.shape}")
-            c = p[:, 2]
-            if np.any(c < 0) or np.any(c > 1):
-                raise DataError(f"frame {self.frame_index}: confidences must lie in [0, 1]")
-
 
 def _check_values(path: str, linenos: list[int], persons: list[np.ndarray]) -> None:
     """Raise naming the first of the lines read that holds a non-finite

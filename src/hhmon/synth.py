@@ -59,14 +59,6 @@ class SceneSpec:
     date_tag: str = "d00"
     joint_dropout: float = 0.0
 
-    def __post_init__(self):
-        if self.n_persons < 1:
-            raise ConfigError(f"n_persons must be >= 1, got {self.n_persons}")
-        if self.n_frames < 16:
-            raise ConfigError(f"n_frames must be >= 16, got {self.n_frames}")
-        if self.class_label not in (0, 1):
-            raise ConfigError(f"class_label must be 0 or 1, got {self.class_label}")
-
 
 def default_motion(spec: SceneSpec, rng: np.random.Generator) -> list[PersonMotion]:
     """Person 0 performs the scene's class action; extra persons idle nearby."""

@@ -57,6 +57,8 @@ class LinkParams:
     def __post_init__(self):
         if not 0.0 <= self.tau_new <= 1.0:
             raise ConfigError(f"tau_new must lie in [0, 1], got {self.tau_new}")
+        if self.max_gap < 0:
+            raise ConfigError(f"max_gap must be >= 0, got {self.max_gap}")
         if self.smooth_window < 1:
             raise ConfigError(f"smoothing window must be >= 1, got {self.smooth_window}")
 

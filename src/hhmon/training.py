@@ -97,13 +97,6 @@ def train_head_on_features(net: Network, feats: np.ndarray, y: np.ndarray,
     return sgd_train(head, feats[:, :, None, None, None], y, cfg, seed)
 
 
-def score_clips(net: Network, clips) -> np.ndarray:
-    """Sigmoid scores for a stream of clips (C, T, H, W): each clip's
-    backbone runs alone as it arrives, the head once on all the features."""
-    feats = [net.features(clip[None]) for clip in clips]
-    return layers.sigmoid(net.head(np.concatenate(feats))) if feats else np.zeros(0)
-
-
 def pretrain_twin(spec: NetSpec, stills: np.ndarray, labels: np.ndarray,
                   cfg: TrainConfig, seed: int) -> Network:
     """Train the temporally collapsed twin on single-frame classification;

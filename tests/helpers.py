@@ -225,6 +225,25 @@ def batched_scores_oracle(net, x, batch_size=8):
         for i in range(0, len(x), batch_size)])
 
 
+def eval_scores_oracle(cfg, net, recs, stream):
+    """Each test record's score as `hhmon eval` computed it before one pass
+    per stream fed every net: a pass of `net` alone, which reads the
+    record's scene and track, samples each eval window, runs its backbone
+    one clip at a time, the head once on all the window features, and
+    averages the sigmoid scores."""
+    from hhmon import clipset, layers, metrics, pipeline
+
+    load = pipeline._scene_loader(cfg, stream)
+    out = []
+    for rec in recs:
+        seq, track = load(rec), pipeline._track_for(cfg, rec)
+        feats = [net.features(clipset.sample_clip(seq, track, start, cfg.clip, mode="eval",
+                                                  seed=cfg.seed)[None])
+                 for start in pipeline._eval_starts(cfg, rec)]
+        out.append(metrics.window_average(layers.sigmoid(net.head(np.concatenate(feats)))))
+    return out
+
+
 def flow_energy(rho_c, I1wx, I1wy, u1, u2, lam):
     """TV-L1 objective under one warp's linearization: lam * data residual
     + TV, summed over every plane of the (P, h, w) stacks given."""

@@ -5,6 +5,7 @@ planes to stacks of one.
 """
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -473,3 +474,7 @@ def test_the_kernel_benchmark_script_runs(tmp_path):
     assert "crop_window 16x18x20x3 -> 3x16x56x56" in run.stdout
     assert "pyramid resize 22x72x96 -> 22x36x48" in run.stdout
     assert "command lock acquire + release" in run.stdout
+    pkg = REPO / "src" / "hhmon"
+    py = sum(len(p.read_bytes().splitlines()) for p in pkg.glob("*.py"))
+    c = len((pkg / "_accel" / "flowkernels.c").read_bytes().splitlines())
+    assert re.search(rf"^package lines +{py} +{c}$", run.stdout, re.M)

@@ -180,6 +180,9 @@ def test_bad_values_are_rejected_naming_their_section():
         ("link", {"smooth_window": 0}, "link: smoothing window must be >= 1"),
         ("link", {"tau_new": 1.5}, "link: tau_new must lie in"),
         ("flow", {"max_flow": 0}, "flow: max_flow must be positive"),
+        ("link", {"max_gap": -1}, "link: max_gap must be >= 0, got -1"),
+        ("clip", {"input_size": 6}, "clip.input_size 6 is below 7, the smallest input i3d_mini"),
+        ("clip", {"input_size": 0}, "clip.input_size 0 is below 7"),
     ):
         with pytest.raises(ConfigError, match=message):
             config_from_dict({section: values})

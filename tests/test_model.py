@@ -22,6 +22,7 @@ from hhmon.model import (
     inflate_2d_to_3d,
     inflate_params,
     init_params,
+    min_input_size,
 )
 
 
@@ -360,3 +361,25 @@ def test_default_topology_dimensions():
     x = np.random.default_rng(0).random((1, 3, 16, 56, 56)).astype(np.float32)
     logits, _ = net.forward(x)
     assert logits.shape == (1,)
+
+
+def test_min_input_size_is_the_smallest_side_every_block_takes():
+    # i3d_mini: 7 -> 4 (conv1) -> 2 (pool1) -> 1 (pool2); 6 fails at pool2
+    valid_pool = NetSpec(in_channels=1, clip_len=4, input_size=8, blocks=[
+        PoolLayer("pool1", (1, 3, 3), (1, 2, 2)),
+        ConvLayer("conv1", 1, 2, (1, 3, 3), (1, 3, 3)),
+        PoolLayer("pool2", (1, 2, 2), (1, 1, 1), "same"),
+    ])
+    assert min_input_size(valid_pool) == 3
+    assert min_input_size(micro_spec()) == 3
+    assert min_input_size(i3d_mini()) == 7
+    for spec in (i3d_mini(), collapse_temporal(i3d_mini()), valid_pool, micro_spec()):
+        least = min_input_size(spec)
+        for side, fits in ((least, True), (least - 1, False)):
+            net = Network.init(spec, seed=0)
+            x = np.zeros((1, spec.in_channels, spec.clip_len, side, side), dtype=np.float32)
+            if fits:
+                assert net.features(x).shape == (1, spec.head_features)
+            else:
+                with pytest.raises(ModelError, match="exceeds input"):
+                    net.features(x)

@@ -1,21 +1,25 @@
 """Pipeline stages wired to a miniature generated dataset."""
 
+import copy
 import json
 import multiprocessing
 import os
+import shutil
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hhmon import checkpoint, clipset, frameio, model, pipeline, tracking, training
+from hhmon import (checkpoint, cli, clipset, config, frameio, metrics, model, pipeline, tracking,
+                   training)
 from hhmon.clipset import CLIP_LEN, AnnotationRecord, AugmentConfig, split_dataset, window_starts
 from hhmon.config import PipelineConfig
 from hhmon.errors import DataError
 from hhmon.frameio import FrameSequence
 from hhmon.pose import BBox
 
-from helpers import tree_bytes
+from helpers import eval_scores_oracle, tree_bytes
 
 
 def tiny_cfg(tmp_path):
@@ -111,20 +115,22 @@ def test_missing_keypoints_is_reported_by_video(tmp_path):
         pipeline.prepare(cfg)
 
 
-def test_iter_windows_counts_and_layout(prepared):
+def test_record_clips_counts_and_layout(prepared):
     cfg, _, result = prepared
     recs = [result.records[i] for i in result.split.train][:4]
-    want = sum(len(window_starts(r.n_frames, r.label, cfg.clip)) for r in recs)
-    got = list(pipeline.iter_windows(cfg, recs, pipeline._scene_loader(cfg, "rgb"), "eval"))
-    assert len(got) == want
-    clip_id, tensor, label = got[0]
-    vid, track_id, start = clip_id.split(":")
-    assert vid == recs[0].video_id
-    assert int(track_id) == recs[0].track_id
-    assert int(start) == recs[0].start_frame
-    assert tensor.shape == (3, 16, 24, 24)
-    assert tensor.dtype == np.float32
-    assert label in (0, 1)
+    load = pipeline._scene_loader(cfg, "rgb")
+    for r in recs:
+        starts = pipeline._window_starts(cfg, r)
+        assert starts == [r.start_frame + s for s in window_starts(r.n_frames, r.label, cfg.clip)]
+        got = list(pipeline._record_clips(cfg, r, load, "eval", starts))
+        assert len(got) == len(starts) > 0
+        assert all(x.shape == (3, 16, 24, 24) and x.dtype == np.float32 for x in got)
+        track = pipeline._track_for(cfg, r)
+        want = clipset.sample_clip(load(r), track, starts[-1], cfg.clip, mode="eval",
+                                   seed=cfg.seed)
+        assert np.array_equal(got[-1], want)
+    stills = list(pipeline._record_clips(cfg, recs[0], load, "train", [0, 3], n_frames=1))
+    assert [x.shape for x in stills] == [(3, 1, 24, 24)] * 2
 
 
 def test_compute_flow_skips_existing(prepared, monkeypatch):
@@ -259,14 +265,16 @@ def test_train_rgb_samples_each_window_once(tmp_path, monkeypatch):
     assert len(sampled) == len(set(sampled)) == summary.n_windows
 
     # the two-pass route: inflated backbone, then the scratch control, each
-    # on its own pass over the windows
+    # on its own pass over the windows, sampled here without the pipeline
     spec = model.i3d_mini(in_channels=3, input_size=cfg.clip.input_size)
     head_cfg = replace(cfg.train, lr=cfg.train.head_lr)
     twin = checkpoint.load_network(pipeline._twin_path(cfg))
     for name, net in (("rgb", training.inflate_and_freeze(twin, spec, head_seed=cfg.seed + 1)),
                       ("rgb_scratch", training.scratch_network(spec, cfg.seed, cfg.seed + 1))):
         load = pipeline._scene_loader(cfg, "rgb")
-        windows = ((x, y) for _, x, y in pipeline.iter_windows(cfg, train_recs, load, "train"))
+        windows = ((clipset.sample_clip(load(r), pipeline._track_for(cfg, r), r.start_frame + s,
+                                        cfg.clip, mode="train", seed=cfg.seed), r.label)
+                   for r in train_recs for s in window_starts(r.n_frames, r.label, cfg.clip))
         (feats,), labels = training.extract_features([net], windows)
         training.train_head_on_features(net, feats, labels, head_cfg, cfg.seed)
         saved = checkpoint.load_network(pipeline._ckpt_path(cfg, name))
@@ -354,6 +362,86 @@ def test_dataset_stats_recount():
     assert text.count("(") >= 18  # every cell prints count(frames)
 
 
+@pytest.fixture(scope="module")
+def three_nets(prepared, tmp_path_factory):
+    """A copy of the prepared workspace with flow, and rgb, flow and
+    rgb_scratch checkpoints: two backbones inflated from a random twin and a
+    random control, each under its own head."""
+    cfg = copy.deepcopy(prepared[0])
+    tmp = tmp_path_factory.mktemp("three-nets")
+    shutil.copytree(cfg.paths.work_dir, tmp / "work")
+    cfg.paths.work_dir = str(tmp / "work")
+    cfg.paths.checkpoint_dir = str(tmp / "ckpt")
+    cfg.paths.report_dir = str(tmp / "report")
+    pipeline.compute_flow(cfg)
+    spec = model.i3d_mini(in_channels=3, input_size=cfg.clip.input_size)
+    flow_spec = model.i3d_mini(in_channels=2, input_size=cfg.clip.input_size)
+    twin = model.Network.init(model.collapse_temporal(spec), seed=5)
+    for name, net in (("rgb", training.inflate_and_freeze(twin, spec, head_seed=6)),
+                      ("flow", training.inflate_and_freeze(twin, flow_spec, 7, flow=True)),
+                      ("rgb_scratch", training.scratch_network(spec, seed=8, head_seed=9))):
+        checkpoint.save_network(net, pipeline._ckpt_path(cfg, name))
+    return cfg
+
+
+@pytest.mark.parametrize("mode", ["per-annotated-clip", "per-window"])
+def test_eval_scores_equal_each_net_on_its_own_pass_bitwise(three_nets, mode):
+    cfg = copy.deepcopy(three_nets)
+    cfg.eval.mode = mode
+    records, split = pipeline.load_prepared(cfg)
+    test_recs = [records[i] for i in split.test]
+    windows = [len(pipeline._eval_starts(cfg, r)) for r in test_recs]
+    assert max(windows) == (1 if mode == "per-annotated-clip" else 5)
+    nets = {name: checkpoint.load_network(pipeline._ckpt_path(cfg, name))
+            for name in ("rgb", "flow", "rgb_scratch")}
+    want = {name: eval_scores_oracle(cfg, net, test_recs, "flow" if name == "flow" else "rgb")
+            for name, net in nets.items()}
+    assert pipeline._test_scores(cfg, nets, test_recs) == want
+    result = pipeline.evaluate(cfg)
+    assert [c.score_rgb for c in result.clips] == want["rgb"]
+    assert [c.score_flow for c in result.clips] == want["flow"]
+    rows = result.report.metadata["transfer_comparison"]
+    for row, name in zip(rows, ("rgb", "rgb_scratch")):
+        scored = [metrics.ScoredClip("c", r.label, score_rgb=v)
+                  for r, v in zip(test_recs, want[name])]
+        cm = metrics.confusion_for(scored, "RGB", cfg.eval.threshold)
+        assert row["accuracy"] == metrics.metrics(cm).accuracy
+
+
+def test_eval_reads_and_samples_each_test_record_once_per_stream(three_nets, monkeypatch):
+    # rgb and rgb_scratch share the RGB pass; each net on its own pass made
+    # three reads, parses and crops per record
+    cfg = three_nets
+    calls = Counter()
+    for module, name in ((clipset, "sample_clip"), (frameio, "load_sequence"),
+                         (tracking, "load_tracks")):
+        def counting(*args, _name=name, _original=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+    result = pipeline.evaluate(cfg)
+    assert "transfer_comparison" in result.report.metadata
+    n = len(result.clips)
+    assert calls == {"sample_clip": 2 * n, "load_sequence": 2 * n, "load_tracks": 2 * n}
+
+
+def test_per_window_eval_names_a_record_with_no_window(three_nets, tmp_path, capsys):
+    cfg = copy.deepcopy(three_nets)
+    cfg.eval.mode = "per-window"
+    shutil.copytree(cfg.paths.work_dir, tmp_path / "work")
+    cfg.paths.work_dir = str(tmp_path / "work")
+    cfg.paths.report_dir = str(tmp_path / "report")
+    records, split = pipeline.load_prepared(cfg)
+    victim = records[split.test[-1]]
+    records[split.test[-1]] = replace(victim, end_frame=victim.start_frame + 10)
+    clipset.save_annotations(records, pipeline._annotations_path(cfg))
+    path = tmp_path / "cfg.json"
+    path.write_text(config.dump_config(cfg))
+    assert cli.main(["eval", "--config", str(path)]) == 3
+    assert capsys.readouterr().err == (f"error: {victim.video_id}: too short for a "
+                                       f"start-frame window\n")
+
+
 def test_resolve_track_prefers_coverage():
     short = tracking.Track(0, entries=[(f, BBox(0, 0, 5, 5)) for f in range(4)])
     long = tracking.Track(1, entries=[(f, BBox(0, 0, 5, 5)) for f in range(20)])
@@ -370,8 +458,9 @@ def test_eval_starts_modes(prepared):
     cfg_w = tiny_cfg_from(cfg)
     cfg_w.eval.mode = "per-window"
     assert pipeline._eval_starts(cfg_w, record) == list(range(5))
-    with pytest.raises(DataError, match="too short"):
-        pipeline._eval_starts(cfg, rec("v", "d0", 10, 1))
+    for c in (cfg, cfg_w):
+        with pytest.raises(DataError, match="^v: too short for a start-frame window$"):
+            pipeline._eval_starts(c, rec("v", "d0", 10, 1))
 
 
 def tiny_cfg_from(cfg):

@@ -200,5 +200,6 @@ def test_manifest_roundtrip(tmp_path):
 
 
 def test_scene_needs_at_least_16_frames():
-    with pytest.raises(ConfigError):
-        small_spec(n_frames=8)
+    # scenes take their lengths from the dataset config, which holds the check
+    with pytest.raises(ConfigError, match="need 16 <= n_frames_min"):
+        small_dataset_config(n_frames_min=8, n_frames_max=8)

@@ -22,7 +22,6 @@ from hhmon.training import (
     extract_features,
     inflate_and_freeze,
     pretrain_twin,
-    score_clips,
     scratch_network,
     sgd_train,
     train_head_on_features,
@@ -158,16 +157,10 @@ def test_extract_features_shapes_and_empty_error(rng):
     assert np.array_equal(labels, y)
     assert np.allclose(feats, net.features(x), atol=1e-5)
     assert np.allclose(feats_other, other.features(x), atol=1e-5)
+    # eval's scores: the head once on a record's feature rows
+    assert np.allclose(layers.sigmoid(net.head(feats)), net.score(x), atol=1e-6)
     with pytest.raises(ModelError, match="no clips"):
         extract_features([net], iter(()))
-
-
-def test_score_clips_matches_direct_scoring(rng):
-    net = Network.init(tiny_spec(), seed=1)
-    x, y = toy_clips(rng, n=7)
-    batched = score_clips(net, iter(x))
-    assert np.allclose(batched, net.score(x), atol=1e-6)
-    assert score_clips(net, iter(())).shape == (0,)
 
 
 @pytest.fixture(scope="module")
@@ -182,7 +175,7 @@ def test_one_clip_at_a_time_equals_the_batch_wide_route(rng, monkeypatch, defaul
     # 11 clips: one batch of 8 and one of 3 on the batch-wide route
     x = rng.uniform(-1, 1, size=(11, 3, 16, 56, 56)).astype(np.float32)
     feats, _ = extract_features(default_nets, zip(x, np.arange(11) % 2))
-    scores = [score_clips(net, iter(x)) for net in default_nets]
+    scores = [layers.sigmoid(net.head(f)) for net, f in zip(default_nets, feats)]
     # the batch-wide route ran every clip's convolutions whole, in no slabs
     monkeypatch.setattr(layers, "COLUMN_BYTES", 1 << 62)
     for net, got, got_scores in zip(default_nets, feats, scores):
