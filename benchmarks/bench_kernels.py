@@ -15,6 +15,9 @@ scene rows keep their `flow_sequence` label.  The flow stage row runs
 a generated 3-scene 192x144 tree (perfbench's flow_large_frames input) and
 reports its wall time and the workers' CPU time from RUSAGE_CHILDREN, as a
 share of workers x wall: a profiler in this process does not see the workers.
+The generation rows render one 23-frame scene (`synth.generate_scene`) at
+96x72 and at 192x144, best of 5, and time `synth.generate_dataset` on
+perfbench's 8 desk scenes, with the worker count in the label.
 The script builds the C library with setup.py into a temporary directory and
 binds it from there, so nothing is left under src/ (a library built in place
 would switch the package, and everything run on the checkout, to the
@@ -59,7 +62,7 @@ import tracemalloc
 import numpy as np
 
 from hhmon import (_accel, _purekernels, backend, cli, clipset, config, frameio, layers,
-                   model, pipeline, pose, synth, training, tvl1)
+                   model, pipeline, pose, synth, training, tvl1, workers)
 from hhmon.frameio import FrameSequence
 from hhmon.pose import BBox
 
@@ -196,7 +199,26 @@ def flow_stage(repeats):
             cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
             if best is None or wall < best[0]:
                 best = (wall, cpu)
-    return (*best, pipeline.flow_workers())
+    return (*best, workers.count())
+
+
+def gen_rows(repeats):
+    """(name, best s) of `synth.generate_scene` on one 23-frame scene at
+    96x72 and at 192x144, best of 5, and of the wall time of
+    `synth.generate_dataset` on perfbench's 8 desk scenes, best of `repeats`."""
+    rows = []
+    for w, h in ((96, 72), (192, 144)):
+        spec = synth.SceneSpec(seed=3, n_frames=23, width=w, height=h)
+        rows.append((f"render scene 23x{w}x{h}", best_of(lambda: synth.generate_scene(spec), 5)[0]))
+    cfg = synth.DatasetConfig(n_rubbing=3, n_other=3, n_synthetic_rubbing=2,
+                              n_frames_min=23, n_frames_max=23)
+    with tempfile.TemporaryDirectory(prefix="hhmon-gen-") as tmp:
+        runs = iter(range(repeats))
+        t, _ = best_of(lambda: synth.generate_dataset(cfg, os.path.join(tmp, str(next(runs))), 0),
+                       repeats)
+    n = workers.count()
+    rows.append((f"gen 8 desk scenes ({n} worker{'s' if n != 1 else ''})", t))
+    return rows
 
 
 def network_rows(n_clips, repeats):
@@ -399,6 +421,10 @@ def main():
     print(f"\n{'flow stage (active backend)':<36} {'wall':>10} {'CPU':>10} {'share':>8}")
     print(f"{'compute_flow 3x23x192x144':<36} {wall:>9.2f}s {cpu:>9.2f}s "
           f"{cpu / (wall * workers):>7.0%}  of {workers} workers")
+
+    print(f"\n{'scene generation':<36} {'time':>10}")
+    for name, t in gen_rows(args.repeats):
+        print(f"{name:<36} {t * 1e3:>8.2f}ms")
 
     print(f"\n{'layer (inflated net)':<36} {'general':>10} {'no-cache':>10} {'speedup':>8} "
           f"{'max|diff|':>10}")

@@ -1,9 +1,10 @@
 """The `hhmon` command line: gen, prepare, flow, train, eval, infer.
 
-Exit codes: 0 success, 2 configuration or usage, 3 data, 4 model.  Each
-command locks `<work_dir>/.lock`: `infer`, which only reads, shares the lock
-with other `infer` calls, and every other command holds it alone.  A command
-that finds the lock held exits 2; a dead holder's lock is gone with it.
+Exit codes: 0 success, 1 a worker process that died without its result,
+2 configuration or usage, 3 data, 4 model.  Each command locks
+`<work_dir>/.lock`: `infer`, which only reads, shares the lock with other
+`infer` calls, and every other command holds it alone.  A command that
+finds the lock held exits 2; a dead holder's lock is gone with it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import functools
 import os
 import sys
 
-from . import backend, metrics, pipeline
+from . import backend, metrics, pipeline, workers
 from .config import PipelineConfig, dump_config, load_config
 from .errors import ConfigError, HhmonError
 
@@ -101,10 +102,10 @@ def _cmd_prepare(cfg: PipelineConfig, args) -> int:
 
 def _cmd_flow(cfg: PipelineConfig, args) -> int:
     n = pipeline.compute_flow(cfg, force=args.force)
-    workers = pipeline.flow_workers()
+    n_workers = workers.count()
     print(f"computed flow for {n} scenes under "
           f"{os.path.join(cfg.paths.work_dir, 'flow')} ({backend.BACKEND} kernels, "
-          f"{workers} process{'es' if workers != 1 else ''})")
+          f"{n_workers} process{'es' if n_workers != 1 else ''})")
     return 0
 
 

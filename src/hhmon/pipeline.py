@@ -13,13 +13,12 @@ import hashlib
 import json
 import os
 import shutil
-import signal
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import (artifacts, checkpoint, clipset, frameio, layers, metrics, model, pose, synth,
-               tracking, training, tvl1)
+               tracking, training, tvl1, workers)
 from .clipset import CLIP_LEN, AnnotationRecord, AugmentConfig, SplitResult
 from .config import PipelineConfig
 from .errors import ConfigError, DataError
@@ -218,51 +217,12 @@ def stats_from_manifest(cfg: PipelineConfig, manifest: dict) -> str:
 
 # --- flow -----------------------------------------------------------------
 
-def flow_workers() -> int:
-    """Processes the flow stage solves in: one per CPU this process may run on."""
-    return len(os.sched_getaffinity(0))
-
-
 def _pair_ranges(n_pairs: int, n_ranges: int) -> list[tuple[int, int]]:
     """At most `n_ranges` contiguous, non-empty pair ranges [a, b) that
     cover pairs 0..n_pairs, of near-equal length."""
     k = min(n_ranges, n_pairs)
     bounds = [i * n_pairs // k for i in range(k + 1)]
     return list(zip(bounds[:-1], bounds[1:]))
-
-
-def _flow_worker(conn, parent_ends, params: tvl1.TvL1Params) -> None:
-    """Receive jobs (frames dir, a, b), pairs [a, b) of a scene, through
-    `conn`; solve each from its frames a..b with `tvl1.sequence_flow` and
-    send its (u1, u2) back.  An error is sent in place of its job's result
-    and ends the worker.  The parent's ends of every worker's pipe, which
-    the fork copied, are closed first, so once the parent is gone the next
-    receive gets EOF, or the next send EPIPE, and the worker exits."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C
-    for end in parent_ends:
-        end.close()
-    try:
-        while True:
-            frames_dir, a, b = conn.recv()
-            try:
-                seq = frameio.load_sequence(frames_dir, slice(a, b + 1))
-                result = tvl1.sequence_flow(seq.data, params, f"{seq.video_id}: ")
-            except Exception as exc:  # raised again in the parent
-                conn.send(exc)
-                return
-            conn.send(result)
-    except (EOFError, ConnectionError):  # the parent is gone
-        pass
-
-
-def _receive(conn):
-    try:
-        part = conn.recv()
-    except EOFError:
-        raise RuntimeError("a flow worker exited without sending its result") from None
-    if isinstance(part, Exception):
-        raise part
-    return part
 
 
 def _save_flow(cfg: PipelineConfig, out_dir: str, meta: dict, parts: list) -> None:
@@ -277,30 +237,21 @@ def _save_flow(cfg: PipelineConfig, out_dir: str, meta: dict, parts: list) -> No
 def compute_flow(cfg: PipelineConfig, force: bool = False) -> int:
     """TV-L1 flow for every scene; returns the number of scenes processed.
 
-    The pairs are solved in a pool of `flow_workers()` processes, forked
-    (the `fork` context) so that they run the kernel backend this process
-    loaded.  Each scene is cut into that many contiguous pair ranges (fewer
-    when it has fewer pairs) that share their boundary frames, and the
-    (scene, range) jobs are handed out in scene order, one at a time: a
-    worker gets its next job as soon as it returns a result, so none waits
-    for another.  Every pair is solved as if alone, so the flow equals, bit
-    for bit, one `tvl1.sequence_flow` call.  Each worker has one pipe, for
-    its jobs and its results, and the results are read here in the main
-    thread, from whichever pipe is ready (`multiprocessing.connection.wait`):
-    a result thread, as in `concurrent.futures`, would unpickle them into a
-    second malloc arena and raise the peak RSS.  Workers ignore SIGINT.  A
-    worker's error is raised here as it arrives, and any error or interrupt
-    here terminates the workers, so none outlives the call; a worker whose
-    parent was killed exits at its next receive or send.  Nothing is
-    forked when no scene needs flow.
+    The pairs are solved in the worker pool (`workers.run`), one process
+    per CPU.  Each scene is cut into that many contiguous pair ranges
+    (fewer when it has fewer pairs) that share their boundary frames, and
+    the (scene, range) jobs are handed out in scene order.  A worker loads
+    its range's frames a..b and solves pairs [a, b) with
+    `tvl1.sequence_flow`.  Every pair is solved as if alone, so the flow
+    equals, bit for bit, one `tvl1.sequence_flow` call.
 
-    A scene is joined and written once its last range is in, so scenes may
-    be written out of order.  Its flow dir is published whole
+    A scene is joined and written here once its last range is in, so scenes
+    may be written out of order.  Its flow dir is published whole
     (`frameio.save_sequence`), so it exists only once complete, and a scene
     with a flow dir is skipped unless `force`.
     """
     manifest = synth.load_manifest(cfg.paths.dataset_dir)
-    workers = flow_workers()
+    n_workers = workers.count()
     scenes = []
     for entry in manifest["scenes"]:
         out_dir = _flow_dir(cfg, entry["video_id"])
@@ -311,48 +262,24 @@ def compute_flow(cfg: PipelineConfig, force: bool = False) -> int:
         if len(names) < 2:
             raise DataError(f"{meta['video_id']}: need at least 2 frames for flow, "
                             f"got {len(names)}")
-        scenes.append((frames_dir, out_dir, meta, _pair_ranges(len(names) - 1, workers)))
-    if not scenes:
-        return 0
-    import multiprocessing  # here, not at the top: it adds about 10 ms to every import
-    from multiprocessing.connection import wait
-
-    jobs = [(k, a, b) for k, (*_, ranges) in enumerate(scenes) for a, b in ranges][::-1]
+        scenes.append((frames_dir, out_dir, meta, _pair_ranges(len(names) - 1, n_workers)))
     parts = [[] for _ in scenes]  # (a, (u1, u2)) of each range received so far
-    running = {}  # pipe -> (scene, first pair) of the job its worker solves
 
-    def hand_out(conn):
-        if jobs:
-            k, a, b = jobs.pop()
-            conn.send((scenes[k][0], a, b))
-            running[conn] = k, a
+    def solve(job):
+        k, a, b = job
+        seq = frameio.load_sequence(scenes[k][0], slice(a, b + 1))
+        return tvl1.sequence_flow(seq.data, cfg.flow, f"{seq.video_id}: ")
 
-    fork = multiprocessing.get_context("fork")
-    procs, conns = [], []
-    try:
-        for _ in range(min(workers, len(jobs))):
-            conn, child_end = fork.Pipe()
-            conns.append(conn)
-            procs.append(fork.Process(target=_flow_worker, args=(child_end, conns, cfg.flow),
-                                      daemon=True))
-            procs[-1].start()
-            child_end.close()
-            hand_out(conn)
-        while running:
-            for conn in wait(list(running)):
-                k, a = running.pop(conn)
-                parts[k].append((a, _receive(conn)))
-                hand_out(conn)
-                _, out_dir, meta, ranges = scenes[k]
-                if len(parts[k]) == len(ranges):
-                    done, parts[k] = sorted(parts[k], key=lambda part: part[0]), None
-                    _save_flow(cfg, out_dir, meta, [uv for _, uv in done])
-    finally:
-        for proc in procs:
-            proc.terminate()  # harmless for a worker that has exited
-            proc.join()
-        for conn in conns:
-            conn.close()
+    def done(job, uv):
+        k, a, _ = job
+        _, out_dir, meta, ranges = scenes[k]
+        parts[k].append((a, uv))
+        if len(parts[k]) == len(ranges):
+            ordered, parts[k] = sorted(parts[k], key=lambda part: part[0]), None
+            _save_flow(cfg, out_dir, meta, [uv for _, uv in ordered])
+
+    workers.run(solve, [(k, a, b) for k, (*_, ranges) in enumerate(scenes) for a, b in ranges],
+                lambda job: f"{scenes[job[0]][2]['video_id']} pairs {job[1]}-{job[2] - 1}", done)
     return len(scenes)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import artifacts, frameio, pose
+from . import artifacts, frameio, pose, workers
 from .clipset import AnnotationRecord
 from .errors import ConfigError, DataError
 from .frameio import FrameSequence
@@ -88,6 +88,16 @@ def default_motion(spec: SceneSpec, rng: np.random.Generator) -> list[PersonMoti
     return persons
 
 
+# (joint, dx, dy) of each joint that keeps its place relative to the neck, in torso lengths
+_REST = ((pose.NECK, 0.0, 0.0), (pose.NOSE, 0.0, -0.30),
+         (pose.R_EYE, -0.07, -0.36), (pose.L_EYE, 0.07, -0.36),
+         (pose.R_EAR, -0.14, -0.33), (pose.L_EAR, 0.14, -0.33),
+         (pose.R_SHOULDER, -0.30, 0.05), (pose.L_SHOULDER, 0.30, 0.05),
+         (pose.R_HIP, -0.18, 0.95), (pose.L_HIP, 0.18, 0.95),
+         (pose.R_KNEE, -0.20, 1.48), (pose.L_KNEE, 0.20, 1.48),
+         (pose.R_ANKLE, -0.22, 2.0), (pose.L_ANKLE, 0.22, 2.0))
+
+
 def skeleton_at(motion: PersonMotion, t: int) -> np.ndarray:
     """18 joint (x, y) positions at frame t, COCO-18 order."""
     s = motion.scale
@@ -96,23 +106,8 @@ def skeleton_at(motion: PersonMotion, t: int) -> np.ndarray:
     cy = motion.base_y
     j = np.zeros((pose.N_JOINTS, 2))
 
-    def put(idx, dx, dy):
+    for idx, dx, dy in _REST:
         j[idx] = (cx + dx * s, cy + dy * s)
-
-    put(pose.NECK, 0.0, 0.0)
-    put(pose.NOSE, 0.0, -0.30)
-    put(pose.R_EYE, -0.07, -0.36)
-    put(pose.L_EYE, 0.07, -0.36)
-    put(pose.R_EAR, -0.14, -0.33)
-    put(pose.L_EAR, 0.14, -0.33)
-    put(pose.R_SHOULDER, -0.30, 0.05)
-    put(pose.L_SHOULDER, 0.30, 0.05)
-    put(pose.R_HIP, -0.18, 0.95)
-    put(pose.L_HIP, 0.18, 0.95)
-    put(pose.R_KNEE, -0.20, 1.48)
-    put(pose.L_KNEE, 0.20, 1.48)
-    put(pose.R_ANKLE, -0.22, 2.0)
-    put(pose.L_ANKLE, 0.22, 2.0)
 
     w = 2 * np.pi * motion.freq * t + motion.phase
     if motion.kind == "rubbing":
@@ -157,78 +152,85 @@ _LIMBS = (
 )
 
 
-def _draw_segment(img: np.ndarray, p0, p1, color: np.ndarray, width: float = 1.4) -> None:
-    h, w = img.shape[:2]
-    x_lo = int(max(0, np.floor(min(p0[0], p1[0]) - width - 1)))
-    x_hi = int(min(w, np.ceil(max(p0[0], p1[0]) + width + 2)))
-    y_lo = int(max(0, np.floor(min(p0[1], p1[1]) - width - 1)))
-    y_hi = int(min(h, np.ceil(max(p0[1], p1[1]) + width + 2)))
-    if x_hi <= x_lo or y_hi <= y_lo:
+def _blend(frames: np.ndarray, lo: np.ndarray, hi: np.ndarray, alpha_of,
+           color: np.ndarray) -> None:
+    """Blend `color` into every frame with alpha `clip(alpha_of(xs, ys), 0, 1)`
+    over the box from floor(min lo) to ceil(max hi), (x, y), clipped to the
+    frame.  lo[t] and hi[t] bound frame t's stroke with at least half a pixel
+    to spare, so alpha is 0 outside them, and a pixel blended with alpha 0
+    keeps its value: each frame is drawn as if over its own box alone.
+    `alpha_of` maps the box's (1, 1, w) and (1, h, 1) pixel coordinates to
+    one float64 map per frame."""
+    h, w = frames.shape[1:3]
+    x0, y0 = np.maximum(0, np.floor(lo.min(axis=0))).astype(int)
+    x1, y1 = np.minimum((w, h), np.ceil(hi.max(axis=0))).astype(int)
+    if x1 <= x0 or y1 <= y0:
         return
-    ys, xs = np.mgrid[y_lo:y_hi, x_lo:x_hi]
-    dx, dy = p1[0] - p0[0], p1[1] - p0[1]
+    alpha = np.clip(alpha_of(np.arange(x0, x1)[None, None, :], np.arange(y0, y1)[None, :, None]),
+                    0.0, 1.0).astype(np.float32)[..., None]
+    region = frames[:, y0:y1, x0:x1]
+    region[...] = region * (1 - alpha) + color * alpha
+
+
+def _draw_segments(frames: np.ndarray, p0: np.ndarray, p1: np.ndarray, color: np.ndarray,
+                   width: float = 1.4) -> None:
+    """Draw the segment p0[t]-p1[t], a (n, 2) pair of (x, y) ends, into each frame t."""
+    x0, y0, dx, dy = (v.reshape(-1, 1, 1) for v in (*p0.T, *(p1 - p0).T))
     seg_len2 = dx * dx + dy * dy
-    if seg_len2 < 1e-12:
-        t = np.zeros_like(xs, dtype=np.float64)
-    else:
-        t = np.clip(((xs - p0[0]) * dx + (ys - p0[1]) * dy) / seg_len2, 0.0, 1.0)
-    px = p0[0] + t * dx
-    py = p0[1] + t * dy
-    dist = np.sqrt((xs - px) ** 2 + (ys - py) ** 2)
-    alpha = np.clip(width - dist, 0.0, 1.0).astype(np.float32)[:, :, None]
-    img[y_lo:y_hi, x_lo:x_hi] = img[y_lo:y_hi, x_lo:x_hi] * (1 - alpha) + color[None, None, :] * alpha
+    short = seg_len2 < 1e-12  # a point: every pixel measures to p0
+
+    def alpha_of(xs, ys):
+        t = np.clip(((xs - x0) * dx + (ys - y0) * dy) / np.where(short, 1.0, seg_len2), 0.0, 1.0)
+        t = np.where(short, 0.0, t)
+        return width - np.sqrt((xs - (x0 + t * dx)) ** 2 + (ys - (y0 + t * dy)) ** 2)
+
+    _blend(frames, np.minimum(p0, p1) - width - 1, np.maximum(p0, p1) + width + 2,
+           alpha_of, color)
 
 
-def _draw_disc(img: np.ndarray, center, radius: float, color: np.ndarray) -> None:
-    h, w = img.shape[:2]
-    x_lo = int(max(0, np.floor(center[0] - radius - 1)))
-    x_hi = int(min(w, np.ceil(center[0] + radius + 2)))
-    y_lo = int(max(0, np.floor(center[1] - radius - 1)))
-    y_hi = int(min(h, np.ceil(center[1] + radius + 2)))
-    if x_hi <= x_lo or y_hi <= y_lo:
-        return
-    ys, xs = np.mgrid[y_lo:y_hi, x_lo:x_hi]
-    dist = np.sqrt((xs - center[0]) ** 2 + (ys - center[1]) ** 2)
-    alpha = np.clip(radius - dist + 0.5, 0.0, 1.0).astype(np.float32)[:, :, None]
-    img[y_lo:y_hi, x_lo:x_hi] = img[y_lo:y_hi, x_lo:x_hi] * (1 - alpha) + color[None, None, :] * alpha
+def _draw_discs(frames: np.ndarray, centers: np.ndarray, radius: float, color: np.ndarray) -> None:
+    """Draw a disc of `radius` around centers[t], (x, y), into each frame t."""
+    cx, cy = (v.reshape(-1, 1, 1) for v in centers.T)
+    _blend(frames, centers - radius - 1, centers + radius + 2,
+           lambda xs, ys: radius - np.sqrt((xs - cx) ** 2 + (ys - cy) ** 2) + 0.5, color)
 
 
 def _background(width: int, height: int, rng: np.random.Generator) -> np.ndarray:
     """Smooth static value-noise texture in mid grays."""
     gw, gh = max(2, width // 16), max(2, height // 16)
     grid = rng.uniform(0.40, 0.72, size=(gh, gw, 3)).astype(np.float32)
-    return frameio.resize_bilinear(grid.transpose(2, 0, 1), width, height).transpose(1, 2, 0)
+    planes = frameio.resize_bilinear(grid.transpose(2, 0, 1), width, height)
+    return np.ascontiguousarray(planes.transpose(1, 2, 0))
 
 
 def generate_scene(spec: SceneSpec) -> tuple[FrameSequence, list[PoseFrame]]:
-    """Render a scene and its keypoint ground truth."""
+    """Render a scene and its keypoint ground truth.  Each limb and head is
+    drawn over all frames at once, in the order, and with the float64 and
+    float32 ops per pixel, of drawing each frame's persons one by one."""
     rng = np.random.default_rng(spec.seed)
     motions = default_motion(spec, rng)
     background = _background(spec.width, spec.height, rng)
 
-    drop = None
-    if spec.joint_dropout > 0:
-        drop = rng.random((spec.n_frames, spec.n_persons, pose.N_JOINTS)) < spec.joint_dropout
+    drop = (rng.random((spec.n_frames, spec.n_persons, pose.N_JOINTS)) < spec.joint_dropout
+            if spec.joint_dropout > 0 else None)
 
-    frames = np.empty((spec.n_frames, spec.height, spec.width, 3), dtype=np.float32)
-    poses = []
-    for t in range(spec.n_frames):
-        img = background.copy()
-        pf = PoseFrame(t)
-        for pi, motion in enumerate(motions):
-            joints = skeleton_at(motion, t)
-            color = np.array([motion.shade, motion.shade * 1.1, motion.shade * 1.35], dtype=np.float32)
-            for a, b in _LIMBS:
-                _draw_segment(img, joints[a], joints[b], color)
-            _draw_disc(img, joints[pose.NOSE], 0.18 * motion.scale, color)
-            kp = np.concatenate([joints, np.ones((pose.N_JOINTS, 1))], axis=1)
-            if drop is not None:
-                kp[drop[t, pi]] = 0.0
-            pf.persons.append(kp)
-            pf.person_hints.append(pi)
-        np.clip(img, 0.0, 1.0, out=frames[t])
-        poses.append(pf)
+    frames = np.broadcast_to(background, (spec.n_frames, *background.shape)).copy()
+    skeletons = []  # (n_frames, joints, 2) of each person
+    for motion in motions:
+        joints = np.stack([skeleton_at(motion, t) for t in range(spec.n_frames)])
+        color = np.array([motion.shade, motion.shade * 1.1, motion.shade * 1.35], dtype=np.float32)
+        for a, b in _LIMBS:
+            _draw_segments(frames, joints[:, a], joints[:, b], color)
+        _draw_discs(frames, joints[:, pose.NOSE], 0.18 * motion.scale, color)
+        skeletons.append(joints)
+    np.clip(frames, 0.0, 1.0, out=frames)
 
+    # (frame, person, joint) rows of x, y and a confidence of 1, or 0 where dropped
+    kps = np.concatenate([np.stack(skeletons, axis=1),
+                          np.ones((spec.n_frames, len(motions), pose.N_JOINTS, 1))], axis=3)
+    if drop is not None:
+        kps[drop] = 0.0
+    poses = [PoseFrame(t, list(kps[t]), list(range(len(motions)))) for t in range(spec.n_frames)]
     seq = FrameSequence(frames, fps=spec.fps, video_id=spec.video_id, date_tag=spec.date_tag)
     return seq, poses
 
@@ -267,15 +269,24 @@ class DatasetConfig:
             raise ConfigError(f"fps must be positive, got {self.fps}")
 
 
+def _write_scene(out_dir: str, spec: SceneSpec, entry: dict) -> None:
+    """Render a scene and publish its frames dir and keypoints file under out_dir."""
+    seq, poses = generate_scene(spec)
+    try:
+        frameio.save_sequence(seq, os.path.join(out_dir, entry["frames_dir"]))
+        pose.save_poses(poses, os.path.join(out_dir, entry["keypoints_file"]))
+    except OSError as exc:
+        raise DataError(f"{spec.video_id}: cannot write the scene: {exc}") from None
+
+
 def generate_dataset(cfg: DatasetConfig, out_dir: str, seed: int) -> dict:
-    """Write scenes plus a dataset.json manifest under out_dir; returns the manifest dict."""
+    """Write scenes plus a dataset.json manifest under out_dir; returns the
+    manifest dict.  Every scene is drawn here, then rendered and written in
+    the worker pool (`workers.run`), and the manifest is published last."""
     rng = np.random.default_rng(seed)
-    groups = [
-        ("rub", 1, False, cfg.n_rubbing),
-        ("oth", 0, False, cfg.n_other),
-        ("synrub", 1, True, cfg.n_synthetic_rubbing),
-    ]
-    entries = []
+    groups = [("rub", 1, False, cfg.n_rubbing), ("oth", 0, False, cfg.n_other),
+              ("synrub", 1, True, cfg.n_synthetic_rubbing)]
+    jobs = []  # (spec, manifest entry) of each scene
     scene_seeds = rng.integers(0, 2**62, size=sum(g[3] for g in groups))
     seed_iter = iter(int(s) for s in scene_seeds)
 
@@ -284,10 +295,7 @@ def generate_dataset(cfg: DatasetConfig, out_dir: str, seed: int) -> dict:
         lengths = rng.integers(cfg.n_frames_min, cfg.n_frames_max + 1,
                                size=count).tolist() if count else []
         for i in range(count):
-            if synthetic:
-                date = f"s{i % cfg.n_synthetic_dates:02d}"
-            else:
-                date = f"d{i % cfg.n_dates:02d}"
+            date = f"s{i % cfg.n_synthetic_dates:02d}" if synthetic else f"d{i % cfg.n_dates:02d}"
             video_id = f"{prefix}_{i:03d}"
             action = "rubbing_hands" if label == 1 else OTHER_ACTIONS[i % len(OTHER_ACTIONS)]
             spec = SceneSpec(
@@ -295,24 +303,15 @@ def generate_dataset(cfg: DatasetConfig, out_dir: str, seed: int) -> dict:
                 n_frames=lengths[i], width=cfg.width, height=cfg.height, fps=cfg.fps,
                 video_id=video_id, date_tag=date, joint_dropout=cfg.joint_dropout,
             )
-            seq, poses = generate_scene(spec)
-            frames_dir = os.path.join("scenes", video_id, "frames")
-            keypoints_file = os.path.join("scenes", video_id, "keypoints.txt")
-            frameio.save_sequence(seq, os.path.join(out_dir, frames_dir))
-            pose.save_poses(poses, os.path.join(out_dir, keypoints_file))
-            entries.append({
-                "video_id": video_id,
-                "date_tag": date,
-                "class": label,
-                "frames_dir": frames_dir,
-                "keypoints_file": keypoints_file,
-                "start_frame": 0,
-                "end_frame": lengths[i],
-                "action_name": action,
-                "synthetic": synthetic,
-            })
+            jobs.append((spec, {
+                "video_id": video_id, "date_tag": date, "class": label,
+                "frames_dir": os.path.join("scenes", video_id, "frames"),
+                "keypoints_file": os.path.join("scenes", video_id, "keypoints.txt"),
+                "start_frame": 0, "end_frame": lengths[i], "action_name": action,
+                "synthetic": synthetic}))
 
-    manifest = {"seed": seed, "scenes": entries}
+    workers.run(lambda job: _write_scene(out_dir, *job), jobs, lambda job: job[0].video_id)
+    manifest = {"seed": seed, "scenes": [entry for _, entry in jobs]}
     with artifacts.publish(os.path.join(out_dir, "dataset.json")) as tmp, open(tmp, "w") as fh:
         json.dump(manifest, fh, indent=1)
     return manifest

@@ -381,3 +381,77 @@ def head_sgd_oracle(w, b, feats, y, cfg, seed):
             total += loss * len(idx)
         curve.append(total / len(feats))
     return curve
+
+
+def _draw_segment_oracle(img, p0, p1, color, width=1.4):
+    h, w = img.shape[:2]
+    x_lo = int(max(0, np.floor(min(p0[0], p1[0]) - width - 1)))
+    x_hi = int(min(w, np.ceil(max(p0[0], p1[0]) + width + 2)))
+    y_lo = int(max(0, np.floor(min(p0[1], p1[1]) - width - 1)))
+    y_hi = int(min(h, np.ceil(max(p0[1], p1[1]) + width + 2)))
+    if x_hi <= x_lo or y_hi <= y_lo:
+        return
+    ys, xs = np.mgrid[y_lo:y_hi, x_lo:x_hi]
+    dx, dy = p1[0] - p0[0], p1[1] - p0[1]
+    seg_len2 = dx * dx + dy * dy
+    if seg_len2 < 1e-12:
+        t = np.zeros_like(xs, dtype=np.float64)
+    else:
+        t = np.clip(((xs - p0[0]) * dx + (ys - p0[1]) * dy) / seg_len2, 0.0, 1.0)
+    px = p0[0] + t * dx
+    py = p0[1] + t * dy
+    dist = np.sqrt((xs - px) ** 2 + (ys - py) ** 2)
+    alpha = np.clip(width - dist, 0.0, 1.0).astype(np.float32)[:, :, None]
+    img[y_lo:y_hi, x_lo:x_hi] = img[y_lo:y_hi, x_lo:x_hi] * (1 - alpha) + color[None, None, :] * alpha
+
+
+def _draw_disc_oracle(img, center, radius, color):
+    h, w = img.shape[:2]
+    x_lo = int(max(0, np.floor(center[0] - radius - 1)))
+    x_hi = int(min(w, np.ceil(center[0] + radius + 2)))
+    y_lo = int(max(0, np.floor(center[1] - radius - 1)))
+    y_hi = int(min(h, np.ceil(center[1] + radius + 2)))
+    if x_hi <= x_lo or y_hi <= y_lo:
+        return
+    ys, xs = np.mgrid[y_lo:y_hi, x_lo:x_hi]
+    dist = np.sqrt((xs - center[0]) ** 2 + (ys - center[1]) ** 2)
+    alpha = np.clip(radius - dist + 0.5, 0.0, 1.0).astype(np.float32)[:, :, None]
+    img[y_lo:y_hi, x_lo:x_hi] = img[y_lo:y_hi, x_lo:x_hi] * (1 - alpha) + color[None, None, :] * alpha
+
+
+def render_scene_oracle(spec, motions=None):
+    """`synth.generate_scene` as it drew before limbs were drawn over all
+    frames at once: one patch per limb per frame.  `motions` replaces the
+    drawn persons' trajectories (the rng still draws them first)."""
+    from hhmon import pose, synth
+    from hhmon.frameio import FrameSequence
+    from hhmon.pose import PoseFrame
+
+    rng = np.random.default_rng(spec.seed)
+    drawn = synth.default_motion(spec, rng)
+    motions = drawn if motions is None else motions
+    background = synth._background(spec.width, spec.height, rng)
+    drop = None
+    if spec.joint_dropout > 0:
+        drop = rng.random((spec.n_frames, spec.n_persons, pose.N_JOINTS)) < spec.joint_dropout
+    frames = np.empty((spec.n_frames, spec.height, spec.width, 3), dtype=np.float32)
+    poses = []
+    for t in range(spec.n_frames):
+        img = background.copy()
+        pf = PoseFrame(t)
+        for pi, motion in enumerate(motions):
+            joints = synth.skeleton_at(motion, t)
+            color = np.array([motion.shade, motion.shade * 1.1, motion.shade * 1.35],
+                             dtype=np.float32)
+            for a, b in synth._LIMBS:
+                _draw_segment_oracle(img, joints[a], joints[b], color)
+            _draw_disc_oracle(img, joints[pose.NOSE], 0.18 * motion.scale, color)
+            kp = np.concatenate([joints, np.ones((pose.N_JOINTS, 1))], axis=1)
+            if drop is not None:
+                kp[drop[t, pi]] = 0.0
+            pf.persons.append(kp)
+            pf.person_hints.append(pi)
+        np.clip(img, 0.0, 1.0, out=frames[t])
+        poses.append(pf)
+    return FrameSequence(frames, fps=spec.fps, video_id=spec.video_id,
+                         date_tag=spec.date_tag), poses

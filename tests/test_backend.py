@@ -474,6 +474,9 @@ def test_the_kernel_benchmark_script_runs(tmp_path):
     assert "crop_window 16x18x20x3 -> 3x16x56x56" in run.stdout
     assert "pyramid resize 22x72x96 -> 22x36x48" in run.stdout
     assert "command lock acquire + release" in run.stdout
+    assert "render scene 23x96x72" in run.stdout
+    assert "render scene 23x192x144" in run.stdout
+    assert re.search(r"^gen 8 desk scenes \(\d+ workers?\) ", run.stdout, re.M)
     pkg = REPO / "src" / "hhmon"
     py = sum(len(p.read_bytes().splitlines()) for p in pkg.glob("*.py"))
     c = len((pkg / "_accel" / "flowkernels.c").read_bytes().splitlines())

@@ -1,5 +1,6 @@
 """Command line wiring, exit codes and the advisory lock."""
 
+import errno
 import json
 import multiprocessing
 import os
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from helpers import tree_bytes
 
-from hhmon import backend, checkpoint, cli, clipset, frameio, model, synth, tvl1
+from hhmon import backend, checkpoint, cli, clipset, frameio, model, pose, synth, tvl1, workers
 from hhmon.errors import DataError
 from hhmon.frameio import FrameSequence
 
@@ -295,8 +296,7 @@ def test_full_command_journey(tmp_path, capsys):
     assert cli.main(["flow", "--config", path]) == 0
     out = capsys.readouterr().out
     assert "computed flow for 7 scenes" in out
-    workers = len(os.sched_getaffinity(0))
-    assert f"({backend.BACKEND} kernels, {workers} process" in out
+    assert f"({backend.BACKEND} kernels, {workers.count()} process" in out
 
     assert cli.main(["eval", "--config", path]) == 3
     assert "no stream checkpoints" in capsys.readouterr().err
@@ -462,9 +462,44 @@ def _state(pid):
         return None
 
 
-@pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
-                    reason="needs /proc/<pid>/task/<pid>/children")
-@pytest.mark.parametrize("sig", [signal.SIGKILL, signal.SIGTERM], ids=["SIGKILL", "SIGTERM"])
+def _kill_with_workers_running(path, command, sig):
+    """Run `hhmon <command>` in a child process, send it `sig` once it has
+    forked its workers, and check that none is alive 2 s after it died."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    child = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from hhmon import cli; sys.exit(cli.main(sys.argv[1:]))",
+         command, "--config", path], env=env, stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL)
+    children = f"/proc/{child.pid}/task/{child.pid}/children"
+    pids = []
+    deadline = time.monotonic() + 60
+    while not pids and child.poll() is None and time.monotonic() < deadline:
+        time.sleep(0.002)
+        with open(children) as fh:
+            pids = [int(pid) for pid in fh.read().split()]
+    assert pids, f"{command} finished or stalled before it forked its workers"
+    child.send_signal(sig)
+    assert child.wait(timeout=60) == -sig
+    deadline = time.monotonic() + 2
+    running = pids
+    while running and time.monotonic() < deadline:
+        time.sleep(0.02)
+        running = [pid for pid in pids if _state(pid) not in (None, "Z")]
+    for pid in running:  # do not leave them blocked after a failure
+        os.kill(pid, signal.SIGKILL)
+    assert running == []
+
+
+needs_children_list = pytest.mark.skipif(
+    not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
+    reason="needs /proc/<pid>/task/<pid>/children")
+kill_signals = pytest.mark.parametrize("sig", [signal.SIGKILL, signal.SIGTERM],
+                                       ids=["SIGKILL", "SIGTERM"])
+
+
+@needs_children_list
+@kill_signals
 def test_a_killed_flow_leaves_no_worker_and_a_rerun_writes_clean_bytes(tmp_path, sig):
     gen = {"n_rubbing": 3, "n_other": 0, "n_synthetic_rubbing": 0, "width": 48, "height": 36,
            "n_frames_min": 18, "n_frames_max": 20}
@@ -474,31 +509,83 @@ def test_a_killed_flow_leaves_no_worker_and_a_rerun_writes_clean_bytes(tmp_path,
     flow = tmp_path / "work" / "flow"
     want = tree_bytes(flow)
     shutil.rmtree(flow)
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    child = subprocess.Popen(
-        [sys.executable, "-c", "import sys; from hhmon import cli; sys.exit(cli.main(sys.argv[1:]))",
-         "flow", "--config", path], env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    children = f"/proc/{child.pid}/task/{child.pid}/children"
-    workers = []
-    deadline = time.monotonic() + 60
-    while not workers and child.poll() is None and time.monotonic() < deadline:
-        time.sleep(0.002)
-        with open(children) as fh:
-            workers = [int(pid) for pid in fh.read().split()]
-    assert workers, "flow finished or stalled before it forked its workers"
-    child.send_signal(sig)
-    assert child.wait(timeout=60) == -sig
-    deadline = time.monotonic() + 2
-    running = workers
-    while running and time.monotonic() < deadline:
-        time.sleep(0.02)
-        running = [pid for pid in workers if _state(pid) not in (None, "Z")]
-    for pid in running:  # do not leave them blocked after a failure
-        os.kill(pid, signal.SIGKILL)
-    assert running == []
+    _kill_with_workers_running(path, "flow", sig)
     assert cli.main(["flow", "--config", path]) == 0
     assert tree_bytes(flow) == want
+
+
+@needs_children_list
+@kill_signals
+def test_a_killed_gen_leaves_no_worker_and_a_forced_rerun_writes_clean_bytes(tmp_path, sig):
+    # 12 scenes at 96x72, so that gen still runs when its workers are seen
+    gen = {"n_rubbing": 6, "n_other": 6, "n_synthetic_rubbing": 0, "n_dates": 3,
+           "width": 96, "height": 72}
+    path = write_cfg(tmp_path, gen=gen)
+    assert cli.main(["gen", "--config", path]) == 0
+    dataset = tmp_path / "ds"
+    want = tree_bytes(dataset)
+    shutil.rmtree(dataset)
+    _kill_with_workers_running(path, "gen", sig)
+    assert cli.main(["gen", "--config", path, "--force"]) == 0
+    assert tree_bytes(dataset) == want
+
+
+@pytest.mark.parametrize("artifact", ["frames", "keypoints"])
+def test_a_gen_worker_write_error_exits_3_and_leaves_no_worker(tmp_path, capsys, monkeypatch,
+                                                              artifact):
+    path = write_cfg(tmp_path)
+    write_ppm, save_poses = frameio.write_ppm, pose.save_poses
+
+    def full_disk(write):
+        def failing(data, path):
+            if f"{os.sep}rub_001{os.sep}" in path:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return write(data, path)
+        return failing
+
+    if artifact == "frames":  # before the pool forks
+        monkeypatch.setattr(frameio, "write_ppm", full_disk(write_ppm))
+    else:
+        monkeypatch.setattr(pose, "save_poses", full_disk(save_poses))
+    assert cli.main(["gen", "--config", path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "rub_001" in err and "No space left" in err
+    assert "Traceback" not in err
+    assert multiprocessing.active_children() == []
+    assert not (tmp_path / "ds" / "dataset.json").exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "flow"])
+def test_a_worker_that_dies_mid_job_exits_1_without_a_traceback(tmp_path, capsys, monkeypatch,
+                                                               command):
+    path = write_cfg(tmp_path)
+    if command == "flow":
+        assert cli.main(["gen", "--config", path]) == 0
+    parent = os.getpid()
+    render, solve = synth.generate_scene, tvl1.sequence_flow
+
+    def dying_render(spec):
+        if os.getpid() != parent and spec.video_id == "rub_001":
+            os._exit(9)  # as if the kernel's OOM killer took the worker
+        return render(spec)
+
+    def dying_solve(frames, params, where=""):
+        if os.getpid() != parent and where.startswith("rub_001"):
+            os._exit(9)
+        return solve(frames, params, where)
+
+    monkeypatch.setattr(synth, "generate_scene", dying_render)  # before the pool forks
+    monkeypatch.setattr(tvl1, "sequence_flow", dying_solve)
+    capsys.readouterr()
+    assert cli.main([command, "--config", path]) == 1
+    err = capsys.readouterr().err
+    # flow names the pair range whose worker died first
+    assert err.startswith("error: rub_001: " if command == "gen" else "error: rub_001 pairs ")
+    assert err.endswith(": a worker process exited without sending its result\n")
+    assert "Traceback" not in err and "flow" not in err
+    assert multiprocessing.active_children() == []
+    if command == "gen":
+        assert not (tmp_path / "ds" / "dataset.json").exists()
 
 
 # A child that runs one command and dies (exit 137) inside the publish of
@@ -552,8 +639,15 @@ def test_a_stage_killed_mid_publish_reruns_to_a_clean_tree(tmp_path, stage, arti
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     child = subprocess.run([sys.executable, "-c", _DIE_AT_PUBLISH, str(target),
                             *_STAGES[stage], "--config", path], env=env,
-                           stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=120)
-    assert child.returncode == 137
+                           stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                           timeout=120)
+    if artifact.startswith("ds/scenes/"):
+        # gen publishes a scene in a worker: the worker dies, and gen says so
+        assert child.returncode == 1
+        assert child.stderr == ("error: rub_001: a worker process exited without sending "
+                                "its result\n")
+    else:
+        assert child.returncode == 137
     assert os.path.exists(f"{target}.partial") and not target.exists()
 
     # a killed gen leaves a non-empty dataset dir, which only --force replaces

@@ -5,6 +5,8 @@ import json
 import multiprocessing
 import os
 import shutil
+import signal
+import time
 from collections import Counter
 from dataclasses import replace
 
@@ -217,18 +219,24 @@ def test_gen_killed_mid_scene_leaves_each_frames_dir_whole_or_absent(tmp_path, m
 
     cfg = tiny_cfg(tmp_path / "killed")
     write = frameio.write_ppm
-    n_frames = sum(1 for name in clean if name.endswith(".ppm"))
-    calls = []
+    parent = os.getpid()
+    # oth_000 is the fourth scene, so on one or two workers at least two
+    # scenes are written before its job is handed out
+    mid_scene = os.path.join("oth_000", "frames.partial", "frame_000009.ppm")
 
-    def dying_write(image, path):
-        calls.append(path)
-        if len(calls) > n_frames // 2:  # in the middle of a scene
-            raise KeyboardInterrupt("killed")
+    def interrupting_write(image, path):
+        # the worker writing oth_000 presses Ctrl-C on gen halfway through
+        # the scene and waits there, inside the publish of its frames dir,
+        # until gen terminates it
+        if path.endswith(mid_scene):
+            os.kill(parent, signal.SIGINT)
+            time.sleep(60)
         write(image, path)
 
-    monkeypatch.setattr(frameio, "write_ppm", dying_write)
+    monkeypatch.setattr(frameio, "write_ppm", interrupting_write)  # before the pool forks
     with pytest.raises(KeyboardInterrupt):
         pipeline.generate(cfg)
+    assert multiprocessing.active_children() == []
     left = tree_bytes(cfg.paths.dataset_dir)
     assert not any(".partial" in name for name in left)
     scenes = os.listdir(os.path.join(cfg.paths.dataset_dir, "scenes"))

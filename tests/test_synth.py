@@ -5,9 +5,9 @@ import os
 
 import numpy as np
 import pytest
-from helpers import mean_wrist_speed, wrist_distance_series
+from helpers import mean_wrist_speed, render_scene_oracle, tree_bytes, wrist_distance_series
 
-from hhmon import frameio, pose
+from hhmon import frameio, pose, synth, workers
 from hhmon.errors import ConfigError, DataError
 from hhmon.synth import (
     DatasetConfig,
@@ -136,6 +136,61 @@ def test_scene_sequence_matches_spec():
     assert len(seq) == len(poses) == spec.n_frames
 
 
+def assert_scenes_equal(got, want):
+    (seq, poses), (want_seq, want_poses) = got, want
+    assert seq.data.dtype == want_seq.data.dtype
+    assert seq.data.tobytes() == want_seq.data.tobytes()
+    assert len(poses) == len(want_poses)
+    for pf, want_pf in zip(poses, want_poses):
+        assert pf.frame_index == want_pf.frame_index
+        assert pf.person_hints == want_pf.person_hints
+        assert [p.tobytes() for p in pf.persons] == [p.tobytes() for p in want_pf.persons]
+
+
+@pytest.mark.parametrize("n_frames", [16, 23, 26])
+@pytest.mark.parametrize("size", [(48, 36), (96, 72), (192, 144)], ids=str)
+def test_scene_render_is_byte_equal_to_the_per_frame_oracle(size, n_frames):
+    for n_persons in (1, 2, 3):
+        for label in (0, 1):
+            for dropout in (0.0, 0.3):
+                spec = SceneSpec(seed=100 * n_persons + 10 * label + n_frames, class_label=label,
+                                 n_persons=n_persons, n_frames=n_frames, width=size[0],
+                                 height=size[1], joint_dropout=dropout)
+                assert_scenes_equal(generate_scene(spec), render_scene_oracle(spec))
+
+
+def _limb_boxes_empty(spec, motion, width=1.4):
+    """(limb, frame) bool array: whether the limb's clipped box is empty."""
+    joints = np.stack([synth.skeleton_at(motion, t) for t in range(spec.n_frames)])
+    ends = np.stack([joints[:, list(limb)] for limb in synth._LIMBS])  # (limb, t, 2, xy)
+    lo = np.maximum(0, np.floor(ends.min(axis=2) - width - 1))
+    hi = np.minimum((spec.width, spec.height), np.ceil(ends.max(axis=2) + width + 2))
+    return (hi <= lo).any(axis=2)
+
+
+@pytest.mark.parametrize("n_persons", [1, 2, 3])
+@pytest.mark.parametrize("label", [0, 1])
+def test_limbs_that_leave_the_frame_render_like_the_oracle(monkeypatch, n_persons, label):
+    drawn = synth.default_motion
+
+    def at_the_edges(spec, rng):
+        # even persons sway across the right edge and odd ones across the
+        # left, far enough that limbs leave the frame wholly in some frames
+        persons = drawn(spec, rng)
+        for i, motion in enumerate(persons):
+            motion.base_x = float(spec.width) if i % 2 == 0 else 0.0
+            motion.sway_amp, motion.sway_freq = 0.6, 0.05
+        return persons
+
+    monkeypatch.setattr(synth, "default_motion", at_the_edges)
+    spec = SceneSpec(seed=7 + n_persons, class_label=label, n_persons=n_persons, n_frames=23,
+                     width=48, height=36, joint_dropout=0.3)
+    motions = synth.default_motion(spec, np.random.default_rng(spec.seed))
+    empty = np.concatenate([_limb_boxes_empty(spec, m) for m in motions])
+    assert (empty.any(axis=1) & ~empty.all(axis=1)).any(), "no limb leaves the frame for a while"
+    assert_scenes_equal(generate_scene(spec), render_scene_oracle(spec))
+
+
 def small_dataset_config(**kw):
     defaults = dict(n_rubbing=4, n_other=4, n_synthetic_rubbing=2, n_dates=3,
                     n_synthetic_dates=1, width=48, height=36, n_frames_min=18, n_frames_max=20)
@@ -169,6 +224,22 @@ def test_dataset_determinism_byte_identical(tmp_path):
     generate_dataset(small_dataset_config(), a, seed=11)
     generate_dataset(small_dataset_config(), b, seed=11)
     assert dir_digest(a) == dir_digest(b)
+
+
+def test_dataset_tree_equals_the_serial_oracle_tree_on_1_and_2_workers(tmp_path, monkeypatch):
+    cfg = small_dataset_config(n_rubbing=3, n_other=3, n_synthetic_rubbing=1, n_persons=2,
+                               joint_dropout=0.2)
+    with monkeypatch.context() as serial:
+        serial.setattr(synth, "generate_scene", render_scene_oracle)
+        serial.setattr(workers, "run", lambda work, jobs, name, done=None: [work(job)
+                                                                             for job in jobs])
+        want_manifest = generate_dataset(cfg, str(tmp_path / "oracle"), seed=5)
+    want = tree_bytes(tmp_path / "oracle")
+    for n in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=n: set(range(n)),
+                            raising=False)
+        assert generate_dataset(cfg, str(tmp_path / f"on{n}"), seed=5) == want_manifest
+        assert tree_bytes(tmp_path / f"on{n}") == want, f"{n} workers"
 
 
 def test_empty_dataset_has_valid_manifest(tmp_path):
