@@ -41,9 +41,10 @@ the (48, 18, 20) plane stack `clipset.crop_window` resizes, to the 56x56
 input (the center window it keeps, and the whole 56x62 resize), the whole
 `crop_window` from a 16-frame 96x72 probe to the (3, 16, 56, 56) network
 input, `config_from_dict` on the config the perfbench workloads write, and
-`pose.load_poses` on a 16-line keypoints file, and one acquire and release
-of the shared command lock an `infer` call takes.  One more row times a flow
-pyramid-level resize, a 22x72x96 stack to 36x48.  The last row gives the
+`pose.load_poses` on a 16-line keypoints file, one acquire and release
+of the shared command lock an `infer` call takes, and the
+`checkpoint.load_network` of an i3d_mini rgb net that each call pays.  One
+more row times a flow pyramid-level resize, a 22x72x96 stack to 36x48.  The last row gives the
 package's size, the line counts of src/hhmon/*.py and of the C kernels, so
 that it comes from the same run as the timings:
 
@@ -61,8 +62,8 @@ import tracemalloc
 
 import numpy as np
 
-from hhmon import (_accel, _purekernels, backend, cli, clipset, config, frameio, layers,
-                   model, pipeline, pose, synth, training, tvl1, workers)
+from hhmon import (_accel, _purekernels, backend, checkpoint, cli, clipset, config, frameio,
+                   layers, model, pipeline, pose, synth, training, tvl1, workers)
 from hhmon.frameio import FrameSequence
 from hhmon.pose import BBox
 
@@ -346,6 +347,10 @@ def request_rows(repeats):
                 pass
 
         rows.append(("command lock acquire + release", best_of(lock_cycle, n)[0]))
+        ckpt = os.path.join(tmp, "rgb.swnet")
+        checkpoint.save_network(model.Network.init(model.i3d_mini(), seed=0), ckpt)
+        rows.append(("checkpoint load i3d_mini rgb",
+                     best_of(lambda: checkpoint.load_network(ckpt), n)[0]))
     return rows
 
 

@@ -6,7 +6,8 @@ Each stage's block is that stage's own parameter object, passed to it whole:
 `tracking.LinkParams`, `clip` is `clipset.AugmentConfig` and `flow` is
 `tvl1.TvL1Params`.  Only the paths, the train block (the training module's
 `TrainConfig` plus three pipeline-only fields) and the eval block are
-declared here, so every default is declared once.  Each block validates
+declared here, so every default is declared once.  The loader checks each
+number's type and that each float is finite, then each block validates
 itself when built; a bad value is a ConfigError naming its section.  The
 loader also checks the rules that span blocks: frames no smaller than the
 flow solver's `min_size`, and a clip input no smaller than the network can
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 from . import artifacts, metrics, model
@@ -60,6 +62,8 @@ class EvalConfig:
         if self.mode not in ("per-annotated-clip", "per-window"):
             raise ConfigError(f"eval mode must be per-annotated-clip or per-window, "
                               f"got {self.mode!r}")
+        if not 0 <= self.threshold <= 1:
+            raise ConfigError(f"threshold must lie in [0, 1], got {self.threshold}")
 
 
 @dataclass
@@ -97,6 +101,10 @@ def _build_block(cls, data: dict, where: str):
         kinds = _NUMBER_KINDS.get(types[key])
         if kinds and (isinstance(value, bool) or not isinstance(value, kinds)):
             raise ConfigError(f"{where}: {key} must be {types[key]}, got {value!r}")
+        # JSON's NaN and Infinity parse as floats; a comparison, unlike
+        # math.isfinite, takes an int too large for a float
+        if types[key] == "float" and not -math.inf < value < math.inf:
+            raise ConfigError(f"{where}: {key} must be finite, got {value!r}")
     try:
         return cls(**data)
     except (TypeError, ConfigError) as exc:

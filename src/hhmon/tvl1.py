@@ -12,9 +12,10 @@ at a time, coarsest first.  Each level runs through the backend kernels as
 bit for bit as if alone, so the small coarse levels run as a few large
 stacks rather than many small ones.  Frames, pyramid levels and flows are
 all (n, h, w) plane stacks, which `frameio.resize_bilinear` resizes as they
-are.  `sequence_flow` solves a scene this way, building each frame's
-pyramid once, and `flow_frames` turns its pair flows into the stored
-(n, h, w, 2) flow array; `tvl1_flow` is a scene of one pair.
+are.  `sequence_flow` solves a scene this way, building the pyramid of
+its whole frame stack in one `_pyramid` call, and `flow_frames` turns its
+pair flows into the stored (n, h, w, 2) flow array; `tvl1_flow` is a scene
+of one pair.
 """
 
 from __future__ import annotations
@@ -81,15 +82,17 @@ def _gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
     return out
 
 
-def _pyramid(frames: np.ndarray, factor: float, min_size: int) -> list[np.ndarray]:
+def _pyramid(frames: np.ndarray, params: TvL1Params) -> list[np.ndarray]:
     """Levels of an (n, h, w) frame stack, finest first; stops before either
-    side would fall under min_size."""
+    side would fall under min_size.  Each plane is blurred and resized on
+    its own, so a stack's levels are its frames' levels stacked."""
+    factor = params.pyramid_factor
     sigma = 0.6 * np.sqrt(1.0 / factor**2 - 1.0)
     levels = [frames]
     while True:
         _, h, w = levels[-1].shape
         nh, nw = int(round(h * factor)), int(round(w * factor))
-        if min(nh, nw) < min_size:
+        if min(nh, nw) < params.min_size:
             return levels
         levels.append(frameio.resize_bilinear(_gaussian_blur(levels[-1], sigma), nw, nh))
 
@@ -171,21 +174,11 @@ def _warps(frames: np.ndarray, u1: np.ndarray, u2: np.ndarray,
     return u1, u2
 
 
-def _scene_pyramid(frames: np.ndarray, params: TvL1Params) -> list[np.ndarray]:
-    """The pyramid of an (n, H, W) frame stack, built in chunks of
-    STACK_PIXELS // (H * W) frames, so that the blur's temporaries stay
-    chunk-sized, then joined level by level."""
-    chunk = max(1, STACK_PIXELS // frames[0].size)
-    parts = [_pyramid(frames[i : i + chunk], params.pyramid_factor, params.min_size)
-             for i in range(0, len(frames), chunk)]
-    return [frames] + [np.concatenate(level) for level in list(zip(*parts))[1:]]
-
-
 def tvl1_flow(img0, img1, params: TvL1Params | None = None) -> np.ndarray:
     """Flow from img0 to img1, (h, w) luminance planes in [0, 1], as an
     (h, w, 2) float32 array: channel 0 is dx, channel 1 is dy."""
     params = params or TvL1Params()
-    u1, u2 = _solve(_scene_pyramid(_frame_stack([img0, img1], params), params), params)
+    u1, u2 = _solve(_pyramid(_frame_stack([img0, img1], params), params), params)
     return np.stack([u1[0], u2[0]], axis=-1)
 
 
@@ -197,7 +190,7 @@ def sequence_flow(frames: np.ndarray, params: TvL1Params,
     surround it, so a scene may be solved in contiguous ranges that share
     their boundary frames."""
     stack = _frame_stack(frameio.luminance(frames), params, where)
-    return _solve(_scene_pyramid(stack, params), params)
+    return _solve(_pyramid(stack, params), params)
 
 
 def flow_frames(u1: np.ndarray, u2: np.ndarray, clip: float) -> np.ndarray:

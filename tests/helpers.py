@@ -5,7 +5,9 @@ resolves to whichever conftest module pytest loaded last, and the suite
 collects perfbench/tests, which has its own conftest, alongside tests/.
 """
 
+import json
 import os
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +35,23 @@ def tree_bytes(root):
     """{path relative to root: file bytes} of every file under root."""
     return {os.path.relpath(os.path.join(d, f), root): Path(d, f).read_bytes()
             for d, _, files in os.walk(root) for f in files}
+
+
+def checkpoint_layout(path):
+    """The layout JSON document stored in the .swnet checkpoint at path."""
+    raw = Path(path).read_bytes()
+    (size,) = struct.unpack_from("<I", raw, 9)  # after the magic and the version
+    return json.loads(raw[13 : 13 + size])
+
+
+def rewrite_layout(path, layout):
+    """Replace the layout in the .swnet checkpoint at path with `layout`
+    (bytes as they are, anything else as its JSON), keeping the parameters."""
+    if not isinstance(layout, bytes):
+        layout = json.dumps(layout).encode("utf-8")
+    raw = Path(path).read_bytes()
+    (size,) = struct.unpack_from("<I", raw, 9)
+    Path(path).write_bytes(raw[:9] + struct.pack("<I", len(layout)) + layout + raw[13 + size :])
 
 
 def use_kernels(monkeypatch, kernels):

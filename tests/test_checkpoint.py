@@ -1,22 +1,18 @@
 """Checkpoint binary format: exact roundtrips and every corruption path."""
 
 import json
+import os
+import re
 import struct
 
 import numpy as np
 import pytest
+from helpers import checkpoint_layout, rewrite_layout
 
 from hhmon import checkpoint
-from hhmon.checkpoint import (
-    MAGIC,
-    VERSION,
-    load_network,
-    load_params,
-    save_network,
-    save_params,
-)
+from hhmon.checkpoint import MAGIC, VERSION, load_network, save_network
 from hhmon.errors import ModelError
-from hhmon.model import ConvLayer, Network, NetSpec, PoolLayer
+from hhmon.model import ConvLayer, Network, NetSpec, PoolLayer, i3d_mini
 
 
 def tiny_spec():
@@ -26,166 +22,163 @@ def tiny_spec():
     ])
 
 
-def test_params_roundtrip_exact(tmp_path, rng):
-    params = {
-        "conv1.w": rng.normal(size=(4, 1, 1, 3, 3)).astype(np.float32),
-        "conv1.b": rng.normal(size=4).astype(np.float32),
-        "head.w": rng.normal(size=(4, 1)).astype(np.float32),
-        "head.b": rng.normal(size=1).astype(np.float32),
-    }
-    path = str(tmp_path / "net.swnet")
-    save_params(path, params, frozen={"conv1.w", "conv1.b"})
-    back, frozen = load_params(path)
-    assert set(back) == set(params)
-    for name in params:
-        assert back[name].dtype == np.float32
-        assert np.array_equal(back[name], params[name])
-    assert frozen == {"conv1.w", "conv1.b"}
+def saved(tmp_path, net=None, name="model.swnet"):
+    path = str(tmp_path / name)
+    save_network(net or Network.init(tiny_spec(), seed=0), path)
+    return path
 
 
-def test_identical_params_write_identical_bytes(tmp_path, rng):
-    params = {"b": rng.normal(size=3).astype(np.float32),
-              "a": rng.normal(size=(2, 2)).astype(np.float32)}
-    p1, p2 = str(tmp_path / "one"), str(tmp_path / "two")
-    save_params(p1, dict(params), frozen=set())
-    save_params(p2, {"a": params["a"], "b": params["b"]}, frozen=set())
+def test_network_roundtrip_exact(tmp_path):
+    net = Network.init(i3d_mini(input_size=24), seed=3)
+    net.freeze_backbone()
+    path = str(tmp_path / "ckpt" / "model.swnet")
+    save_network(net, path)
+    # one file: the layout travels inside the checkpoint
+    assert os.listdir(tmp_path / "ckpt") == ["model.swnet"]
+    back = load_network(path)
+    assert back.spec == net.spec
+    assert back.frozen == net.frozen and "head.w" not in back.frozen
+    assert set(back.params) == set(net.params)
+    for name in net.params:
+        assert back.params[name].dtype == np.float32
+        assert np.array_equal(back.params[name], net.params[name])
+    x = np.random.default_rng(0).random((2, 3, 16, 24, 24)).astype(np.float32)
+    assert np.array_equal(net.score(x), back.score(x))
+
+
+def test_identical_networks_write_identical_bytes(tmp_path):
+    net = Network.init(tiny_spec(), seed=1)
+    reordered = Network(net.spec, dict(reversed(net.params.items())), net.frozen)
+    assert list(reordered.params) != list(net.params)
+    p1, p2 = saved(tmp_path, net, "one"), saved(tmp_path, reordered, "two")
     assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
 def test_binary_layout_is_as_documented(tmp_path):
-    arr = np.array([[1.5, -2.0]], dtype=np.float32)
-    path = str(tmp_path / "net.swnet")
-    save_params(path, {"w": arr}, frozen={"w"})
-    raw = open(path, "rb").read()
-    off = 0
+    spec = NetSpec(in_channels=1, clip_len=1, input_size=1, blocks=[])
+    net = Network(spec, {"head.w": np.array([[1.5]], dtype=np.float32),
+                         "head.b": np.array([-2.0], dtype=np.float32)}, {"head.w"})
+    raw = open(saved(tmp_path, net), "rb").read()
     assert raw[:5] == MAGIC == b"SWNET"
     off = 5
-    version, count = struct.unpack_from("<II", raw, off)
+    version, layout_len = struct.unpack_from("<II", raw, off)
     off += 8
-    assert (version, count) == (VERSION, 1)
-    (name_len,) = struct.unpack_from("<I", raw, off)
+    assert (version, VERSION) == (2, 2)
+    assert json.loads(raw[off : off + layout_len].decode("utf-8")) == spec.to_json()
+    off += layout_len
+    (count,) = struct.unpack_from("<I", raw, off)
     off += 4
-    assert raw[off : off + name_len] == b"w"
-    off += name_len
-    frozen_flag, rank = struct.unpack_from("<BB", raw, off)
-    off += 2
-    assert (frozen_flag, rank) == (1, 2)
-    dims = struct.unpack_from("<2I", raw, off)
-    off += 8
-    assert dims == (1, 2)
-    values = struct.unpack_from("<2f", raw, off)
-    off += 8
-    assert values == (1.5, -2.0)
+    assert count == 2
+    for name, frozen, dims, values in ((b"head.b", 0, (1,), (-2.0,)),
+                                       (b"head.w", 1, (1, 1), (1.5,))):
+        (name_len,) = struct.unpack_from("<I", raw, off)
+        off += 4
+        assert raw[off : off + name_len] == name
+        off += name_len
+        assert struct.unpack_from("<BB", raw, off) == (frozen, len(dims))
+        off += 2
+        assert struct.unpack_from(f"<{len(dims)}I", raw, off) == dims
+        off += 4 * len(dims)
+        assert struct.unpack_from("<f", raw, off) == values
+        off += 4
     assert off == len(raw)
 
 
-def test_empty_parameter_set_roundtrips(tmp_path):
-    path = str(tmp_path / "empty.swnet")
-    save_params(path, {}, frozen=set())
-    params, frozen = load_params(path)
-    assert params == {} and frozen == set()
+def test_float64_params_are_stored_as_float32(tmp_path):
+    net = Network.init(tiny_spec(), seed=2, dtype=np.float64)
+    back = load_network(saved(tmp_path, net))
+    for name, arr in net.params.items():
+        assert arr.dtype == np.float64 and back.params[name].dtype == np.float32
+        assert np.array_equal(back.params[name], arr.astype(np.float32))
 
 
 def test_bad_magic_rejected(tmp_path):
-    path = str(tmp_path / "net.swnet")
+    path = saved(tmp_path)
+    raw = open(path, "rb").read()
     with open(path, "wb") as fh:
-        fh.write(b"XXNET" + struct.pack("<II", VERSION, 0))
+        fh.write(b"XXNET" + raw[5:])
     with pytest.raises(ModelError, match="bad checkpoint magic"):
-        load_params(path)
+        load_network(path)
 
 
 def test_wrong_version_rejected(tmp_path):
-    path = str(tmp_path / "net.swnet")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC + struct.pack("<II", VERSION + 1, 0))
-    with pytest.raises(ModelError, match=f"version {VERSION + 1}, expected {VERSION}"):
-        load_params(path)
-
-
-def test_truncation_rejected(tmp_path, rng):
-    path = str(tmp_path / "net.swnet")
-    save_params(path, {"w": rng.normal(size=8).astype(np.float32)})
+    path = saved(tmp_path)
     raw = open(path, "rb").read()
-    for cut in (3, 8, 14, len(raw) - 5):
+    with open(path, "wb") as fh:
+        fh.write(MAGIC + struct.pack("<I", VERSION + 1) + raw[9:])
+    with pytest.raises(ModelError, match=f"version {VERSION + 1}, expected {VERSION}"):
+        load_network(path)
+
+
+def test_a_version_1_checkpoint_is_refused(tmp_path):
+    # version 1 kept the layout in a <path>.spec.json beside the parameters,
+    # which followed the version as {u32 count, tensors}
+    path = str(tmp_path / "old.swnet")
+    w = np.zeros((4, 1), dtype="<f4")
+    with open(path, "wb") as fh:
+        fh.write(MAGIC + struct.pack("<II", 1, 1))
+        fh.write(struct.pack("<I", 6) + b"head.w" + struct.pack("<BB2I", 0, 2, 4, 1))
+        fh.write(w.tobytes())
+    with pytest.raises(ModelError,
+                       match=rf"^{re.escape(path)}: checkpoint version 1, expected 2$"):
+        load_network(path)
+
+
+def test_truncation_rejected(tmp_path):
+    path = saved(tmp_path)
+    raw = open(path, "rb").read()
+    (layout_len,) = struct.unpack_from("<I", raw, 9)
+    # in the magic, the version, the layout length, the layout, the tensor
+    # count, a name and the last tensor's data
+    for cut in (3, 7, 11, 13 + layout_len // 2, 13 + layout_len + 2,
+                13 + layout_len + 6, len(raw) - 5):
         with open(path, "wb") as fh:
             fh.write(raw[:cut])
         with pytest.raises(ModelError, match="truncated"):
-            load_params(path)
+            load_network(path)
 
 
-def test_trailing_bytes_rejected(tmp_path, rng):
-    path = str(tmp_path / "net.swnet")
-    save_params(path, {"w": rng.normal(size=4).astype(np.float32)})
+def test_trailing_bytes_rejected(tmp_path):
+    path = saved(tmp_path)
     with open(path, "ab") as fh:
         fh.write(b"\x00\x00\x00")
     with pytest.raises(ModelError, match="3 trailing bytes"):
-        load_params(path)
-
-
-def test_network_roundtrip_with_sidecar(tmp_path):
-    net = Network.init(tiny_spec(), seed=3)
-    net.freeze_backbone()
-    path = str(tmp_path / "ckpt" / "model.swnet")
-    save_network(net, path)
-    back = load_network(path)
-    assert back.spec == net.spec
-    assert back.frozen == net.frozen
-    for name in net.params:
-        assert np.array_equal(back.params[name], net.params[name])
-    x = np.random.default_rng(0).random((2, 1, 2, 8, 8)).astype(np.float32)
-    assert np.array_equal(net.score(x), back.score(x))
-
-
-def test_missing_sidecar_rejected(tmp_path):
-    net = Network.init(tiny_spec(), seed=0)
-    path = str(tmp_path / "model.swnet")
-    save_network(net, path)
-    (tmp_path / "model.swnet.spec.json").unlink()
-    with pytest.raises(ModelError, match="sidecar"):
         load_network(path)
 
 
-def test_corrupt_sidecar_rejected(tmp_path):
-    net = Network.init(tiny_spec(), seed=0)
-    path = str(tmp_path / "model.swnet")
-    save_network(net, path)
-    (tmp_path / "model.swnet.spec.json").write_text("{not json")
-    with pytest.raises(ModelError, match="invalid JSON"):
-        load_network(path)
+def _unknown_field(layout):
+    layout["blocks"][0]["dilation"] = 2
+    return layout
 
 
-@pytest.mark.parametrize("layout", [{"blocks": []}, "unknown-field"],
-                         ids=["no-in-channels", "unknown-block-field"])
-def test_malformed_sidecar_layout_rejected(tmp_path, layout):
-    net = Network.init(tiny_spec(), seed=0)
-    path = str(tmp_path / "model.swnet")
-    save_network(net, path)
-    if layout == "unknown-field":
-        layout = net.spec.to_json()
-        layout["blocks"][0]["dilation"] = 2
-    (tmp_path / "model.swnet.spec.json").write_text(json.dumps(layout))
-    with pytest.raises(ModelError, match=r"model\.swnet\.spec\.json: invalid net layout"):
-        load_network(path)
-
-
-def test_unknown_block_kind_names_the_sidecar(tmp_path):
-    net = Network.init(tiny_spec(), seed=0)
-    path = str(tmp_path / "model.swnet")
-    save_network(net, path)
-    layout = net.spec.to_json()
+def _unknown_kind(layout):
     layout["blocks"][0]["kind"] = "Foo"
-    (tmp_path / "model.swnet.spec.json").write_text(json.dumps(layout))
-    with pytest.raises(ModelError, match=r"model\.swnet\.spec\.json: unknown block kind 'Foo'"):
+    return layout
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda layout: b"{not json", r"invalid net layout: JSONDecodeError"),
+    (lambda layout: b'{"in_channels": "\xc3\x28"}', r"invalid net layout: UnicodeDecodeError"),
+    (lambda layout: {"blocks": []}, r"invalid net layout: KeyError\('in_channels'\)"),
+    (lambda layout: [1, 2], r"invalid net layout: TypeError"),
+    (_unknown_field, r"invalid net layout: TypeError.*dilation"),
+    (_unknown_kind, r"unknown block kind 'Foo' in net config"),
+], ids=["invalid-json", "not-utf8", "no-in-channels", "not-an-object", "unknown-block-field",
+        "unknown-block-kind"])
+def test_a_layout_fault_names_the_checkpoint(tmp_path, edit, message):
+    path = saved(tmp_path)
+    rewrite_layout(path, edit(checkpoint_layout(path)))
+    with pytest.raises(ModelError, match=rf"^{re.escape(path)}: {message}"):
         load_network(path)
 
 
-def test_float64_params_are_stored_as_float32(tmp_path, rng):
-    params = {"w": rng.normal(size=4)}
-    path = str(tmp_path / "net.swnet")
-    save_params(path, params)
-    back, _ = load_params(path)
-    assert back["w"].dtype == np.float32
-    assert np.allclose(back["w"], params["w"], atol=1e-6)
+def test_a_layout_that_does_not_fit_the_parameters_names_the_checkpoint(tmp_path):
+    path = saved(tmp_path)
+    layout = checkpoint_layout(path)
+    layout["blocks"][0]["out_channels"] = 5
+    rewrite_layout(path, layout)
+    with pytest.raises(ModelError, match=rf"^{re.escape(path)}: conv1\.w: shape"):
+        load_network(path)
 
 
 class _PackFailsAfter:

@@ -7,13 +7,14 @@ import os
 import re
 import shutil
 import signal
+import struct
 import subprocess
 import sys
 import time
 
 import numpy as np
 import pytest
-from helpers import tree_bytes
+from helpers import checkpoint_layout, rewrite_layout, tree_bytes
 
 from hhmon import backend, checkpoint, cli, clipset, frameio, model, pose, synth, tvl1, workers
 from hhmon.errors import DataError
@@ -354,7 +355,22 @@ def test_infer_on_non_rgb_frames_exits_3_before_the_checkpoint_load(tmp_path, ca
         f"error: {clip_dir}: the rgb stream scores 3-channel frames, found {channels}\n")
 
 
-def test_infer_with_an_unknown_block_kind_exits_4(tmp_path, capsys):
+def _unknown_block_kind(ckpt):
+    layout = checkpoint_layout(ckpt)
+    layout["blocks"][2]["kind"] = "Foo"
+    rewrite_layout(ckpt, layout)
+    return "unknown block kind 'Foo' in net config"
+
+
+def _version_1(ckpt):
+    raw = ckpt.read_bytes()
+    ckpt.write_bytes(raw[:5] + struct.pack("<I", 1) + raw[9:])
+    return "checkpoint version 1, expected 2"
+
+
+@pytest.mark.parametrize("damage", [_unknown_block_kind, _version_1],
+                         ids=["unknown-block-kind", "version-1"])
+def test_infer_with_a_bad_checkpoint_exits_4(tmp_path, capsys, damage):
     path = write_cfg(tmp_path)
     clip_dir = tmp_path / "clip16"
     frameio.save_sequence(FrameSequence(np.zeros((16, 24, 24, 3)),
@@ -362,12 +378,9 @@ def test_infer_with_an_unknown_block_kind_exits_4(tmp_path, capsys):
     ckpt = tmp_path / "ckpt" / "rgb.swnet"
     net = model.Network.init(model.i3d_mini(in_channels=3, input_size=24), seed=0)
     checkpoint.save_network(net, str(ckpt))
-    sidecar = tmp_path / "ckpt" / "rgb.swnet.spec.json"
-    layout = json.loads(sidecar.read_text())
-    layout["blocks"][2]["kind"] = "Foo"
-    sidecar.write_text(json.dumps(layout))
+    message = damage(ckpt)
     assert cli.main(["infer", "--config", path, str(clip_dir)]) == 4
-    assert capsys.readouterr().err == f"error: {sidecar}: unknown block kind 'Foo' in net config\n"
+    assert capsys.readouterr().err == f"error: {ckpt}: {message}\n"
 
 
 def test_rgb_frames_are_read_from_the_manifest_frames_dir(tmp_path, capsys):
@@ -606,6 +619,15 @@ artifacts.publish = dying
 sys.exit(cli.main(sys.argv[2:]))
 """
 
+def _die_at_publish(target, argv):
+    """Run `hhmon argv` in a child that dies inside the publish of target."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", _DIE_AT_PUBLISH, str(target), *argv], env=env,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                          timeout=120)
+
+
 _STAGES = (["gen"], ["prepare"], ["flow"], ["train", "--stream", "rgb"],
            ["train", "--stream", "flow"], ["eval"])
 
@@ -614,9 +636,9 @@ _STAGES = (["gen"], ["prepare"], ["flow"], ["train", "--stream", "rgb"],
     (0, "ds/scenes/rub_001/frames"), (0, "ds/scenes/rub_001/keypoints.txt"),
     (0, "ds/dataset.json"), (1, "work/tracks/rub_001.txt"), (1, "work/annotations.csv"),
     (1, "work/splits.json"), (2, "work/flow/rub_001"), (3, "ckpt/rgb.swnet"),
-    (3, "ckpt/rgb.swnet.spec.json"), (5, "report/report.json"),
+    (5, "report/report.json"),
 ], ids=["frame-dir", "keypoints", "dataset-json", "tracks", "annotations", "splits",
-        "flow-dir", "checkpoint", "sidecar", "report-file"])
+        "flow-dir", "checkpoint", "report-file"])
 def test_a_stage_killed_mid_publish_reruns_to_a_clean_tree(tmp_path, stage, artifact):
     # a 3-scene tree: three dates, so prepare can split it date-disjointly
     run = tmp_path / "run"
@@ -635,12 +657,7 @@ def test_a_stage_killed_mid_publish_reruns_to_a_clean_tree(tmp_path, stage, arti
     shutil.copytree(before, run)
 
     target = run / artifact
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    child = subprocess.run([sys.executable, "-c", _DIE_AT_PUBLISH, str(target),
-                            *_STAGES[stage], "--config", path], env=env,
-                           stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
-                           timeout=120)
+    child = _die_at_publish(target, _STAGES[stage] + ["--config", path])
     if artifact.startswith("ds/scenes/"):
         # gen publishes a scene in a worker: the worker dies, and gen says so
         assert child.returncode == 1
@@ -657,3 +674,28 @@ def test_a_stage_killed_mid_publish_reruns_to_a_clean_tree(tmp_path, stage, arti
     assert tree_bytes(run) == clean
     assert not [name for _, dirs, files in os.walk(run) for name in dirs + files
                 if name.endswith(".partial")]
+
+
+def test_a_checkpoint_killed_mid_publish_keeps_its_earlier_layout(tmp_path):
+    # rgb trains at a 24 px input, then again at 32 px and dies inside the
+    # publish of its checkpoint: the 24 px network must load whole, never
+    # the new layout over the old parameters
+    gen = {"n_rubbing": 3, "n_other": 0, "n_synthetic_rubbing": 0,
+           "width": 48, "height": 36, "n_frames_min": 18, "n_frames_max": 20}
+    path = write_cfg(tmp_path, gen=gen)
+    for argv in _STAGES[:4]:
+        assert cli.main(argv + ["--config", path]) == 0
+    ckpt = tmp_path / "ckpt" / "rgb.swnet"
+    earlier = checkpoint.load_network(str(ckpt))
+    path = write_cfg(tmp_path, gen=gen, clip={"input_size": 32})
+    child = _die_at_publish(ckpt, _STAGES[3] + ["--config", path])
+    assert child.returncode == 137, child.stderr
+    assert os.path.exists(f"{ckpt}.partial")
+
+    kept = checkpoint.load_network(str(ckpt))
+    assert kept.spec == earlier.spec and kept.spec.input_size == 24
+    assert kept.frozen == earlier.frozen and kept.params.keys() == earlier.params.keys()
+    assert all(np.array_equal(kept.params[k], v) for k, v in earlier.params.items())
+    assert cli.main(_STAGES[3] + ["--config", path]) == 0
+    assert checkpoint.load_network(str(ckpt)).spec.input_size == 32
+    assert not os.path.exists(f"{ckpt}.partial")

@@ -162,6 +162,8 @@ def test_bad_values_are_rejected_naming_their_section():
         ("flow", {"n_iters": True}, "flow: n_iters must be int, got True"),
         ("flow", {"tau": False}, "flow: tau must be float, got False"),
         ("eval", {"threshold": "0.5"}, "eval: threshold must be float, got '0.5'"),
+        ("eval", {"threshold": 1.5}, r"eval: threshold must lie in \[0, 1\], got 1.5"),
+        ("eval", {"threshold": -0.1}, r"eval: threshold must lie in \[0, 1\], got -0.1"),
         ("flow", {"tau": 0.3}, "flow: tau"),
         ("train", {"momentum": 1.0}, "train: momentum"),
         ("train", {"head_lr": -1.0}, "train: head_lr"),
@@ -243,6 +245,30 @@ def test_every_number_field_of_every_block_checks_its_type():
 class _ClassTypes:
     n: int = 1
     x: float = 0.5
+
+
+def test_every_float_field_of_every_block_must_be_finite(tmp_path, capsys):
+    # JSON's NaN and Infinity reach the blocks as floats; a NaN eval
+    # threshold once scored every clip "other" and exited 0
+    path = tmp_path / "cfg.json"
+    checked = set()
+    for section, cls in config._BLOCK_TYPES.items():
+        for f in dataclasses.fields(cls):
+            if getattr(f.type, "__name__", f.type) != "float":
+                continue
+            for value, shown in ((float("nan"), "nan"), (float("inf"), "inf"),
+                                 (float("-inf"), "-inf")):
+                path.write_text(json.dumps({section: {f.name: value}}))
+                assert cli.main(["gen", "--config", str(path), "--print-config"]) == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err == f"error: {section}: {f.name} must be finite, got {shown}\n"
+            checked.add(section)
+    assert checked == set(config._BLOCK_TYPES) - {"paths"}
+    # an int beyond float range is finite: it passes this check and meets
+    # the block's own range rule
+    with pytest.raises(ConfigError, match="eval: threshold must lie in"):
+        config_from_dict({"eval": {"threshold": 10**400}})
 
 
 def test_frame_size_is_checked_against_the_flow_min_size():

@@ -201,18 +201,29 @@ def test_sequence_flow_builds_each_pyramid_once_and_no_energy(rng, monkeypatch):
     # the solver keeps no energy bookkeeping for the pipeline to pay for
     assert not hasattr(tvl1, "flow_energy")
     monkeypatch.setattr(tvl1, "_pyramid", counting_pyramid)
-    tex = smooth_texture(rng, h=32, w=32)  # 32 frames per chunk: one chunk
+    tex = smooth_texture(rng, h=32, w=32)
     frames = [np.repeat(rolled(tex, dx=i)[:, :, None], 3, axis=2) for i in range(5)]
     stored_flow(frames)
     assert [len(p) for p in pyramids] == [5]
     pyramids.clear()
-    tex = smooth_texture(rng, h=72, w=96)  # 4 frames per chunk
+    tex = smooth_texture(rng, h=72, w=96)  # 4 frames per solver stack
     frames = [rolled(tex, dx=i)[:, :, None] for i in range(11)]
     stored_flow(frames)
-    # the chunks, in order, hold each of the 11 distinct frames exactly once
-    assert [len(p) for p in pyramids] == [4, 4, 3]
-    assert np.array_equal(np.concatenate(pyramids),
-                          np.float32(255.0) * np.array(frames)[..., 0])
+    # one call on the whole scene, each of the 11 distinct frames once
+    assert [len(p) for p in pyramids] == [11]
+    assert np.array_equal(pyramids[0], np.float32(255.0) * np.array(frames)[..., 0])
+
+
+@pytest.mark.parametrize("h, w, n", [(72, 96, 7), (144, 192, 3), (36, 48, 4)])
+def test_a_stack_pyramid_is_its_frames_pyramids_stacked(rng, h, w, n):
+    params = TvL1Params()
+    tex = smooth_texture(rng, h=h, w=w)
+    stack = np.float32(255.0) * np.array([rolled(tex, dx=i, dy=i // 2) for i in range(n)])
+    levels = tvl1._pyramid(stack, params)
+    per_frame = [tvl1._pyramid(stack[i : i + 1], params) for i in range(n)]
+    assert len(levels) > 1 and all(len(p) == len(levels) for p in per_frame)
+    for k, level in enumerate(levels):
+        assert np.array_equal(level, np.concatenate([p[k] for p in per_frame])), f"level {k}"
 
 
 def test_non_finite_flow_input_rejected(rng):
