@@ -343,7 +343,7 @@ def request_rows(repeats):
         rows.append(("load_poses 16 lines", best_of(lambda: pose.load_poses(path), n)[0]))
 
         def lock_cycle():
-            with cli._command_lock(tmp, shared=True):
+            with cli._command_lock(os.path.join(tmp, ".lock"), shared=True):
                 pass
 
         rows.append(("command lock acquire + release", best_of(lock_cycle, n)[0]))

@@ -65,13 +65,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 @contextlib.contextmanager
-def _command_lock(work_dir: str, shared: bool):
-    """A POSIX record lock on `<work_dir>/.lock`, shared or exclusive.  The
+def _command_lock(path: str, shared: bool):
+    """A POSIX record lock on the file at `path`, shared or exclusive.  The
     kernel drops it when its holder dies, and a forked child does not inherit
     it.  The empty file stays: unlinking a file that another process may have
     opened would let two commands lock two different files."""
-    os.makedirs(work_dir, exist_ok=True)
-    path = os.path.join(work_dir, ".lock")
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     fd = os.open(path, os.O_CREAT | os.O_RDWR)
     try:
         try:
@@ -103,8 +102,8 @@ def _cmd_prepare(cfg: PipelineConfig, args) -> int:
 def _cmd_flow(cfg: PipelineConfig, args) -> int:
     n = pipeline.compute_flow(cfg, force=args.force)
     n_workers = workers.count()
-    print(f"computed flow for {n} scenes under "
-          f"{os.path.join(cfg.paths.work_dir, 'flow')} ({backend.BACKEND} kernels, "
+    flow_root = os.path.dirname(pipeline.artifact_path(cfg, "flow dir"))  # every flow dir's parent
+    print(f"computed flow for {n} scenes under {flow_root} ({backend.BACKEND} kernels, "
           f"{n_workers} process{'es' if n_workers != 1 else ''})")
     return 0
 
@@ -152,7 +151,7 @@ def main(argv=None) -> int:
         if args.print_config:
             print(dump_config(cfg))
             return 0
-        with _command_lock(cfg.paths.work_dir, shared=args.command == "infer"):
+        with _command_lock(pipeline.artifact_path(cfg, "lock"), shared=args.command == "infer"):
             return _DISPATCH[args.command](cfg, args)
     except HhmonError as exc:
         print(f"error: {exc}", file=sys.stderr)

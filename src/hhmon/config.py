@@ -7,11 +7,11 @@ Each stage's block is that stage's own parameter object, passed to it whole:
 `tvl1.TvL1Params`.  Only the paths, the train block (the training module's
 `TrainConfig` plus three pipeline-only fields) and the eval block are
 declared here, so every default is declared once.  The loader checks each
-number's type and that each float is finite, then each block validates
-itself when built; a bad value is a ConfigError naming its section.  The
-loader also checks the rules that span blocks: frames no smaller than the
-flow solver's `min_size`, and a clip input no smaller than the network can
-pool.
+field's type, that each float is finite and that each string is non-empty,
+then each block validates itself when built; a bad value is a ConfigError
+naming its section.  The loader also checks the rules that span blocks:
+frames no smaller than the flow solver's `min_size`, and a clip input no
+smaller than the network can pool.
 """
 
 from __future__ import annotations
@@ -86,8 +86,8 @@ _BLOCK_TYPES = {"paths": PathsConfig, "gen": DatasetConfig, "roi": RoiParams, "l
                 "clip": AugmentConfig, "flow": TvL1Params, "train": TrainBlock, "eval": EvalConfig}
 
 
-# The JSON types an "int" or a "float" field takes; bool, an int subclass, is neither.
-_NUMBER_KINDS = {"int": (int,), "float": (int, float)}
+# The JSON types each kind of field takes; bool, an int subclass, is none of them.
+_FIELD_KINDS = {"int": (int,), "float": (int, float), "str": (str,)}
 
 
 def _build_block(cls, data: dict, where: str):
@@ -98,9 +98,11 @@ def _build_block(cls, data: dict, where: str):
     if unknown:
         raise ConfigError(f"{where}: unknown keys {', '.join(unknown)}")
     for key, value in data.items():
-        kinds = _NUMBER_KINDS.get(types[key])
+        kinds = _FIELD_KINDS.get(types[key])
         if kinds and (isinstance(value, bool) or not isinstance(value, kinds)):
             raise ConfigError(f"{where}: {key} must be {types[key]}, got {value!r}")
+        if value == "":
+            raise ConfigError(f"{where}: {key} must not be empty")
         # JSON's NaN and Infinity parse as floats; a comparison, unlike
         # math.isfinite, takes an int too large for a float
         if types[key] == "float" and not -math.inf < value < math.inf:

@@ -4,7 +4,9 @@ Stages communicate only through files under the configured roots: the scene
 manifest and frames from `gen`, tracks/annotations/splits from `prepare`,
 per-scene flow directories from `flow`, SWNET checkpoints from `train`, and
 the report bundle from `eval`.  Every stage is a pure function of
-(files on disk, config, seed).
+(files on disk, config, seed).  `ARTIFACTS` is the one table of where the
+files between the stages live and which command writes each; every reader
+and writer takes its path from `artifact_path`.
 """
 
 from __future__ import annotations
@@ -25,31 +27,35 @@ from .errors import ConfigError, DataError
 from .metrics import ScoredClip
 
 
-# --- path helpers ---------------------------------------------------------
+# --- artifacts ------------------------------------------------------------
 
-def _frames_dir(cfg: PipelineConfig, entry: dict) -> str:
-    return os.path.join(cfg.paths.dataset_dir, entry["frames_dir"])
+# Each kind of file one stage hands on: its root in `cfg.paths`, its path
+# there and the command that writes it, `{}` a scene or network name in both
+# (`train --stream rgb` also writes rgb_scratch, and either stream twin2d).
+# Scene frames and keypoints are found through the manifest (`synth`).
+ARTIFACTS = {
+    "flow dir": ("work_dir", "flow/{}", "flow"),
+    "tracks": ("work_dir", "tracks/{}.txt", "prepare"),
+    "corrections": ("work_dir", "corrections/{}.txt", None),  # edited by hand
+    "annotations": ("work_dir", "annotations.csv", "prepare"),
+    "splits": ("work_dir", "splits.json", "prepare"),
+    "lock": ("work_dir", ".lock", None),  # every command
+    "checkpoint": ("checkpoint_dir", "{}.swnet", "train --stream {}"),
+}
 
-def _keypoints_path(cfg: PipelineConfig, entry: dict) -> str:
-    return os.path.join(cfg.paths.dataset_dir, entry["keypoints_file"])
 
-def _flow_dir(cfg: PipelineConfig, video_id: str) -> str:
-    return os.path.join(cfg.paths.work_dir, "flow", video_id)
+def artifact_path(cfg: PipelineConfig, kind: str, name: str = "") -> str:
+    root, pattern, _ = ARTIFACTS[kind]
+    return os.path.join(getattr(cfg.paths, root), pattern.format(name))
 
-def _tracks_path(cfg: PipelineConfig, video_id: str) -> str:
-    return os.path.join(cfg.paths.work_dir, "tracks", f"{video_id}.txt")
 
-def _corrections_path(cfg: PipelineConfig, video_id: str) -> str:
-    return os.path.join(cfg.paths.work_dir, "corrections", f"{video_id}.txt")
-
-def _annotations_path(cfg: PipelineConfig) -> str:
-    return os.path.join(cfg.paths.work_dir, "annotations.csv")
-
-def _splits_path(cfg: PipelineConfig) -> str:
-    return os.path.join(cfg.paths.work_dir, "splits.json")
-
-def _ckpt_path(cfg: PipelineConfig, name: str) -> str:
-    return os.path.join(cfg.paths.checkpoint_dir, f"{name}.swnet")
+def _require(cfg: PipelineConfig, kind: str, name: str = "") -> str:
+    """The path of an artifact a stage reads; a missing one is a DataError
+    naming the command that writes it."""
+    path = artifact_path(cfg, kind, name)
+    if not (os.path.isdir if kind == "flow dir" else os.path.isfile)(path):
+        raise DataError(f"{kind} not found at {path}; run {ARTIFACTS[kind][2].format(name)} first")
+    return path
 
 
 # --- gen ------------------------------------------------------------------
@@ -114,38 +120,35 @@ def prepare(cfg: PipelineConfig) -> PrepareResult:
     records: list[AnnotationRecord] = []
     for entry, rec in zip(manifest["scenes"], synth.manifest_records(manifest)):
         video_id = entry["video_id"]
-        kp_path = _keypoints_path(cfg, entry)
+        kp_path = os.path.join(cfg.paths.dataset_dir, entry["keypoints_file"])
         if not os.path.isfile(kp_path):
             raise DataError(f"{video_id}: keypoints file not found: {kp_path}")
-        meta = frameio.load_descriptor(_frames_dir(cfg, entry))
+        meta = frameio.load_descriptor(os.path.join(cfg.paths.dataset_dir, entry["frames_dir"]))
         poses = pose.load_poses(kp_path)
         per_frame = _detections_for_scene(cfg.roi, poses, (meta["width"], meta["height"]))
         tracks = tracking.link_detections(per_frame, cfg.link)
-        corr_path = _corrections_path(cfg, video_id)
+        corr_path = artifact_path(cfg, "corrections", video_id)
         if os.path.isfile(corr_path):
             tracks = tracking.correct_assignment(tracks, tracking.parse_corrections(corr_path))
         tracks = [tracking.smooth_track(t, cfg.link.smooth_window) for t in tracks]
-        tracking.save_tracks(tracks, _tracks_path(cfg, video_id))
+        tracking.save_tracks(tracks, artifact_path(cfg, "tracks", video_id))
         track_id = _resolve_track(tracks, rec.start_frame, rec.end_frame, video_id)
         records.append(replace(rec, track_id=track_id))
     split = clipset.split_dataset(records, seed=cfg.seed)
-    clipset.save_annotations(records, _annotations_path(cfg))
+    clipset.save_annotations(records, artifact_path(cfg, "annotations"))
     split_doc = split.as_dict()
     split_doc["video_ids"] = {name: [records[i].video_id for i in getattr(split, name)]
                               for name in ("train", "val", "test")}
-    with artifacts.publish(_splits_path(cfg)) as tmp, open(tmp, "w") as fh:
+    with artifacts.publish(artifact_path(cfg, "splits")) as tmp, open(tmp, "w") as fh:
         json.dump(split_doc, fh, indent=1)
     table = render_stats(dataset_stats(records, split, cfg.clip))
     return PrepareResult(records=records, split=split, table=table)
 
 
 def load_prepared(cfg: PipelineConfig) -> tuple[list[AnnotationRecord], SplitResult]:
-    ann_path = _annotations_path(cfg)
-    if not os.path.isfile(ann_path):
-        raise DataError(f"annotations not found at {ann_path}; run prepare first")
-    records = clipset.load_annotations(ann_path)
-    path = _splits_path(cfg)
-    doc = artifacts.read_json(path, DataError, f"splits not found at {path}; run prepare first")
+    records = clipset.load_annotations(_require(cfg, "annotations"))
+    path = _require(cfg, "splits")
+    doc = artifacts.read_json(path, DataError, f"{path}: cannot read: no such file")
     try:
         split = SplitResult(train=doc["train"], val=doc["val"], test=doc["test"],
                             seed=doc.get("seed", 0))
@@ -254,10 +257,10 @@ def compute_flow(cfg: PipelineConfig, force: bool = False) -> int:
     n_workers = workers.count()
     scenes = []
     for entry in manifest["scenes"]:
-        out_dir = _flow_dir(cfg, entry["video_id"])
+        out_dir = artifact_path(cfg, "flow dir", entry["video_id"])
         if os.path.isdir(out_dir) and not force:
             continue
-        frames_dir = _frames_dir(cfg, entry)
+        frames_dir = os.path.join(cfg.paths.dataset_dir, entry["frames_dir"])
         meta, names = frameio.index_sequence(frames_dir)
         if len(names) < 2:
             raise DataError(f"{meta['video_id']}: need at least 2 frames for flow, "
@@ -291,12 +294,9 @@ def _scene_loader(cfg: PipelineConfig, stream: str):
     read here, once for every record the loader serves."""
     if stream == "flow":
         def load_flow(rec: AnnotationRecord) -> frameio.FrameSequence:
-            flow_dir = _flow_dir(cfg, rec.video_id)
-            if not os.path.isdir(flow_dir):
-                raise DataError(f"{rec.video_id}: flow not computed at {flow_dir}; run flow first")
-            return frameio.load_sequence(flow_dir)
+            return frameio.load_sequence(_require(cfg, "flow dir", rec.video_id))
         return load_flow
-    dirs = {e["video_id"]: _frames_dir(cfg, e)
+    dirs = {e["video_id"]: os.path.join(cfg.paths.dataset_dir, e["frames_dir"])
             for e in synth.load_manifest(cfg.paths.dataset_dir)["scenes"]}
 
     def load_rgb(rec: AnnotationRecord) -> frameio.FrameSequence:
@@ -307,7 +307,7 @@ def _scene_loader(cfg: PipelineConfig, stream: str):
 
 
 def _track_for(cfg: PipelineConfig, rec: AnnotationRecord) -> tracking.Track:
-    tracks = tracking.load_tracks(_tracks_path(cfg, rec.video_id))
+    tracks = tracking.load_tracks(_require(cfg, "tracks", rec.video_id))
     for t in tracks:
         if t.track_id == rec.track_id:
             return t
@@ -356,16 +356,15 @@ def _build_stills(cfg: PipelineConfig, recs: list[AnnotationRecord], load_rgb):
     return np.stack(xs), np.asarray(ys, dtype=np.float64)
 
 
-def _twin_path(cfg: PipelineConfig) -> str:
-    return _ckpt_path(cfg, "twin2d")
-
-
 def _get_or_train_twin(cfg: PipelineConfig, recs: list[AnnotationRecord],
                        load_rgb) -> model.Network:
-    path = _twin_path(cfg)
-    if os.path.isfile(path):
-        return checkpoint.load_network(path)
+    """The saved 2D twin if its layout fits `cfg.clip`, else one pretrained here."""
+    path = artifact_path(cfg, "checkpoint", "twin2d")
     rgb_spec = model.i3d_mini(in_channels=3, input_size=cfg.clip.input_size)
+    if os.path.isfile(path):
+        twin = checkpoint.load_network(path)
+        if twin.spec == model.collapse_temporal(rgb_spec):
+            return twin
     stills, labels = _build_stills(cfg, recs, load_rgb)
     pre_cfg = replace(cfg.train, epochs=cfg.train.pretrain_epochs)
     twin = training.pretrain_twin(rgb_spec, stills, labels, pre_cfg, cfg.seed)
@@ -408,10 +407,10 @@ def train_stream(cfg: PipelineConfig, stream: str) -> TrainSummary:
     curves = [training.train_head_on_features(n, f, labels, head_cfg, cfg.seed)
               for n, f in zip(nets, feats)]
     summary.finetune_curve = curves[0]
-    checkpoint.save_network(net, _ckpt_path(cfg, stream))
+    checkpoint.save_network(net, artifact_path(cfg, "checkpoint", stream))
     if stream == "rgb":
         summary.scratch_curve = curves[1]
-        checkpoint.save_network(nets[1], _ckpt_path(cfg, "rgb_scratch"))
+        checkpoint.save_network(nets[1], artifact_path(cfg, "checkpoint", "rgb_scratch"))
     return summary
 
 
@@ -446,8 +445,8 @@ def _test_scores(cfg: PipelineConfig, nets: dict[str, model.Network],
 
 def _dataset_hash(cfg: PipelineConfig) -> str:
     h = hashlib.sha256()
-    for path in (_annotations_path(cfg), _splits_path(cfg)):
-        with open(path, "rb") as fh:
+    for kind in ("annotations", "splits"):
+        with open(artifact_path(cfg, kind), "rb") as fh:
             h.update(fh.read())
     return h.hexdigest()[:16]
 
@@ -468,14 +467,15 @@ def evaluate(cfg: PipelineConfig) -> EvalResult:
     test_recs = [records[i] for i in split.test]
     if not test_recs:
         raise DataError("test split is empty")
+    paths = {name: artifact_path(cfg, "checkpoint", name)
+             for name in ("rgb", "flow", "rgb_scratch")}
     nets = {}
-    for name in ("rgb", "flow", "rgb_scratch"):
-        path = _ckpt_path(cfg, name)
+    for name, path in paths.items():
         if os.path.isfile(path) and (name != "rgb_scratch" or "rgb" in nets):
             nets[name] = checkpoint.load_network(path)
     if not nets:
-        raise DataError(f"no stream checkpoints found: rgb ({_ckpt_path(cfg, 'rgb')}), "
-                        f"flow ({_ckpt_path(cfg, 'flow')})")
+        raise DataError(f"no stream checkpoints found: rgb ({paths['rgb']}), "
+                        f"flow ({paths['flow']})")
     warnings = [f"{s}: checkpoint missing, row marked absent"
                 for s in ("rgb", "flow") if s not in nets]
 
@@ -523,10 +523,7 @@ def infer_clip(cfg: PipelineConfig, clip_dir: str) -> tuple[float, str]:
     if seq.channels != 3:
         raise DataError(f"{clip_dir}: the rgb stream scores 3-channel frames, "
                         f"found {seq.channels}")
-    path = _ckpt_path(cfg, "rgb")
-    if not os.path.isfile(path):
-        raise DataError(f"rgb: checkpoint not found at {path}; run train --stream rgb first")
-    net = checkpoint.load_network(path)
+    net = checkpoint.load_network(_require(cfg, "checkpoint", "rgb"))
     box = None
     kp_path = os.path.join(clip_dir, "keypoints.txt")
     if os.path.isfile(kp_path):

@@ -8,7 +8,6 @@ through unchanged.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -262,8 +261,6 @@ def save_tracks(tracks: list[Track], path: str) -> None:
 
 
 def load_tracks(path: str) -> list[Track]:
-    if not os.path.isfile(path):
-        raise DataError(f"tracks not found at {path}; run prepare first")
     by_id: dict[int, Track] = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):

@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 from helpers import checkpoint_layout, rewrite_layout, tree_bytes
 
-from hhmon import backend, checkpoint, cli, clipset, frameio, model, pose, synth, tvl1, workers
+from hhmon import (backend, checkpoint, cli, clipset, config, frameio, model, pipeline, pose,
+                   synth, training, tvl1, workers)
 from hhmon.errors import DataError
 from hhmon.frameio import FrameSequence
 
@@ -630,6 +631,9 @@ def _die_at_publish(target, argv):
 
 _STAGES = (["gen"], ["prepare"], ["flow"], ["train", "--stream", "rgb"],
            ["train", "--stream", "flow"], ["eval"])
+# a 3-scene tree: three dates, so prepare can split it date-disjointly
+_THREE_SCENES = {"n_rubbing": 3, "n_other": 0, "n_synthetic_rubbing": 0,
+                 "width": 48, "height": 36, "n_frames_min": 18, "n_frames_max": 20}
 
 
 @pytest.mark.parametrize("stage, artifact", [
@@ -640,12 +644,9 @@ _STAGES = (["gen"], ["prepare"], ["flow"], ["train", "--stream", "rgb"],
 ], ids=["frame-dir", "keypoints", "dataset-json", "tracks", "annotations", "splits",
         "flow-dir", "checkpoint", "report-file"])
 def test_a_stage_killed_mid_publish_reruns_to_a_clean_tree(tmp_path, stage, artifact):
-    # a 3-scene tree: three dates, so prepare can split it date-disjointly
     run = tmp_path / "run"
     run.mkdir()
-    path = write_cfg(run, gen={"n_rubbing": 3, "n_other": 0, "n_synthetic_rubbing": 0,
-                               "width": 48, "height": 36,
-                               "n_frames_min": 18, "n_frames_max": 20})
+    path = write_cfg(run, gen=_THREE_SCENES)
     for argv in _STAGES[:stage]:
         assert cli.main(argv + ["--config", path]) == 0
     before = tmp_path / "before"
@@ -680,14 +681,12 @@ def test_a_checkpoint_killed_mid_publish_keeps_its_earlier_layout(tmp_path):
     # rgb trains at a 24 px input, then again at 32 px and dies inside the
     # publish of its checkpoint: the 24 px network must load whole, never
     # the new layout over the old parameters
-    gen = {"n_rubbing": 3, "n_other": 0, "n_synthetic_rubbing": 0,
-           "width": 48, "height": 36, "n_frames_min": 18, "n_frames_max": 20}
-    path = write_cfg(tmp_path, gen=gen)
+    path = write_cfg(tmp_path, gen=_THREE_SCENES)
     for argv in _STAGES[:4]:
         assert cli.main(argv + ["--config", path]) == 0
     ckpt = tmp_path / "ckpt" / "rgb.swnet"
     earlier = checkpoint.load_network(str(ckpt))
-    path = write_cfg(tmp_path, gen=gen, clip={"input_size": 32})
+    path = write_cfg(tmp_path, gen=_THREE_SCENES, clip={"input_size": 32})
     child = _die_at_publish(ckpt, _STAGES[3] + ["--config", path])
     assert child.returncode == 137, child.stderr
     assert os.path.exists(f"{ckpt}.partial")
@@ -699,3 +698,42 @@ def test_a_checkpoint_killed_mid_publish_keeps_its_earlier_layout(tmp_path):
     assert cli.main(_STAGES[3] + ["--config", path]) == 0
     assert checkpoint.load_network(str(ckpt)).spec.input_size == 32
     assert not os.path.exists(f"{ckpt}.partial")
+
+
+def test_a_twin_of_another_input_size_is_pretrained_again(tmp_path, monkeypatch):
+    path = write_cfg(tmp_path, gen=_THREE_SCENES)
+    for argv in (*_STAGES[:2], _STAGES[3]):
+        assert cli.main(argv + ["--config", path]) == 0
+    twin = tmp_path / "ckpt" / "twin2d.swnet"
+    assert checkpoint.load_network(str(twin)).spec.input_size == 24
+    path = write_cfg(tmp_path, gen=_THREE_SCENES, clip={"input_size": 32})
+    assert cli.main(_STAGES[3] + ["--config", path]) == 0
+    spec = checkpoint.load_network(str(twin)).spec
+    assert spec == model.collapse_temporal(model.i3d_mini(3, 32)) and spec.input_size == 32
+    # a twin of the configured layout is reused as it is
+    monkeypatch.setattr(training, "pretrain_twin", None)
+    kept = twin.read_bytes()
+    assert cli.main(_STAGES[3] + ["--config", path]) == 0
+    assert twin.read_bytes() == kept
+
+
+def test_every_file_a_run_leaves_is_in_the_artifact_table(tmp_path):
+    path = write_cfg(tmp_path, gen=_THREE_SCENES)
+    for argv in _STAGES:
+        assert cli.main(argv + ["--config", path]) == 0
+    cfg = config.load_config(path)
+    names = [e["video_id"] for e in synth.load_manifest(cfg.paths.dataset_dir)["scenes"]]
+    names += ["rgb", "flow", "rgb_scratch", "twin2d"]
+    table = {pipeline.artifact_path(cfg, kind, name): kind
+             for kind, (_, pattern, _) in pipeline.ARTIFACTS.items()
+             for name in (names if "{}" in pattern else [""])}
+    found = set()
+    for root in (cfg.paths.work_dir, cfg.paths.checkpoint_dir):
+        for d, _, files in os.walk(root):
+            for file in (os.path.join(d, f) for f in files):
+                owner = file if file in table else d  # a flow dir holds its frames
+                assert owner == file or table.get(owner) == "flow dir", file
+                found.add(table[owner])
+    assert found == set(pipeline.ARTIFACTS) - {"corrections"}  # corrections are written by hand
+    assert not [name for _, dirs, files in os.walk(tmp_path) for name in dirs + files
+                if name.endswith(".partial")]

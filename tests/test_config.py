@@ -271,6 +271,27 @@ def test_every_float_field_of_every_block_must_be_finite(tmp_path, capsys):
         config_from_dict({"eval": {"threshold": 10**400}})
 
 
+def test_every_str_field_of_every_block_must_be_a_non_empty_string(tmp_path, capsys):
+    # a path given as 5, null or true once crashed a command with a
+    # TypeError traceback, and "" with a FileNotFoundError one
+    path = tmp_path / "cfg.json"
+    checked = []
+    for section, cls in config._BLOCK_TYPES.items():
+        for f in dataclasses.fields(cls):
+            if getattr(f.type, "__name__", f.type) != "str":
+                continue
+            for value, error in ((5, "must be str, got 5"), (None, "must be str, got None"),
+                                 (True, "must be str, got True"), ("", "must not be empty")):
+                path.write_text(json.dumps({section: {f.name: value}}))
+                assert cli.main(["prepare", "--config", str(path), "--print-config"]) == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err == f"error: {section}: {f.name} {error}\n"
+            checked.append(f"{section}.{f.name}")
+    assert checked == ["paths.dataset_dir", "paths.work_dir", "paths.checkpoint_dir",
+                       "paths.report_dir", "eval.mode"]
+
+
 def test_frame_size_is_checked_against_the_flow_min_size():
     cfg = config_from_dict({"gen": {"width": 12, "height": 9}, "flow": {"min_size": 8}})
     assert (cfg.gen.width, cfg.gen.height, cfg.flow.min_size) == (12, 9, 8)

@@ -4,6 +4,7 @@ import copy
 import json
 import multiprocessing
 import os
+import re
 import shutil
 import signal
 import time
@@ -68,9 +69,9 @@ def test_prepare_builds_records_tracks_and_splits(prepared):
     cfg, manifest, result = prepared
     assert len(result.records) == 7
     for entry in manifest["scenes"]:
-        assert os.path.isfile(pipeline._tracks_path(cfg, entry["video_id"]))
-    assert os.path.isfile(pipeline._annotations_path(cfg))
-    split_doc = json.load(open(pipeline._splits_path(cfg)))
+        assert os.path.isfile(pipeline.artifact_path(cfg, "tracks", entry["video_id"]))
+    assert os.path.isfile(pipeline.artifact_path(cfg, "annotations"))
+    split_doc = json.load(open(pipeline.artifact_path(cfg, "splits")))
     assert set(split_doc) == {"seed", "train", "val", "test", "video_ids"}
 
     dates = [
@@ -89,9 +90,9 @@ def test_prepare_builds_records_tracks_and_splits(prepared):
 
 def test_prepare_is_idempotent(prepared):
     cfg, _, first = prepared
-    before = open(pipeline._annotations_path(cfg)).read()
+    before = open(pipeline.artifact_path(cfg, "annotations")).read()
     second = pipeline.prepare(cfg)
-    assert open(pipeline._annotations_path(cfg)).read() == before
+    assert open(pipeline.artifact_path(cfg, "annotations")).read() == before
     assert second.split.as_dict() == first.split.as_dict()
 
 
@@ -106,6 +107,30 @@ def test_load_prepared_requires_prepare(tmp_path):
     cfg = tiny_cfg(tmp_path)
     with pytest.raises(DataError, match="run prepare first"):
         pipeline.load_prepared(cfg)
+
+
+def test_every_missing_artifact_names_the_command_that_writes_it(tmp_path, rng):
+    cfg = tiny_cfg(tmp_path)
+    rec = AnnotationRecord("lost", "d00", 0, 0, CLIP_LEN, 1)
+    clip_dir = str(tmp_path / "clip")
+    frames = rng.random((CLIP_LEN, 20, 20, 3)).astype(np.float32)
+    frameio.save_sequence(FrameSequence(frames, video_id="c", date_tag="d"), clip_dir)
+
+    def write_annotations():
+        clipset.save_annotations([rec], pipeline.artifact_path(cfg, "annotations"))
+        return pipeline.load_prepared(cfg)
+
+    for read, kind, name, command in (
+            (lambda: pipeline.load_prepared(cfg), "annotations", "", "prepare"),
+            (write_annotations, "splits", "", "prepare"),
+            (lambda: pipeline._track_for(cfg, rec), "tracks", "lost", "prepare"),
+            (lambda: pipeline._scene_loader(cfg, "flow")(rec), "flow dir", "lost", "flow"),
+            (lambda: pipeline.infer_clip(cfg, clip_dir), "checkpoint", "rgb",
+             "train --stream rgb")):
+        path = pipeline.artifact_path(cfg, kind, name)
+        with pytest.raises(DataError, match=f"^{kind} not found at {re.escape(path)}; "
+                                            f"run {command} first$"):
+            read()
 
 
 def test_missing_keypoints_is_reported_by_video(tmp_path):
@@ -140,7 +165,7 @@ def test_compute_flow_skips_existing(prepared, monkeypatch):
     done = pipeline.compute_flow(cfg)
     assert done == 7
     vid = manifest["scenes"][0]["video_id"]
-    flow_dir = pipeline._flow_dir(cfg, vid)
+    flow_dir = pipeline.artifact_path(cfg, "flow dir", vid)
     seq = frameio.load_sequence(flow_dir)
     n_frames = manifest["scenes"][0]["end_frame"]
     assert len(seq) == n_frames
@@ -202,7 +227,7 @@ def test_flow_killed_mid_scene_is_recomputed_on_rerun(tmp_path, monkeypatch):
     assert 0 < len(done) < 7
     # a run killed outright leaves its temp behind; the rerun clears it
     todo = sorted({name.split(os.sep)[0] for name in clean} - done)[0]
-    stale = pipeline._flow_dir(cfg, todo) + ".partial"
+    stale = pipeline.artifact_path(cfg, "flow dir", todo) + ".partial"
     os.makedirs(stale)
     with open(os.path.join(stale, "junk"), "w") as fh:
         fh.write("junk")
@@ -276,7 +301,7 @@ def test_train_rgb_samples_each_window_once(tmp_path, monkeypatch):
     # on its own pass over the windows, sampled here without the pipeline
     spec = model.i3d_mini(in_channels=3, input_size=cfg.clip.input_size)
     head_cfg = replace(cfg.train, lr=cfg.train.head_lr)
-    twin = checkpoint.load_network(pipeline._twin_path(cfg))
+    twin = checkpoint.load_network(pipeline.artifact_path(cfg, "checkpoint", "twin2d"))
     for name, net in (("rgb", training.inflate_and_freeze(twin, spec, head_seed=cfg.seed + 1)),
                       ("rgb_scratch", training.scratch_network(spec, cfg.seed, cfg.seed + 1))):
         load = pipeline._scene_loader(cfg, "rgb")
@@ -285,14 +310,14 @@ def test_train_rgb_samples_each_window_once(tmp_path, monkeypatch):
                    for r in train_recs for s in window_starts(r.n_frames, r.label, cfg.clip))
         (feats,), labels = training.extract_features([net], windows)
         training.train_head_on_features(net, feats, labels, head_cfg, cfg.seed)
-        saved = checkpoint.load_network(pipeline._ckpt_path(cfg, name))
+        saved = checkpoint.load_network(pipeline.artifact_path(cfg, "checkpoint", name))
         for key in ("head.w", "head.b"):
             assert np.array_equal(saved.params[key], net.params[key]), (name, key)
 
 
 def test_evaluate_requires_some_checkpoint(prepared):
     cfg, _, _ = prepared
-    if os.path.isfile(pipeline._ckpt_path(cfg, "rgb")):
+    if os.path.isfile(pipeline.artifact_path(cfg, "checkpoint", "rgb")):
         pytest.skip("a later test already wrote a checkpoint")
     with pytest.raises(DataError, match="no stream checkpoints"):
         pipeline.evaluate(cfg)
@@ -301,7 +326,7 @@ def test_evaluate_requires_some_checkpoint(prepared):
 def test_evaluate_with_rgb_only_marks_flow_absent(prepared):
     cfg, _, _ = prepared
     net = model.Network.init(model.i3d_mini(in_channels=3, input_size=24), seed=0)
-    checkpoint.save_network(net, pipeline._ckpt_path(cfg, "rgb"))
+    checkpoint.save_network(net, pipeline.artifact_path(cfg, "checkpoint", "rgb"))
     result = pipeline.evaluate(cfg)
     assert result.warnings == ["flow: checkpoint missing, row marked absent"]
     assert result.report.rows["RGB"] is not None
@@ -388,7 +413,7 @@ def three_nets(prepared, tmp_path_factory):
     for name, net in (("rgb", training.inflate_and_freeze(twin, spec, head_seed=6)),
                       ("flow", training.inflate_and_freeze(twin, flow_spec, 7, flow=True)),
                       ("rgb_scratch", training.scratch_network(spec, seed=8, head_seed=9))):
-        checkpoint.save_network(net, pipeline._ckpt_path(cfg, name))
+        checkpoint.save_network(net, pipeline.artifact_path(cfg, "checkpoint", name))
     return cfg
 
 
@@ -400,7 +425,7 @@ def test_eval_scores_equal_each_net_on_its_own_pass_bitwise(three_nets, mode):
     test_recs = [records[i] for i in split.test]
     windows = [len(pipeline._eval_starts(cfg, r)) for r in test_recs]
     assert max(windows) == (1 if mode == "per-annotated-clip" else 5)
-    nets = {name: checkpoint.load_network(pipeline._ckpt_path(cfg, name))
+    nets = {name: checkpoint.load_network(pipeline.artifact_path(cfg, "checkpoint", name))
             for name in ("rgb", "flow", "rgb_scratch")}
     want = {name: eval_scores_oracle(cfg, net, test_recs, "flow" if name == "flow" else "rgb")
             for name, net in nets.items()}
@@ -442,7 +467,7 @@ def test_per_window_eval_names_a_record_with_no_window(three_nets, tmp_path, cap
     records, split = pipeline.load_prepared(cfg)
     victim = records[split.test[-1]]
     records[split.test[-1]] = replace(victim, end_frame=victim.start_frame + 10)
-    clipset.save_annotations(records, pipeline._annotations_path(cfg))
+    clipset.save_annotations(records, pipeline.artifact_path(cfg, "annotations"))
     path = tmp_path / "cfg.json"
     path.write_text(config.dump_config(cfg))
     assert cli.main(["eval", "--config", str(path)]) == 3

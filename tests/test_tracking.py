@@ -296,13 +296,6 @@ def test_track_file_with_a_malformed_value_names_its_line(tmp_path, bad):
         tracking.load_tracks(str(path))
 
 
-def test_a_missing_track_file_says_to_run_prepare(tmp_path):
-    path = str(tmp_path / "lost.txt")
-    with pytest.raises(DataError, match=f"^tracks not found at {re.escape(path)}; "
-                                        "run prepare first$"):
-        tracking.load_tracks(path)
-
-
 def test_track_file_roundtrip_lossless(tmp_path, rng):
     tracks = []
     for tid in range(3):
