@@ -23,20 +23,22 @@ binds it from there, so nothing is left under src/ (a library built in place
 would switch the package, and everything run on the checkout, to the
 compiled backend).
 
-The network rows time conv1 and each max pool of the default topology on
-8 clips and on 1 clip, inflated from a random 2D twin as the train stage
-does: the general route (with a cache, as a training step runs it) against
-the no-cache route that features and scores take (box-sum conv, separable
-pool), with the largest output difference (pools: expected exactly zero).
-The training rows time the cached route's forward and backward passes of
-conv1 (whose backward skips the batch's gradient, as a training step does)
-and of the whole mixed1 block of a random net, and the padding rows
-one `layers._pad5` call each (conv1's zero pad, mixed1's -inf pool pad and
-its circular variant).  The feature rows run `training.extract_features` on
-8 prebuilt clips through an inflated and a random net, as train --stream
-rgb does, and report the time and the tracemalloc peak of one pass.  The
-request rows time, best of 20 x --repeats, what an `hhmon infer` call does
-around the network: the crop resize of an 18x20 ROI of 16 RGB frames, as
+The network rows time conv1 of the default topology on 8 clips and on 1
+clip, inflated from a random 2D twin as the train stage does: the general
+route (with a cache, as a training step runs it) against the box-sum route
+that features and scores take without a cache, with the largest output
+difference.  The training rows time the cached route's forward and
+backward passes of conv1 (whose backward skips the batch's gradient, as a
+training step does), of the whole mixed1 block of a random net and of the
+random 2D twin's four max pools on a batch of 8 stills, as pretrain_twin
+runs them (a max pool has one route, with or without a cache), and the
+padding rows one `layers._pad5` call each (conv1's zero pad, mixed1's -inf
+pool pad and its circular variant).  The feature rows run
+`training.extract_features` on 8 prebuilt clips through an inflated and a
+random net, as train --stream rgb does, and report the time and the
+tracemalloc peak of one pass.  The request rows time, best of 20 x
+--repeats, what an `hhmon infer` call does around the network: the crop
+resize of an 18x20 ROI of 16 RGB frames, as
 the (48, 18, 20) plane stack `clipset.crop_window` resizes, to the 56x56
 input (the center window it keeps, and the whole 56x62 resize), the whole
 `crop_window` from a 16-frame 96x72 probe to the (3, 16, 56, 56) network
@@ -222,34 +224,18 @@ def gen_rows(repeats):
     return rows
 
 
-def network_rows(n_clips, repeats):
-    """(name, general s, no-cache s, max|diff|) for conv1 and each pool."""
+def conv1_rows(n_clips, repeats):
+    """(name, general s, no-cache s, max|diff|) for conv1 of an inflated net."""
     spec = model.i3d_mini()
     twin = model.Network.init(model.collapse_temporal(spec), seed=0)
     net = model.Network(spec, model.inflate_params(twin.params, spec))
     rng = np.random.default_rng(4)
     x = rng.uniform(-1, 1, (n_clips, 3, spec.clip_len, spec.input_size,
                             spec.input_size)).astype(np.float32)
-    conv1, pool1, mixed1, pool2, mixed2 = spec.blocks
-    a1 = net._conv(x, conv1, "zero", None)
-    p1 = layers.maxpool3d_forward(a1, pool1.kernel)[0]
-    m1 = net._mixed(p1, mixed1, "zero", None)
-    p2 = layers.maxpool3d_forward(m1, pool2.kernel)[0]
-    cases = [
-        ("conv1", layers.conv3d_forward,
-         (x, net.params["conv1.w"], net.params["conv1.b"], conv1.stride)),
-        ("pool1", layers.maxpool3d_forward, (a1, pool1.kernel)),
-        ("mixed1 pool", layers.maxpool3d_forward, (p1, (mixed1.kt, 3, 3), (1, 1, 1), "same")),
-        ("pool2", layers.maxpool3d_forward, (m1, pool2.kernel)),
-        ("mixed2 pool", layers.maxpool3d_forward, (p2, (mixed2.kt, 3, 3), (1, 1, 1), "same")),
-    ]
-    rows = []
-    for name, fn, args in cases:
-        t_gen, (y_gen, _) = best_of(lambda: fn(*args, want_cache=True), repeats)
-        t_fast, (y_fast, _) = best_of(lambda: fn(*args, want_cache=False), repeats)
-        rows.append((f"{name} x{n_clips}", t_gen, t_fast,
-                     float(np.abs(y_gen - y_fast).max())))
-    return rows
+    args = (x, net.params["conv1.w"], net.params["conv1.b"], spec.blocks[0].stride)
+    t_gen, (y_gen, _) = best_of(lambda: layers.conv3d_forward(*args, want_cache=True), repeats)
+    t_fast, (y_fast, _) = best_of(lambda: layers.conv3d_forward(*args, want_cache=False), repeats)
+    return [(f"conv1 x{n_clips}", t_gen, t_fast, float(np.abs(y_gen - y_fast).max()))]
 
 
 def training_rows(n_clips, repeats):
@@ -284,6 +270,33 @@ def training_rows(n_clips, repeats):
     for name, arr, amounts, mode, fill in pads:
         t, _ = best_of(lambda: layers._pad5(arr, amounts, mode, fill), repeats)
         rows.append((f"pad {name} x{n_clips}", t, 0.0))
+    return rows
+
+
+def twin_pool_rows(repeats):
+    """(name, forward s, backward s) of the 2D twin's four max pools on a
+    batch of 8 stills: the forward with a cache, then the backward, as
+    pretrain_twin runs them."""
+    twin = model.Network.init(model.collapse_temporal(model.i3d_mini()), seed=0)
+    rng = np.random.default_rng(6)
+    x = rng.uniform(-1, 1, (8, 3, 1, 56, 56)).astype(np.float32)
+    conv1, pool1, mixed1, pool2, mixed2 = twin.spec.blocks
+    a1 = twin._conv(x, conv1, "zero", None)
+    p1 = layers.maxpool3d_forward(a1, pool1.kernel, want_cache=False)[0]
+    m1 = twin._mixed(p1, mixed1, "zero", None)
+    p2 = layers.maxpool3d_forward(m1, pool2.kernel, want_cache=False)[0]
+    one = (1, 1, 1)
+    cases = [("pool1", a1, pool1.kernel, pool1.stride, pool1.padding),
+             ("mixed1 pool", p1, (mixed1.kt, 3, 3), one, "same"),
+             ("pool2", m1, pool2.kernel, pool2.stride, pool2.padding),
+             ("mixed2 pool", p2, (mixed2.kt, 3, 3), one, "same")]
+    rows = []
+    for name, h, kernel, stride, padding in cases:
+        t_fwd, (y, cache) = best_of(
+            lambda: layers.maxpool3d_forward(h, kernel, stride, padding), repeats)
+        dy = rng.standard_normal(y.shape).astype(np.float32)
+        t_bwd, _ = best_of(lambda: layers.maxpool3d_backward(dy, cache), repeats)
+        rows.append((f"twin {name} x8", t_fwd, t_bwd))
     return rows
 
 
@@ -434,7 +447,7 @@ def main():
     print(f"\n{'layer (inflated net)':<36} {'general':>10} {'no-cache':>10} {'speedup':>8} "
           f"{'max|diff|':>10}")
     for n_clips in (8, 1):
-        for name, t_gen, t_fast, diff in network_rows(n_clips, args.repeats):
+        for name, t_gen, t_fast, diff in conv1_rows(n_clips, args.repeats):
             print(f"{name:<36} {t_gen * 1e3:>8.2f}ms {t_fast * 1e3:>8.2f}ms "
                   f"{t_gen / t_fast:>7.1f}x {diff:>10.1e}")
 
@@ -451,6 +464,8 @@ def main():
         for name, t_fwd, t_bwd in training_rows(n_clips, args.repeats):
             print(f"{name:<36} {t_fwd * 1e3:>8.2f}ms "
                   + (f"{t_bwd * 1e3:>8.2f}ms" if t_bwd else f"{'-':>10}"))
+    for name, t_fwd, t_bwd in twin_pool_rows(args.repeats):
+        print(f"{name:<36} {t_fwd * 1e3:>8.2f}ms {t_bwd * 1e3:>8.2f}ms")
 
     py, c = package_lines()
     print(f"\n{'size':<36} {'*.py':>10} {'C':>10}")

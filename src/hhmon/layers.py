@@ -17,17 +17,16 @@ which must stay unchanged until the backward pass.  The backward pass folds
 the column gradient back with one strided slice add per tap.  Padding
 allocates the padded array once, filled with the pad value, and
 slice-assigns the input and, for a circular temporal pad, the wrapped
-frames; with no padding the input itself goes on.  Max pooling records flat
-argmax indices (first maximum wins on ties) so its backward routes each
-output gradient to exactly one input cell.
+frames; with no padding the input itself goes on.  Max pooling has one
+route, with or without a cache: a separable max, one axis at a time.  Its
+cache keeps the output and the padded input (the input itself if unpadded,
+so it too must stay unchanged), from which the backward finds each
+window's first maximum.
 
 Both forwards take `want_cache`.  Without a cache (inference and feature
-extraction) they return (output, None) and may take cheaper routes chosen
-from the data, never from a switch:
+extraction) they return (output, None), and convolution may take cheaper
+routes chosen from the data, never from a switch:
 
-- max pooling takes a separable max, one axis at a time, with the same
-  values as the argmax route, ties and NaN included; the argmax is kept
-  only for a cache, because the backward pass needs it;
 - convolution splits the output frames into slabs whose im2col columns
   fit `COLUMN_BYTES`.  That gives the same bits as one call on the whole
   input wherever the BLAS rounds a column independently of the product's
@@ -233,25 +232,18 @@ def maxpool3d_forward(x, kernel, stride=None, padding: str = "valid",
     stride = stride or kernel
     pads = _pad_amounts(x.shape[2:], kernel, stride, padding)
     xp = _pad5(x, pads, temporal_pad, -np.inf)
-    if not want_cache:
-        _out_shape(xp.shape[2:], kernel, stride)
-        return _separable_max(xp, kernel, stride), None
-    win = _windows(xp, kernel, stride)
-    flat = win.reshape(*win.shape[:5], -1)
-    idx = flat.argmax(axis=-1)
-    y = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-    cache = (idx, xp.shape, kernel, stride, pads, temporal_pad)
-    return y, cache
+    _out_shape(xp.shape[2:], kernel, stride)
+    y = _separable_max(xp, kernel, stride)
+    return y, (xp, y, kernel, stride, pads, temporal_pad) if want_cache else None
 
 
 def _separable_max(xp: np.ndarray, kernel, stride) -> np.ndarray:
-    """The window maxima of the argmax route, one axis at a time with k
-    strided slices per axis.
+    """The window maxima, one axis at a time with k strided slices per axis.
 
     Reducing W, then H, then T keeps the cell that comes first in the
     window's flat (t, h, w) order among equal values (0.0 and -0.0 from
-    relu), as argmax does: np.maximum returns its second operand on a tie,
-    so the cells seen so far go second.  NaN propagates, as argmax picks it.
+    relu): np.maximum returns its second operand on a tie, so the cells seen
+    so far go second.  NaN propagates.
     """
     y = xp
     for axis, k, s in zip((4, 3, 2), kernel[::-1], stride[::-1]):
@@ -267,17 +259,23 @@ def _separable_max(xp: np.ndarray, kernel, stride) -> np.ndarray:
 
 
 def maxpool3d_backward(dy: np.ndarray, cache):
-    idx, xpshape, kernel, stride, pads, temporal_pad = cache
-    kt, kh, kw = kernel
-    st, sh, sw = stride
-    N, C, To, Ho, Wo = dy.shape
-    dt = idx // (kh * kw)
-    rem = idx % (kh * kw)
-    dh = rem // kw
-    dw = rem % kw
-    n_i, c_i, t_i, h_i, w_i = np.ogrid[:N, :C, :To, :Ho, :Wo]
-    dxp = np.zeros(xpshape, dtype=dy.dtype)
-    np.add.at(dxp, (n_i, c_i, t_i * st + dt, h_i * sh + dh, w_i * sw + dw), dy)
+    """Route each output gradient to the first cell of its window, in (t, h, w)
+    tap order, that equals the maximum or is NaN, then add the taps in
+    descending order: each input cell sums its gradients in output order from
+    +0.0, so a sum is never -0.0 and the +0.0 added where a tap routes
+    nothing changes no bits."""
+    xp, y, kernel, stride, pads, temporal_pad = cache
+    free = np.ones(y.shape, dtype=bool)
+    taps = []
+    for tap in np.ndindex(*kernel):
+        cells = (..., *(slice(i, i + o * s, s) for i, o, s in zip(tap, y.shape[2:], stride)))
+        hit = (xp[cells] == y) | np.isnan(xp[cells])
+        hit &= free
+        free ^= hit
+        taps.append((cells, hit))
+    dxp = np.zeros(xp.shape, dtype=dy.dtype)
+    for cells, hit in reversed(taps):
+        dxp[cells] += np.where(hit, dy, 0)
     return _unpad_grad(dxp, pads, temporal_pad)
 
 

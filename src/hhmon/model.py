@@ -23,13 +23,13 @@ the input batch, which nothing reads.
 
 A forward without a tape (`features`, `score`, `forward` by default) walks
 the backbone one clip at a time, so only one clip's activations are live,
-and asks the layers for no cache, which lets them pool separably, bound
-each convolution's im2col columns and run an inflated kernel as a temporal
-box sum plus one 2D convolution (see `layers`).  Only that box sum changes
+and asks the layers for no cache, which lets them bound each
+convolution's im2col columns and run an inflated kernel as a temporal box
+sum plus one 2D convolution (see `layers`).  Only that box sum changes
 float32 results, in the last bits (about 1e-6 relative); a training step
 (`want_cache=True`) and the never-inflated scratch backbone run the general
 im2col route, and a forward without a tape gives the same bits as a
-training forward there.  Separable pooling and the clip walk change no bits.
+training forward there.  The clip walk changes no bits.
 """
 
 from __future__ import annotations

@@ -458,6 +458,17 @@ class EvalResult:
     warnings: list[str] = field(default_factory=list)
 
 
+def _load_stream_net(cfg: PipelineConfig, name: str, path: str) -> model.Network:
+    """The checkpoint at path, refused unless it was trained on clips of
+    `cfg.clip.input_size` pixels."""
+    net = checkpoint.load_network(path)
+    if net.spec.input_size != cfg.clip.input_size:
+        raise DataError(f"{path}: trained on {net.spec.input_size}-pixel clips, clip.input_size "
+                        f"is {cfg.clip.input_size}; run train --stream "
+                        f"{name.removesuffix('_scratch')} first")
+    return net
+
+
 def evaluate(cfg: PipelineConfig) -> EvalResult:
     """Score the test split with each stream checkpoint found (rgb_scratch
     only beside rgb) and write the report bundle.  Each stream makes one
@@ -472,7 +483,7 @@ def evaluate(cfg: PipelineConfig) -> EvalResult:
     nets = {}
     for name, path in paths.items():
         if os.path.isfile(path) and (name != "rgb_scratch" or "rgb" in nets):
-            nets[name] = checkpoint.load_network(path)
+            nets[name] = _load_stream_net(cfg, name, path)
     if not nets:
         raise DataError(f"no stream checkpoints found: rgb ({paths['rgb']}), "
                         f"flow ({paths['flow']})")
@@ -523,7 +534,7 @@ def infer_clip(cfg: PipelineConfig, clip_dir: str) -> tuple[float, str]:
     if seq.channels != 3:
         raise DataError(f"{clip_dir}: the rgb stream scores 3-channel frames, "
                         f"found {seq.channels}")
-    net = checkpoint.load_network(_require(cfg, "checkpoint", "rgb"))
+    net = _load_stream_net(cfg, "rgb", _require(cfg, "checkpoint", "rgb"))
     box = None
     kp_path = os.path.join(clip_dir, "keypoints.txt")
     if os.path.isfile(kp_path):

@@ -81,44 +81,31 @@ def link_step(
 ) -> tuple[list[tuple[int, int]], list[Track]]:
     """Assign one frame of detections to active tracks, greedily by IoU.
 
-    Repeatedly takes the globally best (track, detection) pair with IoU >=
-    tau_new; ties break toward the lower track id, then the lower detection
-    index.  Unmatched detections open new tracks.  Returns the matched
+    Walks the (track, detection) pairs from the highest IoU down, ties
+    toward the lower track id, then the lower detection index, and matches
+    each pair with IoU >= tau_new whose track and detection are both still
+    free.  Unmatched detections open new tracks.  Returns the matched
     (track index, detection index) pairs and the list of tracks created.
     """
     if next_id is None:
         next_id = max((t.track_id for t in tracks), default=-1) + 1
 
-    scores = np.zeros((len(tracks), len(detections)))
-    for ti, track in enumerate(tracks):
-        last_box = track.entries[-1][1]
-        for di, det in enumerate(detections):
-            scores[ti, di] = iou(last_box, det)
-
+    pairs = sorted((-iou(track.entries[-1][1], det), track.track_id, ti, di)
+                   for ti, track in enumerate(tracks) for di, det in enumerate(detections))
     matches: list[tuple[int, int]] = []
-    free_tracks = set(range(len(tracks)))
-    free_dets = set(range(len(detections)))
-    while free_tracks and free_dets:
-        best = None
-        for ti in sorted(free_tracks, key=lambda i: tracks[i].track_id):
-            for di in sorted(free_dets):
-                s = scores[ti, di]
-                if s >= tau_new and (best is None or s > best[0]):
-                    best = (s, ti, di)
-        if best is None:
+    used_tracks, used_dets = set(), set()
+    for neg_iou, _, ti, di in pairs:
+        if -neg_iou < tau_new:
             break
-        _, ti, di = best
-        tracks[ti].entries.append((frame_index, detections[di]))
-        matches.append((ti, di))
-        free_tracks.remove(ti)
-        free_dets.remove(di)
+        if ti not in used_tracks and di not in used_dets:
+            tracks[ti].entries.append((frame_index, detections[di]))
+            matches.append((ti, di))
+            used_tracks.add(ti)
+            used_dets.add(di)
 
-    new_tracks = []
-    for di in sorted(free_dets):
-        t = Track(next_id, entries=[(frame_index, detections[di])])
-        next_id += 1
-        new_tracks.append(t)
-    return matches, new_tracks
+    free = [di for di in range(len(detections)) if di not in used_dets]
+    return matches, [Track(next_id + i, entries=[(frame_index, detections[di])])
+                     for i, di in enumerate(free)]
 
 
 def link_detections(per_frame: list[tuple[int, list[BBox]]],

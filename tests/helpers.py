@@ -223,6 +223,40 @@ def conv3d_backward_oracle(dy, cache):
     return dx, dk, db
 
 
+def maxpool3d_argmax_oracle(x, kernel, stride=None, padding="valid", temporal_pad="zero"):
+    """The max pool `layers` replaced: flat argmax indices over the window
+    view (the first maximum in (t, h, w) order wins a tie, the first NaN
+    wins outright) and the values they pick.  Returns (y, cache) for
+    `maxpool3d_backward_oracle`."""
+    from hhmon import layers
+
+    stride = stride or kernel
+    pads = layers._pad_amounts(x.shape[2:], kernel, stride, padding)
+    xp = pad5_oracle(x, pads, temporal_pad, -np.inf)
+    win = layers._windows(xp, kernel, stride)
+    flat = win.reshape(*win.shape[:5], -1)
+    idx = flat.argmax(axis=-1)
+    y = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+    return y, (idx, xp.shape, kernel, stride, pads, temporal_pad)
+
+
+def maxpool3d_backward_oracle(dy, cache):
+    """dx of `maxpool3d_argmax_oracle`: each output gradient scattered onto
+    its argmax cell with np.add.at, which adds in output order."""
+    from hhmon import layers
+
+    idx, xpshape, kernel, stride, pads, temporal_pad = cache
+    kt, kh, kw = kernel
+    st, sh, sw = stride
+    N, C, To, Ho, Wo = dy.shape
+    dt, rem = np.divmod(idx, kh * kw)
+    dh, dw = np.divmod(rem, kw)
+    n_i, c_i, t_i, h_i, w_i = np.ogrid[:N, :C, :To, :Ho, :Wo]
+    dxp = np.zeros(xpshape, dtype=dy.dtype)
+    np.add.at(dxp, (n_i, c_i, t_i * st + dt, h_i * sh + dh, w_i * sw + dw), dy)
+    return layers._unpad_grad(dxp, pads, temporal_pad)
+
+
 def batched_features_oracle(net, x, batch_size=8):
     """Backbone features of clips x (N, C, T, H, W) as computed before the
     network walked one clip at a time: batches of `batch_size` stacked
@@ -474,3 +508,40 @@ def render_scene_oracle(spec, motions=None):
         poses.append(pf)
     return FrameSequence(frames, fps=spec.fps, video_id=spec.video_id,
                          date_tag=spec.date_tag), poses
+
+
+def link_step_oracle(tracks, detections, frame_index, tau_new, next_id=None):
+    """The `tracking.link_step` the sorted pair walk replaced: after each
+    match it rescans every free (track, detection) pair for the best IoU,
+    free tracks in track id order and free detections in index order."""
+    from hhmon.tracking import Track, iou
+
+    if next_id is None:
+        next_id = max((t.track_id for t in tracks), default=-1) + 1
+    scores = np.zeros((len(tracks), len(detections)))
+    for ti, track in enumerate(tracks):
+        last_box = track.entries[-1][1]
+        for di, det in enumerate(detections):
+            scores[ti, di] = iou(last_box, det)
+    matches = []
+    free_tracks = set(range(len(tracks)))
+    free_dets = set(range(len(detections)))
+    while free_tracks and free_dets:
+        best = None
+        for ti in sorted(free_tracks, key=lambda i: tracks[i].track_id):
+            for di in sorted(free_dets):
+                s = scores[ti, di]
+                if s >= tau_new and (best is None or s > best[0]):
+                    best = (s, ti, di)
+        if best is None:
+            break
+        _, ti, di = best
+        tracks[ti].entries.append((frame_index, detections[di]))
+        matches.append((ti, di))
+        free_tracks.remove(ti)
+        free_dets.remove(di)
+    new_tracks = []
+    for di in sorted(free_dets):
+        new_tracks.append(Track(next_id, entries=[(frame_index, detections[di])]))
+        next_id += 1
+    return matches, new_tracks

@@ -476,6 +476,9 @@ def test_the_kernel_benchmark_script_runs(tmp_path):
     assert "command lock acquire + release" in run.stdout
     assert "checkpoint load i3d_mini rgb" in run.stdout
     assert "render scene 23x96x72" in run.stdout
+    assert re.search(r"^conv1 x8 ", run.stdout, re.M)
+    for pool in ("pool1", "mixed1 pool", "pool2", "mixed2 pool"):
+        assert f"twin {pool} x8" in run.stdout
     assert "render scene 23x192x144" in run.stdout
     assert re.search(r"^gen 8 desk scenes \(\d+ workers?\) ", run.stdout, re.M)
     pkg = REPO / "src" / "hhmon"

@@ -677,6 +677,30 @@ def test_a_stage_killed_mid_publish_reruns_to_a_clean_tree(tmp_path, stage, arti
                 if name.endswith(".partial")]
 
 
+def test_eval_and_infer_refuse_a_checkpoint_trained_at_another_input_size(tmp_path, capsys):
+    path = write_cfg(tmp_path, gen=_THREE_SCENES)
+    for argv in (["gen"], ["prepare"], ["train", "--stream", "rgb"]):
+        assert cli.main(argv + ["--config", path]) == 0
+    clip_dir = tmp_path / "clip16"
+    frameio.save_sequence(FrameSequence(np.zeros((16, 36, 48, 3)),
+                                        video_id="probe", date_tag="d"), str(clip_dir))
+    capsys.readouterr()
+    path = write_cfg(tmp_path, gen=_THREE_SCENES, clip={"input_size": 32})
+    rgb = tmp_path / "ckpt" / "rgb.swnet"
+    want = (f"error: {rgb}: trained on 24-pixel clips, clip.input_size is 32; "
+            "run train --stream rgb first\n")
+    for argv in (["eval", "--config", path], ["infer", "--config", path, str(clip_dir)]):
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err == want
+    assert not (tmp_path / "report").exists()
+    # the paired control names the command that writes it, train --stream rgb
+    checkpoint.save_network(model.Network.init(model.i3d_mini(input_size=32), seed=0), str(rgb))
+    assert cli.main(["eval", "--config", path]) == 3
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'ckpt' / 'rgb_scratch.swnet'}: trained on 24-pixel clips, "
+        "clip.input_size is 32; run train --stream rgb first\n")
+
+
 def test_a_checkpoint_killed_mid_publish_keeps_its_earlier_layout(tmp_path):
     # rgb trains at a 24 px input, then again at 32 px and dies inside the
     # publish of its checkpoint: the 24 px network must load whole, never

@@ -19,7 +19,8 @@ from hhmon.layers import (
     sigmoid,
 )
 
-from helpers import conv3d_backward_oracle, conv3d_im2col_oracle, pad5_oracle
+from helpers import (conv3d_backward_oracle, conv3d_im2col_oracle, maxpool3d_argmax_oracle,
+                     maxpool3d_backward_oracle, pad5_oracle)
 
 
 def same_pad_oracle(n, k, s):
@@ -312,10 +313,28 @@ POOLS = [((1, 2, 2), None, "valid"), ((2, 2, 2), None, "valid"), ((3, 3, 3), (1,
          ((3, 3, 3), (2, 3, 1), "same"), ((2, 3, 2), (1, 2, 3), "valid")]
 
 
+def assert_pool_matches_the_argmax_oracle(rng, x, kernel, stride, padding, temporal_pad="zero"):
+    """Forward with and without a cache and backward, bit for bit against the
+    argmax / np.add.at oracle, under a standard-normal gradient."""
+    want, oracle_cache = maxpool3d_argmax_oracle(x, kernel, stride, padding, temporal_pad)
+    y, cache = maxpool3d_forward(x, kernel, stride, padding, temporal_pad)
+    fast, none = maxpool3d_forward(x, kernel, stride, padding, temporal_pad, want_cache=False)
+    assert none is None
+    bits = f"u{x.itemsize}"
+    for got in (y, fast):
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(bits), want.view(bits))
+    dy = rng.standard_normal(want.shape).astype(x.dtype)
+    dx = maxpool3d_backward(dy, cache)
+    dx_want = maxpool3d_backward_oracle(dy, oracle_cache)
+    assert dx.shape == x.shape
+    assert np.array_equal(dx.view(bits), dx_want.view(bits))
+
+
 @pytest.mark.parametrize("temporal_pad", ["zero", "circular"])
 @pytest.mark.parametrize("kernel,stride,padding", POOLS)
-def test_maxpool_without_cache_equals_the_argmax_route_bit_for_bit(rng, kernel, stride,
-                                                                    padding, temporal_pad):
+def test_maxpool_equals_the_argmax_route_bit_for_bit_on_ties_and_nan(rng, kernel, stride,
+                                                                      padding, temporal_pad):
     # relu turns negatives into -0.0, which ties with 0.0 but differs in its
     # bits.  With negatives beside the zeros the tied cells of a window form
     # no box, so only the first-in-(t, h, w)-order rule settles which zero wins
@@ -323,12 +342,31 @@ def test_maxpool_without_cache_equals_the_argmax_route_bit_for_bit(rng, kernel, 
     x = rng.choice(cells, p=[0.4, 0.28, 0.28, 0.04], size=(2, 3, 7, 9, 11))
     x[0, 1, 2, 3, 4] = np.nan
     x[1, 0, 5, 0, 0] = np.nan
-    want, _ = maxpool3d_forward(x, kernel, stride, padding, temporal_pad)
-    got, cache = maxpool3d_forward(x, kernel, stride, padding, temporal_pad, want_cache=False)
-    assert cache is None
-    assert got.shape == want.shape
-    assert np.isnan(want).any()
-    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+    assert np.isnan(maxpool3d_forward(x, kernel, stride, padding, temporal_pad)[0]).any()
+    assert_pool_matches_the_argmax_oracle(rng, x, kernel, stride, padding, temporal_pad)
+
+
+# the 2D twin's pool1, mixed1 pool, pool2 and mixed2 pool on a batch of 8
+# 56-pixel stills, as pretrain_twin runs them
+TWIN_POOLS = [((8, 8, 1, 28, 28), (1, 2, 2), None, "valid"),
+              ((8, 8, 1, 14, 14), (1, 3, 3), (1, 1, 1), "same"),
+              ((8, 24, 1, 14, 14), (1, 2, 2), None, "valid"),
+              ((8, 24, 1, 7, 7), (1, 3, 3), (1, 1, 1), "same")]
+
+
+@pytest.mark.parametrize("shape,kernel,stride,padding", TWIN_POOLS)
+def test_maxpool_equals_the_argmax_route_bit_for_bit_on_the_twin_pools(rng, shape, kernel,
+                                                                        stride, padding):
+    a = rng.standard_normal(shape).astype(np.float32)
+    assert_pool_matches_the_argmax_oracle(rng, a * (a > 0), kernel, stride, padding)
+
+
+def test_maxpool_backward_adds_overlapping_windows_in_output_order(rng):
+    # a cell of a 3x3x3 stride-1 pool takes up to 27 gradients, whose float32
+    # sum depends on their order: adding the taps in ascending order changes
+    # thousands of cells here
+    x = rng.standard_normal((8, 8, 4, 14, 14)).astype(np.float32)
+    assert_pool_matches_the_argmax_oracle(rng, x, (3, 3, 3), (1, 1, 1), "same")
 
 
 def inflated_kernel(rng, shape):

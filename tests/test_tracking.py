@@ -21,6 +21,8 @@ from hhmon.tracking import (
     smooth_track,
 )
 
+from helpers import link_step_oracle
+
 
 def iou_pixel_oracle(a, b):
     """Count unit cells on an integer grid; exact for integer-coordinate boxes."""
@@ -118,6 +120,29 @@ def test_link_step_tie_breaks_by_lower_track_id():
     t1 = Track(1, entries=[(0, shared)])
     assigned, _ = link_step([t0, t1], [shared], frame_index=1, tau_new=0.1)
     assert assigned == [(0, 0)]
+
+
+def test_link_step_equals_the_rescanning_loop_on_random_frames(rng):
+    # a coarse grid of small boxes makes equal IoUs common, so the tie rules
+    # decide many of these matches; track ids run out of index order
+    def boxes(n):
+        x, y = rng.integers(0, 4, size=(2, n))
+        w, h = rng.integers(1, 4, size=(2, n))
+        return [BBox(float(a), float(b), float(a + c), float(b + d))
+                for a, b, c, d in zip(x, y, w, h)]
+
+    for case in range(3000):
+        ids = rng.permutation(8)[:rng.integers(0, 5)]
+        last = boxes(len(ids))
+        dets = boxes(rng.integers(0, 5))
+        tau = (0.0, 0.1, 0.3)[case % 3]
+        runs = []
+        for link in (link_step, link_step_oracle):
+            tracks = [Track(int(i), entries=[(0, b)]) for i, b in zip(ids, last)]
+            matches, born = link(tracks, dets, 1, tau)
+            runs.append((matches, [t.entries for t in tracks],
+                         [(t.track_id, t.entries) for t in born]))
+        assert runs[0] == runs[1], case
 
 
 def test_link_detections_one_to_one_per_frame(rng):
