@@ -18,10 +18,8 @@ share of workers x wall: a profiler in this process does not see the workers.
 The generation rows render one 23-frame scene (`synth.generate_scene`) at
 96x72 and at 192x144, best of 5, and time `synth.generate_dataset` on
 perfbench's 8 desk scenes, with the worker count in the label.
-The script builds the C library with setup.py into a temporary directory and
-binds it from there, so nothing is left under src/ (a library built in place
-would switch the package, and everything run on the checkout, to the
-compiled backend).
+The compiled rows run a library that the package's builder compiles into a
+temporary directory, whichever backend the package selected.
 
 The network rows time conv1 of the default topology on 8 clips and on 1
 clip, inflated from a random 2D twin as the train stage does: the general
@@ -56,8 +54,6 @@ that it comes from the same run as the timings:
 import argparse
 import os
 import resource
-import subprocess
-import sys
 import tempfile
 import time
 import tracemalloc
@@ -74,11 +70,9 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 def build_compiled(out_dir):
     """Build the C kernels into out_dir and bind them; None if that fails."""
-    subprocess.run([sys.executable, "setup.py", "build_ext", "--build-lib", out_dir,
-                    "--build-temp", out_dir], cwd=REPO, capture_output=True)
     try:
-        return _accel.CompiledKernels(os.path.join(out_dir, "hhmon", "_accel"))
-    except OSError:
+        return _accel.CompiledKernels(_accel.build(out_dir))
+    except (OSError, AttributeError):
         return None
 
 

@@ -1,19 +1,37 @@
 """Compiled build of the flow-solver kernels: a ctypes binding of flowkernels.c.
 
-`setup.py build_ext` compiles flowkernels.c into a shared library;
-`CompiledKernels(directory)` loads it from that directory (raising OSError
-when it is not there) and offers the three `_purekernels` entry points with
-the same arguments and return values: (P, H, W) stacks of planes in, one
-ctypes call per stack, and for `tvl1_iterations` the largest iteration
-count over the planes as the last element.  Every array is checked here,
-before a pointer reaches C, because the C code trusts its buffers and sizes.
+`build(directory)` returns the path of the shared library compiled from
+flowkernels.c with FLAGS, `flowkernels-<key>.so`, where the key hashes the
+source and the flags: a library built from other C or with other flags is
+never loaded, and neither is one of another name.  When that file is
+missing, `build` compiles it once with the C compiler Python was built
+with, into a temp file unique to the process, and moves it into place, so
+concurrent first builds leave one whole library.  A hit reads and hashes
+the 7 KB source and nothing more: `subprocess` and `sysconfig` are imported
+only to compile.  `backend` builds into this directory on import.
+
+`CompiledKernels(path)` loads that library (raising OSError when it does not
+load, AttributeError when it lacks an entry point) and offers the three
+`_purekernels` entry points with the same arguments and return values:
+(P, H, W) stacks of planes in, one ctypes call per stack, and for
+`tvl1_iterations` the largest iteration count over the planes as the last
+element.  Every array is checked here, before a pointer reaches C, because
+the C code trusts its buffers and sizes.
 """
 
 from __future__ import annotations
 
 import ctypes
+import hashlib
+import os
 
 import numpy as np
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+SOURCE = os.path.join(HERE, "flowkernels.c")
+# No FMA contraction and no -ffast-math: the kernels must round exactly like
+# their numpy twins, element for element.
+FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 
 # Arrays go to C as bare addresses: _checked_shape has vetted them, and an
 # ndpointer argtype would check each one again, at about 3 us per array and
@@ -43,9 +61,50 @@ def _checked_shape(name: str, arrays, dtypes=None) -> tuple[int, int, int]:
     return shape
 
 
+def library_path(directory: str, source: str = SOURCE, flags=FLAGS) -> str:
+    """Where the library compiled from `source` with `flags` lives in directory."""
+    with open(source, "rb") as fh:
+        key = hashlib.sha256(fh.read())
+    key.update("\0".join(flags).encode())
+    return os.path.join(directory, f"flowkernels-{key.hexdigest()[:16]}.so")
+
+
+def compiler() -> list[str]:
+    """The command of the C compiler Python was built with, else `cc`."""
+    import sysconfig
+
+    return (sysconfig.get_config_var("CC") or "cc").split()
+
+
+def build(directory: str = HERE, source: str = SOURCE, flags=FLAGS) -> str:
+    """The path of the keyed library in directory, compiled there first if missing.
+
+    Raises OSError when it cannot be built: no compiler, a failed compile or
+    a directory it cannot write.
+    """
+    path = library_path(directory, source, flags)
+    if os.path.exists(path):
+        return path
+    import subprocess
+
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        done = subprocess.run([*compiler(), *flags, "-o", tmp, source, "-lm"],
+                              capture_output=True, text=True, timeout=300)
+        if done.returncode:
+            raise OSError(f"compiling {source} failed:\n{done.stderr}")
+        os.replace(tmp, path)
+    except subprocess.TimeoutExpired as exc:
+        raise OSError(f"compiling {source} timed out") from exc
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+    return path
+
+
 class CompiledKernels:
-    def __init__(self, directory: str):
-        lib = np.ctypeslib.load_library("flowkernels", directory)
+    def __init__(self, path: str):
+        lib = ctypes.CDLL(path)
         lib.warp_coords.argtypes = [_ADDR] * 8 + [ctypes.c_int] * 3
         lib.warp_coords.restype = None
         lib.warp_bilinear.argtypes = [_ADDR] * 8 + [ctypes.c_int] * 3

@@ -4,7 +4,7 @@
    entry point repeats its twin in _purekernels.py element for element, in
    the same float32 operation order, so the two backends give identical
    results.  That holds only when built without FMA contraction and without
-   -ffast-math (setup.py passes -ffp-contract=off).  The early-stop error is
+   -ffast-math (_accel.FLAGS has -ffp-contract=off).  The early-stop error is
    summed in another order, which can move only its last bits.
    tvl1_iterations stops each plane on its own and returns the largest count
    any plane ran.  The ctypes binding in __init__.py checks the type, shape

@@ -1,25 +1,31 @@
 """Kernel backend selection.
 
 The flow solver's inner loop exists twice: a hand-written C library bound
-through ctypes (`_accel`, present once `setup.py build_ext --inplace` has
-compiled it) and a pure numpy fallback with identical semantics.  The
-compiled one is used whenever the library is present, the fallback
-otherwise.  Both take (P, H, W) stacks of planes, as `_purekernels`
-describes.
+through ctypes (`_accel`) and a pure numpy fallback with identical
+semantics (`_purekernels`).  On import this module loads the C library from
+beside its source, `_accel/flowkernels-<key>.so`, and compiles it there
+first when it is missing: once per checkout or install and per edit of the
+C or its flags, about 0.3 s on that import (`_accel.build`).  Any failure
+(no C compiler, a directory it cannot write, a failed compile, a library
+that does not load) selects the pure kernels, which give the same bits.
+`BACKEND` names the selected one.  Both take (P, H, W) stacks of planes, as
+`_purekernels` describes.
 """
 
 from __future__ import annotations
 
-import os
+# Imported on both backends, so that both leave the same allocation history:
+# the peak RSS of a later train --stream rgb moves by megabytes with it
+# (glibc's dynamic mmap threshold).
+from . import _purekernels
 
 try:
     from . import _accel
 
-    kernels = _accel.CompiledKernels(os.path.dirname(_accel.__file__))
+    kernels = _accel.CompiledKernels(_accel.build())
     BACKEND = "compiled"
-except (OSError, ImportError):
-    from . import _purekernels as kernels  # type: ignore[no-redef]
-
+except (ImportError, OSError, AttributeError):
+    kernels = _purekernels
     BACKEND = "pure"
 
 warp_coords = kernels.warp_coords

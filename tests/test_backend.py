@@ -1,4 +1,5 @@
-"""Compiled and pure kernels must be interchangeable, bit for bit.
+"""Compiled and pure kernels must be interchangeable, bit for bit, and the
+package must build the compiled ones itself, or fall back to pure.
 
 Both take (P, H, W) stacks of planes; the single-plane tests lift their
 planes to stacks of one.
@@ -26,25 +27,16 @@ from hhmon.tvl1 import TvL1Params, _centered_gradient, flow_frames, sequence_flo
 REPO = Path(__file__).resolve().parents[1]
 
 
+HAS_CC = shutil.which(_accel.compiler()[0]) is not None
+needs_cc = pytest.mark.skipif(not HAS_CC, reason="no C compiler")
+
+
 @pytest.fixture(scope="module")
 def accel(tmp_path_factory):
-    """The C kernels, built by setup.py with its own flags into a temp dir.
-
-    Never into src/: a library there would switch the package, and the
-    benchmark run on this checkout, to the compiled backend.
-    """
-    cc = (sysconfig.get_config_var("CC") or "cc").split()[0]
-    if shutil.which(cc) is None:
-        pytest.skip(f"no C compiler ({cc})")
-    out = tmp_path_factory.mktemp("accel")
-    build = subprocess.run(
-        [sys.executable, "setup.py", "build_ext", "--build-lib", str(out),
-         "--build-temp", str(out)],
-        cwd=REPO, capture_output=True, text=True)
-    try:
-        return _accel.CompiledKernels(str(out / "hhmon" / "_accel"))
-    except OSError as exc:
-        pytest.fail(f"build produced no kernel library ({exc}):\n{build.stdout}{build.stderr}")
+    """The C kernels, built by the package's builder into a temp dir."""
+    if not HAS_CC:
+        pytest.skip(f"no C compiler ({_accel.compiler()[0]})")
+    return _accel.CompiledKernels(_accel.build(str(tmp_path_factory.mktemp("accel"))))
 
 
 def random_problem(rng, h=40, w=52):
@@ -339,10 +331,117 @@ def test_full_solver_identical_across_backends(rng, monkeypatch, accel):
 
 
 def test_selected_backend_is_reported():
-    assert backend.BACKEND in ("compiled", "pure")
+    # compiled wherever a C compiler exists
+    assert backend.BACKEND == ("compiled" if HAS_CC else "pure")
+    if HAS_CC:
+        assert backend.kernels._lib._name == _accel.library_path(_accel.HERE)
     assert callable(backend.warp_coords)
     assert callable(backend.warp_bilinear)
     assert callable(backend.tvl1_iterations)
+
+
+# Prints the backend a fresh interpreter selects and a digest of one solve.
+FLOW_DIGEST = (
+    "import hashlib, numpy as np; from hhmon import backend, tvl1; "
+    "a = np.random.default_rng(0).random((36, 48), dtype=np.float32); "
+    "flow = tvl1.tvl1_flow(a, np.roll(a, 1, axis=1)); "
+    "print(backend.BACKEND, hashlib.sha256(flow.tobytes()).hexdigest())")
+
+
+def package_copy(tmp_path):
+    """A copy of the package's sources, with no kernel library built; its root."""
+    root = tmp_path / "pkg"
+    shutil.copytree(REPO / "src" / "hhmon", root / "hhmon",
+                    ignore=shutil.ignore_patterns("*.so", "__pycache__"))
+    return root
+
+
+def run_python(code, path, **env):
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(path), **env), timeout=600)
+    assert run.returncode == 0, run.stdout + run.stderr
+    return run.stdout.split()
+
+
+@pytest.mark.parametrize("cc", ["missing", "failing"])
+def test_without_a_working_compiler_the_package_runs_on_pure_with_the_same_bits(tmp_path, cc):
+    name = _accel.compiler()[0]
+    if os.path.dirname(name):
+        pytest.skip(f"the compiler is an absolute path ({name})")
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    if cc == "failing":
+        (bin_dir / name).write_text("#!/bin/sh\nexit 1\n")
+        (bin_dir / name).chmod(0o755)
+    root = package_copy(tmp_path)
+    backend_name, digest = run_python(FLOW_DIGEST, root, PATH=str(bin_dir))
+    assert backend_name == "pure"
+    assert not [n for n in os.listdir(root / "hhmon" / "_accel") if n.startswith("flowkernels-")]
+    assert run_python(FLOW_DIGEST, REPO / "src") == [backend.BACKEND, digest]
+
+
+def test_a_directory_the_builder_cannot_write_raises_oserror(tmp_path):
+    with pytest.raises(OSError):
+        _accel.build(str(tmp_path / "missing"))
+
+
+def test_the_library_name_keys_the_source_and_the_flags(tmp_path):
+    copy = tmp_path / "flowkernels.c"
+    shutil.copyfile(_accel.SOURCE, copy)
+    name = _accel.library_path(str(tmp_path))
+    assert re.fullmatch(r"flowkernels-[0-9a-f]{16}\.so", os.path.basename(name))
+    assert _accel.library_path(str(tmp_path), str(copy)) == name
+    assert _accel.library_path(str(tmp_path), flags=_accel.FLAGS + ("-g",)) != name
+    copy.write_bytes(copy.read_bytes() + b"\n")
+    assert _accel.library_path(str(tmp_path), str(copy)) != name
+
+
+@needs_cc
+def test_an_unkeyed_or_stale_library_is_never_loaded(tmp_path, rng):
+    out = tmp_path / "lib"
+    out.mkdir()
+    edited = tmp_path / "flowkernels.c"
+    edited.write_bytes(Path(_accel.SOURCE).read_bytes()
+                       + b"\nint stale_marker(void) { return 1; }\n")
+    stale = _accel.build(str(out), str(edited))
+    assert _accel.CompiledKernels(stale)._lib.stale_marker() == 1
+    for name in ("flowkernels.so", "flowkernels" + sysconfig.get_config_var("EXT_SUFFIX")):
+        (out / name).write_bytes(b"not a library")
+    path = _accel.build(str(out))
+    assert path != stale and os.path.basename(path) in os.listdir(out)
+    kernels = _accel.CompiledKernels(path)
+    assert not hasattr(kernels._lib, "stale_marker")
+    u, v = (rng.normal(0, 2, (1, 9, 11)).astype(np.float32) for _ in range(2))
+    for a, b in zip(kernels.warp_coords(u, v), _purekernels.warp_coords(u, v)):
+        assert np.array_equal(a, b)
+
+
+@needs_cc
+def test_two_builds_into_one_directory_leave_one_library(tmp_path):
+    code = "import sys; from hhmon import _accel; print(_accel.build(sys.argv[1]))"
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    runs = [subprocess.Popen([sys.executable, "-c", code, str(tmp_path)], env=env,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+            for _ in range(2)]
+    paths = []
+    for run in runs:
+        out, err = run.communicate(timeout=600)
+        assert run.returncode == 0, out + err
+        paths.append(out.strip())
+    assert paths[0] == paths[1]
+    assert os.listdir(tmp_path) == [os.path.basename(paths[0])]
+    assert callable(_accel.CompiledKernels(paths[0]).warp_coords)
+
+
+@needs_cc
+def test_importing_the_cli_loads_no_builder_once_the_library_is_built():
+    # desk_pipeline's setup_s is this import; a cache hit must not pay for
+    # the modules that only compiling needs
+    code = ("import sys; import hhmon.cli; from hhmon import backend; "
+            "print(backend.BACKEND, *(m for m in ('subprocess', 'sysconfig') "
+            "if m in sys.modules))")
+    run_python(code, REPO / "src")  # builds the library if it is missing
+    assert run_python(code, REPO / "src") == ["compiled"]
 
 
 @pytest.mark.parametrize("compiled", [False, True], ids=["pure", "compiled"])

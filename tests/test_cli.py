@@ -14,10 +14,10 @@ import time
 
 import numpy as np
 import pytest
-from helpers import checkpoint_layout, rewrite_layout, tree_bytes
+from helpers import checkpoint_layout, rewrite_layout, tree_bytes, use_kernels
 
-from hhmon import (backend, checkpoint, cli, clipset, config, frameio, model, pipeline, pose,
-                   synth, training, tvl1, workers)
+from hhmon import (_purekernels, backend, checkpoint, cli, clipset, config, frameio, model,
+                   pipeline, pose, synth, training, tvl1, workers)
 from hhmon.errors import DataError
 from hhmon.frameio import FrameSequence
 
@@ -510,6 +510,22 @@ needs_children_list = pytest.mark.skipif(
     reason="needs /proc/<pid>/task/<pid>/children")
 kill_signals = pytest.mark.parametrize("sig", [signal.SIGKILL, signal.SIGTERM],
                                        ids=["SIGKILL", "SIGTERM"])
+
+
+def test_flow_on_the_pure_kernels_writes_the_bytes_of_the_default_backend(tmp_path, capsys,
+                                                                           monkeypatch):
+    gen = {"n_rubbing": 3, "n_other": 0, "n_synthetic_rubbing": 0, "width": 48, "height": 36,
+           "n_frames_min": 18, "n_frames_max": 20}
+    path = write_cfg(tmp_path, gen=gen)
+    assert cli.main(["gen", "--config", path]) == 0
+    assert cli.main(["flow", "--config", path]) == 0
+    assert f"({backend.BACKEND} kernels, " in capsys.readouterr().out
+    flow = tmp_path / "work" / "flow"
+    want = tree_bytes(flow)
+    shutil.rmtree(flow)
+    use_kernels(monkeypatch, _purekernels)
+    assert cli.main(["flow", "--config", path]) == 0
+    assert tree_bytes(flow) == want
 
 
 @needs_children_list
