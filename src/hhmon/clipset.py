@@ -27,6 +27,7 @@ from .tracking import Track
 
 CLIP_LEN = 16
 SPLIT_MIN_DATES = 3  # one non-synthetic date at least for each of train, val and test
+SPLIT_RATIOS = (10, 1, 1)  # train:val:test
 
 
 @dataclass
@@ -173,11 +174,7 @@ class SplitResult:
         return {"seed": self.seed, "train": self.train, "val": self.val, "test": self.test}
 
 
-def split_dataset(
-    records: list[AnnotationRecord],
-    ratios: tuple[int, int, int] = (10, 1, 1),
-    seed: int = 0,
-) -> SplitResult:
+def split_dataset(records: list[AnnotationRecord], seed: int = 0) -> SplitResult:
     """Date-disjoint 10:1:1 split by per-class frame counts.
 
     Dates are greedily packed into the split whose per-class frame totals
@@ -197,7 +194,7 @@ def split_dataset(
                         f"got {len(free_dates)}")
 
     totals = sum((dates[t]["frames"] for t in free_dates), np.zeros(2))
-    weights = np.array(ratios, dtype=np.float64) / sum(ratios)
+    weights = np.array(SPLIT_RATIOS, dtype=np.float64) / sum(SPLIT_RATIOS)
     targets = weights[:, None] * totals[None, :]  # (3 splits, 2 classes)
 
     rng = np.random.default_rng(seed)

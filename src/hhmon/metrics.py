@@ -138,11 +138,9 @@ def score_log_lines(clips: list[ScoredClip], threshold: float = DEFAULT_THRESHOL
     return lines
 
 
-def threshold_sweep(clips: list[ScoredClip], model: str,
-                    thresholds=None) -> list[dict]:
-    thresholds = np.linspace(0.0, 1.0, 21) if thresholds is None else thresholds
+def threshold_sweep(clips: list[ScoredClip], model: str) -> list[dict]:
     rows = []
-    for t in thresholds:
+    for t in np.linspace(0.0, 1.0, 21):
         cm = confusion_for(clips, model, float(t))
         if cm is None:
             continue

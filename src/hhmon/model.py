@@ -231,12 +231,10 @@ def inflate_params(params2d: dict[str, np.ndarray], spec3d: NetSpec) -> dict[str
     return out
 
 
-def adapt_first_conv_to_flow(params: dict[str, np.ndarray], first_conv: str = "conv1",
-                             n_channels: int = 2) -> dict[str, np.ndarray]:
-    """Average the first conv's input channels and replicate for flow input."""
+def adapt_first_conv_to_flow(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Average conv1's input channels and replicate them for the two flow channels."""
     out = {k: v.copy() for k, v in params.items()}
-    w = out[f"{first_conv}.w"]
-    out[f"{first_conv}.w"] = np.repeat(w.mean(axis=1, keepdims=True), n_channels, axis=1)
+    out["conv1.w"] = np.repeat(out["conv1.w"].mean(axis=1, keepdims=True), 2, axis=1)
     return out
 
 

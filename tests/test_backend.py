@@ -564,23 +564,14 @@ def test_the_kernel_benchmark_script_runs(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     run = subprocess.run(
         [sys.executable, str(REPO / "benchmarks" / "bench_kernels.py"), "--size", "32",
-         "--flow-size", "32", "--iters", "2", "--repeats", "1"],
+         "--iters", "2", "--repeats", "1"],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600)
     assert run.returncode == 0, run.stdout + run.stderr
-    assert "flow_sequence 23x192x144" in run.stdout
-    assert "tvl1_iterations x2 1x144x192" in run.stdout
-    assert "compute_flow 3x23x192x144" in run.stdout
-    assert "crop_window 16x18x20x3 -> 3x16x56x56" in run.stdout
-    assert "pyramid resize 22x72x96 -> 22x36x48" in run.stdout
-    assert "command lock acquire + release" in run.stdout
-    assert "checkpoint load i3d_mini rgb" in run.stdout
-    assert "render scene 23x96x72" in run.stdout
-    assert re.search(r"^conv1 x8 ", run.stdout, re.M)
-    for pool in ("pool1", "mixed1 pool", "pool2", "mixed2 pool"):
-        assert f"twin {pool} x8" in run.stdout
-    assert "render scene 23x192x144" in run.stdout
-    assert re.search(r"^gen 8 desk scenes \(\d+ workers?\) ", run.stdout, re.M)
-    pkg = REPO / "src" / "hhmon"
-    py = sum(len(p.read_bytes().splitlines()) for p in pkg.glob("*.py"))
-    c = len((pkg / "_accel" / "flowkernels.c").read_bytes().splitlines())
-    assert re.search(rf"^package lines +{py} +{c}$", run.stdout, re.M)
+    names = [f"{kernel} {stack}" for stack in ("32x32", "8x96x72", "1x144x192")
+             for kernel in ("warp_coords", "warp_bilinear x3", "tvl1_iterations x2")]
+    names += ["flow_sequence 23x96x72", "flow_sequence 23x192x144"]
+    rows = run.stdout.splitlines()[2:]
+    assert [row[:36].rstrip() for row in rows] == names
+    if "failed to build" not in run.stdout:
+        # the two backends give the same bits on every row
+        assert all(row.split()[-1] == "0.0e+00" for row in rows), run.stdout

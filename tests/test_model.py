@@ -127,7 +127,7 @@ def test_flow_adaptation_averages_then_repeats():
     rng = np.random.default_rng(0)
     spec = micro_spec(in_channels=3)
     params = init_params(spec, rng, dtype=np.float64)
-    adapted = adapt_first_conv_to_flow(params, n_channels=2)
+    adapted = adapt_first_conv_to_flow(params)
     w = params["conv1.w"]
     assert adapted["conv1.w"].shape == (3, 2, 3, 3, 3)
     mean = w.mean(axis=1)
