@@ -1,11 +1,14 @@
-"""The one writer and the one JSON reader of the files stages hand each other."""
+"""The one reader and the one writer of the files stages hand each other."""
 
 from __future__ import annotations
 
 import contextlib
+import io
 import json
 import os
 import shutil
+
+from .errors import DataError
 
 
 def _remove(path: str) -> None:
@@ -35,15 +38,53 @@ def publish(path: str):
         _remove(tmp)
 
 
-def read_json(path: str, error: type[Exception], missing: str):
-    """The JSON document at `path`.  A missing file raises `error(missing)`;
-    an unreadable file or invalid JSON raises an `error` naming the file."""
+def write(path: str, data: bytes | str) -> None:
+    """Publish `data`, bytes or text as UTF-8, as the whole file at `path`."""
+    with publish(path) as tmp, open(tmp, "wb") as fh:
+        fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+
+
+def read(path: str, error: type[Exception] = DataError, missing: str = "") -> bytes:
+    """The bytes of the file at `path`.  A missing file raises `error(missing)`
+    when `missing` is given; any other fault raises an `error` naming the file."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise error(missing) from None
+        with open(path, "rb") as fh:
+            return fh.read()
     except OSError as exc:
+        if missing and isinstance(exc, FileNotFoundError):
+            raise error(missing) from None
         raise error(f"{path}: cannot read: {exc}") from None
+
+
+def read_json(path: str, error: type[Exception] = DataError, missing: str = ""):
+    """The JSON document at `path`; faults as for `read`, and invalid JSON
+    raises an `error` naming the file."""
+    try:
+        return json.loads(read(path, error, missing))
     except ValueError as exc:
         raise error(f"{path}: invalid JSON: {exc}") from None
+
+
+def read_rows(path: str, kinds: tuple | None = None, sep: str | None = None):
+    """Yield (line number, fields split at `sep`) for each line of the UTF-8
+    text file at `path` that is neither blank nor a `#` comment.  With
+    `kinds`, a line has one field per kind, converted by it.  Every fault
+    is a DataError naming the file, and the line where there is one."""
+    try:
+        text = read(path).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split(sep)
+        if kinds is not None:
+            if len(fields) != len(kinds):
+                raise DataError(f"{path}:{lineno}: expected {len(kinds)} fields, "
+                                f"got {len(fields)}")
+            try:
+                fields = [kind(f) for kind, f in zip(kinds, fields)]
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: malformed value: {exc}") from None
+        yield lineno, fields

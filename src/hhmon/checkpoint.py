@@ -11,6 +11,7 @@ cut short leaves the earlier checkpoint, layout and parameters together.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -25,19 +26,15 @@ VERSION = 2
 
 def save_network(net: Network, path: str) -> None:
     layout = json.dumps(net.spec.to_json()).encode("utf-8")
-    with artifacts.publish(path) as tmp, open(tmp, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", VERSION, len(layout)))
-        fh.write(layout)
-        fh.write(struct.pack("<I", len(net.params)))
-        for name in sorted(net.params):
-            arr = np.ascontiguousarray(net.params[name], dtype="<f4")
-            raw = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<BB", 1 if name in net.frozen else 0, arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.tobytes())
+    parts = [MAGIC, struct.pack("<II", VERSION, len(layout)), layout,
+             struct.pack("<I", len(net.params))]
+    for name in sorted(net.params):
+        arr = np.ascontiguousarray(net.params[name], dtype="<f4")
+        raw = name.encode("utf-8")
+        parts += [struct.pack("<I", len(raw)), raw,
+                  struct.pack("<BB", 1 if name in net.frozen else 0, arr.ndim),
+                  struct.pack(f"<{arr.ndim}I", *arr.shape), arr.tobytes()]
+    artifacts.write(path, b"".join(parts))
 
 
 class _Reader:
@@ -58,8 +55,7 @@ class _Reader:
 
 
 def load_network(path: str) -> Network:
-    with open(path, "rb") as fh:
-        r = _Reader(fh.read(), path)
+    r = _Reader(artifacts.read(path, ModelError), path)
     if r.take(len(MAGIC)) != MAGIC:
         raise ModelError(f"{path}: bad checkpoint magic")
     (version,) = r.unpack("<I")
@@ -72,10 +68,13 @@ def load_network(path: str) -> Network:
     frozen: set[str] = set()
     for _ in range(count):
         (name_len,) = r.unpack("<I")
-        name = r.take(name_len).decode("utf-8")
+        try:
+            name = r.take(name_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise ModelError(f"{path}: tensor name is not UTF-8") from None
         flag, rank = r.unpack("<BB")
-        dims = r.unpack(f"<{rank}I") if rank else ()
-        n = int(np.prod(dims)) if dims else 1
+        dims = r.unpack(f"<{rank}I")
+        n = math.prod(dims)  # no overflow: dims that claim more than the file holds are truncation
         params[name] = np.frombuffer(r.take(4 * n), dtype="<f4").reshape(dims).astype(np.float32)
         if flag:
             frozen.add(name)

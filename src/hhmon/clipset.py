@@ -252,29 +252,11 @@ def split_dataset(records: list[AnnotationRecord], seed: int = 0) -> SplitResult
 
 def save_annotations(records: list[AnnotationRecord], path: str) -> None:
     """CSV lines: video_id,date_tag,track_id,start,end,label,action_name,synthetic."""
-    with artifacts.publish(path) as tmp, open(tmp, "w") as fh:
-        for r in records:
-            fh.write(f"{r.video_id},{r.date_tag},{r.track_id},{r.start_frame},{r.end_frame},"
-                     f"{r.label},{r.action_name},{int(r.synthetic)}\n")
+    artifacts.write(path, "".join(
+        f"{r.video_id},{r.date_tag},{r.track_id},{r.start_frame},{r.end_frame},"
+        f"{r.label},{r.action_name},{int(r.synthetic)}\n" for r in records))
 
 
 def load_annotations(path: str) -> list[AnnotationRecord]:
-    records = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 8:
-                raise DataError(f"{path}:{lineno}: expected 8 comma-separated fields, got {len(parts)}")
-            try:
-                track_id, start, end, label, synthetic = (int(parts[i]) for i in (2, 3, 4, 5, 7))
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: malformed value: {exc}") from exc
-            records.append(AnnotationRecord(
-                video_id=parts[0], date_tag=parts[1], track_id=track_id,
-                start_frame=start, end_frame=end, label=label,
-                action_name=parts[6], synthetic=bool(synthetic),
-            ))
-    return records
+    rows = artifacts.read_rows(path, (str, str, int, int, int, int, str, int), ",")
+    return [AnnotationRecord(*fields[:7], synthetic=bool(fields[7])) for _, fields in rows]

@@ -76,8 +76,7 @@ def write_ppm(image: np.ndarray, path: str) -> None:
 
 def read_ppm(path: str) -> np.ndarray:
     """An 8-bit PPM or PGM file as an (h, w, 3 or 1) float32 image in [0, 1]."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    raw = artifacts.read(path)
     m = re.match(rb"^(P[56])\s+(\d+)\s+(\d+)\s+(\d+)\s", raw)
     if m is None:
         raise DataError(f"{path}: not a binary PPM/PGM file")
@@ -105,8 +104,7 @@ def write_flo2(flow: np.ndarray, path: str) -> None:
 
 def read_flo2(path: str) -> np.ndarray:
     """A .flo2 file as an (h, w, 2) float32 flow image."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    raw = artifacts.read(path)
     if raw[:4] != FLO2_MAGIC:
         raise DataError(f"{path}: bad magic, not a .flo2 file")
     w, h = struct.unpack("<II", raw[4:12])
@@ -130,8 +128,7 @@ def save_sequence(seq: FrameSequence, directory: str) -> None:
                 "date_tag": seq.date_tag,
                 "channels": seq.channels,
             }
-            with open(os.path.join(tmp, "meta.json"), "w") as fh:
-                json.dump(meta, fh, indent=1)
+            artifacts.write(os.path.join(tmp, "meta.json"), json.dumps(meta, indent=1))
             ext = {1: "pgm", 2: "flo2", 3: "ppm"}[seq.channels]
             write = write_flo2 if ext == "flo2" else write_ppm
             for i, image in enumerate(seq.data):
@@ -186,13 +183,16 @@ def load_sequence(directory: str, frames: slice = slice(None)) -> FrameSequence:
     meta, names = index_sequence(directory)
     h, w, c = meta["height"], meta["width"], meta["channels"]
     names = names[frames]
-    data = np.empty((len(names), h, w, c), dtype=np.float32)
+    if not names:
+        raise DataError(f"{directory}: no frames in {frames}")
+    read = read_flo2 if c == 2 else read_ppm
     for i, name in enumerate(names):
-        path = os.path.join(directory, name)
-        image = read_flo2(path) if c == 2 else read_ppm(path)
+        image = read(os.path.join(directory, name))
         if image.shape != (h, w, c):
             ih, iw, ic = image.shape
             raise DataError(f"{name}: dimensions {iw}x{ih}x{ic} do not match descriptor {w}x{h}x{c}")
+        if i == 0:  # sized only once a frame has matched the descriptor
+            data = np.empty((len(names), h, w, c), dtype=np.float32)
         data[i] = image
     return FrameSequence(data, fps=float(meta["fps"]), video_id=meta["video_id"],
                          date_tag=meta["date_tag"])

@@ -205,7 +205,7 @@ def save_report(report: AblationReport, out_dir: str,
                 clips: list[ScoredClip] | None = None,
                 threshold: float = DEFAULT_THRESHOLD) -> None:
     """report.txt, report.json, scores.log, and a threshold sweep per stream,
-    each file published whole (`artifacts.publish`)."""
+    each file published whole (`artifacts.write`)."""
     files = {"report.txt": render_report(report),
              "report.json": json.dumps(report.as_dict(), indent=1)}
     if clips is not None:
@@ -213,5 +213,4 @@ def save_report(report: AblationReport, out_dir: str,
         sweep = [row for name in MODEL_ROWS for row in threshold_sweep(clips, name)]
         files["threshold_sweep.json"] = json.dumps(sweep, indent=1)
     for name, text in files.items():
-        with artifacts.publish(os.path.join(out_dir, name)) as tmp, open(tmp, "w") as fh:
-            fh.write(text)
+        artifacts.write(os.path.join(out_dir, name), text)

@@ -139,8 +139,7 @@ def prepare(cfg: PipelineConfig) -> PrepareResult:
     split_doc = split.as_dict()
     split_doc["video_ids"] = {name: [records[i].video_id for i in getattr(split, name)]
                               for name in ("train", "val", "test")}
-    with artifacts.publish(artifact_path(cfg, "splits")) as tmp, open(tmp, "w") as fh:
-        json.dump(split_doc, fh, indent=1)
+    artifacts.write(artifact_path(cfg, "splits"), json.dumps(split_doc, indent=1))
     table = render_stats(dataset_stats(records, split, cfg.clip))
     return PrepareResult(records=records, split=split, table=table)
 
@@ -446,8 +445,7 @@ def _test_scores(cfg: PipelineConfig, nets: dict[str, model.Network],
 def _dataset_hash(cfg: PipelineConfig) -> str:
     h = hashlib.sha256()
     for kind in ("annotations", "splits"):
-        with open(artifact_path(cfg, kind), "rb") as fh:
-            h.update(fh.read())
+        h.update(artifacts.read(artifact_path(cfg, kind)))
     return h.hexdigest()[:16]
 
 

@@ -97,18 +97,8 @@ def load_poses(path: str) -> list[PoseFrame]:
     """Parse a keypoint file into PoseFrames ordered by ascending frame index.
     Of several faulty lines, the first is named."""
     by_frame: dict[int, PoseFrame] = {}
-    try:
-        with open(path) as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise DataError(f"cannot read keypoint file {path}: {exc}") from exc
-
     linenos, persons = [], []
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
+    for lineno, tokens in artifacts.read_rows(path):
         if len(tokens) != 2 + 3 * N_JOINTS:
             _check_values(path, linenos, persons)
             n_joints = max(0, (len(tokens) - 2) // 3)
@@ -131,11 +121,12 @@ def load_poses(path: str) -> list[PoseFrame]:
 
 
 def save_poses(poses: list[PoseFrame], path: str) -> None:
-    with artifacts.publish(path) as tmp, open(tmp, "w") as fh:
-        for pf in poses:
-            for person, hint in zip(pf.persons, pf.person_hints):
-                coords = " ".join(f"{v:.4f}" for v in person.reshape(-1))
-                fh.write(f"{pf.frame_index} {hint} {coords}\n")
+    lines = []
+    for pf in poses:
+        for person, hint in zip(pf.persons, pf.person_hints):
+            coords = " ".join(f"{v:.4f}" for v in person.reshape(-1))
+            lines.append(f"{pf.frame_index} {hint} {coords}\n")
+    artifacts.write(path, "".join(lines))
 
 
 @dataclass

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -312,20 +313,24 @@ def generate_dataset(cfg: DatasetConfig, out_dir: str, seed: int) -> dict:
 
     workers.run(lambda job: _write_scene(out_dir, *job), jobs, lambda job: job[0].video_id)
     manifest = {"seed": seed, "scenes": [entry for _, entry in jobs]}
-    with artifacts.publish(os.path.join(out_dir, "dataset.json")) as tmp, open(tmp, "w") as fh:
-        json.dump(manifest, fh, indent=1)
+    artifacts.write(os.path.join(out_dir, "dataset.json"), json.dumps(manifest, indent=1))
     return manifest
 
 
 # The keys of a manifest entry that the stages read and the JSON types each must have.
 _ENTRY = {"video_id": str, "date_tag": str, "class": int, "frames_dir": str,
           "keypoints_file": str, "start_frame": int, "end_frame": int}
+# A scene's names, which become file names and annotations.csv fields.
+_FILE_NAME = re.compile(r"(?!\.\.?\Z)[A-Za-z0-9_.-]+")
+_NAMES = {"video_id": _FILE_NAME, "date_tag": _FILE_NAME,
+          "action_name": re.compile(r"[A-Za-z0-9_.-]*")}
 
 
 def load_manifest(dataset_dir: str) -> dict:
     """A dataset's dataset.json, checked to be an object with a `scenes` list
-    whose every entry has each key the stages read, of the right type; any
-    fault is a DataError naming the file."""
+    whose every entry has each key the stages read, of the right type, and
+    names (`_NAMES`) safe as a file name and a CSV field; any fault is a
+    DataError naming the file."""
     path = os.path.join(dataset_dir, "dataset.json")
     manifest = artifacts.read_json(path, DataError, f"{dataset_dir}: missing dataset.json manifest")
     if not isinstance(manifest, dict) or not isinstance(manifest.get("scenes"), list):
@@ -336,6 +341,11 @@ def load_manifest(dataset_dir: str) -> dict:
         for key, kind in _ENTRY.items():
             if not isinstance(entry.get(key), kind):
                 raise DataError(f"{path}: scene {i} has no {key!r} of type {kind.__name__}")
+        for key, name in _NAMES.items():
+            value = entry.get(key, "")
+            if not isinstance(value, str) or not name.fullmatch(value):
+                raise DataError(f"{path}: scene {i}: {key} {value!r} is not a plain name "
+                                f"(letters, digits, '_', '.', '-')")
     return manifest
 
 

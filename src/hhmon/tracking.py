@@ -159,25 +159,14 @@ class Edit:
 
 def parse_corrections(path: str) -> list[Edit]:
     edits = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens = line.split()
-            op = tokens[0]
-            try:
-                args = tuple(int(t) for t in tokens[1:])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: malformed edit: {exc}") from exc
-            if op == "move" and len(args) == 3:
-                edits.append(Edit("move", args))
-            elif op == "split" and len(args) == 2:
-                edits.append(Edit("split", args))
-            elif op == "merge" and len(args) == 2:
-                edits.append(Edit("merge", args))
-            else:
-                raise DataError(f"{path}:{lineno}: unknown edit '{line}'")
+    for lineno, (op, *tokens) in artifacts.read_rows(path):
+        try:
+            args = tuple(int(t) for t in tokens)
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: malformed edit: {exc}") from exc
+        if (op, len(args)) not in (("move", 3), ("split", 2), ("merge", 2)):
+            raise DataError(f"{path}:{lineno}: unknown edit '{' '.join((op, *tokens))}'")
+        edits.append(Edit(op, args))
     return edits
 
 
@@ -238,33 +227,22 @@ def correct_assignment(tracks: list[Track], edits: list[Edit]) -> list[Track]:
 
 def save_tracks(tracks: list[Track], path: str) -> None:
     """One line per entry: track_id frame x1 y1 x2 y2 sx1 sy1 sx2 sy2."""
-    with artifacts.publish(path) as tmp, open(tmp, "w") as fh:
-        for t in tracks:
-            smoothed = dict((f, b) for f, b in t.smoothed)
-            for frame, box in t.entries:
-                s = smoothed.get(frame, box)
-                vals = " ".join(repr(float(v)) for v in box.coords() + s.coords())
-                fh.write(f"{t.track_id} {frame} {vals}\n")
+    lines = []
+    for t in tracks:
+        smoothed = dict((f, b) for f, b in t.smoothed)
+        for frame, box in t.entries:
+            s = smoothed.get(frame, box)
+            vals = " ".join(repr(float(v)) for v in box.coords() + s.coords())
+            lines.append(f"{t.track_id} {frame} {vals}\n")
+    artifacts.write(path, "".join(lines))
 
 
 def load_tracks(path: str) -> list[Track]:
     by_id: dict[int, Track] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            tokens = line.split()
-            if len(tokens) != 10:
-                raise DataError(f"{path}:{lineno}: expected 10 fields, got {len(tokens)}")
-            try:
-                tid, frame = int(tokens[0]), int(tokens[1])
-                vals = [float(t) for t in tokens[2:]]
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: malformed value: {exc}") from exc
-            t = by_id.setdefault(tid, Track(tid))
-            t.entries.append((frame, BBox(*vals[:4])))
-            t.smoothed.append((frame, BBox(*vals[4:])))
+    for _, (tid, frame, *vals) in artifacts.read_rows(path, (int, int) + (float,) * 8):
+        t = by_id.setdefault(tid, Track(tid))
+        t.entries.append((frame, BBox(*vals[:4])))
+        t.smoothed.append((frame, BBox(*vals[4:])))
     tracks = [by_id[k] for k in sorted(by_id)]
     for t in tracks:
         t.validate()

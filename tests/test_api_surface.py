@@ -2,7 +2,8 @@
 top-level function and class of `src/hhmon` is referenced somewhere in
 `src/hhmon` itself (a name, an attribute or an import of that name).  And
 importing the command line loads none of the standard library's heavier
-modules, which only some commands need and import where they use them."""
+modules, which only some commands need and import where they use them.
+Only `artifacts` and a short list of exempt functions open files."""
 
 import ast
 import os
@@ -51,3 +52,35 @@ def test_importing_the_cli_loads_no_heavy_stdlib_module():
     loaded = set(out.split())
     assert "hhmon" in loaded
     assert sorted(NOT_AT_IMPORT & loaded) == []
+
+
+# The only code that opens a file: the reader and writer of the files stages
+# hand each other, the frame writers inside a directory `save_sequence`
+# publishes, the hash of the C kernels' source and the command lock.
+OPENERS = {"artifacts", "frameio.write_ppm", "frameio.write_flo2", "_accel.library_path",
+           "cli._command_lock"}
+
+
+def _opens(node, where):
+    """The dotted name of the definition around each open call under node."""
+    for child in ast.iter_child_nodes(node):
+        inner = where
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{where}.{child.name}"
+        elif isinstance(child, ast.Call):
+            func = child.func
+            if (isinstance(func, ast.Name) and func.id == "open"
+                    or isinstance(func, ast.Attribute) and func.attr == "open"
+                    and isinstance(func.value, ast.Name) and func.value.id in ("os", "io")):
+                yield where
+        yield from _opens(child, inner)
+
+
+def test_only_the_allowed_code_opens_a_file():
+    found = set()
+    for p in sorted(SRC.rglob("*.py")):
+        module = str(p.relative_to(SRC).with_suffix("")).replace("/", ".").removesuffix(".__init__")
+        found.update(_opens(ast.parse(p.read_text()), module))
+    covers = lambda opener, name: name == opener or name.startswith(opener + ".")  # noqa: E731
+    assert sorted(n for n in found if not any(covers(o, n) for o in OPENERS)) == []
+    assert sorted(o for o in OPENERS if not any(covers(o, n) for n in found)) == [], "stale"

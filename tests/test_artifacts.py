@@ -1,12 +1,15 @@
-"""The artifact writer and JSON reader: whole or absent, never a temp left."""
+"""The artifact reader and writer: a file is written whole or not at all, and
+every fault in reading one is an error naming it."""
 
 import os
+import re
 from pathlib import Path
 
 import pytest
 
-from hhmon import artifacts
-from hhmon.errors import DataError
+from hhmon import artifacts, checkpoint, clipset, frameio, pipeline, pose, tracking
+from hhmon.config import PipelineConfig
+from hhmon.errors import DataError, ModelError
 
 
 def write_file(path, text):
@@ -79,3 +82,85 @@ def test_read_json_maps_every_fault_to_the_callers_error(tmp_path):
         artifacts.read_json(str(tmp_path), DataError, "no doc here")  # a directory
     path.write_text('{"a": [1]}')
     assert artifacts.read_json(str(path), DataError, "no doc here") == {"a": [1]}
+
+
+def test_read_maps_every_fault_to_the_callers_error(tmp_path):
+    path = tmp_path / "blob"
+    with pytest.raises(DataError, match="^no blob here$"):
+        artifacts.read(str(path), missing="no blob here")
+    with pytest.raises(ModelError, match=f"^{path}: cannot read: .*No such file"):
+        artifacts.read(str(path), ModelError)
+    with pytest.raises(DataError, match=f"^{tmp_path}: cannot read"):
+        artifacts.read(str(tmp_path), missing="no blob here")  # a directory
+    path.write_bytes(b"\xff\x00")
+    assert artifacts.read(str(path)) == b"\xff\x00"
+
+
+def test_write_publishes_bytes_and_text_as_utf8(tmp_path):
+    path = tmp_path / "sub" / "doc.txt"
+    artifacts.write(str(path), "café\n")
+    assert path.read_bytes() == b"caf\xc3\xa9\n"
+    artifacts.write(str(path), b"\xff")
+    assert path.read_bytes() == b"\xff"
+    assert os.listdir(tmp_path / "sub") == ["doc.txt"]
+
+
+def test_read_rows_skips_blank_and_comment_lines_and_counts_every_line(tmp_path):
+    path = tmp_path / "rows.txt"
+    path.write_bytes(b"# head\n1  2.5 a\n\n   \r\n  # indented comment\n3\t4.0 b\r\n5 6 c")
+    assert list(artifacts.read_rows(str(path))) == [
+        (2, ["1", "2.5", "a"]), (6, ["3", "4.0", "b"]), (7, ["5", "6", "c"])]
+    assert list(artifacts.read_rows(str(path), (int, float, str))) == [
+        (2, [1, 2.5, "a"]), (6, [3, 4.0, "b"]), (7, [5, 6.0, "c"])]
+    path.write_text("a,,b\n")
+    assert list(artifacts.read_rows(str(path), sep=",")) == [(1, ["a", "", "b"])]
+
+
+def test_read_rows_names_the_file_and_line_of_a_fault(tmp_path):
+    path = tmp_path / "rows.txt"
+    path.write_text("1 2\n3\n")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}:2: expected 2 fields, got 1$"):
+        list(artifacts.read_rows(str(path), (int, int)))
+    path.write_text("1 2\n3 x\n")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}:2: malformed value: invalid"):
+        list(artifacts.read_rows(str(path), (int, int)))
+    path.write_bytes(b"1 2\n3 \xff\n")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
+        next(artifacts.read_rows(str(path)))
+
+
+# Each reader of a stage file, the error it raises and whether its format is text.
+READERS = {
+    "load_tracks": (tracking.load_tracks, DataError, True),
+    "parse_corrections": (tracking.parse_corrections, DataError, True),
+    "load_annotations": (clipset.load_annotations, DataError, True),
+    "load_poses": (pose.load_poses, DataError, True),
+    "read_ppm": (frameio.read_ppm, DataError, False),
+    "read_flo2": (frameio.read_flo2, DataError, False),
+    "load_network": (checkpoint.load_network, ModelError, False),
+}
+
+
+@pytest.mark.parametrize("name", READERS)
+def test_a_stage_file_reader_names_a_directory_in_place_of_its_file(tmp_path, name):
+    read, error, _ = READERS[name]
+    path = tmp_path / "artifact"
+    path.mkdir()
+    with pytest.raises(error, match=f"^{re.escape(str(path))}: cannot read"):
+        read(str(path))
+
+
+@pytest.mark.parametrize("name", [name for name, (*_, text) in READERS.items() if text])
+def test_a_text_reader_names_a_file_that_is_not_utf8(tmp_path, name):
+    path = tmp_path / "artifact.txt"
+    path.write_bytes(b"# \xff\n")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
+        READERS[name][0](str(path))
+
+
+def test_the_dataset_hash_names_a_directory_in_place_of_its_file(tmp_path):
+    cfg = PipelineConfig()
+    cfg.paths.work_dir = str(tmp_path)
+    (tmp_path / "annotations.csv").mkdir()
+    with pytest.raises(DataError, match=f"^{re.escape(str(tmp_path))}/annotations.csv: cannot read"):
+        pipeline._dataset_hash(cfg)

@@ -138,6 +138,29 @@ def test_truncation_rejected(tmp_path):
             load_network(path)
 
 
+def _one_tensor_checkpoint(path, name, dims):
+    """A checkpoint file of one tensor, with 16 data bytes whatever its dims."""
+    layout = b"{}"
+    with open(path, "wb") as fh:
+        fh.write(MAGIC + struct.pack("<II", VERSION, len(layout)) + layout + struct.pack("<I", 1))
+        fh.write(struct.pack("<I", len(name)) + name + struct.pack("<BB", 0, len(dims)))
+        fh.write(struct.pack(f"<{len(dims)}I", *dims) + bytes(16))
+
+
+def test_dims_whose_product_overflows_int64_are_a_truncation(tmp_path):
+    path = str(tmp_path / "model.swnet")
+    _one_tensor_checkpoint(path, b"head.w", (2**31, 2**31, 4))
+    with pytest.raises(ModelError, match=rf"^{re.escape(path)}: truncated checkpoint$"):
+        load_network(path)
+
+
+def test_a_tensor_name_that_is_not_utf8_names_the_checkpoint(tmp_path):
+    path = str(tmp_path / "model.swnet")
+    _one_tensor_checkpoint(path, b"head.\xff", (4,))
+    with pytest.raises(ModelError, match=rf"^{re.escape(path)}: tensor name is not UTF-8$"):
+        load_network(path)
+
+
 def test_trailing_bytes_rejected(tmp_path):
     path = saved(tmp_path)
     with open(path, "ab") as fh:

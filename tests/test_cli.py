@@ -431,6 +431,41 @@ def test_prepare_and_flow_with_a_malformed_manifest_exit_3(tmp_path, capsys, man
         assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'ds' / 'dataset.json'}: ")
 
 
+def test_prepare_and_eval_on_a_text_file_that_is_not_utf8_exit_3(tmp_path, capsys):
+    path = write_cfg(tmp_path, gen=_THREE_SCENES)
+    assert cli.main(["gen", "--config", path]) == 0
+    keypoints = tmp_path / "ds" / "scenes" / "rub_001" / "keypoints.txt"
+    good = keypoints.read_bytes()
+    keypoints.write_bytes(good + b"\xff")
+    capsys.readouterr()
+    assert cli.main(["prepare", "--config", path]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {keypoints}: not UTF-8 text")
+    keypoints.write_bytes(good)
+    for argv in (["prepare"], ["train", "--stream", "rgb"]):
+        assert cli.main(argv + ["--config", path]) == 0
+    for tracks in (tmp_path / "work" / "tracks").iterdir():
+        tracks.write_bytes(tracks.read_bytes() + b"\xff")
+    capsys.readouterr()
+    assert cli.main(["eval", "--config", path]) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: {re.escape(str(tmp_path / 'work' / 'tracks'))}/rub_00\d\.txt: "
+                        r"not UTF-8 text: .*\n", err)
+
+
+def test_prepare_refuses_a_scene_id_that_escapes_the_work_dir(tmp_path, capsys):
+    path = write_cfg(tmp_path, gen=_THREE_SCENES)
+    assert cli.main(["gen", "--config", path]) == 0
+    manifest_path = tmp_path / "ds" / "dataset.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["scenes"][0]["video_id"] = "../../escaped"
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert cli.main(["prepare", "--config", path]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {manifest_path}: scene 0: video_id ")
+    assert not (tmp_path / "escaped.txt").exists()  # tracks/../../escaped.txt
+    assert os.listdir(tmp_path / "work") == [".lock"]
+
+
 def test_prepare_without_a_scene_descriptor_exits_3(tmp_path, capsys):
     path = write_cfg(tmp_path)
     assert cli.main(["gen", "--config", path]) == 0

@@ -138,6 +138,19 @@ def test_load_sequence_rejects_descriptor_dims_no_frame_has(tmp_path, rng, dims)
         frameio.load_sequence(str(d))
 
 
+def test_load_sequence_checks_a_frame_before_sizing_by_the_descriptor(tmp_path, rng):
+    d = tmp_path / "seq"
+    d.mkdir()
+    (d / "meta.json").write_text('{"width": 1000000000, "height": 1000000000, "channels": 3, '
+                                 '"fps": 15, "video_id": "v", "date_tag": "d"}')
+    frameio.write_ppm(make_rgb(4, 4, rng), str(d / "frame_000000.ppm"))
+    with pytest.raises(DataError, match="frame_000000.ppm: dimensions 4x4x3 do not match "
+                                        "descriptor 1000000000x1000000000x3"):
+        frameio.load_sequence(str(d))
+    with pytest.raises(DataError, match=r"no frames in slice\(1, 1, None\)"):
+        frameio.load_sequence(str(d), slice(1, 1))
+
+
 def test_load_sequence_gap_names_first_missing_index(tmp_path, rng):
     seq = FrameSequence(np.stack([make_rgb(4, 4, rng) for _ in range(4)]), video_id="v",
                         date_tag="d")

@@ -1,6 +1,7 @@
 """Procedural scene generator: determinism, motion taxonomy, learnability floor."""
 
 import hashlib
+import json
 import os
 
 import numpy as np
@@ -258,6 +259,42 @@ def test_dataset_rejects_negative_counts():
 def test_missing_manifest_is_a_data_error(tmp_path):
     with pytest.raises(DataError, match="dataset.json"):
         load_manifest(str(tmp_path))
+
+
+def _load_scene(tmp_path, **entry):
+    """load_manifest of a dataset of one scene with the given keys changed."""
+    scene = {"video_id": "rub_000", "date_tag": "d00", "class": 1,
+             "frames_dir": "scenes/rub_000/frames", "keypoints_file": "scenes/rub_000/kp.txt",
+             "start_frame": 0, "end_frame": 20, "action_name": "rubbing_hands", **entry}
+    (tmp_path / "dataset.json").write_text(json.dumps({"seed": 0, "scenes": [scene]}))
+    return load_manifest(str(tmp_path))
+
+
+@pytest.mark.parametrize("key, value", [("video_id", "../../escaped"), ("video_id", "a b"),
+                                        ("date_tag", "d,00"), ("date_tag", "")])
+def test_a_scene_id_or_date_outside_letters_digits_and_dot_dash_underscore_is_refused(
+        tmp_path, key, value):
+    with pytest.raises(DataError, match=rf"dataset.json: scene 0: {key} '.*' is not a plain name"):
+        _load_scene(tmp_path, **{key: value})
+
+
+@pytest.mark.parametrize("key, value", [("video_id", "."), ("video_id", ".."),
+                                        ("date_tag", "."), ("date_tag", "..")])
+def test_a_scene_id_or_date_of_dot_or_dot_dot_is_refused(tmp_path, key, value):
+    with pytest.raises(DataError, match=rf"dataset.json: scene 0: {key} '.*' is not a plain name"):
+        _load_scene(tmp_path, **{key: value})
+
+
+@pytest.mark.parametrize("value", ["rubbing, hands", "rubbing hands", "#rubbing", 3])
+def test_an_action_name_outside_letters_digits_and_dot_dash_underscore_is_refused(tmp_path, value):
+    with pytest.raises(DataError, match="dataset.json: scene 0: action_name .* is not a plain name"):
+        _load_scene(tmp_path, action_name=value)
+
+
+def test_plain_scene_names_are_accepted(tmp_path):
+    (scene,) = _load_scene(tmp_path, video_id="Rub-0.a_1", date_tag="...",
+                           action_name="")["scenes"]
+    assert (scene["video_id"], scene["date_tag"]) == ("Rub-0.a_1", "...")
 
 
 def test_manifest_roundtrip(tmp_path):
