@@ -7,7 +7,7 @@ never loaded, and neither is one of another name.  When that file is
 missing, `build` compiles it once with the C compiler Python was built
 with, into a temp file unique to the process, and moves it into place, so
 concurrent first builds leave one whole library.  A hit reads and hashes
-the 7 KB source and nothing more: `subprocess` and `sysconfig` are imported
+the 11 KB source and nothing more: `subprocess` and `sysconfig` are imported
 only to compile.  `backend` builds into this directory on import.
 
 `CompiledKernels(path)` loads that library (raising OSError when it does not
@@ -30,8 +30,11 @@ import numpy as np
 HERE = os.path.dirname(os.path.abspath(__file__))
 SOURCE = os.path.join(HERE, "flowkernels.c")
 # No FMA contraction and no -ffast-math: the kernels must round exactly like
-# their numpy twins, element for element.
-FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+# their numpy twins, element for element.  -fno-math-errno lets sqrtf
+# vectorize and -fno-trapping-math lets the primal step's selects; neither
+# changes a value, as flowkernels.c's header says.
+FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fno-trapping-math", "-fPIC",
+         "-shared")
 
 # Arrays go to C as bare addresses: _checked_shape has vetted them, and an
 # ndpointer argtype would check each one again, at about 3 us per array and
@@ -145,9 +148,13 @@ class CompiledKernels:
         """
         fields = (I1wx, I1wy, rho_c, grad, u1, u2, p11, p12, p21, p22)
         shape = _checked_shape("tvl1_iterations", fields)
+        if not (shape[1] and shape[2]):
+            raise ValueError(f"tvl1_iterations: planes of shape {shape[1:]} have no pixel")
         u1n, u2n = np.empty_like(u1), np.empty_like(u2)
         planes = (I1wx, I1wy, rho_c, grad, u1, u2, u1n, u2n, p11, p12, p21, p22)
         done = self._lib.tvl1_iterations(
             *(a.ctypes.data for a in planes), *shape,
             float(lam), float(theta), float(tau), int(n_iters), float(stop_eps2))
+        if done < 0:
+            raise MemoryError("tvl1_iterations: cannot allocate a row of zeros")
         return u1, u2, p11, p12, p21, p22, done

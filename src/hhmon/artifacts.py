@@ -25,21 +25,26 @@ def publish(path: str):
     and rename it onto `path`, replacing what is there, once the block
     completes: a reader finds the whole artifact or none.  A temp that a
     killed run left is cleared first and the parent directory made; if the
-    block raises, the temp is removed."""
+    block raises, the temp is removed.  Any `OSError`, the block's included,
+    raises a DataError naming `path`; other errors pass through."""
     tmp = path + ".partial"
-    _remove(tmp)
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     try:
-        yield tmp
-        if os.path.isdir(path):  # os.replace renames a directory only onto an empty one
-            shutil.rmtree(path)
-        os.replace(tmp, path)
-    finally:
         _remove(tmp)
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        try:
+            yield tmp
+            if os.path.isdir(path):  # os.replace renames a directory only onto an empty one
+                shutil.rmtree(path)
+            os.replace(tmp, path)
+        finally:
+            _remove(tmp)
+    except OSError as exc:
+        raise DataError(f"{path}: cannot write: {exc}") from None
 
 
 def write(path: str, data: bytes | str) -> None:
-    """Publish `data`, bytes or text as UTF-8, as the whole file at `path`."""
+    """Publish `data`, bytes or text as UTF-8, as the whole file at `path`;
+    faults as for `publish`."""
     with publish(path) as tmp, open(tmp, "wb") as fh:
         fh.write(data.encode("utf-8") if isinstance(data, str) else data)
 

@@ -5,7 +5,7 @@ through ctypes (`_accel`) and a pure numpy fallback with identical
 semantics (`_purekernels`).  On import this module loads the C library from
 beside its source, `_accel/flowkernels-<key>.so`, and compiles it there
 first when it is missing: once per checkout or install and per edit of the
-C or its flags, about 0.3 s on that import (`_accel.build`).  Any failure
+C or its flags, about 0.4 s on that import (`_accel.build`).  Any failure
 (no C compiler, a directory it cannot write, a failed compile, a library
 that does not load) selects the pure kernels, which give the same bits.
 `BACKEND` names the selected one.  Both take (P, H, W) stacks of planes, as

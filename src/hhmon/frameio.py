@@ -117,24 +117,21 @@ def read_flo2(path: str) -> np.ndarray:
 def save_sequence(seq: FrameSequence, directory: str) -> None:
     """Write meta.json plus contiguously numbered frame files, as one
     directory published whole (`artifacts.publish`)."""
-    try:
-        with artifacts.publish(directory) as tmp:
-            os.mkdir(tmp)
-            meta = {
-                "width": seq.width,
-                "height": seq.height,
-                "fps": seq.fps,
-                "video_id": seq.video_id,
-                "date_tag": seq.date_tag,
-                "channels": seq.channels,
-            }
-            artifacts.write(os.path.join(tmp, "meta.json"), json.dumps(meta, indent=1))
-            ext = {1: "pgm", 2: "flo2", 3: "ppm"}[seq.channels]
-            write = write_flo2 if ext == "flo2" else write_ppm
-            for i, image in enumerate(seq.data):
-                write(image, os.path.join(tmp, f"frame_{i:06d}.{ext}"))
-    except OSError as exc:
-        raise DataError(f"cannot write sequence to {directory}: {exc}") from exc
+    with artifacts.publish(directory) as tmp:
+        os.mkdir(tmp)
+        meta = {
+            "width": seq.width,
+            "height": seq.height,
+            "fps": seq.fps,
+            "video_id": seq.video_id,
+            "date_tag": seq.date_tag,
+            "channels": seq.channels,
+        }
+        artifacts.write(os.path.join(tmp, "meta.json"), json.dumps(meta, indent=1))
+        ext = {1: "pgm", 2: "flo2", 3: "ppm"}[seq.channels]
+        write = write_flo2 if ext == "flo2" else write_ppm
+        for i, image in enumerate(seq.data):
+            write(image, os.path.join(tmp, f"frame_{i:06d}.{ext}"))
 
 
 # The frame descriptor's keys and the JSON types each must have.

@@ -1,6 +1,7 @@
 """The artifact reader and writer: a file is written whole or not at all, and
 every fault in reading one is an error naming it."""
 
+import errno
 import os
 import re
 from pathlib import Path
@@ -51,12 +52,58 @@ def test_publish_replaces_the_artifact_only_when_the_block_completes(tmp_path, w
 
 @pytest.mark.parametrize("write", [write_file, write_dir], ids=["file", "directory"])
 def test_a_raising_first_publish_leaves_no_artifact(tmp_path, write):
+    # an OSError becomes a DataError naming the artifact; any other error
+    # passes through as it was raised
     path = str(tmp_path / "artifact")
-    with pytest.raises(OSError):
+    with pytest.raises(DataError, match=f"^{re.escape(path)}: cannot write: disk full$"):
         with artifacts.publish(path) as tmp:
             write(tmp, "half")
             raise OSError("disk full")
     assert os.listdir(tmp_path) == []
+    error = ValueError("bad value")
+    with pytest.raises(ValueError) as raised:
+        with artifacts.publish(path) as tmp:
+            write(tmp, "half")
+            raise error
+    assert raised.value is error
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.fixture
+def read_only_root(tmp_path, monkeypatch):
+    """A directory whose file system refuses every new entry with EROFS.  A
+    process running as root ignores directory modes, so the refusal is put
+    into the calls that make or rename an entry."""
+    root = tmp_path / "root"
+    root.mkdir()
+
+    def refuse(call):
+        def refused(path, *args, **kwargs):
+            if os.fspath(path).startswith(str(root)):
+                raise OSError(errno.EROFS, os.strerror(errno.EROFS), os.fspath(path))
+            return call(path, *args, **kwargs)
+        return refused
+
+    for name in ("mkdir", "replace"):
+        monkeypatch.setattr(os, name, refuse(getattr(os, name)))
+    return root
+
+
+def publish_with(write):
+    def publish(path):
+        with artifacts.publish(path) as tmp:
+            write(tmp, "new")
+    return publish
+
+
+@pytest.mark.parametrize("publish", [publish_with(write_file), publish_with(write_dir),
+                                     lambda path: artifacts.write(path, "new")],
+                         ids=["file", "directory", "write"])
+def test_a_read_only_root_is_a_data_error_naming_the_artifact(read_only_root, publish):
+    for path in (read_only_root / "artifact", read_only_root / "sub" / "artifact"):
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: cannot write: .*Read-only"):
+            publish(str(path))
+    assert os.listdir(read_only_root) == []
 
 
 @pytest.mark.parametrize("stale", [write_file, write_dir], ids=["file", "directory"])

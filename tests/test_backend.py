@@ -233,6 +233,69 @@ def test_threshold_edges_agree_bit_for_bit(rng, accel):
         for k, (a, b) in enumerate(zip(got[:6], want[:6])):
             assert np.array_equal(a.view(np.int32), b.view(np.int32)), f"{n_iters} field {k}"
 
+
+# values put on the borders and the lanes of a stack: residuals and dual
+# fields (NaN, +-inf, -0.0), residuals on the edges of the threshold, and
+# gradients too small to divide by
+SPECIALS = ["nan", "inf", "-inf", "-0.0", "+th", "-th", "grad 0", "grad 1e-10"]
+
+
+def same_bits_but_nan_signs(a, b):
+    """Equal bits, except that a NaN matches a NaN of either sign: which of
+    two NaN operands a sum or a product passes on depends on the operand
+    order the compiler picks, for numpy's loops as for the C."""
+    nan = np.isnan(a)
+    return (np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.int32), b[~nan].view(np.int32)))
+
+
+def special_problem(rng, p, h, w, special, lane):
+    """A (p, h, w) tvl1_iterations stack from u = 0, so that the first
+    iteration's rho is rho_c, with `special` in column 0, in the last
+    column, and at every x % 8 == lane of the first and the middle row."""
+    shape = (p, h, w)
+    I1wx, I1wy, rho_c = (rng.normal(0, 3.0, shape).astype(np.float32) for _ in range(3))
+    grad = I1wx * I1wx + I1wy * I1wy
+    ps = [rng.normal(0, 0.1, shape).astype(np.float32) for _ in range(4)]
+    cells = np.zeros((h, w), dtype=bool)
+    cells[:, [0, -1]] = True
+    cells[[0, h // 2], lane::8] = True
+    th = np.float32(0.15 * 0.3) * grad
+    if special in ("+th", "-th"):
+        rho_c[:, cells] = th[:, cells] if special == "+th" else -th[:, cells]
+    elif special.startswith("grad"):
+        grad[:, cells] = np.float32(special.split()[1])
+    else:
+        for a in (rho_c, *ps):
+            a[:, cells] = np.float32(special)
+    zeros = np.zeros(shape, dtype=np.float32)
+    return I1wx, I1wy, rho_c, grad, zeros, zeros.copy(), ps
+
+
+@pytest.mark.parametrize("p", [1, 3])
+@pytest.mark.parametrize("h", [1, 2, 3])
+@pytest.mark.parametrize("w", [1, 2, 7, 8, 9, 17])
+def test_compiled_iterations_equal_pure_on_every_border_and_lane(rng, accel, p, h, w):
+    # the C peels column 0, reads a zero row above row 0, peels the last
+    # column of the dual step and sums the error in 8 lanes: every width
+    # around a block of 8, with and without early stop
+    stopped_early = 0
+    for special in SPECIALS:
+        for lane in range(min(w, 8)):
+            I1wx, I1wy, rho_c, grad, u1, u2, ps = special_problem(rng, p, h, w, special, lane)
+            for n_iters, eps in ((5, 0.0), (30, 1e-3)):
+                with np.errstate(invalid="ignore", over="ignore"):
+                    got, want = (k.tvl1_iterations(I1wx, I1wy, rho_c, grad, u1.copy(),
+                                                   u2.copy(), *(a.copy() for a in ps),
+                                                   0.15, 0.3, 0.25, n_iters, eps)
+                                 for k in (accel, _purekernels))
+                assert got[6] == want[6], (special, lane, n_iters)
+                stopped_early += got[6] < n_iters
+                for k, (a, b) in enumerate(zip(got[:6], want[:6])):
+                    assert same_bits_but_nan_signs(a, b), (special, lane, n_iters, k)
+    assert stopped_early
+
+
 BAD_INPUTS = {
     "not 3-D": lambda a: a[0],
     "another dtype": lambda a: a.astype(np.float64 if a.dtype == np.float32 else np.float32),
@@ -259,6 +322,14 @@ def test_compiled_kernels_reject_bad_arrays(rng, accel, fault):
             bad[k] = BAD_INPUTS[fault](bad[k])
             with pytest.raises(ValueError, match=rf"argument {k}\b"):
                 call(bad)
+
+
+def test_compiled_iterations_reject_planes_without_pixels(accel):
+    # the C peels the first and the last column of every row
+    for shape in ((1, 0, 5), (1, 5, 0)):
+        fields = [np.zeros(shape, dtype=np.float32) for _ in range(10)]
+        with pytest.raises(ValueError, match="have no pixel"):
+            accel.tvl1_iterations(*fields, 0.15, 0.3, 0.25, 3, 1e-3)
 
 
 def test_compiled_warp_rejects_indices_outside_the_stack(rng, accel):
@@ -394,6 +465,21 @@ def test_the_library_name_keys_the_source_and_the_flags(tmp_path):
     assert _accel.library_path(str(tmp_path), flags=_accel.FLAGS + ("-g",)) != name
     copy.write_bytes(copy.read_bytes() + b"\n")
     assert _accel.library_path(str(tmp_path), str(copy)) != name
+
+
+def test_the_compiler_flags_change_no_value():
+    # a speed edit must not trade bits for time: no FMA contraction, no
+    # flag that lets the compiler reorder or approximate float arithmetic,
+    # and no code for one host in a library keyed by its flags alone
+    assert "-ffp-contract=off" in _accel.FLAGS
+    assert not {"-ffast-math", "-Ofast", "-funsafe-math-optimizations", "-fassociative-math",
+                "-freciprocal-math", "-ffinite-math-only"} & set(_accel.FLAGS)
+    assert not [f for f in _accel.FLAGS if f.startswith(("-march=", "-mtune="))]
+
+
+@needs_cc
+def test_the_c_kernels_compile_without_a_warning(tmp_path):
+    _accel.build(str(tmp_path), flags=_accel.FLAGS + ("-Wall", "-Wextra", "-Wvla", "-Werror"))
 
 
 @needs_cc

@@ -476,6 +476,18 @@ def test_prepare_without_a_scene_descriptor_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {frames_dir}: missing meta.json descriptor\n"
 
 
+def test_prepare_with_a_file_in_place_of_the_tracks_dir_exits_3(tmp_path, capsys):
+    path = write_cfg(tmp_path, gen=_THREE_SCENES)
+    assert cli.main(["gen", "--config", path]) == 0
+    tracks = tmp_path / "work" / "tracks"  # gen made work/ for its lock
+    tracks.touch()
+    capsys.readouterr()
+    assert cli.main(["prepare", "--config", path]) == 3
+    assert re.fullmatch(rf"error: {re.escape(str(tracks))}/rub_00\d\.txt: cannot write: "
+                        r".*Not a directory.*\n", capsys.readouterr().err)
+    assert tracks.read_bytes() == b""
+
+
 # oth_001's first range is among the first jobs handed out; synrub_000 is the
 # last scene, so its first range is handed out after most jobs have finished
 @pytest.mark.parametrize("video_id", ["oth_001", "synrub_000"])
