@@ -6,13 +6,16 @@ source and the flags: a library built from other C or with other flags is
 never loaded, and neither is one of another name.  When that file is
 missing, `build` compiles it once with the C compiler Python was built
 with, into a temp file unique to the process, and moves it into place, so
-concurrent first builds leave one whole library.  A hit reads and hashes
+concurrent first builds leave one whole library.  It then removes the
+libraries of other keys from the directory, which every edit of the C or
+its flags would otherwise leave behind.  A hit reads and hashes
 the 11 KB source and nothing more: `subprocess` and `sysconfig` are imported
 only to compile.  `backend` builds into this directory on import.
 
 `CompiledKernels(path)` loads that library (raising OSError when it does not
 load, AttributeError when it lacks an entry point) and offers the three
-`_purekernels` entry points with the same arguments and return values:
+`_purekernels` entry points with the same arguments and return values, bit
+for bit but for the sign of a NaN (see `_purekernels`):
 (P, H, W) stacks of planes in, one ctypes call per stack, and for
 `tvl1_iterations` the largest iteration count over the planes as the last
 element.  Every array is checked here, before a pointer reaches C, because
@@ -21,14 +24,17 @@ the C code trusts its buffers and sizes.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import os
+import re
 
 import numpy as np
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SOURCE = os.path.join(HERE, "flowkernels.c")
+_LIBRARY = re.compile(r"flowkernels-[0-9a-f]{16}\.so")
 # No FMA contraction and no -ffast-math: the kernels must round exactly like
 # their numpy twins, element for element.  -fno-math-errno lets sqrtf
 # vectorize and -fno-trapping-math lets the primal step's selects; neither
@@ -82,8 +88,10 @@ def compiler() -> list[str]:
 def build(directory: str = HERE, source: str = SOURCE, flags=FLAGS) -> str:
     """The path of the keyed library in directory, compiled there first if missing.
 
-    Raises OSError when it cannot be built: no compiler, a failed compile or
-    a directory it cannot write.
+    A compile removes every other `flowkernels-<key>.so` in directory; a
+    process that has loaded one keeps its mapping.  Raises OSError when it
+    cannot be built: no compiler, a failed compile or a directory it cannot
+    write.
     """
     path = library_path(directory, source, flags)
     if os.path.exists(path):
@@ -102,6 +110,10 @@ def build(directory: str = HERE, source: str = SOURCE, flags=FLAGS) -> str:
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+    for name in os.listdir(directory):
+        if _LIBRARY.fullmatch(name) and name != os.path.basename(path):
+            with contextlib.suppress(FileNotFoundError):  # a concurrent build removed it
+                os.remove(os.path.join(directory, name))
     return path
 
 

@@ -3,8 +3,11 @@
    A stack holds p independent h x w planes, one frame pair each.  Each
    entry point repeats its twin in _purekernels.py element for element, in
    the same float32 operation order, so the two backends give identical
-   results.  That holds only when built without FMA contraction and without
-   -ffast-math (_accel.FLAGS has -ffp-contract=off).  The early-stop error is
+   results: every non-NaN bit and every NaN position, though a NaN's sign
+   may differ, since which of two NaN operands a sum or product passes on
+   depends on the operand order the compiler picks.  That holds only when
+   built without FMA contraction and without -ffast-math (_accel.FLAGS has
+   -ffp-contract=off).  The early-stop error is
    summed in eight double lanes, pixel x of a row into lane x % 8, and the
    lanes then in order: another order than numpy's, which can move only its
    last bits.

@@ -3,7 +3,8 @@
 The hand-written C in `_accel/flowkernels.c` implements the same three entry
 points with identical per-element arithmetic; `backend` picks one at import
 time and tests/test_backend.py builds the C and checks the two bit for bit
-on shared inputs.  Images, flow and dual fields are float32.
+on shared inputs, all but the sign of a NaN, which follows the operand order
+each backend's compiler picks.  Images, flow and dual fields are float32.
 
 Stack contract: every array argument is a (P, H, W) stack of P independent
 planes (one frame pair each), all of one shape, and each plane gets exactly

@@ -7,7 +7,8 @@ beside its source, `_accel/flowkernels-<key>.so`, and compiles it there
 first when it is missing: once per checkout or install and per edit of the
 C or its flags, about 0.4 s on that import (`_accel.build`).  Any failure
 (no C compiler, a directory it cannot write, a failed compile, a library
-that does not load) selects the pure kernels, which give the same bits.
+that does not load) selects the pure kernels, which give the same bits but
+for the sign of a NaN, as `_purekernels` says.
 `BACKEND` names the selected one.  Both take (P, H, W) stacks of planes, as
 `_purekernels` describes.
 """

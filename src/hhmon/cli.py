@@ -16,7 +16,7 @@ import functools
 import os
 import sys
 
-from . import backend, metrics, pipeline, workers
+from . import backend, clipset, metrics, pipeline, workers
 from .config import PipelineConfig, dump_config, load_config
 from .errors import ConfigError, HhmonError
 
@@ -92,9 +92,9 @@ def _cmd_gen(cfg: PipelineConfig, args) -> int:
 
 def _cmd_prepare(cfg: PipelineConfig, args) -> int:
     res = pipeline.prepare(cfg)
-    print(f"prepared {len(res.records)} annotated clips "
-          f"(train {len(res.split.train)}, val {len(res.split.val)}, "
-          f"test {len(res.split.test)})")
+    counts = ", ".join(f"{split} {sum(r.split == split for r in res.records)}"
+                       for split in clipset.SPLITS)
+    print(f"prepared {len(res.records)} annotated clips ({counts})")
     print(res.table)
     return 0
 

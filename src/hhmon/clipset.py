@@ -15,7 +15,7 @@ to [-1, 1] and flow, stored in [-1, 1], passed through.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .tracking import Track
 CLIP_LEN = 16
 SPLIT_MIN_DATES = 3  # one non-synthetic date at least for each of train, val and test
 SPLIT_RATIOS = (10, 1, 1)  # train:val:test
+SPLITS = ("train", "val", "test")
 
 
 @dataclass
@@ -40,12 +41,16 @@ class AnnotationRecord:
     label: int
     action_name: str = ""
     synthetic: bool = False
+    split: str = ""  # one of SPLITS once prepared
 
     def __post_init__(self):
         if self.end_frame - self.start_frame < 1:
             raise DataError(f"{self.video_id}: annotation must span at least one frame")
         if self.label not in (0, 1):
             raise DataError(f"{self.video_id}: label must be 0 or 1, got {self.label}")
+        if self.split not in ("", *SPLITS):
+            raise DataError(f"{self.video_id}: split must be train, val or test, "
+                            f"got {self.split!r}")
 
     @property
     def n_frames(self) -> int:
@@ -88,6 +93,20 @@ def sample_rng(seed: int, provenance: tuple[str, str, int]) -> np.random.Generat
     return np.random.default_rng([seed, int.from_bytes(digest[:8], "little")])
 
 
+def _crop_slices(box: BBox, width: int, height: int) -> tuple[slice, slice]:
+    """Row and column slices of a BBox (rounded to pixels) within a width x
+    height frame; a DataError when they do not overlap."""
+    x1, y1, x2, y2 = box.coords()
+    ix1 = max(0, int(np.floor(x1 + 0.5)))
+    iy1 = max(0, int(np.floor(y1 + 0.5)))
+    ix2 = min(width, int(np.floor(x2 + 0.5)))
+    iy2 = min(height, int(np.floor(y2 + 0.5)))
+    if ix2 <= ix1 or iy2 <= iy1:
+        raise DataError(f"crop box ({x1}, {y1}, {x2}, {y2}) has zero-area intersection with "
+                        f"{width}x{height} frame")
+    return slice(iy1, iy2), slice(ix1, ix2)
+
+
 def crop_window(seq: FrameSequence, box: BBox | None, start: int, n: int, size: int,
                 flip: bool = False, delta: float = 0.0) -> np.ndarray:
     """Frames [start, start + n) cut to `box` (the whole frame if None), fit
@@ -103,7 +122,7 @@ def crop_window(seq: FrameSequence, box: BBox | None, start: int, n: int, size: 
     if box is None:
         rows = cols = slice(None)
     else:
-        rows, cols = frameio._crop_slices(box, seq.width, seq.height)
+        rows, cols = _crop_slices(box, seq.width, seq.height)
     roi = np.ascontiguousarray(seq.data[start:start + n, rows, cols].transpose(3, 0, 1, 2))
     h, w = roi.shape[2:]
     scale = size / min(w, h)
@@ -163,28 +182,17 @@ def sample_clip(
     return crop_window(seq, box, start, n_frames, cfg.input_size, flip, delta)
 
 
-@dataclass
-class SplitResult:
-    train: list[int]
-    val: list[int]
-    test: list[int]
-    seed: int = 0
-
-    def as_dict(self) -> dict:
-        return {"seed": self.seed, "train": self.train, "val": self.val, "test": self.test}
-
-
-def split_dataset(records: list[AnnotationRecord], seed: int = 0) -> SplitResult:
-    """Date-disjoint 10:1:1 split by per-class frame counts.
+def split_dataset(records: list[AnnotationRecord], seed: int = 0) -> list[AnnotationRecord]:
+    """The records, in order, each with its `split` set: a date-disjoint
+    10:1:1 split by per-class frame counts.
 
     Dates are greedily packed into the split whose per-class frame totals
     deviate least from the ratio targets.  Synthetic records (and any date
     containing one) are forced into the training split.
     """
     dates: dict[str, dict] = {}
-    for i, rec in enumerate(records):
-        d = dates.setdefault(rec.date_tag, {"ids": [], "frames": np.zeros(2), "synthetic": False})
-        d["ids"].append(i)
+    for rec in records:
+        d = dates.setdefault(rec.date_tag, {"frames": np.zeros(2), "synthetic": False})
         d["frames"][rec.label] += rec.n_frames
         d["synthetic"] |= rec.synthetic
 
@@ -236,27 +244,18 @@ def split_dataset(records: list[AnnotationRecord], seed: int = 0) -> SplitResult
             assigned[d] -= dates[tag]["frames"]
             assigned[s] += dates[tag]["frames"]
 
-    split_of = {}
-    for s, tags in enumerate(membership):
-        for tag in tags:
-            split_of[tag] = s
-    for tag, d in dates.items():
-        if d["synthetic"]:
-            split_of[tag] = 0
-
-    buckets: list[list[int]] = [[], [], []]
-    for i, rec in enumerate(records):
-        buckets[split_of[rec.date_tag]].append(i)
-    return SplitResult(train=buckets[0], val=buckets[1], test=buckets[2], seed=seed)
+    # the synthetic dates were never packed: they all train
+    split_of = {tag: SPLITS[s] for s, tags in enumerate(membership) for tag in tags}
+    return [replace(rec, split=split_of.get(rec.date_tag, "train")) for rec in records]
 
 
 def save_annotations(records: list[AnnotationRecord], path: str) -> None:
-    """CSV lines: video_id,date_tag,track_id,start,end,label,action_name,synthetic."""
+    """CSV lines: video_id,date_tag,track_id,start,end,label,action_name,synthetic,split."""
     artifacts.write(path, "".join(
         f"{r.video_id},{r.date_tag},{r.track_id},{r.start_frame},{r.end_frame},"
-        f"{r.label},{r.action_name},{int(r.synthetic)}\n" for r in records))
+        f"{r.label},{r.action_name},{int(r.synthetic)},{r.split}\n" for r in records))
 
 
 def load_annotations(path: str) -> list[AnnotationRecord]:
-    rows = artifacts.read_rows(path, (str, str, int, int, int, int, str, int), ",")
-    return [AnnotationRecord(*fields[:7], synthetic=bool(fields[7])) for _, fields in rows]
+    rows = artifacts.read_rows(path, (str, str, int, int, int, int, str, int, str), ",")
+    return [AnnotationRecord(*f[:7], synthetic=bool(f[7]), split=f[8]) for _, f in rows]

@@ -195,20 +195,6 @@ def load_sequence(directory: str, frames: slice = slice(None)) -> FrameSequence:
                          date_tag=meta["date_tag"])
 
 
-def _crop_slices(box, width: int, height: int) -> tuple[slice, slice]:
-    """Row and column slices of a BBox (rounded to pixels) within a width x
-    height frame; a DataError when they do not overlap."""
-    x1, y1, x2, y2 = box.coords()
-    ix1 = max(0, int(np.floor(x1 + 0.5)))
-    iy1 = max(0, int(np.floor(y1 + 0.5)))
-    ix2 = min(width, int(np.floor(x2 + 0.5)))
-    iy2 = min(height, int(np.floor(y2 + 0.5)))
-    if ix2 <= ix1 or iy2 <= iy1:
-        raise DataError(f"crop box ({x1}, {y1}, {x2}, {y2}) has zero-area intersection with "
-                        f"{width}x{height} frame")
-    return slice(iy1, iy2), slice(ix1, ix2)
-
-
 def _sample_coords(n_out: int, n_in: int) -> np.ndarray:
     # corner-aligned sampling; a single output sample maps to the input center
     if n_out == 1 or n_in == 1:

@@ -1,7 +1,7 @@
 """End-to-end orchestration behind the CLI subcommands.
 
 Stages communicate only through files under the configured roots: the scene
-manifest and frames from `gen`, tracks/annotations/splits from `prepare`,
+manifest and frames from `gen`, tracks and annotations from `prepare`,
 per-scene flow directories from `flow`, SWNET checkpoints from `train`, and
 the report bundle from `eval`.  Every stage is a pure function of
 (files on disk, config, seed).  `ARTIFACTS` is the one table of where the
@@ -12,7 +12,6 @@ and writer takes its path from `artifact_path`.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import shutil
 from dataclasses import dataclass, field, replace
@@ -21,7 +20,7 @@ import numpy as np
 
 from . import (artifacts, checkpoint, clipset, frameio, layers, metrics, model, pose, synth,
                tracking, training, tvl1, workers)
-from .clipset import CLIP_LEN, AnnotationRecord, AugmentConfig, SplitResult
+from .clipset import CLIP_LEN, AnnotationRecord, AugmentConfig
 from .config import PipelineConfig
 from .errors import ConfigError, DataError
 from .metrics import ScoredClip
@@ -38,7 +37,6 @@ ARTIFACTS = {
     "tracks": ("work_dir", "tracks/{}.txt", "prepare"),
     "corrections": ("work_dir", "corrections/{}.txt", None),  # edited by hand
     "annotations": ("work_dir", "annotations.csv", "prepare"),
-    "splits": ("work_dir", "splits.json", "prepare"),
     "lock": ("work_dir", ".lock", None),  # every command
     "checkpoint": ("checkpoint_dir", "{}.swnet", "train --stream {}"),
 }
@@ -84,7 +82,6 @@ def generate(cfg: PipelineConfig, force: bool = False) -> dict:
 @dataclass
 class PrepareResult:
     records: list[AnnotationRecord]
-    split: SplitResult
     table: str = ""
 
 
@@ -134,35 +131,19 @@ def prepare(cfg: PipelineConfig) -> PrepareResult:
         tracking.save_tracks(tracks, artifact_path(cfg, "tracks", video_id))
         track_id = _resolve_track(tracks, rec.start_frame, rec.end_frame, video_id)
         records.append(replace(rec, track_id=track_id))
-    split = clipset.split_dataset(records, seed=cfg.seed)
+    records = clipset.split_dataset(records, seed=cfg.seed)
     clipset.save_annotations(records, artifact_path(cfg, "annotations"))
-    split_doc = split.as_dict()
-    split_doc["video_ids"] = {name: [records[i].video_id for i in getattr(split, name)]
-                              for name in ("train", "val", "test")}
-    artifacts.write(artifact_path(cfg, "splits"), json.dumps(split_doc, indent=1))
-    table = render_stats(dataset_stats(records, split, cfg.clip))
-    return PrepareResult(records=records, split=split, table=table)
+    return PrepareResult(records=records, table=render_stats(dataset_stats(records, cfg.clip)))
 
 
-def load_prepared(cfg: PipelineConfig) -> tuple[list[AnnotationRecord], SplitResult]:
-    records = clipset.load_annotations(_require(cfg, "annotations"))
-    path = _require(cfg, "splits")
-    doc = artifacts.read_json(path, DataError, f"{path}: cannot read: no such file")
-    try:
-        split = SplitResult(train=doc["train"], val=doc["val"], test=doc["test"],
-                            seed=doc.get("seed", 0))
-    except (KeyError, TypeError) as exc:
-        raise DataError(f"{path}: invalid splits file: {exc!r}") from None
-    for name in ("train", "val", "test"):
-        idxs = getattr(split, name)
-        if not isinstance(idxs, list) or not all(type(i) is int and 0 <= i < len(records)
-                                                 for i in idxs):
-            raise DataError(f"{path}: split {name!r} must list record indices "
-                            f"in range({len(records)})")
-    listed = split.train + split.val + split.test
-    if len(set(listed)) != len(listed):
-        raise DataError(f"{path}: a record index is listed more than once across the splits")
-    return records, split
+def load_prepared(cfg: PipelineConfig, split: str) -> list[AnnotationRecord]:
+    """The prepared records of one split (see `clipset.SPLITS`), in annotation order."""
+    path = _require(cfg, "annotations")
+    records = clipset.load_annotations(path)
+    for rec in records:
+        if not rec.split:
+            raise DataError(f"{path}: {rec.video_id} has no split; run prepare again")
+    return [rec for rec in records if rec.split == split]
 
 
 # --- the Table-1-shaped statistics printout -------------------------------
@@ -177,13 +158,12 @@ def _group_of(rec: AnnotationRecord) -> int:
     return 0 if rec.label == 1 else 1
 
 
-def dataset_stats(records: list[AnnotationRecord], split: SplitResult,
-                  aug: AugmentConfig) -> dict:
+def dataset_stats(records: list[AnnotationRecord], aug: AugmentConfig) -> dict:
     rows = {}
-    for split_name, idxs in zip(_SPLIT_NAMES, (split.train, split.val, split.test)):
+    for split_name, split in zip(_SPLIT_NAMES, clipset.SPLITS):
         cells = []
         for group in range(3):
-            recs = [records[i] for i in idxs if _group_of(records[i]) == group]
+            recs = [r for r in records if r.split == split and _group_of(r) == group]
             clips = len(recs)
             frames = sum(r.n_frames for r in recs)
             windows = sum(len(clipset.window_starts(r.n_frames, r.label, aug)) for r in recs)
@@ -212,9 +192,8 @@ def render_stats(rows: dict) -> str:
 
 def stats_from_manifest(cfg: PipelineConfig, manifest: dict) -> str:
     """The prospective per-split table for `gen` (same split rule as prepare)."""
-    records = synth.manifest_records(manifest)
-    split = clipset.split_dataset(records, seed=cfg.seed)
-    return render_stats(dataset_stats(records, split, cfg.clip))
+    records = clipset.split_dataset(synth.manifest_records(manifest), seed=cfg.seed)
+    return render_stats(dataset_stats(records, cfg.clip))
 
 
 # --- flow -----------------------------------------------------------------
@@ -381,8 +360,7 @@ def train_stream(cfg: PipelineConfig, stream: str) -> TrainSummary:
     through both backbones."""
     if stream not in ("rgb", "flow"):
         raise DataError(f"stream must be rgb or flow, got {stream!r}")
-    records, split = load_prepared(cfg)
-    train_recs = [records[i] for i in split.train]
+    train_recs = load_prepared(cfg, "train")
     if not train_recs:
         raise DataError("training split is empty")
     summary = TrainSummary(stream=stream)
@@ -426,7 +404,8 @@ def _eval_starts(cfg: PipelineConfig, rec: AnnotationRecord) -> list[int]:
 def _test_scores(cfg: PipelineConfig, nets: dict[str, model.Network],
                  recs: list[AnnotationRecord]) -> dict[str, list[float]]:
     """Each net's score per record (see `evaluate`): its window scores
-    averaged, from one head product over the record's feature rows."""
+    averaged, the head applied to one feature row at a time as in
+    `Network.score`, since a product of several rows rounds differently."""
     scores = {name: [] for name in nets}
     for stream, names in (("rgb", ("rgb", "rgb_scratch")), ("flow", ("flow",))):
         names = [name for name in names if name in nets]
@@ -438,15 +417,13 @@ def _test_scores(cfg: PipelineConfig, nets: dict[str, model.Network],
                      for x in _record_clips(cfg, rec, load, "eval", _eval_starts(cfg, rec)))
             feats, _ = training.extract_features([nets[name] for name in names], clips)
             for name, f in zip(names, feats):
-                scores[name].append(metrics.window_average(layers.sigmoid(nets[name].head(f))))
+                scores[name].append(metrics.window_average(
+                    layers.sigmoid(nets[name].head(f[i:i + 1]))[0] for i in range(len(f))))
     return scores
 
 
 def _dataset_hash(cfg: PipelineConfig) -> str:
-    h = hashlib.sha256()
-    for kind in ("annotations", "splits"):
-        h.update(artifacts.read(artifact_path(cfg, kind)))
-    return h.hexdigest()[:16]
+    return hashlib.sha256(artifacts.read(artifact_path(cfg, "annotations"))).hexdigest()[:16]
 
 
 @dataclass
@@ -472,8 +449,7 @@ def evaluate(cfg: PipelineConfig) -> EvalResult:
     only beside rgb) and write the report bundle.  Each stream makes one
     pass: a record's scene and track are read once and each eval window is
     sampled once for every net of the stream, so rgb_scratch scores rgb's clips."""
-    records, split = load_prepared(cfg)
-    test_recs = [records[i] for i in split.test]
+    test_recs = load_prepared(cfg, "test")
     if not test_recs:
         raise DataError("test split is empty")
     paths = {name: artifact_path(cfg, "checkpoint", name)
@@ -521,9 +497,11 @@ def evaluate(cfg: PipelineConfig) -> EvalResult:
 def infer_clip(cfg: PipelineConfig, clip_dir: str) -> tuple[float, str]:
     """Score one 16-frame clip directory with the RGB stream.
 
-    A keypoints.txt beside the frames gives the same upper-body crop the
-    training pipeline uses; without one the full frame is scored, which only
-    works if the subject fills it.
+    With a keypoints.txt beside the frames, every frame is cut to the raw
+    upper-body ROI of the first listed person at the first frame, unlike
+    training, which crops a track's smoothed (trailing-average) box at the
+    window start.  Without one the full frame is scored, which only works if
+    the subject fills it.
     """
     seq = frameio.load_sequence(clip_dir)
     if len(seq) != CLIP_LEN:

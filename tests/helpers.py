@@ -82,12 +82,12 @@ def mean_wrist_speed(poses, person=0):
 def crop(image, box):
     """Copy the intersection of `box` (BBox or (x1, y1, x2, y2)) with an
     (h, w, c) image."""
-    from hhmon import frameio
+    from hhmon.clipset import _crop_slices
     from hhmon.pose import BBox
 
     if not isinstance(box, BBox):
         box = BBox(*box)
-    rows, cols = frameio._crop_slices(box, image.shape[1], image.shape[0])
+    rows, cols = _crop_slices(box, image.shape[1], image.shape[0])
     return image[rows, cols].copy()
 
 
@@ -279,21 +279,20 @@ def batched_scores_oracle(net, x, batch_size=8):
 
 
 def eval_scores_oracle(cfg, net, recs, stream):
-    """Each test record's score as `hhmon eval` computed it before one pass
-    per stream fed every net: a pass of `net` alone, which reads the
-    record's scene and track, samples each eval window, runs its backbone
-    one clip at a time, the head once on all the window features, and
-    averages the sigmoid scores."""
-    from hhmon import clipset, layers, metrics, pipeline
+    """Each test record's score as a pass of `net` alone computes it: read
+    the record's scene and track, sample each eval window, score it with
+    `net.score` as a one-clip batch, as `hhmon infer` does, and average
+    the window scores."""
+    from hhmon import clipset, metrics, pipeline
 
     load = pipeline._scene_loader(cfg, stream)
     out = []
     for rec in recs:
         seq, track = load(rec), pipeline._track_for(cfg, rec)
-        feats = [net.features(clipset.sample_clip(seq, track, start, cfg.clip, mode="eval",
-                                                  seed=cfg.seed)[None])
-                 for start in pipeline._eval_starts(cfg, rec)]
-        out.append(metrics.window_average(layers.sigmoid(net.head(np.concatenate(feats)))))
+        out.append(metrics.window_average(
+            net.score(clipset.sample_clip(seq, track, start, cfg.clip, mode="eval",
+                                          seed=cfg.seed)[None])[0]
+            for start in pipeline._eval_starts(cfg, rec)))
     return out
 
 

@@ -1,9 +1,10 @@
 """The package keeps no library code that only tests call: every public
 top-level function and class of `src/hhmon` is referenced somewhere in
-`src/hhmon` itself (a name, an attribute or an import of that name).  And
-importing the command line loads none of the standard library's heavier
-modules, which only some commands need and import where they use them.
-Only `artifacts` and a short list of exempt functions open files."""
+`src/hhmon` itself (a name, an attribute or an import of that name).  No
+module reads another's private names.  And importing the command line
+loads none of the standard library's heavier modules, which only some
+commands need and import where they use them.  Only `artifacts` and a
+short list of exempt functions open files."""
 
 import ast
 import os
@@ -35,6 +36,36 @@ def test_every_public_definition_is_referenced_in_the_package():
               and not node.name.startswith("_") and node.name not in used]
     assert sorted(set(unused) - EXEMPT) == []
     assert EXEMPT <= set(unused), "an exempt name gained a caller: drop its exemption"
+
+
+# The private modules behind `backend`, which picks one of them.
+PRIVATE_IMPORTS = {("backend", "_purekernels"), ("backend", "_accel")}
+
+
+def _private_reads(tree, module):
+    """`module:line: name` for each private name of another hhmon module
+    that the module's code imports or reads as an attribute."""
+    modules = set()  # the names hhmon modules are bound to here
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "hhmon"):
+            for alias in node.names:
+                if alias.name.startswith("_") and (module, alias.name) not in PRIVATE_IMPORTS:
+                    yield f"{module}:{node.lineno}: {node.module or ''}.{alias.name}"
+                if not node.module or node.module == "hhmon":
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")
+                and not node.attr.startswith("__")):
+            yield f"{module}:{node.lineno}: {node.value.id}.{node.attr}"
+
+
+def test_no_module_reads_another_modules_private_names():
+    found = []
+    for p in sorted(SRC.rglob("*.py")):
+        module = str(p.relative_to(SRC).with_suffix("")).replace("/", ".").removesuffix(".__init__")
+        found += _private_reads(ast.parse(p.read_text()), module)
+    assert found == []
 
 
 # Each is absent after `import hhmon.cli`; `workers` imports `signal` and

@@ -503,6 +503,23 @@ def test_an_unkeyed_or_stale_library_is_never_loaded(tmp_path, rng):
 
 
 @needs_cc
+def test_a_build_removes_the_libraries_of_other_keys(tmp_path):
+    edited = tmp_path / "flowkernels.c"
+    edited.write_bytes(Path(_accel.SOURCE).read_bytes()
+                       + b"\nint stale_marker(void) { return 1; }\n")
+    out = tmp_path / "lib"
+    out.mkdir()
+    stale = _accel.build(str(out), str(edited))
+    loaded = _accel.CompiledKernels(stale)
+    others = ["flowkernels.so", "flowkernels-0123.so", os.path.basename(stale) + ".7.tmp"]
+    for name in others:
+        (out / name).write_bytes(b"not a library")
+    path = _accel.build(str(out))
+    assert sorted(os.listdir(out)) == sorted([os.path.basename(path), *others])
+    assert loaded._lib.stale_marker() == 1  # a loaded library keeps its mapping
+
+
+@needs_cc
 def test_two_builds_into_one_directory_leave_one_library(tmp_path):
     code = "import sys; from hhmon import _accel; print(_accel.build(sys.argv[1]))"
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))

@@ -69,23 +69,20 @@ def test_a_negative_seed_flag_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "ds").exists()
 
 
-@pytest.mark.parametrize("splits", [None, "{not json", '{"train": [0]}',
-                                    '{"train": [999], "val": [], "test": [0]}',
-                                    '{"train": [0], "val": [], "test": [0]}'],
-                         ids=["missing", "invalid-json", "missing-key", "index-out-of-range",
-                              "index-in-two-splits"])
-def test_train_and_eval_without_valid_splits_exit_3(tmp_path, capsys, splits):
-    # what a prepare that died after writing annotations.csv leaves behind
+@pytest.mark.parametrize("line, message", [
+    ("v1,d01,0,0,20,0,,0,holdout", "v1: split must be train, val or test, got 'holdout'"),
+    ("v1,d01,0,0,20,0,,0,", "{}: v1 has no split; run prepare again"),
+    # an annotations.csv written before it carried each clip's split
+    ("v1,d01,0,0,20,0,,0", "{}:2: expected 9 fields, got 8"),
+], ids=["unknown-split", "no-split", "8-columns"])
+def test_train_and_eval_without_a_valid_split_exit_3(tmp_path, capsys, line, message):
     path = write_cfg(tmp_path)
-    work = tmp_path / "work"
-    work.mkdir()
-    clipset.save_annotations([clipset.AnnotationRecord("v", "d00", 0, 0, 20, 1)],
-                             str(work / "annotations.csv"))
-    if splits is not None:
-        (work / "splits.json").write_text(splits)
+    annotations = tmp_path / "work" / "annotations.csv"
+    annotations.parent.mkdir()
+    annotations.write_text(f"v0,d00,0,0,20,1,,0,train\n{line}\n")
     for argv in (["train", "--stream", "rgb"], ["eval"]):
         assert cli.main(argv + ["--config", path]) == 3
-        assert str(work / "splits.json") in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {message.format(annotations)}\n"
 
 
 def test_bad_config_key_is_a_usage_error(tmp_path, capsys):
@@ -390,9 +387,9 @@ def test_rgb_frames_are_read_from_the_manifest_frames_dir(tmp_path, capsys):
     manifest_path = tmp_path / "ds" / "dataset.json"
     manifest = json.loads(manifest_path.read_text())
     # one training and one test scene, by the split rule prepare applies
-    split = clipset.split_dataset(synth.manifest_records(manifest), seed=0)
-    for i in (split.train[0], split.test[0]):
-        entry = manifest["scenes"][i]
+    records = clipset.split_dataset(synth.manifest_records(manifest), seed=0)
+    for split in ("train", "test"):
+        entry = manifest["scenes"][next(i for i, r in enumerate(records) if r.split == split)]
         scene = tmp_path / "ds" / "scenes" / entry["video_id"]
         os.rename(scene / "frames", scene / "rgb")
         entry["frames_dir"] = f"scenes/{entry['video_id']}/rgb"
@@ -405,7 +402,7 @@ def test_train_with_a_lost_tracks_file_exits_3(tmp_path, capsys):
     path = write_cfg(tmp_path)
     for command in ("gen", "prepare"):
         assert cli.main([command, "--config", path]) == 0
-    video_id = json.loads((tmp_path / "work" / "splits.json").read_text())["video_ids"]["train"][0]
+    video_id = pipeline.load_prepared(config.load_config(path), "train")[0].video_id
     tracks = tmp_path / "work" / "tracks" / f"{video_id}.txt"
     tracks.unlink()
     capsys.readouterr()
@@ -702,9 +699,8 @@ _THREE_SCENES = {"n_rubbing": 3, "n_other": 0, "n_synthetic_rubbing": 0,
 @pytest.mark.parametrize("stage, artifact", [
     (0, "ds/scenes/rub_001/frames"), (0, "ds/scenes/rub_001/keypoints.txt"),
     (0, "ds/dataset.json"), (1, "work/tracks/rub_001.txt"), (1, "work/annotations.csv"),
-    (1, "work/splits.json"), (2, "work/flow/rub_001"), (3, "ckpt/rgb.swnet"),
-    (5, "report/report.json"),
-], ids=["frame-dir", "keypoints", "dataset-json", "tracks", "annotations", "splits",
+    (2, "work/flow/rub_001"), (3, "ckpt/rgb.swnet"), (5, "report/report.json"),
+], ids=["frame-dir", "keypoints", "dataset-json", "tracks", "annotations",
         "flow-dir", "checkpoint", "report-file"])
 def test_a_stage_killed_mid_publish_reruns_to_a_clean_tree(tmp_path, stage, artifact):
     run = tmp_path / "run"

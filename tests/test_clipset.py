@@ -1,6 +1,7 @@
 """Window enumeration, clip augmentation and date-disjoint splitting."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from hhmon.clipset import (
     CLIP_LEN,
+    SPLITS,
     AnnotationRecord,
     AugmentConfig,
     crop_window,
@@ -229,13 +231,15 @@ def rec(vid, date, n_frames, label=1, synthetic=False):
                             action_name="a", synthetic=synthetic)
 
 
+def dates_of(records, split):
+    return {r.date_tag for r in records if r.split == split}
+
+
 def test_twelve_equal_dates_split_ten_one_one():
-    records = [rec(f"v{i}", f"d{i:02d}", 30) for i in range(12)]
-    split = split_dataset(records)
-    date_of = lambda ids: {records[i].date_tag for i in ids}
-    assert len(date_of(split.train)) == 10
-    assert len(date_of(split.val)) == 1
-    assert len(date_of(split.test)) == 1
+    records = split_dataset([rec(f"v{i}", f"d{i:02d}", 30) for i in range(12)])
+    assert len(dates_of(records, "train")) == 10
+    assert len(dates_of(records, "val")) == 1
+    assert len(dates_of(records, "test")) == 1
 
 
 def test_splits_are_date_disjoint_and_cover_everything():
@@ -246,12 +250,9 @@ def test_splits_are_date_disjoint_and_cover_everything():
             records.append(rec(f"v{k}", f"d{d}", 20 + 3 * k, label=k % 2))
             k += 1
     split = split_dataset(records)
-    ids = sorted(split.train + split.val + split.test)
-    assert ids == list(range(len(records)))
-    dates = [
-        {records[i].date_tag for i in bucket}
-        for bucket in (split.train, split.val, split.test)
-    ]
+    assert [replace(r, split="") for r in split] == records
+    assert all(r.split in SPLITS for r in split)
+    dates = [dates_of(split, name) for name in SPLITS]
     assert not (dates[0] & dates[1]) and not (dates[0] & dates[2]) and not (dates[1] & dates[2])
 
 
@@ -260,8 +261,7 @@ def test_synthetic_dates_forced_into_training():
     records.append(rec("syn0", "s0", 200, synthetic=True))
     records.append(rec("syn1", "s0", 200, synthetic=True))
     split = split_dataset(records)
-    syn_ids = [i for i, r in enumerate(records) if r.synthetic]
-    assert all(i in split.train for i in syn_ids)
+    assert all(r.split == "train" for r in split if r.synthetic)
 
 
 def test_split_needs_three_free_dates():
@@ -285,21 +285,21 @@ def test_no_split_left_empty(data):
             records.append(rec(f"v{d}_{j}", f"d{d}", n, label=label))
     seed = data.draw(st.integers(0, 10), label="seed")
     split = split_dataset(records, seed=seed)
-    assert split.train and split.val and split.test
+    assert all(dates_of(split, name) for name in SPLITS)
 
 
 def test_split_deterministic_for_a_seed():
     records = [rec(f"v{i}", f"d{i % 5}", 20 + i, label=i % 2) for i in range(15)]
     a = split_dataset(records, seed=3)
     b = split_dataset(records, seed=3)
-    assert a.as_dict() == b.as_dict()
+    assert a == b
 
 
 def test_annotation_roundtrip(tmp_path):
     records = [
         rec("vid_a", "d0", 40),
-        rec("vid_b", "d1", 25, label=0),
-        rec("syn", "s0", 33, synthetic=True),
+        replace(rec("vid_b", "d1", 25, label=0), split="val"),
+        replace(rec("syn", "s0", 33, synthetic=True), split="train"),
     ]
     path = str(tmp_path / "ann.csv")
     save_annotations(records, path)

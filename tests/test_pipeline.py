@@ -1,7 +1,6 @@
 """Pipeline stages wired to a miniature generated dataset."""
 
 import copy
-import json
 import multiprocessing
 import os
 import re
@@ -14,8 +13,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hhmon import (checkpoint, cli, clipset, config, frameio, metrics, model, pipeline, tracking,
-                   training)
+from hhmon import (checkpoint, cli, clipset, config, frameio, layers, metrics, model, pipeline,
+                   tracking, training)
 from hhmon.clipset import CLIP_LEN, AnnotationRecord, AugmentConfig, split_dataset, window_starts
 from hhmon.config import PipelineConfig
 from hhmon.errors import DataError
@@ -70,18 +69,16 @@ def test_prepare_builds_records_tracks_and_splits(prepared):
     assert len(result.records) == 7
     for entry in manifest["scenes"]:
         assert os.path.isfile(pipeline.artifact_path(cfg, "tracks", entry["video_id"]))
-    assert os.path.isfile(pipeline.artifact_path(cfg, "annotations"))
-    split_doc = json.load(open(pipeline.artifact_path(cfg, "splits")))
-    assert set(split_doc) == {"seed", "train", "val", "test", "video_ids"}
+    path = pipeline.artifact_path(cfg, "annotations")
+    assert clipset.load_annotations(path) == result.records
+    assert all(line.count(",") == 8 for line in open(path))
 
-    dates = [
-        {result.records[i].date_tag for i in bucket}
-        for bucket in (result.split.train, result.split.val, result.split.test)
-    ]
+    dates = [{r.date_tag for r in result.records if r.split == split}
+             for split in clipset.SPLITS]
     assert all(dates)
     assert not (dates[0] & dates[1]) and not (dates[1] & dates[2]) and not (dates[0] & dates[2])
-    syn = [i for i, r in enumerate(result.records) if r.synthetic]
-    assert syn and all(i in result.split.train for i in syn)
+    syn = [r for r in result.records if r.synthetic]
+    assert syn and all(r.split == "train" for r in syn)
 
     for header in ("Training", "Validation", "Testing", "Hand Rubbing",
                    "Other Actions", "Synthetic Rubbing"):
@@ -93,20 +90,20 @@ def test_prepare_is_idempotent(prepared):
     before = open(pipeline.artifact_path(cfg, "annotations")).read()
     second = pipeline.prepare(cfg)
     assert open(pipeline.artifact_path(cfg, "annotations")).read() == before
-    assert second.split.as_dict() == first.split.as_dict()
+    assert second.records == first.records
 
 
 def test_load_prepared_roundtrip(prepared):
     cfg, _, result = prepared
-    records, split = pipeline.load_prepared(cfg)
-    assert records == result.records
-    assert split.as_dict() == result.split.as_dict()
+    for split in clipset.SPLITS:
+        assert pipeline.load_prepared(cfg, split) == [r for r in result.records
+                                                      if r.split == split]
 
 
 def test_load_prepared_requires_prepare(tmp_path):
     cfg = tiny_cfg(tmp_path)
     with pytest.raises(DataError, match="run prepare first"):
-        pipeline.load_prepared(cfg)
+        pipeline.load_prepared(cfg, "train")
 
 
 def test_every_missing_artifact_names_the_command_that_writes_it(tmp_path, rng):
@@ -116,13 +113,8 @@ def test_every_missing_artifact_names_the_command_that_writes_it(tmp_path, rng):
     frames = rng.random((CLIP_LEN, 20, 20, 3)).astype(np.float32)
     frameio.save_sequence(FrameSequence(frames, video_id="c", date_tag="d"), clip_dir)
 
-    def write_annotations():
-        clipset.save_annotations([rec], pipeline.artifact_path(cfg, "annotations"))
-        return pipeline.load_prepared(cfg)
-
     for read, kind, name, command in (
-            (lambda: pipeline.load_prepared(cfg), "annotations", "", "prepare"),
-            (write_annotations, "splits", "", "prepare"),
+            (lambda: pipeline.load_prepared(cfg, "train"), "annotations", "", "prepare"),
             (lambda: pipeline._track_for(cfg, rec), "tracks", "lost", "prepare"),
             (lambda: pipeline._scene_loader(cfg, "flow")(rec), "flow dir", "lost", "flow"),
             (lambda: pipeline.infer_clip(cfg, clip_dir), "checkpoint", "rgb",
@@ -144,7 +136,7 @@ def test_missing_keypoints_is_reported_by_video(tmp_path):
 
 def test_record_clips_counts_and_layout(prepared):
     cfg, _, result = prepared
-    recs = [result.records[i] for i in result.split.train][:4]
+    recs = [r for r in result.records if r.split == "train"][:4]
     load = pipeline._scene_loader(cfg, "rgb")
     for r in recs:
         starts = pipeline._window_starts(cfg, r)
@@ -281,8 +273,7 @@ def test_train_rgb_samples_each_window_once(tmp_path, monkeypatch):
     cfg.train = replace(cfg.train, pretrain_epochs=2, epochs=2, stills_per_scene=2)
     pipeline.generate(cfg)
     pipeline.prepare(cfg)
-    records, split = pipeline.load_prepared(cfg)
-    train_recs = [records[i] for i in split.train]
+    train_recs = pipeline.load_prepared(cfg, "train")
     sampled = []
     original = clipset.sample_clip
 
@@ -381,9 +372,9 @@ def test_dataset_stats_recount():
     records = [rec("a", "d0", 31, 1), rec("b", "d1", 24, 0),
                rec("c", "d2", 40, 1), rec("d", "d0", 20, 0),
                rec("s", "s0", 25, 1, synthetic=True)]
-    split = split_dataset(records, seed=0)
+    records = split_dataset(records, seed=0)
     aug = AugmentConfig()
-    rows = pipeline.dataset_stats(records, split, aug)
+    rows = pipeline.dataset_stats(records, aug)
     assert set(rows) == {"Training", "Validation", "Testing"}
     total_windows = sum(c["windows"] for cells in rows.values() for c in cells)
     want = sum(len(window_starts(r.n_frames, r.label, aug)) for r in records)
@@ -421,8 +412,7 @@ def three_nets(prepared, tmp_path_factory):
 def test_eval_scores_equal_each_net_on_its_own_pass_bitwise(three_nets, mode):
     cfg = copy.deepcopy(three_nets)
     cfg.eval.mode = mode
-    records, split = pipeline.load_prepared(cfg)
-    test_recs = [records[i] for i in split.test]
+    test_recs = pipeline.load_prepared(cfg, "test")
     windows = [len(pipeline._eval_starts(cfg, r)) for r in test_recs]
     assert max(windows) == (1 if mode == "per-annotated-clip" else 5)
     nets = {name: checkpoint.load_network(pipeline.artifact_path(cfg, "checkpoint", name))
@@ -439,6 +429,27 @@ def test_eval_scores_equal_each_net_on_its_own_pass_bitwise(three_nets, mode):
                   for r, v in zip(test_recs, want[name])]
         cm = metrics.confusion_for(scored, "RGB", cfg.eval.threshold)
         assert row["accuracy"] == metrics.metrics(cm).accuracy
+
+
+def test_per_window_eval_scores_each_window_as_infer_does(three_nets):
+    # numpy rounds a one-row head product (sdot) unlike a multi-row one
+    # (sgemv), so a score taken from the record's whole feature block would
+    # depend on how many windows the record has
+    cfg = copy.deepcopy(three_nets)
+    cfg.eval.mode = "per-window"
+    net = checkpoint.load_network(pipeline.artifact_path(cfg, "checkpoint", "rgb"))
+    load = pipeline._scene_loader(cfg, "rgb")
+    recs = pipeline.load_prepared(cfg, "test")
+    scores = pipeline._test_scores(cfg, {"rgb": net}, recs)["rgb"]
+    block_differs = []
+    for rec, score in zip(recs, scores):
+        clips = list(pipeline._record_clips(cfg, rec, load, "eval",
+                                            pipeline._eval_starts(cfg, rec)))
+        per_window = [net.score(x[None])[0] for x in clips]
+        assert score == metrics.window_average(per_window)
+        feats = np.concatenate([net.features(x[None]) for x in clips])
+        block_differs.append(not np.array_equal(layers.sigmoid(net.head(feats)), per_window))
+    assert any(block_differs)
 
 
 def test_eval_reads_and_samples_each_test_record_once_per_stream(three_nets, monkeypatch):
@@ -464,10 +475,12 @@ def test_per_window_eval_names_a_record_with_no_window(three_nets, tmp_path, cap
     shutil.copytree(cfg.paths.work_dir, tmp_path / "work")
     cfg.paths.work_dir = str(tmp_path / "work")
     cfg.paths.report_dir = str(tmp_path / "report")
-    records, split = pipeline.load_prepared(cfg)
-    victim = records[split.test[-1]]
-    records[split.test[-1]] = replace(victim, end_frame=victim.start_frame + 10)
-    clipset.save_annotations(records, pipeline.artifact_path(cfg, "annotations"))
+    annotations = pipeline.artifact_path(cfg, "annotations")
+    records = clipset.load_annotations(annotations)
+    last = max(i for i, r in enumerate(records) if r.split == "test")
+    victim = records[last]
+    records[last] = replace(victim, end_frame=victim.start_frame + 10)
+    clipset.save_annotations(records, annotations)
     path = tmp_path / "cfg.json"
     path.write_text(config.dump_config(cfg))
     assert cli.main(["eval", "--config", str(path)]) == 3
