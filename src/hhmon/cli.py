@@ -18,7 +18,7 @@ import sys
 
 from . import backend, clipset, metrics, pipeline, workers
 from .config import PipelineConfig, dump_config, load_config
-from .errors import ConfigError, HhmonError
+from .errors import ConfigError, DataError, HhmonError
 
 
 @functools.cache
@@ -69,9 +69,13 @@ def _command_lock(path: str, shared: bool):
     """A POSIX record lock on the file at `path`, shared or exclusive.  The
     kernel drops it when its holder dies, and a forked child does not inherit
     it.  The empty file stays: unlinking a file that another process may have
-    opened would let two commands lock two different files."""
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    fd = os.open(path, os.O_CREAT | os.O_RDWR)
+    opened would let two commands lock two different files.  A lock that
+    cannot be made or opened is a DataError naming it."""
+    try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        fd = os.open(path, os.O_CREAT | os.O_RDWR)
+    except OSError as exc:
+        raise DataError(f"{path}: cannot open the command lock: {exc}") from None
     try:
         try:
             fcntl.lockf(fd, (fcntl.LOCK_SH if shared else fcntl.LOCK_EX) | fcntl.LOCK_NB)

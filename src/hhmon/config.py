@@ -55,13 +55,9 @@ class TrainBlock(TrainConfig):
 
 @dataclass
 class EvalConfig:
-    mode: str = "per-annotated-clip"  # or per-window
     threshold: float = metrics.DEFAULT_THRESHOLD
 
     def __post_init__(self):
-        if self.mode not in ("per-annotated-clip", "per-window"):
-            raise ConfigError(f"eval mode must be per-annotated-clip or per-window, "
-                              f"got {self.mode!r}")
         if not 0 <= self.threshold <= 1:
             raise ConfigError(f"threshold must lie in [0, 1], got {self.threshold}")
 

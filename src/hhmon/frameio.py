@@ -3,9 +3,9 @@
 A sequence lives in memory as one float32 array of shape (frames, height,
 width, channels), and a single image as its (height, width, channels)
 slice, with RGB values in [0, 1].  Two-channel images hold optical flow
-(dx, dy) and are exempt from the range bound.  On disk, RGB goes to binary
-PPM (P6, 8-bit), grayscale to PGM (P5) and flow to a little-endian float32
-planar format (".flo2").
+(dx, dy) and are exempt from the range bound.  No other channel count is
+a frame.  On disk, RGB goes to binary PPM (P6, 8-bit) and flow to a
+little-endian float32 planar format (".flo2").
 
 Everything after the load is channel first: `resize_bilinear` resizes the
 last two axes of a (..., h, w) stack, such as the flow solver's (n, h, w)
@@ -27,12 +27,12 @@ from .errors import DataError
 
 FLO2_MAGIC = b"FLO2"
 
-_FRAME_RE = re.compile(r"^frame_(\d{6})\.(ppm|pgm|flo2)$")
+_FRAME_RE = re.compile(r"^frame_(\d{6})\.(ppm|flo2)$")
 
 
 @dataclass
 class FrameSequence:
-    """A clip as one float32 array of shape (n, h, w, c), c in {1, 2, 3},
+    """A clip as one float32 array of shape (n, h, w, c), c in {2, 3},
     plus recording metadata."""
 
     data: np.ndarray
@@ -42,8 +42,8 @@ class FrameSequence:
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float32)
-        if self.data.ndim != 4 or self.data.shape[3] not in (1, 2, 3):
-            raise DataError(f"frame data must be (n, h, w, c) with 1|2|3 channels, "
+        if self.data.ndim != 4 or self.data.shape[3] not in (2, 3):
+            raise DataError(f"frame data must be (n, h, w, c) with 2|3 channels, "
                             f"got {self.data.shape}")
         if self.fps <= 0:
             raise DataError(f"fps must be positive, got {self.fps}")
@@ -65,29 +65,27 @@ class FrameSequence:
 
 
 def write_ppm(image: np.ndarray, path: str) -> None:
-    """8-bit binary PPM (P6) for an (h, w, 3) RGB image, PGM (P5) for (h, w, 1)."""
-    height, width, channels = image.shape
+    """8-bit binary PPM (P6) for an (h, w, 3) RGB image."""
+    height, width, _ = image.shape
     q = np.clip(np.rint(image * 255.0), 0, 255).astype(np.uint8)
-    magic = b"P6" if channels == 3 else b"P5"
     with open(path, "wb") as fh:
-        fh.write(magic + b"\n%d %d\n255\n" % (width, height))
+        fh.write(b"P6\n%d %d\n255\n" % (width, height))
         fh.write(q.tobytes())
 
 
 def read_ppm(path: str) -> np.ndarray:
-    """An 8-bit PPM or PGM file as an (h, w, 3 or 1) float32 image in [0, 1]."""
+    """An 8-bit binary PPM (P6) file as an (h, w, 3) float32 image in [0, 1]."""
     raw = artifacts.read(path)
-    m = re.match(rb"^(P[56])\s+(\d+)\s+(\d+)\s+(\d+)\s", raw)
+    m = re.match(rb"^P6\s+(\d+)\s+(\d+)\s+(\d+)\s", raw)
     if m is None:
-        raise DataError(f"{path}: not a binary PPM/PGM file")
-    magic, w, h, maxval = m.group(1), int(m.group(2)), int(m.group(3)), int(m.group(4))
+        raise DataError(f"{path}: not a binary PPM file")
+    w, h, maxval = int(m.group(1)), int(m.group(2)), int(m.group(3))
     if maxval != 255:
         raise DataError(f"{path}: only 8-bit images supported, maxval={maxval}")
-    c = 3 if magic == b"P6" else 1
-    if len(raw) - m.end() < w * h * c:
+    if len(raw) - m.end() < w * h * 3:
         raise DataError(f"{path}: truncated pixel data")
-    pixels = np.frombuffer(raw, dtype=np.uint8, count=w * h * c, offset=m.end())
-    return pixels.reshape(h, w, c).astype(np.float32) / 255.0
+    pixels = np.frombuffer(raw, dtype=np.uint8, count=w * h * 3, offset=m.end())
+    return pixels.reshape(h, w, 3).astype(np.float32) / 255.0
 
 
 def write_flo2(flow: np.ndarray, path: str) -> None:
@@ -128,8 +126,7 @@ def save_sequence(seq: FrameSequence, directory: str) -> None:
             "channels": seq.channels,
         }
         artifacts.write(os.path.join(tmp, "meta.json"), json.dumps(meta, indent=1))
-        ext = {1: "pgm", 2: "flo2", 3: "ppm"}[seq.channels]
-        write = write_flo2 if ext == "flo2" else write_ppm
+        ext, write = ("flo2", write_flo2) if seq.channels == 2 else ("ppm", write_ppm)
         for i, image in enumerate(seq.data):
             write(image, os.path.join(tmp, f"frame_{i:06d}.{ext}"))
 
@@ -151,7 +148,7 @@ def load_descriptor(directory: str) -> dict:
             raise DataError(f"{path}: descriptor has no {key!r}")
         if not isinstance(meta[key], kind):
             raise DataError(f"{path}: descriptor {key!r} has the wrong type: {meta[key]!r}")
-    if min(meta["width"], meta["height"]) < 1 or meta["channels"] not in (1, 2, 3):
+    if min(meta["width"], meta["height"]) < 1 or meta["channels"] not in (2, 3):
         raise DataError(f"{path}: descriptor dimensions {meta['width']}x{meta['height']}"
                         f"x{meta['channels']} are not a frame's")
     return meta
@@ -243,11 +240,9 @@ def _lerp(a: np.ndarray, b: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 
 def luminance(images: np.ndarray) -> np.ndarray:
-    """Grayscale planes (..., h, w) of (..., h, w, c) images via Rec.601
-    weights; identity for 1-channel images."""
-    if images.shape[-1] == 1:
-        return images[..., 0]
+    """Grayscale planes (..., h, w) of (..., h, w, 3) RGB images via Rec.601
+    weights."""
     if images.shape[-1] != 3:
-        raise DataError("luminance needs RGB or grayscale images")
+        raise DataError("luminance needs RGB images")
     r, g, b = images[..., 0], images[..., 1], images[..., 2]
     return 0.299 * r + 0.587 * g + 0.114 * b

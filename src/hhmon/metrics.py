@@ -105,14 +105,6 @@ class ScoredClip:
         return self.score_rgb if self.score_rgb is not None else self.score_flow
 
 
-def window_average(scores) -> float:
-    """Per-window mode folds a clip's window scores by plain mean."""
-    arr = np.asarray(list(scores), dtype=np.float64)
-    if arr.size == 0:
-        raise DataError("cannot average an empty window score list")
-    return float(arr.mean())
-
-
 def confusion_for(clips: list[ScoredClip], model: str,
                   threshold: float = DEFAULT_THRESHOLD) -> ConfusionMatrix | None:
     """Threshold one model's scores; None if any clip lacks that stream."""

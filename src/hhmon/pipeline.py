@@ -18,8 +18,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import (artifacts, checkpoint, clipset, frameio, layers, metrics, model, pose, synth,
-               tracking, training, tvl1, workers)
+from . import (artifacts, checkpoint, clipset, frameio, metrics, model, pose, synth, tracking,
+               training, tvl1, workers)
 from .clipset import CLIP_LEN, AnnotationRecord, AugmentConfig
 from .config import PipelineConfig
 from .errors import ConfigError, DataError
@@ -393,19 +393,11 @@ def train_stream(cfg: PipelineConfig, stream: str) -> TrainSummary:
 
 # --- eval -----------------------------------------------------------------
 
-def _eval_starts(cfg: PipelineConfig, rec: AnnotationRecord) -> list[int]:
-    if rec.n_frames < CLIP_LEN:
-        raise DataError(f"{rec.video_id}: too short for a start-frame window")
-    if cfg.eval.mode == "per-annotated-clip":
-        return [rec.start_frame]
-    return _window_starts(cfg, rec)
-
-
 def _test_scores(cfg: PipelineConfig, nets: dict[str, model.Network],
                  recs: list[AnnotationRecord]) -> dict[str, list[float]]:
-    """Each net's score per record (see `evaluate`): its window scores
-    averaged, the head applied to one feature row at a time as in
-    `Network.score`, since a product of several rows rounds differently."""
+    """Each net's score per test record: the record's start-frame clip,
+    sampled once per stream and scored by every net of that stream with
+    `Network.score`, the call `infer_clip` makes."""
     scores = {name: [] for name in nets}
     for stream, names in (("rgb", ("rgb", "rgb_scratch")), ("flow", ("flow",))):
         names = [name for name in names if name in nets]
@@ -413,12 +405,11 @@ def _test_scores(cfg: PipelineConfig, nets: dict[str, model.Network],
             continue
         load = _scene_loader(cfg, stream)
         for rec in recs:
-            clips = ((x, rec.label)
-                     for x in _record_clips(cfg, rec, load, "eval", _eval_starts(cfg, rec)))
-            feats, _ = training.extract_features([nets[name] for name in names], clips)
-            for name, f in zip(names, feats):
-                scores[name].append(metrics.window_average(
-                    layers.sigmoid(nets[name].head(f[i:i + 1]))[0] for i in range(len(f))))
+            if rec.n_frames < CLIP_LEN:  # checked before the scene is read
+                raise DataError(f"{rec.video_id}: too short for a start-frame window")
+            [x] = _record_clips(cfg, rec, load, "eval", [rec.start_frame])
+            for name in names:
+                scores[name].append(float(nets[name].score(x[None])[0]))
     return scores
 
 
@@ -446,9 +437,10 @@ def _load_stream_net(cfg: PipelineConfig, name: str, path: str) -> model.Network
 
 def evaluate(cfg: PipelineConfig) -> EvalResult:
     """Score the test split with each stream checkpoint found (rgb_scratch
-    only beside rgb) and write the report bundle.  Each stream makes one
-    pass: a record's scene and track are read once and each eval window is
-    sampled once for every net of the stream, so rgb_scratch scores rgb's clips."""
+    only beside rgb) and write the report bundle.  Each test record is one
+    16-frame clip from its start frame.  Each stream makes one pass: a
+    record's scene and track are read once and its clip is sampled once for
+    every net of the stream, so rgb_scratch scores rgb's clips."""
     test_recs = load_prepared(cfg, "test")
     if not test_recs:
         raise DataError("test split is empty")
@@ -474,7 +466,7 @@ def evaluate(cfg: PipelineConfig) -> EvalResult:
     metadata = {
         "dataset_hash": _dataset_hash(cfg),
         "seed": cfg.seed,
-        "eval_mode": cfg.eval.mode,
+        "eval_mode": "per-annotated-clip",
         "threshold": cfg.eval.threshold,
         "n_test_clips": len(test_recs),
     }

@@ -280,20 +280,15 @@ def batched_scores_oracle(net, x, batch_size=8):
 
 def eval_scores_oracle(cfg, net, recs, stream):
     """Each test record's score as a pass of `net` alone computes it: read
-    the record's scene and track, sample each eval window, score it with
-    `net.score` as a one-clip batch, as `hhmon infer` does, and average
-    the window scores."""
-    from hhmon import clipset, metrics, pipeline
+    the record's scene and track, sample its start-frame clip and score it
+    with `net.score` as a one-clip batch, as `hhmon infer` does."""
+    from hhmon import clipset, pipeline
 
     load = pipeline._scene_loader(cfg, stream)
-    out = []
-    for rec in recs:
-        seq, track = load(rec), pipeline._track_for(cfg, rec)
-        out.append(metrics.window_average(
-            net.score(clipset.sample_clip(seq, track, start, cfg.clip, mode="eval",
-                                          seed=cfg.seed)[None])[0]
-            for start in pipeline._eval_starts(cfg, rec)))
-    return out
+    return [float(net.score(clipset.sample_clip(load(rec), pipeline._track_for(cfg, rec),
+                                               rec.start_frame, cfg.clip, mode="eval",
+                                               seed=cfg.seed)[None])[0])
+            for rec in recs]
 
 
 def flow_energy(rho_c, I1wx, I1wy, u1, u2, lam):

@@ -572,15 +572,17 @@ def test_chunked_sequence_flow_equals_a_per_pair_loop(rng, monkeypatch, accel, c
     tex = smooth_texture(rng, h=h, w=w)
     planes = [np.roll(np.roll(tex, i, axis=1), i // 2, axis=0) for i in range(n)]
     planes[4] = planes[3]
+    frames = np.repeat(np.array(planes)[..., None], 3, axis=-1)  # gray RGB frames
+    lum = frameio.luminance(frames)
     assert tvl1.STACK_PIXELS // (h * w) == 4 and (n - 1) % 4 != 0
     params = TvL1Params(max_flow=4.0)
-    chunked = flow_frames(*sequence_flow(np.array(planes)[..., None], params), params.max_flow)
+    chunked = flow_frames(*sequence_flow(frames, params), params.max_flow)
     assert stacks == [((18, 24), 6), ((36, 48), 6), ((72, 96), 4), ((72, 96), 2)]
 
     per_pair, pair_counts = [], []
     for i in range(n - 1):
         counts.clear()
-        flow = tvl1_flow(planes[i], planes[i + 1], params)
+        flow = tvl1_flow(lum[i], lum[i + 1], params)
         per_pair.append(np.clip(flow, -params.max_flow, params.max_flow)
                         / np.float32(params.max_flow))
         pair_counts.append(list(counts))

@@ -237,6 +237,22 @@ def test_only_infer_calls_share_the_command_lock(tmp_path, capsys, held, second,
     assert lock.read_bytes() == b""  # the lock file stays, empty
 
 
+@pytest.mark.parametrize("command", ["prepare", "infer"])
+@pytest.mark.parametrize("lock_path", ["work_dir", "lock"],
+                         ids=["work-dir-is-a-file", "lock-is-a-directory"])
+def test_a_lock_that_cannot_be_opened_exits_3(tmp_path, capsys, command, lock_path):
+    path = write_cfg(tmp_path)
+    argv = _infer_argv(tmp_path, path) if command == "infer" else [command, "--config", path]
+    work = tmp_path / "work"
+    lock = work / ".lock"
+    if lock_path == "work_dir":
+        work.write_text("")
+    else:
+        lock.mkdir(parents=True)
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err.startswith(f"error: {lock}: cannot open the command lock: ")
+
+
 @pytest.mark.parametrize("fork", [False, True], ids=["alone", "with-a-forked-child"])
 def test_a_killed_holder_never_blocks_the_next_command(tmp_path, capsys, fork):
     # the kernel drops a record lock when its holder dies, and a forked child
@@ -337,19 +353,24 @@ def test_infer_with_a_malformed_descriptor_exits_3(tmp_path, capsys, meta):
     assert err.startswith(f"error: {clip_dir / 'meta.json'}: descriptor")
 
 
-@pytest.mark.parametrize("channels", [1, 2], ids=["pgm", "flo2"])
+@pytest.mark.parametrize("channels", [1, 2], ids=["one-channel", "flo2"])
 def test_infer_on_non_rgb_frames_exits_3_before_the_checkpoint_load(tmp_path, capsys,
                                                                     monkeypatch, channels):
     path = write_cfg(tmp_path)
     clip_dir = tmp_path / "clip16"
-    frameio.save_sequence(FrameSequence(np.zeros((16, 24, 24, channels)),
+    frameio.save_sequence(FrameSequence(np.zeros((16, 24, 24, max(channels, 2))),
                                         video_id="probe", date_tag="d"), str(clip_dir))
+    if channels == 1:  # no frame has one channel, so only a descriptor can say so
+        meta = json.loads((clip_dir / "meta.json").read_text())
+        (clip_dir / "meta.json").write_text(json.dumps(dict(meta, channels=1)))
     net = model.Network.init(model.i3d_mini(in_channels=3, input_size=24), seed=0)
     checkpoint.save_network(net, str(tmp_path / "ckpt" / "rgb.swnet"))
     monkeypatch.setattr(checkpoint, "load_network",
                         lambda path: pytest.fail("the checkpoint was loaded"))
     assert cli.main(["infer", "--config", path, str(clip_dir)]) == 3
     assert capsys.readouterr().err == (
+        f"error: {clip_dir / 'meta.json'}: descriptor dimensions 24x24x1 are not a frame's\n"
+        if channels == 1 else
         f"error: {clip_dir}: the rgb stream scores 3-channel frames, found {channels}\n")
 
 

@@ -32,7 +32,6 @@ DEFAULT_DUMP = """\
   "scale_min": 1.0
  },
  "eval": {
-  "mode": "per-annotated-clip",
   "threshold": 0.5
  },
  "flow": {
@@ -289,7 +288,7 @@ def test_every_str_field_of_every_block_must_be_a_non_empty_string(tmp_path, cap
                 assert captured.err == f"error: {section}: {f.name} {error}\n"
             checked.append(f"{section}.{f.name}")
     assert checked == ["paths.dataset_dir", "paths.work_dir", "paths.checkpoint_dir",
-                       "paths.report_dir", "eval.mode"]
+                       "paths.report_dir"]
 
 
 def test_frame_size_is_checked_against_the_flow_min_size():
@@ -340,10 +339,11 @@ def test_section_must_be_an_object():
         config_from_dict({"gen": [1, 2]})
 
 
-def test_eval_mode_is_validated():
-    with pytest.raises(ConfigError, match="eval: eval mode"):
-        config_from_dict({"eval": {"mode": "per-frame"}})
-    assert config_from_dict({"eval": {"mode": "per-window"}}).eval.mode == "per-window"
+def test_a_config_that_sets_the_removed_eval_mode_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"eval": {"mode": "per-window"}}))
+    assert cli.main(["eval", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "error: eval: unknown keys mode\n"
 
 
 def test_load_config_file_paths(tmp_path):

@@ -35,13 +35,11 @@ def test_ppm_header_is_binary_p6(tmp_path, rng):
     assert raw.startswith(b"P6")
 
 
-def test_grayscale_roundtrips_as_pgm(tmp_path, rng):
-    f = rng.random((5, 7, 1)).astype(np.float32)
-    path = str(tmp_path / "f.pgm")
-    frameio.write_ppm(f, path)
-    back = frameio.read_ppm(path)
-    assert back.shape == (5, 7, 1)
-    np.testing.assert_array_equal(back, quantize8(f).astype(np.float32))
+def test_a_grayscale_pgm_file_is_not_a_frame(tmp_path):
+    path = tmp_path / "frame_000000.ppm"
+    path.write_bytes(b"P5\n7 5\n255\n" + bytes(35))
+    with pytest.raises(DataError, match=f"^{path}: not a binary PPM file$"):
+        frameio.read_ppm(str(path))
 
 
 def test_flo2_roundtrip_exact_float32(tmp_path, rng):
@@ -127,8 +125,9 @@ def test_load_sequence_empty_dir_errors(tmp_path):
 
 
 @pytest.mark.parametrize("dims", ['"width": -4, "height": 4, "channels": 3',
-                                  '"width": 4, "height": 4, "channels": 4'],
-                         ids=["negative-width", "four-channels"])
+                                  '"width": 4, "height": 4, "channels": 4',
+                                  '"width": 4, "height": 4, "channels": 1'],
+                         ids=["negative-width", "four-channels", "one-channel"])
 def test_load_sequence_rejects_descriptor_dims_no_frame_has(tmp_path, rng, dims):
     d = tmp_path / "seq"
     d.mkdir()
@@ -343,11 +342,14 @@ def test_luminance_coefficients():
     stack = np.stack([px, px[:, ::-1]])
     assert np.array_equal(frameio.luminance(stack),
                           np.stack([frameio.luminance(p) for p in stack]))
+    with pytest.raises(DataError, match="needs RGB images"):
+        frameio.luminance(px[..., :1])
 
 
 def test_frame_rejects_bad_channel_count():
-    with pytest.raises(DataError, match=r"1\|2\|3 channels"):
-        FrameSequence(np.zeros((2, 4, 4, 5), dtype=np.float32))
+    for channels in (1, 5):
+        with pytest.raises(DataError, match=r"2\|3 channels"):
+            FrameSequence(np.zeros((2, 4, 4, channels), dtype=np.float32))
 
 
 def test_sequence_holds_one_float32_array_of_four_axes():

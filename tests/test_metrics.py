@@ -21,7 +21,6 @@ from hhmon.metrics import (
     save_report,
     score_log_lines,
     threshold_sweep,
-    window_average,
 )
 
 
@@ -154,13 +153,6 @@ def test_headline_score_prefers_fusion_then_any_stream():
     assert clip(0, 1, rgb=0.8).headline_score() == 0.8
     assert clip(0, 1, flow=0.3).headline_score() == 0.3
     assert clip(0, 1).headline_score() is None
-
-
-def test_window_average():
-    assert window_average([0.2, 0.4, 0.9]) == pytest.approx(0.5)
-    assert window_average(iter([1.0])) == 1.0
-    with pytest.raises(DataError, match="empty"):
-        window_average([])
 
 
 def test_ablation_report_has_exactly_three_rows():

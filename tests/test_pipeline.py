@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hhmon import (checkpoint, cli, clipset, config, frameio, layers, metrics, model, pipeline,
+from hhmon import (checkpoint, cli, clipset, config, frameio, metrics, model, pipeline,
                    tracking, training)
 from hhmon.clipset import CLIP_LEN, AnnotationRecord, AugmentConfig, split_dataset, window_starts
 from hhmon.config import PipelineConfig
@@ -408,13 +408,9 @@ def three_nets(prepared, tmp_path_factory):
     return cfg
 
 
-@pytest.mark.parametrize("mode", ["per-annotated-clip", "per-window"])
-def test_eval_scores_equal_each_net_on_its_own_pass_bitwise(three_nets, mode):
-    cfg = copy.deepcopy(three_nets)
-    cfg.eval.mode = mode
+def test_eval_scores_equal_each_net_on_its_own_pass_bitwise(three_nets):
+    cfg = three_nets
     test_recs = pipeline.load_prepared(cfg, "test")
-    windows = [len(pipeline._eval_starts(cfg, r)) for r in test_recs]
-    assert max(windows) == (1 if mode == "per-annotated-clip" else 5)
     nets = {name: checkpoint.load_network(pipeline.artifact_path(cfg, "checkpoint", name))
             for name in ("rgb", "flow", "rgb_scratch")}
     want = {name: eval_scores_oracle(cfg, net, test_recs, "flow" if name == "flow" else "rgb")
@@ -431,25 +427,27 @@ def test_eval_scores_equal_each_net_on_its_own_pass_bitwise(three_nets, mode):
         assert row["accuracy"] == metrics.metrics(cm).accuracy
 
 
-def test_per_window_eval_scores_each_window_as_infer_does(three_nets):
-    # numpy rounds a one-row head product (sdot) unlike a multi-row one
-    # (sgemv), so a score taken from the record's whole feature block would
-    # depend on how many windows the record has
-    cfg = copy.deepcopy(three_nets)
-    cfg.eval.mode = "per-window"
-    net = checkpoint.load_network(pipeline.artifact_path(cfg, "checkpoint", "rgb"))
-    load = pipeline._scene_loader(cfg, "rgb")
+@pytest.mark.parametrize("name", ["rgb", "rgb_scratch", "flow"])
+def test_eval_scores_each_start_frame_clip_as_infer_does(three_nets, monkeypatch, name):
+    # one clip per record, from its start frame, through `Network.score` as
+    # a one-clip batch: the call `infer_clip` makes
+    cfg = three_nets
+    net = checkpoint.load_network(pipeline.artifact_path(cfg, "checkpoint", name))
+    load = pipeline._scene_loader(cfg, "flow" if name == "flow" else "rgb")
     recs = pipeline.load_prepared(cfg, "test")
-    scores = pipeline._test_scores(cfg, {"rgb": net}, recs)["rgb"]
-    block_differs = []
+    starts = []
+
+    def recording(seq, track, start, *args, _original=clipset.sample_clip, **kwargs):
+        starts.append(start)
+        return _original(seq, track, start, *args, **kwargs)
+    monkeypatch.setattr(clipset, "sample_clip", recording)
+    scores = pipeline._test_scores(cfg, {name: net}, recs)[name]
+    assert starts == [rec.start_frame for rec in recs]
+    assert len(scores) == len(recs)
     for rec, score in zip(recs, scores):
-        clips = list(pipeline._record_clips(cfg, rec, load, "eval",
-                                            pipeline._eval_starts(cfg, rec)))
-        per_window = [net.score(x[None])[0] for x in clips]
-        assert score == metrics.window_average(per_window)
-        feats = np.concatenate([net.features(x[None]) for x in clips])
-        block_differs.append(not np.array_equal(layers.sigmoid(net.head(feats)), per_window))
-    assert any(block_differs)
+        [x] = pipeline._record_clips(cfg, rec, load, "eval", [rec.start_frame])
+        assert type(score) is float
+        assert score == float(net.score(x[None])[0])
 
 
 def test_eval_reads_and_samples_each_test_record_once_per_stream(three_nets, monkeypatch):
@@ -469,9 +467,8 @@ def test_eval_reads_and_samples_each_test_record_once_per_stream(three_nets, mon
     assert calls == {"sample_clip": 2 * n, "load_sequence": 2 * n, "load_tracks": 2 * n}
 
 
-def test_per_window_eval_names_a_record_with_no_window(three_nets, tmp_path, capsys):
+def test_eval_names_a_test_record_too_short_for_a_clip(three_nets, tmp_path, capsys):
     cfg = copy.deepcopy(three_nets)
-    cfg.eval.mode = "per-window"
     shutil.copytree(cfg.paths.work_dir, tmp_path / "work")
     cfg.paths.work_dir = str(tmp_path / "work")
     cfg.paths.report_dir = str(tmp_path / "report")
@@ -497,22 +494,16 @@ def test_resolve_track_prefers_coverage():
         pipeline._resolve_track([short], 10, 20, "v")
 
 
-def test_eval_starts_modes(prepared):
+@pytest.mark.parametrize("stream", ["rgb", "flow"])
+def test_eval_refuses_a_short_test_record_before_reading_its_scene(prepared, monkeypatch,
+                                                                  stream):
     cfg, _, _ = prepared
-    record = rec("v", "d0", 20, 1)
-    assert pipeline._eval_starts(cfg, record) == [0]
-    cfg_w = tiny_cfg_from(cfg)
-    cfg_w.eval.mode = "per-window"
-    assert pipeline._eval_starts(cfg_w, record) == list(range(5))
-    for c in (cfg, cfg_w):
-        with pytest.raises(DataError, match="^v: too short for a start-frame window$"):
-            pipeline._eval_starts(c, rec("v", "d0", 10, 1))
-
-
-def tiny_cfg_from(cfg):
-    import copy
-
-    return copy.deepcopy(cfg)
+    monkeypatch.setattr(frameio, "load_sequence",
+                        lambda *args: pytest.fail("the scene was read"))
+    net = model.Network.init(model.i3d_mini(in_channels=3 if stream == "rgb" else 2,
+                                            input_size=cfg.clip.input_size), seed=0)
+    with pytest.raises(DataError, match="^v: too short for a start-frame window$"):
+        pipeline._test_scores(cfg, {stream: net}, [rec("v", "d0", CLIP_LEN - 1, 1)])
 
 
 def test_clip_id_format():

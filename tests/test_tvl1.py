@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from helpers import flow_energy, smooth_texture, spy_warp_energies
 
-from hhmon import backend, tvl1
+from hhmon import backend, frameio, tvl1
 from hhmon.errors import ConfigError, DataError
 from hhmon.tvl1 import TvL1Params, _centered_gradient, flow_frames, sequence_flow, tvl1_flow
 
@@ -207,11 +207,12 @@ def test_sequence_flow_builds_each_pyramid_once_and_no_energy(rng, monkeypatch):
     assert [len(p) for p in pyramids] == [5]
     pyramids.clear()
     tex = smooth_texture(rng, h=72, w=96)  # 4 frames per solver stack
-    frames = [rolled(tex, dx=i)[:, :, None] for i in range(11)]
+    frames = [np.repeat(rolled(tex, dx=i)[:, :, None], 3, axis=2) for i in range(11)]
     stored_flow(frames)
     # one call on the whole scene, each of the 11 distinct frames once
     assert [len(p) for p in pyramids] == [11]
-    assert np.array_equal(pyramids[0], np.float32(255.0) * np.array(frames)[..., 0])
+    lum = frameio.luminance(np.array(frames, dtype=np.float32))
+    assert np.array_equal(pyramids[0], np.float32(255.0) * lum)
 
 
 @pytest.mark.parametrize("h, w, n", [(72, 96, 7), (144, 192, 3), (36, 48, 4)])
