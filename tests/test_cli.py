@@ -353,16 +353,21 @@ def test_infer_with_a_malformed_descriptor_exits_3(tmp_path, capsys, meta):
     assert err.startswith(f"error: {clip_dir / 'meta.json'}: descriptor")
 
 
-@pytest.mark.parametrize("channels", [1, 2], ids=["one-channel", "flo2"])
+@pytest.mark.parametrize("kind", ["pgm", "one-channel", "flo2"])
 def test_infer_on_non_rgb_frames_exits_3_before_the_checkpoint_load(tmp_path, capsys,
-                                                                    monkeypatch, channels):
+                                                                    monkeypatch, kind):
     path = write_cfg(tmp_path)
     clip_dir = tmp_path / "clip16"
-    frameio.save_sequence(FrameSequence(np.zeros((16, 24, 24, max(channels, 2))),
+    channels = 2 if kind == "flo2" else 1
+    frameio.save_sequence(FrameSequence(np.zeros((16, 24, 24, 2)),
                                         video_id="probe", date_tag="d"), str(clip_dir))
     if channels == 1:  # no frame has one channel, so only a descriptor can say so
         meta = json.loads((clip_dir / "meta.json").read_text())
         (clip_dir / "meta.json").write_text(json.dumps(dict(meta, channels=1)))
+    if kind == "pgm":  # a grayscale clip as it used to be stored: P5 frames
+        for frame in clip_dir.glob("frame_*.flo2"):
+            frame.unlink()
+            frame.with_suffix(".pgm").write_bytes(b"P5\n24 24\n255\n" + bytes(24 * 24))
     net = model.Network.init(model.i3d_mini(in_channels=3, input_size=24), seed=0)
     checkpoint.save_network(net, str(tmp_path / "ckpt" / "rgb.swnet"))
     monkeypatch.setattr(checkpoint, "load_network",

@@ -186,28 +186,33 @@ def test_train_still_is_the_first_frame_of_its_window(rng):
         assert np.array_equal(still[:, 0], window[:, 0])
 
 
-@pytest.mark.parametrize("channels", [3, 2])
+@pytest.mark.parametrize("channels", [3, 2, 1])
 @pytest.mark.parametrize("flip", [False, True])
 @pytest.mark.parametrize("box", [
     BBox(7.4, 5.6, 30.2, 33.9), BBox(-3.0, 20.0, 60.0, 50.0), None,
     BBox(0.0, 0.0, 12.0, 30.0), BBox(3.0, 1.0, 40.0, 12.0),
 ], ids=["inside", "clipped", "whole-frame", "tall-x0-zero", "wide-x0-positive"])
 def test_crop_window_equals_the_per_frame_loop(rng, channels, flip, box):
-    # signed flow values exercise the u negation; brightness reaches the clamp.
+    # `channels` counts the distinct planes: 3 is color RGB, 2 is flow and 1
+    # is gray RGB, one plane repeated into R, G and B, which stays gray.
+    # Signed flow values exercise the u negation; brightness reaches the clamp.
     # A tall box keeps the whole resized width (x0 == 0), so a flip reads the
     # window right to left down to column 0; a wide box crops it (x0 > 0).
-    scale, shift = (1.0, 0.0) if channels == 3 else (6.0, -3.0)
-    seq = FrameSequence(np.stack([(rng.random((36, 48, channels)) * scale + shift)
-                                  .astype(np.float32) for _ in range(20)]))
+    scale, shift = (1.0, 0.0) if channels != 2 else (6.0, -3.0)
+    planes = np.stack([(rng.random((36, 48, channels)) * scale + shift)
+                       .astype(np.float32) for _ in range(20)])
+    seq = FrameSequence(np.repeat(planes, 3, axis=3) if channels == 1 else planes)
     for size, n, delta in ((16, CLIP_LEN, 0.3), (24, 1, -0.05), (40, 3, 0.0)):
         got = crop_window(seq, box, 2, n, size, flip, delta)
         want = to_net_oracle(crop_window_oracle(seq, box, 2, n, size, flip, delta))
-        assert got.shape == want.shape == (channels, n, size, size)
+        assert got.shape == want.shape == (seq.channels, n, size, size)
         assert got.dtype == want.dtype == np.float32
         assert got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()
-        if channels == 3:  # RGB is centered on zero, in [-1, 1]
+        if seq.channels == 3:  # RGB is centered on zero, in [-1, 1]
             assert got.min() >= -1.0 and got.max() <= 1.0
+        if channels == 1:
+            assert got[0].tobytes() == got[1].tobytes() == got[2].tobytes()
 
 
 def test_crop_window_rejects_a_box_outside_the_frame(rng):

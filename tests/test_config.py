@@ -339,6 +339,13 @@ def test_section_must_be_an_object():
         config_from_dict({"gen": [1, 2]})
 
 
+def test_eval_mode_is_validated():
+    # eval has one mode, so no value of the removed key is accepted
+    for mode in ("per-annotated-clip", "per-window", "per-frame"):
+        with pytest.raises(ConfigError, match="^eval: unknown keys mode$"):
+            config_from_dict({"eval": {"mode": mode}})
+
+
 def test_a_config_that_sets_the_removed_eval_mode_exits_2(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"eval": {"mode": "per-window"}}))

@@ -408,7 +408,9 @@ def three_nets(prepared, tmp_path_factory):
     return cfg
 
 
-def test_eval_scores_equal_each_net_on_its_own_pass_bitwise(three_nets):
+@pytest.mark.parametrize("mode", ["per-annotated-clip"])
+def test_eval_scores_equal_each_net_on_its_own_pass_bitwise(three_nets, mode):
+    # eval's one protocol, written to report.json as its provenance
     cfg = three_nets
     test_recs = pipeline.load_prepared(cfg, "test")
     nets = {name: checkpoint.load_network(pipeline.artifact_path(cfg, "checkpoint", name))
@@ -419,6 +421,7 @@ def test_eval_scores_equal_each_net_on_its_own_pass_bitwise(three_nets):
     result = pipeline.evaluate(cfg)
     assert [c.score_rgb for c in result.clips] == want["rgb"]
     assert [c.score_flow for c in result.clips] == want["flow"]
+    assert result.report.metadata["eval_mode"] == mode
     rows = result.report.metadata["transfer_comparison"]
     for row, name in zip(rows, ("rgb", "rgb_scratch")):
         scored = [metrics.ScoredClip("c", r.label, score_rgb=v)
