@@ -12,11 +12,16 @@ from .errors import DataError
 
 
 def _remove(path: str) -> None:
-    if os.path.isdir(path):
-        shutil.rmtree(path)
-    else:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(path)
+    with contextlib.suppress(FileNotFoundError):
+        (shutil.rmtree if os.path.isdir(path) else os.unlink)(path)
+
+
+def remove(path: str) -> None:
+    """Delete the file or tree at `path`, if any; an `OSError` raises a DataError naming it."""
+    try:
+        _remove(path)
+    except OSError as exc:
+        raise DataError(f"{path}: cannot remove: {exc}") from None
 
 
 @contextlib.contextmanager

@@ -46,10 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("prepare", parents=[common],
                    help="detect, link, smooth and split into annotated clips")
 
-    p = sub.add_parser("flow", parents=[common],
-                       help="compute TV-L1 flow for every scene")
-    p.add_argument("--force", action="store_true",
-                   help="recompute scenes that already have flow")
+    sub.add_parser("flow", parents=[common], help="compute TV-L1 flow for every scene")
 
     p = sub.add_parser("train", parents=[common],
                        help="pretrain, inflate and fit one stream's classifier")
@@ -87,7 +84,6 @@ def _command_lock(path: str, shared: bool):
 
 
 def _cmd_gen(cfg: PipelineConfig, args) -> int:
-    pipeline.check_split_dates(cfg.gen)  # before the dataset directory is touched
     manifest = pipeline.generate(cfg, force=args.force)
     print(f"wrote {len(manifest['scenes'])} scenes to {cfg.paths.dataset_dir}")
     print(pipeline.stats_from_manifest(cfg, manifest))
@@ -104,7 +100,7 @@ def _cmd_prepare(cfg: PipelineConfig, args) -> int:
 
 
 def _cmd_flow(cfg: PipelineConfig, args) -> int:
-    n = pipeline.compute_flow(cfg, force=args.force)
+    n = pipeline.compute_flow(cfg)
     n_workers = workers.count()
     flow_root = os.path.dirname(pipeline.artifact_path(cfg, "flow dir"))  # every flow dir's parent
     print(f"computed flow for {n} scenes under {flow_root} ({backend.BACKEND} kernels, "

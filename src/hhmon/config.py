@@ -10,8 +10,9 @@ declared here, so every default is declared once.  The loader checks each
 field's type, that each float is finite and that each string is non-empty,
 then each block validates itself when built; a bad value is a ConfigError
 naming its section.  The loader also checks the rules that span blocks:
-frames no smaller than the flow solver's `min_size`, and a clip input no
-smaller than the network can pool.
+frames no smaller than the flow solver's `min_size`, a clip input no
+smaller than the network can pool, enough dates for the split, and no root
+inside a tree that a stage deletes.
 """
 
 from __future__ import annotations
@@ -19,10 +20,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 from . import artifacts, metrics, model
-from .clipset import AugmentConfig
+from .clipset import SPLIT_MIN_DATES, AugmentConfig
 from .errors import ConfigError
 from .pose import RoiParams
 from .synth import DatasetConfig
@@ -139,6 +141,22 @@ def config_from_dict(data: dict) -> PipelineConfig:
     if blocks["clip"].input_size < least:
         raise ConfigError(f"clip.input_size {blocks['clip'].input_size} is below {least}, "
                           f"the smallest input i3d_mini can pool")
+    # dates the split would refuse must not get past gen; each group numbers
+    # its dates from d00
+    gen = blocks["gen"]
+    n = min(gen.n_dates, max(gen.n_rubbing, gen.n_other))
+    if n < SPLIT_MIN_DATES:
+        raise ConfigError(f"gen.n_dates {gen.n_dates} with gen.n_rubbing {gen.n_rubbing} and "
+                          f"gen.n_other {gen.n_other} gives {n} non-synthetic dates; the split "
+                          f"needs at least {SPLIT_MIN_DATES}")
+    # a root inside a tree that a stage deletes whole would go with it
+    roots = {f"paths.{k}": os.path.abspath(v) for k, v in vars(blocks["paths"]).items()}
+    deleted = (("paths.dataset_dir", roots["paths.dataset_dir"], "gen --force"),
+               ("paths.work_dir/flow", os.path.join(roots["paths.work_dir"], "flow"), "flow"))
+    for tree, top, stage in deleted:
+        for key, root in roots.items():
+            if key != tree and os.path.commonpath([root, top]) == top:
+                raise ConfigError(f"{key} {root} lies inside {tree} {top}, which {stage} deletes")
     return PipelineConfig(seed=seed, **blocks)
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import shutil
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -22,7 +21,7 @@ from . import (artifacts, checkpoint, clipset, frameio, metrics, model, pose, sy
                training, tvl1, workers)
 from .clipset import CLIP_LEN, AnnotationRecord, AugmentConfig
 from .config import PipelineConfig
-from .errors import ConfigError, DataError
+from .errors import DataError
 from .metrics import ScoredClip
 
 
@@ -58,22 +57,12 @@ def _require(cfg: PipelineConfig, kind: str, name: str = "") -> str:
 
 # --- gen ------------------------------------------------------------------
 
-def check_split_dates(gen: synth.DatasetConfig) -> None:
-    """Refuse a dataset whose rubbing and other scenes span fewer dates than
-    the date-disjoint split needs; each group numbers its dates from d00."""
-    n = min(gen.n_dates, max(gen.n_rubbing, gen.n_other))
-    if n < clipset.SPLIT_MIN_DATES:
-        raise ConfigError(f"gen.n_dates {gen.n_dates} with gen.n_rubbing {gen.n_rubbing} and "
-                          f"gen.n_other {gen.n_other} gives {n} non-synthetic dates; the split "
-                          f"needs at least {clipset.SPLIT_MIN_DATES}")
-
-
 def generate(cfg: PipelineConfig, force: bool = False) -> dict:
     out = cfg.paths.dataset_dir
     if os.path.isdir(out) and os.listdir(out):
         if not force:
             raise DataError(f"{out} already exists and is not empty; pass --force to overwrite")
-        shutil.rmtree(out)
+        artifacts.remove(out)
     return synth.generate_dataset(cfg.gen, out, cfg.seed)
 
 
@@ -215,7 +204,7 @@ def _save_flow(cfg: PipelineConfig, out_dir: str, meta: dict, parts: list) -> No
                                                 date_tag=meta["date_tag"]), out_dir)
 
 
-def compute_flow(cfg: PipelineConfig, force: bool = False) -> int:
+def compute_flow(cfg: PipelineConfig) -> int:
     """TV-L1 flow for every scene; returns the number of scenes processed.
 
     The pairs are solved in the worker pool (`workers.run`), one process
@@ -228,16 +217,15 @@ def compute_flow(cfg: PipelineConfig, force: bool = False) -> int:
 
     A scene is joined and written here once its last range is in, so scenes
     may be written out of order.  Its flow dir is published whole
-    (`frameio.save_sequence`), so it exists only once complete, and a scene
-    with a flow dir is skipped unless `force`.
+    (`frameio.save_sequence`), so it exists only once complete.  The flow
+    root is cleared first, so a run, killed or not, leaves only dirs it wrote.
     """
     manifest = synth.load_manifest(cfg.paths.dataset_dir)
+    artifacts.remove(os.path.dirname(artifact_path(cfg, "flow dir")))  # every flow dir's parent
     n_workers = workers.count()
     scenes = []
     for entry in manifest["scenes"]:
         out_dir = artifact_path(cfg, "flow dir", entry["video_id"])
-        if os.path.isdir(out_dir) and not force:
-            continue
         frames_dir = os.path.join(cfg.paths.dataset_dir, entry["frames_dir"])
         meta, names = frameio.index_sequence(frames_dir)
         if len(names) < 2:

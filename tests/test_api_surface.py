@@ -4,7 +4,8 @@ top-level function and class of `src/hhmon` is referenced somewhere in
 module reads another's private names.  And importing the command line
 loads none of the standard library's heavier modules, which only some
 commands need and import where they use them.  Only `artifacts` and a
-short list of exempt functions open files."""
+short list of exempt functions open files, and only `artifacts` and the
+kernel compile delete them."""
 
 import ast
 import os
@@ -94,27 +95,51 @@ def test_importing_the_cli_loads_no_heavy_stdlib_module():
 OPENERS = {"artifacts", "frameio.write_ppm", "frameio.write_flo2", "_accel.library_path",
            "cli._command_lock"}
 
+# The only code that deletes a file or a tree: `artifacts` (`remove`, and
+# `publish`'s temps) and the compile of the C kernels, which removes its
+# temp and the libraries of other keys.
+DELETERS = {"artifacts", "_accel.build"}
+_DELETES = {("shutil", "rmtree"), ("os", "remove"), ("os", "unlink"), ("os", "rmdir")}
 
-def _opens(node, where):
-    """The dotted name of the definition around each open call under node."""
+
+def _opens(node):
+    func = node.func if isinstance(node, ast.Call) else None
+    return (isinstance(func, ast.Name) and func.id == "open"
+            or isinstance(func, ast.Attribute) and func.attr == "open"
+            and isinstance(func.value, ast.Name) and func.value.id in ("os", "io"))
+
+
+def _deletes(node):
+    # a delete passed as a value, not called, counts too
+    return (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and (node.value.id, node.attr) in _DELETES)
+
+
+def _sites(node, where, hit):
+    """The dotted name of the definition around each node under node that
+    `hit` accepts."""
     for child in ast.iter_child_nodes(node):
         inner = where
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             inner = f"{where}.{child.name}"
-        elif isinstance(child, ast.Call):
-            func = child.func
-            if (isinstance(func, ast.Name) and func.id == "open"
-                    or isinstance(func, ast.Attribute) and func.attr == "open"
-                    and isinstance(func.value, ast.Name) and func.value.id in ("os", "io")):
-                yield where
-        yield from _opens(child, inner)
+        elif hit(child):
+            yield where
+        yield from _sites(child, inner, hit)
 
 
-def test_only_the_allowed_code_opens_a_file():
+def _check_only(allowed, hit):
     found = set()
     for p in sorted(SRC.rglob("*.py")):
         module = str(p.relative_to(SRC).with_suffix("")).replace("/", ".").removesuffix(".__init__")
-        found.update(_opens(ast.parse(p.read_text()), module))
-    covers = lambda opener, name: name == opener or name.startswith(opener + ".")  # noqa: E731
-    assert sorted(n for n in found if not any(covers(o, n) for o in OPENERS)) == []
-    assert sorted(o for o in OPENERS if not any(covers(o, n) for n in found)) == [], "stale"
+        found.update(_sites(ast.parse(p.read_text()), module, hit))
+    covers = lambda allow, name: name == allow or name.startswith(allow + ".")  # noqa: E731
+    assert sorted(n for n in found if not any(covers(a, n) for a in allowed)) == []
+    assert sorted(a for a in allowed if not any(covers(a, n) for n in found)) == [], "stale"
+
+
+def test_only_the_allowed_code_opens_a_file():
+    _check_only(OPENERS, _opens)
+
+
+def test_only_the_allowed_code_deletes_a_file():
+    _check_only(DELETERS, _deletes)

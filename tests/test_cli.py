@@ -290,6 +290,18 @@ def test_gen_with_too_few_dates_to_split_exits_2_before_writing(tmp_path, capsys
     assert tree_bytes(tmp_path / "ds") == {"keep": b"x"}
 
 
+@pytest.mark.parametrize("argv", [["prepare"], ["flow"], ["gen", "--print-config"]])
+def test_too_few_dates_to_split_exits_2_at_config_load(tmp_path, capsys, argv):
+    gen = {"n_rubbing": 2, "n_other": 1, "n_synthetic_rubbing": 1, "n_dates": 3,
+           "width": 48, "height": 36, "n_frames_min": 18, "n_frames_max": 20}
+    path = write_cfg(tmp_path, gen=gen)
+    assert cli.main(argv + ["--config", path]) == 2
+    assert capsys.readouterr().err == (
+        "error: gen.n_dates 3 with gen.n_rubbing 2 and gen.n_other 1 gives 2 non-synthetic "
+        "dates; the split needs at least 3\n")
+    assert os.listdir(tmp_path) == ["cfg.json"]  # not even the command lock
+
+
 def test_full_command_journey(tmp_path, capsys):
     path = write_cfg(tmp_path)
 
@@ -612,6 +624,65 @@ def test_a_killed_flow_leaves_no_worker_and_a_rerun_writes_clean_bytes(tmp_path,
     _kill_with_workers_running(path, "flow", sig)
     assert cli.main(["flow", "--config", path]) == 0
     assert tree_bytes(flow) == want
+
+
+# flow solves every scene on every run, so a rerun after a change of the
+# dataset or of the flow config feeds no stale flow to train
+@pytest.mark.parametrize("seed, flow", [(7, {}), (0, {"n_warps": 2})],
+                         ids=["reseeded-gen", "n_warps-2"])
+def test_flow_after_a_change_equals_a_fresh_trees_bit_for_bit(tmp_path, capsys, seed, flow):
+    for sub in ("rerun", "fresh"):
+        (tmp_path / sub).mkdir()
+    rerun = write_cfg(tmp_path / "rerun", gen=_THREE_SCENES)
+    assert cli.main(["gen", "--config", rerun]) == 0
+    assert cli.main(["flow", "--config", rerun]) == 0
+    flow_dir = tmp_path / "rerun" / "work" / "flow"
+    before = tree_bytes(flow_dir)
+    rerun, fresh = (write_cfg(tmp_path / sub, gen=_THREE_SCENES, seed=seed, flow=flow)
+                    for sub in ("rerun", "fresh"))
+    assert cli.main(["gen", "--config", rerun, "--force"]) == 0
+    capsys.readouterr()
+    assert cli.main(["flow", "--config", rerun]) == 0
+    assert "computed flow for 3 scenes" in capsys.readouterr().out
+    assert cli.main(["gen", "--config", fresh]) == 0
+    assert cli.main(["flow", "--config", fresh]) == 0
+    assert tree_bytes(flow_dir) == tree_bytes(tmp_path / "fresh" / "work" / "flow") != before
+
+
+def test_flow_removes_a_scene_dir_an_earlier_run_left(tmp_path):
+    path = write_cfg(tmp_path, gen=_THREE_SCENES)
+    assert cli.main(["gen", "--config", path]) == 0
+    stale = tmp_path / "work" / "flow" / "zzz_999"
+    stale.mkdir(parents=True)
+    (stale / "frame_000000.flo2").write_bytes(b"stale")
+    assert cli.main(["flow", "--config", path]) == 0
+    assert sorted(os.listdir(tmp_path / "work" / "flow")) == ["rub_000", "rub_001", "rub_002"]
+
+
+def test_flow_has_no_force_flag(tmp_path, capsys):
+    path = write_cfg(tmp_path, gen=_THREE_SCENES)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["flow", "--config", path, "--force"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --force" in capsys.readouterr().err
+
+
+def test_gen_force_that_cannot_remove_the_dataset_exits_3_naming_it(tmp_path, capsys,
+                                                                    monkeypatch):
+    path = write_cfg(tmp_path, gen=_THREE_SCENES)
+    assert cli.main(["gen", "--config", path]) == 0
+    dataset = tmp_path / "ds"
+    want = tree_bytes(dataset)
+
+    def refuse(target, *args, **kwargs):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), target)
+
+    monkeypatch.setattr(shutil, "rmtree", refuse)
+    capsys.readouterr()
+    assert cli.main(["gen", "--config", path, "--force"]) == 3
+    assert capsys.readouterr().err == (
+        f"error: {dataset}: cannot remove: [Errno 13] Permission denied: '{dataset}'\n")
+    assert tree_bytes(dataset) == want
 
 
 @needs_children_list

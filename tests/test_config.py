@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 import typing
 
 import pytest
@@ -296,6 +297,44 @@ def test_frame_size_is_checked_against_the_flow_min_size():
     assert (cfg.gen.width, cfg.gen.height, cfg.flow.min_size) == (12, 9, 8)
     with pytest.raises(ConfigError, match="gen.height 9 is below flow.min_size 10"):
         config_from_dict({"gen": {"width": 12, "height": 9}, "flow": {"min_size": 10}})
+
+
+_DATA = ("paths.dataset_dir", "nest/data", "gen --force")
+_FLOW = ("paths.work_dir/flow", "nest/work/flow", "flow")
+
+
+@pytest.mark.parametrize("key, inside, deleted", [
+    ("work_dir", "nest/data/work", _DATA),
+    ("checkpoint_dir", "nest/data", _DATA),
+    ("report_dir", "nest/data/./reports", _DATA),
+    ("dataset_dir", "nest/work/flow/data", _FLOW),
+    ("checkpoint_dir", "nest/work/flow", _FLOW),
+    ("report_dir", "nest/work/../work/flow/reports", _FLOW),
+])
+def test_a_root_inside_a_tree_a_stage_deletes_exits_2_writing_nothing(tmp_path, capsys,
+                                                                     monkeypatch, key, inside,
+                                                                     deleted):
+    # gen --force deletes the dataset dir and flow deletes <work_dir>/flow,
+    # so a root inside either would go with it
+    monkeypatch.chdir(tmp_path)
+    paths = {"dataset_dir": "nest/data", "work_dir": "nest/work",
+             "checkpoint_dir": "nest/ckpt", "report_dir": "nest/reports", key: inside}
+    (tmp_path / "cfg.json").write_text(json.dumps({"paths": paths}))
+    tree, top, stage = deleted
+    root, top = (os.path.join(os.getcwd(), os.path.normpath(p)) for p in (inside, top))
+    for argv in (["gen", "--force"], ["flow"], ["eval"], ["gen", "--print-config"]):
+        assert cli.main(argv + ["--config", "cfg.json"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: paths.{key} {root} lies inside {tree} {top}, which {stage} deletes\n")
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+def test_sibling_and_enclosing_roots_are_accepted():
+    for paths in ({"dataset_dir": "d", "work_dir": "d2", "checkpoint_dir": "d-ckpt"},
+                  {"dataset_dir": "w/data", "work_dir": "w", "report_dir": "w/flows"},
+                  {"work_dir": "w", "checkpoint_dir": "w/flow2", "report_dir": "w"}):
+        cfg = config_from_dict({"paths": paths})
+        assert {key: getattr(cfg.paths, key) for key in paths} == paths
 
 
 def test_dump_and_rebuild_roundtrip():

@@ -152,7 +152,7 @@ def test_record_clips_counts_and_layout(prepared):
     assert [x.shape for x in stills] == [(3, 1, 24, 24)] * 2
 
 
-def test_compute_flow_skips_existing(prepared, monkeypatch):
+def test_compute_flow_solves_every_scene_on_every_run(prepared):
     cfg, manifest, _ = prepared
     done = pipeline.compute_flow(cfg)
     assert done == 7
@@ -162,10 +162,9 @@ def test_compute_flow_skips_existing(prepared, monkeypatch):
     n_frames = manifest["scenes"][0]["end_frame"]
     assert len(seq) == n_frames
     assert seq.channels == 2
-    with monkeypatch.context() as m:
-        m.setattr(os, "fork", None)  # nothing to solve: nothing forked
-        assert pipeline.compute_flow(cfg) == 0
-    assert pipeline.compute_flow(cfg, force=True) == 7
+    first = flow_bytes(cfg)
+    assert pipeline.compute_flow(cfg) == 7
+    assert flow_bytes(cfg) == first
 
 
 def test_compute_flow_needs_two_frames_per_scene(tmp_path, monkeypatch):
@@ -223,7 +222,11 @@ def test_flow_killed_mid_scene_is_recomputed_on_rerun(tmp_path, monkeypatch):
     os.makedirs(stale)
     with open(os.path.join(stale, "junk"), "w") as fh:
         fh.write("junk")
-    assert pipeline.compute_flow(cfg) == 7 - len(done)
+    # the rerun solves the finished scenes too: no dir from before the kill survives
+    for vid in done:
+        with open(os.path.join(pipeline.artifact_path(cfg, "flow dir", vid), "marker"), "w"):
+            pass
+    assert pipeline.compute_flow(cfg) == 7
     assert flow_bytes(cfg) == clean
     scenes = {name.split(os.sep)[0] for name in clean}
     assert set(os.listdir(os.path.join(cfg.paths.work_dir, "flow"))) == scenes
