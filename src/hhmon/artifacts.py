@@ -25,26 +25,55 @@ def remove(path: str) -> None:
 
 
 @contextlib.contextmanager
-def publish(path: str):
-    """Yield `<path>.partial` for the block to write a file or directory at,
-    and rename it onto `path`, replacing what is there, once the block
-    completes: a reader finds the whole artifact or none.  A temp that a
-    killed run left is cleared first and the parent directory made; if the
-    block raises, the temp is removed.  Any `OSError`, the block's included,
-    raises a DataError naming `path`; other errors pass through."""
-    tmp = path + ".partial"
+def writing(path: str):
+    """Raise an `OSError` of the block as a DataError naming `path`; other
+    errors pass through."""
     try:
-        _remove(tmp)
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        try:
-            yield tmp
-            if os.path.isdir(path):  # os.replace renames a directory only onto an empty one
-                shutil.rmtree(path)
-            os.replace(tmp, path)
-        finally:
-            _remove(tmp)
+        yield
     except OSError as exc:
         raise DataError(f"{path}: cannot write: {exc}") from None
+
+
+@contextlib.contextmanager
+def staging(paths: list[str]):
+    """Yield the temp `<path>.partial` of each of `paths`, for this process
+    or its workers to write a file or directory at, and for `commit(path)`
+    to rename onto `path` once complete: a reader finds the whole artifact
+    or none.  A temp that a killed run left is cleared first and each parent
+    directory made; on leaving, error or not, every temp not committed is
+    removed.  An `OSError` in these steps raises a DataError naming its path."""
+    staged = []
+    try:
+        for path in paths:
+            with writing(path):
+                _remove(path + ".partial")
+                os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+            staged.append(path)
+        yield [path + ".partial" for path in staged]
+    finally:
+        for path in staged:
+            with writing(path):
+                _remove(path + ".partial")
+
+
+def commit(path: str) -> None:
+    """Rename the staged temp of `path` (see `staging`) onto it, replacing
+    what is there; an `OSError` raises a DataError naming `path`."""
+    with writing(path):
+        if os.path.isdir(path):  # os.replace renames a directory only onto an empty one
+            shutil.rmtree(path)
+        os.replace(path + ".partial", path)
+
+
+@contextlib.contextmanager
+def publish(path: str):
+    """Stage `path` (see `staging`), yield its temp for the block to write
+    a file or directory at, and commit it once the block completes; if the
+    block raises, the temp is removed.  Any `OSError`, the block's included,
+    raises a DataError naming `path`; other errors pass through."""
+    with staging([path]) as [tmp], writing(path):
+        yield tmp
+        commit(path)
 
 
 def write(path: str, data: bytes | str) -> None:

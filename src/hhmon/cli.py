@@ -144,7 +144,23 @@ _DISPATCH = {
 }
 
 
+@functools.cache
+def _pin_heap() -> None:
+    """Pin glibc's mmap and trim thresholds, once per process; a C library
+    without `mallopt` is left as it is.  glibc raises its mmap threshold
+    only once a large block has been freed, so a process that has not
+    trained would map every large array of an `infer` call afresh, and
+    fault in each of its pages, on every call."""
+    import ctypes
+
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt(-3, 16 << 20)  # M_MMAP_THRESHOLD: twice layers.COLUMN_BYTES
+        mallopt(-1, 32 << 20)  # M_TRIM_THRESHOLD: twice that, glibc's own dynamic rule
+
+
 def main(argv=None) -> int:
+    _pin_heap()
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, seed_override=args.seed)

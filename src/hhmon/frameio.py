@@ -112,28 +112,37 @@ def read_flo2(path: str) -> np.ndarray:
     return np.stack(planes.reshape(2, h, w), axis=-1)
 
 
+def save_frames(images: np.ndarray, directory: str, first: int = 0) -> None:
+    """Write each image of an (n, h, w, c) stack into `directory`, made if
+    missing, as frame files first, first + 1, ..., so that the workers of
+    one directory may each write a range of it."""
+    os.makedirs(directory, exist_ok=True)
+    ext, write = ("flo2", write_flo2) if images.shape[3] == 2 else ("ppm", write_ppm)
+    for i, image in enumerate(images, start=first):
+        write(image, os.path.join(directory, f"frame_{i:06d}.{ext}"))
+
+
+# The frame descriptor's keys, in the order meta.json lists them, and the
+# JSON types each must have.
+_DESCRIPTOR = {"width": int, "height": int, "fps": (int, float), "video_id": str,
+               "date_tag": str, "channels": int}
+
+
+def save_descriptor(meta: dict, directory: str) -> None:
+    """Publish the descriptor keys of `meta` as the meta.json of the frame
+    directory `directory`."""
+    artifacts.write(os.path.join(directory, "meta.json"),
+                    json.dumps({key: meta[key] for key in _DESCRIPTOR}, indent=1))
+
+
 def save_sequence(seq: FrameSequence, directory: str) -> None:
     """Write meta.json plus contiguously numbered frame files, as one
     directory published whole (`artifacts.publish`)."""
     with artifacts.publish(directory) as tmp:
-        os.mkdir(tmp)
-        meta = {
-            "width": seq.width,
-            "height": seq.height,
-            "fps": seq.fps,
-            "video_id": seq.video_id,
-            "date_tag": seq.date_tag,
-            "channels": seq.channels,
-        }
-        artifacts.write(os.path.join(tmp, "meta.json"), json.dumps(meta, indent=1))
-        ext, write = ("flo2", write_flo2) if seq.channels == 2 else ("ppm", write_ppm)
-        for i, image in enumerate(seq.data):
-            write(image, os.path.join(tmp, f"frame_{i:06d}.{ext}"))
-
-
-# The frame descriptor's keys and the JSON types each must have.
-_DESCRIPTOR = {"width": int, "height": int, "channels": int, "fps": (int, float),
-               "video_id": str, "date_tag": str}
+        save_frames(seq.data, tmp)
+        save_descriptor({"width": seq.width, "height": seq.height, "fps": seq.fps,
+                         "video_id": seq.video_id, "date_tag": seq.date_tag,
+                         "channels": seq.channels}, tmp)
 
 
 def load_descriptor(directory: str) -> dict:

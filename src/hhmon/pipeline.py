@@ -21,7 +21,7 @@ from . import (artifacts, checkpoint, clipset, frameio, metrics, model, pose, sy
                training, tvl1, workers)
 from .clipset import CLIP_LEN, AnnotationRecord, AugmentConfig
 from .config import PipelineConfig
-from .errors import DataError
+from .errors import DataError, ModelError
 from .metrics import ScoredClip
 
 
@@ -187,21 +187,12 @@ def stats_from_manifest(cfg: PipelineConfig, manifest: dict) -> str:
 
 # --- flow -----------------------------------------------------------------
 
-def _pair_ranges(n_pairs: int, n_ranges: int) -> list[tuple[int, int]]:
-    """At most `n_ranges` contiguous, non-empty pair ranges [a, b) that
-    cover pairs 0..n_pairs, of near-equal length."""
-    k = min(n_ranges, n_pairs)
-    bounds = [i * n_pairs // k for i in range(k + 1)]
+def _ranges(n: int, n_ranges: int) -> list[tuple[int, int]]:
+    """At most `n_ranges` contiguous ranges [a, b) of near-equal length that
+    cover 0..n: non-empty ones, or the one empty range when n is 0."""
+    k = max(1, min(n_ranges, n))
+    bounds = [i * n // k for i in range(k + 1)]
     return list(zip(bounds[:-1], bounds[1:]))
-
-
-def _save_flow(cfg: PipelineConfig, out_dir: str, meta: dict, parts: list) -> None:
-    """Write a scene's flow dir from the (u1, u2) of its ranges, in order."""
-    flow = tvl1.flow_frames(np.concatenate([u1 for u1, _ in parts]),
-                            np.concatenate([u2 for _, u2 in parts]), cfg.flow.max_flow)
-    frameio.save_sequence(frameio.FrameSequence(flow, fps=float(meta["fps"]),
-                                                video_id=meta["video_id"],
-                                                date_tag=meta["date_tag"]), out_dir)
 
 
 def compute_flow(cfg: PipelineConfig) -> int:
@@ -211,14 +202,17 @@ def compute_flow(cfg: PipelineConfig) -> int:
     per CPU.  Each scene is cut into that many contiguous pair ranges
     (fewer when it has fewer pairs) that share their boundary frames, and
     the (scene, range) jobs are handed out in scene order.  A worker loads
-    its range's frames a..b and solves pairs [a, b) with
-    `tvl1.sequence_flow`.  Every pair is solved as if alone, so the flow
-    equals, bit for bit, one `tvl1.sequence_flow` call.
+    its range's frames a..b, solves pairs [a, b) with `tvl1.sequence_flow`
+    and writes their flow frames a..b - 1, and frame b too when the range
+    ends the scene, into the scene's staged dir (`artifacts.staging`).
+    Every pair is solved as if alone and `tvl1.flow_frames` works frame by
+    frame, so each frame equals, bit for bit, that of one call on the scene.
 
-    A scene is joined and written here once its last range is in, so scenes
-    may be written out of order.  Its flow dir is published whole
-    (`frameio.save_sequence`), so it exists only once complete.  The flow
-    root is cleared first, so a run, killed or not, leaves only dirs it wrote.
+    Once a scene's last range is in, its meta.json is written here and its
+    dir committed whole, so scenes may be committed out of order, and a flow
+    dir exists only once complete.  The flow root is cleared first, and on
+    an error or interrupt every staged dir still present is removed, so a
+    run, killed or not, leaves only dirs it wrote.
     """
     manifest = synth.load_manifest(cfg.paths.dataset_dir)
     artifacts.remove(os.path.dirname(artifact_path(cfg, "flow dir")))  # every flow dir's parent
@@ -231,24 +225,31 @@ def compute_flow(cfg: PipelineConfig) -> int:
         if len(names) < 2:
             raise DataError(f"{meta['video_id']}: need at least 2 frames for flow, "
                             f"got {len(names)}")
-        scenes.append((frames_dir, out_dir, meta, _pair_ranges(len(names) - 1, n_workers)))
-    parts = [[] for _ in scenes]  # (a, (u1, u2)) of each range received so far
+        scenes.append((frames_dir, out_dir, meta, _ranges(len(names) - 1, n_workers)))
+    left = [len(ranges) for *_, ranges in scenes]  # ranges of each scene not yet in
 
     def solve(job):
         k, a, b = job
-        seq = frameio.load_sequence(scenes[k][0], slice(a, b + 1))
-        return tvl1.sequence_flow(seq.data, cfg.flow, f"{seq.video_id}: ")
+        frames_dir, out_dir, _, ranges = scenes[k]
+        seq = frameio.load_sequence(frames_dir, slice(a, b + 1))
+        flow = tvl1.flow_frames(*tvl1.sequence_flow(seq.data, cfg.flow, f"{seq.video_id}: "),
+                                cfg.flow.max_flow)
+        with artifacts.writing(out_dir):
+            frameio.save_frames(flow if b == ranges[-1][1] else flow[:-1], tmps[k], first=a)
 
-    def done(job, uv):
-        k, a, _ = job
-        _, out_dir, meta, ranges = scenes[k]
-        parts[k].append((a, uv))
-        if len(parts[k]) == len(ranges):
-            ordered, parts[k] = sorted(parts[k], key=lambda part: part[0]), None
-            _save_flow(cfg, out_dir, meta, [uv for _, uv in ordered])
+    def done(job, _):
+        k = job[0]
+        left[k] -= 1
+        if not left[k]:
+            meta = scenes[k][2]
+            frameio.save_descriptor(dict(meta, fps=float(meta["fps"]), channels=2), tmps[k])
+            artifacts.commit(scenes[k][1])
 
-    workers.run(solve, [(k, a, b) for k, (*_, ranges) in enumerate(scenes) for a, b in ranges],
-                lambda job: f"{scenes[job[0]][2]['video_id']} pairs {job[1]}-{job[2] - 1}", done)
+    with artifacts.staging([out_dir for _, out_dir, *_ in scenes]) as tmps:
+        workers.run(solve, [(k, a, b) for k, (*_, ranges) in enumerate(scenes)
+                            for a, b in ranges],
+                    lambda job: f"{scenes[job[0]][2]['video_id']} pairs {job[1]}-{job[2] - 1}",
+                    done)
     return len(scenes)
 
 
@@ -338,6 +339,39 @@ def _get_or_train_twin(cfg: PipelineConfig, recs: list[AnnotationRecord],
     return twin
 
 
+def _train_features(cfg: PipelineConfig, nets: list[model.Network],
+                    recs: list[AnnotationRecord], load):
+    """`training.extract_features(nets, ...)` over the training windows of
+    `recs`, in record order, computed in the worker pool.  Each record's
+    windows go out as contiguous ranges of at most half a worker's share of
+    all the windows, so that the workers end level; a worker reads the
+    record's scene and track once per range, samples each window once and
+    feeds it to every net alone, so each row has the bits of one serial
+    pass.  A record with no window reads its scene and track all the same,
+    and adds no row."""
+    starts = [_window_starts(cfg, rec) for rec in recs]
+    # the most windows a job holds: half a worker's share, rounded up
+    share = max(1, -(-sum(map(len, starts)) // (2 * workers.count())))
+    jobs = [(k, a, b) for k, s in enumerate(starts)
+            for a, b in _ranges(len(s), -(-len(s) // share))]
+    parts = {}  # job -> (features per net, labels), None for a record with no window
+
+    def extract(job):
+        k, a, b = job
+        clips = _record_clips(cfg, recs[k], load, "train", starts[k][a:b])
+        if a == b:
+            next(clips, None)  # reads the scene and the track, and yields nothing
+            return None
+        return training.extract_features(nets, ((x, recs[k].label) for x in clips))
+
+    workers.run(extract, jobs, lambda job: recs[job[0]].video_id, parts.__setitem__)
+    parts = [parts[job] for job in jobs if parts[job] is not None]
+    if not parts:
+        raise ModelError("no clips to extract features from")
+    return ([np.concatenate(f) for f in zip(*(f for f, _ in parts))],
+            np.concatenate([labels for _, labels in parts]))
+
+
 def train_stream(cfg: PipelineConfig, stream: str) -> TrainSummary:
     """Fit the head of one stream on its training windows.
 
@@ -345,7 +379,8 @@ def train_stream(cfg: PipelineConfig, stream: str) -> TrainSummary:
     head with a frozen backbone, and the head trains on cached backbone
     features.  For rgb, a random never-trained backbone (`rgb_scratch`) is
     the paired control; each window is sampled once and its batch goes
-    through both backbones."""
+    through both backbones.  The twin and the heads train here, the
+    features are extracted in the worker pool (`_train_features`)."""
     if stream not in ("rgb", "flow"):
         raise DataError(f"stream must be rgb or flow, got {stream!r}")
     train_recs = load_prepared(cfg, "train")
@@ -365,9 +400,7 @@ def train_stream(cfg: PipelineConfig, stream: str) -> TrainSummary:
     if stream == "rgb":
         nets.append(training.scratch_network(spec, cfg.seed, head_seed=cfg.seed + 1))
     load = load_rgb if stream == "rgb" else _scene_loader(cfg, "flow")
-    clips = ((x, rec.label) for rec in train_recs
-             for x in _record_clips(cfg, rec, load, "train", _window_starts(cfg, rec)))
-    feats, labels = training.extract_features(nets, clips)
+    feats, labels = _train_features(cfg, nets, train_recs, load)
     summary.n_windows = len(labels)
     curves = [training.train_head_on_features(n, f, labels, head_cfg, cfg.seed)
               for n, f in zip(nets, feats)]

@@ -1,4 +1,5 @@
-"""The pool of forked worker processes that `gen` and `flow` run their jobs in."""
+"""The pool of forked worker processes that `gen`, `flow` and `train` run
+their jobs in."""
 
 from __future__ import annotations
 
@@ -14,6 +15,28 @@ def count() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _blas_threads():
+    """The (get, set) thread-count calls of the OpenBLAS numpy runs its
+    products on, or None where numpy runs on another BLAS or neither call
+    is found.  numpy's extension module is linked against the library, so
+    its handle resolves the library's symbols."""
+    import ctypes
+
+    import numpy as np
+
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):  # numpy < 2 has no _core
+        return None
+    # numpy's wheels bundle scipy-openblas; a system OpenBLAS has the plain
+    # names.  Both calls take or return a C int, ctypes' default.
+    for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "")):
+        calls = [getattr(lib, f"{prefix}{op}_num_threads{suffix}", None) for op in ("get", "set")]
+        if None not in calls:
+            return calls
+    return None
 
 
 def _serve(conn, parent_ends, work) -> None:
@@ -66,29 +89,42 @@ def run(work, jobs: list, name, done=None) -> None:
     the main thread, from whichever pipe is ready
     (`multiprocessing.connection.wait`): a result thread, as in
     `concurrent.futures`, would unpickle them into a second malloc arena and
-    raise the peak RSS.  A worker's error is raised here as it arrives; a
-    worker that dies without a result raises an HhmonError that begins with
-    `name(job)`.  On return, error or interrupt the pipes are closed and the
-    workers terminated, so none outlives the call; a worker whose parent
-    was killed exits at its next receive or send.  Nothing is forked when
-    there are no jobs.
+    raise the peak RSS.  A worker's error is raised here, and a worker that
+    dies without a result raises an HhmonError that begins with `name(job)`.
+    Once a job has failed no more are handed out, and the jobs before it
+    that still run are waited for: of the jobs that fail, the first in job
+    order raises, as it would in a loop over the jobs.  On return, error or
+    interrupt the pipes are closed and the workers terminated, so none
+    outlives the call; a worker whose parent was killed exits at its next
+    receive or send.  Nothing is forked when there are no jobs.
+
+    The workers run OpenBLAS at one thread: the count is set to 1 here
+    before the fork, which copies it, and restored once the workers are
+    gone.  Each worker at the machine's thread count made the pool slower
+    than one process; set after the fork, in each worker, it was slower
+    than set before it.
     """
     if not jobs:
         return
     import multiprocessing  # here, not at the top: it adds about 10 ms to every import
     from multiprocessing.connection import wait
 
-    todo = list(jobs)[::-1]
-    running = {}  # pipe -> the job its worker runs
+    todo = list(enumerate(jobs))[::-1]
+    running = {}  # pipe -> (index, job) of the job its worker runs
+    failed = None  # (index, error) of the first job in order that failed so far
 
     def hand_out(conn):
-        if todo:
+        if todo and failed is None:
             running[conn] = todo.pop()
-            conn.send(running[conn])
+            conn.send(running[conn][1])
 
     fork = multiprocessing.get_context("fork")
     procs, conns = [], []
+    blas = _blas_threads()
+    threads = blas[0]() if blas else 0
     try:
+        if blas:  # before the fork, which copies it: one BLAS thread per worker
+            blas[1](1)
         for _ in range(min(count(), len(todo))):
             conn, child_end = fork.Pipe()
             conns.append(conn)
@@ -98,11 +134,18 @@ def run(work, jobs: list, name, done=None) -> None:
             hand_out(conn)
         while running:
             for conn in wait(list(running)):
-                job = running.pop(conn)
-                result = _receive(conn, name(job))
+                k, job = running.pop(conn)
+                try:
+                    result = _receive(conn, name(job))
+                except Exception as exc:  # raised below, once no earlier job runs
+                    if failed is None or k < failed[0]:
+                        failed = (k, exc)
+                    continue
                 hand_out(conn)
                 if done is not None:
                     done(job, result)
+            if failed is not None and all(k > failed[0] for k, _ in running.values()):
+                raise failed[1]
     finally:
         # closed first, so that a worker waiting for a job gets EOF: a SIGTERM
         # that lands just before its receive runs no handler until it returns
@@ -111,3 +154,5 @@ def run(work, jobs: list, name, done=None) -> None:
         for proc in procs:
             proc.terminate()  # harmless for a worker that has exited
             proc.join()
+        if blas:
+            blas[1](threads)

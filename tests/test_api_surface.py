@@ -5,13 +5,16 @@ module reads another's private names.  And importing the command line
 loads none of the standard library's heavier modules, which only some
 commands need and import where they use them.  Only `artifacts` and a
 short list of exempt functions open files, and only `artifacts` and the
-kernel compile delete them."""
+kernel compile delete them.  Only the worker pool forks, and only three
+places call into C through ctypes."""
 
 import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hhmon"
 
@@ -91,12 +94,13 @@ def test_importing_the_cli_loads_no_heavy_stdlib_module():
 
 # The only code that opens a file: the reader and writer of the files stages
 # hand each other, the frame writers inside a directory `save_sequence`
-# publishes, the hash of the C kernels' source and the command lock.
+# publishes or `flow` stages, the hash of the C kernels' source and the
+# command lock.
 OPENERS = {"artifacts", "frameio.write_ppm", "frameio.write_flo2", "_accel.library_path",
            "cli._command_lock"}
 
 # The only code that deletes a file or a tree: `artifacts` (`remove`, and
-# `publish`'s temps) and the compile of the C kernels, which removes its
+# the temps of `staging` and `publish`) and the compile of the C kernels, which removes its
 # temp and the libraries of other keys.
 DELETERS = {"artifacts", "_accel.build"}
 _DELETES = {("shutil", "rmtree"), ("os", "remove"), ("os", "unlink"), ("os", "rmdir")}
@@ -143,3 +147,23 @@ def test_only_the_allowed_code_opens_a_file():
 
 def test_only_the_allowed_code_deletes_a_file():
     _check_only(DELETERS, _deletes)
+
+
+# The only code that imports each of these modules: the worker pool forks,
+# and ctypes serves the kernel binding, the pool's OpenBLAS thread count and
+# the command line's heap thresholds.
+IMPORTERS = {"multiprocessing": {"workers"}, "ctypes": {"_accel", "workers", "cli"}}
+
+
+def _imports(module):
+    def hit(node):
+        if isinstance(node, ast.Import):
+            return any(alias.name.split(".")[0] == module for alias in node.names)
+        return (isinstance(node, ast.ImportFrom) and not node.level
+                and node.module.split(".")[0] == module)
+    return hit
+
+
+@pytest.mark.parametrize("module", sorted(IMPORTERS))
+def test_only_the_allowed_code_imports_multiprocessing_or_ctypes(module):
+    _check_only(IMPORTERS[module], _imports(module))

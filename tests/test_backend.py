@@ -19,7 +19,7 @@ import pytest
 from helpers import (smooth_texture, spy_warp_energies, tree_bytes, tvl1_iterations_oracle,
                      use_kernels, warp_bilinear_oracle, warp_coords_oracle)
 
-from hhmon import _accel, _purekernels, backend, frameio, pipeline, synth, tvl1
+from hhmon import _accel, _purekernels, artifacts, backend, frameio, pipeline, synth, tvl1
 from hhmon.config import PipelineConfig
 from hhmon.frameio import FrameSequence
 from hhmon.tvl1 import TvL1Params, _centered_gradient, flow_frames, sequence_flow, tvl1_flow
@@ -627,7 +627,7 @@ def test_flow_workers_write_the_bytes_of_a_serial_loop(tmp_path, monkeypatch, ac
         frameio.save_sequence(out, str(serial / entry["video_id"]))
     want = tree_bytes(serial)
     ranges, written = [], []
-    split, load, save = pipeline._pair_ranges, frameio.load_sequence, frameio.save_sequence
+    split, load, commit = pipeline._ranges, frameio.load_sequence, artifacts.commit
 
     def recording_split(*args):
         ranges.append(split(*args))
@@ -641,13 +641,14 @@ def test_flow_workers_write_the_bytes_of_a_serial_loop(tmp_path, monkeypatch, ac
                 time.sleep(0.01)
         return load(frames_dir, frames)
 
-    def recording_save(seq, out_dir):
-        written.append(os.path.basename(out_dir))
-        save(seq, out_dir)
+    def recording_commit(path):  # the parent commits each scene's flow dir and its meta.json
+        if os.path.basename(os.path.dirname(path)) == "flow":
+            written.append(os.path.basename(path))
+        commit(path)
 
-    monkeypatch.setattr(pipeline, "_pair_ranges", recording_split)
+    monkeypatch.setattr(pipeline, "_ranges", recording_split)
     monkeypatch.setattr(frameio, "load_sequence", slow_first_job)
-    monkeypatch.setattr(frameio, "save_sequence", recording_save)
+    monkeypatch.setattr(artifacts, "commit", recording_commit)
     for workers in worker_counts:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=workers: set(range(n)))
         cfg.paths.work_dir = str(tmp_path / f"work{workers}")

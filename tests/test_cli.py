@@ -4,6 +4,7 @@ import errno
 import json
 import multiprocessing
 import os
+import platform
 import re
 import shutil
 import signal
@@ -545,7 +546,9 @@ def test_a_worker_data_error_exits_3_and_leaves_no_worker(tmp_path, capsys, monk
     capsys.readouterr()
     assert cli.main(["flow", "--config", path]) == 3
     assert capsys.readouterr().err == f"error: {video_id}: flow input has non-finite values\n"
-    assert not (tmp_path / "work" / "flow" / f"{video_id}.partial").exists()
+    # no scene's staged dir is left, the failing scene's or another's
+    flow_root = tmp_path / "work" / "flow"
+    assert not [p for p in flow_root.iterdir() if p.name.endswith(".partial")]
     assert multiprocessing.active_children() == []
 
 
@@ -559,13 +562,15 @@ def _state(pid):
 
 
 def _kill_with_workers_running(path, command, sig):
-    """Run `hhmon <command>` in a child process, send it `sig` once it has
-    forked its workers, and check that none is alive 2 s after it died."""
+    """Run `hhmon <command>` (a word or a list of them) in a child process,
+    send it `sig` once it has forked its workers, and check that none is
+    alive 2 s after it died."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = [command] if isinstance(command, str) else command
     child = subprocess.Popen(
         [sys.executable, "-c", "import sys; from hhmon import cli; sys.exit(cli.main(sys.argv[1:]))",
-         command, "--config", path], env=env, stdout=subprocess.DEVNULL,
+         *argv, "--config", path], env=env, stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL)
     children = f"/proc/{child.pid}/task/{child.pid}/children"
     pids = []
@@ -701,6 +706,64 @@ def test_a_killed_gen_leaves_no_worker_and_a_forced_rerun_writes_clean_bytes(tmp
     assert tree_bytes(dataset) == want
 
 
+@needs_children_list
+def test_a_terminated_train_leaves_no_worker_and_no_partial_checkpoint(tmp_path):
+    path = write_cfg(tmp_path)
+    for argv in (["gen"], ["prepare"]):
+        assert cli.main(argv + ["--config", path]) == 0
+    _kill_with_workers_running(path, ["train", "--stream", "rgb"], signal.SIGTERM)
+    ckpt = tmp_path / "ckpt"
+    assert os.listdir(ckpt) == ["twin2d.swnet"]  # published before the pool forks
+    assert cli.main(["train", "--stream", "rgb", "--config", path]) == 0
+    assert sorted(os.listdir(ckpt)) == ["rgb.swnet", "rgb_scratch.swnet", "twin2d.swnet"]
+
+
+def test_a_train_worker_data_error_keeps_its_message_and_exit_code(tmp_path, capsys):
+    # the desk tree of perfbench's desk_pipeline, with joints dropped so that
+    # some tracks have holes, and a twin of the configured layout in place,
+    # so that no stills are built and the first error is raised in the pool
+    gen = {"n_rubbing": 3, "n_other": 3, "n_synthetic_rubbing": 2, "n_frames_min": 23,
+           "n_frames_max": 23, "joint_dropout": 0.4}
+    path = str(tmp_path / "config.json")
+    (tmp_path / "config.json").write_text(json.dumps({"seed": 0, "gen": gen, "paths": {
+        f"{name}_dir": str(tmp_path / name) for name in ("dataset", "work", "checkpoint",
+                                                         "report")}}))
+    for argv in (["gen"], ["prepare"]):
+        assert cli.main(argv + ["--config", path]) == 0
+    cfg = config.load_config(path)
+    twin = model.Network.init(model.collapse_temporal(model.i3d_mini(3, cfg.clip.input_size)),
+                              seed=0)
+    checkpoint.save_network(twin, pipeline.artifact_path(cfg, "checkpoint", "twin2d"))
+    capsys.readouterr()
+    assert cli.main(["train", "--stream", "rgb", "--config", path]) == 3
+    # rub_001 is the first of the training records whose track has a hole
+    assert capsys.readouterr().err == "error: rub_001: track 0 has no box at frame 0\n"
+    assert multiprocessing.active_children() == []
+    assert os.listdir(tmp_path / "checkpoint") == ["twin2d.swnet"]
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc's heap only")
+def test_the_cli_pins_the_heap_so_a_freed_array_is_reused_without_faults():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = """
+import resource
+import numpy as np
+from hhmon import cli
+cli.main(["prepare", "--print-config"])
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    a = np.ones(1 << 20, dtype=np.float32)  # 4 MiB
+    del a
+    print("faults", resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    first, second = (int(line.split()[1]) for line in out.splitlines()
+                     if line.startswith("faults "))
+    assert second < 50, (first, second)
+
+
 @pytest.mark.parametrize("artifact", ["frames", "keypoints"])
 def test_a_gen_worker_write_error_exits_3_and_leaves_no_worker(tmp_path, capsys, monkeypatch,
                                                               artifact):
@@ -761,19 +824,18 @@ def test_a_worker_that_dies_mid_job_exits_1_without_a_traceback(tmp_path, capsys
 
 # A child that runs one command and dies (exit 137) inside the publish of
 # the artifact at argv[1]: after its temp is written, before the rename.
+# Every publish ends in `artifacts.commit`, `publish`'s and flow's alike.
 _DIE_AT_PUBLISH = """
-import contextlib, os, sys
+import os, sys
 from hhmon import artifacts, cli
-target, publish = sys.argv[1], artifacts.publish
+target, commit = sys.argv[1], artifacts.commit
 
-@contextlib.contextmanager
 def dying(path):
-    with publish(path) as tmp:
-        yield tmp
-        if os.path.abspath(path) == target:
-            os._exit(137)
+    if os.path.abspath(path) == target:
+        os._exit(137)
+    commit(path)
 
-artifacts.publish = dying
+artifacts.commit = dying
 sys.exit(cli.main(sys.argv[2:]))
 """
 

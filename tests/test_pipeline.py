@@ -17,7 +17,7 @@ from hhmon import (checkpoint, cli, clipset, config, frameio, metrics, model, pi
                    tracking, training)
 from hhmon.clipset import CLIP_LEN, AnnotationRecord, AugmentConfig, split_dataset, window_starts
 from hhmon.config import PipelineConfig
-from hhmon.errors import DataError
+from hhmon.errors import DataError, ModelError
 from hhmon.frameio import FrameSequence
 from hhmon.pose import BBox
 
@@ -197,17 +197,21 @@ def test_flow_killed_mid_scene_is_recomputed_on_rerun(tmp_path, monkeypatch):
     pipeline.generate(cfg)
     pipeline.prepare(cfg)
     write = frameio.write_flo2
-    n_frames = sum(1 for name in clean if name.endswith(".flo2"))
-    k = n_frames // 2  # in the middle of a scene, not on its boundary
-    calls = []
+    parent = os.getpid()
+    # oth_000 is the fourth scene, so at least two scenes are committed
+    # before its ranges are handed out, on any number of workers
+    mid_scene = os.path.join("oth_000.partial", "frame_000009.flo2")
 
-    def dying_write(flow, path):
-        calls.append(path)
-        if len(calls) > k:
-            raise KeyboardInterrupt("killed")
+    def interrupting_write(flow, path):
+        # the worker writing oth_000 presses Ctrl-C on flow halfway through
+        # the scene and waits there, in the scene's staged dir, until flow
+        # terminates it
+        if path.endswith(mid_scene):
+            os.kill(parent, signal.SIGINT)
+            time.sleep(60)
         write(flow, path)
 
-    monkeypatch.setattr(frameio, "write_flo2", dying_write)
+    monkeypatch.setattr(frameio, "write_flo2", interrupting_write)  # before the pool forks
     with pytest.raises(KeyboardInterrupt):
         pipeline.compute_flow(cfg)
     assert multiprocessing.active_children() == []
@@ -277,17 +281,21 @@ def test_train_rgb_samples_each_window_once(tmp_path, monkeypatch):
     pipeline.generate(cfg)
     pipeline.prepare(cfg)
     train_recs = pipeline.load_prepared(cfg, "train")
-    sampled = []
+    log = tmp_path / "sampled.txt"
     original = clipset.sample_clip
 
     def counting(seq, track, start, *args, **kwargs):
+        # windows are sampled in the workers, so each sample is logged to a
+        # file, one appended line at a time
         if kwargs.get("n_frames", CLIP_LEN) == CLIP_LEN:
-            sampled.append((seq.video_id, start))
+            with open(log, "a") as fh:
+                fh.write(f"{seq.video_id} {start}\n")
         return original(seq, track, start, *args, **kwargs)
 
-    monkeypatch.setattr(clipset, "sample_clip", counting)
+    monkeypatch.setattr(clipset, "sample_clip", counting)  # before the pool forks
     summary = pipeline.train_stream(cfg, "rgb")
     monkeypatch.undo()
+    sampled = log.read_text().splitlines()
     assert summary.n_windows > 0
     assert len(sampled) == len(set(sampled)) == summary.n_windows
 
@@ -307,6 +315,79 @@ def test_train_rgb_samples_each_window_once(tmp_path, monkeypatch):
         saved = checkpoint.load_network(pipeline.artifact_path(cfg, "checkpoint", name))
         for key in ("head.w", "head.b"):
             assert np.array_equal(saved.params[key], net.params[key]), (name, key)
+
+
+def _serial_features(cfg, nets, recs):
+    """`training.extract_features` over the training windows of `recs` in
+    one pass, in this process: the loop the pool must reproduce."""
+    load = pipeline._scene_loader(cfg, "rgb")
+    clips = ((x, r.label) for r in recs
+             for x in pipeline._record_clips(cfg, r, load, "train", pipeline._window_starts(cfg, r)))
+    return training.extract_features(nets, clips)
+
+
+def _rgb_nets(cfg, twin):
+    spec = model.i3d_mini(in_channels=3, input_size=cfg.clip.input_size)
+    return [training.inflate_and_freeze(twin, spec, head_seed=cfg.seed + 1),
+            training.scratch_network(spec, cfg.seed, head_seed=cfg.seed + 1)]
+
+
+@pytest.mark.parametrize("n_workers", [1, 2, 3])
+def test_pooled_train_features_equal_one_serial_pass(prepared, monkeypatch, n_workers):
+    cfg, _, _ = prepared
+    recs = pipeline.load_prepared(cfg, "train")
+    spec = model.i3d_mini(in_channels=3, input_size=cfg.clip.input_size)
+    nets = _rgb_nets(cfg, model.Network.init(model.collapse_temporal(spec), seed=3))
+    want_feats, want_labels = _serial_features(cfg, nets, recs)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_workers)),
+                        raising=False)
+    feats, labels = pipeline._train_features(cfg, nets, recs, pipeline._scene_loader(cfg, "rgb"))
+    assert len(recs) >= n_workers and len(labels) > len(recs)
+    assert labels.dtype == want_labels.dtype and np.array_equal(labels, want_labels)
+    for got, want in zip(feats, want_feats, strict=True):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_a_training_record_without_a_window_adds_no_row(tmp_path):
+    cfg = tiny_cfg(tmp_path)
+    cfg.train = replace(cfg.train, pretrain_epochs=1, epochs=2, stills_per_scene=2)
+    pipeline.generate(cfg)
+    pipeline.prepare(cfg)
+    path = pipeline.artifact_path(cfg, "annotations")
+    records = clipset.load_annotations(path)
+    train = [k for k, r in enumerate(records) if r.split == "train"]
+    assert len(train) > 1
+    short = replace(records[train[0]], end_frame=records[train[0]].start_frame + 12)
+    records[train[0]] = short
+    clipset.save_annotations(records, path)
+
+    summary = pipeline.train_stream(cfg, "rgb")
+    recs = pipeline.load_prepared(cfg, "train")
+    assert pipeline._window_starts(cfg, recs[0]) == []
+    twin = checkpoint.load_network(pipeline.artifact_path(cfg, "checkpoint", "twin2d"))
+    nets = _rgb_nets(cfg, twin)
+    feats, labels = _serial_features(cfg, nets, recs)
+    assert summary.n_windows == len(labels)
+    head_cfg = replace(cfg.train, lr=cfg.train.head_lr)
+    for name, net, f in zip(("rgb", "rgb_scratch"), nets, feats):
+        training.train_head_on_features(net, f, labels, head_cfg, cfg.seed)
+        want = tmp_path / f"serial-{name}.swnet"
+        checkpoint.save_network(net, str(want))
+        saved = pipeline.artifact_path(cfg, "checkpoint", name)
+        assert open(saved, "rb").read() == want.read_bytes(), name
+
+    # the short record still reads its track
+    records[train[0]] = replace(short, track_id=99)
+    clipset.save_annotations(records, path)
+    with pytest.raises(DataError, match=f"^{short.video_id}: track 99 not found"):
+        pipeline.train_stream(cfg, "rgb")
+    # a split with no window at all has no features
+    records = [replace(r, end_frame=r.start_frame + 12) if r.split == "train" else r
+               for r in records]
+    records[train[0]] = short
+    clipset.save_annotations(records, path)
+    with pytest.raises(ModelError, match="^no clips to extract features from$"):
+        pipeline.train_stream(cfg, "rgb")
 
 
 def test_evaluate_requires_some_checkpoint(prepared):

@@ -1,5 +1,5 @@
-"""The worker pool's size and how it ends its workers; tests/test_cli.py
-covers the pool under `gen` and `flow`."""
+"""The worker pool's size, its BLAS threads, its errors and how it ends its
+workers; tests/test_cli.py covers the pool under `gen`, `flow` and `train`."""
 
 import multiprocessing
 import os
@@ -52,4 +52,42 @@ def test_an_idle_worker_that_misses_its_sigterm_still_ends(monkeypatch):
         signal.signal(signal.SIGALRM, previous)
         for proc in multiprocessing.active_children():  # after a failure
             proc.kill()
+    assert multiprocessing.active_children() == []
+
+
+def test_the_workers_run_one_blas_thread_and_the_parents_count_is_restored(monkeypatch):
+    blas = workers._blas_threads()
+    if blas is None:
+        pytest.skip("numpy does not run on OpenBLAS here")
+    get, put = blas
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    def failing(job):
+        raise DataError("failed")
+
+    before = get()
+    try:
+        put(2)
+        seen = []
+        workers.run(lambda job: get(), [0, 1, 2], str, lambda job, threads: seen.append(threads))
+        assert seen == [1, 1, 1]
+        assert get() == 2
+        with pytest.raises(DataError, match="failed"):
+            workers.run(failing, [0], str)
+        assert get() == 2
+    finally:
+        put(before)
+
+
+def test_of_the_jobs_that_fail_the_first_in_job_order_raises(monkeypatch):
+    # job 0 fails last, after job 1 and job 2 have failed: a loop over the
+    # jobs would have stopped at job 0
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+
+    def work(job):
+        time.sleep(0.3 - 0.1 * job)
+        raise DataError(f"job {job} failed")
+
+    with pytest.raises(DataError, match="^job 0 failed$"):
+        workers.run(work, [0, 1, 2], str)
     assert multiprocessing.active_children() == []
