@@ -4,14 +4,19 @@
 Both implementations share one contract, (P, H, W) stacks of planes, so
 besides the timings the script reports the worst output disagreement per
 row, which must be exactly zero.  Three stacks get a row per kernel: the
-coordinate pass (`warp_coords`), the three images the solver samples there
-(`warp_bilinear x3`) and the fixed-point iterations (`tvl1_iterations`).
-They are one --size x --size plane, 8 planes at 96x72 (the frame size of the
-default pipeline) and 1x144x192, the finest stack of a 192x144 solve.  The
-whole solver then runs, through `sequence_flow`, on a 23-frame generated
-desk scene (the mean default length) at 96x72 and at 192x144.  The compiled
-rows run a library that the package's builder compiles into a temporary
-directory, whichever backend the package selected.
+coordinate pass (`warp_coords`) and the three images the solver samples
+there (`warp_bilinear x3`), each on a random flow of std 2 px and on a
+smooth one like the solver's (random flows scatter the gathers, so the two
+rank layouts differently); the pyramid's blur (`gaussian_blur`); the
+linearized data term (`data_terms`); and the fixed-point iterations
+(`tvl1_iterations`).  The stacks are one --size x --size plane, 8 planes at
+96x72 (the frame size of the default pipeline) and 1x144x192, the finest
+stack of a 192x144 solve.  The whole solver then runs, through
+`sequence_flow`, on a 23-frame generated desk scene (the mean default
+length) at 96x72 and at 192x144.  The compiled rows run a library that the
+package's builder compiles into a temporary directory, whichever backend
+the package selected; on x86-64 the loader picks its AVX2 clones where the
+host has AVX2.
 
 Stage times are in perfbench's `detail` line and per-layer times come from
 its `--trace 1`; this script times only what perfbench cannot run, the two
@@ -66,17 +71,35 @@ def stack_rows(label, shape, n_iters, repeats):
     p, h, w = shape
     img = np.stack([texture(rng, h, w) for _ in range(p)]) * np.float32(255.0)
     images = (img, *tvl1._centered_gradient(img))
-    u, v = (rng.standard_normal(shape).astype(np.float32) * 2.0 for _ in range(2))
-    at = _purekernels.warp_coords(u, v)  # either backend's sampler takes these
+    flows = {
+        "": [rng.standard_normal(shape).astype(np.float32) * 2.0 for _ in range(2)],
+        "smooth ": [(np.stack([texture(rng, h, w) for _ in range(p)]) - np.float32(0.5))
+                    * np.float32(4.0) for _ in range(2)],
+    }
     I1wx, I1wy, rho_c = (rng.standard_normal(shape).astype(np.float32) for _ in range(3))
     grad = I1wx**2 + I1wy**2
+    taps = tvl1._blur_taps(tvl1.TvL1Params().pyramid_factor)
 
-    def coords(mod):
-        t, out = best_of(lambda: mod.warp_coords(u, v), repeats)
-        return t, np.stack([a.astype(np.float64) for a in out])
+    def coords(u, v):
+        def run(mod):
+            t, out = best_of(lambda: mod.warp_coords(u, v), repeats)
+            return t, np.concatenate([a.astype(np.float64).ravel() for a in out])
+        return run
 
-    def samples(mod):
-        return best_of(lambda: np.stack([mod.warp_bilinear(a, at) for a in images]), repeats)
+    def samples(u, v):
+        at = _purekernels.warp_coords(u, v)  # either backend's sampler takes these
+
+        def run(mod):
+            return best_of(lambda: np.stack([mod.warp_bilinear(a, at) for a in images]),
+                           repeats)
+        return run
+
+    def blur(mod):
+        return best_of(lambda: mod.gaussian_blur(img, taps), repeats)
+
+    def data(mod):
+        t, out = best_of(lambda: mod.data_terms(rho_c, *images, I1wx, I1wy), repeats)
+        return t, np.stack(out)
 
     def iterations(mod):
         times = []
@@ -91,22 +114,23 @@ def stack_rows(label, shape, n_iters, repeats):
             times.append(time.perf_counter() - t0)
         return min(times), np.stack(out[:2])
 
-    return [(f"warp_coords {label}", coords), (f"warp_bilinear x3 {label}", samples),
-            (f"tvl1_iterations x{n_iters} {label}", iterations)]
-
-
-KERNELS = ("warp_coords", "warp_bilinear", "tvl1_iterations")
+    rows = []
+    for kind, (u, v) in flows.items():
+        rows += [(f"warp_coords {kind}{label}", coords(u, v)),
+                 (f"warp_bilinear x3 {kind}{label}", samples(u, v))]
+    return rows + [(f"gaussian_blur {label}", blur), (f"data_terms {label}", data),
+                   (f"tvl1_iterations x{n_iters} {label}", iterations)]
 
 
 def on_backend(mod, fn):
     """fn() with the solver pointed at the kernels of mod."""
-    saved = [getattr(backend, k) for k in KERNELS]
-    for k in KERNELS:
+    saved = [getattr(backend, k) for k in backend.KERNELS]
+    for k in backend.KERNELS:
         setattr(backend, k, getattr(mod, k))
     try:
         return fn()
     finally:
-        for k, fn_saved in zip(KERNELS, saved):
+        for k, fn_saved in zip(backend.KERNELS, saved):
             setattr(backend, k, fn_saved)
 
 

@@ -9,17 +9,19 @@ with, into a temp file unique to the process, and moves it into place, so
 concurrent first builds leave one whole library.  It then removes the
 libraries of other keys from the directory, which every edit of the C or
 its flags would otherwise leave behind.  A hit reads and hashes
-the 11 KB source and nothing more: `subprocess` and `sysconfig` are imported
+the 15 KB source and nothing more: `subprocess` and `sysconfig` are imported
 only to compile.  `backend` builds into this directory on import.
 
 `CompiledKernels(path)` loads that library (raising OSError when it does not
-load, AttributeError when it lacks an entry point) and offers the three
-`_purekernels` entry points with the same arguments and return values, bit
-for bit but for the sign of a NaN (see `_purekernels`):
+load, AttributeError when it lacks an entry point) and offers the
+`_purekernels` entry points, `backend.KERNELS`, with the same arguments and
+return values, bit for bit but for the sign of a NaN (see `_purekernels`):
 (P, H, W) stacks of planes in, one ctypes call per stack, and for
 `tvl1_iterations` the largest iteration count over the planes as the last
 element.  Every array is checked here, before a pointer reaches C, because
-the C code trusts its buffers and sizes.
+the C code trusts its buffers and sizes.  The hot loops of the library come
+in a baseline and an AVX2 build, and the loader picks one for the host (see
+flowkernels.c).
 """
 
 from __future__ import annotations
@@ -48,9 +50,20 @@ FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fno-trapping-math", "-
 _ADDR = ctypes.c_void_p
 
 
-# The dtypes of the coordinate arrays warp_coords returns: four corner
-# indices, then two weights.
-_COORD_DTYPES = (np.dtype(np.intp),) * 4 + (np.dtype(np.float64),) * 2
+def _address(a: np.ndarray) -> int:
+    """The address of a's data: through ctypes' buffer protocol, 0.55 us
+    against 2.3 for `a.ctypes.data`, which serves the read-only and the
+    empty arrays that a writable ctypes buffer refuses."""
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(a))
+    except (TypeError, ValueError):
+        return a.ctypes.data
+
+
+# The dtypes of the coordinate arrays warp_coords returns: the top-left
+# index, the corner bits, then the two fractions.
+_COORD_DTYPES = (np.dtype(np.intp), np.dtype(np.uint8), np.dtype(np.float32),
+                 np.dtype(np.float32))
 
 
 def _checked_shape(name: str, arrays, dtypes=None) -> tuple[int, int, int]:
@@ -120,10 +133,14 @@ def build(directory: str = HERE, source: str = SOURCE, flags=FLAGS) -> str:
 class CompiledKernels:
     def __init__(self, path: str):
         lib = ctypes.CDLL(path)
-        lib.warp_coords.argtypes = [_ADDR] * 8 + [ctypes.c_int] * 3
+        lib.warp_coords.argtypes = [_ADDR] * 6 + [ctypes.c_int] * 3
         lib.warp_coords.restype = None
-        lib.warp_bilinear.argtypes = [_ADDR] * 8 + [ctypes.c_int] * 3
+        lib.warp_bilinear.argtypes = [_ADDR] * 6 + [ctypes.c_int] * 3
         lib.warp_bilinear.restype = ctypes.c_int
+        lib.gaussian_blur.argtypes = [_ADDR, _ADDR, ctypes.c_int, _ADDR] + [ctypes.c_int] * 3
+        lib.gaussian_blur.restype = ctypes.c_int
+        lib.data_terms.argtypes = [_ADDR] * 8 + [ctypes.c_size_t]
+        lib.data_terms.restype = None
         lib.tvl1_iterations.argtypes = ([_ADDR] * 12 + [ctypes.c_int] * 3
                                         + [ctypes.c_double] * 3
                                         + [ctypes.c_int, ctypes.c_double])
@@ -134,22 +151,45 @@ class CompiledKernels:
         """Where bilinear sampling at (x + u, y + v) reads each pixel of a stack."""
         shape = _checked_shape("warp_coords", (u, v))
         coords = tuple(np.empty(shape, dtype=d) for d in _COORD_DTYPES)
-        self._lib.warp_coords(*(a.ctypes.data for a in (u, v, *coords)), *shape)
+        self._lib.warp_coords(*map(_address, (u, v, *coords)), *shape)
         return coords
 
     def warp_bilinear(self, img, coords) -> np.ndarray:
         """Sample img with bilinear weights at the coordinates `warp_coords` found.
 
-        The six coordinate arrays count as arguments 1 to 6 in errors.
+        The four coordinate arrays count as arguments 1 to 4 in errors.
         """
         if not (isinstance(coords, tuple) and len(coords) == len(_COORD_DTYPES)):
-            raise ValueError("warp_bilinear: coords must be the 6-tuple warp_coords returns")
+            raise ValueError("warp_bilinear: coords must be the 4-tuple warp_coords returns")
         shape = _checked_shape("warp_bilinear", (img, *coords),
                                (np.dtype(np.float32), *_COORD_DTYPES))
         out = np.empty(shape, dtype=np.float32)
-        if self._lib.warp_bilinear(*(a.ctypes.data for a in (img, *coords, out)), *shape):
+        if self._lib.warp_bilinear(*map(_address, (img, *coords, out)), *shape):
             raise ValueError("warp_bilinear: a coordinate index falls outside the stack")
         return out
+
+    def gaussian_blur(self, img, taps) -> np.ndarray:
+        """Separable blur of each plane of a stack with odd float64 taps,
+        edges replicated."""
+        shape = _checked_shape("gaussian_blur", (img,))
+        if not (isinstance(taps, np.ndarray) and taps.dtype == np.float64 and taps.ndim == 1
+                and taps.size % 2 and taps.flags.c_contiguous):
+            raise ValueError("gaussian_blur: taps must be an odd-length 1-D float64 array")
+        if not (shape[1] and shape[2]):
+            raise ValueError(f"gaussian_blur: planes of shape {shape[1:]} have no pixel")
+        out = np.empty(shape, dtype=np.float32)
+        if self._lib.gaussian_blur(_address(img), _address(taps), taps.size, _address(out),
+                                   *shape):
+            raise MemoryError("gaussian_blur: cannot allocate a scratch plane")
+        return out
+
+    def data_terms(self, I0, I1w, I1wx, I1wy, u1, u2) -> tuple:
+        """(grad, rho_c) of one warp's linearization."""
+        shape = _checked_shape("data_terms", (I0, I1w, I1wx, I1wy, u1, u2))
+        grad, rho_c = np.empty(shape, dtype=np.float32), np.empty(shape, dtype=np.float32)
+        self._lib.data_terms(*map(_address, (I0, I1w, I1wx, I1wy, u1, u2, grad, rho_c)),
+                             grad.size)
+        return grad, rho_c
 
     def tvl1_iterations(self, I1wx, I1wy, rho_c, grad, u1, u2, p11, p12, p21, p22,
                         lam, theta, tau, n_iters, stop_eps2) -> tuple:
@@ -165,7 +205,7 @@ class CompiledKernels:
         u1n, u2n = np.empty_like(u1), np.empty_like(u2)
         planes = (I1wx, I1wy, rho_c, grad, u1, u2, u1n, u2n, p11, p12, p21, p22)
         done = self._lib.tvl1_iterations(
-            *(a.ctypes.data for a in planes), *shape,
+            *map(_address, planes), *shape,
             float(lam), float(theta), float(tau), int(n_iters), float(stop_eps2))
         if done < 0:
             raise MemoryError("tvl1_iterations: cannot allocate a row of zeros")

@@ -18,6 +18,12 @@
    sqrtf skip setting errno on a negative argument, which never comes (the
    sum of two squares is +0, positive or NaN).  Neither allows reordering,
    contraction or a finite-math assumption.
+   The hot loops are DISPATCH functions: on x86-64 glibc they are compiled
+   twice, for baseline x86-64 and for AVX2, and the loader picks one by the
+   host's CPU (an ifunc), so every library runs on any x86-64 host.  Both
+   give the same bits: -ffp-contract=off holds in every clone, so there is
+   no FMA; division and sqrtf are correctly rounded at any vector width;
+   and the eight error lanes keep their order.
    tvl1_iterations stops each plane on its own and returns the largest count
    any plane ran.  The ctypes binding in __init__.py checks the type, shape
    and layout of every array before a pointer gets here; warp_bilinear
@@ -25,56 +31,142 @@
 
 #include <math.h>
 #include <stddef.h>
+#include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
-/* Where bilinear sampling at (x + u, y + v) reads each pixel: the flat
-   indices of the four corners into the whole stack and the weights towards
-   the right and the lower corners, the same arrays as warp_coords in
-   _purekernels.py. */
-void warp_coords(const float *u, const float *v, ptrdiff_t *i00, ptrdiff_t *i01,
-                 ptrdiff_t *i10, ptrdiff_t *i11, double *fx, double *fy, int p, int h, int w)
+/* target_clones needs ifunc support: GCC or Clang, x86-64, ELF and glibc.
+   Anywhere else the plain functions are compiled. */
+#if defined(__x86_64__) && defined(__ELF__) && defined(__GLIBC__) && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define DISPATCH __attribute__((target_clones("avx2", "default")))
+#endif
+#endif
+#ifndef DISPATCH
+#define DISPATCH
+#endif
+
+/* Where bilinear sampling at (x + u, y + v) reads each pixel, the same
+   arrays as warp_coords in _purekernels.py: the flat index of the top-left
+   corner into the whole stack; bit 0 of corners set when the right corner
+   lies one column further, bit 1 when the lower one lies one row further
+   (else they are clamped onto the last column or row); and the fractions
+   towards them, which are exact in float32. */
+DISPATCH
+void warp_coords(const float *restrict u, const float *restrict v, ptrdiff_t *restrict index,
+                 uint8_t *restrict corners, float *restrict fx, float *restrict fy, int p,
+                 int h, int w)
 {
     const float wm1 = (float)(w - 1), hm1 = (float)(h - 1);
-    size_t i = 0;
     for (int k = 0; k < p; k++) {
         for (int y = 0; y < h; y++) {
-            for (int x = 0; x < w; x++, i++) {
-                float xx = (float)x + u[i];
-                float yy = (float)y + v[i];
-                /* written so that NaN clamps to 0 instead of indexing out of bounds */
-                xx = xx >= 0.0f ? (xx > wm1 ? wm1 : xx) : 0.0f;
-                yy = yy >= 0.0f ? (yy > hm1 ? hm1 : yy) : 0.0f;
-                int x0 = (int)xx, y0 = (int)yy;
-                ptrdiff_t right = x0 < w - 1;
-                i00[i] = ((ptrdiff_t)k * h + y0) * w + x0;
-                i01[i] = i00[i] + right;
-                i10[i] = y0 < h - 1 ? i00[i] + w : i00[i];
-                i11[i] = i10[i] + right;
-                /* the interpolation weights run in double, like the numpy twin */
-                fx[i] = (double)xx - (double)x0;
-                fy[i] = (double)yy - (double)y0;
+            const size_t o = ((size_t)k * h + y) * w;
+            const float *restrict ur = u + o, *restrict vr = v + o;
+            const ptrdiff_t row = (ptrdiff_t)k * h;
+            for (int x = 0; x < w; x++) {
+                float xx = (float)x + ur[x];
+                float yy = (float)y + vr[x];
+                /* NaN clamps to 0 instead of indexing out of bounds.  The
+                   lower bound first: the other order keeps GCC 12 from
+                   vectorizing the loop for SSE4.1 and up. */
+                xx = xx >= 0.0f ? xx : 0.0f;
+                xx = xx < wm1 ? xx : wm1;
+                yy = yy >= 0.0f ? yy : 0.0f;
+                yy = yy < hm1 ? yy : hm1;
+                const int x0 = (int)xx, y0 = (int)yy;
+                index[o + x] = (row + y0) * w + x0;
+                corners[o + x] = (uint8_t)((x0 < w - 1) | (y0 < h - 1) << 1);
+                fx[o + x] = xx - (float)x0;
+                fy[o + x] = yy - (float)y0;
             }
         }
     }
 }
 
-/* Samples img at the coordinates warp_coords found.  Returns -1 when an
-   index falls outside the stack, else 0. */
-int warp_bilinear(const float *img, const ptrdiff_t *i00, const ptrdiff_t *i01,
-                  const ptrdiff_t *i10, const ptrdiff_t *i11, const double *fx,
-                  const double *fy, float *out, int p, int h, int w)
+/* Samples img at the coordinates warp_coords found: float32 corner
+   differences, weighted and summed in double.  Returns -1 when a corner
+   falls outside the stack, else 0. */
+DISPATCH
+int warp_bilinear(const float *restrict img, const ptrdiff_t *restrict index,
+                  const uint8_t *restrict corners, const float *restrict fx,
+                  const float *restrict fy, float *restrict out, int p, int h, int w)
 {
     const size_t n = (size_t)p * h * w;
     for (size_t i = 0; i < n; i++) {
-        if ((size_t)i00[i] >= n || (size_t)i01[i] >= n || (size_t)i10[i] >= n
-            || (size_t)i11[i] >= n)
+        const size_t a = (size_t)index[i], right = corners[i] & 1;
+        const size_t c = corners[i] & 2 ? a + (size_t)w : a;
+        if (a >= n || c + right >= n)
             return -1;
-        double top = (double)img[i00[i]] + fx[i] * (double)(img[i01[i]] - img[i00[i]]);
-        double bot = (double)img[i10[i]] + fx[i] * (double)(img[i11[i]] - img[i10[i]]);
-        out[i] = (float)(top + fy[i] * (bot - top));
+        const double dx = (double)fx[i];
+        const double top = (double)img[a] + dx * (double)(img[a + right] - img[a]);
+        const double bot = (double)img[c] + dx * (double)(img[c + right] - img[c]);
+        out[i] = (float)(top + (double)fy[i] * (bot - top));
     }
     return 0;
+}
+
+/* One tap of the blur along a row: acc[x] + tap * src[x] in double,
+   rounded to float. */
+static inline void add_tap(float *restrict acc, const float *restrict src, double tap, int w)
+{
+    for (int x = 0; x < w; x++)
+        acc[x] = (float)((double)acc[x] + tap * (double)src[x]);
+}
+
+/* Separable blur of each plane with the n_taps (odd) double taps centred
+   on the pixel, edges replicated: the horizontal pass, then the vertical
+   one, each from a sum of +0.0f and tap by tap, in the order of taps.
+   Returns -1 when the scratch plane cannot be allocated, else 0. */
+DISPATCH
+int gaussian_blur(const float *restrict img, const double *restrict taps, int n_taps,
+                  float *restrict out, int p, int h, int w)
+{
+    const int r = n_taps / 2;
+    const size_t plane = (size_t)h * w;
+    float *tmp = malloc((plane + (size_t)w + 2 * (size_t)r) * sizeof(float));
+    if (!tmp)
+        return -1;
+    float *pad = tmp + plane;  /* one row with r replicated pixels on each side */
+    for (int k = 0; k < p; k++) {
+        const float *src = img + k * plane;
+        for (int y = 0; y < h; y++) {
+            const float *row = src + (size_t)y * w;
+            for (int x = 0; x < r; x++) {
+                pad[x] = row[0];
+                pad[r + w + x] = row[w - 1];
+            }
+            memcpy(pad + r, row, (size_t)w * sizeof(float));
+            float *acc = tmp + (size_t)y * w;
+            memset(acc, 0, (size_t)w * sizeof(float));
+            for (int j = 0; j < n_taps; j++)
+                add_tap(acc, pad + j, taps[j], w);
+        }
+        for (int y = 0; y < h; y++) {
+            float *acc = out + k * plane + (size_t)y * w;
+            memset(acc, 0, (size_t)w * sizeof(float));
+            for (int j = 0; j < n_taps; j++) {
+                const int yy = y - r + j < 0 ? 0 : y - r + j >= h ? h - 1 : y - r + j;
+                add_tap(acc, tmp + (size_t)yy * w, taps[j], w);
+            }
+        }
+    }
+    free(tmp);
+    return 0;
+}
+
+/* The linearized data term of one warp at n pixels:
+       grad = I1wx * I1wx + I1wy * I1wy
+       rho_c = ((I1w - I1wx * u1) - I1wy * u2) - I0 */
+DISPATCH
+void data_terms(const float *restrict I0, const float *restrict I1w,
+                const float *restrict I1wx, const float *restrict I1wy,
+                const float *restrict u1, const float *restrict u2, float *restrict grad,
+                float *restrict rho_c, size_t n)
+{
+    for (size_t i = 0; i < n; i++) {
+        grad[i] = I1wx[i] * I1wx[i] + I1wy[i] * I1wy[i];
+        rho_c[i] = ((I1w[i] - I1wx[i] * u1[i]) - I1wy[i] * u2[i]) - I0[i];
+    }
 }
 
 /* Dual ascent on (pa, pb) at one pixel, from the forward differences
@@ -88,6 +180,7 @@ static inline void dual_pixel(float *pa, float *pb, float ux, float uy, float ta
 
 /* Dual ascent on (pa, pb) from the forward differences of u, which are 0
    across the last column and the last row. */
+DISPATCH
 static void dual_step(const float *restrict u, float *restrict pa, float *restrict pb,
                       float taut, int h, int w)
 {
@@ -140,7 +233,7 @@ static inline void primal_pixel(const float *I1wx, const float *I1wy, const floa
    inlined into iterate_plane, GCC 12 drops the restrict of these pointers,
    the loop would need more run-time alias checks than it makes, and it
    stays scalar. */
-__attribute__((noinline))
+__attribute__((noinline)) DISPATCH
 static void primal_row(const float *restrict I1wx, const float *restrict I1wy,
                        const float *restrict rho_c, const float *restrict grad,
                        const float *restrict u1, const float *restrict u2,
@@ -160,6 +253,7 @@ static void primal_row(const float *restrict I1wx, const float *restrict I1wy,
 
 /* Adds the squared update of one row to the eight lanes of err: pixel x
    goes to lane x % 8. */
+DISPATCH
 static void add_row_error(const float *restrict u1, const float *restrict u2,
                           const float *restrict u1n, const float *restrict u2n, int w,
                           double *restrict err)

@@ -1,21 +1,28 @@
 """Reference numpy kernels for the duality-based flow solver.
 
-The hand-written C in `_accel/flowkernels.c` implements the same three entry
-points with identical per-element arithmetic; `backend` picks one at import
-time and tests/test_backend.py builds the C and checks the two bit for bit
-on shared inputs, all but the sign of a NaN, which follows the operand order
-each backend's compiler picks.  Images, flow and dual fields are float32.
+The hand-written C in `_accel/flowkernels.c` implements the same entry
+points, `backend.KERNELS`, with identical per-element arithmetic; `backend`
+picks one at import time and tests/test_backend.py builds the C and checks
+the two bit for bit on shared inputs, all but the sign of a NaN, which
+follows the operand order each backend's compiler picks.  Images, flow and
+dual fields are float32.
 
 Stack contract: every array argument is a (P, H, W) stack of P independent
 planes (one frame pair each), all of one shape, and each plane gets exactly
 the arithmetic a lone (1, H, W) stack would get.
 
 A warp is split in two so that the images warped by one flow share one
-coordinate pass: `warp_coords(u, v)` finds where each pixel samples, as six
+coordinate pass: `warp_coords(u, v)` finds where each pixel samples, as four
 (P, H, W) arrays, and `warp_bilinear(img, coords)` samples one image there.
-The coordinates are the same arrays on both backends (four corner indices
-into the flattened stack, `np.intp`, and the two weights, float64), so
-either backend's sampler takes either backend's coordinates.
+The coordinates are the same arrays on both backends, 17 bytes a pixel: the
+flat index of the top-left corner into the stack (`np.intp`), two corner
+bits (uint8) and the two fractions (float32), so either backend's sampler
+takes either backend's coordinates.
+
+`gaussian_blur(img, taps)` smooths each plane before the pyramid resizes
+it, and `data_terms` forms the linearized data term of a warp from the
+sampled images.  Every dtype these two compute in is spelled out, so their
+bits do not hang on numpy's promotion rules, which NEP 50 changed.
 
 `tvl1_iterations` stops each plane on its own and returns, as its last
 element, the iterations the call ran: the largest count over the planes.
@@ -33,51 +40,100 @@ _SIGN = np.int32(-(2**31))  # the float32 sign bit, as int32
 def warp_coords(u: np.ndarray, v: np.ndarray) -> tuple:
     """Where bilinear sampling at (x + u, y + v) reads each pixel of a stack.
 
-    Returns (i00, i01, i10, i11, fx, fy): the flat indices of the four
-    corners into the whole (P, H, W) stack and the float64 weights towards
-    the right and the lower corners.  A coordinate is clamped as
-    `c >= 0 ? min(c, size - 1) : 0`, the C rule, here as `fmax(min(c,
-    size - 1), 0)`, which sends NaN to 0 as well (c is never -0.0: it is
-    an integer plus a displacement).  A weight is the float32 fraction
-    `c - trunc(c)`, which is exact, widened to float64.
+    Returns (index, corners, fx, fy): the flat index of the top-left corner
+    (x0, y0) into the whole (P, H, W) stack; uint8 corner bits, bit 0 set
+    when x0 < W - 1 and bit 1 when y0 < H - 1 (else the right or the lower
+    corner is clamped onto the top-left one's column or row); and the
+    float32 fractions towards the right and the lower corners.  A
+    coordinate is clamped as `c >= 0 ? min(c, size - 1) : 0`, the C rule,
+    here as `fmax(min(c, size - 1), 0)`, which sends NaN to 0 as well (c is
+    never -0.0: it is an integer plus a displacement).  A fraction is
+    `c - trunc(c)`, which is exact in float32.
     """
     p, h, w = u.shape
     x = np.arange(w, dtype=np.float32) + u
     y = np.arange(h, dtype=np.float32)[:, None] + v
     for c, size in ((x, w), (y, h)):
         np.fmax(np.minimum(c, np.float32(size - 1), out=c), np.float32(0), out=c)
-    x0 = x.astype(np.intp)  # non-negative, truncation == floor
-    y0 = y.astype(np.intp)
-    right = x < w - 1  # the right corner is clamped into the last column
-    down = y < h - 1
-    fx = np.subtract(x, np.trunc(x), out=x).astype(np.float64)
-    fy = np.subtract(y, np.trunc(y), out=y).astype(np.float64)
-    i00 = y0 * w
-    i00 += x0
-    i00 += np.arange(0, p * h * w, h * w)[:, None, None]
-    i10 = np.where(down, i00 + w, i00)
-    return i00, i00 + right, i10, i10 + right, fx, fy
+    index = y.astype(np.intp)  # non-negative, truncation == floor
+    index *= w
+    index += x.astype(np.intp)
+    index += np.arange(0, p * h * w, h * w)[:, None, None]
+    # x < W - 1 exactly where x0 = trunc(x) < W - 1
+    corners = np.less(x, np.float32(w - 1)).view(np.uint8)
+    corners |= np.less(y, np.float32(h - 1)).view(np.uint8) << np.uint8(1)
+    fx = np.subtract(x, np.trunc(x), out=x)
+    fy = np.subtract(y, np.trunc(y), out=y)
+    return index, corners, fx, fy
 
 
 def warp_bilinear(img: np.ndarray, coords: tuple) -> np.ndarray:
     """Sample img with bilinear weights at the coordinates `warp_coords` found:
-    float32 corner differences, weighted and summed in float64.  Every
-    ufunc takes operands of one dtype, each float32 one widened first by
-    an explicit cast, which gives the values a mixed-dtype ufunc would,
-    in fewer passes."""
-    i00, i01, i10, i11, fx, fy = coords
-    flat = img.reshape(-1)
+    float32 corner differences, weighted by the fractions and summed in
+    float64.  The right, lower and lower-right corners are gathered from
+    the flattened stack shifted by 1, W and W + 1 (zero-padded at its end,
+    so no index arithmetic is needed), and a corner whose bit is clear is
+    then overwritten by the one it is clamped onto.  Every ufunc takes
+    operands of one dtype, each float32 one widened first by an explicit
+    cast, which gives the values a mixed-dtype ufunc would, in fewer
+    passes."""
+    index, corners, fx, fy = coords
+    w = img.shape[2]
+    flat = np.concatenate((img.reshape(-1), np.zeros(w + 1, dtype=img.dtype)))
+    a = img.reshape(-1).take(index)  # raises on an index past the stack
+    b, c, d = (flat[shift:].take(index) for shift in (1, w, w + 1))
+    no_right = (corners & 1) == 0
+    np.copyto(b, a, where=no_right)
+    np.copyto(d, c, where=no_right)
+    no_lower = corners < 2
+    np.copyto(c, a, where=no_lower)
+    np.copyto(d, b, where=no_lower)
+    fx = fx.astype(np.float64)
     rows = []
-    for left, right in ((i00, i01), (i10, i11)):
-        a = flat.take(left)
-        d = flat.take(right)
-        row = np.subtract(d, a, out=d).astype(np.float64)
+    for left, right in ((a, b), (c, d)):
+        row = np.subtract(right, left, out=right).astype(np.float64)
         np.multiply(fx, row, out=row)
-        rows.append(np.add(a.astype(np.float64), row, out=row))
+        rows.append(np.add(left.astype(np.float64), row, out=row))
     top, bot = rows
     np.subtract(bot, top, out=bot)
-    np.multiply(fy, bot, out=bot)
+    np.multiply(fy.astype(np.float64), bot, out=bot)
     return np.add(top, bot, out=bot).astype(np.float32)
+
+
+def gaussian_blur(img: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Separable blur of each plane of an (n, h, w) stack, edges replicated:
+    the horizontal pass, then the vertical one.  `taps` is an odd number of
+    float64 weights centred on the pixel.  Each pass sums from +0.0 in
+    float32, tap by tap: sum = float32(float64(sum) + taps[j] * float64(v))."""
+    r = len(taps) // 2
+    h, w = img.shape[1:]
+    out = img
+    for axis in (2, 1):
+        widths = [(0, 0)] * 3
+        widths[axis] = (r, r)
+        pad = np.pad(out, widths, mode="edge")
+        out = np.zeros_like(img)
+        for j, tap in enumerate(taps):
+            part = pad[:, :, j : j + w] if axis == 2 else pad[:, j : j + h]
+            # a float32 array plus a float64 one adds in float64 on any numpy
+            out += np.multiply(part, tap, dtype=np.float64)
+    return out
+
+
+def data_terms(I0, I1w, I1wx, I1wy, u1, u2) -> tuple:
+    """(grad, rho_c) of one warp's linearization around the flow (u1, u2),
+    in float32: grad = I1wx * I1wx + I1wy * I1wy, the squared gradient, and
+    rho_c = ((I1w - I1wx * u1) - I1wy * u2) - I0, the residual's constant
+    part."""
+    grad = np.multiply(I1wx, I1wx)
+    t = np.multiply(I1wy, I1wy)
+    np.add(grad, t, out=grad)
+    rho_c = np.multiply(I1wx, u1)
+    np.subtract(I1w, rho_c, out=rho_c)
+    np.multiply(I1wy, u2, out=t)
+    np.subtract(rho_c, t, out=rho_c)
+    np.subtract(rho_c, I0, out=rho_c)
+    return grad, rho_c
 
 
 def _forward_grad(u: np.ndarray, gx: np.ndarray, gy: np.ndarray) -> tuple:
@@ -169,6 +225,8 @@ def tvl1_iterations(
     takes the two clamps as one: lt with the sign bit of -rho where
     |rho| > lt * grad.  grad is a squared magnitude, so lt * grad >= +0.
     """
+    if not len(u1):  # no plane runs an iteration
+        return u1, u2, p11, p12, p21, p22, 0
     lt = np.float32(lam * theta)
     taut = np.float32(tau / theta)
     theta32 = np.float32(theta)

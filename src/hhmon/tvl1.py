@@ -1,7 +1,8 @@
 """Dense optical flow via the duality-based TV-L1 solver.
 
-Coarse-to-fine pyramid, five warps per level by default, primal-dual inner
-iterations delegated to the selected kernel backend.  Luminance input is
+Coarse-to-fine pyramid, five warps per level by default; the pyramid's
+blur, each warp's sampling and data term and the primal-dual inner
+iterations are delegated to the selected kernel backend.  Luminance input is
 rescaled to the 0..255 range internally so the default data weight keeps its
 usual calibration against 8-bit gradients.
 
@@ -64,22 +65,14 @@ class TvL1Params:
             raise ConfigError(f"max_flow must be positive and finite, got {self.max_flow}")
 
 
-def _gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
-    """Separable blur of each plane of an (n, h, w) stack, edges replicated."""
+def _blur_taps(factor: float) -> np.ndarray:
+    """The float64 taps of the Gaussian that smooths a level before it is
+    resized by factor: sigma = 0.6 * sqrt(1 / factor**2 - 1), radius
+    max(1, round(2.5 * sigma)), normalized to sum 1."""
+    sigma = 0.6 * np.sqrt(1.0 / factor**2 - 1.0)
     radius = max(1, int(2.5 * sigma + 0.5))
-    xs = np.arange(-radius, radius + 1, dtype=np.float32)
-    k = np.exp(-0.5 * (xs / sigma) ** 2)
-    k /= k.sum()
-    h, w = img.shape[1:]
-    pad = np.pad(img, ((0, 0), (0, 0), (radius, radius)), mode="edge")
-    tmp = np.zeros_like(img)
-    for i in range(k.size):
-        tmp += k[i] * pad[:, :, i : i + w]
-    pad = np.pad(tmp, ((0, 0), (radius, radius), (0, 0)), mode="edge")
-    out = np.zeros_like(img)
-    for i in range(k.size):
-        out += k[i] * pad[:, i : i + h, :]
-    return out
+    taps = np.exp(-0.5 * (np.arange(-radius, radius + 1, dtype=np.float64) / sigma) ** 2)
+    return taps / taps.sum()
 
 
 def _pyramid(frames: np.ndarray, params: TvL1Params) -> list[np.ndarray]:
@@ -87,14 +80,14 @@ def _pyramid(frames: np.ndarray, params: TvL1Params) -> list[np.ndarray]:
     side would fall under min_size.  Each plane is blurred and resized on
     its own, so a stack's levels are its frames' levels stacked."""
     factor = params.pyramid_factor
-    sigma = 0.6 * np.sqrt(1.0 / factor**2 - 1.0)
+    taps = _blur_taps(factor)
     levels = [frames]
     while True:
         _, h, w = levels[-1].shape
         nh, nw = int(round(h * factor)), int(round(w * factor))
         if min(nh, nw) < params.min_size:
             return levels
-        levels.append(frameio.resize_bilinear(_gaussian_blur(levels[-1], sigma), nw, nh))
+        levels.append(frameio.resize_bilinear(backend.gaussian_blur(levels[-1], taps), nw, nh))
 
 
 def _centered_gradient(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -165,8 +158,7 @@ def _warps(frames: np.ndarray, u1: np.ndarray, u2: np.ndarray,
         at = backend.warp_coords(u1, u2)  # one coordinate pass for the three images
         I1w, I1wx, I1wy = (backend.warp_bilinear(img, at) for img in images)
         del at  # before the iterations allocate their buffers
-        grad = I1wx * I1wx + I1wy * I1wy
-        rho_c = I1w - I1wx * u1 - I1wy * u2 - I0
+        grad, rho_c = backend.data_terms(I0, I1w, I1wx, I1wy, u1, u2)
         u1, u2, p11, p12, p21, p22, _ = backend.tvl1_iterations(
             I1wx, I1wy, rho_c, grad, u1, u2, p11, p12, p21, p22,
             params.lam, params.theta, params.tau, params.n_iters, stop_eps2,

@@ -58,7 +58,7 @@ def use_kernels(monkeypatch, kernels):
     """Point the flow solver at one kernel backend for the rest of a test."""
     from hhmon import backend
 
-    for name in ("warp_coords", "warp_bilinear", "tvl1_iterations"):
+    for name in backend.KERNELS:
         monkeypatch.setattr(backend, name, getattr(kernels, name))
 
 
@@ -319,6 +319,17 @@ def warp_coords_oracle(u, v):
     return i00, i00 + right, i10, i10 + right, x - x0, y - y0
 
 
+def expand_coords(coords, w):
+    """The compact coordinates of `warp_coords` on planes w wide as the six
+    arrays `warp_coords_oracle` returns: the four corner indices and the
+    fractions widened to float64."""
+    index, corners, fx, fy = coords
+    right = (corners & 1).astype(np.intp)
+    lower = np.where(corners & 2, index + w, index)
+    return (index, index + right, lower, lower + right,
+            fx.astype(np.float64), fy.astype(np.float64))
+
+
 def warp_bilinear_oracle(img, coords):
     """`_purekernels.warp_bilinear` as it first sampled: float32 corner
     differences, weighted and summed in float64 by mixed-dtype ufuncs."""
@@ -327,6 +338,26 @@ def warp_bilinear_oracle(img, coords):
     top = flat[i00] + fx * (flat[i01] - flat[i00])
     bot = flat[i10] + fx * (flat[i11] - flat[i10])
     return (top + fy * (bot - top)).astype(np.float32)
+
+
+def gaussian_blur_oracle(img, taps):
+    """A separable blur one pixel and one tap at a time, edges replicated by
+    clamping: the horizontal pass, then the vertical one, each summing from
+    +0.0 and rounding to float32 after each float64 tap product is added."""
+    r = len(taps) // 2
+    out = np.array(img, dtype=np.float32)
+    for axis in (2, 1):
+        src, out = out, np.empty_like(out)
+        for k, y, x in np.ndindex(src.shape):
+            acc = np.float32(0.0)
+            for j, tap in enumerate(taps):
+                if axis == 2:
+                    v = src[k, y, min(max(x - r + j, 0), src.shape[2] - 1)]
+                else:
+                    v = src[k, min(max(y - r + j, 0), src.shape[1] - 1), x]
+                acc = np.float32(float(acc) + float(tap) * float(v))
+            out[k, y, x] = acc
+    return out
 
 
 def tvl1_iterations_oracle(I1wx, I1wy, rho_c, grad, u1, u2, p11, p12, p21, p22,

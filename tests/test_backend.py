@@ -6,6 +6,7 @@ planes to stacks of one.
 """
 
 import os
+import platform
 import re
 import shutil
 import subprocess
@@ -16,8 +17,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import (smooth_texture, spy_warp_energies, tree_bytes, tvl1_iterations_oracle,
-                     use_kernels, warp_bilinear_oracle, warp_coords_oracle)
+from helpers import (expand_coords, gaussian_blur_oracle, smooth_texture, spy_warp_energies,
+                     tree_bytes, tvl1_iterations_oracle, use_kernels, warp_bilinear_oracle,
+                     warp_coords_oracle)
 
 from hhmon import _accel, _purekernels, artifacts, backend, frameio, pipeline, synth, tvl1
 from hhmon.config import PipelineConfig
@@ -47,8 +49,7 @@ def random_problem(rng, h=40, w=52):
     u2 = rng.normal(0, 0.5, (1, h, w)).astype(np.float32)
     at = _purekernels.warp_coords(u1, u2)
     I1w, I1wx, I1wy = (_purekernels.warp_bilinear(img, at) for img in (I1, I1x, I1y))
-    grad = I1wx * I1wx + I1wy * I1wy
-    rho_c = I1w - I1wx * u1 - I1wy * u2 - I0
+    grad, rho_c = _purekernels.data_terms(I0, I1w, I1wx, I1wy, u1, u2)
     ps = [rng.normal(0, 0.1, (1, h, w)).astype(np.float32) for _ in range(4)]
     return I1wx, I1wy, rho_c, grad, u1, u2, ps
 
@@ -139,23 +140,183 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-# a 1x144x192 plane has more than 8,192 pixels, where numpy's float64 sums buffer
-@pytest.mark.parametrize("shape", [(3, 7, 9), (2, 31, 17), (1, 144, 192)])
-def test_pure_warp_equals_its_first_version_bit_for_bit(rng, shape):
-    # NaN, +-inf and -0.0 displacements and ones far outside the frame
+def special_warp(rng, shape):
+    """(u, v, img) of one shape: displacements of std 3 with NaN, +-inf,
+    -0.0 and ones far outside the frame in a fifth of the cells, and ones
+    that land exactly on the last column and row in a tenth; an image
+    with -0.0 pixels."""
+    p, h, w = shape
     u, v = (rng.normal(0, 3.0, shape).astype(np.float32) for _ in range(2))
     specials = np.array([np.nan, np.inf, -np.inf, -0.0, 1e30, -1e30, 5e3, -5e3],
                         dtype=np.float32)
     for a in (u, v):
         cells = rng.random(shape) < 0.2
         a[cells] = rng.choice(specials, int(cells.sum()))
+    last = rng.random(shape) < 0.1
+    y, x = np.mgrid[:h, :w].astype(np.float32)
+    u[last] = np.broadcast_to(w - 1 - x, shape)[last]
+    v[last] = np.broadcast_to(h - 1 - y, shape)[last]
     img = rng.random(shape, dtype=np.float32) * 255 - 100
     img[:, ::4, ::3] = -0.0
+    return u, v, img
+
+
+# a 1x144x192 plane has more than 8,192 pixels, where numpy's float64 sums buffer
+@pytest.mark.parametrize("shape", [(3, 7, 9), (2, 31, 17), (1, 144, 192)])
+def test_pure_warp_equals_its_first_version_bit_for_bit(rng, shape):
+    u, v, img = special_warp(rng, shape)
     at, want_at = _purekernels.warp_coords(u, v), warp_coords_oracle(u, v)
-    assert all(same_bits(a, b) for a, b in zip(at, want_at))
+    assert [a.dtype for a in at] == [np.intp, np.uint8, np.float32, np.float32]
+    assert all(same_bits(a, b) for a, b in zip(expand_coords(at, shape[2]), want_at))
     for image in (img, *_centered_gradient(img)):
         assert same_bits(_purekernels.warp_bilinear(image, at),
                          warp_bilinear_oracle(image, want_at))
+
+
+@pytest.mark.parametrize("shape", [(3, 7, 9), (2, 31, 17), (1, 1, 5), (2, 4, 1), (1, 144, 192)])
+def test_compiled_warp_equals_pure_on_special_displacements(rng, accel, shape):
+    u, v, img = special_warp(rng, shape)
+    at = accel.warp_coords(u, v)
+    assert all(same_bits(a, b) for a, b in zip(at, _purekernels.warp_coords(u, v)))
+    for image in (img, np.ascontiguousarray(img[::-1, ::-1])):
+        assert same_bits(accel.warp_bilinear(image, at), _purekernels.warp_bilinear(image, at))
+
+
+# odd sizes, planes narrower and shorter than the kernel, one plane and many
+BLUR_SHAPES = [(1, 1, 1), (1, 2, 3), (3, 5, 7), (2, 9, 4), (1, 13, 17), (12, 6, 2)]
+
+
+@pytest.mark.parametrize("factor", [0.25, 0.5, 0.8])  # 13, 7 and 3 taps
+def test_pure_blur_equals_a_scalar_oracle(rng, factor):
+    taps = tvl1._blur_taps(factor)
+    assert taps.dtype == np.float64 and len(taps) == {0.25: 13, 0.5: 7, 0.8: 3}[factor]
+    for shape in BLUR_SHAPES:
+        img = rng.random(shape, dtype=np.float32) * 255 - 100
+        img.reshape(-1)[::5] = -0.0
+        assert same_bits(_purekernels.gaussian_blur(img, taps), gaussian_blur_oracle(img, taps))
+
+
+@pytest.mark.parametrize("factor", [0.25, 0.5, 0.8])
+def test_compiled_blur_equals_pure(rng, accel, factor):
+    taps = tvl1._blur_taps(factor)
+    for shape in [*BLUR_SHAPES, (23, 72, 96)]:
+        img = rng.random(shape, dtype=np.float32) * 255 - 100
+        img.reshape(-1)[::5] = -0.0
+        assert same_bits(accel.gaussian_blur(img, taps), _purekernels.gaussian_blur(img, taps))
+        img.reshape(-1)[::7] = np.inf  # inf - inf: NaN
+        img.reshape(-1)[::11] = -np.inf
+        with np.errstate(invalid="ignore"):
+            assert same_bits_but_nan_signs(accel.gaussian_blur(img, taps),
+                                           _purekernels.gaussian_blur(img, taps))
+
+
+def special_data(rng, shape):
+    """The six data_terms arguments with NaN, +-inf and -0.0 in a sixth of
+    the cells of each."""
+    arrays = [rng.normal(0, 50.0, shape).astype(np.float32) for _ in range(6)]
+    specials = np.array([np.nan, np.inf, -np.inf, -0.0], dtype=np.float32)
+    for a in arrays:
+        cells = rng.random(shape) < 0.16
+        a[cells] = rng.choice(specials, int(cells.sum()))
+    return arrays
+
+
+def test_data_terms_keep_numpy_order_on_both_backends(rng, accel):
+    for shape in ((1, 1, 1), (2, 9, 11), (1, 144, 192)):
+        I0, I1w, I1wx, I1wy, u1, u2 = arrays = special_data(rng, shape)
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = (I1wx * I1wx + I1wy * I1wy, I1w - I1wx * u1 - I1wy * u2 - I0)
+            pure, compiled = _purekernels.data_terms(*arrays), accel.data_terms(*arrays)
+        for w, p, c in zip(want, pure, compiled):
+            assert same_bits(p, w)
+            assert same_bits_but_nan_signs(c, w)
+
+
+@pytest.mark.parametrize("planes", [2, 0])
+def test_read_only_and_empty_stacks_pass_the_binding(rng, accel, planes):
+    # ctypes takes a writable buffer's address; a read-only or an empty
+    # array goes through numpy's
+    shape = (planes, 9, 11)
+    arrays = [rng.normal(0, 2.0, shape).astype(np.float32) for _ in range(6)]
+    taps = tvl1._blur_taps(0.5)
+    for a in (*arrays, taps):
+        a.setflags(write=False)
+    u, v, img, I1wx, I1wy, rho_c = arrays
+    grad = I1wx * I1wx + I1wy * I1wy
+    grad.setflags(write=False)
+    outs = []
+    for kernels in (_purekernels, accel):
+        at = kernels.warp_coords(u, v)
+        for a in at:
+            a.setflags(write=False)
+        state = [u.copy(), v.copy(), *(np.zeros(shape, dtype=np.float32) for _ in range(4))]
+        done = kernels.tvl1_iterations(I1wx, I1wy, rho_c, grad, *state, 0.15, 0.3, 0.25, 5, 0.0)
+        outs.append([*at, kernels.warp_bilinear(img, at), kernels.gaussian_blur(img, taps),
+                     *kernels.data_terms(*arrays), *done[:6]])
+        assert done[6] == (5 if planes else 0)
+    assert all(same_bits(a, b) for a, b in zip(*outs))
+
+
+CLONES = b'__attribute__((target_clones("avx2", "default")))'
+
+
+@pytest.fixture(scope="module")
+def baseline(tmp_path_factory):
+    """The C kernels built from a copy of the source with the dispatch
+    attribute emptied: baseline x86-64 code alone."""
+    if not HAS_CC:
+        pytest.skip(f"no C compiler ({_accel.compiler()[0]})")
+    root = tmp_path_factory.mktemp("baseline")
+    source = Path(_accel.SOURCE).read_bytes()
+    assert source.count(CLONES) == 1
+    (root / "flowkernels.c").write_bytes(source.replace(CLONES, b""))
+    return _accel.CompiledKernels(_accel.build(str(root), str(root / "flowkernels.c")))
+
+
+def test_the_dispatched_library_holds_both_builds(accel, baseline):
+    # the loader picks the AVX2 clones on a host that has AVX2, so there
+    # the two libraries below run different code
+    if platform.machine() != "x86_64" or platform.libc_ver()[0] != "glibc":
+        pytest.skip("target_clones needs x86-64 glibc")
+    for kernels, clones in ((accel, True), (baseline, False)):
+        symbols = Path(kernels._lib._name).read_bytes()
+        for name in (b"warp_coords", b"warp_bilinear", b"gaussian_blur", b"data_terms",
+                     b"primal_row", b"dual_step", b"add_row_error"):
+            assert (name + b".avx2" in symbols) == clones, name
+
+
+@pytest.mark.parametrize("shape", [(3, 7, 9), (1, 2, 17), (2, 31, 9)])
+def test_the_baseline_build_gives_the_bits_of_the_dispatched_one_and_pure(rng, accel, baseline,
+                                                                         shape):
+    u, v, img = special_warp(rng, shape)
+    taps = tvl1._blur_taps(0.5)
+    data = special_data(rng, shape)
+    problems = [special_problem(rng, *shape, special, 3) for special in SPECIALS]
+    outs = []
+    for kernels in (_purekernels, accel, baseline):
+        at = kernels.warp_coords(u, v)
+        out = [*at, kernels.warp_bilinear(img, at), kernels.gaussian_blur(img, taps)]
+        with np.errstate(invalid="ignore", over="ignore"):
+            out += kernels.data_terms(*data)
+            for problem in problems:
+                state = [a.copy() for a in (*problem[4:6], *problem[6])]
+                done = kernels.tvl1_iterations(*problem[:4], *state, 0.15, 0.3, 0.25, 30, 1e-3)
+                out += [*done[:6], np.array(done[6])]
+        outs.append(out)
+    same = lambda a, b: (same_bits_but_nan_signs(a, b) if a.dtype == np.float32  # noqa: E731
+                         else same_bits(a, b))
+    for pure, dispatched, base in zip(*outs):
+        assert same(dispatched, pure) and same(base, pure)
+
+
+def test_the_solver_gives_the_same_bits_on_every_build(rng, monkeypatch, accel, baseline):
+    tex = smooth_texture(rng, h=36, w=48)
+    frames = np.stack([np.roll(tex, i, axis=1) for i in range(4)])[..., None].repeat(3, -1)
+    flows = []
+    for kernels in (_purekernels, accel, baseline):
+        use_kernels(monkeypatch, kernels)
+        flows.append(np.stack(sequence_flow(frames, TvL1Params())))
+    assert same_bits(flows[1], flows[0]) and same_bits(flows[2], flows[0])
 
 
 def edge_problem(rng, n_planes, h, w):
@@ -307,16 +468,21 @@ BAD_INPUTS = {
 
 @pytest.mark.parametrize("fault", BAD_INPUTS)
 def test_compiled_kernels_reject_bad_arrays(rng, accel, fault):
-    # the sampler's six coordinate arrays count as its arguments 1 to 6
+    # the sampler's four coordinate arrays count as its arguments 1 to 4
     I1wx, I1wy, rho_c, grad, u1, u2, ps = random_problem(rng)
+    taps = tvl1._blur_taps(0.5)
     calls = (
         (lambda a: accel.warp_coords(*a), [u1, u2]),
         (lambda a: accel.warp_bilinear(a[0], tuple(a[1:])),
          [I1wx, *accel.warp_coords(u1, u2)]),
+        (lambda a: accel.gaussian_blur(a[0], taps), [I1wx]),
+        (lambda a: accel.data_terms(*a), [rho_c, I1wx, I1wx, I1wy, u1, u2]),
         (lambda a: accel.tvl1_iterations(*a, 0.15, 0.3, 0.25, 12, 0.0),
          [I1wx, I1wy, rho_c, grad, u1, u2, *ps]),
     )
     for call, arrays in calls:
+        if len(arrays) == 1 and fault in ("another shape", "another plane count"):
+            continue  # the blur's one image sets the shape
         for k in range(len(arrays)):
             bad = list(arrays)
             bad[k] = BAD_INPUTS[fault](bad[k])
@@ -325,22 +491,39 @@ def test_compiled_kernels_reject_bad_arrays(rng, accel, fault):
 
 
 def test_compiled_iterations_reject_planes_without_pixels(accel):
-    # the C peels the first and the last column of every row
+    # the C peels the first and the last column of every row, and the blur
+    # replicates them
     for shape in ((1, 0, 5), (1, 5, 0)):
         fields = [np.zeros(shape, dtype=np.float32) for _ in range(10)]
         with pytest.raises(ValueError, match="have no pixel"):
             accel.tvl1_iterations(*fields, 0.15, 0.3, 0.25, 3, 1e-3)
+        with pytest.raises(ValueError, match="have no pixel"):
+            accel.gaussian_blur(fields[0], tvl1._blur_taps(0.5))
+
+
+@pytest.mark.parametrize("taps", [np.ones(4) / 4, np.ones(3, dtype=np.float32) / 3,
+                                  np.ones((1, 3)) / 3, (np.ones(6) / 3)[::2], [0.25, 0.5, 0.25]],
+                         ids=["even", "float32", "2-D", "strided", "list"])
+def test_compiled_blur_rejects_bad_taps(rng, accel, taps):
+    with pytest.raises(ValueError, match="taps must be"):
+        accel.gaussian_blur(rng.random((1, 8, 9), dtype=np.float32), taps)
 
 
 def test_compiled_warp_rejects_indices_outside_the_stack(rng, accel):
+    # each corner in turn leaves the stack: the top-left one by its index,
+    # the right and the lower ones by their corner bit on the last pixel or
+    # the last row
     img = rng.random((2, 6, 8), dtype=np.float32)
     at = accel.warp_coords(np.zeros_like(img), np.zeros_like(img))
-    for k in range(4):
-        for index in (-1, img.size):
-            bad = [a.copy() for a in at]
-            bad[k][1, 5, 7] = index
-            with pytest.raises(ValueError, match="outside the stack"):
-                accel.warp_bilinear(img, tuple(bad))
+    for index, bits in ((-1, 0), (img.size, 0), (img.size - 1, 1), (img.size - 8, 2),
+                        (img.size - 1, 3)):
+        index_, corners = at[0].copy(), at[1].copy()
+        index_[1, 5, 7], corners[1, 5, 7] = index, bits
+        with pytest.raises(ValueError, match="outside the stack"):
+            accel.warp_bilinear(img, (index_, corners, *at[2:]))
+    index_, corners = at[0].copy(), at[1].copy()
+    index_[1, 5, 7], corners[1, 5, 7] = img.size - 10, 3  # the last corner is the last pixel
+    assert accel.warp_bilinear(img, (index_, corners, *at[2:]))[1, 5, 7] == img[1, 4, 6]
 
 
 def test_compiled_warp_clamps_nan_displacements_into_the_image(rng, accel):
@@ -406,9 +589,16 @@ def test_selected_backend_is_reported():
     assert backend.BACKEND == ("compiled" if HAS_CC else "pure")
     if HAS_CC:
         assert backend.kernels._lib._name == _accel.library_path(_accel.HERE)
-    assert callable(backend.warp_coords)
-    assert callable(backend.warp_bilinear)
-    assert callable(backend.tvl1_iterations)
+    for name in backend.KERNELS:
+        assert getattr(backend, name) == getattr(backend.kernels, name)
+
+
+def test_both_backends_offer_exactly_the_kernel_entry_points():
+    pure = {name for name, fn in vars(_purekernels).items()
+            if callable(fn) and not name.startswith("_")
+            and getattr(fn, "__module__", None) == _purekernels.__name__}
+    compiled = {name for name in vars(_accel.CompiledKernels) if not name.startswith("_")}
+    assert pure == compiled == set(backend.KERNELS)
 
 
 # Prints the backend a fresh interpreter selects and a digest of one solve.
@@ -674,7 +864,9 @@ def test_the_kernel_benchmark_script_runs(tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600)
     assert run.returncode == 0, run.stdout + run.stderr
     names = [f"{kernel} {stack}" for stack in ("32x32", "8x96x72", "1x144x192")
-             for kernel in ("warp_coords", "warp_bilinear x3", "tvl1_iterations x2")]
+             for kernel in ("warp_coords", "warp_bilinear x3", "warp_coords smooth",
+                            "warp_bilinear x3 smooth", "gaussian_blur", "data_terms",
+                            "tvl1_iterations x2")]
     names += ["flow_sequence 23x96x72", "flow_sequence 23x192x144"]
     rows = run.stdout.splitlines()[2:]
     assert [row[:36].rstrip() for row in rows] == names
