@@ -16,7 +16,11 @@ stack of a 192x144 solve.  The whole solver then runs, through
 length) at 96x72 and at 192x144.  The compiled rows run a library that the
 package's builder compiles into a temporary directory, whichever backend
 the package selected; on x86-64 the loader picks its AVX2 clones where the
-host has AVX2.
+host has AVX2, and the sampler's AVX-512F body where it has AVX-512F.  The
+second line names the sampler body that library runs.  The
+`warp_bilinear x3` rows also time the baseline build (`_accel.BASELINE_FLAGS`:
+no clones, scalar sampler), to show the vector body's own gain; their
+max|diff| covers both builds.
 
 Stage times are in perfbench's `detail` line and per-layer times come from
 its `--trace 1`; this script times only what perfbench cannot run, the two
@@ -34,10 +38,10 @@ import numpy as np
 from hhmon import _accel, _purekernels, backend, synth, tvl1
 
 
-def build_compiled(out_dir):
+def build_compiled(out_dir, flags=_accel.FLAGS):
     """Build the C kernels into out_dir and bind them; None if that fails."""
     try:
-        return _accel.CompiledKernels(_accel.build(out_dir))
+        return _accel.CompiledKernels(_accel.build(out_dir, flags=flags))
     except (OSError, AttributeError):
         return None
 
@@ -160,20 +164,32 @@ def main():
             for row in stack_rows(label, shape, args.iters, args.repeats)]
     rows += [scene_row(w, h, args.repeats) for w, h in ((96, 72), (192, 144))]
 
-    with tempfile.TemporaryDirectory(prefix="hhmon-accel-") as out_dir:
+    with (tempfile.TemporaryDirectory(prefix="hhmon-accel-") as out_dir,
+          tempfile.TemporaryDirectory(prefix="hhmon-baseline-") as base_dir):
         compiled = build_compiled(out_dir)
+        baseline = compiled and build_compiled(base_dir, _accel.BASELINE_FLAGS)
         print(f"active backend: {backend.BACKEND}"
               + ("" if compiled is not None else " (compiled kernels failed to build)"))
-        print(f"{'kernel':<36} {'pure':>10} {'compiled':>10} {'speedup':>8} {'max|diff|':>10}")
+        print(f"compiled sampler body: {compiled.sampler if compiled else '-'}; "
+              f"baseline: {baseline.sampler if baseline else '-'}")
+        print(f"{'kernel':<36} {'pure':>10} {'baseline':>10} {'compiled':>10} {'speedup':>8} "
+              f"{'max|diff|':>10}")
         for name, run in rows:
             t_pure, out_pure = run(_purekernels)
             if compiled is None:
-                print(f"{name:<36} {t_pure * 1e3:>8.2f}ms {'-':>10} {'-':>8} {'-':>10}")
+                print(f"{name:<36} {t_pure * 1e3:>8.2f}ms {'-':>10} {'-':>10} {'-':>8} {'-':>10}")
                 continue
-            t_comp, out_comp = run(compiled)
-            diff = float(np.abs(np.asarray(out_pure) - np.asarray(out_comp)).max())
-            print(f"{name:<36} {t_pure * 1e3:>8.2f}ms {t_comp * 1e3:>8.2f}ms "
-                  f"{t_pure / t_comp:>7.1f}x {diff:>10.1e}")
+            builds = [compiled]
+            if baseline and name.startswith("warp_bilinear x3"):
+                builds.append(baseline)
+            times, diff = [], 0.0
+            for build in builds:
+                t, out = run(build)
+                times.append(t)
+                diff = max(diff, float(np.abs(np.asarray(out_pure) - np.asarray(out)).max()))
+            base = f"{times[1] * 1e3:>8.2f}ms" if len(times) > 1 else f"{'-':>10}"
+            print(f"{name:<36} {t_pure * 1e3:>8.2f}ms {base} {times[0] * 1e3:>8.2f}ms "
+                  f"{t_pure / times[0]:>7.1f}x {diff:>10.1e}")
 
 
 if __name__ == "__main__":

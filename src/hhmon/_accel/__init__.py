@@ -19,9 +19,17 @@ return values, bit for bit but for the sign of a NaN (see `_purekernels`):
 (P, H, W) stacks of planes in, one ctypes call per stack, and for
 `tvl1_iterations` the largest iteration count over the planes as the last
 element.  Every array is checked here, before a pointer reaches C, because
-the C code trusts its buffers and sizes.  The hot loops of the library come
-in a baseline and an AVX2 build, and the loader picks one for the host (see
-flowkernels.c).
+the C code trusts its buffers and sizes; a warp's stack may hold at most
+2^31 - 1 pixels, which its int32 index reaches, and a larger one raises
+ValueError.  The hot loops of the library come in a baseline and an AVX2
+build, and the loader picks one for the host.  The sampler has a scalar
+body and, on x86-64, an AVX-512F one that a CPU check picks once, when the
+library loads; `CompiledKernels.sampler` names the one it runs ("avx512f"
+or "scalar").  All of them give the same bits (see flowkernels.c).  A
+library built without the AVX-512F body (on another architecture or
+compiler, or with `BASELINE_FLAGS`, which builds baseline x86-64 code
+alone, to compare the dispatched build against) loads all the same and
+runs the scalar sampler.
 """
 
 from __future__ import annotations
@@ -43,6 +51,8 @@ _LIBRARY = re.compile(r"flowkernels-[0-9a-f]{16}\.so")
 # changes a value, as flowkernels.c's header says.
 FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fno-trapping-math", "-fPIC",
          "-shared")
+# The same library without the AVX2 clones and the AVX-512F sampler.
+BASELINE_FLAGS = (*FLAGS, "-DHHMON_BASELINE")
 
 # Arrays go to C as bare addresses: _checked_shape has vetted them, and an
 # ndpointer argtype would check each one again, at about 3 us per array and
@@ -62,8 +72,16 @@ def _address(a: np.ndarray) -> int:
 
 # The dtypes of the coordinate arrays warp_coords returns: the top-left
 # index, the corner bits, then the two fractions.
-_COORD_DTYPES = (np.dtype(np.intp), np.dtype(np.uint8), np.dtype(np.float32),
+_COORD_DTYPES = (np.dtype(np.int32), np.dtype(np.uint8), np.dtype(np.float32),
                  np.dtype(np.float32))
+_MAX_PIXELS = 2**31 - 1  # the stack an int32 index reaches
+
+
+def _checked_pixels(name: str, shape) -> None:
+    """ValueError when a warp's stack has more pixels than its index reaches."""
+    if shape[0] * shape[1] * shape[2] > _MAX_PIXELS:
+        raise ValueError(f"{name}: a stack of shape {shape} has more than 2**31 - 1 pixels, "
+                         "which the int32 index cannot reach")
 
 
 def _checked_shape(name: str, arrays, dtypes=None) -> tuple[int, int, int]:
@@ -137,6 +155,8 @@ class CompiledKernels:
         lib.warp_coords.restype = None
         lib.warp_bilinear.argtypes = [_ADDR] * 6 + [ctypes.c_int] * 3
         lib.warp_bilinear.restype = ctypes.c_int
+        lib.warp_sampler.argtypes = []
+        lib.warp_sampler.restype = ctypes.c_char_p
         lib.gaussian_blur.argtypes = [_ADDR, _ADDR, ctypes.c_int, _ADDR] + [ctypes.c_int] * 3
         lib.gaussian_blur.restype = ctypes.c_int
         lib.data_terms.argtypes = [_ADDR] * 8 + [ctypes.c_size_t]
@@ -146,10 +166,12 @@ class CompiledKernels:
                                         + [ctypes.c_int, ctypes.c_double])
         lib.tvl1_iterations.restype = ctypes.c_int
         self._lib = lib
+        self.sampler = lib.warp_sampler().decode()
 
     def warp_coords(self, u, v) -> tuple:
         """Where bilinear sampling at (x + u, y + v) reads each pixel of a stack."""
         shape = _checked_shape("warp_coords", (u, v))
+        _checked_pixels("warp_coords", shape)
         coords = tuple(np.empty(shape, dtype=d) for d in _COORD_DTYPES)
         self._lib.warp_coords(*map(_address, (u, v, *coords)), *shape)
         return coords
@@ -163,6 +185,7 @@ class CompiledKernels:
             raise ValueError("warp_bilinear: coords must be the 4-tuple warp_coords returns")
         shape = _checked_shape("warp_bilinear", (img, *coords),
                                (np.dtype(np.float32), *_COORD_DTYPES))
+        _checked_pixels("warp_bilinear", shape)
         out = np.empty(shape, dtype=np.float32)
         if self._lib.warp_bilinear(*map(_address, (img, *coords, out)), *shape):
             raise ValueError("warp_bilinear: a coordinate index falls outside the stack")

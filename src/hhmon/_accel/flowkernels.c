@@ -24,10 +24,20 @@
    give the same bits: -ffp-contract=off holds in every clone, so there is
    no FMA; division and sqrtf are correctly rounded at any vector width;
    and the eight error lanes keep their order.
+   warp_bilinear, whose gathers GCC does not vectorize, has two bodies
+   instead: a scalar loop, and on x86-64 with GCC or Clang one written with
+   AVX-512F intrinsics that samples 16 pixels a step with 32-bit-index
+   gathers.  A constructor checks the CPU once, when the library loads, and
+   every call on a host with AVX-512F takes the vector body.  Both compute
+   the same float32 corner differences and the same double products and
+   sums, in the same order, and -ffp-contract=off keeps them apart, so they
+   give the same bits.  Compiled with -DHHMON_BASELINE, a library holds
+   baseline x86-64 code alone: no AVX2 clone and no AVX-512F body.
    tvl1_iterations stops each plane on its own and returns the largest count
    any plane ran.  The ctypes binding in __init__.py checks the type, shape
-   and layout of every array before a pointer gets here; warp_bilinear
-   checks the indices it is given itself. */
+   and layout of every array before a pointer gets here, and that a warp's
+   stack has at most 2^31 - 1 pixels, which its int32 index can address;
+   warp_bilinear checks the indices it is given itself. */
 
 #include <math.h>
 #include <stddef.h>
@@ -37,7 +47,8 @@
 
 /* target_clones needs ifunc support: GCC or Clang, x86-64, ELF and glibc.
    Anywhere else the plain functions are compiled. */
-#if defined(__x86_64__) && defined(__ELF__) && defined(__GLIBC__) && defined(__has_attribute)
+#if defined(__x86_64__) && defined(__ELF__) && defined(__GLIBC__) && defined(__has_attribute) \
+    && !defined(HHMON_BASELINE)
 #if __has_attribute(target_clones)
 #define DISPATCH __attribute__((target_clones("avx2", "default")))
 #endif
@@ -46,14 +57,26 @@
 #define DISPATCH
 #endif
 
+/* The AVX-512F sampler needs the target and constructor attributes and
+   the CPU builtins: GCC or Clang on x86-64.  Anywhere else only the scalar
+   one is compiled. */
+#if defined(__x86_64__) && defined(__GNUC__) && defined(__has_attribute) \
+    && !defined(HHMON_BASELINE)
+#if __has_attribute(target) && __has_attribute(constructor)
+#define SAMPLER_AVX512
+#include <immintrin.h>
+#endif
+#endif
+
 /* Where bilinear sampling at (x + u, y + v) reads each pixel, the same
-   arrays as warp_coords in _purekernels.py: the flat index of the top-left
-   corner into the whole stack; bit 0 of corners set when the right corner
-   lies one column further, bit 1 when the lower one lies one row further
-   (else they are clamped onto the last column or row); and the fractions
-   towards them, which are exact in float32. */
+   arrays as warp_coords in _purekernels.py: the flat int32 index of the
+   top-left corner into the whole stack, of at most 2^31 - 1 pixels; bit 0
+   of corners set when the right corner lies one column further, bit 1 when
+   the lower one lies one row further (else they are clamped onto the last
+   column or row); and the fractions towards them, which are exact in
+   float32. */
 DISPATCH
-void warp_coords(const float *restrict u, const float *restrict v, ptrdiff_t *restrict index,
+void warp_coords(const float *restrict u, const float *restrict v, int32_t *restrict index,
                  uint8_t *restrict corners, float *restrict fx, float *restrict fy, int p,
                  int h, int w)
 {
@@ -62,7 +85,7 @@ void warp_coords(const float *restrict u, const float *restrict v, ptrdiff_t *re
         for (int y = 0; y < h; y++) {
             const size_t o = ((size_t)k * h + y) * w;
             const float *restrict ur = u + o, *restrict vr = v + o;
-            const ptrdiff_t row = (ptrdiff_t)k * h;
+            const int row = k * h;
             for (int x = 0; x < w; x++) {
                 float xx = (float)x + ur[x];
                 float yy = (float)y + vr[x];
@@ -83,17 +106,16 @@ void warp_coords(const float *restrict u, const float *restrict v, ptrdiff_t *re
     }
 }
 
-/* Samples img at the coordinates warp_coords found: float32 corner
-   differences, weighted and summed in double.  Returns -1 when a corner
-   falls outside the stack, else 0. */
-DISPATCH
-int warp_bilinear(const float *restrict img, const ptrdiff_t *restrict index,
-                  const uint8_t *restrict corners, const float *restrict fx,
-                  const float *restrict fy, float *restrict out, int p, int h, int w)
+/* Samples pixels i to n - 1 of img at the coordinates warp_coords found:
+   float32 corner differences, weighted and summed in double.  Returns -1
+   when a corner falls outside the stack of n pixels, else 0. */
+static int sample_pixels(const float *restrict img, const int32_t *restrict index,
+                         const uint8_t *restrict corners, const float *restrict fx,
+                         const float *restrict fy, float *restrict out, size_t i, size_t n,
+                         int w)
 {
-    const size_t n = (size_t)p * h * w;
-    for (size_t i = 0; i < n; i++) {
-        const size_t a = (size_t)index[i], right = corners[i] & 1;
+    for (; i < n; i++) {
+        const size_t a = (size_t)index[i], right = corners[i] & 1;  /* -1 -> SIZE_MAX */
         const size_t c = corners[i] & 2 ? a + (size_t)w : a;
         if (a >= n || c + right >= n)
             return -1;
@@ -103,6 +125,89 @@ int warp_bilinear(const float *restrict img, const ptrdiff_t *restrict index,
         out[i] = (float)(top + (double)fy[i] * (bot - top));
     }
     return 0;
+}
+
+#ifdef SAMPLER_AVX512
+static int use_avx512;
+
+/* Runs once, when the library loads: libgcc's CPU check also asks the OS
+   whether it saves the 512-bit registers. */
+__attribute__((constructor)) static void pick_sampler(void)
+{
+    __builtin_cpu_init();
+    use_avx512 = __builtin_cpu_supports("avx512f") != 0;
+}
+
+/* Lanes 0-7 (half 0) or 8-15 (half 1) of x, widened to double. */
+__attribute__((target("avx512f"))) static inline __m512d widen(__m512 x, int half)
+{
+    return _mm512_cvtps_pd(half ? _mm256_castpd_ps(_mm512_extractf64x4_pd(_mm512_castps_pd(x), 1))
+                                : _mm512_castps512_ps256(x));
+}
+
+/* sample_pixels, 16 pixels a step: the four corners of each are gathered
+   by int32 index once every index of the step is known to lie in the
+   stack, then the arithmetic of the scalar loop runs on two halves of 8
+   doubles.  The last n % 16 pixels go through the scalar loop. */
+__attribute__((target("avx512f"), noinline))
+static int warp_bilinear_avx512(const float *restrict img, const int32_t *restrict index,
+                                const uint8_t *restrict corners, const float *restrict fx,
+                                const float *restrict fy, float *restrict out, size_t n, int w)
+{
+    const __m512i size = _mm512_set1_epi32((int)n), width = _mm512_set1_epi32(w);
+    const __m512i one = _mm512_set1_epi32(1), two = _mm512_set1_epi32(2);
+    size_t i = 0;
+    for (; i + 16 <= n; i += 16) {
+        const __m512i a = _mm512_loadu_si512(index + i);
+        const __m512i bits = _mm512_cvtepu8_epi32(_mm_loadu_si128((const __m128i *)(corners + i)));
+        const __m512i right = _mm512_and_si512(bits, one);
+        const __m512i c = _mm512_mask_add_epi32(a, _mm512_test_epi32_mask(bits, two), a, width);
+        const __m512i ar = _mm512_add_epi32(a, right), cr = _mm512_add_epi32(c, right);
+        /* unsigned, so a negative index fails too; n < 2^31 (the binding's
+           cap), so for a < n, c + right <= a + w + 1 cannot wrap */
+        if (_mm512_cmpge_epu32_mask(a, size) | _mm512_cmpge_epu32_mask(cr, size))
+            return -1;
+        const __m512 ia = _mm512_i32gather_ps(a, img, 4), ic = _mm512_i32gather_ps(c, img, 4);
+        const __m512 dtop = _mm512_sub_ps(_mm512_i32gather_ps(ar, img, 4), ia);
+        const __m512 dbot = _mm512_sub_ps(_mm512_i32gather_ps(cr, img, 4), ic);
+        const __m512 vfx = _mm512_loadu_ps(fx + i), vfy = _mm512_loadu_ps(fy + i);
+        for (int half = 0; half < 2; half++) {
+            const __m512d dx = widen(vfx, half);
+            const __m512d top = _mm512_add_pd(widen(ia, half),
+                                              _mm512_mul_pd(dx, widen(dtop, half)));
+            const __m512d bot = _mm512_add_pd(widen(ic, half),
+                                              _mm512_mul_pd(dx, widen(dbot, half)));
+            const __m512d mix = _mm512_mul_pd(widen(vfy, half), _mm512_sub_pd(bot, top));
+            _mm256_storeu_ps(out + i + 8 * half, _mm512_cvtpd_ps(_mm512_add_pd(top, mix)));
+        }
+    }
+    return sample_pixels(img, index, corners, fx, fy, out, i, n, w);
+}
+#endif
+
+/* Samples img at the coordinates warp_coords found, with the AVX-512F body
+   where the host has it.  Returns -1 when a corner falls outside the
+   stack, else 0. */
+int warp_bilinear(const float *restrict img, const int32_t *restrict index,
+                  const uint8_t *restrict corners, const float *restrict fx,
+                  const float *restrict fy, float *restrict out, int p, int h, int w)
+{
+    const size_t n = (size_t)p * h * w;
+#ifdef SAMPLER_AVX512
+    if (use_avx512)
+        return warp_bilinear_avx512(img, index, corners, fx, fy, out, n, w);
+#endif
+    return sample_pixels(img, index, corners, fx, fy, out, 0, n, w);
+}
+
+/* The name of the sampler body warp_bilinear runs on this host. */
+const char *warp_sampler(void)
+{
+#ifdef SAMPLER_AVX512
+    if (use_avx512)
+        return "avx512f";
+#endif
+    return "scalar";
 }
 
 /* One tap of the blur along a row: acc[x] + tap * src[x] in double,

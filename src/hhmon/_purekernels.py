@@ -14,10 +14,13 @@ the arithmetic a lone (1, H, W) stack would get.
 A warp is split in two so that the images warped by one flow share one
 coordinate pass: `warp_coords(u, v)` finds where each pixel samples, as four
 (P, H, W) arrays, and `warp_bilinear(img, coords)` samples one image there.
-The coordinates are the same arrays on both backends, 17 bytes a pixel: the
-flat index of the top-left corner into the stack (`np.intp`), two corner
-bits (uint8) and the two fractions (float32), so either backend's sampler
-takes either backend's coordinates.
+The coordinates are the same arrays on both backends, 13 bytes a pixel: the
+flat index of the top-left corner into the stack (int32), two corner bits
+(uint8) and the two fractions (float32), so either backend's sampler takes
+either backend's coordinates.  Both warp kernels refuse a stack of more
+than 2^31 - 1 pixels, which the index cannot reach, and the sampler an
+index outside the stack, with ValueError.  The compiled sampler has a
+scalar and an AVX-512F body (see `_accel`); both give these bits.
 
 `gaussian_blur(img, taps)` smooths each plane before the pyramid resizes
 it, and `data_terms` forms the linearized data term of a warp from the
@@ -35,13 +38,21 @@ from __future__ import annotations
 import numpy as np
 
 _SIGN = np.int32(-(2**31))  # the float32 sign bit, as int32
+_MAX_PIXELS = 2**31 - 1  # the stack an int32 index reaches
+
+
+def _checked_pixels(name: str, shape) -> None:
+    """ValueError when a warp's stack has more pixels than its index reaches."""
+    if shape[0] * shape[1] * shape[2] > _MAX_PIXELS:
+        raise ValueError(f"{name}: a stack of shape {shape} has more than 2**31 - 1 pixels, "
+                         "which the int32 index cannot reach")
 
 
 def warp_coords(u: np.ndarray, v: np.ndarray) -> tuple:
     """Where bilinear sampling at (x + u, y + v) reads each pixel of a stack.
 
-    Returns (index, corners, fx, fy): the flat index of the top-left corner
-    (x0, y0) into the whole (P, H, W) stack; uint8 corner bits, bit 0 set
+    Returns (index, corners, fx, fy): the flat int32 index of the top-left
+    corner (x0, y0) into the whole (P, H, W) stack; uint8 corner bits, bit 0 set
     when x0 < W - 1 and bit 1 when y0 < H - 1 (else the right or the lower
     corner is clamped onto the top-left one's column or row); and the
     float32 fractions towards the right and the lower corners.  A
@@ -51,14 +62,15 @@ def warp_coords(u: np.ndarray, v: np.ndarray) -> tuple:
     `c - trunc(c)`, which is exact in float32.
     """
     p, h, w = u.shape
+    _checked_pixels("warp_coords", u.shape)
     x = np.arange(w, dtype=np.float32) + u
     y = np.arange(h, dtype=np.float32)[:, None] + v
     for c, size in ((x, w), (y, h)):
         np.fmax(np.minimum(c, np.float32(size - 1), out=c), np.float32(0), out=c)
-    index = y.astype(np.intp)  # non-negative, truncation == floor
+    index = y.astype(np.int32)  # non-negative, truncation == floor
     index *= w
-    index += x.astype(np.intp)
-    index += np.arange(0, p * h * w, h * w)[:, None, None]
+    index += x.astype(np.int32)
+    index += np.arange(0, p * h * w, h * w, dtype=np.int32)[:, None, None]
     # x < W - 1 exactly where x0 = trunc(x) < W - 1
     corners = np.less(x, np.float32(w - 1)).view(np.uint8)
     corners |= np.less(y, np.float32(h - 1)).view(np.uint8) << np.uint8(1)
@@ -76,11 +88,16 @@ def warp_bilinear(img: np.ndarray, coords: tuple) -> np.ndarray:
     then overwritten by the one it is clamped onto.  Every ufunc takes
     operands of one dtype, each float32 one widened first by an explicit
     cast, which gives the values a mixed-dtype ufunc would, in fewer
-    passes."""
+    passes.  An index below 0 or past the stack raises ValueError, as the
+    compiled sampler does (which also checks the other three corners)."""
     index, corners, fx, fy = coords
+    _checked_pixels("warp_bilinear", img.shape)
     w = img.shape[2]
     flat = np.concatenate((img.reshape(-1), np.zeros(w + 1, dtype=img.dtype)))
-    a = img.reshape(-1).take(index)  # raises on an index past the stack
+    try:  # as uint32 a negative index lies past the stack too
+        a = img.reshape(-1).take(index.view(np.uint32))
+    except IndexError:
+        raise ValueError("warp_bilinear: a coordinate index falls outside the stack") from None
     b, c, d = (flat[shift:].take(index) for shift in (1, w, w + 1))
     no_right = (corners & 1) == 0
     np.copyto(b, a, where=no_right)

@@ -321,9 +321,10 @@ def warp_coords_oracle(u, v):
 
 def expand_coords(coords, w):
     """The compact coordinates of `warp_coords` on planes w wide as the six
-    arrays `warp_coords_oracle` returns: the four corner indices and the
-    fractions widened to float64."""
+    arrays `warp_coords_oracle` returns: the four corner indices, widened
+    from int32 to intp, and the fractions widened to float64."""
     index, corners, fx, fy = coords
+    index = index.astype(np.intp)
     right = (corners & 1).astype(np.intp)
     lower = np.where(corners & 2, index + w, index)
     return (index, index + right, lower, lower + right,

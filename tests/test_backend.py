@@ -166,7 +166,7 @@ def special_warp(rng, shape):
 def test_pure_warp_equals_its_first_version_bit_for_bit(rng, shape):
     u, v, img = special_warp(rng, shape)
     at, want_at = _purekernels.warp_coords(u, v), warp_coords_oracle(u, v)
-    assert [a.dtype for a in at] == [np.intp, np.uint8, np.float32, np.float32]
+    assert [a.dtype for a in at] == [np.int32, np.uint8, np.float32, np.float32]
     assert all(same_bits(a, b) for a, b in zip(expand_coords(at, shape[2]), want_at))
     for image in (img, *_centered_gradient(img)):
         assert same_bits(_purekernels.warp_bilinear(image, at),
@@ -257,20 +257,23 @@ def test_read_only_and_empty_stacks_pass_the_binding(rng, accel, planes):
     assert all(same_bits(a, b) for a, b in zip(*outs))
 
 
-CLONES = b'__attribute__((target_clones("avx2", "default")))'
+@pytest.fixture(scope="module")
+def baseline(tmp_path_factory):
+    """The C kernels built with _accel.BASELINE_FLAGS: baseline x86-64 code
+    alone, without the AVX2 clones and the AVX-512F sampler."""
+    if not HAS_CC:
+        pytest.skip(f"no C compiler ({_accel.compiler()[0]})")
+    root = str(tmp_path_factory.mktemp("baseline"))
+    return _accel.CompiledKernels(_accel.build(root, flags=_accel.BASELINE_FLAGS))
 
 
 @pytest.fixture(scope="module")
-def baseline(tmp_path_factory):
-    """The C kernels built from a copy of the source with the dispatch
-    attribute emptied: baseline x86-64 code alone."""
-    if not HAS_CC:
-        pytest.skip(f"no C compiler ({_accel.compiler()[0]})")
-    root = tmp_path_factory.mktemp("baseline")
-    source = Path(_accel.SOURCE).read_bytes()
-    assert source.count(CLONES) == 1
-    (root / "flowkernels.c").write_bytes(source.replace(CLONES, b""))
-    return _accel.CompiledKernels(_accel.build(str(root), str(root / "flowkernels.c")))
+def avx512(accel):
+    """The dispatched build, on a host where it samples with its AVX-512F body."""
+    if accel.sampler != "avx512f":
+        pytest.skip("the host has no AVX-512F, so the dispatched library runs the scalar "
+                    "sampler and only the scalar and pure ones can be compared")
+    return accel
 
 
 def test_the_dispatched_library_holds_both_builds(accel, baseline):
@@ -278,11 +281,49 @@ def test_the_dispatched_library_holds_both_builds(accel, baseline):
     # the two libraries below run different code
     if platform.machine() != "x86_64" or platform.libc_ver()[0] != "glibc":
         pytest.skip("target_clones needs x86-64 glibc")
-    for kernels, clones in ((accel, True), (baseline, False)):
+    for kernels, dispatched in ((accel, True), (baseline, False)):
         symbols = Path(kernels._lib._name).read_bytes()
-        for name in (b"warp_coords", b"warp_bilinear", b"gaussian_blur", b"data_terms",
-                     b"primal_row", b"dual_step", b"add_row_error"):
-            assert (name + b".avx2" in symbols) == clones, name
+        for name in (b"warp_coords", b"gaussian_blur", b"data_terms", b"primal_row",
+                     b"dual_step", b"add_row_error"):
+            assert (name + b".avx2" in symbols) == dispatched, name
+        # the sampler has no clone: its vector body is written by hand
+        assert b"warp_bilinear.avx2" not in symbols
+        assert (b"warp_bilinear_avx512" in symbols) == dispatched
+    assert baseline.sampler == "scalar"
+
+
+def test_the_sampler_runs_its_avx512_body_where_the_host_has_avx512f(accel):
+    cpuinfo = Path("/proc/cpuinfo")
+    if platform.machine() != "x86_64" or not cpuinfo.exists():
+        pytest.skip("the CPU's flags are read from /proc/cpuinfo on x86-64")
+    assert accel.sampler == ("avx512f" if "avx512f" in cpuinfo.read_text().split() else "scalar")
+
+
+def smooth_flow(rng, shape, amplitude=4.0):
+    """(u, v) of one shape, smooth like the solver's: textures around 0."""
+    p, h, w = shape
+    return [np.stack([(smooth_texture(rng, h=h, w=w) - np.float32(0.5)) * np.float32(amplitude)
+                      for _ in range(p)]).astype(np.float32) for _ in range(2)]
+
+
+# pixel counts around and off a multiple of the vector body's 16 lanes
+@pytest.mark.parametrize("shape", [(1, 7, 9), (2, 31, 9), (1, 2, 8), (1, 3, 17), (3, 16, 17),
+                                   (1, 144, 192)])
+@pytest.mark.parametrize("flow", ["special", "random", "smooth"])
+def test_the_avx512_scalar_and_pure_samplers_agree_bit_for_bit(rng, avx512, baseline, shape,
+                                                               flow):
+    u, v, img = special_warp(rng, shape)
+    if flow == "random":
+        u, v = (rng.normal(0, 2.0, shape).astype(np.float32) for _ in range(2))
+    elif flow == "smooth":
+        u, v = smooth_flow(rng, shape)
+    at = _purekernels.warp_coords(u, v)
+    for kernels in (avx512, baseline):
+        assert all(same_bits(a, b) for a, b in zip(kernels.warp_coords(u, v), at))
+    for image in (img, *_centered_gradient(img)):
+        want = _purekernels.warp_bilinear(image, at)
+        assert same_bits(avx512.warp_bilinear(image, at), want)
+        assert same_bits(baseline.warp_bilinear(image, at), want)
 
 
 @pytest.mark.parametrize("shape", [(3, 7, 9), (1, 2, 17), (2, 31, 9)])
@@ -310,13 +351,15 @@ def test_the_baseline_build_gives_the_bits_of_the_dispatched_one_and_pure(rng, a
 
 
 def test_the_solver_gives_the_same_bits_on_every_build(rng, monkeypatch, accel, baseline):
-    tex = smooth_texture(rng, h=36, w=48)
-    frames = np.stack([np.roll(tex, i, axis=1) for i in range(4)])[..., None].repeat(3, -1)
-    flows = []
-    for kernels in (_purekernels, accel, baseline):
-        use_kernels(monkeypatch, kernels)
-        flows.append(np.stack(sequence_flow(frames, TvL1Params())))
-    assert same_bits(flows[1], flows[0]) and same_bits(flows[2], flows[0])
+    # at 35x47 no pyramid level has a multiple of the AVX-512F sampler's 16 lanes
+    for h, w in ((36, 48), (35, 47)):
+        tex = smooth_texture(rng, h=h, w=w)
+        frames = np.stack([np.roll(tex, i, axis=1) for i in range(4)])[..., None].repeat(3, -1)
+        flows = []
+        for kernels in (_purekernels, accel, baseline):
+            use_kernels(monkeypatch, kernels)
+            flows.append(np.stack(sequence_flow(frames, TvL1Params())))
+        assert same_bits(flows[1], flows[0]) and same_bits(flows[2], flows[0]), (h, w)
 
 
 def edge_problem(rng, n_planes, h, w):
@@ -524,6 +567,41 @@ def test_compiled_warp_rejects_indices_outside_the_stack(rng, accel):
     index_, corners = at[0].copy(), at[1].copy()
     index_[1, 5, 7], corners[1, 5, 7] = img.size - 10, 3  # the last corner is the last pixel
     assert accel.warp_bilinear(img, (index_, corners, *at[2:]))[1, 5, 7] == img[1, 4, 6]
+
+
+@pytest.mark.parametrize("pixel", ["first", "vector body", "scalar tail"])
+@pytest.mark.parametrize("index", [-1, -(2**31), 108, 2**31 - 1])
+@pytest.mark.parametrize("bits", [0, 3])
+def test_every_sampler_rejects_an_index_outside_the_stack(rng, accel, baseline, pixel, index,
+                                                          bits):
+    # a 2x6x9 stack: the AVX-512F body samples pixels 0-95 and leaves 96-107
+    # to the scalar loop; with both corner bits set, -1 points the lower
+    # right corner back into the stack, so the top-left index must be
+    # checked on its own
+    img = rng.random((2, 6, 9), dtype=np.float32)
+    at = _purekernels.warp_coords(np.zeros_like(img), np.zeros_like(img))
+    bad, corners = at[0].copy(), at[1].copy()
+    k = {"first": 0, "vector body": 37, "scalar tail": 101}[pixel]
+    bad.reshape(-1)[k], corners.reshape(-1)[k] = index, bits
+    for kernels in (_purekernels, accel, baseline):
+        with pytest.raises(ValueError, match="outside the stack"):
+            kernels.warp_bilinear(img, (bad, corners, *at[2:]))
+
+
+def test_both_backends_refuse_a_warp_stack_the_int32_index_cannot_reach(accel):
+    # zero-stride views of 2^31 pixels: refused before anything reads them
+    shape = (2, 2**15, 2**15)
+    huge = [np.lib.stride_tricks.as_strided(np.zeros(1, dtype=d), shape=shape,
+                                            strides=(2**30 * d.itemsize, 2**15 * d.itemsize,
+                                                     d.itemsize))
+            for d in map(np.dtype, (np.float32, np.int32, np.uint8, np.float32, np.float32))]
+    img, coords = huge[0], tuple(huge[1:])
+    assert all(a.flags.c_contiguous for a in huge)
+    for kernels in (_purekernels, accel):
+        with pytest.raises(ValueError, match=r"more than 2\*\*31 - 1 pixels"):
+            kernels.warp_coords(img, img)
+        with pytest.raises(ValueError, match=r"more than 2\*\*31 - 1 pixels"):
+            kernels.warp_bilinear(img, coords)
 
 
 def test_compiled_warp_clamps_nan_displacements_into_the_image(rng, accel):
@@ -868,8 +946,13 @@ def test_the_kernel_benchmark_script_runs(tmp_path):
                             "warp_bilinear x3 smooth", "gaussian_blur", "data_terms",
                             "tvl1_iterations x2")]
     names += ["flow_sequence 23x96x72", "flow_sequence 23x192x144"]
-    rows = run.stdout.splitlines()[2:]
+    head, rows = run.stdout.splitlines()[:3], run.stdout.splitlines()[3:]
     assert [row[:36].rstrip() for row in rows] == names
+    # the baseline build's time sits beside the dispatched one's on the sampler rows
+    assert head[1].startswith("compiled sampler body:")
+    assert [row[36:].split()[1] != "-" for row in rows] == [
+        name.startswith("warp_bilinear x3") and "failed to build" not in run.stdout
+        for name in names]
     if "failed to build" not in run.stdout:
         # the two backends give the same bits on every row
         assert all(row.split()[-1] == "0.0e+00" for row in rows), run.stdout
